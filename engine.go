@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 
 	"parmp/internal/core"
+	"parmp/internal/cspace"
+	"parmp/internal/env"
 	"parmp/internal/prm"
 )
 
@@ -27,13 +29,69 @@ var ErrStopped = core.ErrStopped
 type Engine struct {
 	space *Space
 
-	mu   sync.Mutex // serializes growth
-	gen  uint64     // snapshots published so far (guarded by mu)
-	prm  *core.PRMEngine
-	rrt  *core.RRTEngine
-	rrtc *core.RRTConnectEngine
+	mu  sync.Mutex // serializes growth
+	gen uint64     // snapshots published so far (guarded by mu)
+	pl  planner
 
 	snap atomic.Pointer[Snapshot]
+}
+
+// planner is Engine's view of a core engine: grow it, repair it, and
+// index its committed result for queries. The two implementations are
+// what differs between a roadmap and a forest at this layer — the index
+// type, and PRM's index-scoped incremental repair.
+type planner interface {
+	GrowRound(stop <-chan struct{}) error
+	Rounds() int
+	// index returns a snapshot holding the committed result and a query
+	// index built from scratch.
+	index() *Snapshot
+	// repair applies delta, which mutates old's world into next, and
+	// returns a snapshot holding the repaired result and its index.
+	repair(old *Snapshot, next *Space, delta env.Delta, stop <-chan struct{}) (*Snapshot, RepairStats, error)
+}
+
+type prmPlanner struct{ *core.PRMEngine }
+
+func (p prmPlanner) index() *Snapshot {
+	res := p.Result()
+	return &Snapshot{prmRes: res, prmIx: prm.BuildIndex(res.Roadmap)}
+}
+
+func (p prmPlanner) repair(old *Snapshot, next *Space, delta env.Delta, stop <-chan struct{}) (*Snapshot, RepairStats, error) {
+	// Scope the re-validation with a kd radius query over the committed
+	// snapshot's index; AffectedVertices' nil ("nothing affected") must
+	// not reach the core as nil ("scan everything").
+	cand := old.prmIx.AffectedVertices(cspace.NewDeltaChecker(old.space, delta))
+	if cand == nil {
+		cand = []int{}
+	}
+	rep, err := p.ApplyDelta(next, delta, cand, stop)
+	if err != nil {
+		return nil, RepairStats{}, err
+	}
+	s := &Snapshot{prmRes: p.Result(), prmIx: old.prmIx}
+	if rep.VertexRemap != nil {
+		// Scoped index repair: labels carry over for untouched components,
+		// only the kd-tree and touched components rebuild.
+		s.prmIx = prm.RepairIndex(old.prmIx, s.prmRes.Roadmap, rep.VertexRemap, rep.TouchedVertices)
+	}
+	return s, rep.Stats, nil
+}
+
+type treePlanner struct{ *core.RRTEngine }
+
+func (p treePlanner) index() *Snapshot {
+	res := p.Result()
+	return &Snapshot{rrtRes: res, rrtIx: core.BuildTreeIndex(res)}
+}
+
+func (p treePlanner) repair(_ *Snapshot, next *Space, delta env.Delta, stop <-chan struct{}) (*Snapshot, RepairStats, error) {
+	rep, err := p.ApplyDelta(next, delta, stop)
+	if err != nil {
+		return nil, RepairStats{}, err
+	}
+	return p.index(), rep.Stats, nil
 }
 
 // NewEngine creates a PRM engine over space. The C-space is subdivided
@@ -44,9 +102,7 @@ func NewEngine(space *Space, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{space: space, prm: pe}
-	e.publish()
-	return e, nil
+	return newEngine(space, prmPlanner{pe}), nil
 }
 
 // NewRRTEngine creates an RRT engine rooted at root: snapshots answer
@@ -57,9 +113,7 @@ func NewRRTEngine(space *Space, root Config, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{space: space, rrt: re}
-	e.publish()
-	return e, nil
+	return newEngine(space, treePlanner{re}), nil
 }
 
 // NewRRTConnectEngine creates an RRT-Connect engine rooted at root and
@@ -73,40 +127,22 @@ func NewRRTConnectEngine(space *Space, root, goal Config, opts Options) (*Engine
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{space: space, rrtc: ce}
-	e.publish()
-	return e, nil
+	return newEngine(space, treePlanner{ce}), nil
 }
 
-// publish builds and atomically installs a fresh snapshot of the
-// engine's committed result. Called with mu held (or before the engine
-// escapes the constructor).
-func (e *Engine) publish() { e.publishIndexed(nil) }
+func newEngine(space *Space, pl planner) *Engine {
+	e := &Engine{space: space, pl: pl}
+	e.publish(pl.index())
+	return e
+}
 
-// publishIndexed is publish with an optional pre-repaired PRM index:
-// ApplyDelta derives the new index incrementally from the old snapshot's
-// (prm.RepairIndex) instead of rebuilding component labels from scratch.
-func (e *Engine) publishIndexed(ix *prm.Index) {
+// publish stamps s — the committed result and its index — with the
+// engine's current world and the next generation, and atomically
+// installs it. Called with mu held (or before the engine escapes the
+// constructor).
+func (e *Engine) publish(s *Snapshot) {
 	e.gen++
-	s := &Snapshot{space: e.space, gen: e.gen, epoch: e.space.Env.Epoch}
-	switch {
-	case e.prm != nil:
-		s.rounds = e.prm.Rounds()
-		s.prmRes = e.prm.Result()
-		if ix != nil {
-			s.prmIx = ix
-		} else {
-			s.prmIx = prm.BuildIndex(s.prmRes.Roadmap)
-		}
-	case e.rrtc != nil:
-		s.rounds = e.rrtc.Rounds()
-		s.rrtRes = e.rrtc.Result()
-		s.rrtIx = core.BuildTreeIndex(s.rrtRes)
-	default:
-		s.rounds = e.rrt.Rounds()
-		s.rrtRes = e.rrt.Result()
-		s.rrtIx = core.BuildTreeIndex(s.rrtRes)
-	}
+	s.space, s.rounds, s.gen, s.epoch = e.space, e.pl.Rounds(), e.gen, e.space.Env.Epoch
 	e.snap.Store(s)
 }
 
@@ -130,19 +166,10 @@ func (e *Engine) Grow(ctx context.Context) error {
 		}
 		stop = ctx.Done()
 	}
-	var err error
-	switch {
-	case e.prm != nil:
-		err = e.prm.GrowRound(stop)
-	case e.rrtc != nil:
-		err = e.rrtc.GrowRound(stop)
-	default:
-		err = e.rrt.GrowRound(stop)
-	}
-	if err != nil {
+	if err := e.pl.GrowRound(stop); err != nil {
 		return err
 	}
-	e.publish()
+	e.publish(e.pl.index())
 	return nil
 }
 

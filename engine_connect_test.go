@@ -167,6 +167,8 @@ func TestEngineRRTConnectCancellation(t *testing.T) {
 	space := NewPointSpace(EnvironmentByName("med-cube"))
 	root, goal := V(0.05, 0.05, 0.05), V(0.95, 0.95, 0.95)
 	opts := Options{Procs: 4, Regions: 32, NodesPerRegion: 60, Radius: 2.0, Seed: 11}
+	var cancelMid context.CancelFunc
+	opts.Runtime = cancelAfterReplay(&cancelMid)
 	eng, err := NewRRTConnectEngine(space, root, goal, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -184,19 +186,20 @@ func TestEngineRRTConnectCancellation(t *testing.T) {
 		t.Fatalf("Grow on canceled context: %v; want ErrStopped", err)
 	}
 
-	// Mid-round cancellation: fire the context while the round runs.
-	ctx2, cancel2 := context.WithTimeout(context.Background(), time.Millisecond)
+	// Mid-round cancellation: the round's first phase replay cancels the
+	// context, so the next checkpoint must abort the round.
+	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
+	cancelMid = cancel2
 	err = eng.Grow(ctx2)
-	if err != nil && !errors.Is(err, ErrStopped) {
-		t.Fatalf("mid-round Grow: %v", err)
+	cancelMid = nil
+	if !errors.Is(err, ErrStopped) {
+		t.Fatalf("mid-round Grow: %v; want ErrStopped", err)
 	}
-	if err != nil {
-		if eng.Rounds() != 1 {
-			t.Fatalf("aborted round changed round count: %d", eng.Rounds())
-		}
-		rrtResultsEqual(t, eng.Snapshot().RRT(), committed)
+	if eng.Rounds() != 1 {
+		t.Fatalf("aborted round changed round count: %d", eng.Rounds())
 	}
+	rrtResultsEqual(t, eng.Snapshot().RRT(), committed)
 
 	// No leaked goroutines once the dust settles.
 	for i := 0; ; i++ {
@@ -228,4 +231,56 @@ func TestEngineRRTConnectCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	rrtResultsEqual(t, eng.Snapshot().RRT(), ref.Snapshot().RRT())
+}
+
+// The initial snapshot publishes the engine's empty result, so the first
+// Grow must not write into it: CVBefore is round-local and lands in the
+// fresh result at commit. A reader races the first round (the race
+// detector sees any write to the published result), for both tree
+// constructors.
+func TestEngineFirstGrowLeavesInitialResultUntouched(t *testing.T) {
+	space := NewPointSpace(EnvironmentByName("mixed-30"))
+	root, goal := V(0.5, 0.5, 0.5), V(0.9, 0.9, 0.9)
+	opts := Options{Procs: 4, Regions: 32, NodesPerRegion: 20, Strategy: Repartition, Seed: 7}
+	for name, mk := range map[string]func() (*Engine, error){
+		"rrt":        func() (*Engine, error) { return NewRRTEngine(space, root, opts) },
+		"rrtconnect": func() (*Engine, error) { return NewRRTConnectEngine(space, root, goal, opts) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			eng, err := mk()
+			if err != nil {
+				t.Fatal(err)
+			}
+			initial := eng.Snapshot()
+			done := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					if s := eng.Snapshot(); s.Rounds() == 0 && s.RRT().CVBefore != 0 {
+						t.Error("uncommitted round 0 visible through the initial snapshot")
+						return
+					}
+				}
+			}()
+			err = eng.Grow(context.Background())
+			close(done)
+			wg.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if initial.RRT().CVBefore != 0 {
+				t.Fatalf("first Grow wrote CVBefore = %v into the initial snapshot's result", initial.RRT().CVBefore)
+			}
+			if eng.Snapshot().RRT().CVBefore == 0 {
+				t.Fatal("committed round 0 carries no CVBefore")
+			}
+		})
+	}
 }

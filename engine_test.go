@@ -4,10 +4,16 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"parmp/internal/dist"
+	"parmp/internal/graph"
+	"parmp/internal/sched"
+	"parmp/internal/work"
 )
 
 func testEngineOpts() Options {
@@ -20,12 +26,16 @@ func testEngineOpts() Options {
 	}
 }
 
+// roadmapBytes flattens m's nodes and edges, in order and bit-exactly
+// (%x prints floats in hexadecimal), so roadmaps compare with bytes.Equal.
 func roadmapBytes(t *testing.T, m *Roadmap) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
+	for i := 0; i < m.NumNodes(); i++ {
+		n := m.G.Vertex(graph.ID(i))
+		fmt.Fprintf(&buf, "%d %x\n", n.Region, []float64(n.Q))
 	}
+	m.G.ForEachEdge(func(a, b graph.ID, w float64) { fmt.Fprintf(&buf, "%d %d %x\n", a, b, w) })
 	return buf.Bytes()
 }
 
@@ -178,13 +188,28 @@ func TestSnapshotQueryConcurrentWithGrow(t *testing.T) {
 	}
 }
 
+// cancelAfterReplay returns an Options.Runtime that runs every phase
+// replay on the default simulator and then calls *cancel, when set —
+// cancellation at an exact point of a round, not after a wall-clock delay.
+func cancelAfterReplay(cancel *context.CancelFunc) sched.Runtime {
+	return sched.RuntimeFunc(func(cfg sched.Config, queues [][]work.Task) sched.Report {
+		rep := dist.Runtime.Run(cfg, queues)
+		if *cancel != nil {
+			(*cancel)()
+		}
+		return rep
+	})
+}
+
 // A canceled context must abort growth without tearing state: the
 // previous snapshot stays valid, the round counter is unchanged, no
 // goroutines leak, and the engine can resume growing afterwards.
 func TestEngineCancellation(t *testing.T) {
 	space := NewPointSpace(EnvironmentByName("med-cube"))
 	opts := testEngineOpts()
-	opts.SamplesPerRegion = 40 // enough work for mid-phase cancellation
+	opts.SamplesPerRegion = 40
+	var cancelMid context.CancelFunc
+	opts.Runtime = cancelAfterReplay(&cancelMid)
 	eng, err := NewEngine(space, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -202,21 +227,22 @@ func TestEngineCancellation(t *testing.T) {
 		t.Fatalf("Grow on canceled context: %v; want ErrStopped", err)
 	}
 
-	// Mid-round cancellation: fire the context while the round runs.
-	ctx2, cancel2 := context.WithTimeout(context.Background(), time.Millisecond)
+	// Mid-round cancellation: the round's first phase replay cancels the
+	// context, so the next checkpoint must abort the round.
+	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
+	cancelMid = cancel2
 	err = eng.Grow(ctx2)
-	if err != nil && !errors.Is(err, ErrStopped) {
-		t.Fatalf("mid-round Grow: %v", err)
+	cancelMid = nil
+	if !errors.Is(err, ErrStopped) {
+		t.Fatalf("mid-round Grow: %v; want ErrStopped", err)
 	}
-	if err != nil {
-		// The aborted round must not have touched the committed state.
-		if eng.Rounds() != 1 {
-			t.Fatalf("aborted round changed round count: %d", eng.Rounds())
-		}
-		if got := roadmapBytes(t, eng.Snapshot().PRM().Roadmap); !bytes.Equal(got, committed) {
-			t.Fatal("aborted round mutated the committed roadmap")
-		}
+	// The aborted round must not have touched the committed state.
+	if eng.Rounds() != 1 {
+		t.Fatalf("aborted round changed round count: %d", eng.Rounds())
+	}
+	if got := roadmapBytes(t, eng.Snapshot().PRM().Roadmap); !bytes.Equal(got, committed) {
+		t.Fatal("aborted round mutated the committed roadmap")
 	}
 
 	// No leaked goroutines once the dust settles.

@@ -370,7 +370,7 @@ func TestRRTExtractPath(t *testing.T) {
 	}
 	goal := geom.V(0.7, 0.6, 0.5)
 	var c cspace.Counters
-	path, ok := res.ExtractPath(s, goal, &c)
+	path, ok := BuildTreeIndex(res).ExtractPath(s, goal, &c)
 	if !ok {
 		t.Fatal("free-space goal near the root should be reachable")
 	}
@@ -394,7 +394,7 @@ func TestRRTExtractPathInvalidGoal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := res.ExtractPath(s, geom.V(0.5, 0.5, 0.5), nil); ok {
+	if _, ok := BuildTreeIndex(res).ExtractPath(s, geom.V(0.5, 0.5, 0.5), nil); ok {
 		t.Fatal("goal inside the obstacle must fail")
 	}
 }

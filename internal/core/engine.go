@@ -4,12 +4,8 @@ import (
 	"errors"
 
 	"parmp/internal/cspace"
-	"parmp/internal/graph"
 	"parmp/internal/metrics"
-	"parmp/internal/prm"
 	"parmp/internal/region"
-	"parmp/internal/repart"
-	"parmp/internal/rng"
 	"parmp/internal/sched"
 	"parmp/internal/work"
 )
@@ -32,249 +28,270 @@ func roundSalt(round, i int) uint64 {
 	return uint64(round)<<32 | uint64(i)
 }
 
-// PRMEngine grows a roadmap incrementally: each GrowRound runs one full
-// pass of the paper's phase pipeline (sample → weight → [repartition] →
-// node connection → region connection → merge) over the SAME region
-// graph, kd indexes and ownership state, appending new samples to the
-// per-region roadmaps instead of starting over. The one-shot
-// ParallelPRM is exactly one round of this engine.
-//
-// A PRMEngine is not safe for concurrent use; the serving layer
-// (package parmp) serializes growth and publishes immutable snapshots
-// for concurrent queries.
-type PRMEngine struct {
-	s      *cspace.Space
-	opts   Options
-	pl     *pipeline
-	rg     *region.Graph
-	params prm.Params
-
-	// data accumulates each region's committed nodes and local edges
-	// across rounds. Edge indices are local to the region's node slice.
-	data []prmRegionData
-	// costAcc accumulates the bounded per-region construct-cost summary
-	// across committed rounds (published as Result().RegionCosts).
-	costAcc []RegionCost
-	// boundary accumulates committed cross-region edges across rounds.
-	boundary []boundaryEdge
-	// repairAcc accumulates committed ApplyDelta repair stats.
-	repairAcc RepairStats
-
-	res   *PRMResult // last committed cumulative result
-	round int        // rounds committed so far
+// RunStats is the planner-independent part of a result: the load-balance
+// accounting the round driver accumulates identically for every planner.
+// PRMResult and RRTResult embed it, so its fields read as their own.
+type RunStats struct {
+	RegionGraph *region.Graph
+	Phases      PhaseBreakdown
+	// TotalTime is the virtual makespan of the whole pipeline.
+	TotalTime float64
+	// ProcStats is the construction-phase execution profile.
+	ProcStats []sched.WorkerStats
+	// PhaseReports holds every phase's virtual-time runtime report, in
+	// replay order, so per-phase load-balance metrics (internal/obsv)
+	// derive from a finished run without re-executing it.
+	PhaseReports []PhaseReport
+	// NodeLoads[p] counts roadmap / tree nodes on processor p after the
+	// run — the paper's load-profile quantity (Fig. 5(c)).
+	NodeLoads []float64
+	// CVBefore/CVAfter are the load coefficients of variation under the
+	// naive partition and the final ownership (Fig. 5(b)).
+	CVBefore, CVAfter float64
+	// RegionRemote counts region-graph edges whose connection attempt
+	// crossed processors (Fig. 7(b)).
+	RegionRemote int
+	EdgeCut      int
+	// MigratedRegions counts ownership transfers due to repartitioning;
+	// DiffusedRegions those due to the between-rounds diffusive rebalance
+	// (Options.Rebalance).
+	MigratedRegions int
+	DiffusedRegions int
+	// RegionCosts[i] summarizes region i's observed construct-phase task
+	// costs over all committed rounds (count/sum/max; see RegionCost).
+	// The bounded replacement for the per-task maps the retained
+	// PhaseReports drop.
+	RegionCosts []RegionCost
+	// Repairs summarizes the incremental-repair work committed by
+	// ApplyDelta calls (zero while the world never mutates).
+	Repairs RepairStats
 }
 
-// NewPRMEngine validates opts, subdivides the C-space and builds the
-// naive initial partition. No planning work happens until GrowRound.
-func NewPRMEngine(s *cspace.Space, opts Options) (*PRMEngine, error) {
-	opts = opts.Defaults()
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	dims := s.Env.Dim()
-	spec := region.SplitEvenly(dims, opts.Regions, opts.Overlap)
-	var rg *region.Graph
-	var err error
-	if opts.Adaptive {
-		rg, err = region.AdaptiveGrid(s.Env, region.AdaptiveSpec{
-			Base:     spec,
-			MaxDepth: opts.AdaptiveDepth,
-		})
-	} else {
-		rg, err = region.UniformGrid(s.Bounds, spec)
-	}
-	if err != nil {
-		return nil, err
-	}
-	region.NaiveColumnPartition(rg, opts.Procs)
-	e := &PRMEngine{
-		s:       s,
-		opts:    opts,
-		pl:      newPipeline(opts),
-		rg:      rg,
-		params:  prm.Params{SamplesPerRegion: opts.SamplesPerRegion, K: opts.ConnectK, Sampler: opts.Sampler},
-		data:    make([]prmRegionData, rg.NumRegions()),
-		costAcc: make([]RegionCost, rg.NumRegions()),
-	}
-	e.res = &PRMResult{Roadmap: prm.NewRoadmap(), RegionGraph: rg}
-	return e, nil
+// estimate is a planner's answer to "what should this round balance on".
+type estimate struct {
+	// weights is the static per-region work estimate (sample counts,
+	// k-ray probe, or uniform); under CostObserved the cost model maps it
+	// to observed units once warm.
+	weights []float64
+	// units, when non-nil, makes the cost model track cost per unit (PRM:
+	// cost per fresh sample) instead of raw region cost.
+	units []int
+	// payload is the vertex count each region carries if it migrates.
+	payload []int
+	// fresh reports that a pipeline phase produced the estimate this
+	// round, so weighing ends at a barrier whether or not anything
+	// migrates. A stale estimate re-weighs only through the observed cost
+	// model, and pays the barrier only when regions actually move.
+	fresh bool
+}
+
+// planner is what distinguishes the paper's Algorithm 1 (PRM) from
+// Algorithm 2 (the radial tree planners) once the load-balancing
+// skeleton is factored out: how a region samples, grows and connects,
+// and how its committed structure is stored, repaired and published.
+// The round driver (engine) owns everything else.
+//
+// Growth hooks run in the order listed, repair hooks likewise. Every
+// hook before commit / commitRepair writes only round-local buffers, so
+// the driver abandons a round at any checkpoint by not calling the rest.
+type planner interface {
+	// weigh opens growth round `round`: it resets the round-local
+	// buffers and runs whatever phase produces the round's per-region
+	// work estimate (PRM: sampling; trees: the round-0 k-ray probe),
+	// charging it to phases. ok=false means that phase was stopped.
+	weigh(round int, phases *PhaseBreakdown) (est estimate, ok bool)
+	// constructTask returns region i's task for the stealable construct
+	// phase (PRM node connection, tree branch growth).
+	constructTask(round, i int) work.Task
+	// connectPair attempts to connect adjacent regions a and b (entry idx
+	// of engine.pairs) and returns the work done. Pairs run concurrently.
+	connectPair(idx, a, b int) cspace.Counters
+	// bookPair records pair idx's outcome in pair order, given whether
+	// its regions sit on different processors, and returns how many
+	// roadmap accesses the attempt made on top of the region access.
+	bookPair(idx, a, b int, remote bool) int
+	// commit folds the round's buffers into the committed structure.
+	// weights and report are the construct phase's estimate and outcome.
+	commit(round int, weights []float64, report sched.Report)
+
+	// repairTask returns region i's task for the stealable repair phase:
+	// re-validate the region against dc, in the mutated space s.
+	repairTask(s *cspace.Space, dc *cspace.DeltaChecker, i int) work.Task
+	// connectors lists the committed cross-region connectors (boundary
+	// edge sets, bridges) by the region whose owner re-validates them.
+	connectors() []int
+	// recheckConnector re-validates connector idx against dc using the
+	// repair phase's outcome and returns the work done. Connectors run
+	// concurrently.
+	recheckConnector(dc *cspace.DeltaChecker, idx int) cspace.Counters
+	// commitRepair compacts the committed structure to the survivors and
+	// folds the repair's counts into st.
+	commitRepair(st *RepairStats)
+
+	// nodeCount is region i's committed node count as published.
+	nodeCount(i int) int
+	// publish builds the planner's immutable result around stats.
+	publish(stats RunStats)
+}
+
+// engine is the round driver: one implementation of the paper's
+// load-balancing framework — weigh → repartition → stealable construct
+// → region connect, and its repair counterpart — serving every planner
+// through the planner hooks. It owns cancellation and abort-restore,
+// phase accounting, ownership, cost observation and result statistics.
+//
+// An engine is not safe for concurrent use; the serving layer (package
+// parmp) serializes growth and publishes immutable snapshots.
+type engine struct {
+	s    *cspace.Space
+	opts Options
+	pl   *pipeline
+	rg   *region.Graph
+	p    planner
+	// pairs lists the region graph's adjacent pairs (fixed at
+	// construction), the unit of the region-connection phase.
+	pairs [][2]int
+
+	// Per-planner constants of the shared phases.
+	constructSalt  uint64 // victim randomization of the construct phase
+	connectorPhase string // name of the repair path's connector phase
+	// pairOnEitherOwner lets a region-connection attempt run on the less
+	// loaded of its two regions' owners (PRM) instead of the first's.
+	pairOnEitherOwner bool
+	// repairFeedsModel feeds repair-phase costs to the cost model (tree
+	// planners: the model tracks raw region cost, so the mutation's load
+	// concentration informs the next repartition; PRM tracks cost per
+	// sample, which a repair does not have).
+	repairFeedsModel bool
+
+	stats RunStats // statistics of the last committed result
+	round int      // rounds committed so far
+}
+
+// setup wires the driver to its planner and publishes the empty result.
+func (e *engine) setup(s *cspace.Space, opts Options, rg *region.Graph, p planner) {
+	e.s, e.opts, e.rg, e.p = s, opts, rg, p
+	e.pl = newPipeline(opts)
+	rg.ForEachAdjacentPair(func(a, b int) { e.pairs = append(e.pairs, [2]int{a, b}) })
+	e.stats = RunStats{RegionGraph: rg}
+	p.publish(e.stats)
 }
 
 // Rounds returns the number of committed growth rounds.
-func (e *PRMEngine) Rounds() int { return e.round }
+func (e *engine) Rounds() int { return e.round }
 
-// Result returns the cumulative result of all committed rounds. The
-// returned value is immutable: later rounds build a fresh result rather
-// than mutating this one, so callers may hold it (and index its
-// roadmap) while the engine keeps growing.
-func (e *PRMEngine) Result() *PRMResult { return e.res }
-
-// GrowRound runs one pipeline pass, appending SamplesPerRegion new
-// sampling attempts per region and connecting the accepted samples into
-// the roadmap. stop, when non-nil, cancels cooperatively: the runtime
-// backends observe it between tasks/events and the engine checks it at
-// every phase barrier. On cancellation GrowRound returns ErrStopped and
-// discards the round's partial buffers — the previously committed
-// result is untouched.
-func (e *PRMEngine) GrowRound(stop <-chan struct{}) error {
-	opts := e.opts
-	pl := e.pl
-	rg := e.rg
-	n := rg.NumRegions()
-	round := e.round
-
+// begin arms cooperative cancellation for one GrowRound / ApplyDelta
+// (callers defer end) and returns the abort that restores the
+// phase-report log and region ownership to their state on entry.
+func (e *engine) begin(stop <-chan struct{}) (abort func() error) {
+	pl, rg := e.pl, e.rg
 	pl.stop = stop
-	defer func() { pl.stop = nil }()
 	reportMark := len(pl.reports)
 	ownerMark := append([]int(nil), rg.Owner...)
-	abort := func() error {
+	return func() error {
 		pl.reports = pl.reports[:reportMark]
 		copy(rg.Owner, ownerMark)
 		return ErrStopped
 	}
+}
+
+func (e *engine) end() { e.pl.stop = nil }
+
+// GrowRound runs one pass of the phase pipeline over the SAME region
+// graph and ownership state, extending the committed roadmap or tree.
+// stop, when non-nil, cancels cooperatively: the runtime backends
+// observe it between tasks/events and the driver checks it at every
+// phase barrier. On cancellation GrowRound returns ErrStopped and
+// discards the round's partial buffers — the committed result, the
+// region ownership and the cost model are untouched.
+func (e *engine) GrowRound(stop <-chan struct{}) error {
+	opts, pl, rg := e.opts, e.pl, e.rg
+	n := rg.NumRegions()
+	round := e.round
+	abort := e.begin(stop)
+	defer e.end()
 
 	var phases PhaseBreakdown
 	if round == 0 {
 		phases.Setup = pl.barrier()
 	}
 
-	// --- Sampling phase: fresh per-round streams keep determinism.
-	type roundRegion struct {
-		nodes       []prm.Node
-		sampleWork  cspace.Counters
-		edges       [][2]int
-		connectWork cspace.Counters
-	}
-	fresh := make([]roundRegion, n)
-	sampleRep := pl.run(phaseSpec{
-		name: "sample",
-		queues: queuesByOwner(opts.Procs, rg.Owner, n, func(i int) work.Task {
-			return work.Task{
-				ID: i,
-				Run: func() (float64, int) {
-					r := rng.Derive(opts.Seed, roundSalt(round, i))
-					fresh[i].nodes, fresh[i].sampleWork = prm.SampleRegion(e.s, rg.Region(i).Box, i, e.params, r)
-					return opts.Cost.Time(fresh[i].sampleWork), len(fresh[i].nodes)
-				},
-			}
-		}),
-	})
-	if sampleRep.Stopped || sched.Canceled(stop) {
+	// --- Weight phase. A fresh estimate is installed as is in round 0
+	// (the cold start, bit-identical across cost models); warm rounds
+	// under CostObserved weigh on the EWMA of the construct costs
+	// observed so far, which also re-weighs — and re-repartitions — the
+	// rounds whose static estimate is stale.
+	est, ok := e.p.weigh(round, &phases)
+	if !ok || sched.Canceled(stop) {
 		return abort()
 	}
-	phases.Sampling = sampleRep.Makespan + pl.barrier()
-	sampleCounts := make([]int, n)
-	for i := 0; i < n; i++ {
-		sampleCounts[i] = len(fresh[i].nodes)
-	}
-
-	// --- Weight phase: this round's sample counts estimate this round's
-	// connection work (the construct phase only processes new samples).
-	// Under CostObserved, warm rounds replace the sample-count estimate
-	// with the EWMA of the construct costs actually observed in prior
-	// rounds (round 0 passes through unchanged — the cold start).
-	weights := pl.roundWeights(repart.SampleCountWeights(sampleCounts), sampleCounts)
-	if err := rg.SetWeights(weights); err != nil {
-		return err
-	}
-	cvBefore := metrics.CV(rg.LoadPerProcessor(opts.Procs))
-
-	// --- Optional repartitioning before the expensive phase.
+	weights := est.weights
+	var cvBefore float64
 	migrated := 0
-	if opts.Strategy == Repartition {
-		var cost float64
-		migrated, cost = pl.rebalance(rg, weights, sampleCounts)
-		phases.Redistribution = cost + pl.barrier()
+	if est.fresh || opts.CostModel == CostObserved {
+		if round > 0 {
+			weights = pl.roundWeights(est.weights, est.units)
+		}
+		if err := rg.SetWeights(weights); err != nil {
+			abort()
+			return err
+		}
+		cvBefore = metrics.CV(rg.LoadPerProcessor(opts.Procs))
+		// --- Optional repartitioning before the expensive phase.
+		if opts.Strategy == Repartition {
+			var cost float64
+			migrated, cost = pl.rebalance(rg, weights, est.payload)
+			if est.fresh || migrated > 0 {
+				phases.Redistribution = phases.Redistribution + pl.barrier() + cost
+			}
+		}
 	}
 	if sched.Canceled(stop) {
 		return abort()
 	}
 
-	// --- Node-connection phase (expensive; stealable). Each region
-	// connects only its new samples, querying against old + new nodes.
-	combined := make([][]prm.Node, n)
-	firstNew := make([]int, n)
-	for i := 0; i < n; i++ {
-		firstNew[i] = len(e.data[i].nodes)
-		combined[i] = make([]prm.Node, 0, firstNew[i]+len(fresh[i].nodes))
-		combined[i] = append(combined[i], e.data[i].nodes...)
-		combined[i] = append(combined[i], fresh[i].nodes...)
-	}
-	constructQueues := queuesByOwner(opts.Procs, rg.Owner, n, func(i int) work.Task {
-		return work.Task{
-			ID:      i,
-			Payload: len(combined[i]), // stealing this region moves its samples
-			Run: func() (float64, int) {
-				fresh[i].edges, fresh[i].connectWork = prm.ConnectRegionIncremental(e.s, combined[i], firstNew[i], e.params)
-				return opts.Cost.Time(fresh[i].connectWork), len(combined[i])
-			},
-		}
-	})
-	// Optional between-rounds diffusive rebalance: polish the construct
-	// queues along the steal mesh toward the weight equilibrium (after
-	// any bulk repartition, before the phase runs).
-	diffused, diffuseCost := pl.diffuse(rg, constructQueues, weights, sampleCounts)
+	// --- Construct phase (expensive; stealable), after the optional
+	// between-rounds diffusive rebalance has polished the queues along
+	// the steal mesh toward the weight equilibrium.
+	queues := queuesByOwner(opts.Procs, rg.Owner, n, func(i int) work.Task { return e.p.constructTask(round, i) })
+	diffused, diffuseCost := pl.diffuse(rg, queues, weights, est.payload)
 	phases.Redistribution += diffuseCost
-	report := pl.run(phaseSpec{
-		name:   "construct",
-		queues: constructQueues,
-		policy: pl.stealPolicy(),
-		salt:   saltPRMConstruct,
-	})
+	report := pl.run(phaseSpec{name: "construct", queues: queues, policy: pl.stealPolicy(), salt: e.constructSalt})
 	if report.Stopped || sched.Canceled(stop) {
 		return abort()
 	}
 	phases.NodeConnection = report.Makespan + pl.barrier()
-
 	// Work stealing permanently migrates the region and its data: record
 	// the final ownership so the region-connection phase sees it.
 	pl.applyOwnership(rg, report)
 
-	// --- Region-connection phase. Each adjacent pair connects its new
-	// nodes against the other side's full node set (new×all plus
-	// old×new), so pairs whose regions gained nothing cost nothing.
-	var pairs [][2]int
-	rg.ForEachAdjacentPair(func(a, b int) { pairs = append(pairs, [2]int{a, b}) })
-	brs := make([]prm.BoundaryResult, len(pairs))
-	connectTasks := [][]work.Task{make([]work.Task, len(pairs))}
-	for idx := range pairs {
-		idx := idx
-		a, b := pairs[idx][0], pairs[idx][1]
-		connectTasks[0][idx] = work.Task{
-			ID: idx,
-			Run: func() (float64, int) {
-				brs[idx] = e.connectPairIncremental(a, b, combined, firstNew)
-				return opts.Cost.Time(brs[idx].Work), 0
-			},
-		}
-	}
-	pl.hostExec("region-connect", connectTasks)
-	if sched.Canceled(stop) {
+	// --- Region-connection phase: every adjacent pair's attempt runs
+	// host-concurrently, then replays in virtual time on an owner of the
+	// pair, priced by whether the two regions share a processor.
+	costs, ok := e.hostCosts("region-connect", len(e.pairs), func(idx int) cspace.Counters {
+		return e.p.connectPair(idx, e.pairs[idx][0], e.pairs[idx][1])
+	})
+	if !ok {
 		return abort()
 	}
 	connLoad := make([]float64, opts.Procs)
 	connQueues := make([][]work.Task, opts.Procs)
-	var newBoundary []boundaryEdge
-	regionRemote, roadmapRemote := 0, 0
-	for idx := range pairs {
-		a, b := pairs[idx][0], pairs[idx][1]
-		cost, _ := connectTasks[0][idx].Run() // memoized after the host pass
-		br := brs[idx]
-		ownerA, ownerB := rg.Owner[a], rg.Owner[b]
-		if ownerA != ownerB {
+	regionRemote := 0
+	for idx, pr := range e.pairs {
+		ownerA, ownerB := rg.Owner[pr[0]], rg.Owner[pr[1]]
+		remote := ownerA != ownerB
+		access := opts.Profile.LocalAccess
+		if remote {
 			regionRemote++
-			roadmapRemote += br.Attempts
-			cost += opts.Profile.RemoteAccess * float64(1+br.Attempts)
-		} else {
-			cost += opts.Profile.LocalAccess * float64(1+br.Attempts)
+			access = opts.Profile.RemoteAccess
 		}
+		cost := costs[idx] + access*float64(1+e.p.bookPair(idx, pr[0], pr[1], remote))
 		runner := ownerA
-		if connLoad[ownerB] < connLoad[ownerA] {
+		if e.pairOnEitherOwner && connLoad[ownerB] < connLoad[ownerA] {
 			runner = ownerB
 		}
 		connLoad[runner] += cost
 		connQueues[runner] = append(connQueues[runner], costTask(idx, cost))
-		newBoundary = append(newBoundary, boundaryEdge{a: a, b: b, pairs: br.Edges})
 	}
 	connRep := pl.replay(phaseSpec{name: "region-connect", queues: connQueues})
 	if connRep.Stopped || sched.Canceled(stop) {
@@ -283,113 +300,65 @@ func (e *PRMEngine) GrowRound(stop <-chan struct{}) error {
 	phases.RegionConnection = connRep.Makespan + pl.barrier()
 	phases.Other = pl.barrier()
 
-	// --- Commit: append the round's output, rebuild the roadmap, and
-	// publish a fresh cumulative result. Nothing before this point
-	// mutated e.data/e.boundary/e.res, so an abort above left the engine
-	// on its previous committed state.
-	for i := 0; i < n; i++ {
-		e.data[i].nodes = combined[i]
-		e.data[i].edges = append(e.data[i].edges, fresh[i].edges...)
-		e.data[i].sampleWork.Add(fresh[i].sampleWork)
-		e.data[i].connectWork.Add(fresh[i].connectWork)
-	}
-	e.boundary = append(e.boundary, newBoundary...)
-	// Feed the committed round's observed construct costs to the cost
-	// model (next round's weights) and the bounded per-region summary.
-	pl.observeConstruct(n, report, sampleCounts)
-	accumulateRegionCosts(e.costAcc, report)
+	// --- Commit. Nothing before this point mutated committed state, so
+	// an abort above left the engine on its previous result; only a
+	// committed round reaches the cost model (next round's weights) and
+	// the bounded per-region summary.
+	e.p.commit(round, weights, report)
+	pl.observeConstruct(n, report, est.units)
 	e.round++
 
-	prev := e.res
-	res := &PRMResult{
-		Roadmap:         e.mergeRoadmap(),
-		RegionGraph:     rg,
-		ProcStats:       report.Workers,
-		PhaseReports:    pl.reports,
-		EdgeCut:         rg.EdgeCut(),
-		RegionRemote:    prev.RegionRemote + regionRemote,
-		RoadmapRemote:   prev.RoadmapRemote + roadmapRemote,
-		MigratedRegions: prev.MigratedRegions + migrated,
-		DiffusedRegions: prev.DiffusedRegions + diffused,
-		RegionCosts:     append([]RegionCost(nil), e.costAcc...),
-		Repairs:         e.repairAcc,
-		CVBefore:        prev.CVBefore,
-	}
+	st := &e.stats
+	st.ProcStats = report.Workers
+	st.EdgeCut = rg.EdgeCut()
+	st.RegionRemote += regionRemote
+	st.MigratedRegions += migrated
+	st.DiffusedRegions += diffused
+	// Published results are immutable: accumulate on a fresh copy.
+	regionCosts := make([]RegionCost, n)
+	copy(regionCosts, st.RegionCosts)
+	accumulateRegionCosts(regionCosts, report)
+	st.RegionCosts = regionCosts
 	if round == 0 {
-		res.CVBefore = cvBefore
+		st.CVBefore = cvBefore
 	}
-	res.Phases = prev.Phases
-	res.Phases.Setup += phases.Setup
-	res.Phases.Sampling += phases.Sampling
-	res.Phases.Redistribution += phases.Redistribution
-	res.Phases.NodeConnection += phases.NodeConnection
-	res.Phases.RegionConnection += phases.RegionConnection
-	res.Phases.Other += phases.Other
-	res.TotalTime = res.Phases.Total()
-	res.NodeLoads = make([]float64, opts.Procs)
-	for i := 0; i < n; i++ {
-		res.NodeLoads[rg.Owner[i]] += float64(len(e.data[i].nodes))
-	}
-	res.CVAfter = metrics.CV(res.NodeLoads)
-	e.res = res
+	st.Phases.add(phases)
+	e.publish()
 	return nil
 }
 
-// connectPairIncremental connects regions a and b after a round: a's new
-// nodes against all of b, then a's old nodes against b's new nodes.
-// Edge indices are mapped into the regions' final (committed) node
-// order. In round 0 "old" is empty, so the single new×all call is
-// exactly the one-shot ConnectBoundary.
-func (e *PRMEngine) connectPairIncremental(a, b int, combined [][]prm.Node, firstNew []int) prm.BoundaryResult {
-	var out prm.BoundaryResult
-	newA := combined[a][firstNew[a]:]
-	oldA := combined[a][:firstNew[a]]
-	newB := combined[b][firstNew[b]:]
-	if len(newA) > 0 {
-		br := prm.ConnectBoundary(e.s, newA, combined[b], e.opts.BoundaryK, e.opts.BoundaryFrontier)
-		out.Work.Add(br.Work)
-		out.Attempts += br.Attempts
-		for _, pr := range br.Edges {
-			out.Edges = append(out.Edges, [2]int{firstNew[a] + pr[0], pr[1]})
-		}
+// hostCosts runs m independent checks as one host-concurrent pass named
+// phase and returns their virtual costs by index, or ok=false when the
+// engine was stopped meanwhile. (With HostWorkers <= 1 the checks run
+// here, sequentially.)
+func (e *engine) hostCosts(phase string, m int, check func(idx int) cspace.Counters) (costs []float64, ok bool) {
+	tasks := [][]work.Task{make([]work.Task, m)}
+	for idx := range tasks[0] {
+		tasks[0][idx] = work.Task{ID: idx, Run: func() (float64, int) { return e.opts.Cost.Time(check(idx)), 0 }}
 	}
-	if len(oldA) > 0 && len(newB) > 0 {
-		br := prm.ConnectBoundary(e.s, oldA, newB, e.opts.BoundaryK, e.opts.BoundaryFrontier)
-		out.Work.Add(br.Work)
-		out.Attempts += br.Attempts
-		for _, pr := range br.Edges {
-			out.Edges = append(out.Edges, [2]int{pr[0], firstNew[b] + pr[1]})
-		}
+	e.pl.hostExec(phase, tasks)
+	if sched.Canceled(e.pl.stop) {
+		return nil, false
 	}
-	return out
+	costs = make([]float64, m)
+	for idx := range costs {
+		costs[idx], _ = tasks[0][idx].Run() // memoized after the host pass
+	}
+	return costs, true
 }
 
-// mergeRoadmap rebuilds the cumulative roadmap from the committed
-// per-region data. Building fresh every round (rather than mutating the
-// previous roadmap) is what lets published results stay immutable for
-// concurrent readers.
-func (e *PRMEngine) mergeRoadmap() *prm.Roadmap {
-	n := e.rg.NumRegions()
-	m := prm.NewRoadmap()
-	base := make([]int, n)
-	for i := 0; i < n; i++ {
-		base[i] = m.NumNodes()
-		for _, nd := range e.data[i].nodes {
-			m.AddNode(nd)
-		}
+// publish completes the statistics that derive from the committed
+// structure and has the planner build a fresh immutable result: later
+// rounds never mutate a published one, so callers may hold it (and index
+// it) while the engine keeps growing.
+func (e *engine) publish() {
+	st := &e.stats
+	st.TotalTime = st.Phases.Total()
+	st.PhaseReports = e.pl.reports
+	st.NodeLoads = make([]float64, e.opts.Procs)
+	for i := 0; i < e.rg.NumRegions(); i++ {
+		st.NodeLoads[e.rg.Owner[i]] += float64(e.p.nodeCount(i))
 	}
-	for i := 0; i < n; i++ {
-		for _, ed := range e.data[i].edges {
-			a, b := graph.ID(base[i]+ed[0]), graph.ID(base[i]+ed[1])
-			m.G.AddEdge(a, b, e.s.Distance(e.data[i].nodes[ed[0]].Q, e.data[i].nodes[ed[1]].Q))
-		}
-	}
-	for _, be := range e.boundary {
-		for _, pr := range be.pairs {
-			a := graph.ID(base[be.a] + pr[0])
-			b := graph.ID(base[be.b] + pr[1])
-			m.G.AddEdge(a, b, e.s.Distance(e.data[be.a].nodes[pr[0]].Q, e.data[be.b].nodes[pr[1]].Q))
-		}
-	}
-	return m
+	st.CVAfter = metrics.CV(st.NodeLoads)
+	e.p.publish(*st)
 }

@@ -310,6 +310,17 @@ type PhaseBreakdown struct {
 	Other            float64 // barriers and merge
 }
 
+// add folds one round's breakdown into the cumulative one.
+func (p *PhaseBreakdown) add(b PhaseBreakdown) {
+	p.Setup += b.Setup
+	p.Sampling += b.Sampling
+	p.Redistribution += b.Redistribution
+	p.NodeConnection += b.NodeConnection
+	p.RegionConnection += b.RegionConnection
+	p.Repair += b.Repair
+	p.Other += b.Other
+}
+
 // Total sums all phases.
 func (p PhaseBreakdown) Total() float64 {
 	return p.Setup + p.Sampling + p.Redistribution + p.NodeConnection + p.RegionConnection + p.Repair + p.Other

@@ -90,9 +90,10 @@ func newPipeline(opts Options) *pipeline {
 	return &pipeline{opts: opts, vt: vt, host: exec.Runtime}
 }
 
-// hostPhaseObserver, when non-nil, receives each phase's host pre-pass
-// report. Test hook only.
-var hostPhaseObserver func(phase string, rep sched.Report)
+// hostPhaseObserver, when non-nil, receives each phase's host pre-pass:
+// the configuration and queues handed to the executor, and its report.
+// Test hook only.
+var hostPhaseObserver func(phase string, cfg sched.Config, queues [][]work.Task, rep sched.Report)
 
 // hostExec memoizes the queued tasks in place and executes them
 // concurrently on HostWorkers goroutines. A no-op for HostWorkers <= 1,
@@ -109,14 +110,15 @@ func (pl *pipeline) hostExec(name string, queues [][]work.Task) {
 	for p := range queues {
 		pre[p] = append([]work.Task(nil), queues[p]...)
 	}
-	rep := pl.host.Run(sched.Config{
+	cfg := sched.Config{
 		Workers: pl.opts.HostWorkers,
 		Policy:  steal.RandK{K: 2},
 		Seed:    pl.opts.Seed,
 		Stop:    pl.stop,
-	}, pre)
+	}
+	rep := pl.host.Run(cfg, pre)
 	if hostPhaseObserver != nil {
-		hostPhaseObserver(name, rep)
+		hostPhaseObserver(name, cfg, pre, rep)
 	}
 }
 

@@ -1,57 +1,457 @@
 package core
 
 import (
+	"sort"
+
 	"parmp/internal/cspace"
+	"parmp/internal/env"
+	"parmp/internal/graph"
 	"parmp/internal/prm"
 	"parmp/internal/region"
+	"parmp/internal/repart"
+	"parmp/internal/rng"
 	"parmp/internal/sched"
+	"parmp/internal/work"
 )
 
 // PRMResult is the outcome of a parallel PRM run.
 type PRMResult struct {
-	Roadmap     *prm.Roadmap
-	RegionGraph *region.Graph
-	Phases      PhaseBreakdown
-	// TotalTime is the virtual makespan of the whole pipeline.
-	TotalTime float64
-	// ProcStats is the construction-phase execution profile.
-	ProcStats []sched.WorkerStats
-	// PhaseReports holds every phase's virtual-time runtime report, in
-	// replay order, so per-phase load-balance metrics (internal/obsv)
-	// derive from a finished run without re-executing it.
-	PhaseReports []PhaseReport
-	// NodeLoads[p] counts roadmap nodes on processor p after the run —
-	// the paper's load-profile quantity (Fig. 5(c)).
-	NodeLoads []float64
-	// CVBefore/CVAfter are the node-count coefficients of variation under
-	// the naive partition and the final ownership (Fig. 5(b)).
-	CVBefore, CVAfter float64
-	// Remote-access accounting for the region-connection phase
-	// (Fig. 7(b)): RegionRemote counts region-graph edges crossing
-	// processors; RoadmapRemote counts cross-processor roadmap accesses.
-	RegionRemote, RoadmapRemote int
-	EdgeCut                     int
-	// MigratedRegions counts ownership transfers due to repartitioning;
-	// DiffusedRegions those due to the between-rounds diffusive rebalance
-	// (Options.Rebalance).
-	MigratedRegions int
-	DiffusedRegions int
-	// RegionCosts[i] summarizes region i's observed construct-phase task
-	// costs over all committed rounds (count/sum/max; see RegionCost).
-	// The bounded replacement for the per-task maps the retained
-	// PhaseReports drop.
-	RegionCosts []RegionCost
-	// Repairs summarizes the incremental-repair work committed by
-	// ApplyDelta calls (zero while the world never mutates).
-	Repairs RepairStats
+	RunStats
+	Roadmap *prm.Roadmap
+	// RoadmapRemote counts cross-processor roadmap accesses of the
+	// region-connection phase (Fig. 7(b)).
+	RoadmapRemote int
 }
 
-// prmRegionData memoizes per-region planning output.
+// prmRegionData is one region's committed nodes and local edges (edge
+// indices are local to the region's node slice) with the work they cost.
 type prmRegionData struct {
 	nodes       []prm.Node
 	sampleWork  cspace.Counters
 	edges       [][2]int
 	connectWork cspace.Counters
+}
+
+// boundaryEdge records cross-region connections for the merge step.
+type boundaryEdge struct {
+	a, b  int
+	pairs [][2]int
+}
+
+// PRMEngine grows a roadmap incrementally: each GrowRound runs one full
+// pass of the paper's phase pipeline (sample → weight → [repartition] →
+// node connection → region connection → merge) over the SAME region
+// graph, kd indexes and ownership state, appending new samples to the
+// per-region roadmaps instead of starting over. It is the round driver
+// (engine) with the PRM planner hooks; the one-shot ParallelPRM is
+// exactly one round of it.
+type PRMEngine struct {
+	engine
+	params prm.Params
+
+	// data and boundary accumulate the committed per-region roadmaps and
+	// cross-region edges across rounds.
+	data          []prmRegionData
+	boundary      []boundaryEdge
+	roadmapRemote int
+
+	rd  *prmRound  // the open growth round's buffers
+	rp  *prmRepair // the open repair's buffers
+	res *PRMResult // last committed cumulative result
+}
+
+// prmRound holds one growth round's output until commit.
+type prmRound struct {
+	fresh []prmRegionData // this round's samples and their new edges
+	// combined[i] is region i's committed nodes followed by its fresh
+	// ones; firstNew[i] indexes the first fresh node.
+	combined      [][]prm.Node
+	firstNew      []int
+	brs           []prm.BoundaryResult // per adjacent pair
+	boundary      []boundaryEdge
+	roadmapRemote int
+}
+
+// prmRepair holds one ApplyDelta's output until commit.
+type prmRepair struct {
+	base      []int   // merged-roadmap id of each region's first node
+	localCand [][]int // per-region candidate node indices (nil = screen all)
+	rrs       []prm.RegionRepair
+	brs       []boundaryRepair // per committed boundary edge set
+	// remap and touched are the committed repair's PRMRepair.VertexRemap
+	// and TouchedVertices.
+	remap, touched []int
+}
+
+// boundaryRepair is the re-validation outcome of one boundary edge set.
+type boundaryRepair struct {
+	keep             []bool
+	checked, removed int
+	work             cspace.Counters
+}
+
+// NewPRMEngine validates opts, subdivides the C-space and builds the
+// naive initial partition. No planning work happens until GrowRound.
+func NewPRMEngine(s *cspace.Space, opts Options) (*PRMEngine, error) {
+	opts = opts.Defaults()
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	dims := s.Env.Dim()
+	spec := region.SplitEvenly(dims, opts.Regions, opts.Overlap)
+	var rg *region.Graph
+	var err error
+	if opts.Adaptive {
+		rg, err = region.AdaptiveGrid(s.Env, region.AdaptiveSpec{
+			Base:     spec,
+			MaxDepth: opts.AdaptiveDepth,
+		})
+	} else {
+		rg, err = region.UniformGrid(s.Bounds, spec)
+	}
+	if err != nil {
+		return nil, err
+	}
+	region.NaiveColumnPartition(rg, opts.Procs)
+	e := &PRMEngine{
+		params: prm.Params{SamplesPerRegion: opts.SamplesPerRegion, K: opts.ConnectK, Sampler: opts.Sampler},
+		data:   make([]prmRegionData, rg.NumRegions()),
+	}
+	e.constructSalt = saltPRMConstruct
+	e.connectorPhase = "repair-boundary"
+	e.pairOnEitherOwner = true
+	e.setup(s, opts, rg, e)
+	return e, nil
+}
+
+// Result returns the cumulative result of all committed rounds. The
+// returned value is immutable: later rounds build a fresh result rather
+// than mutating this one, so callers may hold it (and index its
+// roadmap) while the engine keeps growing.
+func (e *PRMEngine) Result() *PRMResult { return e.res }
+
+// weigh runs the sampling phase — SamplesPerRegion fresh attempts per
+// region on per-round streams, which keeps determinism — and returns the
+// paper's PRM estimate: this round's sample counts predict this round's
+// connection work (the construct phase only processes new samples).
+func (e *PRMEngine) weigh(round int, phases *PhaseBreakdown) (estimate, bool) {
+	opts, rg := e.opts, e.rg
+	n := rg.NumRegions()
+	rd := &prmRound{fresh: make([]prmRegionData, n), brs: make([]prm.BoundaryResult, len(e.pairs))}
+	e.rd = rd
+	rep := e.pl.run(phaseSpec{
+		name: "sample",
+		queues: queuesByOwner(opts.Procs, rg.Owner, n, func(i int) work.Task {
+			return work.Task{
+				ID: i,
+				Run: func() (float64, int) {
+					r := rng.Derive(opts.Seed, roundSalt(round, i))
+					f := &rd.fresh[i]
+					f.nodes, f.sampleWork = prm.SampleRegion(e.s, rg.Region(i).Box, i, e.params, r)
+					return opts.Cost.Time(f.sampleWork), len(f.nodes)
+				},
+			}
+		}),
+	})
+	if rep.Stopped {
+		return estimate{}, false
+	}
+	phases.Sampling = rep.Makespan + e.pl.barrier()
+
+	counts := make([]int, n)
+	rd.combined = make([][]prm.Node, n)
+	rd.firstNew = make([]int, n)
+	for i := 0; i < n; i++ {
+		counts[i] = len(rd.fresh[i].nodes)
+		rd.firstNew[i] = len(e.data[i].nodes)
+		rd.combined[i] = make([]prm.Node, 0, rd.firstNew[i]+counts[i])
+		rd.combined[i] = append(rd.combined[i], e.data[i].nodes...)
+		rd.combined[i] = append(rd.combined[i], rd.fresh[i].nodes...)
+	}
+	return estimate{weights: repart.SampleCountWeights(counts), units: counts, payload: counts, fresh: true}, true
+}
+
+// constructTask connects region i's new samples, querying against its
+// old + new nodes. Stealing the region moves all of its samples.
+func (e *PRMEngine) constructTask(round, i int) work.Task {
+	rd := e.rd
+	return work.Task{
+		ID:      i,
+		Payload: len(rd.combined[i]),
+		Run: func() (float64, int) {
+			f := &rd.fresh[i]
+			f.edges, f.connectWork = prm.ConnectRegionIncremental(e.s, rd.combined[i], rd.firstNew[i], e.params)
+			return e.opts.Cost.Time(f.connectWork), len(rd.combined[i])
+		},
+	}
+}
+
+// connectPair connects regions a and b after a round: a's new nodes
+// against all of b, then a's old nodes against b's new nodes (new×all
+// plus old×new, so pairs whose regions gained nothing cost nothing).
+// Edge indices are mapped into the regions' final (committed) node
+// order. In round 0 "old" is empty, so the single new×all call is
+// exactly the one-shot ConnectBoundary.
+func (e *PRMEngine) connectPair(idx, a, b int) cspace.Counters {
+	combined, firstNew := e.rd.combined, e.rd.firstNew
+	out := &e.rd.brs[idx]
+	newA := combined[a][firstNew[a]:]
+	oldA := combined[a][:firstNew[a]]
+	newB := combined[b][firstNew[b]:]
+	if len(newA) > 0 {
+		br := prm.ConnectBoundary(e.s, newA, combined[b], e.opts.BoundaryK, e.opts.BoundaryFrontier)
+		out.Work.Add(br.Work)
+		out.Attempts += br.Attempts
+		for _, pr := range br.Edges {
+			out.Edges = append(out.Edges, [2]int{firstNew[a] + pr[0], pr[1]})
+		}
+	}
+	if len(oldA) > 0 && len(newB) > 0 {
+		br := prm.ConnectBoundary(e.s, oldA, newB, e.opts.BoundaryK, e.opts.BoundaryFrontier)
+		out.Work.Add(br.Work)
+		out.Attempts += br.Attempts
+		for _, pr := range br.Edges {
+			out.Edges = append(out.Edges, [2]int{pr[0], firstNew[b] + pr[1]})
+		}
+	}
+	return out.Work
+}
+
+// bookPair keeps the pair's boundary edges; every attempt touched the
+// other region's roadmap once.
+func (e *PRMEngine) bookPair(idx, a, b int, remote bool) int {
+	br := e.rd.brs[idx]
+	if remote {
+		e.rd.roadmapRemote += br.Attempts
+	}
+	e.rd.boundary = append(e.rd.boundary, boundaryEdge{a: a, b: b, pairs: br.Edges})
+	return br.Attempts
+}
+
+func (e *PRMEngine) commit(int, []float64, sched.Report) {
+	rd := e.rd
+	for i := range e.data {
+		d, f := &e.data[i], &rd.fresh[i]
+		d.nodes = rd.combined[i]
+		d.edges = append(d.edges, f.edges...)
+		d.sampleWork.Add(f.sampleWork)
+		d.connectWork.Add(f.connectWork)
+	}
+	e.boundary = append(e.boundary, rd.boundary...)
+	e.roadmapRemote += rd.roadmapRemote
+	e.rd = nil
+}
+
+func (e *PRMEngine) nodeCount(i int) int { return len(e.data[i].nodes) }
+
+// publish rebuilds the cumulative roadmap from the committed per-region
+// data. Building fresh every time (rather than mutating the previous
+// roadmap) is what lets published results stay immutable for concurrent
+// readers.
+func (e *PRMEngine) publish(stats RunStats) {
+	m := prm.NewRoadmap()
+	base := e.bases()
+	for i := range e.data {
+		for _, nd := range e.data[i].nodes {
+			m.AddNode(nd)
+		}
+	}
+	for i := range e.data {
+		for _, ed := range e.data[i].edges {
+			a, b := graph.ID(base[i]+ed[0]), graph.ID(base[i]+ed[1])
+			m.G.AddEdge(a, b, e.s.Distance(e.data[i].nodes[ed[0]].Q, e.data[i].nodes[ed[1]].Q))
+		}
+	}
+	for _, be := range e.boundary {
+		for _, pr := range be.pairs {
+			a := graph.ID(base[be.a] + pr[0])
+			b := graph.ID(base[be.b] + pr[1])
+			m.G.AddEdge(a, b, e.s.Distance(e.data[be.a].nodes[pr[0]].Q, e.data[be.b].nodes[pr[1]].Q))
+		}
+	}
+	e.res = &PRMResult{RunStats: stats, Roadmap: m, RoadmapRemote: e.roadmapRemote}
+}
+
+// bases returns the merged-roadmap vertex id of each region's first
+// node (regions are laid out in order), with the total appended.
+func (e *PRMEngine) bases() []int {
+	base := make([]int, len(e.data)+1)
+	for i := range e.data {
+		base[i+1] = base[i] + len(e.data[i].nodes)
+	}
+	return base
+}
+
+// ApplyDelta incrementally repairs the engine's committed roadmap
+// against an environment mutation, between growth rounds: every
+// region's nodes and local edges re-validate against only the delta,
+// then boundary edges, and the survivors are compacted in place (see
+// engine.applyDelta for the space, pipeline and cancellation contracts).
+//
+// candidates, when non-nil, lists the only merged-roadmap vertex ids
+// whose validity the delta can have changed, sorted ascending — the
+// product of a kd radius query over a committed snapshot's index
+// (prm.Index.AffectedVertices). Nil falls back to screening every node
+// through the checker's geometric cull.
+func (e *PRMEngine) ApplyDelta(s *cspace.Space, d env.Delta, candidates []int, stop <-chan struct{}) (*PRMRepair, error) {
+	n := len(e.data)
+	rp := &prmRepair{base: e.bases(), rrs: make([]prm.RegionRepair, n), brs: make([]boundaryRepair, len(e.boundary))}
+	if candidates != nil {
+		// Split the global list into per-region local indices. Regions
+		// without candidates get a non-nil empty list: nothing to re-check.
+		rp.localCand = make([][]int, n)
+		for i := range rp.localCand {
+			rp.localCand[i] = []int{}
+		}
+		ri := 0
+		for _, c := range candidates {
+			for ri < n-1 && c >= rp.base[ri+1] {
+				ri++
+			}
+			rp.localCand[ri] = append(rp.localCand[ri], c-rp.base[ri])
+		}
+	}
+	e.rp = rp
+	st, err := e.applyDelta(s, d, stop)
+	e.rp = nil
+	if err != nil {
+		return nil, err
+	}
+	return &PRMRepair{Stats: st, VertexRemap: rp.remap, TouchedVertices: rp.touched}, nil
+}
+
+func (e *PRMEngine) repairTask(_ *cspace.Space, dc *cspace.DeltaChecker, i int) work.Task {
+	rp, d := e.rp, &e.data[i]
+	return work.Task{
+		ID:      i,
+		Payload: len(d.nodes),
+		Run: func() (float64, int) {
+			var cand []int
+			if rp.localCand != nil {
+				cand = rp.localCand[i]
+			}
+			rp.rrs[i] = prm.RevalidateRegion(dc, d.nodes, d.edges, cand)
+			return e.opts.Cost.Time(rp.rrs[i].Work), len(d.nodes)
+		},
+	}
+}
+
+func (e *PRMEngine) connectors() []int {
+	regions := make([]int, len(e.boundary))
+	for idx, be := range e.boundary {
+		regions[idx] = be.a
+	}
+	return regions
+}
+
+// recheckConnector re-validates one boundary edge set: an edge dies with
+// either endpoint, or when the delta now blocks it.
+func (e *PRMEngine) recheckConnector(dc *cspace.DeltaChecker, idx int) cspace.Counters {
+	be, rrs := e.boundary[idx], e.rp.rrs
+	br := boundaryRepair{keep: make([]bool, len(be.pairs))}
+	for k, pr := range be.pairs {
+		if !rrs[be.a].Alive[pr[0]] || !rrs[be.b].Alive[pr[1]] {
+			br.removed++
+			continue
+		}
+		qa := e.data[be.a].nodes[pr[0]].Q
+		qb := e.data[be.b].nodes[pr[1]].Q
+		if !dc.EdgeAffected(qa, qb) {
+			br.keep[k] = true
+			continue
+		}
+		br.checked++
+		if dc.EdgeStillFree(qa, qb, &br.work) {
+			br.keep[k] = true
+		} else {
+			br.removed++
+		}
+	}
+	e.rp.brs[idx] = br
+	return br.work
+}
+
+// commitRepair compacts every region's data, remaps the boundary pairs
+// and derives the repair's vertex remap and touched-component seeds.
+func (e *PRMEngine) commitRepair(st *RepairStats) {
+	rp := e.rp
+	base, rrs := rp.base, rp.rrs
+	n := len(e.data)
+	touched := map[int]bool{}
+	remaps := make([][]int, n)
+	for i := 0; i < n; i++ {
+		rr, d := rrs[i], &e.data[i]
+		st.CheckedNodes += rr.CheckedNodes
+		st.CheckedEdges += rr.CheckedEdges
+		st.RemovedNodes += rr.DeadNodes
+		st.RemovedEdges += rr.DeadEdges
+		st.Work.Add(rr.Work)
+
+		remap := make([]int, len(d.nodes))
+		w := 0
+		for l := range d.nodes {
+			if rr.Alive[l] {
+				remap[l] = w
+				d.nodes[w] = d.nodes[l]
+				w++
+			} else {
+				remap[l] = -1
+				touched[base[i]+l] = true
+			}
+		}
+		d.nodes = d.nodes[:w]
+		remaps[i] = remap
+
+		we := 0
+		for j, ed := range d.edges {
+			if !rr.KeepEdge[j] {
+				// A blocked edge with both endpoints alive splits work
+				// onto its component; dead endpoints are touched already.
+				if rr.Alive[ed[0]] && rr.Alive[ed[1]] {
+					touched[base[i]+ed[0]] = true
+				}
+				continue
+			}
+			d.edges[we] = [2]int{remap[ed[0]], remap[ed[1]]}
+			we++
+		}
+		d.edges = d.edges[:we]
+	}
+	newBoundary := e.boundary[:0]
+	for idx, be := range e.boundary {
+		br := rp.brs[idx]
+		st.CheckedEdges += br.checked
+		st.RemovedEdges += br.removed
+		st.Work.Add(br.work)
+		pairs := be.pairs[:0]
+		for k, pr := range be.pairs {
+			if br.keep[k] {
+				pairs = append(pairs, [2]int{remaps[be.a][pr[0]], remaps[be.b][pr[1]]})
+			} else if rrs[be.a].Alive[pr[0]] && rrs[be.b].Alive[pr[1]] {
+				touched[base[be.a]+pr[0]] = true
+			}
+		}
+		if len(pairs) > 0 {
+			newBoundary = append(newBoundary, boundaryEdge{a: be.a, b: be.b, pairs: pairs})
+		}
+	}
+	e.boundary = newBoundary
+
+	rp.remap = make([]int, base[n])
+	newBase := 0
+	for i := 0; i < n; i++ {
+		for l, nw := range remaps[i] {
+			if nw >= 0 {
+				nw += newBase
+			}
+			rp.remap[base[i]+l] = nw
+		}
+		newBase += len(e.data[i].nodes)
+	}
+	for v := range touched {
+		rp.touched = append(rp.touched, v)
+	}
+	sort.Ints(rp.touched)
 }
 
 // ParallelPRM runs the uniform-subdivision parallel PRM (Algorithm 1)
@@ -73,10 +473,4 @@ func ParallelPRM(s *cspace.Space, opts Options) (*PRMResult, error) {
 		return nil, err
 	}
 	return eng.Result(), nil
-}
-
-// boundaryEdge records cross-region connections for the merge step.
-type boundaryEdge struct {
-	a, b  int
-	pairs [][2]int
 }

@@ -1,13 +1,8 @@
 package core
 
 import (
-	"sort"
-
 	"parmp/internal/cspace"
 	"parmp/internal/env"
-	"parmp/internal/metrics"
-	"parmp/internal/prm"
-	"parmp/internal/rrt"
 	"parmp/internal/sched"
 	"parmp/internal/work"
 )
@@ -67,634 +62,74 @@ type PRMRepair struct {
 type RRTRepair struct {
 	Stats RepairStats
 	// BranchRemaps[i] maps region i's pre-repair branch node ids to
-	// post-repair ids (-1 = pruned). For the RRT-Connect engine the ids
-	// are into the merged, root-anchored branch (what snapshots index).
-	// A nil entry is the identity.
+	// post-repair ids (-1 = pruned). Under RRT-Connect the ids are into
+	// the merged, root-anchored branch (what snapshots index). A nil
+	// entry is the identity.
 	BranchRemaps [][]int
 	// RemovedBridges counts cross-region bridges dropped because an
 	// endpoint died or the bridging edge is now blocked.
 	RemovedBridges int
 }
 
-// ApplyDelta incrementally repairs the engine's committed roadmap
-// against an environment mutation, between growth rounds: every
-// region's nodes and local edges re-validate against only the delta
-// (conservatively culled), then boundary edges, and the survivors are
-// compacted in place. s is the engine's space re-bound to the mutated
-// environment (cspace.Space.WithEnv on a mutated clone — the old space,
-// and any snapshot holding it, must stay unchanged); future GrowRound
-// calls sample the new world.
-//
-// candidates, when non-nil, lists the only merged-roadmap vertex ids
-// whose validity the delta can have changed, sorted ascending — the
-// product of a kd radius query over a committed snapshot's index
-// (prm.Index.AffectedVertices). Nil falls back to screening every node
-// through the checker's geometric cull.
+// applyDelta incrementally repairs the committed structure against an
+// environment mutation, between growth rounds. s is the engine's space
+// re-bound to the mutated environment (cspace.Space.WithEnv on a mutated
+// clone — the old space, and any snapshot holding it, must stay
+// unchanged); future GrowRound calls plan in the new world.
 //
 // Repair tasks run through the same phase pipeline as construction —
 // region-tagged, stealable, virtually timed — so the repair load
-// (concentrated around the mutated obstacle, the paper's skewed-
-// workload shape) is balanced like any other phase. Cancellation
-// matches GrowRound: on a fired stop channel ApplyDelta returns
-// ErrStopped and the committed state, the cost model and the published
-// result are untouched.
-func (e *PRMEngine) ApplyDelta(s *cspace.Space, d env.Delta, candidates []int, stop <-chan struct{}) (*PRMRepair, error) {
-	opts := e.opts
-	pl := e.pl
-	rg := e.rg
+// (concentrated around the mutated obstacle, the paper's skewed-workload
+// shape) is balanced like any other phase: first every region
+// re-validates against only the delta (conservatively culled), then the
+// cross-region connectors, which can cross the delta even when both
+// regions' own repair was empty. Cancellation matches GrowRound: on a
+// fired stop channel applyDelta returns ErrStopped and the committed
+// state, the cost model and the published result are untouched.
+func (e *engine) applyDelta(s *cspace.Space, d env.Delta, stop <-chan struct{}) (RepairStats, error) {
+	opts, pl, rg := e.opts, e.pl, e.rg
 	n := rg.NumRegions()
+	abort := e.begin(stop)
+	defer e.end()
 
-	pl.stop = stop
-	defer func() { pl.stop = nil }()
-	reportMark := len(pl.reports)
-	abort := func() error {
-		pl.reports = pl.reports[:reportMark]
-		return ErrStopped
-	}
+	st := RepairStats{Deltas: 1}
+	// A removal-only (or empty) delta invalidates nothing: there is
+	// nothing to re-check, but the world still changes — future rounds
+	// see the freed space.
+	if dc := cspace.NewDeltaChecker(e.s, d); dc.Invalidating() {
+		queues := queuesByOwner(opts.Procs, rg.Owner, n, func(i int) work.Task { return e.p.repairTask(s, dc, i) })
+		report := pl.run(phaseSpec{name: "repair", queues: queues, policy: pl.stealPolicy(), salt: saltRepair})
+		if report.Stopped || sched.Canceled(stop) {
+			return RepairStats{}, abort()
+		}
+		st.Makespan = report.Makespan + pl.barrier()
 
-	out := &PRMRepair{Stats: RepairStats{Deltas: 1}}
-	dc := cspace.NewDeltaChecker(e.s, d)
-	if !dc.Invalidating() {
-		// Removal-only (or empty) delta: nothing to re-check. The world
-		// still changes — future sampling sees the freed space.
-		e.s = s
-		e.commitRepair(out.Stats)
-		return out, nil
-	}
+		regions := e.p.connectors()
+		costs, ok := e.hostCosts(e.connectorPhase, len(regions), func(idx int) cspace.Counters {
+			return e.p.recheckConnector(dc, idx)
+		})
+		if !ok {
+			return RepairStats{}, abort()
+		}
+		connQueues := make([][]work.Task, opts.Procs)
+		for idx, r := range regions {
+			connQueues[rg.Owner[r]] = append(connQueues[rg.Owner[r]], costTask(idx, costs[idx]))
+		}
+		connRep := pl.replay(phaseSpec{name: e.connectorPhase, queues: connQueues})
+		if connRep.Stopped || sched.Canceled(stop) {
+			return RepairStats{}, abort()
+		}
+		st.Makespan += connRep.Makespan + pl.barrier()
 
-	// Split the global candidate list into per-region local indices
-	// using the merged-roadmap base offsets (mergeRoadmap order).
-	base := make([]int, n)
-	total := 0
-	for i := 0; i < n; i++ {
-		base[i] = total
-		total += len(e.data[i].nodes)
-	}
-	var localCand [][]int
-	if candidates != nil {
-		localCand = make([][]int, n)
-		ri := 0
-		for _, c := range candidates {
-			for ri < n-1 && c >= base[ri]+len(e.data[ri].nodes) {
-				ri++
-			}
-			localCand[ri] = append(localCand[ri], c-base[ri])
+		// --- Commit. Nothing above mutated committed state.
+		e.p.commitRepair(&st)
+		if e.repairFeedsModel {
+			pl.observeConstruct(n, report, nil)
 		}
 	}
-
-	// --- Repair phase (stealable, region-tagged).
-	rrs := make([]prm.RegionRepair, n)
-	queues := queuesByOwner(opts.Procs, rg.Owner, n, func(i int) work.Task {
-		return work.Task{
-			ID:      i,
-			Payload: len(e.data[i].nodes),
-			Run: func() (float64, int) {
-				var cand []int
-				if localCand != nil {
-					cand = localCand[i]
-					if cand == nil {
-						cand = []int{} // non-nil empty: nothing to re-check here
-					}
-				}
-				rrs[i] = prm.RevalidateRegion(dc, e.data[i].nodes, e.data[i].edges, cand)
-				return opts.Cost.Time(rrs[i].Work), len(e.data[i].nodes)
-			},
-		}
-	})
-	report := pl.run(phaseSpec{name: "repair", queues: queues, policy: pl.stealPolicy(), salt: saltRepair})
-	if report.Stopped || sched.Canceled(stop) {
-		return nil, abort()
-	}
-	makespan := report.Makespan + pl.barrier()
-
-	// --- Boundary-edge revalidation: an edge between two regions can
-	// cross the delta even when both regions' own repair was empty.
-	type boundaryRepair struct {
-		keep             []bool
-		checked, removed int
-		work             cspace.Counters
-	}
-	brs := make([]boundaryRepair, len(e.boundary))
-	btasks := [][]work.Task{make([]work.Task, len(e.boundary))}
-	for idx := range e.boundary {
-		idx := idx
-		be := e.boundary[idx]
-		btasks[0][idx] = work.Task{
-			ID: idx,
-			Run: func() (float64, int) {
-				br := boundaryRepair{keep: make([]bool, len(be.pairs))}
-				for k, pr := range be.pairs {
-					if !rrs[be.a].Alive[pr[0]] || !rrs[be.b].Alive[pr[1]] {
-						br.removed++
-						continue
-					}
-					qa := e.data[be.a].nodes[pr[0]].Q
-					qb := e.data[be.b].nodes[pr[1]].Q
-					if !dc.EdgeAffected(qa, qb) {
-						br.keep[k] = true
-						continue
-					}
-					br.checked++
-					if dc.EdgeStillFree(qa, qb, &br.work) {
-						br.keep[k] = true
-					} else {
-						br.removed++
-					}
-				}
-				brs[idx] = br
-				return opts.Cost.Time(br.work), 0
-			},
-		}
-	}
-	pl.hostExec("repair-boundary", btasks)
-	if sched.Canceled(stop) {
-		return nil, abort()
-	}
-	bq := make([][]work.Task, opts.Procs)
-	for idx := range e.boundary {
-		cost, _ := btasks[0][idx].Run() // memoized after the host pass
-		bq[rg.Owner[e.boundary[idx].a]] = append(bq[rg.Owner[e.boundary[idx].a]], costTask(idx, cost))
-	}
-	brep := pl.replay(phaseSpec{name: "repair-boundary", queues: bq})
-	if brep.Stopped || sched.Canceled(stop) {
-		return nil, abort()
-	}
-	makespan += brep.Makespan + pl.barrier()
-
-	// --- Commit: compact every region's data, remap boundary pairs,
-	// rebuild the merged roadmap. Nothing above mutated committed state.
-	st := &out.Stats
-	st.Makespan = makespan
-	touched := map[int]bool{}
-	remaps := make([][]int, n)
-	for i := 0; i < n; i++ {
-		rr := rrs[i]
-		st.CheckedNodes += rr.CheckedNodes
-		st.CheckedEdges += rr.CheckedEdges
-		st.RemovedNodes += rr.DeadNodes
-		st.RemovedEdges += rr.DeadEdges
-		st.Work.Add(rr.Work)
-
-		remap := make([]int, len(e.data[i].nodes))
-		w := 0
-		for l := range e.data[i].nodes {
-			if rr.Alive[l] {
-				remap[l] = w
-				e.data[i].nodes[w] = e.data[i].nodes[l]
-				w++
-			} else {
-				remap[l] = -1
-				touched[base[i]+l] = true
-			}
-		}
-		e.data[i].nodes = e.data[i].nodes[:w]
-		remaps[i] = remap
-
-		we := 0
-		for j, ed := range e.data[i].edges {
-			if !rr.KeepEdge[j] {
-				// A blocked edge with both endpoints alive splits work
-				// onto its component; dead endpoints are touched already.
-				if rr.Alive[ed[0]] && rr.Alive[ed[1]] {
-					touched[base[i]+ed[0]] = true
-				}
-				continue
-			}
-			e.data[i].edges[we] = [2]int{remap[ed[0]], remap[ed[1]]}
-			we++
-		}
-		e.data[i].edges = e.data[i].edges[:we]
-	}
-	newBoundary := e.boundary[:0]
-	for idx, be := range e.boundary {
-		br := brs[idx]
-		st.CheckedEdges += br.checked
-		st.RemovedEdges += br.removed
-		st.Work.Add(br.work)
-		pairs := be.pairs[:0]
-		for k, pr := range be.pairs {
-			if br.keep[k] {
-				pairs = append(pairs, [2]int{remaps[be.a][pr[0]], remaps[be.b][pr[1]]})
-			} else if rrs[be.a].Alive[pr[0]] && rrs[be.b].Alive[pr[1]] {
-				touched[base[be.a]+pr[0]] = true
-			}
-		}
-		if len(pairs) > 0 {
-			newBoundary = append(newBoundary, boundaryEdge{a: be.a, b: be.b, pairs: pairs})
-		}
-	}
-	e.boundary = newBoundary
-
-	out.VertexRemap = make([]int, total)
-	newBase := 0
-	for i := 0; i < n; i++ {
-		for l, nw := range remaps[i] {
-			if nw >= 0 {
-				out.VertexRemap[base[i]+l] = newBase + nw
-			} else {
-				out.VertexRemap[base[i]+l] = -1
-			}
-		}
-		newBase += len(e.data[i].nodes)
-	}
-	for v := range touched {
-		out.TouchedVertices = append(out.TouchedVertices, v)
-	}
-	sort.Ints(out.TouchedVertices)
-
 	e.s = s
-	e.commitRepair(out.Stats)
-	return out, nil
-}
-
-// commitRepair folds one repair's stats into the engine accumulator and
-// publishes a fresh result over the repaired data (same immutability
-// contract as GrowRound's commit).
-func (e *PRMEngine) commitRepair(st RepairStats) {
-	e.repairAcc.Add(st)
-	prev := e.res
-	res := *prev
-	res.Roadmap = e.mergeRoadmap()
-	res.Phases.Repair += st.Makespan
-	res.TotalTime = res.Phases.Total()
-	res.PhaseReports = e.pl.reports
-	res.Repairs = e.repairAcc
-	res.NodeLoads = make([]float64, e.opts.Procs)
-	for i := 0; i < e.rg.NumRegions(); i++ {
-		res.NodeLoads[e.rg.Owner[i]] += float64(len(e.data[i].nodes))
-	}
-	res.CVAfter = metrics.CV(res.NodeLoads)
-	e.res = &res
-}
-
-// ApplyDelta incrementally repairs the engine's committed branches
-// against an environment mutation, between growth rounds: every
-// region's tree prunes nodes and edges the delta blocked (severed
-// subtrees regraft to surviving neighbours where a fresh local plan
-// allows), and cross-region bridges whose endpoint died or whose edge
-// is now blocked are dropped. Contracts (s, candidates-free culling,
-// pipeline accounting, cancellation) match PRMEngine.ApplyDelta.
-//
-// Under the observed cost model the repair phase's measured costs feed
-// the same per-region EWMA as construction, so the next round's
-// repartition sees the mutation's load concentration.
-func (e *RRTEngine) ApplyDelta(s *cspace.Space, d env.Delta, stop <-chan struct{}) (*RRTRepair, error) {
-	pl := e.pl
-	rg := e.rg
-	n := rg.NumRegions()
-
-	pl.stop = stop
-	defer func() { pl.stop = nil }()
-	reportMark := len(pl.reports)
-	abort := func() error {
-		pl.reports = pl.reports[:reportMark]
-		return ErrStopped
-	}
-
-	out := &RRTRepair{Stats: RepairStats{Deltas: 1}}
-	dc := cspace.NewDeltaChecker(e.s, d)
-	if !dc.Invalidating() {
-		e.s = s
-		e.commitRepair(out.Stats, e.committedBranches(), e.bridges)
-		return out, nil
-	}
-
-	// --- Prune phase (stealable, region-tagged): each region prunes a
-	// round-local copy, so an abort leaves committed trees untouched.
-	newTrees := make([]*rrt.Tree, n)
-	newStars := make([]*rrt.StarTree, n)
-	remaps := make([][]int, n)
-	sts := make([]rrt.PruneStats, n)
-	counts := e.nodeCounts()
-	queues := queuesByOwner(e.opts.Procs, rg.Owner, n, func(i int) work.Task {
-		return work.Task{
-			ID:      i,
-			Payload: counts[i],
-			Run: func() (float64, int) {
-				if e.opts.Star {
-					if e.starTrees[i] == nil {
-						return 0, 0
-					}
-					star := e.roundStarTree(i)
-					view := &rrt.Tree{Nodes: star.Nodes}
-					remaps[i], sts[i] = rrt.PruneTree(s, dc, view, repairGraftK)
-					star.Nodes = view.Nodes
-					star.Cost = recomputeStarCosts(s, star, star.Cost[:0])
-					newStars[i] = star
-					return e.opts.Cost.Time(sts[i].Work), star.Len()
-				}
-				if e.trees[i] == nil {
-					return 0, 0
-				}
-				t := e.roundTree(i)
-				remaps[i], sts[i] = rrt.PruneTree(s, dc, t, repairGraftK)
-				newTrees[i] = t
-				return e.opts.Cost.Time(sts[i].Work), t.Len()
-			},
-		}
-	})
-	report := pl.run(phaseSpec{name: "repair", queues: queues, policy: pl.stealPolicy(), salt: saltRepair})
-	if report.Stopped || sched.Canceled(stop) {
-		return nil, abort()
-	}
-	makespan := report.Makespan + pl.barrier()
-
-	branches := make([]*rrt.Tree, n)
-	for i := 0; i < n; i++ {
-		if e.opts.Star {
-			if newStars[i] != nil {
-				branches[i] = &rrt.Tree{Nodes: newStars[i].Nodes}
-			}
-		} else {
-			branches[i] = newTrees[i]
-		}
-	}
-	newBridges, removed, bridgeMakespan, stopped := e.repairBridges(dc, branches, remaps, &out.Stats)
-	if stopped {
-		return nil, abort()
-	}
-	makespan += bridgeMakespan
-
-	// --- Commit.
-	st := &out.Stats
-	st.Makespan = makespan
-	for i := 0; i < n; i++ {
-		st.CheckedNodes += sts[i].CheckedNodes
-		st.CheckedEdges += sts[i].CheckedEdges
-		st.RemovedNodes += sts[i].Removed
-		st.Grafted += sts[i].Grafted
-		st.Work.Add(sts[i].Work)
-		if e.opts.Star {
-			if newStars[i] != nil {
-				e.starTrees[i] = newStars[i]
-			}
-		} else if newTrees[i] != nil {
-			e.trees[i] = newTrees[i]
-		}
-	}
-	out.BranchRemaps = remaps
-	out.RemovedBridges = removed
-	st.RemovedEdges += removed
-	e.bridges = newBridges
-	pl.observeConstruct(n, report, nil)
-	e.s = s
-	e.commitRepair(out.Stats, branches, newBridges)
-	return out, nil
-}
-
-// committedBranches returns the engine's committed trees as plain
-// branches (shared node slices — the usual immutable-result contract).
-func (e *RRTEngine) committedBranches() []*rrt.Tree {
-	n := e.rg.NumRegions()
-	branches := make([]*rrt.Tree, n)
-	for i := 0; i < n; i++ {
-		if e.opts.Star {
-			if e.starTrees[i] != nil {
-				branches[i] = &rrt.Tree{Nodes: e.starTrees[i].Nodes}
-			}
-		} else {
-			branches[i] = e.trees[i]
-		}
-	}
-	return branches
-}
-
-// repairBridges re-validates the committed cross-region bridges against
-// the delta using the repaired branches: a bridge survives when both
-// endpoints survived and its edge is still free. The per-bridge checks
-// run as a priced accounting phase on each bridge's owning processor.
-func (e *RRTEngine) repairBridges(dc *cspace.DeltaChecker, branches []*rrt.Tree, remaps [][]int, st *RepairStats) (kept [][4]int, removed int, makespan float64, stopped bool) {
-	return repairBridgeSet(e.pl, e.rg.Owner, e.opts, dc, e.bridges, branches, remaps, st)
-}
-
-// repairBridgeSet is the shared bridge-repair pass for the tree
-// engines. remaps[i] == nil means region i's branch is unchanged.
-func repairBridgeSet(pl *pipeline, owner []int, opts Options, dc *cspace.DeltaChecker,
-	bridges [][4]int, branches []*rrt.Tree, remaps [][]int, st *RepairStats) (kept [][4]int, removed int, makespan float64, stopped bool) {
-
-	mapIdx := func(remap []int, idx int) int {
-		if remap == nil {
-			return idx
-		}
-		if idx >= len(remap) {
-			return -1
-		}
-		return remap[idx]
-	}
-	costs := make([]float64, len(bridges))
-	for bi, br := range bridges {
-		a, b := br[0], br[2]
-		na, nb := mapIdx(remaps[a], br[1]), mapIdx(remaps[b], br[3])
-		if na < 0 || nb < 0 || branches[a] == nil || branches[b] == nil {
-			removed++
-			continue
-		}
-		qa, qb := branches[a].Nodes[na].Q, branches[b].Nodes[nb].Q
-		if dc.EdgeAffected(qa, qb) {
-			st.CheckedEdges++
-			var c cspace.Counters
-			ok := dc.EdgeStillFree(qa, qb, &c)
-			costs[bi] = opts.Cost.Time(c)
-			st.Work.Add(c)
-			if !ok {
-				removed++
-				continue
-			}
-		}
-		kept = append(kept, [4]int{a, na, b, nb})
-	}
-	queues := make([][]work.Task, opts.Procs)
-	for bi, br := range bridges {
-		queues[owner[br[0]]] = append(queues[owner[br[0]]], costTask(bi, costs[bi]))
-	}
-	rep := pl.replay(phaseSpec{name: "repair-bridges", queues: queues})
-	if rep.Stopped {
-		return nil, 0, 0, true
-	}
-	return kept, removed, rep.Makespan + pl.barrier(), false
-}
-
-// recomputeStarCosts rebuilds an RRT* branch's cost-to-root vector by a
-// forward pass (parents precede children), which also prices any
-// regrafted edges.
-func recomputeStarCosts(s *cspace.Space, t *rrt.StarTree, costs []float64) []float64 {
-	for _, nd := range t.Nodes {
-		if nd.Parent < 0 {
-			costs = append(costs, 0)
-			continue
-		}
-		costs = append(costs, costs[nd.Parent]+s.Distance(t.Nodes[nd.Parent].Q, nd.Q))
-	}
-	return costs
-}
-
-// commitRepair publishes a fresh RRT result over the repaired branches.
-func (e *RRTEngine) commitRepair(st RepairStats, branches []*rrt.Tree, bridges [][4]int) {
-	e.repairAcc.Add(st)
-	prev := e.res
-	res := *prev
-	res.Branches = branches
-	res.Bridges = bridges
-	res.Phases.Repair += st.Makespan
-	res.TotalTime = res.Phases.Total()
-	res.PhaseReports = e.pl.reports
-	res.Repairs = e.repairAcc
-	res.NodeLoads = make([]float64, e.opts.Procs)
-	for i, t := range branches {
-		if t != nil {
-			res.NodeLoads[e.rg.Owner[i]] += float64(t.Len())
-		}
-	}
-	res.CVAfter = metrics.CV(res.NodeLoads)
-	e.res = &res
-}
-
-// ApplyDelta incrementally repairs the engine's committed tree pairs
-// against an environment mutation: both trees of every pair prune and
-// regraft like plain RRT branches, the met state is re-derived (a pair
-// whose meeting node died un-meets and resumes growing next round), and
-// bridges between merged branches re-validate. Contracts match
-// RRTEngine.ApplyDelta. The returned BranchRemaps are in merged-branch
-// ids — what snapshot tree indexes reference.
-func (e *RRTConnectEngine) ApplyDelta(s *cspace.Space, d env.Delta, stop <-chan struct{}) (*RRTRepair, error) {
-	pl := e.pl
-	rg := e.rg
-	n := rg.NumRegions()
-
-	pl.stop = stop
-	defer func() { pl.stop = nil }()
-	reportMark := len(pl.reports)
-	abort := func() error {
-		pl.reports = pl.reports[:reportMark]
-		return ErrStopped
-	}
-
-	out := &RRTRepair{Stats: RepairStats{Deltas: 1}}
-	dc := cspace.NewDeltaChecker(e.s, d)
-	if !dc.Invalidating() {
-		e.s = s
-		branches := make([]*rrt.Tree, n)
-		for i, bi := range e.bis {
-			if bi != nil {
-				branches[i] = rrt.MergeBiTree(bi)
-			}
-		}
-		e.commitRepair(out.Stats, branches, e.bridges)
-		return out, nil
-	}
-
-	// --- Prune phase over round-local pair copies.
-	newBis := make([]*rrt.BiTree, n)
-	mergedRemaps := make([][]int, n)
-	sts := make([]rrt.PruneStats, n)
-	counts := e.nodeCounts()
-	queues := queuesByOwner(e.opts.Procs, rg.Owner, n, func(i int) work.Task {
-		return work.Task{
-			ID:      i,
-			Payload: counts[i],
-			Run: func() (float64, int) {
-				old := e.bis[i]
-				if old == nil {
-					return 0, 0
-				}
-				oldLenA := old.A.Len()
-				oldMerged := oldLenA
-				if old.Met && old.B != nil {
-					oldMerged += old.B.Len()
-				}
-				bi := old.Copy()
-				remapA, remapB, st := rrt.PruneBiTree(s, dc, bi, repairGraftK)
-				sts[i] = st
-				newBis[i] = bi
-				// Translate tree-local remaps into merged-branch ids:
-				// A nodes keep their (compacted) ids; B nodes followed at
-				// offset lenA and survive only while the pair stays met.
-				mr := make([]int, oldMerged)
-				copy(mr, remapA)
-				for j := oldLenA; j < oldMerged; j++ {
-					bj := j - oldLenA
-					if bi.Met && remapB[bj] >= 0 {
-						mr[j] = bi.A.Len() + remapB[bj]
-					} else {
-						mr[j] = -1
-					}
-				}
-				mergedRemaps[i] = mr
-				return e.opts.Cost.Time(st.Work), bi.Len()
-			},
-		}
-	})
-	report := pl.run(phaseSpec{name: "repair", queues: queues, policy: pl.stealPolicy(), salt: saltRepair})
-	if report.Stopped || sched.Canceled(stop) {
-		return nil, abort()
-	}
-	makespan := report.Makespan + pl.barrier()
-
-	branches := make([]*rrt.Tree, n)
-	for i := 0; i < n; i++ {
-		if newBis[i] != nil {
-			branches[i] = rrt.MergeBiTree(newBis[i])
-		}
-	}
-	newBridges, removed, bridgeMakespan, stopped := repairBridgeSet(pl, rg.Owner, e.opts, dc, e.bridges, branches, mergedRemaps, &out.Stats)
-	if stopped {
-		return nil, abort()
-	}
-	makespan += bridgeMakespan
-
-	// --- Commit.
-	st := &out.Stats
-	st.Makespan = makespan
-	for i := 0; i < n; i++ {
-		st.CheckedNodes += sts[i].CheckedNodes
-		st.CheckedEdges += sts[i].CheckedEdges
-		st.RemovedNodes += sts[i].Removed
-		st.Grafted += sts[i].Grafted
-		st.Work.Add(sts[i].Work)
-		if newBis[i] != nil {
-			e.bis[i] = newBis[i]
-		}
-	}
-	out.BranchRemaps = mergedRemaps
-	out.RemovedBridges = removed
-	st.RemovedEdges += removed
-	e.bridges = newBridges
-	pl.observeConstruct(n, report, nil)
-	e.s = s
-	e.commitRepair(out.Stats, branches, newBridges)
-	return out, nil
-}
-
-// commitRepair publishes a fresh RRT-Connect result over the repaired
-// pairs, re-deriving the met/goal summary (a door closing can un-meet
-// the goal region's pair, flipping GoalConnected back off).
-func (e *RRTConnectEngine) commitRepair(st RepairStats, branches []*rrt.Tree, bridges [][4]int) {
-	e.repairAcc.Add(st)
-	prev := e.res
-	res := *prev
-	res.Branches = branches
-	res.Bridges = bridges
-	res.Phases.Repair += st.Makespan
-	res.TotalTime = res.Phases.Total()
-	res.PhaseReports = e.pl.reports
-	res.Repairs = e.repairAcc
-	res.TreesMet = 0
-	res.GoalConnected = false
-	for _, bi := range e.bis {
-		if bi == nil || !bi.Met {
-			continue
-		}
-		res.TreesMet++
-		if bi.B != nil && bi.B.Nodes[0].Q.Equal(e.goal, 0) {
-			res.GoalConnected = true
-		}
-	}
-	res.NodeLoads = make([]float64, e.opts.Procs)
-	for i, t := range branches {
-		if t != nil {
-			res.NodeLoads[e.rg.Owner[i]] += float64(t.Len())
-		}
-	}
-	res.CVAfter = metrics.CV(res.NodeLoads)
-	e.res = &res
+	e.stats.Repairs.Add(st)
+	e.stats.Phases.Repair += st.Makespan
+	e.publish()
+	return st, nil
 }

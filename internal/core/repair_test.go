@@ -317,23 +317,23 @@ func TestRRTStarEngineApplyDeltaCosts(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Cost-to-root must be consistent with the repaired parent edges.
-	for i, st := range eng.starTrees {
-		if st == nil {
+	for i, st := range eng.branches {
+		if st.tree == nil {
 			continue
 		}
-		if len(st.Cost) != len(st.Nodes) {
-			t.Fatalf("region %d: %d costs for %d nodes", i, len(st.Cost), len(st.Nodes))
+		if len(st.cost) != len(st.tree.Nodes) {
+			t.Fatalf("region %d: %d costs for %d nodes", i, len(st.cost), len(st.tree.Nodes))
 		}
-		for j, nd := range st.Nodes {
+		for j, nd := range st.tree.Nodes {
 			if nd.Parent < 0 {
-				if st.Cost[j] != 0 {
-					t.Fatalf("region %d root cost %v", i, st.Cost[j])
+				if st.cost[j] != 0 {
+					t.Fatalf("region %d root cost %v", i, st.cost[j])
 				}
 				continue
 			}
-			want := st.Cost[nd.Parent] + after.Distance(st.Nodes[nd.Parent].Q, nd.Q)
-			if diff := st.Cost[j] - want; diff > 1e-9 || diff < -1e-9 {
-				t.Fatalf("region %d node %d cost %v, want %v", i, j, st.Cost[j], want)
+			want := st.cost[nd.Parent] + after.Distance(st.tree.Nodes[nd.Parent].Q, nd.Q)
+			if diff := st.cost[j] - want; diff > 1e-9 || diff < -1e-9 {
+				t.Fatalf("region %d node %d cost %v, want %v", i, j, st.cost[j], want)
 			}
 		}
 	}

@@ -12,10 +12,9 @@ type treeRef struct{ branch, node int }
 // TreeIndex is a prebuilt query accelerator over a frozen RRT result:
 // every branch node is gathered once and indexed in a kd-tree at build
 // time, so extracting a path to a goal costs a handful of kNN lookups
-// instead of re-gathering and fully sorting every tree node per call
-// (what the legacy RRTResult.ExtractPath does). A TreeIndex never
-// mutates its result, which is what makes a published engine snapshot
-// safe for concurrent readers.
+// instead of re-gathering and fully sorting every tree node per call.
+// A TreeIndex never mutates its result, which is what makes a published
+// engine snapshot safe for concurrent readers.
 type TreeIndex struct {
 	res  *RRTResult
 	pts  []geom.Vec
@@ -48,14 +47,15 @@ func (ix *TreeIndex) Result() *RRTResult { return ix.res }
 // NumNodes returns the number of indexed tree nodes.
 func (ix *TreeIndex) NumNodes() int { return len(ix.pts) }
 
-// ExtractPath returns a collision-free path from the RRT root to goal,
-// like RRTResult.ExtractPath but against the prebuilt index: candidates
-// come from kd-tree lookups with a doubling neighbourhood instead of a
-// full per-call sort, so the common case (a nearby node connects) costs
-// O(log n) per lookup. Like the legacy path it keeps widening until
-// every node has been tried, so reachability semantics are identical;
-// only the candidate order among metric ties may differ. Safe for
-// concurrent use.
+// ExtractPath returns a collision-free configuration path from the RRT
+// root to goal: a tree node near goal that the local planner can connect
+// to it is located across all branches and walked back to the root along
+// parent links. Candidates come from kd-tree lookups with a doubling
+// neighbourhood, so the common case (a nearby node connects) costs
+// O(log n) per lookup; nearby nodes can all be unreachable — wrong side
+// of a wall, incompatible heading — so it keeps widening until every
+// node has been tried. ok is false when the goal cannot be attached to
+// the tree. Safe for concurrent use.
 func (ix *TreeIndex) ExtractPath(s *cspace.Space, goal cspace.Config, c *cspace.Counters) ([]cspace.Config, bool) {
 	if !s.Valid(goal, c) {
 		return nil, false

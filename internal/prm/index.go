@@ -13,8 +13,8 @@ import (
 // kd-tree, the gathered point slice and the connected-component labels
 // are computed once at build time, so answering a query costs two kNN
 // lookups plus a shortest-path search instead of re-gathering every
-// roadmap point and rebuilding the tree per call (what the legacy Query
-// does). An Index never mutates its roadmap, which is what makes a
+// roadmap point and rebuilding the tree per call (what the reference
+// Query does). An Index never mutates its roadmap, which is what makes a
 // published engine snapshot safe for concurrent readers.
 type Index struct {
 	m      *Roadmap
@@ -84,7 +84,7 @@ func (ix *Index) attach(s *cspace.Space, q cspace.Config, k int, c *cspace.Count
 // reachable nodes, and a multi-source Dijkstra over the roadmap finds
 // the cheapest start-attachment → goal-attachment path. The returned
 // path includes start and goal; ok is false when no connection exists.
-// Success semantics match the legacy Query exactly: the query succeeds
+// Success semantics match the reference Query exactly: the query succeeds
 // iff some start attachment and some goal attachment share a connected
 // component. Safe for concurrent use.
 func (ix *Index) Query(s *cspace.Space, start, goal cspace.Config, k int, c *cspace.Counters) ([]cspace.Config, bool) {
@@ -100,7 +100,7 @@ func (ix *Index) Query(s *cspace.Space, start, goal cspace.Config, k int, c *csp
 		return nil, false
 	}
 	// Component pre-check: cheap reject for disconnected queries, and the
-	// exact success criterion of the legacy mutating Query.
+	// exact success criterion of the reference Query.
 	reachable := false
 	for _, sa := range starts {
 		for _, ga := range goals {

@@ -307,12 +307,12 @@ func ConnectBoundaryArena(s *cspace.Space, aNodes, bNodes []Node, k, maxSources 
 // mutated (transient attachment vertices are added and removed), so
 // concurrent callers must serialize.
 //
-// Deprecated: Query re-gathers every roadmap point and rebuilds the
-// kd-tree per call. Build an Index once and use Index.Query, which is
-// non-mutating, concurrency-safe and amortizes the build cost across
-// calls. Every caller outside this function's own regression tests has
-// been migrated (the public parmp.Query now routes through BuildIndex);
-// Query will be removed together with the next roadmap-format change.
+// Query is the reference implementation Index.Query is parity-tested
+// against (index_test.go): it re-gathers every roadmap point and
+// rebuilds the kd-tree per call and searches the graph itself, sharing
+// no code with the index. Production callers build an Index once and use
+// Index.Query, which is non-mutating, concurrency-safe and amortizes the
+// build cost across calls.
 func Query(s *cspace.Space, m *Roadmap, start, goal cspace.Config, k int, c *cspace.Counters) ([]cspace.Config, bool) {
 	if !s.Valid(start, c) || !s.Valid(goal, c) {
 		return nil, false

@@ -160,7 +160,7 @@ func TestQueryFindsPath(t *testing.T) {
 		m.G.AddEdge(ids[e[0]], ids[e[1]], s.Distance(res.Nodes[e[0]].Q, res.Nodes[e[1]].Q))
 	}
 	var c cspace.Counters
-	path, ok := Query(s, m, geom.V(0.05, 0.05, 0.05), geom.V(0.95, 0.95, 0.95), 5, &c)
+	path, ok := BuildIndex(m).Query(s, geom.V(0.05, 0.05, 0.05), geom.V(0.95, 0.95, 0.95), 5, &c)
 	if !ok {
 		t.Fatal("query in free space should succeed")
 	}
@@ -185,7 +185,7 @@ func TestQueryInvalidEndpoints(t *testing.T) {
 	s := cspace.NewPointSpace(env.MedCube())
 	m := NewRoadmap()
 	m.AddNode(Node{Q: geom.V(0.05, 0.05, 0.05)})
-	if _, ok := Query(s, m, geom.V(0.5, 0.5, 0.5), geom.V(0.05, 0.05, 0.05), 2, nil); ok {
+	if _, ok := BuildIndex(m).Query(s, geom.V(0.5, 0.5, 0.5), geom.V(0.05, 0.05, 0.05), 2, nil); ok {
 		t.Fatal("start inside obstacle must fail")
 	}
 }
@@ -204,11 +204,14 @@ func TestQueryDisconnected(t *testing.T) {
 	m := NewRoadmap()
 	m.AddNode(Node{Q: geom.V(0.1, 0.5, 0.5)})
 	m.AddNode(Node{Q: geom.V(0.9, 0.5, 0.5)})
-	if _, ok := Query(s, m, geom.V(0.05, 0.5, 0.5), geom.V(0.95, 0.5, 0.5), 1, nil); ok {
+	if _, ok := BuildIndex(m).Query(s, geom.V(0.05, 0.5, 0.5), geom.V(0.95, 0.5, 0.5), 1, nil); ok {
 		t.Fatal("wall-separated query must fail")
 	}
 }
 
+// The reference Query attaches transient vertices to the roadmap it is
+// given; the parity oracle in index_test.go shares that roadmap with the
+// Index under test, so Query must hand it back unchanged.
 func TestQueryDoesNotMutateRoadmap(t *testing.T) {
 	s := freeSpace()
 	m := NewRoadmap()

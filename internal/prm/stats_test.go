@@ -4,11 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"parmp/internal/cspace"
-	"parmp/internal/env"
 	"parmp/internal/geom"
-	"parmp/internal/graph"
-	"parmp/internal/rng"
 )
 
 func TestComputeStatsEmpty(t *testing.T) {
@@ -43,42 +39,3 @@ func TestComputeStats(t *testing.T) {
 		t.Fatal("String missing fields")
 	}
 }
-
-func TestEvaluateQueries(t *testing.T) {
-	s := cspaceFree()
-	res := BuildRegion(s, s.Bounds, 0, Params{SamplesPerRegion: 80, K: 8}, rng.New(1))
-	m := NewRoadmap()
-	ids := make([]graph.ID, len(res.Nodes))
-	for i, n := range res.Nodes {
-		ids[i] = m.AddNode(n)
-	}
-	for _, e := range res.Edges {
-		m.G.AddEdge(ids[e[0]], ids[e[1]], s.Distance(res.Nodes[e[0]].Q, res.Nodes[e[1]].Q))
-	}
-	stats := EvaluateQueries(s, m, 20, 6, rng.New(2))
-	if stats.Attempted != 20 {
-		t.Fatalf("attempted = %d", stats.Attempted)
-	}
-	if stats.SuccessRate() < 0.8 {
-		t.Fatalf("free-space success rate = %v, want high", stats.SuccessRate())
-	}
-	if stats.AvgLength <= 0 || stats.AvgWaypoints < 2 {
-		t.Fatalf("path quality stats: %+v", stats)
-	}
-	if stats.String() == "" {
-		t.Fatal("empty String")
-	}
-}
-
-func TestEvaluateQueriesEmptyRoadmap(t *testing.T) {
-	s := cspaceFree()
-	stats := EvaluateQueries(s, NewRoadmap(), 5, 3, rng.New(3))
-	if stats.Solved != 0 {
-		t.Fatal("empty roadmap cannot solve queries")
-	}
-	if stats.SuccessRate() != 0 {
-		t.Fatal("success rate should be 0")
-	}
-}
-
-func cspaceFree() *cspace.Space { return cspace.NewPointSpace(env.Free()) }

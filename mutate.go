@@ -5,10 +5,8 @@ import (
 	"fmt"
 
 	"parmp/internal/core"
-	"parmp/internal/cspace"
 	"parmp/internal/env"
 	"parmp/internal/geom"
-	"parmp/internal/prm"
 )
 
 // Obstacle is a workspace obstacle; see env.Obstacle.
@@ -186,47 +184,13 @@ func (e *Engine) ApplyDelta(ctx context.Context, muts ...Mutation) (RepairStats,
 		return RepairStats{}, err
 	}
 	newSpace := e.space.WithEnv(newEnv)
-	old := e.snap.Load()
-	switch {
-	case e.prm != nil:
-		// Scope the re-validation with a kd radius query over the
-		// committed snapshot's index; AffectedVertices' nil ("nothing
-		// affected") must not reach the core as nil ("scan everything").
-		dc := cspace.NewDeltaChecker(e.space, delta)
-		cand := old.prmIx.AffectedVertices(dc)
-		if cand == nil {
-			cand = []int{}
-		}
-		rep, err := e.prm.ApplyDelta(newSpace, delta, cand, stop)
-		if err != nil {
-			return RepairStats{}, err
-		}
-		e.space = newSpace
-		ix := old.prmIx
-		if rep.VertexRemap != nil {
-			// Scoped index repair: labels carry over for untouched
-			// components, only the kd-tree and touched components rebuild.
-			ix = prm.RepairIndex(old.prmIx, e.prm.Result().Roadmap, rep.VertexRemap, rep.TouchedVertices)
-		}
-		e.publishIndexed(ix)
-		return rep.Stats, nil
-	case e.rrtc != nil:
-		rep, err := e.rrtc.ApplyDelta(newSpace, delta, stop)
-		if err != nil {
-			return RepairStats{}, err
-		}
-		e.space = newSpace
-		e.publish()
-		return rep.Stats, nil
-	default:
-		rep, err := e.rrt.ApplyDelta(newSpace, delta, stop)
-		if err != nil {
-			return RepairStats{}, err
-		}
-		e.space = newSpace
-		e.publish()
-		return rep.Stats, nil
+	s, st, err := e.pl.repair(e.snap.Load(), newSpace, delta, stop)
+	if err != nil {
+		return RepairStats{}, err
 	}
+	e.space = newSpace
+	e.publish(s)
+	return st, nil
 }
 
 // ApplyDelta mutates the world for every contestant: the race's shared
