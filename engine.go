@@ -303,9 +303,9 @@ func (s *Snapshot) Query(start, goal Config, k int) ([]Config, bool) {
 //
 // For PRM snapshots the batch amortizes shared work: endpoint
 // deduplication, one batched kd pass for every attachment lookup, and
-// one multi-source Dijkstra per distinct goal — so a batch over hot
-// (start, goal) pairs costs far less than a Query loop. Tree snapshots
-// answer each query individually. Safe for concurrent use.
+// one goal-rooted shortest-path search per distinct goal — so a batch
+// over hot (start, goal) pairs costs far less than a Query loop. Tree
+// snapshots answer each query individually. Safe for concurrent use.
 func (s *Snapshot) QueryBatch(starts, goals []Config, k int) ([][]Config, []bool) {
 	n := len(starts)
 	paths := make([][]Config, n)
@@ -329,8 +329,13 @@ func (s *Snapshot) QueryBatch(starts, goals []Config, k int) ([][]Config, []bool
 			keep = append(keep, i)
 		}
 	}
-	if len(keep) == 0 {
+	switch len(keep) {
+	case 0:
 		return paths, oks
+	case n:
+		// The common case: nothing screened out, so the batch goes through
+		// as it came and comes back as the index answered it.
+		return s.prmIx.QueryBatch(s.space, starts, goals, k, nil, nil)
 	}
 	subStarts := make([]Config, len(keep))
 	subGoals := make([]Config, len(keep))

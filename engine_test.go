@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"parmp/internal/cspace"
 	"parmp/internal/dist"
 	"parmp/internal/graph"
 	"parmp/internal/sched"
@@ -150,23 +151,51 @@ func TestSnapshotQueryConcurrentWithGrow(t *testing.T) {
 		t.Fatal(err)
 	}
 	start, goal := V(0.05, 0.05, 0.05), V(0.95, 0.95, 0.95)
+	// Readers share the index's pooled search scratch while each Grow
+	// publishes a larger roadmap, so a scratch sized for one snapshot is
+	// handed to a query against the next. Every answer, scalar or
+	// batched, must be a collision-free path between its own endpoints.
+	starts := []Config{start, V(0.05, 0.95, 0.05), V(0.95, 0.05, 0.95), start}
+	goals := []Config{goal, goal, V(0.05, 0.95, 0.95), goal}
+	check := func(path []Config, ok bool, from, to Config) bool {
+		if !ok {
+			if path != nil {
+				t.Error("missed query returned a path")
+			}
+			return path == nil
+		}
+		if !path[0].Equal(from, 0) || !path[len(path)-1].Equal(to, 0) || !cspace.PathValid(space, path, nil) {
+			t.Error("snapshot query returned an invalid path")
+			return false
+		}
+		return true
+	}
 	done := make(chan struct{})
 	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
+	for r := 0; r < 8; r++ {
 		wg.Add(1)
-		go func() {
+		go func(r int) {
 			defer wg.Done()
-			for {
+			for i := r; ; i++ {
 				select {
 				case <-done:
 					return
 				default:
 				}
 				snap := eng.Snapshot()
-				path, ok := snap.Query(start, goal, 8)
-				if ok && len(path) < 2 {
-					t.Error("degenerate path from snapshot query")
-					return
+				if i%2 == 0 {
+					j := i / 2 % len(starts)
+					path, ok := snap.Query(starts[j], goals[j], 8)
+					if !check(path, ok, starts[j], goals[j]) {
+						return
+					}
+				} else {
+					paths, oks := snap.QueryBatch(starts, goals, 8)
+					for j := range paths {
+						if !check(paths[j], oks[j], starts[j], goals[j]) {
+							return
+						}
+					}
 				}
 				// A snapshot never loses nodes relative to its own round.
 				if snap.Rounds() > 0 && snap.NumNodes() == 0 {
@@ -174,11 +203,17 @@ func TestSnapshotQueryConcurrentWithGrow(t *testing.T) {
 					return
 				}
 			}
-		}()
+		}(r)
 	}
+	nodes := 0
 	for i := 0; i < 3; i++ {
 		if err := eng.Grow(context.Background()); err != nil {
 			t.Fatal(err)
+		}
+		if n := eng.Snapshot().NumNodes(); n <= nodes {
+			t.Fatalf("round %d published %d nodes after %d: not a larger snapshot", i, n, nodes)
+		} else {
+			nodes = n
 		}
 	}
 	close(done)

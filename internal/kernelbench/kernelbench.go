@@ -1,7 +1,7 @@
 // Package kernelbench measures the repository's hot compute kernels —
-// sampling, collision checking, nearest-neighbour queries and region
-// connection — and emits machine-readable results for the CI
-// benchmark-regression gate.
+// sampling, collision checking, nearest-neighbour queries, region
+// connection and snapshot queries — and emits machine-readable results
+// for the CI benchmark-regression gate.
 //
 // The kernel list mirrors the BenchmarkKernel* benchmarks in the
 // internal packages, but lives in normal (non-test) code so that
@@ -16,11 +16,13 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 	"testing"
 
 	"parmp/internal/cspace"
 	"parmp/internal/env"
 	"parmp/internal/geom"
+	"parmp/internal/graph"
 	"parmp/internal/knn"
 	"parmp/internal/prm"
 	"parmp/internal/rng"
@@ -59,6 +61,8 @@ func Kernels() []Kernel {
 		{Name: "ConfigFreeBatch", Items: batchConfigs, Bench: benchConfigFreeBatch},
 		{Name: "EdgeFreeLinkage", Bench: benchEdgeFreeLinkage},
 		{Name: "EdgeFreeBatchLinkage", Items: batchEdges, Bench: benchEdgeFreeBatchLinkage},
+		{Name: "IndexQuery", Bench: benchIndexQuery},
+		{Name: "IndexQueryBatch", Items: batchIndexQueries, Bench: benchIndexQueryBatch},
 		{Name: "LocalPlan", Bench: benchLocalPlan},
 		{Name: "LocalPlanBatch", Bench: benchLocalPlanBatch},
 		{Name: "NearestInto", Bench: benchNearestInto},
@@ -418,5 +422,65 @@ func benchKDTreeBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tree.Reset(pts)
+	}
+}
+
+// batchIndexQueries is the IndexQueryBatch batch: 16 queries over 4
+// goals, so both a shared goal-rooted search and the endpoint dedupe run.
+// A query returns two allocations (waypoint slice and coordinate slab)
+// and the batch two more, 34 in all — under the 50 the gate allows, which
+// a map or a per-vertex allocation on the query path would pass at once.
+const (
+	batchIndexQueries = 16
+	batchIndexGoals   = 4
+)
+
+// queryFixture is what the snapshot-query kernels run on.
+type queryFixture struct {
+	s  *cspace.Space
+	ix *prm.Index
+	qs []cspace.Config
+}
+
+// queryBenchIndex returns the snapshot-query fixture: a fixed-seed
+// roadmap of about 20 000 nodes in med-cube (the size a serving tenant
+// reaches), indexed, with collision-free query endpoints. It is built on
+// first use and shared: testing.Benchmark calls a kernel once per b.N
+// escalation, and the build takes far longer than a query.
+var queryBenchIndex = sync.OnceValue(func() queryFixture {
+	s := cspace.NewPointSpace(env.MedCube())
+	res := prm.BuildRegion(s, s.Bounds, 0, prm.Params{SamplesPerRegion: 26500, K: 8}, rng.New(29))
+	m := prm.NewRoadmap()
+	for _, n := range res.Nodes {
+		m.AddNode(n)
+	}
+	for _, e := range res.Edges {
+		m.G.AddEdge(graph.ID(e[0]), graph.ID(e[1]), s.Distance(res.Nodes[e[0]].Q, res.Nodes[e[1]].Q))
+	}
+	return queryFixture{s, prm.BuildIndex(m), freeConfigs(s, 2*batchIndexQueries, 31)}
+})
+
+func benchIndexQuery(b *testing.B) {
+	fx := queryBenchIndex()
+	s, ix, qs := fx.s, fx.ix, fx.qs
+	half := len(qs) / 2
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix.Query(s, qs[i%half], qs[half+i%half], 8, nil)
+	}
+}
+
+func benchIndexQueryBatch(b *testing.B) {
+	fx := queryBenchIndex()
+	s, ix, qs := fx.s, fx.ix, fx.qs
+	starts, goals := qs[:batchIndexQueries], make([]cspace.Config, batchIndexQueries)
+	for i := range goals {
+		goals[i] = qs[batchIndexQueries+i%batchIndexGoals]
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix.QueryBatch(s, starts, goals, 8, nil, nil)
 	}
 }

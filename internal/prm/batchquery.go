@@ -1,45 +1,58 @@
 package prm
 
 import (
-	"container/heap"
-	"encoding/binary"
 	"math"
 
 	"parmp/internal/cspace"
-	"parmp/internal/geom"
-	"parmp/internal/graph"
-	"parmp/internal/knn"
 )
 
-// BatchScratch holds the reusable state of one in-flight batched query:
-// the kd query scratch plus the flat hit and offset buffers NearestBatch
-// appends into. One scratch per serving worker makes the kd side of a
-// steady-state batch allocation-free; the zero value is ready to use. A
-// scratch must not be shared by concurrent batches.
-type BatchScratch struct {
-	knn  knn.QueryScratch
-	dst  []knn.Result
-	offs []int
-}
-
-// configKey packs a configuration's float bits into a map key, so
-// identical endpoints dedupe exactly (no epsilon).
-func configKey(q cspace.Config) string {
-	b := make([]byte, 8*len(q))
-	for i, v := range q {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
-	}
-	return string(b)
-}
-
 // endpoint is one distinct query endpoint (start or goal) in a batch:
-// its configuration and, once attached, the feasible roadmap entry
-// points. ok is false when the endpoint is invalid (wrong dimension or
-// in collision) or attaches to nothing.
+// its configuration, its kd candidates (a range of the scratch's hits;
+// empty when the endpoint is invalid — wrong dimension or in collision)
+// and, once attached, its feasible roadmap entry points (a range of the
+// scratch's atts).
 type endpoint struct {
-	q   cspace.Config
-	att []attachment
-	ok  bool
+	q            cspace.Config
+	hitLo, hitHi int
+	attLo, attHi int
+}
+
+// sameBits reports whether a and b are the same floats bit for bit, so
+// identical endpoints dedupe exactly: no epsilon, and a NaN coordinate
+// matches only itself (Vec.Equal would match it with anything).
+func sameBits(a, b cspace.Config) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// intern returns the index of q among the batch's distinct endpoints,
+// adding it when new. The table was sized for the batch by QueryBatch
+// and never fills.
+func (sc *BatchScratch) intern(q cspace.Config) int32 {
+	h := uint64(len(q))
+	for _, v := range q {
+		h = (h ^ math.Float64bits(v)) * 0x9e3779b97f4a7c15
+		h ^= h >> 32
+	}
+	mask := uint64(len(sc.table) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		switch e := sc.table[i]; {
+		case e < 0:
+			e = int32(len(sc.eps))
+			sc.table[i] = e
+			sc.eps = append(sc.eps, endpoint{q: q})
+			return e
+		case sameBits(sc.eps[e].q, q):
+			return e
+		}
+	}
 }
 
 // QueryBatch answers len(starts) motion-planning queries against the
@@ -51,9 +64,10 @@ type endpoint struct {
 //     configuration once;
 //   - all endpoint kNN lookups go through one knn.NearestBatch call
 //     sharing one scratch;
-//   - queries with a common goal share one multi-source Dijkstra seeded
-//     from the goal's attachments (the roadmap is undirected, so
-//     goal-side distances answer every start in the group).
+//   - queries with a common goal share one search, the loop Query runs,
+//     here without a heuristic and rooted at the goal's attachments (the
+//     roadmap is undirected, so goal-side distances answer every start
+//     in the group).
 //
 // Query i's answer lands in paths[i]/oks[i] with Query's semantics:
 // success iff some start attachment shares a connected component with
@@ -61,168 +75,182 @@ type endpoint struct {
 // plus roadmap distance. Among exact metric ties the node sequence may
 // differ from Query's, but the total length is equal.
 //
-// sc may be nil (a scratch is allocated); pass one per worker to reuse
-// kd buffers across batches. Safe for concurrent use with distinct
-// scratches.
+// A nil sc means a pooled scratch, which is what every caller in this
+// repository passes; see BatchScratch. Safe for concurrent use with nil
+// or distinct scratches.
 func (ix *Index) QueryBatch(s *cspace.Space, starts, goals []cspace.Config, k int, sc *BatchScratch, c *cspace.Counters) ([][]cspace.Config, []bool) {
 	n := len(starts)
 	paths := make([][]cspace.Config, n)
 	oks := make([]bool, n)
-	if len(goals) != n || n == 0 || k <= 0 || len(ix.pts) == 0 {
+	k = min(k, len(ix.pts))
+	if len(goals) != n || n == 0 || k <= 0 {
 		return paths, oks
 	}
 	if sc == nil {
-		sc = &BatchScratch{}
+		sc = scratchPool.Get().(*BatchScratch)
+		defer scratchPool.Put(sc)
 	}
 
 	// Dedupe endpoints: one validation + one attach per distinct config.
-	slot := make(map[string]int, 2*n)
-	var eps []*endpoint
-	startEp := make([]int, n)
-	goalEp := make([]int, n)
-	intern := func(q cspace.Config) int {
-		key := configKey(q)
-		if i, ok := slot[key]; ok {
-			return i
-		}
-		i := len(eps)
-		slot[key] = i
-		eps = append(eps, &endpoint{q: q})
-		return i
+	size := 4
+	for size < 4*n {
+		size <<= 1 // at most 2n endpoints: the table stays at most half full
 	}
+	sc.table = resize(sc.table, size)
+	for i := range sc.table {
+		sc.table[i] = -1
+	}
+	sc.eps = sc.eps[:0]
+	sc.startEp, sc.goalEp = resize(sc.startEp, n), resize(sc.goalEp, n)
 	for i := range starts {
-		startEp[i] = intern(starts[i])
-		goalEp[i] = intern(goals[i])
+		sc.startEp[i] = sc.intern(starts[i])
+		sc.goalEp[i] = sc.intern(goals[i])
+	}
+	eps := sc.eps
+
+	// Validate distinct endpoints, then look the valid ones up through
+	// one batched kd pass.
+	sc.queries = sc.queries[:0]
+	for i := range eps {
+		ep := &eps[i]
+		ep.hitLo = -1
+		if len(ep.q) == s.Dim() && s.ValidS(ep.q, &sc.cs, c) {
+			ep.hitLo = len(sc.queries) // its place in the kd batch, for now
+			sc.queries = append(sc.queries, ep.q)
+		}
+	}
+	var evals int
+	sc.hits, sc.offs, evals = ix.tree.NearestBatch(&sc.knn, sc.queries, k, -1, sc.hits[:0], sc.offs[:0])
+	if c != nil {
+		c.KNNQueries += int64(len(sc.queries))
+		c.KNNEvals += int64(evals)
+	}
+	for i := range eps {
+		ep := &eps[i]
+		if j := ep.hitLo; j >= 0 {
+			ep.hitLo, ep.hitHi = sc.offs[j], sc.offs[j+1]
+		} else {
+			ep.hitLo, ep.hitHi = 0, 0
+		}
 	}
 
-	// Validate distinct endpoints, then attach the valid ones through one
-	// batched kd pass.
-	var queries []geom.Vec
-	var queryEp []int
-	for i, ep := range eps {
-		if len(ep.q) == s.Dim() && s.Valid(ep.q, c) {
-			queries = append(queries, ep.q)
-			queryEp = append(queryEp, i)
-		}
-	}
-	if len(queries) > 0 {
-		var evals int
-		sc.dst, sc.offs, evals = ix.tree.NearestBatch(&sc.knn, queries, k, -1, sc.dst[:0], sc.offs[:0])
-		if c != nil {
-			c.KNNQueries += int64(len(queries))
-			c.KNNEvals += int64(evals)
-		}
-		for j, i := range queryEp {
-			ep := eps[i]
-			for _, h := range sc.dst[sc.offs[j]:sc.offs[j+1]] {
-				if s.LocalPlan(ep.q, ix.pts[h.Index], c) {
-					ep.att = append(ep.att, attachment{node: h.Index, cost: s.Distance(ep.q, ix.pts[h.Index])})
-				}
-			}
-			ep.ok = len(ep.att) > 0
-		}
-	}
-
-	// Group queries by goal endpoint: each group shares one Dijkstra.
-	groups := make(map[int][]int, len(eps))
+	// Component test before the local plans: a candidate is worth one only
+	// if, in some query, the other endpoint has a candidate in the same
+	// component.
+	sc.need = resize(sc.need, len(sc.hits))
+	clear(sc.need)
 	for i := 0; i < n; i++ {
-		if !eps[startEp[i]].ok || !eps[goalEp[i]].ok {
-			continue
+		a, b := &eps[sc.startEp[i]], &eps[sc.goalEp[i]]
+		ix.needShared(sc, a, b)
+		ix.needShared(sc, b, a)
+	}
+	sc.atts = sc.atts[:0]
+	for i := range eps {
+		ep := &eps[i]
+		ep.attLo = len(sc.atts)
+		for j := ep.hitLo; j < ep.hitHi; j++ {
+			if node := sc.hits[j].Index; sc.need[j] && s.LocalPlanBatch(ep.q, ix.pts[node], &sc.bt, c) {
+				sc.atts = append(sc.atts, attachment{node: node, cost: s.Distance(ep.q, ix.pts[node])})
+			}
 		}
-		groups[goalEp[i]] = append(groups[goalEp[i]], i)
+		ep.attHi = len(sc.atts)
 	}
-	for gi, members := range groups {
-		ix.solveGoalGroup(eps, gi, members, startEp, paths, oks)
+
+	// Group the servable queries by goal endpoint (counting sort): each
+	// group shares one search.
+	sc.count = resize(sc.count, len(eps)+1)
+	clear(sc.count)
+	servable := func(i int) bool {
+		a, b := &eps[sc.startEp[i]], &eps[sc.goalEp[i]]
+		return a.attHi > a.attLo && b.attHi > b.attLo
 	}
+	for i := 0; i < n; i++ {
+		if servable(i) {
+			sc.count[sc.goalEp[i]+1]++
+		}
+	}
+	for e := 1; e < len(sc.count); e++ {
+		sc.count[e] += sc.count[e-1]
+	}
+	sc.order = resize(sc.order, int(sc.count[len(eps)]))
+	for i := 0; i < n; i++ {
+		if servable(i) {
+			g := sc.goalEp[i]
+			sc.order[sc.count[g]] = int32(i)
+			sc.count[g]++ // count[g] ends as the end of group g
+		}
+	}
+	for lo := 0; lo < len(sc.order); {
+		g := sc.goalEp[sc.order[lo]]
+		hi := int(sc.count[g])
+		ix.solveGoalGroup(sc, s, g, sc.order[lo:hi], paths, oks)
+		lo = hi
+	}
+	clear(sc.queries) // a pooled scratch must not pin the callers' configurations
+	clear(eps)
 	return paths, oks
 }
 
+// resize returns buf with length n, reusing its storage when it can.
+// The contents are unspecified.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// needShared flags the candidates of a that share a component with some
+// candidate of b.
+func (ix *Index) needShared(sc *BatchScratch, a, b *endpoint) {
+	sc.labels = ix.hitLabels(sc.labels[:0], sc.hits[b.hitLo:b.hitHi])
+	for j := a.hitLo; j < a.hitHi; j++ {
+		if hasLabel(sc.labels, ix.labels[sc.hits[j].Index]) {
+			sc.need[j] = true
+		}
+	}
+}
+
 // solveGoalGroup answers every query in members (all sharing goal
-// endpoint gi) with one multi-source Dijkstra seeded from the goal's
-// attachments. Distances flow goal→roadmap, so each query just takes the
-// cheapest of its start attachments; prev chains already point toward
-// the goal and reconstruct the path start→…→goal directly.
-func (ix *Index) solveGoalGroup(eps []*endpoint, gi int, members []int, startEp []int, paths [][]cspace.Config, oks []bool) {
-	goal := eps[gi]
+// endpoint gi) with one search seeded from the goal's attachments and
+// run until every useful start attachment is settled. Distances flow
+// goal→roadmap, so each query just takes the cheapest of its start
+// attachments; prev chains already point toward the goal and read
+// start→…→goal directly.
+func (ix *Index) solveGoalGroup(sc *BatchScratch, s *cspace.Space, gi int32, members []int32, paths [][]cspace.Config, oks []bool) {
+	goal := &sc.eps[gi]
+	goalAtts := sc.atts[goal.attLo:goal.attHi]
 
-	// Component pre-check (Query's exact success criterion): a start
-	// attachment is a useful target only when it shares a component with
-	// some goal attachment.
-	goalComp := make(map[int]bool, len(goal.att))
-	for _, ga := range goal.att {
-		goalComp[ix.labels[ga.node]] = true
+	// Query's exact success criterion: a start attachment is a useful
+	// target only when it shares a component with some goal attachment;
+	// no other is ever reached. The starts of a group give the search no
+	// common direction, so it runs without a heuristic (h ≡ 0).
+	sc.labels = ix.attLabels(sc.labels[:0], goalAtts)
+	sc.begin(len(ix.pts))
+	for _, a := range goalAtts {
+		sc.seed(int32(a.node), a.cost, 0)
 	}
-	targets := make(map[int]bool)
 	for _, qi := range members {
-		for _, sa := range eps[startEp[qi]].att {
-			if goalComp[ix.labels[sa.node]] {
-				targets[sa.node] = true
+		start := &sc.eps[sc.startEp[qi]]
+		for _, a := range sc.atts[start.attLo:start.attHi] {
+			if hasLabel(sc.labels, ix.labels[a.node]) {
+				sc.target(int32(a.node))
 			}
 		}
 	}
-	if len(targets) == 0 {
-		return // every query in the group is disconnected
-	}
-
-	// Multi-source Dijkstra from the goal attachments, run until every
-	// reachable target start-attachment node is settled.
-	dist := make(map[int]float64, 64)
-	prev := make(map[int]int, 64)
-	q := &attachPQ{}
-	for _, ga := range goal.att {
-		if d, ok := dist[ga.node]; !ok || ga.cost < d {
-			dist[ga.node] = ga.cost
-			prev[ga.node] = -1
-			heap.Push(q, pqEntry{node: ga.node, dist: ga.cost})
-		}
-	}
-	done := make(map[int]bool, 64)
-	remaining := len(targets)
-	for q.Len() > 0 && remaining > 0 {
-		it := heap.Pop(q).(pqEntry)
-		if done[it.node] {
-			continue
-		}
-		done[it.node] = true
-		if targets[it.node] {
-			remaining--
-		}
-		for _, e := range ix.m.G.Neighbors(graph.ID(it.node)) {
-			nd := it.dist + e.Weight
-			if d, ok := dist[int(e.To)]; !ok || nd < d {
-				dist[int(e.To)] = nd
-				prev[int(e.To)] = it.node
-				heap.Push(q, pqEntry{node: int(e.To), dist: nd})
-			}
-		}
-	}
+	ix.search(sc, s, nil, nil)
 
 	for _, qi := range members {
-		start := eps[startEp[qi]]
-		bestNode := -1
-		bestTotal := -1.0
-		for _, sa := range start.att {
-			d, ok := dist[sa.node]
-			if !ok || !done[sa.node] {
-				continue
-			}
-			if total := sa.cost + d; bestTotal < 0 || total < bestTotal {
-				bestTotal = total
-				bestNode = sa.node
+		start := &sc.eps[sc.startEp[qi]]
+		bestNode, best := int32(-1), math.Inf(1)
+		for _, a := range sc.atts[start.attLo:start.attHi] {
+			if node := int32(a.node); sc.reached(node) && a.cost+sc.dist[node] < best {
+				bestNode, best = node, a.cost+sc.dist[node]
 			}
 		}
-		if bestNode < 0 {
-			continue
+		if bestNode >= 0 {
+			paths[qi] = ix.path(sc, bestNode, start.q, goal.q, true)
+			oks[qi] = true
 		}
-		// Reconstruct start → attachment chain → goal; prev points toward
-		// the goal-side sources, which is exactly the forward direction.
-		path := make([]cspace.Config, 0, 8)
-		path = append(path, start.q.Clone())
-		for cur := bestNode; cur != -1; cur = prev[cur] {
-			path = append(path, ix.pts[cur].Clone())
-		}
-		path = append(path, goal.q.Clone())
-		paths[qi] = path
-		oks[qi] = true
 	}
 }

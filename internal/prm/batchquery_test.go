@@ -164,7 +164,11 @@ func TestQueryBatchDisconnected(t *testing.T) {
 }
 
 func TestQueryBatchScratchReuse(t *testing.T) {
-	// Reusing one scratch across batches must keep answers identical.
+	// Steady state: once a scratch has served a batch, the next one
+	// allocates only what it returns — the two result slices and, per hit,
+	// the waypoint slice and its coordinate slab — and answers the same.
+	// A nil scratch (pooled) answers the same too; its allocations are not
+	// counted here because the race detector makes sync.Pool drop items.
 	s := freeSpace()
 	m := buildTestRoadmap(t, s, 60, 7)
 	ix := BuildIndex(m)
@@ -175,14 +179,95 @@ func TestQueryBatchScratchReuse(t *testing.T) {
 		starts[i] = randomValid(s, r)
 		goals[i] = randomValid(s, r)
 	}
+	goals[5], goals[6] = goals[4], goals[4] // one shared search
 	sc := &BatchScratch{}
-	_, first := ix.QueryBatch(s, starts, goals, 4, sc, nil)
-	for trial := 0; trial < 3; trial++ {
-		_, again := ix.QueryBatch(s, starts, goals, 4, sc, nil)
+	first, firstOK := ix.QueryBatch(s, starts, goals, 4, sc, nil)
+	hits := 0
+	for _, ok := range firstOK {
+		if ok {
+			hits++
+		}
+	}
+	if hits == 0 {
+		t.Fatal("no query of the batch solved")
+	}
+	allocs := testing.AllocsPerRun(10, func() { ix.QueryBatch(s, starts, goals, 4, sc, nil) })
+	if want := float64(2 + 2*hits); allocs != want {
+		t.Fatalf("steady-state batch allocates %v times, want %v", allocs, want)
+	}
+	for _, sc := range []*BatchScratch{sc, nil, nil} {
+		again, _ := ix.QueryBatch(s, starts, goals, 4, sc, nil)
 		for i := range first {
-			if first[i] != again[i] {
-				t.Fatalf("trial %d query %d: ok changed %v -> %v", trial, i, first[i], again[i])
+			if pathLength(s, first[i]) != pathLength(s, again[i]) {
+				t.Fatalf("query %d: answer changed with a reused scratch (own: %v)", i, sc != nil)
 			}
 		}
 	}
+}
+
+// FuzzQueryBatchVsQuery is the batch/scalar contract: whatever the shape
+// of the batch, query i of QueryBatch succeeds exactly when Index.Query
+// does and returns a path of the same length, and a missed query returns
+// a nil path. shape spends one byte per query: fresh pair, goal shared
+// with the previous query, previous pair repeated, start == goal, an
+// endpoint in collision, an endpoint of the wrong dimension.
+func FuzzQueryBatchVsQuery(f *testing.F) {
+	// Fixed roadmaps: building one per input would leave the fuzzer no
+	// time to explore.
+	spaces := []*cspace.Space{freeSpace(), cspace.NewPointSpace(env.MedCube()), weightedSpace()}
+	indexes := make([]*Index, len(spaces))
+	for i, s := range spaces {
+		indexes[i] = BuildIndex(buildTestRoadmap(f, s, 50, uint64(i)+21))
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, shape []byte, kb uint8) {
+		if len(shape) > 64 {
+			shape = shape[:64]
+		}
+		which := int(seed % uint64(len(spaces)))
+		s, ix := spaces[which], indexes[which]
+		k := int(kb) // 0 misses everything, large values exceed the node count
+		r := rng.New(seed)
+		starts := make([]cspace.Config, len(shape))
+		goals := make([]cspace.Config, len(shape))
+		for i, b := range shape {
+			starts[i], goals[i] = randomValid(s, r), randomValid(s, r)
+			switch kind := b % 6; {
+			case kind == 1 && i > 0:
+				goals[i] = goals[i-1]
+			case kind == 2 && i > 0:
+				starts[i], goals[i] = starts[i-1], goals[i-1]
+			case kind == 3:
+				goals[i] = starts[i]
+			case kind == 4:
+				starts[i] = geom.V(0.5, 0.5, 0.5) // inside med-cube's obstacle
+			case kind == 5:
+				goals[i] = goals[i][:2]
+			}
+		}
+		paths, oks := ix.QueryBatch(s, starts, goals, k, nil, nil)
+		if len(paths) != len(shape) || len(oks) != len(shape) {
+			t.Fatalf("batch of %d answered with %d paths, %d flags", len(shape), len(paths), len(oks))
+		}
+		for i := range shape {
+			var want []cspace.Config
+			if len(starts[i]) == s.Dim() && len(goals[i]) == s.Dim() {
+				want, _ = ix.Query(s, starts[i], goals[i], k, nil)
+			}
+			if oks[i] != (want != nil) {
+				t.Fatalf("query %d: batch ok=%v, scalar ok=%v", i, oks[i], want != nil)
+			}
+			if !oks[i] {
+				if paths[i] != nil {
+					t.Fatalf("query %d: missed query returned a path", i)
+				}
+				continue
+			}
+			if !paths[i][0].Equal(starts[i], 0) || !paths[i][len(paths[i])-1].Equal(goals[i], 0) {
+				t.Fatalf("query %d: path endpoints are not the query's", i)
+			}
+			if d := pathLength(s, paths[i]) - pathLength(s, want); d > 1e-9 || d < -1e-9 {
+				t.Fatalf("query %d: batch length %.12f, scalar %.12f", i, pathLength(s, paths[i]), pathLength(s, want))
+			}
+		}
+	})
 }

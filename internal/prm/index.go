@@ -1,8 +1,6 @@
 package prm
 
 import (
-	"container/heap"
-
 	"parmp/internal/cspace"
 	"parmp/internal/geom"
 	"parmp/internal/graph"
@@ -62,139 +60,70 @@ type attachment struct {
 	cost float64
 }
 
-// attach finds the k nearest roadmap nodes to q that the local planner
-// can reach, without touching the roadmap.
-func (ix *Index) attach(s *cspace.Space, q cspace.Config, k int, c *cspace.Counters) []attachment {
-	hits, evals := ix.tree.Nearest(q, k)
-	if c != nil {
-		c.KNNQueries++
-		c.KNNEvals += int64(evals)
-	}
-	var out []attachment
-	for _, h := range hits {
-		if s.LocalPlan(q, ix.pts[h.Index], c) {
-			out = append(out, attachment{node: h.Index, cost: s.Distance(q, ix.pts[h.Index])})
-		}
-	}
-	return out
-}
-
 // Query answers a motion-planning query against the frozen roadmap
 // without mutating it: start and goal each attach to their k nearest
-// reachable nodes, and a multi-source Dijkstra over the roadmap finds
-// the cheapest start-attachment → goal-attachment path. The returned
-// path includes start and goal; ok is false when no connection exists.
-// Success semantics match the reference Query exactly: the query succeeds
-// iff some start attachment and some goal attachment share a connected
-// component. Safe for concurrent use.
+// reachable nodes, and a multi-source A* over the roadmap (straight-line
+// s.Distance to goal as the heuristic, see search) finds the cheapest
+// start-attachment → goal-attachment path. The returned path includes
+// start and goal; ok is false when no connection exists. Success
+// semantics match the reference Query exactly: the query succeeds iff
+// some start attachment and some goal attachment share a connected
+// component. s must be the space the roadmap's edge weights were
+// measured in. Safe for concurrent use: working state comes from a pool.
 func (ix *Index) Query(s *cspace.Space, start, goal cspace.Config, k int, c *cspace.Counters) ([]cspace.Config, bool) {
-	if !s.Valid(start, c) || !s.Valid(goal, c) {
-		return nil, false
-	}
-	if len(ix.pts) == 0 {
-		return nil, false
-	}
-	starts := ix.attach(s, start, k, c)
-	goals := ix.attach(s, goal, k, c)
-	if len(starts) == 0 || len(goals) == 0 {
-		return nil, false
-	}
-	// Component pre-check: cheap reject for disconnected queries, and the
-	// exact success criterion of the reference Query.
-	reachable := false
-	for _, sa := range starts {
-		for _, ga := range goals {
-			if ix.labels[sa.node] == ix.labels[ga.node] {
-				reachable = true
-			}
-		}
-	}
-	if !reachable {
-		return nil, false
-	}
-
-	// Exit costs: cheapest goal attachment per roadmap node.
-	exit := make(map[int]float64, len(goals))
-	for _, ga := range goals {
-		if w, ok := exit[ga.node]; !ok || ga.cost < w {
-			exit[ga.node] = ga.cost
-		}
-	}
-
-	// Multi-source Dijkstra seeded with every start attachment.
-	dist := make(map[int]float64, 64)
-	prev := make(map[int]int, 64)
-	q := &attachPQ{}
-	for _, sa := range starts {
-		if d, ok := dist[sa.node]; !ok || sa.cost < d {
-			dist[sa.node] = sa.cost
-			prev[sa.node] = -1
-			heap.Push(q, pqEntry{node: sa.node, dist: sa.cost})
-		}
-	}
-	bestTotal := -1.0
-	bestExit := -1
-	done := make(map[int]bool, 64)
-	for q.Len() > 0 {
-		it := heap.Pop(q).(pqEntry)
-		if bestTotal >= 0 && it.dist >= bestTotal {
-			break // every remaining route is at least this long
-		}
-		if done[it.node] {
-			continue
-		}
-		done[it.node] = true
-		if w, ok := exit[it.node]; ok {
-			if total := it.dist + w; bestTotal < 0 || total < bestTotal {
-				bestTotal = total
-				bestExit = it.node
-			}
-		}
-		for _, e := range ix.m.G.Neighbors(graph.ID(it.node)) {
-			nd := it.dist + e.Weight
-			if d, ok := dist[int(e.To)]; !ok || nd < d {
-				dist[int(e.To)] = nd
-				prev[int(e.To)] = it.node
-				heap.Push(q, pqEntry{node: int(e.To), dist: nd})
-			}
-		}
-	}
-	if bestExit < 0 {
-		// Unreachable despite the component pre-check can't happen (labels
-		// come from the same graph), but guard anyway.
-		return nil, false
-	}
-
-	// Reconstruct: start, attachment chain, goal.
-	var rev []int
-	for cur := bestExit; cur != -1; cur = prev[cur] {
-		rev = append(rev, cur)
-	}
-	path := make([]cspace.Config, 0, len(rev)+2)
-	path = append(path, start.Clone())
-	for i := len(rev) - 1; i >= 0; i-- {
-		path = append(path, ix.pts[rev[i]].Clone())
-	}
-	path = append(path, goal.Clone())
-	return path, true
+	sc := scratchPool.Get().(*BatchScratch)
+	defer scratchPool.Put(sc)
+	return ix.query(sc, s, start, goal, k, c)
 }
 
-// pqEntry is a priority-queue entry for the index's Dijkstra.
-type pqEntry struct {
-	node int
-	dist float64
-}
+func (ix *Index) query(sc *BatchScratch, s *cspace.Space, start, goal cspace.Config, k int, c *cspace.Counters) ([]cspace.Config, bool) {
+	if !s.ValidS(start, &sc.cs, c) || !s.ValidS(goal, &sc.cs, c) {
+		return nil, false
+	}
+	k = min(k, len(ix.pts))
+	if k <= 0 {
+		return nil, false
+	}
+	var evS, evG int
+	sc.hits, evS = ix.tree.NearestInto(&sc.knn, start, k, -1, sc.hits[:0])
+	ns := len(sc.hits)
+	sc.hits, evG = ix.tree.NearestInto(&sc.knn, goal, k, -1, sc.hits)
+	if c != nil {
+		c.KNNQueries += 2
+		c.KNNEvals += int64(evS + evG)
+	}
+	hitsS, hitsG := sc.hits[:ns], sc.hits[ns:]
 
-type attachPQ []pqEntry
+	// Component test first, local plans second: each side only tries the
+	// candidates whose component the other side can still reach, so a
+	// disconnected query is rejected without a single local plan.
+	sc.atts = sc.atts[:0]
+	sc.labels = ix.hitLabels(sc.labels[:0], hitsG)
+	starts := ix.attach(sc, s, start, hitsS, sc.labels, c)
+	sc.labels = ix.attLabels(sc.labels[:0], starts)
+	goals := ix.attach(sc, s, goal, hitsG, sc.labels, c)
+	if len(goals) == 0 {
+		return nil, false // also covers no start attachment: nothing matched
+	}
 
-func (q attachPQ) Len() int           { return len(q) }
-func (q attachPQ) Less(i, j int) bool { return q[i].dist < q[j].dist }
-func (q attachPQ) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *attachPQ) Push(x any)        { *q = append(*q, x.(pqEntry)) }
-func (q *attachPQ) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+	// A start attachment whose candidate partner on the goal side failed
+	// its local plan is in a dead component: seeding it would only make
+	// the search explore that component.
+	sc.labels = ix.attLabels(sc.labels[:0], goals)
+	sc.begin(len(ix.pts))
+	for _, a := range starts {
+		if hasLabel(sc.labels, ix.labels[a.node]) {
+			sc.seed(int32(a.node), a.cost, ix.heuristic(s, int32(a.node), goal))
+		}
+	}
+	for _, a := range goals {
+		sc.target(int32(a.node))
+	}
+	exit := ix.search(sc, s, goal, goals)
+	if exit < 0 {
+		// Unreachable despite the component test can't happen (labels come
+		// from the same graph), but guard anyway.
+		return nil, false
+	}
+	return ix.path(sc, exit, start, goal, false), true
 }

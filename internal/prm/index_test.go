@@ -1,6 +1,7 @@
 package prm
 
 import (
+	"fmt"
 	"testing"
 
 	"parmp/internal/cspace"
@@ -11,7 +12,7 @@ import (
 )
 
 // buildTestRoadmap assembles a roadmap from one BuildRegion pass.
-func buildTestRoadmap(t *testing.T, s *cspace.Space, samples int, seed uint64) *Roadmap {
+func buildTestRoadmap(t testing.TB, s *cspace.Space, samples int, seed uint64) *Roadmap {
 	t.Helper()
 	m := NewRoadmap()
 	res := BuildRegion(s, geom.Box3(0, 0, 0, 1, 1, 1), 0, Params{SamplesPerRegion: samples, K: 6}, rng.New(seed))
@@ -50,32 +51,78 @@ func TestIndexQueryFindsValidPath(t *testing.T) {
 	}
 }
 
+// weightedSpace is med-cube with a non-uniform metric: two dimensions
+// count for less than their raw length, so the raw Euclidean distance
+// overestimates s.Distance and is not an admissible heuristic here.
+func weightedSpace() *cspace.Space {
+	s := cspace.NewPointSpace(env.MedCube())
+	s.Weights = []float64{1, 0.2, 0.5}
+	return s
+}
+
+// checkAgainstReference holds one Index.Query answer against the
+// reference Query (transient vertices + graph.ShortestPath, no code
+// shared with the index): same ok, equal total length, exact endpoints,
+// every hop a valid local plan.
+func checkAgainstReference(t *testing.T, tag string, s *cspace.Space, m *Roadmap, start, goal cspace.Config, k int, got []cspace.Config, ok bool) {
+	t.Helper()
+	ref, refOK := Query(s, m, start, goal, k, nil)
+	if ok != refOK {
+		t.Fatalf("%s: index ok=%v, reference ok=%v", tag, ok, refOK)
+	}
+	if !ok {
+		if got != nil {
+			t.Fatalf("%s: missed query returned a path", tag)
+		}
+		return
+	}
+	if !got[0].Equal(start, 0) || !got[len(got)-1].Equal(goal, 0) {
+		t.Fatalf("%s: path endpoints are not the query's", tag)
+	}
+	for h := 0; h+1 < len(got); h++ {
+		if !s.LocalPlan(got[h], got[h+1], nil) {
+			t.Fatalf("%s: hop %d invalid", tag, h)
+		}
+	}
+	if d := pathLength(s, got) - pathLength(s, ref); d > 1e-9 || d < -1e-9 {
+		t.Fatalf("%s: index length %.12f, reference %.12f", tag, pathLength(s, got), pathLength(s, ref))
+	}
+}
+
 func TestIndexQueryMatchesLegacyQuery(t *testing.T) {
-	// The index must agree with the mutating Query on success/failure
-	// across environments and endpoints.
-	cases := []struct {
+	// Property: over random roadmaps, spaces, endpoints and k, the index
+	// returns a path exactly when the reference does, and an optimal one.
+	// The weighted space is the case that catches a heuristic measured in
+	// anything but s.Distance.
+	spaces := []struct {
 		name  string
 		space *cspace.Space
 	}{
 		{"free", freeSpace()},
 		{"med-cube", cspace.NewPointSpace(env.MedCube())},
+		{"weighted", weightedSpace()},
 	}
-	endpoints := [][2]geom.Vec{
-		{geom.V(0.05, 0.05, 0.05), geom.V(0.95, 0.95, 0.95)},
-		{geom.V(0.1, 0.9, 0.1), geom.V(0.9, 0.1, 0.9)},
-		{geom.V(0.5, 0.5, 0.5), geom.V(0.95, 0.95, 0.95)}, // center is blocked in med-cube
-	}
-	for _, tc := range cases {
-		m := buildTestRoadmap(t, tc.space, 80, 11)
-		ix := BuildIndex(m)
-		for i, ep := range endpoints {
-			legacyPath, legacyOK := Query(tc.space, m, ep[0], ep[1], 4, nil)
-			ixPath, ixOK := ix.Query(tc.space, ep[0], ep[1], 4, nil)
-			if legacyOK != ixOK {
-				t.Fatalf("%s endpoint %d: legacy ok=%v, index ok=%v", tc.name, i, legacyOK, ixOK)
-			}
-			if ixOK && (len(ixPath) < 2 || len(legacyPath) < 2) {
-				t.Fatalf("%s endpoint %d: degenerate path", tc.name, i)
+	for _, tc := range spaces {
+		for seed := uint64(1); seed <= 3; seed++ {
+			m := buildTestRoadmap(t, tc.space, 40+30*int(seed), seed)
+			ix := BuildIndex(m)
+			r := rng.New(100 + seed)
+			center := geom.V(0.5, 0.5, 0.5) // inside med-cube's obstacle
+			for q := 0; q < 12; q++ {
+				start, goal := randomValid(tc.space, r), randomValid(tc.space, r)
+				switch q % 6 {
+				case 3:
+					goal = start // duplicate endpoints
+				case 4:
+					start = center // invalid wherever there is an obstacle
+				case 5:
+					goal = m.G.Vertex(0).Q // an endpoint that is a roadmap node
+				}
+				for _, k := range []int{1, 4, 8, m.NumNodes() + 5} {
+					got, ok := ix.Query(tc.space, start, goal, k, nil)
+					tag := fmt.Sprintf("%s seed %d query %d k=%d", tc.name, seed, q, k)
+					checkAgainstReference(t, tag, tc.space, m, start, goal, k, got, ok)
+				}
 			}
 		}
 	}
@@ -97,8 +144,17 @@ func TestIndexQueryDisconnected(t *testing.T) {
 	if ix.Components() != 2 {
 		t.Fatalf("components = %d, want 2", ix.Components())
 	}
-	if _, ok := ix.Query(s, geom.V(0.05, 0.5, 0.5), geom.V(0.95, 0.5, 0.5), 1, nil); ok {
+	var c cspace.Counters
+	if _, ok := ix.Query(s, geom.V(0.05, 0.5, 0.5), geom.V(0.95, 0.5, 0.5), 1, &c); ok {
 		t.Fatal("wall-separated query must fail")
+	}
+	// No candidate pair shares a component, so the query is rejected on
+	// labels alone, before any attach local plan.
+	if c.LPCalls != 0 {
+		t.Fatalf("disconnected query ran %d local plans, want 0", c.LPCalls)
+	}
+	if c.KNNQueries != 2 {
+		t.Fatalf("disconnected query metered %d kd lookups, want 2", c.KNNQueries)
 	}
 }
 
