@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"parmp/internal/cspace"
 	"parmp/internal/env"
 	"parmp/internal/graph"
@@ -25,17 +23,22 @@ type PRMResult struct {
 
 // prmRegionData is one region's committed nodes and local edges (edge
 // indices are local to the region's node slice) with the work they cost.
+// weights[j] is edge j's metric length, measured once at commit: the
+// metric never depends on the environment, so it outlives every delta.
 type prmRegionData struct {
 	nodes       []prm.Node
 	sampleWork  cspace.Counters
 	edges       [][2]int
+	weights     []float64
 	connectWork cspace.Counters
 }
 
-// boundaryEdge records cross-region connections for the merge step.
+// boundaryEdge records cross-region connections for the merge step, with
+// their lengths (see prmRegionData).
 type boundaryEdge struct {
-	a, b  int
-	pairs [][2]int
+	a, b    int
+	pairs   [][2]int
+	weights []float64
 }
 
 // PRMEngine grows a roadmap incrementally: each GrowRound runs one full
@@ -58,6 +61,9 @@ type PRMEngine struct {
 	rd  *prmRound  // the open growth round's buffers
 	rp  *prmRepair // the open repair's buffers
 	res *PRMResult // last committed cumulative result
+	// changed reports that the committed structure has moved on from
+	// res.Roadmap.
+	changed bool
 }
 
 // prmRound holds one growth round's output until commit.
@@ -234,42 +240,66 @@ func (e *PRMEngine) commit(int, []float64, sched.Report) {
 		d, f := &e.data[i], &rd.fresh[i]
 		d.nodes = rd.combined[i]
 		d.edges = append(d.edges, f.edges...)
+		for _, ed := range f.edges {
+			d.weights = append(d.weights, e.s.Distance(d.nodes[ed[0]].Q, d.nodes[ed[1]].Q))
+		}
 		d.sampleWork.Add(f.sampleWork)
 		d.connectWork.Add(f.connectWork)
 	}
-	e.boundary = append(e.boundary, rd.boundary...)
+	// The round's boundary sets cut their weights from one slab.
+	pairs := 0
+	for _, be := range rd.boundary {
+		pairs += len(be.pairs)
+	}
+	slab := make([]float64, 0, pairs)
+	for _, be := range rd.boundary {
+		na, nb := e.data[be.a].nodes, e.data[be.b].nodes
+		first := len(slab)
+		for _, pr := range be.pairs {
+			slab = append(slab, e.s.Distance(na[pr[0]].Q, nb[pr[1]].Q))
+		}
+		be.weights = slab[first:]
+		e.boundary = append(e.boundary, be)
+	}
 	e.roadmapRemote += rd.roadmapRemote
+	e.changed = true
 	e.rd = nil
 }
 
 func (e *PRMEngine) nodeCount(i int) int { return len(e.data[i].nodes) }
 
-// publish rebuilds the cumulative roadmap from the committed per-region
-// data. Building fresh every time (rather than mutating the previous
-// roadmap) is what lets published results stay immutable for concurrent
-// readers.
+// publish wraps the committed structure in a fresh immutable result. A
+// round or a repair that changed it gets a newly built roadmap; a repair
+// that removed nothing republishes the previous roadmap itself.
 func (e *PRMEngine) publish(stats RunStats) {
-	m := prm.NewRoadmap()
-	base := e.bases()
-	for i := range e.data {
-		for _, nd := range e.data[i].nodes {
-			m.AddNode(nd)
-		}
+	res := &PRMResult{RunStats: stats, RoadmapRemote: e.roadmapRemote}
+	if e.res != nil && !e.changed {
+		res.Roadmap = e.res.Roadmap
+	} else {
+		res.Roadmap = e.roadmap()
 	}
+	e.res, e.changed = res, false
+}
+
+// roadmap builds the merged roadmap in one sweep: the regions' nodes
+// copied into one vertex slice (region-major ids) and the committed
+// edges, with the weights stored beside them, handed to the graph's bulk
+// constructor in the order they were committed in — region edges in
+// region order, then boundary sets. The result shares no storage with
+// the engine (compact works in place) and is never written again.
+func (e *PRMEngine) roadmap() *prm.Roadmap {
+	base := e.bases()
+	nodes := make([]prm.Node, 0, base[len(e.data)])
+	spans := make([]graph.EdgeSpan, 0, len(e.data)+len(e.boundary))
 	for i := range e.data {
-		for _, ed := range e.data[i].edges {
-			a, b := graph.ID(base[i]+ed[0]), graph.ID(base[i]+ed[1])
-			m.G.AddEdge(a, b, e.s.Distance(e.data[i].nodes[ed[0]].Q, e.data[i].nodes[ed[1]].Q))
-		}
+		d := &e.data[i]
+		nodes = append(nodes, d.nodes...)
+		spans = append(spans, graph.EdgeSpan{BaseA: graph.ID(base[i]), BaseB: graph.ID(base[i]), Ends: d.edges, Weights: d.weights})
 	}
 	for _, be := range e.boundary {
-		for _, pr := range be.pairs {
-			a := graph.ID(base[be.a] + pr[0])
-			b := graph.ID(base[be.b] + pr[1])
-			m.G.AddEdge(a, b, e.s.Distance(e.data[be.a].nodes[pr[0]].Q, e.data[be.b].nodes[pr[1]].Q))
-		}
+		spans = append(spans, graph.EdgeSpan{BaseA: graph.ID(base[be.a]), BaseB: graph.ID(base[be.b]), Ends: be.pairs, Weights: be.weights})
 	}
-	e.res = &PRMResult{RunStats: stats, Roadmap: m, RoadmapRemote: e.roadmapRemote}
+	return &prm.Roadmap{G: graph.FromSpans(nodes, spans)}
 }
 
 // bases returns the merged-roadmap vertex id of each region's first
@@ -371,38 +401,65 @@ func (e *PRMEngine) recheckConnector(dc *cspace.DeltaChecker, idx int) cspace.Co
 	return br.work
 }
 
-// commitRepair compacts every region's data, remaps the boundary pairs
-// and derives the repair's vertex remap and touched-component seeds.
+// commitRepair folds the repair's counts into st and, when anything
+// died, compacts the committed structure. A repair that removed nothing
+// leaves the nodes and edges — and so the published roadmap — as they
+// are, and its remap nil (the identity).
 func (e *PRMEngine) commitRepair(st *RepairStats) {
 	rp := e.rp
-	base, rrs := rp.base, rp.rrs
-	n := len(e.data)
-	touched := map[int]bool{}
-	remaps := make([][]int, n)
-	for i := 0; i < n; i++ {
-		rr, d := rrs[i], &e.data[i]
+	for _, rr := range rp.rrs {
 		st.CheckedNodes += rr.CheckedNodes
 		st.CheckedEdges += rr.CheckedEdges
 		st.RemovedNodes += rr.DeadNodes
 		st.RemovedEdges += rr.DeadEdges
 		st.Work.Add(rr.Work)
+	}
+	for _, br := range rp.brs {
+		st.CheckedEdges += br.checked
+		st.RemovedEdges += br.removed
+		st.Work.Add(br.work)
+	}
+	if st.RemovedNodes > 0 || st.RemovedEdges > 0 {
+		e.compact()
+	}
+	// Boundary sets left without a pair — by this repair or since the
+	// round that booked them — stop being connectors.
+	kept := e.boundary[:0]
+	for _, be := range e.boundary {
+		if len(be.pairs) > 0 {
+			kept = append(kept, be)
+		}
+	}
+	e.boundary = kept
+}
 
-		remap := make([]int, len(d.nodes))
+// compact drops what the open repair found dead from the committed
+// structure, in place, and records the repair's vertex remap (pre-repair
+// id → post-repair id, -1 = removed) and the pre-repair ids whose
+// component lost a vertex or an edge, ascending.
+func (e *PRMEngine) compact() {
+	rp := e.rp
+	base, rrs := rp.base, rp.rrs
+	n := len(e.data)
+	remap, touched := make([]int, base[n]), make([]bool, base[n])
+	newBase := make([]int, n+1) // bases() after compaction
+	for i := range e.data {
+		rr, d := rrs[i], &e.data[i]
 		w := 0
 		for l := range d.nodes {
 			if rr.Alive[l] {
-				remap[l] = w
+				remap[base[i]+l] = newBase[i] + w
 				d.nodes[w] = d.nodes[l]
 				w++
 			} else {
-				remap[l] = -1
+				remap[base[i]+l] = -1
 				touched[base[i]+l] = true
 			}
 		}
 		d.nodes = d.nodes[:w]
-		remaps[i] = remap
+		newBase[i+1] = newBase[i] + w
 
-		we := 0
+		w = 0
 		for j, ed := range d.edges {
 			if !rr.KeepEdge[j] {
 				// A blocked edge with both endpoints alive splits work
@@ -412,46 +469,33 @@ func (e *PRMEngine) commitRepair(st *RepairStats) {
 				}
 				continue
 			}
-			d.edges[we] = [2]int{remap[ed[0]], remap[ed[1]]}
-			we++
+			d.edges[w] = [2]int{remap[base[i]+ed[0]] - newBase[i], remap[base[i]+ed[1]] - newBase[i]}
+			d.weights[w] = d.weights[j]
+			w++
 		}
-		d.edges = d.edges[:we]
+		d.edges, d.weights = d.edges[:w], d.weights[:w]
 	}
-	newBoundary := e.boundary[:0]
-	for idx, be := range e.boundary {
-		br := rp.brs[idx]
-		st.CheckedEdges += br.checked
-		st.RemovedEdges += br.removed
-		st.Work.Add(br.work)
-		pairs := be.pairs[:0]
+	for idx := range e.boundary {
+		be, br := &e.boundary[idx], rp.brs[idx]
+		w := 0
 		for k, pr := range be.pairs {
 			if br.keep[k] {
-				pairs = append(pairs, [2]int{remaps[be.a][pr[0]], remaps[be.b][pr[1]]})
+				be.pairs[w] = [2]int{remap[base[be.a]+pr[0]] - newBase[be.a], remap[base[be.b]+pr[1]] - newBase[be.b]}
+				be.weights[w] = be.weights[k]
+				w++
 			} else if rrs[be.a].Alive[pr[0]] && rrs[be.b].Alive[pr[1]] {
 				touched[base[be.a]+pr[0]] = true
 			}
 		}
-		if len(pairs) > 0 {
-			newBoundary = append(newBoundary, boundaryEdge{a: be.a, b: be.b, pairs: pairs})
+		be.pairs, be.weights = be.pairs[:w], be.weights[:w]
+	}
+	rp.remap = remap
+	for v, t := range touched {
+		if t {
+			rp.touched = append(rp.touched, v)
 		}
 	}
-	e.boundary = newBoundary
-
-	rp.remap = make([]int, base[n])
-	newBase := 0
-	for i := 0; i < n; i++ {
-		for l, nw := range remaps[i] {
-			if nw >= 0 {
-				nw += newBase
-			}
-			rp.remap[base[i]+l] = nw
-		}
-		newBase += len(e.data[i].nodes)
-	}
-	for v := range touched {
-		rp.touched = append(rp.touched, v)
-	}
-	sort.Ints(rp.touched)
+	e.changed = true
 }
 
 // ParallelPRM runs the uniform-subdivision parallel PRM (Algorithm 1)

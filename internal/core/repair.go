@@ -49,8 +49,9 @@ func (a *RepairStats) Add(b RepairStats) {
 type PRMRepair struct {
 	Stats RepairStats
 	// VertexRemap maps pre-repair merged-roadmap vertex ids to their
-	// post-repair ids (-1 = removed). Nil means identity (nothing could
-	// have been invalidated).
+	// post-repair ids (-1 = removed). Nil means identity: no vertex and
+	// no edge was removed, and Result().Roadmap is the pre-repair roadmap
+	// itself, so an index built over it still stands.
 	VertexRemap []int
 	// TouchedVertices lists pre-repair vertex ids belonging to connected
 	// components that lost a vertex or an edge — the components whose

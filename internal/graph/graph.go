@@ -36,6 +36,78 @@ func New[V any](n int) *Graph[V] {
 	}
 }
 
+// EdgeSpan is a run of undirected edges between two blocks of vertex
+// ids, in the shape planners store what they committed: edge k joins
+// BaseA+Ends[k][0] and BaseB+Ends[k][1] with weight Weights[k].
+type EdgeSpan struct {
+	BaseA, BaseB ID
+	Ends         [][2]int
+	Weights      []float64
+}
+
+// FromSpans builds the graph that AddVertex over verts followed by
+// AddEdge over every span's edges, in order, would build — the same
+// Neighbors order, the same weights, self and duplicate edges dropped
+// and not counted — in a fixed number of allocations: it counts degrees,
+// cuts every adjacency row from one slab and fills the rows in edge
+// order. Rows are cut with cap == len, so an AddEdge on the result
+// reallocates the row it grows instead of writing into the next one.
+// The graph takes ownership of verts.
+func FromSpans[V any](verts []V, spans []EdgeSpan) *Graph[V] {
+	n := len(verts)
+	// Degrees are counted two slots up, so that after the prefix sum
+	// pos[v+1] is where row v starts; filling advances it to where row v
+	// ends, which is where row v+1 starts: pos[v] then delimits row v.
+	pos := make([]int, n+2)
+	for _, sp := range spans {
+		for _, ed := range sp.Ends {
+			if a, b := sp.BaseA+ID(ed[0]), sp.BaseB+ID(ed[1]); a != b {
+				pos[a+2]++
+				pos[b+2]++
+			}
+		}
+	}
+	for v := 0; v < n; v++ {
+		pos[v+2] += pos[v+1]
+	}
+	slab := make([]Edge, pos[n+1])
+	for _, sp := range spans {
+		for k, ed := range sp.Ends {
+			if a, b := sp.BaseA+ID(ed[0]), sp.BaseB+ID(ed[1]); a != b {
+				slab[pos[a+1]] = Edge{To: b, Weight: sp.Weights[k]}
+				pos[a+1]++
+				slab[pos[b+1]] = Edge{To: a, Weight: sp.Weights[k]}
+				pos[b+1]++
+			}
+		}
+	}
+	g := &Graph[V]{verts: verts, adj: make([][]Edge, n)}
+	for v := range g.adj {
+		g.adj[v] = slab[pos[v]:pos[v+1]:pos[v+1]]
+	}
+	// Duplicates: a row keeps the first entry per neighbour, which is the
+	// earliest edge joining the pair — on both of its rows — exactly the
+	// one AddEdge would have kept. pos is done delimiting rows and serves
+	// as the stamp array: seen[w] == v+1 while row v has met w.
+	seen := pos[:n]
+	clear(seen)
+	kept := 0
+	for v, row := range g.adj {
+		w := 0
+		for _, e := range row {
+			if seen[e.To] != v+1 {
+				seen[e.To] = v + 1
+				row[w] = e
+				w++
+			}
+		}
+		g.adj[v] = row[:w:w]
+		kept += w
+	}
+	g.edges = kept / 2
+	return g
+}
+
 // AddVertex appends a vertex and returns its ID.
 func (g *Graph[V]) AddVertex(v V) ID {
 	g.verts = append(g.verts, v)

@@ -27,20 +27,29 @@ func (g *Graph[V]) BFS(start ID, visit func(ID) bool) {
 }
 
 // ConnectedComponents returns a component label per vertex and the number
-// of components.
+// of components, numbered by their lowest vertex id. Every vertex is
+// enqueued exactly once, so one queue of NumVertices slots serves every
+// component's traversal in turn.
 func (g *Graph[V]) ConnectedComponents() (labels []int, count int) {
 	labels = make([]int, len(g.adj))
 	for i := range labels {
 		labels[i] = -1
 	}
+	queue := make([]ID, 0, len(g.adj))
 	for v := range g.adj {
 		if labels[v] != -1 {
 			continue
 		}
-		g.BFS(ID(v), func(id ID) bool {
-			labels[id] = count
-			return true
-		})
+		labels[v] = count
+		queue = append(queue, ID(v))
+		for head := len(queue) - 1; head < len(queue); head++ {
+			for _, e := range g.adj[queue[head]] {
+				if labels[e.To] == -1 {
+					labels[e.To] = count
+					queue = append(queue, e.To)
+				}
+			}
+		}
 		count++
 	}
 	return labels, count

@@ -1,7 +1,8 @@
 // Package kernelbench measures the repository's hot compute kernels —
 // sampling, collision checking, nearest-neighbour queries, region
-// connection and snapshot queries — and emits machine-readable results
-// for the CI benchmark-regression gate.
+// connection, snapshot queries and the snapshot commit path (bulk graph
+// build, index build) — and emits machine-readable results for the CI
+// benchmark-regression gate.
 //
 // The kernel list mirrors the BenchmarkKernel* benchmarks in the
 // internal packages, but lives in normal (non-test) code so that
@@ -61,6 +62,8 @@ func Kernels() []Kernel {
 		{Name: "ConfigFreeBatch", Items: batchConfigs, Bench: benchConfigFreeBatch},
 		{Name: "EdgeFreeLinkage", Bench: benchEdgeFreeLinkage},
 		{Name: "EdgeFreeBatchLinkage", Items: batchEdges, Bench: benchEdgeFreeBatchLinkage},
+		{Name: "GraphBulkBuild", Bench: benchGraphBulkBuild},
+		{Name: "IndexBuild", Bench: benchIndexBuild},
 		{Name: "IndexQuery", Bench: benchIndexQuery},
 		{Name: "IndexQueryBatch", Items: batchIndexQueries, Bench: benchIndexQueryBatch},
 		{Name: "LocalPlan", Bench: benchLocalPlan},
@@ -435,30 +438,58 @@ const (
 	batchIndexGoals   = 4
 )
 
-// queryFixture is what the snapshot-query kernels run on.
+// queryFixture is what the snapshot kernels — query and commit side —
+// run on.
 type queryFixture struct {
 	s  *cspace.Space
 	ix *prm.Index
 	qs []cspace.Config
+	// What the roadmap was published from, for the commit-side kernels.
+	nodes []prm.Node
+	spans []graph.EdgeSpan
 }
 
-// queryBenchIndex returns the snapshot-query fixture: a fixed-seed
-// roadmap of about 20 000 nodes in med-cube (the size a serving tenant
-// reaches), indexed, with collision-free query endpoints. It is built on
-// first use and shared: testing.Benchmark calls a kernel once per b.N
-// escalation, and the build takes far longer than a query.
+// queryBenchIndex returns the snapshot fixture: a fixed-seed roadmap of
+// about 20 000 nodes in med-cube (the size a serving tenant reaches),
+// published the way an engine publishes and indexed, with collision-free
+// query endpoints. It is built on first use and shared:
+// testing.Benchmark calls a kernel once per b.N escalation, and the
+// build takes far longer than a query.
 var queryBenchIndex = sync.OnceValue(func() queryFixture {
 	s := cspace.NewPointSpace(env.MedCube())
 	res := prm.BuildRegion(s, s.Bounds, 0, prm.Params{SamplesPerRegion: 26500, K: 8}, rng.New(29))
-	m := prm.NewRoadmap()
-	for _, n := range res.Nodes {
-		m.AddNode(n)
+	weights := make([]float64, len(res.Edges))
+	for i, e := range res.Edges {
+		weights[i] = s.Distance(res.Nodes[e[0]].Q, res.Nodes[e[1]].Q)
 	}
-	for _, e := range res.Edges {
-		m.G.AddEdge(graph.ID(e[0]), graph.ID(e[1]), s.Distance(res.Nodes[e[0]].Q, res.Nodes[e[1]].Q))
-	}
-	return queryFixture{s, prm.BuildIndex(m), freeConfigs(s, 2*batchIndexQueries, 31)}
+	spans := []graph.EdgeSpan{{Ends: res.Edges, Weights: weights}}
+	m := &prm.Roadmap{G: graph.FromSpans(res.Nodes, spans)}
+	return queryFixture{s, prm.BuildIndex(m), freeConfigs(s, 2*batchIndexQueries, 31), res.Nodes, spans}
 })
+
+// benchGraphBulkBuild is the publish half of a commit: the roadmap graph
+// from committed nodes, edges and stored weights. A handful of
+// allocations whatever the size; one per row would fail the gate.
+func benchGraphBulkBuild(b *testing.B) {
+	fx := queryBenchIndex()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		graph.FromSpans(fx.nodes, fx.spans)
+	}
+}
+
+// benchIndexBuild is the index half of a commit: gather, kd-tree and
+// component labels over the published roadmap.
+func benchIndexBuild(b *testing.B) {
+	fx := queryBenchIndex()
+	m := fx.ix.Roadmap()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		prm.BuildIndex(m)
+	}
+}
 
 func benchIndexQuery(b *testing.B) {
 	fx := queryBenchIndex()

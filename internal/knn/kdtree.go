@@ -4,7 +4,10 @@
 //
 // Restricting connection attempts to nearby samples is what makes the
 // subdivision approach local; the kNN structure is rebuilt per region so
-// queries never leave the owning processor. All query entry points have
+// queries never leave the owning processor, and once per published
+// snapshot over the whole roadmap. A build is a median selection per
+// subtree into reused storage (see KDTree), O(n log n) and
+// allocation-free on a reused tree. All query entry points have
 // scratch-based *Into variants (see QueryScratch) that are allocation-free
 // in steady state — the hot sampling/connection path runs through those.
 package knn
@@ -39,6 +42,14 @@ func resultBefore(a, b Result) bool {
 // of (lo, hi) recursion, independent of build order, which is what lets
 // BuildParallel construct disjoint subtrees concurrently and still produce
 // a tree bit-identical to the sequential Build.
+//
+// The same argument makes the arrays independent of how a split finds
+// its median. A split hands each child a point SET (everything ordering
+// before, or after, the median under the strict (coordinate, index)
+// order); the set fixes the child's median, and every position m is the
+// median of exactly one subtree, so index and nodes come out
+// element-for-element as if every range had been fully sorted. Splits
+// therefore select (O(n) each, O(n log n) a build) instead of sorting.
 type KDTree struct {
 	pts   []geom.Vec
 	index []int    // permutation of original indices, tree order
@@ -107,14 +118,15 @@ func (t *KDTree) buildRange(lo, hi, depth int) {
 	}
 }
 
-// split sorts index[lo:hi) along the depth axis, writes the median node,
-// and returns the median position. Child links are computable from the
-// (lo, hi) bounds alone, so they are filled in here without visiting the
-// children.
+// split moves the median of index[lo:hi) along the depth axis to the
+// median position — a selection, not a sort: the order inside the two
+// halves is left to their own splits — writes the median node, and
+// returns its position. Child links are computable from the (lo, hi)
+// bounds alone, so they are filled in here without visiting the children.
 func (t *KDTree) split(lo, hi, depth int) int {
 	axis := depth % t.dim
 	mid := (lo + hi) / 2
-	sortIndexByAxis(t.index[lo:hi], t.pts, axis)
+	selectIndex(t.index[lo:hi], t.pts, axis, mid-lo)
 	left, right := int32(-1), int32(-1)
 	if lo < mid {
 		left = int32((lo + mid) / 2)

@@ -94,24 +94,27 @@ func (sc *QueryScratch) popVisit() visitFrame {
 	return f
 }
 
-// sortIndexByAxis sorts idx ascending by (pts[i][axis], i) with an
-// allocation-free introsort-style quicksort (median-of-three pivots,
-// insertion sort below a cutoff). The explicit index tie-break makes tree
-// shape a pure function of the point set, independent of sort internals.
-func sortIndexByAxis(idx []int, pts []geom.Vec, axis int) {
+// selectIndex rearranges idx so that position k holds the element of
+// rank k under (pts[i][axis], i), everything before it orders before it
+// and everything after it after — a quickselect with median-of-three
+// pivots, finished by an insertion sort below a cutoff. It loops on the
+// side holding k and never recurses. The explicit index tie-break makes
+// the order strict, so the selected element is a pure function of the
+// point set, independent of the order idx arrives in.
+func selectIndex(idx []int, pts []geom.Vec, axis, k int) {
 	for len(idx) > 12 {
-		mid := medianOfThree(idx, pts, axis)
-		p := partitionIndex(idx, pts, axis, mid)
-		// Recurse into the smaller half, loop on the larger.
-		if p < len(idx)-p-1 {
-			sortIndexByAxis(idx[:p], pts, axis)
-			idx = idx[p+1:]
-		} else {
-			sortIndexByAxis(idx[p+1:], pts, axis)
+		pivot := medianOfThree(idx, pts, axis)
+		p := partitionIndex(idx, pts, axis, pivot)
+		switch {
+		case k == p:
+			return
+		case k < p:
 			idx = idx[:p]
+		default:
+			idx = idx[p+1:]
+			k -= p + 1
 		}
 	}
-	// Insertion sort for small runs.
 	for i := 1; i < len(idx); i++ {
 		for j := i; j > 0 && axisBefore(pts, axis, idx[j], idx[j-1]); j-- {
 			idx[j], idx[j-1] = idx[j-1], idx[j]
@@ -146,12 +149,15 @@ func medianOfThree(idx []int, pts []geom.Vec, axis int) int {
 }
 
 // partitionIndex partitions idx around the pivot at position 0 and
-// returns the pivot's final position.
+// returns the pivot's final position. The pivot's key is read once; an
+// element orders before it exactly as axisBefore says.
 func partitionIndex(idx []int, pts []geom.Vec, axis, pivot int) int {
+	pc := pts[pivot][axis]
 	store := 1
 	for i := 1; i < len(idx); i++ {
-		if axisBefore(pts, axis, idx[i], pivot) {
-			idx[i], idx[store] = idx[store], idx[i]
+		v := idx[i]
+		if c := pts[v][axis]; c < pc || (c == pc && v < pivot) {
+			idx[i], idx[store] = idx[store], v
 			store++
 		}
 	}

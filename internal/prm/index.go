@@ -26,11 +26,19 @@ type Index struct {
 // parallel for large maps) and labels connected components. The index
 // keeps references into m; the roadmap must not be mutated afterwards.
 func BuildIndex(m *Roadmap) *Index {
+	labels, comps := m.G.ConnectedComponents()
+	return IndexFromParts(m, labels, comps)
+}
+
+// IndexFromParts builds a query index over m from precomputed component
+// labels, gathering the configurations and building the kd-tree — the
+// part a from-scratch build and a repair (whose scoped relabel supplies
+// the labels) share.
+func IndexFromParts(m *Roadmap, labels []int, comps int) *Index {
 	pts := make([]geom.Vec, m.NumNodes())
 	for i := range pts {
 		pts[i] = m.G.Vertex(graph.ID(i)).Q
 	}
-	labels, comps := m.G.ConnectedComponents()
 	return &Index{
 		m:      m,
 		pts:    pts,

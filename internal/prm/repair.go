@@ -4,9 +4,7 @@ import (
 	"sort"
 
 	"parmp/internal/cspace"
-	"parmp/internal/geom"
 	"parmp/internal/graph"
-	"parmp/internal/knn"
 )
 
 // RegionRepair is the product of re-validating one region's committed
@@ -117,69 +115,53 @@ func (ix *Index) AffectedVertices(dc *cspace.DeltaChecker) []int {
 // RelabelScoped computes connected-component labels for a repaired
 // roadmap without touching the components the repair left alone.
 // oldLabel maps each vertex of m to its pre-repair component label and
-// touched marks the old labels whose components lost a vertex or an
-// edge. Vertices of untouched components keep their old connectivity —
-// repair only removes, and every edge was intra-component, so an
-// untouched component is bit-identical to before — and get their old
-// label compacted into the new dense label space. Touched components
-// are relabeled by a union-find restricted to their own vertices and
-// surviving edges, which is where splits appear (a door closing severs
-// the two sides of the passage).
+// touched, indexed by those labels, marks the components that lost a
+// vertex or an edge. Vertices of untouched components keep their old
+// connectivity — repair only removes, and every edge was
+// intra-component, so an untouched component is bit-identical to before
+// — and get their old label compacted into the new dense label space, in
+// order of first appearance. Touched components are then relabeled by a
+// breadth-first sweep restricted to their own vertices and surviving
+// edges, which is where splits appear (a door closing severs the two
+// sides of the passage); the pieces are numbered after the untouched
+// components, by their lowest vertex.
 func RelabelScoped(m *Roadmap, oldLabel []int, touched []bool) (labels []int, comps int) {
 	n := m.NumNodes()
 	labels = make([]int, n)
-	// Dense relabeling for the untouched components, in old-label order.
-	remap := make(map[int]int)
-	for v := 0; v < n; v++ {
-		ol := oldLabel[v]
-		if ol >= 0 && ol < len(touched) && touched[ol] {
+	// dense[ol] is old label ol's new label plus one; zero = not met yet.
+	dense := make([]int, len(touched))
+	pending := 0
+	for v, ol := range oldLabel[:n] {
+		if touched[ol] {
 			labels[v] = -1 // relabel below
+			pending++
 			continue
 		}
-		nl, ok := remap[ol]
-		if !ok {
-			nl = comps
+		if dense[ol] == 0 {
 			comps++
-			remap[ol] = nl
+			dense[ol] = comps
 		}
-		labels[v] = nl
+		labels[v] = dense[ol] - 1
 	}
-	// Union-find over the touched vertices only.
-	var touchedVerts []int
-	for v := 0; v < n; v++ {
-		if labels[v] == -1 {
-			touchedVerts = append(touchedVerts, v)
+	// Every touched vertex is enqueued once, so one queue serves all the
+	// pieces in turn. A touched vertex has only touched neighbours, and
+	// the label test keeps the sweep off everything already numbered.
+	queue := make([]graph.ID, 0, pending)
+	for v := range labels {
+		if labels[v] != -1 {
+			continue
 		}
-	}
-	if len(touchedVerts) == 0 {
-		return labels, comps
-	}
-	local := make(map[int]int, len(touchedVerts))
-	for i, v := range touchedVerts {
-		local[v] = i
-	}
-	uf := graph.NewUnionFind(len(touchedVerts))
-	for _, v := range touchedVerts {
-		for _, e := range m.G.Neighbors(graph.ID(v)) {
-			w := int(e.To)
-			if w < v {
-				continue // each undirected edge once
-			}
-			if lw, ok := local[w]; ok {
-				uf.Union(local[v], lw)
+		labels[v] = comps
+		queue = append(queue, graph.ID(v))
+		for head := len(queue) - 1; head < len(queue); head++ {
+			for _, e := range m.G.Neighbors(queue[head]) {
+				if labels[e.To] == -1 {
+					labels[e.To] = comps
+					queue = append(queue, e.To)
+				}
 			}
 		}
-	}
-	fresh := make(map[int]int)
-	for i, v := range touchedVerts {
-		root := uf.Find(i)
-		nl, ok := fresh[root]
-		if !ok {
-			nl = comps
-			comps++
-			fresh[root] = nl
-		}
-		labels[v] = nl
+		comps++
 	}
 	return labels, comps
 }
@@ -202,21 +184,4 @@ func RepairIndex(old *Index, m *Roadmap, remap []int, touchedVerts []int) *Index
 	}
 	labels, comps := RelabelScoped(m, oldLabelOfNew, touched)
 	return IndexFromParts(m, labels, comps)
-}
-
-// IndexFromParts builds a query index over a repaired roadmap from
-// precomputed component labels (the scoped relabel), rebuilding only
-// the kd-tree — the one structure whose point set changed.
-func IndexFromParts(m *Roadmap, labels []int, comps int) *Index {
-	pts := make([]geom.Vec, m.NumNodes())
-	for i := range pts {
-		pts[i] = m.G.Vertex(graph.ID(i)).Q
-	}
-	return &Index{
-		m:      m,
-		pts:    pts,
-		tree:   knn.BuildParallel(pts, 0),
-		labels: labels,
-		comps:  comps,
-	}
 }

@@ -1,6 +1,7 @@
 package prm
 
 import (
+	"reflect"
 	"testing"
 
 	"parmp/internal/cspace"
@@ -118,6 +119,55 @@ func TestAffectedVerticesSuperset(t *testing.T) {
 	}
 }
 
+// relabelScopedMaps is the reference RelabelScoped: hash maps for the
+// dense relabel, the vertex slots and the fresh labels, and a union-find
+// over the touched vertices. The flat implementation must number every
+// component exactly as this one does.
+func relabelScopedMaps(m *Roadmap, oldLabel []int, touched []bool) (labels []int, comps int) {
+	n := m.NumNodes()
+	labels = make([]int, n)
+	remap := make(map[int]int)
+	var touchedVerts []int
+	for v := 0; v < n; v++ {
+		ol := oldLabel[v]
+		if touched[ol] {
+			touchedVerts = append(touchedVerts, v)
+			continue
+		}
+		nl, ok := remap[ol]
+		if !ok {
+			nl = comps
+			comps++
+			remap[ol] = nl
+		}
+		labels[v] = nl
+	}
+	local := make(map[int]int, len(touchedVerts))
+	for i, v := range touchedVerts {
+		local[v] = i
+	}
+	uf := graph.NewUnionFind(len(touchedVerts))
+	for _, v := range touchedVerts {
+		for _, e := range m.G.Neighbors(graph.ID(v)) {
+			if lw, ok := local[int(e.To)]; ok {
+				uf.Union(local[v], lw)
+			}
+		}
+	}
+	fresh := make(map[int]int)
+	for i, v := range touchedVerts {
+		root := uf.Find(i)
+		nl, ok := fresh[root]
+		if !ok {
+			nl = comps
+			comps++
+			fresh[root] = nl
+		}
+		labels[v] = nl
+	}
+	return labels, comps
+}
+
 func TestRelabelScopedMatchesFullRelabel(t *testing.T) {
 	base := env.Free()
 	s, m := buildRepairRoadmap(t, base, 220)
@@ -190,6 +240,12 @@ func TestRelabelScopedMatchesFullRelabel(t *testing.T) {
 	}
 	if len(fwd) != wantComps {
 		t.Fatalf("label bijection has %d entries, want %d", len(fwd), wantComps)
+	}
+	// The numbering itself is a contract (snapshots of the same content
+	// carry the same labels): it must be the map-based reference's.
+	refLabels, refComps := relabelScopedMaps(repaired, oldLabelOfNew, touched)
+	if refComps != gotComps || !reflect.DeepEqual(refLabels, gotLabels) {
+		t.Fatalf("label numbering differs from the reference (%d vs %d comps)", gotComps, refComps)
 	}
 	// Sanity: the slab actually split or shrank something.
 	if repaired.NumNodes() == m.NumNodes() {
