@@ -5,15 +5,16 @@
 //	mpbench -exp fig5a -scale quick
 //	mpbench -exp all -scale full
 //	mpbench -list
-//	mpbench -kernels BENCH_kernels.json -kernels-max-allocs 50
+//	mpbench -kernels BENCH_kernels.json
 //	mpbench -balance BENCH_balance.json -balance-baseline results/BENCH_balance_baseline.json
+//	mpbench -repair BENCH_repair.json -repair-baseline results/BENCH_repair_baseline.json
 //
 // The -kernels mode benchmarks the hot compute kernels (sampling,
 // collision checking, kNN, region connection) instead of running
 // experiments, writes machine-readable results (ns/op, allocs/op, B/op
 // per kernel) to the given file ("-" for stdout), and exits non-zero if
-// any kernel allocates more than -kernels-max-allocs per op — the CI
-// benchmark-regression gate.
+// any kernel fails kernelbench.Check (the allocs/op ceiling and the
+// batch-vs-scalar ns/item ratio) — the CI benchmark-regression gate.
 //
 // The -balance mode runs the deterministic load-balance benchmark
 // (internal/balancebench): a multi-round closed-loop PRM on the
@@ -30,9 +31,13 @@
 // Parallelize Sampling-Based Motion Planning Algorithms" (IPDPS 2014).
 // The quick scale finishes in seconds; the full scale sweeps the paper's
 // processor counts (up to 3072 virtual processors) and takes minutes.
+//
+// Every mode writes its result file before its gate is evaluated, and
+// -cpuprofile / -memprofile wrap whichever mode runs.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -43,34 +48,38 @@ import (
 	"time"
 
 	"parmp/internal/balancebench"
+	"parmp/internal/bench"
 	"parmp/internal/experiments"
 	"parmp/internal/kernelbench"
 	"parmp/internal/metrics"
 	"parmp/internal/repairbench"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// usageError marks a bad flag value: exit status 2 rather than 1.
+type usageError struct{ error }
+
+func usagef(format string, args ...any) error {
+	return usageError{fmt.Errorf(format, args...)}
+}
+
+// run is main returning its exit status, so the deferred profile stop
+// runs whatever the mode and however it ends.
+func run() int {
 	testing.Init() // registers test.* flags so -kernels can set benchtime
 	exp := flag.String("exp", "all", "experiment id ("+strings.Join(experiments.Names(), ", ")+")")
 	planner := flag.String("planner", "", "with -exp planners, race only these planners (comma-separated: rrt, rrtconnect)")
 	scale := flag.String("scale", "quick", "sweep scale (quick, full)")
 	format := flag.String("format", "text", "output format (text, csv, json)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	kernels := flag.String("kernels", "", "benchmark the compute kernels and write JSON results to this file (\"-\" for stdout)")
-	kernelsMaxAllocs := flag.Int64("kernels-max-allocs", -1, "with -kernels, exit non-zero if any kernel exceeds this allocs/op")
+	kernels := flag.String("kernels", "", "benchmark the compute kernels, write JSON results to this file (\"-\" for stdout) and apply the kernel gate")
 	kernelsBenchtime := flag.String("kernels-benchtime", "100x", "with -kernels, benchtime per kernel (e.g. 100x, 1s)")
-	kernelsBatchMaxRatio := flag.Float64("kernels-batch-max-ratio", -1, "with -kernels, exit non-zero if any batch kernel's ns/item exceeds its scalar counterpart's by this ratio (e.g. 1.15)")
-	kernelsBaseline := flag.String("kernels-baseline", "", "with -kernels, compare ns/op against this baseline JSON file")
-	kernelsMaxRegress := flag.Float64("kernels-max-regress", 0.15, "with -kernels-baseline, exit non-zero if any kernel's ns/op regresses by more than this fraction")
 	balance := flag.String("balance", "", "run the deterministic load-balance benchmark and write BENCH_balance.json to this file (\"-\" for stdout)")
-	balanceBaseline := flag.String("balance-baseline", "", "with -balance, compare against this baseline JSON file")
-	balanceMaxRegress := flag.Float64("balance-max-regress", 0.10, "with -balance-baseline, exit non-zero if the construct CV or total virtual time regresses by more than this fraction")
-	balanceMaxUtilDrop := flag.Float64("balance-max-util-drop", 0.05, "with -balance-baseline, exit non-zero if mean utilization drops by more than this many absolute points")
-	repair := flag.String("repair", "", "run the deterministic repair-vs-rebuild benchmark and write BENCH_repair.json to this file (\"-\" for stdout)")
+	balanceBaseline := flag.String("balance-baseline", "", "with -balance, gate against this baseline JSON file")
+	repair := flag.String("repair", "", "run the deterministic repair-vs-rebuild benchmark, write BENCH_repair.json to this file (\"-\" for stdout) and apply the speedup floor")
 	repairScenario := flag.String("repair-scenario", "warehouse-forklift", "with -repair, the dynamic scenario to play")
-	repairBaseline := flag.String("repair-baseline", "", "with -repair, compare against this baseline JSON file")
-	repairMinSpeedup := flag.Float64("repair-min-speedup", 1, "with -repair, exit non-zero if the mean repair speedup falls below this floor")
-	repairMaxRegress := flag.Float64("repair-max-regress", 0.10, "with -repair-baseline, exit non-zero if the total repair makespan regresses by more than this fraction")
+	repairBaseline := flag.String("repair-baseline", "", "with -repair, also gate against this baseline JSON file")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	flag.Parse()
@@ -79,134 +88,136 @@ func main() {
 		for _, id := range experiments.Names() {
 			fmt.Println(id)
 		}
-		return
+		return 0
 	}
 
-	if *kernels != "" {
-		gates := kernelGates{
-			maxAllocs:     *kernelsMaxAllocs,
-			batchMaxRatio: *kernelsBatchMaxRatio,
-			baselinePath:  *kernelsBaseline,
-			maxRegress:    *kernelsMaxRegress,
-		}
-		if err := runKernels(*kernels, *kernelsBenchtime, gates); err != nil {
-			fmt.Fprintln(os.Stderr, "mpbench:", err)
-			os.Exit(1)
-		}
-		return
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		return fail(err)
 	}
-
-	if *balance != "" {
-		if err := runBalance(*balance, *balanceBaseline, *balanceMaxRegress, *balanceMaxUtilDrop); err != nil {
-			fmt.Fprintln(os.Stderr, "mpbench:", err)
-			os.Exit(1)
-		}
-		return
+	defer stopProfiles()
+	switch {
+	case *kernels != "":
+		err = runKernels(*kernels, *kernelsBenchtime)
+	case *balance != "":
+		err = runBalance(*balance, *balanceBaseline)
+	case *repair != "":
+		err = runRepair(*repair, *repairScenario, *repairBaseline)
+	default:
+		err = runExperiments(*exp, *planner, *scale, *format)
 	}
-
-	if *repair != "" {
-		if err := runRepair(*repair, *repairScenario, *repairBaseline, *repairMinSpeedup, *repairMaxRegress); err != nil {
-			fmt.Fprintln(os.Stderr, "mpbench:", err)
-			os.Exit(1)
-		}
-		return
+	if err != nil {
+		return fail(err)
 	}
+	return 0
+}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+// fail reports err and returns the exit status for it.
+func fail(err error) int {
+	fmt.Fprintln(os.Stderr, "mpbench:", err)
+	if errors.As(err, &usageError{}) {
+		return 2
+	}
+	return 1
+}
+
+// startProfiles starts the CPU profile (when cpuPath is set) and returns
+// the function that stops it and writes the heap profile (when memPath is
+// set).
+func startProfiles(cpuPath, memPath string) (stop func(), err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "mpbench:", err)
+			}
+		}
+		if memPath == "" {
+			return
+		}
+		f, err := os.Create(memPath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mpbench:", err)
-			os.Exit(1)
+			return
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
+		runtime.GC() // settle allocations so the heap profile reflects live data
+		if err := pprof.WriteHeapProfile(f); err != nil {
 			fmt.Fprintln(os.Stderr, "mpbench:", err)
-			os.Exit(1)
 		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "mpbench:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle allocations so the heap profile reflects live data
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "mpbench:", err)
-			}
-		}()
-	}
+		if err := f.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "mpbench:", err)
+		}
+	}, nil
+}
 
-	sc, ok := experiments.ScaleByName(*scale)
+// runExperiments regenerates the named figure's tables on stdout.
+func runExperiments(exp, planner, scale, format string) error {
+	sc, ok := experiments.ScaleByName(scale)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "mpbench: unknown scale %q (want quick or full)\n", *scale)
-		os.Exit(2)
+		return usagef("unknown scale %q (want quick or full)", scale)
 	}
 	start := time.Now()
 	var tables []*metrics.Table
-	if *planner != "" {
-		if *exp != "planners" && *exp != "all" {
-			fmt.Fprintf(os.Stderr, "mpbench: -planner only applies to -exp planners\n")
-			os.Exit(2)
+	if planner != "" {
+		if exp != "planners" && exp != "all" {
+			return usagef("-planner only applies to -exp planners")
 		}
-		names := strings.Split(*planner, ",")
+		names := strings.Split(planner, ",")
 		for i, n := range names {
 			names[i] = strings.TrimSpace(n)
 			switch names[i] {
 			case "rrt", "rrtconnect":
 			default:
-				fmt.Fprintf(os.Stderr, "mpbench: unknown planner %q (want rrt, rrtconnect)\n", names[i])
-				os.Exit(2)
+				return usagef("unknown planner %q (want rrt, rrtconnect)", names[i])
 			}
 		}
 		tables = experiments.Planners(sc, names)
-	} else {
-		var ok bool
-		tables, ok = experiments.ByName(*exp, sc)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "mpbench: unknown experiment %q; try -list\n", *exp)
-			os.Exit(2)
-		}
+	} else if tables, ok = experiments.ByName(exp, sc); !ok {
+		return usagef("unknown experiment %q; try -list", exp)
 	}
 	for i, tb := range tables {
 		if i > 0 {
 			fmt.Println()
 		}
-		switch *format {
+		switch format {
 		case "csv":
 			fmt.Printf("# %s\n", tb.Title)
 			if err := tb.WriteCSV(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, "mpbench:", err)
-				os.Exit(1)
+				return err
 			}
 		case "json":
 			if err := tb.WriteJSON(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, "mpbench:", err)
-				os.Exit(1)
+				return err
 			}
 		default:
 			fmt.Print(tb.String())
 		}
 	}
-	fmt.Fprintf(os.Stderr, "mpbench: %s at scale %s in %v\n", *exp, sc.Name, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "mpbench: %s at scale %s in %v\n", exp, sc.Name, time.Since(start).Round(time.Millisecond))
+	return nil
 }
 
 // runBalance runs the deterministic load-balance benchmark, writes
 // BENCH_balance.json to path ("-" for stdout), and when a baseline is
 // given enforces the balance regression gate (construct CV, mean
 // utilization, total virtual time).
-func runBalance(path, baselinePath string, maxRegress, maxUtilDrop float64) error {
+func runBalance(path, baselinePath string) error {
 	start := time.Now()
 	r, err := balancebench.Run(balancebench.DefaultConfig())
 	if err != nil {
 		return err
 	}
-	if err := balancebench.WriteFile(path, r); err != nil {
+	if err := bench.WriteFile(path, r); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "mpbench: balance %s procs=%d regions=%d rounds=%d: construct CV %.4f, util %.4f, imbalance max %.3f, migrated %d, diffused %d, T=%.1f in %v\n",
@@ -217,23 +228,18 @@ func runBalance(path, baselinePath string, maxRegress, maxUtilDrop float64) erro
 	if baselinePath == "" {
 		return nil
 	}
-	baseline, err := balancebench.Load(baselinePath)
+	baseline, err := bench.Load[balancebench.Result](baselinePath)
 	if err != nil {
 		return fmt.Errorf("bad baseline: %w", err)
 	}
-	gate := balancebench.Gate{
-		MaxCVRegress:   maxRegress,
-		MaxUtilDrop:    maxUtilDrop,
-		MaxTimeRegress: maxRegress,
-	}
-	return gate.Check(r, &baseline)
+	return balancebench.Check(r, baseline)
 }
 
 // runRepair runs the deterministic repair-vs-rebuild benchmark, writes
 // BENCH_repair.json to path ("-" for stdout), and enforces the repair
 // gate: the speedup floor always, the makespan regression when a
 // baseline is given.
-func runRepair(path, scenario, baselinePath string, minSpeedup, maxRegress float64) error {
+func runRepair(path, scenario, baselinePath string) error {
 	start := time.Now()
 	cfg := repairbench.DefaultConfig()
 	cfg.Scenario = scenario
@@ -241,53 +247,33 @@ func runRepair(path, scenario, baselinePath string, minSpeedup, maxRegress float
 	if err != nil {
 		return err
 	}
-	if err := repairbench.WriteFile(path, r); err != nil {
+	if err := bench.WriteFile(path, r); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "mpbench: repair %s procs=%d regions=%d rounds=%d steps=%d: repair T=%.1f vs rebuild T=%.1f, speedup mean %.1fx min %.1fx in %v\n",
 		r.Scenario, r.Procs, r.Regions, r.Rounds, len(r.Steps),
 		r.RepairTotal, r.RebuildTotal, r.SpeedupMean, r.SpeedupMin,
 		time.Since(start).Round(time.Millisecond))
-	gate := repairbench.Gate{MinSpeedup: minSpeedup, MaxRepairRegress: maxRegress}
 	var baseline *repairbench.Result
 	if baselinePath != "" {
-		b, err := repairbench.Load(baselinePath)
+		b, err := bench.Load[repairbench.Result](baselinePath)
 		if err != nil {
 			return fmt.Errorf("bad baseline: %w", err)
 		}
 		baseline = &b
 	}
-	return gate.Check(r, baseline)
-}
-
-// kernelGates bundles the -kernels mode's regression thresholds.
-type kernelGates struct {
-	maxAllocs     int64   // < 0 disables
-	batchMaxRatio float64 // <= 0 disables
-	baselinePath  string  // "" disables
-	maxRegress    float64
+	return repairbench.Check(r, baseline)
 }
 
 // runKernels benchmarks the kernel suite, writes JSON results to path
-// ("-" for stdout), and enforces the configured regression gates: the
-// allocs/op ceiling, the batch-vs-scalar ns/item ratio, and the
-// baseline-file ns/op comparison.
-func runKernels(path, benchtime string, gates kernelGates) error {
+// ("-" for stdout), and enforces the kernel gate.
+func runKernels(path, benchtime string) error {
 	if err := flag.Set("test.benchtime", benchtime); err != nil {
 		return fmt.Errorf("bad -kernels-benchtime: %w", err)
 	}
 	start := time.Now()
 	results := kernelbench.RunAll()
-	out := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	if err := kernelbench.WriteJSON(out, results); err != nil {
+	if err := bench.WriteFile(path, results); err != nil {
 		return err
 	}
 	for _, r := range results {
@@ -295,29 +281,5 @@ func runKernels(path, benchtime string, gates kernelGates) error {
 			r.Name, r.NsPerOp, r.NsPerItem, r.BytesPerOp, r.AllocsPerOp)
 	}
 	fmt.Fprintf(os.Stderr, "mpbench: %d kernels in %v\n", len(results), time.Since(start).Round(time.Millisecond))
-	if gates.maxAllocs >= 0 {
-		if err := kernelbench.CheckMaxAllocs(results, gates.maxAllocs); err != nil {
-			return err
-		}
-	}
-	if gates.batchMaxRatio > 0 {
-		if err := kernelbench.CheckBatchNs(results, gates.batchMaxRatio); err != nil {
-			return err
-		}
-	}
-	if gates.baselinePath != "" {
-		f, err := os.Open(gates.baselinePath)
-		if err != nil {
-			return err
-		}
-		baseline, err := kernelbench.ReadJSON(f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("bad baseline %s: %w", gates.baselinePath, err)
-		}
-		if err := kernelbench.CheckNsRegression(results, baseline, gates.maxRegress); err != nil {
-			return err
-		}
-	}
-	return nil
+	return kernelbench.Check(results)
 }

@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"parmp"
+	"parmp/internal/bench"
 	"parmp/internal/rng"
 	"parmp/internal/serve"
 	"parmp/internal/servebench"
@@ -290,13 +291,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "  mutations     : %d applied, %d stale paths\n", res.Mutations, res.StalePaths)
 	}
 
-	if err := servebench.WriteFile(*out, res); err != nil {
+	if err := bench.WriteFile(*out, res); err != nil {
 		fatalf("write %s: %v", *out, err)
 	}
 	gate := servebench.Gate{MaxErrorRate: *maxErrorRate, MaxRegress: *maxRegress}
 	var base *servebench.Result
 	if *baseline != "" {
-		b, err := servebench.Load(*baseline)
+		b, err := bench.Load[servebench.Result](*baseline)
 		if err != nil {
 			fatalf("baseline: %v", err)
 		}

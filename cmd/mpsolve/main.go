@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"parmp"
+	"parmp/internal/bench"
 	"parmp/internal/cspace"
 	"parmp/internal/prm"
 	"parmp/internal/rng"
@@ -382,7 +383,7 @@ func serve(snap *parmp.Snapshot, space *parmp.Space, envName string, n int, seed
 			Throughput:  float64(n) / elapsed.Seconds(),
 			Latency:     pcts,
 		}
-		if err := servebench.WriteFile(jsonPath, res); err != nil {
+		if err := bench.WriteFile(jsonPath, res); err != nil {
 			fmt.Fprintln(os.Stderr, "mpsolve:", err)
 			os.Exit(1)
 		}

@@ -13,11 +13,9 @@
 package balancebench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 
+	"parmp/internal/bench"
 	"parmp/internal/core"
 	"parmp/internal/cspace"
 	"parmp/internal/env"
@@ -187,89 +185,24 @@ func Run(cfg Config) (Result, error) {
 	return r, nil
 }
 
-// Write marshals r as indented JSON.
-func Write(w io.Writer, r Result) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
+// The balance regression thresholds. The benchmark is deterministic, so
+// any drift is a real behavior change: the thresholds exist to let
+// intentional small improvements land without a baseline refresh, not to
+// absorb noise.
+const (
+	// MaxRegress is the fraction by which the warm-round construct CV,
+	// and the total virtual time, may exceed the baseline's.
+	MaxRegress = 0.10
+	// MaxUtilDrop is how many absolute points mean utilization may fall
+	// below the baseline's.
+	MaxUtilDrop = 0.05
+)
 
-// WriteFile writes r to path ("-" for stdout).
-func WriteFile(path string, r Result) error {
-	if path == "-" {
-		return Write(os.Stdout, r)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := Write(f, r); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// Load reads a Result from path.
-func Load(path string) (Result, error) {
-	var r Result
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return r, err
-	}
-	if err := json.Unmarshal(b, &r); err != nil {
-		return r, fmt.Errorf("%s: %w", path, err)
-	}
-	return r, nil
-}
-
-// Gate bundles the balance regression thresholds. The benchmark is
-// deterministic, so any drift is a real behavior change: thresholds
-// exist to let intentional small improvements land without a baseline
-// refresh, not to absorb noise.
-type Gate struct {
-	// MaxCVRegress fails the run when the warm-round construct CV exceeds
-	// the baseline's by more than this fraction. Negative disables.
-	MaxCVRegress float64
-	// MaxUtilDrop fails the run when mean utilization falls more than
-	// this many absolute points below the baseline's. Negative disables.
-	MaxUtilDrop float64
-	// MaxTimeRegress fails the run when total virtual time exceeds the
-	// baseline's by more than this fraction. Negative disables.
-	MaxTimeRegress float64
-}
-
-// Check enforces g against r relative to baseline. It returns every
-// violation, not just the first; nil baseline checks nothing.
-func (g Gate) Check(r Result, baseline *Result) error {
-	if baseline == nil {
-		return nil
-	}
-	var errs []error
-	if g.MaxCVRegress >= 0 && baseline.ConstructCVMean > 0 {
-		if limit := baseline.ConstructCVMean * (1 + g.MaxCVRegress); r.ConstructCVMean > limit {
-			errs = append(errs, fmt.Errorf("construct CV %.4f exceeds baseline %.4f by more than %.0f%% (limit %.4f)",
-				r.ConstructCVMean, baseline.ConstructCVMean, 100*g.MaxCVRegress, limit))
-		}
-	}
-	if g.MaxUtilDrop >= 0 {
-		if limit := baseline.UtilizationMean - g.MaxUtilDrop; r.UtilizationMean < limit {
-			errs = append(errs, fmt.Errorf("mean utilization %.4f below baseline %.4f by more than %.2f (limit %.4f)",
-				r.UtilizationMean, baseline.UtilizationMean, g.MaxUtilDrop, limit))
-		}
-	}
-	if g.MaxTimeRegress >= 0 && baseline.TotalVirtualTime > 0 {
-		if limit := baseline.TotalVirtualTime * (1 + g.MaxTimeRegress); r.TotalVirtualTime > limit {
-			errs = append(errs, fmt.Errorf("total virtual time %.2f exceeds baseline %.2f by more than %.0f%% (limit %.2f)",
-				r.TotalVirtualTime, baseline.TotalVirtualTime, 100*g.MaxTimeRegress, limit))
-		}
-	}
-	if len(errs) == 0 {
-		return nil
-	}
-	msg := "balance gate:"
-	for _, e := range errs {
-		msg += "\n  " + e.Error()
-	}
-	return fmt.Errorf("%s", msg)
+// Check gates r against baseline, reporting every violation.
+func Check(r, baseline Result) error {
+	return bench.Check("balance gate", []bench.Limit{
+		{Name: "construct CV", Cur: r.ConstructCVMean, Ref: baseline.ConstructCVMean, Kind: bench.Regress, Tol: MaxRegress},
+		{Name: "mean utilization", Cur: r.UtilizationMean, Ref: baseline.UtilizationMean, Kind: bench.Drop, Tol: MaxUtilDrop},
+		{Name: "total virtual time", Cur: r.TotalVirtualTime, Ref: baseline.TotalVirtualTime, Kind: bench.Regress, Tol: MaxRegress},
+	})
 }

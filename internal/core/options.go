@@ -163,16 +163,9 @@ type Options struct {
 	// task times of prior rounds (CostObserved — see internal/costmodel).
 	// Zero-valued fields reproduce the legacy behaviour bit-identically.
 	CostModel CostModelKind
-	// CostAlpha is the observed cost model's EWMA smoothing factor in
-	// (0, 1]; 0 selects costmodel.DefaultAlpha.
-	CostAlpha float64
 	// Rebalance optionally adds a between-rounds diffusive rebalance of
 	// the construct queues along the steal mesh (RebalanceDiffusive).
 	Rebalance RebalanceKind
-	// DiffuseSweeps bounds the diffusive rebalance's mesh passes per
-	// round (0 = 3). Each pass terminates early once no move improves a
-	// neighbor pair.
-	DiffuseSweeps int
 
 	// Profile and Cost define the virtual machine.
 	Profile work.MachineProfile
@@ -214,13 +207,10 @@ type Options struct {
 	GoalBias       float64
 	RegionK        int     // adjacent cone count in the radial region graph
 	Radius         float64 // radial subdivision sphere radius
-	KRays          int     // rays per region for the RRT weight estimate
 	// Star grows asymptotically-optimal RRT* branches (choose-parent +
 	// rewiring) instead of plain RRT. More local-planning work per node,
 	// and even more heterogeneous region costs.
 	Star bool
-	// RewireRadius is the RRT* neighbourhood radius (0 = 3 x Step).
-	RewireRadius float64
 }
 
 // Defaults fills unset fields with sensible values.
@@ -263,9 +253,6 @@ func (o Options) Defaults() Options {
 	}
 	if o.Radius <= 0 {
 		o.Radius = 0.5
-	}
-	if o.KRays <= 0 {
-		o.KRays = 8
 	}
 	if o.StealChunk <= 0 {
 		o.StealChunk = 1e-9 // one region per steal

@@ -251,7 +251,7 @@ func (pl *pipeline) observeConstruct(n int, rep sched.Report, units []int) {
 		return
 	}
 	if pl.cm == nil {
-		pl.cm = costmodel.NewEWMA(n, pl.opts.CostAlpha)
+		pl.cm = costmodel.NewEWMA(n, costmodel.DefaultAlpha)
 	}
 	costs := make([]float64, n)
 	seen := make([]bool, n)
@@ -311,6 +311,10 @@ func (pl *pipeline) roundWeights(static []float64, units []int) []float64 {
 	return out
 }
 
+// diffuseSweeps bounds the diffusive rebalance's mesh passes per round;
+// each pass terminates early once no move improves a neighbor pair.
+const diffuseSweeps = 3
+
 // diffuse applies the between-rounds diffusive rebalance to the
 // construct queues: exec.Diffuse shifts region tasks along the steal
 // mesh toward the weight equilibrium, then the resulting placement is
@@ -324,17 +328,13 @@ func (pl *pipeline) diffuse(rg *region.Graph, queues [][]work.Task, weights []fl
 	if pl.opts.Rebalance != RebalanceDiffusive {
 		return 0, 0
 	}
-	sweeps := pl.opts.DiffuseSweeps
-	if sweeps <= 0 {
-		sweeps = 3
-	}
 	est := func(t work.Task) float64 {
 		if t.Region >= 0 && t.Region < len(weights) {
 			return weights[t.Region]
 		}
 		return 0
 	}
-	if exec.Diffuse(queues, est, sweeps) == 0 {
+	if exec.Diffuse(queues, est, diffuseSweeps) == 0 {
 		return 0, 0
 	}
 	assign := append([]int(nil), rg.Owner...)

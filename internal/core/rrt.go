@@ -247,6 +247,9 @@ func widenGoalCone(rg *region.Graph, apex, goal cspace.Config, radius float64) {
 // mutating parents.
 func (e *RRTEngine) Result() *RRTResult { return e.res }
 
+// kRays is the number of rays per region the RRT weight estimate casts.
+const kRays = 8
+
 // weigh returns the k-ray estimate in round 0 — under Repartition
 // charging the probe itself, k rays per region on the owner, as a
 // "weight" phase — and a uniform, stale one afterwards: the probe is a
@@ -276,10 +279,10 @@ func (e *RRTEngine) weigh(round int, phases *PhaseBreakdown) (estimate, bool) {
 		return est, true
 	}
 	if e.s.Dim() == e.s.Env.Dim() {
-		est.weights = repart.KRayWeights(e.s.Env, rg, opts.KRays, opts.Seed)
+		est.weights = repart.KRayWeights(e.s.Env, rg, kRays, opts.Seed)
 	}
 	if opts.Strategy == Repartition {
-		rayCost := float64(opts.KRays) * opts.Cost.CDObstacle * float64(len(e.s.Env.Obstacles)+1)
+		rayCost := float64(kRays) * opts.Cost.CDObstacle * float64(len(e.s.Env.Obstacles)+1)
 		rep := e.pl.replay(phaseSpec{
 			name: "weight",
 			queues: queuesByOwner(opts.Procs, rg.Owner, n, func(i int) work.Task {
@@ -328,7 +331,7 @@ func (e *RRTEngine) constructTask(round, i int) work.Task {
 				if old.tree != nil {
 					star = &rrt.StarTree{Nodes: append([]rrt.Node(nil), old.tree.Nodes...), Cost: append([]float64(nil), old.cost...)}
 				}
-				res := rrt.GrowStarTree(e.s, reg, star, rrt.StarParams{Params: params, RewireRadius: e.opts.RewireRadius}, r)
+				res := rrt.GrowStarTree(e.s, reg, star, params, r)
 				w = res.Work
 				rd.grown[i] = branch{tree: &rrt.Tree{Nodes: res.Tree.Nodes}, cost: res.Tree.Cost}
 				rd.rewires[i] = res.Rewires

@@ -28,7 +28,6 @@ type Batch struct {
 	wa, wb, wc, wd [][]float64 // workspace probe columns built by robot kernels
 
 	esc env.BatchScratch
-	sc  Scratch  // scalar fallback for robots without batch kernels
 	pa  geom.Vec // probe temporary
 }
 
@@ -96,41 +95,24 @@ func (bt *Batch) AppendEdgeLerp(a, b Config, t0, t1 float64) {
 	bt.n++
 }
 
-// BatchRobot is implemented by robots whose collision kernels can run
-// over a whole batch of candidates at once. The batch variants must
-// accept/reject exactly as running ConfigFree/EdgeFree per candidate,
-// and on an all-free batch the returned test count must equal the sum
-// of the scalar counts; a rejecting batch may stop at a different count
-// (the same fail-fast contract LocalPlanS documents for rejected
-// edges).
-type BatchRobot interface {
-	Robot
-	// ConfigFreeBatch validates every configuration in the batch's
-	// block A.
-	ConfigFreeBatch(e *env.Environment, bt *Batch) (bool, int)
-	// EdgeFreeBatch validates the workspace sweep of every edge
-	// A[i]→B[i]; as with EdgeFree, endpoints are assumed close.
-	EdgeFreeBatch(e *env.Environment, bt *Batch) (bool, int)
-}
-
-// ConfigFreeBatch implements BatchRobot: the configuration columns are
+// ConfigFreeBatch implements Robot: the configuration columns are
 // the workspace point columns.
 func (r PointRobot) ConfigFreeBatch(e *env.Environment, bt *Batch) (bool, int) {
 	return e.CheckPointsSoA(bt.a, bt.n, &bt.esc)
 }
 
-// EdgeFreeBatch implements BatchRobot.
+// EdgeFreeBatch implements Robot.
 func (r PointRobot) EdgeFreeBatch(e *env.Environment, bt *Batch) (bool, int) {
 	return e.SegmentsFreeSoA(bt.a, bt.b, bt.n, &bt.esc)
 }
 
-// ConfigFreeBatch implements BatchRobot: only the (x, y) columns are
+// ConfigFreeBatch implements Robot: only the (x, y) columns are
 // geometric; heading is kinematic.
 func (dubinsPoint) ConfigFreeBatch(e *env.Environment, bt *Batch) (bool, int) {
 	return e.CheckPointsSoA(bt.a[:2], bt.n, &bt.esc)
 }
 
-// EdgeFreeBatch implements BatchRobot.
+// EdgeFreeBatch implements Robot.
 func (dubinsPoint) EdgeFreeBatch(e *env.Environment, bt *Batch) (bool, int) {
 	return e.SegmentsFreeSoA(bt.a[:2], bt.b[:2], bt.n, &bt.esc)
 }
@@ -154,7 +136,7 @@ func (r RigidBody) bodyPointsInto(bt *Batch, cfg [][]float64, dst [][]float64) [
 	return dst
 }
 
-// ConfigFreeBatch implements BatchRobot: all probe points of all
+// ConfigFreeBatch implements Robot: all probe points of all
 // configurations are checked in one SoA sweep, then all center→probe
 // spokes in another.
 func (r RigidBody) ConfigFreeBatch(e *env.Environment, bt *Batch) (bool, int) {
@@ -182,7 +164,7 @@ func (r RigidBody) ConfigFreeBatch(e *env.Environment, bt *Batch) (bool, int) {
 	return sfree, tests + stests
 }
 
-// EdgeFreeBatch implements BatchRobot: every probe point of every edge
+// EdgeFreeBatch implements Robot: every probe point of every edge
 // sweeps one segment, all checked in one SoA sweep.
 func (r RigidBody) EdgeFreeBatch(e *env.Environment, bt *Batch) (bool, int) {
 	np := len(r.BodyPoints)
@@ -214,7 +196,7 @@ func (l Linkage) jointColumnsInto(bt *Batch, cfg [][]float64, dst [][]float64) [
 	return dst
 }
 
-// ConfigFreeBatch implements BatchRobot: all joints of all
+// ConfigFreeBatch implements Robot: all joints of all
 // configurations are point-checked in one sweep, then all link bodies
 // are segment-swept in another.
 func (l Linkage) ConfigFreeBatch(e *env.Environment, bt *Batch) (bool, int) {
@@ -242,7 +224,7 @@ func (l Linkage) ConfigFreeBatch(e *env.Environment, bt *Batch) (bool, int) {
 	return sfree, tests + stests
 }
 
-// EdgeFreeBatch implements BatchRobot: the probe points interpolated
+// EdgeFreeBatch implements Robot: the probe points interpolated
 // along each link sweep segments between the two configurations of
 // every edge, all checked in one SoA sweep.
 func (l Linkage) EdgeFreeBatch(e *env.Environment, bt *Batch) (bool, int) {
@@ -287,7 +269,7 @@ func (r RigidBody2D) outlineColumnsInto(bt *Batch, cfg [][]float64, dst [][]floa
 	return dst
 }
 
-// ConfigFreeBatch implements BatchRobot: all outline vertices of all
+// ConfigFreeBatch implements Robot: all outline vertices of all
 // configurations are point-checked in one sweep, then all outline edges
 // (with wraparound) are segment-swept in another.
 func (r RigidBody2D) ConfigFreeBatch(e *env.Environment, bt *Batch) (bool, int) {
@@ -315,7 +297,7 @@ func (r RigidBody2D) ConfigFreeBatch(e *env.Environment, bt *Batch) (bool, int) 
 	return sfree, tests + stests
 }
 
-// EdgeFreeBatch implements BatchRobot: every outline vertex of every
+// EdgeFreeBatch implements Robot: every outline vertex of every
 // edge sweeps one segment.
 func (r RigidBody2D) EdgeFreeBatch(e *env.Environment, bt *Batch) (bool, int) {
 	nv := len(r.Outline)
@@ -339,15 +321,10 @@ func (r RigidBody2D) EdgeFreeBatch(e *env.Environment, bt *Batch) (bool, int) {
 // the success path the same checks run exactly once each, so work
 // counters agree. Only the counter totals on *rejected* edges differ
 // (the sweeps stop at a different check than the scalar orders).
-// Steered spaces fall back to LocalPlan, robots without batch kernels
-// to LocalPlanS through the batch's embedded scratch.
+// Steered spaces fall back to LocalPlan.
 func (s *Space) LocalPlanBatch(a, b Config, bt *Batch, c *Counters) bool {
-	if s.Steer != nil || bt == nil {
+	if s.Steer != nil {
 		return s.LocalPlan(a, b, c)
-	}
-	br, ok := s.Robot.(BatchRobot)
-	if !ok {
-		return s.LocalPlanS(a, b, &bt.sc, c)
 	}
 	if c != nil {
 		c.LPCalls++
@@ -360,7 +337,7 @@ func (s *Space) LocalPlanBatch(a, b Config, bt *Batch, c *Counters) bool {
 	for i := 1; i <= steps; i++ {
 		bt.AppendLerp(a, b, float64(i)/float64(steps))
 	}
-	free, tests := br.ConfigFreeBatch(s.Env, bt)
+	free, tests := s.Robot.ConfigFreeBatch(s.Env, bt)
 	if c != nil {
 		// Charged up front: on acceptance the totals are exactly what the
 		// scalar planner counts (steps validity checks, all tests).
@@ -375,7 +352,7 @@ func (s *Space) LocalPlanBatch(a, b Config, bt *Batch, c *Counters) bool {
 	for i := 1; i <= steps; i++ {
 		bt.AppendEdgeLerp(a, b, float64(i-1)/float64(steps), float64(i)/float64(steps))
 	}
-	free, tests = br.EdgeFreeBatch(s.Env, bt)
+	free, tests = s.Robot.EdgeFreeBatch(s.Env, bt)
 	if c != nil {
 		c.CDObstacle += int64(tests)
 	}

@@ -36,38 +36,18 @@ func randomConfigIn(s *Space, r *rng.Stream, overshoot float64) Config {
 	return q
 }
 
-// scalarConfigFree routes through the scratch kernel when the robot has
-// one (they are themselves parity-tested against the allocating form).
-func scalarConfigFree(s *Space, q Config, sc *Scratch) (bool, int) {
-	if sr, ok := s.Robot.(ScratchRobot); ok {
-		return sr.ConfigFreeS(s.Env, q, sc)
-	}
-	return s.Robot.ConfigFree(s.Env, q)
-}
-
-func scalarEdgeFree(s *Space, a, b Config, sc *Scratch) (bool, int) {
-	if sr, ok := s.Robot.(ScratchRobot); ok {
-		return sr.EdgeFreeS(s.Env, a, b, sc)
-	}
-	return s.Robot.EdgeFree(s.Env, a, b)
-}
-
 func checkConfigBatchParity(t *testing.T, name string, s *Space, cfgs []Config, bt *Batch) {
 	t.Helper()
-	br, ok := s.Robot.(BatchRobot)
-	if !ok {
-		t.Fatalf("%s: robot %T does not implement BatchRobot", name, s.Robot)
-	}
 	bt.Reset(s.Dim())
 	for _, q := range cfgs {
 		bt.Append(q)
 	}
-	gotFree, gotTests := br.ConfigFreeBatch(s.Env, bt)
+	gotFree, gotTests := s.Robot.ConfigFreeBatch(s.Env, bt)
 	var sc Scratch
 	wantFree := true
 	wantTests := 0
 	for _, q := range cfgs {
-		free, tests := scalarConfigFree(s, q, &sc)
+		free, tests := s.Robot.ConfigFree(s.Env, q, &sc)
 		wantTests += tests
 		if !free {
 			wantFree = false
@@ -84,17 +64,16 @@ func checkConfigBatchParity(t *testing.T, name string, s *Space, cfgs []Config, 
 
 func checkEdgeBatchParity(t *testing.T, name string, s *Space, as, bs []Config, bt *Batch) {
 	t.Helper()
-	br := s.Robot.(BatchRobot)
 	bt.Reset(s.Dim())
 	for i := range as {
 		bt.AppendEdge(as[i], bs[i])
 	}
-	gotFree, gotTests := br.EdgeFreeBatch(s.Env, bt)
+	gotFree, gotTests := s.Robot.EdgeFreeBatch(s.Env, bt)
 	var sc Scratch
 	wantFree := true
 	wantTests := 0
 	for i := range as {
-		free, tests := scalarEdgeFree(s, as[i], bs[i], &sc)
+		free, tests := s.Robot.EdgeFree(s.Env, as[i], bs[i], &sc)
 		wantTests += tests
 		if !free {
 			wantFree = false
@@ -192,8 +171,8 @@ func TestLocalPlanBatchSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestLocalPlanBatchFallbacks: steered spaces route to LocalPlan and a
-// nil batch to LocalPlan, preserving outcomes.
+// TestLocalPlanBatchFallbacks: steered spaces route to LocalPlan,
+// preserving outcomes.
 func TestLocalPlanBatchFallbacks(t *testing.T) {
 	s := NewDubinsSpace(env.Maze2D(4, 0.2), 0.1)
 	a := geom.V(0.1, 0.1, 0)
@@ -201,11 +180,6 @@ func TestLocalPlanBatchFallbacks(t *testing.T) {
 	var bt Batch
 	if got, want := s.LocalPlanBatch(a, b, &bt, nil), s.LocalPlan(a, b, nil); got != want {
 		t.Fatalf("steered fallback: batch=%v, plain=%v", got, want)
-	}
-	ps := NewPointSpace(env.MedCube())
-	pa, pb := geom.V(0.1, 0.1, 0.1), geom.V(0.2, 0.2, 0.2)
-	if got, want := ps.LocalPlanBatch(pa, pb, nil, nil), ps.LocalPlan(pa, pb, nil); got != want {
-		t.Fatalf("nil-batch fallback: batch=%v, plain=%v", got, want)
 	}
 }
 

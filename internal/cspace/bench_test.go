@@ -45,7 +45,7 @@ func BenchmarkKernelEdgeFreeLinkage(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.EdgeFreeS(e, qa, qb, &sc)
+		l.EdgeFree(e, qa, qb, &sc)
 	}
 }
 

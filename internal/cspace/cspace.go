@@ -51,17 +51,30 @@ func (c Counters) String() string {
 		c.CDCalls, c.CDObstacle, c.LPCalls, c.LPSteps, c.KNNQueries, c.KNNEvals, c.Samples)
 }
 
-// Robot maps configurations to workspace collision queries.
+// Robot maps configurations to workspace collision queries. Every robot
+// has one scalar kernel pair, which writes its temporaries through the
+// caller's Scratch, and one batch pair over a struct-of-arrays Batch.
+// The scratch and the batch are never nil.
 type Robot interface {
 	// DOF returns the configuration dimension.
 	DOF() int
 	// ConfigFree reports whether configuration q is collision-free in e
 	// and how many obstacle tests were used.
-	ConfigFree(e *env.Environment, q Config) (bool, int)
+	ConfigFree(e *env.Environment, q Config, sc *Scratch) (bool, int)
 	// EdgeFree reports whether the workspace sweep between two
 	// configurations that are already close (one resolution step apart)
 	// is collision-free. Implementations may assume a≈b.
-	EdgeFree(e *env.Environment, a, b Config) (bool, int)
+	EdgeFree(e *env.Environment, a, b Config, sc *Scratch) (bool, int)
+	// ConfigFreeBatch validates every configuration in the batch's
+	// block A. It must accept/reject exactly as ConfigFree run per
+	// candidate, and on an all-free batch return the sum of the scalar
+	// test counts; a rejecting batch may stop at a different count (the
+	// same fail-fast contract LocalPlanS documents for rejected edges).
+	ConfigFreeBatch(e *env.Environment, bt *Batch) (bool, int)
+	// EdgeFreeBatch validates the workspace sweep of every edge
+	// A[i]→B[i] under the same contract; as with EdgeFree, endpoints are
+	// assumed close.
+	EdgeFreeBatch(e *env.Environment, bt *Batch) (bool, int)
 }
 
 // PointRobot is a point in the workspace; its configuration is its
@@ -74,13 +87,13 @@ type PointRobot struct {
 // DOF implements Robot.
 func (r PointRobot) DOF() int { return r.Dim }
 
-// ConfigFree implements Robot.
-func (r PointRobot) ConfigFree(e *env.Environment, q Config) (bool, int) {
+// ConfigFree implements Robot; a point needs no temporaries.
+func (r PointRobot) ConfigFree(e *env.Environment, q Config, _ *Scratch) (bool, int) {
 	return e.CheckPoint(q)
 }
 
 // EdgeFree implements Robot.
-func (r PointRobot) EdgeFree(e *env.Environment, a, b Config) (bool, int) {
+func (r PointRobot) EdgeFree(e *env.Environment, a, b Config, _ *Scratch) (bool, int) {
 	return e.SegmentFree(a, b)
 }
 
@@ -122,12 +135,13 @@ func (r RigidBody) pose(q Config) geom.Transform {
 // ConfigFree implements Robot. Probe points are checked individually and
 // the spokes from the first probe (the body center) to every other probe
 // are swept so thin obstacles crossing the body interior are caught.
-func (r RigidBody) ConfigFree(e *env.Environment, q Config) (bool, int) {
+func (r RigidBody) ConfigFree(e *env.Environment, q Config, sc *Scratch) (bool, int) {
 	tr := r.pose(q)
+	sc.worldA = growVecs(sc.worldA, len(r.BodyPoints), 3)
+	world := sc.worldA
 	tests := 0
-	world := make([]geom.Vec, len(r.BodyPoints))
 	for i, bp := range r.BodyPoints {
-		world[i] = tr.Apply(bp)
+		tr.ApplyInto(world[i], bp)
 		free, n := e.CheckPoint(world[i])
 		tests += n
 		if !free {
@@ -145,11 +159,13 @@ func (r RigidBody) ConfigFree(e *env.Environment, q Config) (bool, int) {
 }
 
 // EdgeFree implements Robot.
-func (r RigidBody) EdgeFree(e *env.Environment, a, b Config) (bool, int) {
+func (r RigidBody) EdgeFree(e *env.Environment, a, b Config, sc *Scratch) (bool, int) {
 	ta, tb := r.pose(a), r.pose(b)
 	tests := 0
 	for _, bp := range r.BodyPoints {
-		free, n := e.SegmentFree(ta.Apply(bp), tb.Apply(bp))
+		sc.pa = ta.ApplyInto(sc.pa, bp)
+		sc.pb = tb.ApplyInto(sc.pb, bp)
+		free, n := e.SegmentFree(sc.pa, sc.pb)
 		tests += n
 		if !free {
 			return false, tests
@@ -172,20 +188,14 @@ type Linkage struct {
 // DOF implements Robot.
 func (l Linkage) DOF() int { return len(l.LinkLen) }
 
-// jointPositions returns the chain's joint endpoint positions for q.
-func (l Linkage) jointPositions(q Config) []geom.Vec {
-	pos := make([]geom.Vec, len(l.LinkLen)+1)
-	pos[0] = l.Base
+// jointPositionsInto fills pos (length len(LinkLen)+1) with the chain's
+// joint endpoint positions for q.
+func (l Linkage) jointPositionsInto(q Config, pos []geom.Vec) {
+	copy(pos[0], l.Base)
 	for i, length := range l.LinkLen {
-		pos[i+1] = pos[i].Add(geom.V(length*math.Cos(q[i]), length*math.Sin(q[i])))
+		pos[i+1][0] = pos[i][0] + length*math.Cos(q[i])
+		pos[i+1][1] = pos[i][1] + length*math.Sin(q[i])
 	}
-	return pos
-}
-
-// EndEffector returns the workspace position of the chain tip for q.
-func (l Linkage) EndEffector(q Config) geom.Vec {
-	pos := l.jointPositions(q)
-	return pos[len(pos)-1]
 }
 
 func (l Linkage) probes() int {
@@ -198,8 +208,10 @@ func (l Linkage) probes() int {
 // ConfigFree implements Robot. Each link is a workspace segment, so
 // collision is exact: joints are point-checked (bounds + obstacles) and
 // link bodies are segment-swept.
-func (l Linkage) ConfigFree(e *env.Environment, q Config) (bool, int) {
-	pos := l.jointPositions(q)
+func (l Linkage) ConfigFree(e *env.Environment, q Config, sc *Scratch) (bool, int) {
+	sc.worldA = growVecs(sc.worldA, len(l.LinkLen)+1, 2)
+	pos := sc.worldA
+	l.jointPositionsInto(q, pos)
 	tests := 0
 	for _, p := range pos {
 		free, n := e.CheckPoint(p)
@@ -221,14 +233,21 @@ func (l Linkage) ConfigFree(e *env.Environment, q Config) (bool, int) {
 // EdgeFree implements Robot. For small steps the swept volume is
 // approximated by checking link probe-point segments between the two
 // configurations.
-func (l Linkage) EdgeFree(e *env.Environment, a, b Config) (bool, int) {
-	pa, pb := l.jointPositions(a), l.jointPositions(b)
+func (l Linkage) EdgeFree(e *env.Environment, a, b Config, sc *Scratch) (bool, int) {
+	nj := len(l.LinkLen) + 1
+	sc.worldA = growVecs(sc.worldA, nj, 2)
+	sc.worldB = growVecs(sc.worldB, nj, 2)
+	pa, pb := sc.worldA, sc.worldB
+	l.jointPositionsInto(a, pa)
+	l.jointPositionsInto(b, pb)
 	tests := 0
 	np := l.probes()
-	for i := 0; i+1 < len(pa); i++ {
+	for i := 0; i+1 < nj; i++ {
 		for p := 0; p <= np; p++ {
 			t := float64(p) / float64(np)
-			free, n := e.SegmentFree(pa[i].Lerp(pa[i+1], t), pb[i].Lerp(pb[i+1], t))
+			sc.pa = geom.LerpInto(sc.pa, pa[i], pa[i+1], t)
+			sc.pb = geom.LerpInto(sc.pb, pb[i], pb[i+1], t)
+			free, n := e.SegmentFree(sc.pa, sc.pb)
 			tests += n
 			if !free {
 				return false, tests

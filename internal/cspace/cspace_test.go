@@ -110,11 +110,11 @@ func TestWeightedDistance(t *testing.T) {
 func TestStepToward(t *testing.T) {
 	s := NewPointSpace(env.Free())
 	a, b := geom.V(0, 0, 0), geom.V(1, 0, 0)
-	q, reached := s.StepToward(a, b, 0.25)
+	q, reached := s.StepTowardInto(nil, a, b, 0.25)
 	if reached || math.Abs(q[0]-0.25) > 1e-12 {
 		t.Fatalf("step = %v reached=%v", q, reached)
 	}
-	q, reached = s.StepToward(a, b, 2)
+	q, reached = s.StepTowardInto(q, a, b, 2)
 	if !reached || !q.Equal(b, 1e-12) {
 		t.Fatalf("full step = %v reached=%v", q, reached)
 	}
@@ -161,13 +161,14 @@ func TestRigidBodyOrientationMatters(t *testing.T) {
 
 func TestLinkageKinematics(t *testing.T) {
 	l := Linkage{Base: geom.V(0.5, 0.5), LinkLen: []float64{0.1, 0.1}}
-	tip := l.EndEffector(geom.V(0, 0))
-	if !tip.Equal(geom.V(0.7, 0.5), 1e-12) {
-		t.Fatalf("straight tip = %v", tip)
+	pos := growVecs(nil, 3, 2)
+	l.jointPositionsInto(geom.V(0, 0), pos)
+	if !pos[2].Equal(geom.V(0.7, 0.5), 1e-12) {
+		t.Fatalf("straight tip = %v", pos[2])
 	}
-	tip = l.EndEffector(geom.V(0, math.Pi/2))
-	if !tip.Equal(geom.V(0.6, 0.6), 1e-12) {
-		t.Fatalf("bent tip = %v", tip)
+	l.jointPositionsInto(geom.V(0, math.Pi/2), pos)
+	if !pos[2].Equal(geom.V(0.6, 0.6), 1e-12) {
+		t.Fatalf("bent tip = %v", pos[2])
 	}
 }
 
@@ -210,13 +211,5 @@ func TestDistanceSymmetryProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestInterpolate(t *testing.T) {
-	s := NewPointSpace(env.Free())
-	q := s.Interpolate(geom.V(0, 0, 0), geom.V(1, 2, 3), 0.5)
-	if !q.Equal(geom.V(0.5, 1, 1.5), 1e-12) {
-		t.Fatalf("Interpolate = %v", q)
 	}
 }

@@ -62,10 +62,10 @@ type dubinsPoint struct{}
 
 func (dubinsPoint) DOF() int { return 3 }
 
-func (dubinsPoint) ConfigFree(e *env.Environment, q Config) (bool, int) {
-	return e.CheckPoint(geom.V(q[0], q[1]))
+func (dubinsPoint) ConfigFree(e *env.Environment, q Config, _ *Scratch) (bool, int) {
+	return e.CheckPoint(q[:2])
 }
 
-func (dubinsPoint) EdgeFree(e *env.Environment, a, b Config) (bool, int) {
-	return e.SegmentFree(geom.V(a[0], a[1]), geom.V(b[0], b[1]))
+func (dubinsPoint) EdgeFree(e *env.Environment, a, b Config, _ *Scratch) (bool, int) {
+	return e.SegmentFree(a[:2], b[:2])
 }

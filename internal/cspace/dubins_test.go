@@ -27,7 +27,7 @@ func TestDubinsStepTowardAdvancesAlongCurve(t *testing.T) {
 	s := NewDubinsSpace(env.Maze2D(0, 0.2), 0.1)
 	a := geom.V(0.2, 0.2, 0)
 	b := geom.V(0.8, 0.8, math.Pi/2)
-	q, reached := s.StepToward(a, b, 0.05)
+	q, reached := s.StepTowardInto(nil, a, b, 0.05)
 	if reached {
 		t.Fatal("short step should not reach")
 	}
@@ -35,7 +35,7 @@ func TestDubinsStepTowardAdvancesAlongCurve(t *testing.T) {
 	if d := math.Hypot(q[0]-a[0], q[1]-a[1]); d > 0.05+1e-9 {
 		t.Fatalf("stepped %v > 0.05 in workspace", d)
 	}
-	full, reached := s.StepToward(a, b, 1e9)
+	full, reached := s.StepTowardInto(nil, a, b, 1e9)
 	if !reached || !full.Equal(b, 1e-6) {
 		t.Fatalf("long step should reach b exactly, got %v", full)
 	}

@@ -3,227 +3,45 @@ package cspace
 import (
 	"math"
 
-	"parmp/internal/env"
 	"parmp/internal/geom"
 	"parmp/internal/rng"
 )
 
-// Scratch holds the per-worker reusable buffers the collision kernels
-// write through: workspace probe positions, interpolated configurations
-// and probe temporaries. A Scratch is not safe for concurrent use — each
-// worker (or pooled task) owns one. All kernels accept a nil Scratch and
-// fall back to their allocating form, so callers opt in incrementally.
+// Scratch holds the reusable buffers the scalar collision kernels write
+// through: workspace probe positions, interpolated configurations and
+// probe temporaries. Whoever calls a kernel owns the Scratch it passes —
+// a planner arena, a query scratch, or, in the signature-preserving
+// adapters (Valid, LocalPlan), a value local to the call. A Scratch is
+// not safe for concurrent use and is never shared: a package-level one
+// would make every caller of Valid a writer of the same buffers. The
+// zero value is ready; a dirty one gives the same answers as a fresh one.
 type Scratch struct {
 	worldA []geom.Vec // probe positions at the first configuration
 	worldB []geom.Vec // probe positions at the second configuration
-	qa, qb Config     // interpolated configurations (LocalPlanS ping-pong)
+	qa, qb Config     // interpolated configurations (local-plan ping-pong)
 	pa, pb geom.Vec   // per-probe temporaries (must not alias qa/qb)
 }
 
-// growVecs resizes buf to n vectors of dimension dim, reusing both the
-// outer slice and each vector's storage.
+// growVecs returns buf as n vectors of dimension dim. A buffer of that
+// shape is reused; otherwise the vectors are cut from one fresh slab, so
+// a cold scratch costs two allocations whatever the probe count. Every
+// buffer it is handed came from it, so the first vector's shape is
+// every vector's.
 func growVecs(buf []geom.Vec, n, dim int) []geom.Vec {
-	if cap(buf) < n {
-		next := make([]geom.Vec, n)
-		copy(next, buf[:cap(buf)])
-		buf = next
+	if len(buf) == n && (n == 0 || len(buf[0]) == dim) {
+		return buf
 	}
-	buf = buf[:n]
+	slab := make([]float64, n*dim)
+	buf = make([]geom.Vec, n)
 	for i := range buf {
-		if cap(buf[i]) < dim {
-			buf[i] = make(geom.Vec, dim)
-		} else {
-			buf[i] = buf[i][:dim]
-		}
+		buf[i] = slab[i*dim : (i+1)*dim : (i+1)*dim]
 	}
 	return buf
 }
 
-// ScratchRobot is implemented by robots whose collision kernels can run
-// allocation-free through a Scratch. The S variants must return exactly
-// what ConfigFree/EdgeFree return for the same inputs.
-type ScratchRobot interface {
-	Robot
-	ConfigFreeS(e *env.Environment, q Config, sc *Scratch) (bool, int)
-	EdgeFreeS(e *env.Environment, a, b Config, sc *Scratch) (bool, int)
-}
-
-// ConfigFreeS implements ScratchRobot: probe points land in the scratch
-// world buffer instead of a fresh slice.
-func (r RigidBody) ConfigFreeS(e *env.Environment, q Config, sc *Scratch) (bool, int) {
-	if sc == nil {
-		return r.ConfigFree(e, q)
-	}
-	tr := r.pose(q)
-	sc.worldA = growVecs(sc.worldA, len(r.BodyPoints), 3)
-	world := sc.worldA
-	tests := 0
-	for i, bp := range r.BodyPoints {
-		tr.ApplyInto(world[i], bp)
-		free, n := e.CheckPoint(world[i])
-		tests += n
-		if !free {
-			return false, tests
-		}
-	}
-	for i := 1; i < len(world); i++ {
-		free, n := e.SegmentFree(world[0], world[i])
-		tests += n
-		if !free {
-			return false, tests
-		}
-	}
-	return true, tests
-}
-
-// EdgeFreeS implements ScratchRobot.
-func (r RigidBody) EdgeFreeS(e *env.Environment, a, b Config, sc *Scratch) (bool, int) {
-	if sc == nil {
-		return r.EdgeFree(e, a, b)
-	}
-	ta, tb := r.pose(a), r.pose(b)
-	tests := 0
-	for _, bp := range r.BodyPoints {
-		sc.pa = ta.ApplyInto(sc.pa, bp)
-		sc.pb = tb.ApplyInto(sc.pb, bp)
-		free, n := e.SegmentFree(sc.pa, sc.pb)
-		tests += n
-		if !free {
-			return false, tests
-		}
-	}
-	return true, tests
-}
-
-// jointPositionsInto fills pos (length len(LinkLen)+1) with the chain's
-// joint endpoint positions for q.
-func (l Linkage) jointPositionsInto(q Config, pos []geom.Vec) {
-	copy(pos[0], l.Base)
-	for i, length := range l.LinkLen {
-		pos[i+1][0] = pos[i][0] + length*math.Cos(q[i])
-		pos[i+1][1] = pos[i][1] + length*math.Sin(q[i])
-	}
-}
-
-// ConfigFreeS implements ScratchRobot.
-func (l Linkage) ConfigFreeS(e *env.Environment, q Config, sc *Scratch) (bool, int) {
-	if sc == nil {
-		return l.ConfigFree(e, q)
-	}
-	sc.worldA = growVecs(sc.worldA, len(l.LinkLen)+1, 2)
-	pos := sc.worldA
-	l.jointPositionsInto(q, pos)
-	tests := 0
-	for _, p := range pos {
-		free, n := e.CheckPoint(p)
-		tests += n
-		if !free {
-			return false, tests
-		}
-	}
-	for i := 0; i+1 < len(pos); i++ {
-		free, n := e.SegmentFree(pos[i], pos[i+1])
-		tests += n
-		if !free {
-			return false, tests
-		}
-	}
-	return true, tests
-}
-
-// EdgeFreeS implements ScratchRobot.
-func (l Linkage) EdgeFreeS(e *env.Environment, a, b Config, sc *Scratch) (bool, int) {
-	if sc == nil {
-		return l.EdgeFree(e, a, b)
-	}
-	nj := len(l.LinkLen) + 1
-	sc.worldA = growVecs(sc.worldA, nj, 2)
-	sc.worldB = growVecs(sc.worldB, nj, 2)
-	pa, pb := sc.worldA, sc.worldB
-	l.jointPositionsInto(a, pa)
-	l.jointPositionsInto(b, pb)
-	tests := 0
-	np := l.probes()
-	for i := 0; i+1 < nj; i++ {
-		for p := 0; p <= np; p++ {
-			t := float64(p) / float64(np)
-			sc.pa = geom.LerpInto(sc.pa, pa[i], pa[i+1], t)
-			sc.pb = geom.LerpInto(sc.pb, pb[i], pb[i+1], t)
-			free, n := e.SegmentFree(sc.pa, sc.pb)
-			tests += n
-			if !free {
-				return false, tests
-			}
-		}
-	}
-	return true, tests
-}
-
-// placedInto fills out (length len(Outline)) with the workspace outline
-// for configuration q.
-func (r RigidBody2D) placedInto(q Config, out []geom.Vec) {
-	sin, cos := math.Sincos(q[2])
-	for i, v := range r.Outline {
-		out[i][0] = q[0] + v[0]*cos - v[1]*sin
-		out[i][1] = q[1] + v[0]*sin + v[1]*cos
-	}
-}
-
-// ConfigFreeS implements ScratchRobot.
-func (r RigidBody2D) ConfigFreeS(e *env.Environment, q Config, sc *Scratch) (bool, int) {
-	if sc == nil {
-		return r.ConfigFree(e, q)
-	}
-	sc.worldA = growVecs(sc.worldA, len(r.Outline), 2)
-	pts := sc.worldA
-	r.placedInto(q, pts)
-	tests := 0
-	for _, p := range pts {
-		free, n := e.CheckPoint(p)
-		tests += n
-		if !free {
-			return false, tests
-		}
-	}
-	n := len(pts)
-	for i := 0; i < n; i++ {
-		free, k := e.SegmentFree(pts[i], pts[(i+1)%n])
-		tests += k
-		if !free {
-			return false, tests
-		}
-	}
-	return true, tests
-}
-
-// EdgeFreeS implements ScratchRobot.
-func (r RigidBody2D) EdgeFreeS(e *env.Environment, a, b Config, sc *Scratch) (bool, int) {
-	if sc == nil {
-		return r.EdgeFree(e, a, b)
-	}
-	sc.worldA = growVecs(sc.worldA, len(r.Outline), 2)
-	sc.worldB = growVecs(sc.worldB, len(r.Outline), 2)
-	pa, pb := sc.worldA, sc.worldB
-	r.placedInto(a, pa)
-	r.placedInto(b, pb)
-	tests := 0
-	for i := range pa {
-		free, n := e.SegmentFree(pa[i], pb[i])
-		tests += n
-		if !free {
-			return false, tests
-		}
-	}
-	return true, tests
-}
-
-// ValidS is Valid routed through a scratch when the robot supports it.
+// ValidS reports whether q is collision-free, metering work into c.
 func (s *Space) ValidS(q Config, sc *Scratch, c *Counters) bool {
-	sr, ok := s.Robot.(ScratchRobot)
-	if !ok || sc == nil {
-		return s.Valid(q, c)
-	}
-	free, tests := sr.ConfigFreeS(s.Env, q, sc)
+	free, tests := s.Robot.ConfigFree(s.Env, q, sc)
 	if c != nil {
 		c.CDCalls++
 		c.CDObstacle += int64(tests)
@@ -231,15 +49,7 @@ func (s *Space) ValidS(q Config, sc *Scratch, c *Counters) bool {
 	return free
 }
 
-// edgeFreeS dispatches an edge sweep through the scratch when possible.
-func (s *Space) edgeFreeS(a, b Config, sc *Scratch) (bool, int) {
-	if sr, ok := s.Robot.(ScratchRobot); ok && sc != nil {
-		return sr.EdgeFreeS(s.Env, a, b, sc)
-	}
-	return s.Robot.EdgeFree(s.Env, a, b)
-}
-
-// LocalPlanS is the allocation-free local planner: interpolated
+// LocalPlanS is the bisection-order local planner: interpolated
 // configurations live in the scratch's ping-pong buffers and the
 // intermediate points are validity-checked in bisection order (endpoint
 // first, then recursive midpoints) before the edge sweeps run, so paths
@@ -253,7 +63,7 @@ func (s *Space) edgeFreeS(a, b Config, sc *Scratch) (bool, int) {
 // possibly at a different check). Steered spaces fall back to LocalPlan —
 // Steering.Interp allocates its result by contract.
 func (s *Space) LocalPlanS(a, b Config, sc *Scratch, c *Counters) bool {
-	if s.Steer != nil || sc == nil {
+	if s.Steer != nil {
 		return s.LocalPlan(a, b, c)
 	}
 	if c != nil {
@@ -293,7 +103,7 @@ func (s *Space) LocalPlanS(a, b Config, sc *Scratch, c *Counters) bool {
 	sc.qb = prev
 	for i := 1; i <= steps; i++ {
 		sc.qa = geom.LerpInto(sc.qa, a, b, float64(i)/float64(steps))
-		free, tests := s.edgeFreeS(prev, sc.qa, sc)
+		free, tests := s.Robot.EdgeFree(s.Env, prev, sc.qa, sc)
 		if c != nil {
 			c.CDObstacle += int64(tests)
 		}
@@ -306,8 +116,10 @@ func (s *Space) LocalPlanS(a, b Config, sc *Scratch, c *Counters) bool {
 	return true
 }
 
-// SampleInInto is SampleIn writing into dst (growing it as needed). The
-// RNG stream consumption is identical to SampleIn.
+// SampleInInto draws a uniform configuration into dst (growing it as
+// needed) whose positional coordinates lie in region (a sub-box of the
+// first region.Dim() C-space dimensions); remaining dimensions are drawn
+// from the full C-space bounds. The sample is not validity-checked.
 func (s *Space) SampleInInto(dst Config, region geom.AABB, r *rng.Stream, c *Counters) Config {
 	d := s.Dim()
 	if cap(dst) < d {
@@ -327,22 +139,10 @@ func (s *Space) SampleInInto(dst Config, region geom.AABB, r *rng.Stream, c *Cou
 	return dst
 }
 
-// SampleFreeInInto is SampleFreeIn through scratch buffers: candidates
-// are drawn into dst and validity-checked via ValidS. On success the
-// returned config is dst itself — callers must Clone before retaining it
-// past the next use of dst.
-func (s *Space) SampleFreeInInto(dst Config, region geom.AABB, r *rng.Stream, maxTries int, sc *Scratch, c *Counters) (Config, bool) {
-	for t := 0; t < maxTries; t++ {
-		dst = s.SampleInInto(dst, region, r, c)
-		if s.ValidS(dst, sc, c) {
-			return dst, true
-		}
-	}
-	return dst, false
-}
-
-// StepTowardInto is StepToward writing into dst. The returned config is
-// dst (or a copy of b into dst when b is reached).
+// StepTowardInto writes into dst the configuration at most stepSize from
+// a toward b — along the straight line (metric distance) or the steering
+// curve (arc length) when Steer is set — and reports whether it reached b
+// exactly. The returned config is dst (grown as needed).
 func (s *Space) StepTowardInto(dst Config, a, b Config, stepSize float64) (Config, bool) {
 	if s.Steer != nil {
 		d := s.Steer.PathLength(a, b)

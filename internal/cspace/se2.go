@@ -27,20 +27,22 @@ func NewRigidRect(hx, hy float64) RigidBody2D {
 // DOF implements Robot.
 func (r RigidBody2D) DOF() int { return 3 }
 
-// placed returns the workspace outline for configuration q.
-func (r RigidBody2D) placed(q Config) []geom.Vec {
+// placedInto fills out (length len(Outline)) with the workspace outline
+// for configuration q.
+func (r RigidBody2D) placedInto(q Config, out []geom.Vec) {
 	sin, cos := math.Sincos(q[2])
-	out := make([]geom.Vec, len(r.Outline))
 	for i, v := range r.Outline {
-		out[i] = geom.V(q[0]+v[0]*cos-v[1]*sin, q[1]+v[0]*sin+v[1]*cos)
+		out[i][0] = q[0] + v[0]*cos - v[1]*sin
+		out[i][1] = q[1] + v[0]*sin + v[1]*cos
 	}
-	return out
 }
 
 // ConfigFree implements Robot: every outline vertex must be free and
 // every outline edge must avoid obstacles.
-func (r RigidBody2D) ConfigFree(e *env.Environment, q Config) (bool, int) {
-	pts := r.placed(q)
+func (r RigidBody2D) ConfigFree(e *env.Environment, q Config, sc *Scratch) (bool, int) {
+	sc.worldA = growVecs(sc.worldA, len(r.Outline), 2)
+	pts := sc.worldA
+	r.placedInto(q, pts)
 	tests := 0
 	for _, p := range pts {
 		free, n := e.CheckPoint(p)
@@ -63,8 +65,12 @@ func (r RigidBody2D) ConfigFree(e *env.Environment, q Config) (bool, int) {
 // EdgeFree implements Robot: each outline vertex sweeps a segment between
 // the two configurations (valid for the small steps the local planner
 // takes).
-func (r RigidBody2D) EdgeFree(e *env.Environment, a, b Config) (bool, int) {
-	pa, pb := r.placed(a), r.placed(b)
+func (r RigidBody2D) EdgeFree(e *env.Environment, a, b Config, sc *Scratch) (bool, int) {
+	sc.worldA = growVecs(sc.worldA, len(r.Outline), 2)
+	sc.worldB = growVecs(sc.worldB, len(r.Outline), 2)
+	pa, pb := sc.worldA, sc.worldB
+	r.placedInto(a, pa)
+	r.placedInto(b, pb)
 	tests := 0
 	for i := range pa {
 		free, n := e.SegmentFree(pa[i], pb[i])

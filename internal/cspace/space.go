@@ -23,7 +23,7 @@ type Space struct {
 	// Resolution is the local planner step size in metric distance.
 	Resolution float64
 	// Steer, when non-nil, replaces straight-line motion in LocalPlan and
-	// StepToward with a kinematically feasible curve (e.g. Dubins paths
+	// StepTowardInto with a kinematically feasible curve (e.g. Dubins paths
 	// for a car). Distance remains the symmetric metric used by
 	// nearest-neighbour structures.
 	Steer Steering
@@ -105,63 +105,49 @@ func (s *Space) Distance(a, b Config) float64 {
 	return math.Sqrt(sum)
 }
 
-// SampleIn draws a uniform configuration whose positional coordinates lie
-// in region (a sub-box of the first region.Dim() C-space dimensions);
-// remaining dimensions are drawn from the full C-space bounds. The sample
-// is not validity-checked.
+// SampleIn is SampleInInto into a fresh configuration.
 func (s *Space) SampleIn(region geom.AABB, r *rng.Stream, c *Counters) Config {
-	q := make(Config, s.Dim())
-	for i := range q {
-		if i < region.Dim() {
-			q[i] = r.Range(region.Lo[i], region.Hi[i])
-		} else {
-			q[i] = r.Range(s.Bounds.Lo[i], s.Bounds.Hi[i])
-		}
-	}
-	if c != nil {
-		c.Samples++
-	}
-	return q
+	return s.SampleInInto(nil, region, r, c)
 }
 
 // SampleFreeIn draws uniform configurations in region until one is valid
 // or maxTries is exhausted; ok reports success. Collision work is
 // accumulated into c.
 func (s *Space) SampleFreeIn(region geom.AABB, r *rng.Stream, maxTries int, c *Counters) (Config, bool) {
+	var sc Scratch
+	var q Config
 	for t := 0; t < maxTries; t++ {
-		q := s.SampleIn(region, r, c)
-		if s.Valid(q, c) {
+		q = s.SampleInInto(q, region, r, c)
+		if s.ValidS(q, &sc, c) {
 			return q, true
 		}
 	}
 	return nil, false
 }
 
-// Valid reports whether q is collision-free, metering work into c.
+// Valid is ValidS for callers that hold no scratch: the scratch is local
+// to the call.
 func (s *Space) Valid(q Config, c *Counters) bool {
-	free, tests := s.Robot.ConfigFree(s.Env, q)
-	if c != nil {
-		c.CDCalls++
-		c.CDObstacle += int64(tests)
-	}
-	return free
+	var sc Scratch
+	return s.ValidS(q, &sc, c)
 }
 
-// LocalPlan reports whether the path a→b (straight line, or the steering
-// curve when Steer is set) is valid at the space's resolution. Work (one
-// validity check plus one edge sweep per step) is metered into c. The
-// endpoints are assumed already validated.
+// LocalPlan is the sequential local planner: it reports whether the path
+// a→b (straight line, or the steering curve when Steer is set) is valid
+// at the space's resolution, marching from a and stopping at the first
+// failed check. Work (one validity check plus one edge sweep per step)
+// is metered into c. The endpoints are assumed already validated. It is
+// the only order a steered space can use, and the one callers without a
+// scratch of their own use (repair, path utilities, tree attach): its
+// scratch is local to the call.
 func (s *Space) LocalPlan(a, b Config, c *Counters) bool {
+	var sc Scratch
 	if c != nil {
 		c.LPCalls++
 	}
-	var total float64
-	interp := func(t float64) Config { return a.Lerp(b, t) }
+	total := s.Distance(a, b)
 	if s.Steer != nil {
 		total = s.Steer.PathLength(a, b)
-		interp = func(t float64) Config { return s.Steer.Interp(a, b, t*total) }
-	} else {
-		total = s.Distance(a, b)
 	}
 	steps := int(math.Ceil(total / s.Resolution))
 	if steps < 1 {
@@ -169,14 +155,22 @@ func (s *Space) LocalPlan(a, b Config, c *Counters) bool {
 	}
 	prev := a
 	for i := 1; i <= steps; i++ {
-		q := interp(float64(i) / float64(steps))
+		t := float64(i) / float64(steps)
+		var q Config
+		if s.Steer != nil {
+			q = s.Steer.Interp(a, b, t*total)
+		} else {
+			// Ping-pong: prev, the last step's q, lives in the other buffer.
+			q = geom.LerpInto(sc.qa, a, b, t)
+			sc.qa, sc.qb = sc.qb, q
+		}
 		if c != nil {
 			c.LPSteps++
 		}
-		if !s.Valid(q, c) {
+		if !s.ValidS(q, &sc, c) {
 			return false
 		}
-		free, tests := s.Robot.EdgeFree(s.Env, prev, q)
+		free, tests := s.Robot.EdgeFree(s.Env, prev, q, &sc)
 		if c != nil {
 			c.CDObstacle += int64(tests)
 		}
@@ -186,27 +180,4 @@ func (s *Space) LocalPlan(a, b Config, c *Counters) bool {
 		prev = q
 	}
 	return true
-}
-
-// Interpolate returns the configuration at fraction t along a→b.
-func (s *Space) Interpolate(a, b Config, t float64) Config {
-	return a.Lerp(b, t)
-}
-
-// StepToward returns the configuration at most stepSize from a toward b —
-// along the straight line (metric distance) or the steering curve (arc
-// length) when Steer is set — and whether it reached b exactly.
-func (s *Space) StepToward(a, b Config, stepSize float64) (Config, bool) {
-	if s.Steer != nil {
-		d := s.Steer.PathLength(a, b)
-		if d <= stepSize {
-			return b.Clone(), true
-		}
-		return s.Steer.Interp(a, b, stepSize), false
-	}
-	d := s.Distance(a, b)
-	if d <= stepSize {
-		return b.Clone(), true
-	}
-	return a.Lerp(b, stepSize/d), false
 }

@@ -264,16 +264,6 @@ func TestImbalanceDecaysWithMoreProcs(t *testing.T) {
 	}
 }
 
-func TestStaticPhase(t *testing.T) {
-	mk, per := StaticPhase([][]float64{{1, 2, 3}, {10}, {}})
-	if mk != 10 {
-		t.Fatalf("makespan = %v", mk)
-	}
-	if per[0] != 6 || per[1] != 10 || per[2] != 0 {
-		t.Fatalf("perProc = %v", per)
-	}
-}
-
 func TestTerminationDetectionCharged(t *testing.T) {
 	rows := [][]float64{{5, 5}, {5, 5}}
 	noLB := Run(Config{Workers: 2, Profile: testProfile()}, fixedTasks(rows))

@@ -196,7 +196,7 @@ func TestRayEnter(t *testing.T) {
 }
 
 func TestQuatRotate(t *testing.T) {
-	q := QuatFromAxisAngle(V(0, 0, 1), math.Pi/2)
+	q := QuatFromEuler(0, 0, math.Pi/2)
 	got := q.Rotate(V(1, 0, 0))
 	if !got.Equal(V(0, 1, 0), 1e-12) {
 		t.Fatalf("Rotate = %v", got)
@@ -204,8 +204,8 @@ func TestQuatRotate(t *testing.T) {
 }
 
 func TestQuatComposition(t *testing.T) {
-	q1 := QuatFromAxisAngle(V(0, 0, 1), math.Pi/2)
-	q2 := QuatFromAxisAngle(V(1, 0, 0), math.Pi/2)
+	q1 := QuatFromEuler(0, 0, math.Pi/2)
+	q2 := QuatFromEuler(math.Pi/2, 0, 0)
 	v := V(0, 1, 0)
 	seq := q1.Rotate(q2.Rotate(v))
 	comp := q1.Mul(q2).Rotate(v)
@@ -241,7 +241,7 @@ func TestQuatRotationPreservesNorm(t *testing.T) {
 }
 
 func TestTransformApplyCompose(t *testing.T) {
-	a := Transform{R: QuatFromAxisAngle(V(0, 0, 1), math.Pi/2), T: V(1, 0, 0)}
+	a := Transform{R: QuatFromEuler(0, 0, math.Pi/2), T: V(1, 0, 0)}
 	b := Transform{R: QuatIdentity, T: V(0, 1, 0)}
 	p := V(1, 0, 0)
 	seq := a.Apply(b.Apply(p))
@@ -263,19 +263,9 @@ func TestSampleOnSphereUnit(t *testing.T) {
 	}
 }
 
-func TestSampleInBallInside(t *testing.T) {
-	r := rng.New(2)
-	for i := 0; i < 1000; i++ {
-		p := SampleInBall(3, r)
-		if p.Norm() > 1+1e-12 {
-			t.Fatalf("ball sample outside: %v", p.Norm())
-		}
-	}
-}
-
 func TestSampleOnSphereMeanNearZero(t *testing.T) {
 	r := rng.New(3)
-	mean := NewVec(3)
+	mean := make(Vec, 3)
 	const n = 20000
 	for i := 0; i < n; i++ {
 		mean = mean.Add(SampleOnSphere(3, r))

@@ -25,14 +25,6 @@ func QuatFromEuler(roll, pitch, yaw float64) Quat {
 	}
 }
 
-// QuatFromAxisAngle builds a rotation of angle radians about axis (which
-// need not be normalized).
-func QuatFromAxisAngle(axis Vec, angle float64) Quat {
-	u := axis.Unit()
-	s := math.Sin(angle / 2)
-	return Quat{W: math.Cos(angle / 2), X: u[0] * s, Y: u[1] * s, Z: u[2] * s}
-}
-
 // Mul returns the composition q∘r (apply r first, then q).
 func (q Quat) Mul(r Quat) Quat {
 	return Quat{
@@ -78,11 +70,6 @@ func (q Quat) Rotate(v Vec) Vec {
 type Transform struct {
 	R Quat
 	T Vec
-}
-
-// TransformIdentity returns the identity transform in 3D.
-func TransformIdentity() Transform {
-	return Transform{R: QuatIdentity, T: V(0, 0, 0)}
 }
 
 // Apply maps a point from body frame to world frame.

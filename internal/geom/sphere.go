@@ -41,13 +41,6 @@ func SampleOnSphereInto(dst Vec, d int, r *rng.Stream) Vec {
 	}
 }
 
-// SampleInBall returns a uniformly distributed point inside the unit
-// d-ball, via surface sample scaled by U^(1/d).
-func SampleInBall(d int, r *rng.Stream) Vec {
-	s := SampleOnSphere(d, r)
-	return s.Scale(math.Pow(r.Float64(), 1/float64(d)))
-}
-
 // FibonacciSphere returns n nearly-uniform deterministic points on the
 // 2-sphere in 3D (the Fibonacci lattice). Useful for reproducible radial
 // subdivisions independent of a random stream.

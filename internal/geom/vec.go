@@ -15,9 +15,6 @@ import (
 // Vec is a point or direction in d-dimensional space.
 type Vec []float64
 
-// NewVec returns a zero vector of dimension d.
-func NewVec(d int) Vec { return make(Vec, d) }
-
 // V constructs a vector from its components.
 func V(xs ...float64) Vec { return Vec(xs) }
 

@@ -13,13 +13,11 @@
 package kernelbench
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"testing"
 
+	"parmp/internal/bench"
 	"parmp/internal/cspace"
 	"parmp/internal/env"
 	"parmp/internal/geom"
@@ -101,27 +99,17 @@ func RunAll() []Result {
 	return out
 }
 
-// WriteJSON emits the results as indented JSON.
-func WriteJSON(w io.Writer, rs []Result) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rs)
-}
+// MaxAllocs is the allocs/op ceiling every kernel must stay under: the
+// pooled kernels sit at 0–1 and the snapshot queries at a few dozen,
+// while a per-node or per-probe allocation runs to thousands.
+const MaxAllocs = 50
 
-// CheckMaxAllocs returns an error naming every kernel whose allocs/op
-// exceeds max — the CI regression gate.
-func CheckMaxAllocs(rs []Result, max int64) error {
-	var bad []string
-	for _, r := range rs {
-		if r.AllocsPerOp > max {
-			bad = append(bad, fmt.Sprintf("%s (%d allocs/op)", r.Name, r.AllocsPerOp))
-		}
-	}
-	if len(bad) > 0 {
-		return fmt.Errorf("kernels exceed %d allocs/op: %v", max, bad)
-	}
-	return nil
-}
+// BatchMaxRatio bounds each batched kernel's per-item time relative to
+// its scalar counterpart's (1.15 = at most 15 % slower per item):
+// batching must never be a tax. The ratio is machine-independent — both
+// sides run on the same host in the same process — so the gate needs no
+// stored baseline.
+const BatchMaxRatio = 1.15
 
 // batchPairs maps each batched kernel to its scalar counterpart. Both
 // sides of a pair process the same inputs (the scalar kernel one item
@@ -134,70 +122,26 @@ var batchPairs = []struct{ batch, scalar string }{
 	{"NearestBatch", "NearestInto"},
 }
 
-// CheckBatchNs enforces the batched kernels' ns regression gate: each
-// batch kernel's per-item time must stay within maxRatio of its scalar
-// counterpart's (e.g. 1.15 = at most 15% slower per item). The ratio is
-// machine-independent — both sides run on the same host in the same
-// process — so CI needs no stored baseline for this check.
-func CheckBatchNs(rs []Result, maxRatio float64) error {
+// Check is the CI kernel gate: every kernel within MaxAllocs, every
+// batch pair within BatchMaxRatio. A pair with a side missing from rs is
+// skipped, so a partial run gates what it ran.
+func Check(rs []Result) error {
 	byName := make(map[string]Result, len(rs))
+	var limits []bench.Limit
 	for _, r := range rs {
 		byName[r.Name] = r
+		limits = append(limits, bench.Limit{Name: r.Name + " allocs/op",
+			Cur: float64(r.AllocsPerOp), Ref: MaxAllocs, Kind: bench.Ceiling})
 	}
-	var bad []string
 	for _, p := range batchPairs {
 		b, okB := byName[p.batch]
 		s, okS := byName[p.scalar]
-		if !okB || !okS {
-			continue
-		}
-		if s.NsPerItem <= 0 {
-			continue
-		}
-		if ratio := b.NsPerItem / s.NsPerItem; ratio > maxRatio {
-			bad = append(bad, fmt.Sprintf("%s %.1f ns/item vs %s %.1f ns/item (%.2fx > %.2fx)",
-				p.batch, b.NsPerItem, p.scalar, s.NsPerItem, ratio, maxRatio))
+		if okB && okS {
+			limits = append(limits, bench.Limit{Name: p.batch + " ns/item vs " + p.scalar,
+				Cur: b.NsPerItem, Ref: s.NsPerItem, Kind: bench.Regress, Tol: BatchMaxRatio - 1})
 		}
 	}
-	if len(bad) > 0 {
-		return fmt.Errorf("batch kernels regressed past the scalar baseline: %v", bad)
-	}
-	return nil
-}
-
-// ReadJSON parses results previously written by WriteJSON.
-func ReadJSON(r io.Reader) ([]Result, error) {
-	var rs []Result
-	if err := json.NewDecoder(r).Decode(&rs); err != nil {
-		return nil, err
-	}
-	return rs, nil
-}
-
-// CheckNsRegression compares current results against a stored baseline:
-// any kernel present in both whose ns/op grew by more than maxRegress
-// (0.15 = 15%) fails the gate. Kernels absent from the baseline are
-// skipped, so adding a kernel never breaks an old baseline file.
-func CheckNsRegression(cur, baseline []Result, maxRegress float64) error {
-	base := make(map[string]Result, len(baseline))
-	for _, r := range baseline {
-		base[r.Name] = r
-	}
-	var bad []string
-	for _, r := range cur {
-		b, ok := base[r.Name]
-		if !ok || b.NsPerOp <= 0 {
-			continue
-		}
-		if r.NsPerOp > b.NsPerOp*(1+maxRegress) {
-			bad = append(bad, fmt.Sprintf("%s %.1f ns/op vs baseline %.1f ns/op (+%.0f%%)",
-				r.Name, r.NsPerOp, b.NsPerOp, (r.NsPerOp/b.NsPerOp-1)*100))
-		}
-	}
-	if len(bad) > 0 {
-		return fmt.Errorf("kernels regressed more than %.0f%% over baseline: %v", maxRegress*100, bad)
-	}
-	return nil
+	return bench.Check("kernel gate", limits)
 }
 
 func benchConnectRegion(b *testing.B) {
@@ -264,7 +208,6 @@ func benchConfigFree(b *testing.B) {
 
 func benchConfigFreeBatch(b *testing.B) {
 	s := rigidBenchSpace()
-	robot := s.Robot.(cspace.BatchRobot)
 	qs := freeConfigs(s, batchConfigs, 11)
 	var bt cspace.Batch
 	bt.Reset(s.Dim())
@@ -274,7 +217,7 @@ func benchConfigFreeBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		robot.ConfigFreeBatch(s.Env, &bt)
+		s.Robot.ConfigFreeBatch(s.Env, &bt)
 	}
 }
 
@@ -289,7 +232,7 @@ func linkageBenchEdges(e *env.Environment, l cspace.Linkage, s *cspace.Space, n 
 		for i := range bb {
 			bb[i] += 0.01
 		}
-		if ok, _ := l.EdgeFreeS(e, a, bb, &sc); ok {
+		if ok, _ := l.EdgeFree(e, a, bb, &sc); ok {
 			qa = append(qa, a)
 			qb = append(qb, bb)
 		}
@@ -311,7 +254,7 @@ func benchEdgeFreeLinkage(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j := i % len(qa)
-		l.EdgeFreeS(e, qa[j], qb[j], &sc)
+		l.EdgeFree(e, qa[j], qb[j], &sc)
 	}
 }
 

@@ -1,11 +1,12 @@
 package kernelbench
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"parmp/internal/bench"
 )
 
 // TestRunOneKernel smoke-tests the testing.Benchmark plumbing on the
@@ -36,6 +37,17 @@ func TestKernelsNamedAndSorted(t *testing.T) {
 			t.Fatalf("kernels not sorted: %q before %q", ks[i-1].Name, k.Name)
 		}
 	}
+	// Check skips a pair with a side missing from the results, so a
+	// renamed or dropped kernel would switch its batch gate off silently.
+	names := make(map[string]bool, len(ks))
+	for _, k := range ks {
+		names[k.Name] = true
+	}
+	for _, p := range batchPairs {
+		if !names[p.batch] || !names[p.scalar] {
+			t.Errorf("batchPairs names %q vs %q, not both in Kernels()", p.batch, p.scalar)
+		}
+	}
 }
 
 func TestWriteJSONRoundTrip(t *testing.T) {
@@ -43,12 +55,12 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 		{Name: "A", Iterations: 3, NsPerOp: 12.5, AllocsPerOp: 1, BytesPerOp: 64},
 		{Name: "B", Iterations: 9, NsPerOp: 0.5},
 	}
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, in); err != nil {
+	path := filepath.Join(t.TempDir(), "BENCH_kernels.json")
+	if err := bench.WriteFile(path, in); err != nil {
 		t.Fatal(err)
 	}
-	var out []Result
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
+	out, err := bench.Load[[]Result](path)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != len(in) || out[0] != in[0] || out[1] != in[1] {
@@ -78,11 +90,11 @@ func TestCheckBatchNs(t *testing.T) {
 		{Name: "NearestInto", NsPerOp: 100, ItemsPerOp: 1, NsPerItem: 100},
 		{Name: "NearestBatch", NsPerOp: 6400, ItemsPerOp: 64, NsPerItem: 100},
 	}
-	if err := CheckBatchNs(rs, 1.15); err != nil {
+	if err := Check(rs); err != nil {
 		t.Fatalf("within-ratio results failed the gate: %v", err)
 	}
-	rs[1].NsPerItem = 120 // 1.2x > 1.15x
-	err := CheckBatchNs(rs, 1.15)
+	rs[1].NsPerItem = 120 // 1.2x > BatchMaxRatio
+	err := Check(rs)
 	if err == nil {
 		t.Fatal("expected ratio gate failure")
 	}
@@ -90,58 +102,25 @@ func TestCheckBatchNs(t *testing.T) {
 		t.Fatalf("error should name only the offending pair: %v", err)
 	}
 	// Pairs with a missing side are skipped, not failed.
-	if err := CheckBatchNs(rs[:2][1:], 1.15); err != nil {
+	if err := Check(rs[1:2]); err != nil {
 		t.Fatalf("missing scalar side should be skipped: %v", err)
-	}
-}
-
-func TestCheckNsRegression(t *testing.T) {
-	base := []Result{
-		{Name: "LocalPlan", NsPerOp: 100},
-		{Name: "NearestInto", NsPerOp: 200},
-	}
-	cur := []Result{
-		{Name: "LocalPlan", NsPerOp: 110},    // +10%: fine at 15%
-		{Name: "NearestInto", NsPerOp: 260},  // +30%: regression
-		{Name: "BrandNewKernel", NsPerOp: 1}, // absent from baseline: skipped
-	}
-	err := CheckNsRegression(cur, base, 0.15)
-	if err == nil {
-		t.Fatal("expected regression error")
-	}
-	if !strings.Contains(err.Error(), "NearestInto") || strings.Contains(err.Error(), "LocalPlan ") {
-		t.Fatalf("error should name only the offender: %v", err)
-	}
-	if err := CheckNsRegression(cur, base, 0.5); err != nil {
-		t.Fatalf("generous threshold should pass: %v", err)
-	}
-
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, base); err != nil {
-		t.Fatal(err)
-	}
-	round, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(round) != len(base) || round[0] != base[0] {
-		t.Fatalf("ReadJSON round trip: got %+v, want %+v", round, base)
 	}
 }
 
 func TestCheckMaxAllocs(t *testing.T) {
 	rs := []Result{
 		{Name: "ok", AllocsPerOp: 2},
-		{Name: "hot", AllocsPerOp: 500},
+		{Name: "hot", AllocsPerOp: MaxAllocs},
 	}
-	if err := CheckMaxAllocs(rs, 500); err != nil {
+	if err := Check(rs); err != nil {
 		t.Fatalf("unexpected failure at threshold: %v", err)
 	}
-	err := CheckMaxAllocs(rs, 10)
+	rs[1].AllocsPerOp = MaxAllocs + 1
+	err := Check(rs)
 	if err == nil {
 		t.Fatal("expected regression error")
 	}
-	if !strings.Contains(err.Error(), "hot") || strings.Contains(err.Error(), "\"ok\"") {
+	if !strings.Contains(err.Error(), "hot") || strings.Contains(err.Error(), "ok ") {
 		t.Fatalf("error should name only the offender: %v", err)
 	}
 }

@@ -34,19 +34,3 @@ func BruteNearestInto(sc *QueryScratch, pts []geom.Vec, q geom.Vec, k, skip int,
 	}
 	return sc.drainSorted(dst), evals
 }
-
-// BruteNearestExcluding is BruteNearest with an index filter.
-func BruteNearestExcluding(pts []geom.Vec, q geom.Vec, k int, exclude func(int) bool) []Result {
-	if k <= 0 {
-		return nil
-	}
-	var sc QueryScratch
-	sc.reset(k)
-	for i, p := range pts {
-		if exclude != nil && exclude(i) {
-			continue
-		}
-		sc.offer(Result{Index: i, Dist2: q.Dist2(p)})
-	}
-	return sc.drainSorted(nil)
-}

@@ -23,29 +23,18 @@ type Dynamic struct {
 	tree    KDTree
 	treeLen int // how many of pts the tree covers
 
-	// rebuildMin and rebuildFrac tune the rebuild schedule; see
-	// NewDynamicTuned. Lower thresholds trade insert cost for query
-	// speed (shorter pending scans).
+	// rebuildMin and rebuildFrac are the rebuild schedule: the tree is
+	// rebuilt when more than rebuildMin points are pending and the
+	// pending buffer exceeds rebuildFrac of the tree size. Lower
+	// thresholds trade insert cost for query speed (shorter pending
+	// scans).
 	rebuildMin  int
 	rebuildFrac float64
 }
 
 // NewDynamic returns an empty index with the default rebuild schedule.
 func NewDynamic() *Dynamic {
-	return NewDynamicTuned(DefaultRebuildMin, DefaultRebuildFrac)
-}
-
-// NewDynamicTuned returns an empty index that rebuilds its tree when more
-// than min points are pending and the pending buffer exceeds frac of the
-// tree size. Non-positive arguments take the package defaults.
-func NewDynamicTuned(min int, frac float64) *Dynamic {
-	if min <= 0 {
-		min = DefaultRebuildMin
-	}
-	if frac <= 0 {
-		frac = DefaultRebuildFrac
-	}
-	return &Dynamic{rebuildMin: min, rebuildFrac: frac}
+	return &Dynamic{rebuildMin: DefaultRebuildMin, rebuildFrac: DefaultRebuildFrac}
 }
 
 // Len returns the number of indexed points.

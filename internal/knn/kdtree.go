@@ -217,28 +217,3 @@ func (t *KDTree) searchHeap(sc *QueryScratch, q geom.Vec, k, skip int) int {
 		}
 	}
 }
-
-// NearestExcluding behaves like Nearest but skips any index for which
-// exclude returns true (e.g. the query point itself).
-func (t *KDTree) NearestExcluding(q geom.Vec, k int, exclude func(int) bool) ([]Result, int) {
-	if k <= 0 || len(t.pts) == 0 {
-		return nil, 0
-	}
-	if exclude == nil {
-		return t.Nearest(q, k)
-	}
-	// In planner usage exclude matches exactly one point (the query
-	// itself), so one extra candidate is sufficient.
-	res, evals := t.Nearest(q, k+1)
-	out := res[:0]
-	for _, r := range res {
-		if exclude(r.Index) {
-			continue
-		}
-		out = append(out, r)
-		if len(out) == k {
-			break
-		}
-	}
-	return out, evals
-}

@@ -97,13 +97,14 @@ func TestNearestExcludingSelf(t *testing.T) {
 	pts := randomPoints(r, 50, 2)
 	tree := Build(pts)
 	for i, p := range pts {
-		res, _ := tree.NearestExcluding(p, 3, func(j int) bool { return j == i })
+		var sc QueryScratch
+		res, _ := tree.NearestInto(&sc, p, 3, i, nil)
 		for _, rr := range res {
 			if rr.Index == i {
 				t.Fatalf("excluded index %d returned", i)
 			}
 		}
-		want := BruteNearestExcluding(pts, p, 3, func(j int) bool { return j == i })
+		want, _ := BruteNearestInto(new(QueryScratch), pts, p, 3, i, nil)
 		if len(res) != len(want) {
 			t.Fatalf("point %d: got %d, want %d", i, len(res), len(want))
 		}

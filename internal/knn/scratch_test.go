@@ -41,10 +41,10 @@ func TestNearestIntoMatchesBruteExact(t *testing.T) {
 		want := BruteNearest(pts, q, k)
 		resultsEqual(t, "nearest", dst, want)
 
-		// Self-exclusion against the func-based brute reference.
+		// Self-exclusion against the brute reference.
 		skip := r.Intn(n)
 		dst, _ = tree.NearestInto(&sc, pts[skip], k, skip, dst[:0])
-		wantEx := BruteNearestExcluding(pts, pts[skip], k, func(j int) bool { return j == skip })
+		wantEx, _ := BruteNearestInto(new(QueryScratch), pts, pts[skip], k, skip, nil)
 		resultsEqual(t, "nearest-skip", dst, wantEx)
 	}
 }
@@ -79,7 +79,7 @@ func TestNearestIntoTieBreak(t *testing.T) {
 // growth stage, with a shared scratch.
 func TestDynamicNearestIntoMatchesBrute(t *testing.T) {
 	r := rng.New(43)
-	d := NewDynamicTuned(8, 0.25)
+	d := &Dynamic{rebuildMin: 8, rebuildFrac: 0.25}
 	var sc QueryScratch
 	var dst []Result
 	var pts []geom.Vec
@@ -97,12 +97,12 @@ func TestDynamicNearestIntoMatchesBrute(t *testing.T) {
 	}
 }
 
-// TestDynamicRebuildThreshold verifies the configurable rebuild
+// TestDynamicRebuildThreshold verifies the rebuild
 // schedule: with min=4, frac=1.0 a rebuild happens only once pending
 // exceeds both 4 and the tree length.
 func TestDynamicRebuildThreshold(t *testing.T) {
 	r := rng.New(47)
-	d := NewDynamicTuned(4, 1.0)
+	d := &Dynamic{rebuildMin: 4, rebuildFrac: 1.0}
 	for i := 0; i < 5; i++ {
 		d.Add(randomPoints(r, 1, 2)[0])
 	}

@@ -7,7 +7,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -97,49 +96,6 @@ func Sum(xs []float64) float64 {
 		s += x
 	}
 	return s
-}
-
-// Percentile returns the p-th percentile (0..100) of xs using
-// nearest-rank on a sorted copy.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	return sorted[rank-1]
-}
-
-// Histogram buckets xs into n equal-width bins over [min, max] and
-// returns the counts. Degenerate ranges place everything in bin 0.
-func Histogram(xs []float64, n int) []int {
-	counts := make([]int, n)
-	if len(xs) == 0 || n == 0 {
-		return counts
-	}
-	lo, hi := Min(xs), Max(xs)
-	if hi == lo {
-		counts[0] = len(xs)
-		return counts
-	}
-	for _, x := range xs {
-		b := int(float64(n) * (x - lo) / (hi - lo))
-		if b >= n {
-			b = n - 1
-		}
-		counts[b]++
-	}
-	return counts
 }
 
 // Table is a labelled result table: one row per sweep point, one column

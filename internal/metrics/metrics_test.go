@@ -28,9 +28,6 @@ func TestEmptyInputs(t *testing.T) {
 	if Mean(nil) != 0 || StdDev(nil) != 0 || CV(nil) != 0 || Max(nil) != 0 || Min(nil) != 0 {
 		t.Fatal("empty inputs should be zero")
 	}
-	if Percentile(nil, 50) != 0 {
-		t.Fatal("empty percentile should be zero")
-	}
 }
 
 func TestPearson(t *testing.T) {
@@ -91,43 +88,6 @@ func TestCVScaleInvariance(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if Percentile(xs, 0) != 1 {
-		t.Fatalf("P0 = %v", Percentile(xs, 0))
-	}
-	if Percentile(xs, 100) != 10 {
-		t.Fatalf("P100 = %v", Percentile(xs, 100))
-	}
-	if Percentile(xs, 50) != 5 {
-		t.Fatalf("P50 = %v", Percentile(xs, 50))
-	}
-	// Unsorted input must not matter.
-	if Percentile([]float64{9, 1, 5}, 100) != 9 {
-		t.Fatal("unsorted percentile wrong")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{0, 0.1, 0.2, 0.9, 1.0}
-	h := Histogram(xs, 2)
-	if h[0] != 3 || h[1] != 2 {
-		t.Fatalf("Histogram = %v", h)
-	}
-	total := 0
-	for _, c := range Histogram(xs, 7) {
-		total += c
-	}
-	if total != len(xs) {
-		t.Fatal("histogram loses mass")
-	}
-	// Degenerate range.
-	h = Histogram([]float64{3, 3, 3}, 4)
-	if h[0] != 3 {
-		t.Fatalf("degenerate histogram = %v", h)
 	}
 }
 

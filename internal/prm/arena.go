@@ -8,13 +8,13 @@ import (
 	"parmp/internal/knn"
 )
 
-// Arena bundles the reusable buffers one PRM task needs: collision
+// arena bundles the reusable buffers one PRM task needs: collision
 // scratch, kNN query scratch, a rebuildable kd-tree, point slices, hit
 // and edge accumulators, and the dedup set. Region tasks borrow one from
 // a sync.Pool for the duration of a kernel call, so steady-state
 // planning allocates only the nodes and edges it actually returns. An
-// Arena is not safe for concurrent use.
-type Arena struct {
+// An arena is not safe for concurrent use.
+type arena struct {
 	sc       cspace.Scratch
 	bt       cspace.Batch
 	qsc      knn.QueryScratch
@@ -30,17 +30,17 @@ type Arena struct {
 	seen     map[[2]int]bool
 }
 
-var arenaPool = sync.Pool{New: func() any { return new(Arena) }}
+var arenaPool = sync.Pool{New: func() any { return new(arena) }}
 
-// GetArena borrows an arena from the shared pool.
-func GetArena() *Arena { return arenaPool.Get().(*Arena) }
+// getArena borrows an arena from the shared pool.
+func getArena() *arena { return arenaPool.Get().(*arena) }
 
-// PutArena returns an arena to the pool. The arena keeps its buffers;
+// putArena returns an arena to the pool. The arena keeps its buffers;
 // only logical state is cleared by the kernels that use it.
-func PutArena(a *Arena) { arenaPool.Put(a) }
+func putArena(a *arena) { arenaPool.Put(a) }
 
 // points fills a.pts with the configurations of nodes.
-func (a *Arena) points(nodes []Node) []geom.Vec {
+func (a *arena) points(nodes []Node) []geom.Vec {
 	if cap(a.pts) < len(nodes) {
 		a.pts = make([]geom.Vec, len(nodes))
 	}
@@ -52,7 +52,7 @@ func (a *Arena) points(nodes []Node) []geom.Vec {
 }
 
 // auxPoints fills a.aux with the configurations of nodes.
-func (a *Arena) auxPoints(nodes []Node) []geom.Vec {
+func (a *arena) auxPoints(nodes []Node) []geom.Vec {
 	if cap(a.aux) < len(nodes) {
 		a.aux = make([]geom.Vec, len(nodes))
 	}
@@ -64,7 +64,7 @@ func (a *Arena) auxPoints(nodes []Node) []geom.Vec {
 }
 
 // resetSeen returns the cleared dedup set.
-func (a *Arena) resetSeen() map[[2]int]bool {
+func (a *arena) resetSeen() map[[2]int]bool {
 	if a.seen == nil {
 		a.seen = make(map[[2]int]bool)
 	} else {

@@ -41,20 +41,20 @@ func TestArenaReuseBitIdentical(t *testing.T) {
 	box := geom.Box3(0, 0, 0, 1, 1, 1)
 	p := Params{SamplesPerRegion: 40, K: 5}
 
-	build := func(a *Arena, seed uint64) RegionResult {
+	build := func(a *arena, seed uint64) RegionResult {
 		var res RegionResult
 		r := rng.Derive(seed, 0)
-		res.Nodes, res.Work = SampleRegionArena(s, box, 0, p, r, a)
-		edges, cw := ConnectRegionArena(s, res.Nodes, p, a)
+		res.Nodes, res.Work = sampleRegionArena(s, box, 0, p, r, a)
+		edges, cw := connectRegionArena(s, res.Nodes, p, a)
 		res.Edges = edges
 		res.Work.Add(cw)
 		return res
 	}
 
-	dirty := GetArena()
-	defer PutArena(dirty)
+	dirty := getArena()
+	defer putArena(dirty)
 	for _, seed := range []uint64{3, 4, 5} {
-		fresh := build(new(Arena), seed)
+		fresh := build(new(arena), seed)
 		for rep := 0; rep < 3; rep++ {
 			regionsEqual(t, build(dirty, seed), fresh)
 		}
@@ -99,10 +99,10 @@ func TestConnectBoundaryArenaReuse(t *testing.T) {
 	aNodes, _ := SampleRegion(s, geom.Box3(0, 0, 0, 0.5, 1, 1), 0, Params{SamplesPerRegion: 40}, rng.Derive(5, 0))
 	bNodes, _ := SampleRegion(s, geom.Box3(0.5, 0, 0, 1, 1, 1), 1, Params{SamplesPerRegion: 40}, rng.Derive(5, 1))
 	for _, maxSources := range []int{0, 8} {
-		fresh := ConnectBoundaryArena(s, aNodes, bNodes, 3, maxSources, new(Arena))
-		dirty := GetArena()
+		fresh := connectBoundaryArena(s, aNodes, bNodes, 3, maxSources, new(arena))
+		dirty := getArena()
 		for rep := 0; rep < 3; rep++ {
-			got := ConnectBoundaryArena(s, aNodes, bNodes, 3, maxSources, dirty)
+			got := connectBoundaryArena(s, aNodes, bNodes, 3, maxSources, dirty)
 			if got.Attempts != fresh.Attempts || got.Work != fresh.Work || len(got.Edges) != len(fresh.Edges) {
 				t.Fatalf("maxSources=%d rep %d: got %+v, want %+v", maxSources, rep, got, fresh)
 			}
@@ -112,6 +112,6 @@ func TestConnectBoundaryArenaReuse(t *testing.T) {
 				}
 			}
 		}
-		PutArena(dirty)
+		putArena(dirty)
 	}
 }

@@ -187,9 +187,9 @@ func TestConnectRegionIncrementalMatchesFull(t *testing.T) {
 	res := BuildRegion(s, geom.Box3(0, 0, 0, 1, 1, 1), 0, Params{SamplesPerRegion: 50, K: 4}, rng.New(3))
 	p := Params{SamplesPerRegion: 50, K: 4}
 
-	a := GetArena()
-	defer PutArena(a)
-	full, _ := ConnectRegionIncrementalArena(s, res.Nodes, 0, p, a)
+	a := getArena()
+	defer putArena(a)
+	full, _ := connectRegionIncrementalArena(s, res.Nodes, 0, p, a)
 	ref, _ := ConnectRegion(s, res.Nodes, p)
 	if len(full) != len(ref) {
 		t.Fatalf("firstNew=0 produced %d edges, full connect %d", len(full), len(ref))
@@ -204,7 +204,7 @@ func TestConnectRegionIncrementalMatchesFull(t *testing.T) {
 	more := BuildRegion(s, geom.Box3(0, 0, 0, 1, 1, 1), 0, Params{SamplesPerRegion: 30, K: 4}, rng.New(4))
 	firstNew := len(res.Nodes)
 	all := append(append([]Node(nil), res.Nodes...), more.Nodes...)
-	inc, _ := ConnectRegionIncrementalArena(s, all, firstNew, p, a)
+	inc, _ := connectRegionIncrementalArena(s, all, firstNew, p, a)
 	if len(inc) == 0 {
 		t.Fatal("incremental connect found no edges in free space")
 	}

@@ -88,16 +88,16 @@ type RegionResult struct {
 // which is the load model the paper's theoretical analysis assumes ("the
 // total load that the region will experience is proportional to V_free").
 func SampleRegion(s *cspace.Space, box geom.AABB, regionID int, p Params, r *rng.Stream) ([]Node, cspace.Counters) {
-	a := GetArena()
-	defer PutArena(a)
-	return SampleRegionArena(s, box, regionID, p, r, a)
+	a := getArena()
+	defer putArena(a)
+	return sampleRegionArena(s, box, regionID, p, r, a)
 }
 
-// SampleRegionArena is SampleRegion through an explicit arena. Uniform
+// sampleRegionArena is SampleRegion through an explicit arena. Uniform
 // sampling draws candidates into the arena's scratch configuration and
 // clones only the accepted ones; custom samplers keep their allocating
 // contract but validity still routes through the collision scratch.
-func SampleRegionArena(s *cspace.Space, box geom.AABB, regionID int, p Params, r *rng.Stream, a *Arena) ([]Node, cspace.Counters) {
+func sampleRegionArena(s *cspace.Space, box geom.AABB, regionID int, p Params, r *rng.Stream, a *arena) ([]Node, cspace.Counters) {
 	var work cspace.Counters
 	nodes := make([]Node, 0, p.SamplesPerRegion)
 	if _, uniform := p.sampler().(cspace.UniformSampler); uniform {
@@ -126,35 +126,35 @@ func SampleRegionArena(s *cspace.Space, box geom.AABB, regionID int, p Params, r
 // (the paper's PRM attempts all k-nearest connections; no
 // connected-component shortcut).
 func ConnectRegion(s *cspace.Space, nodes []Node, p Params) ([][2]int, cspace.Counters) {
-	a := GetArena()
-	defer PutArena(a)
-	return ConnectRegionArena(s, nodes, p, a)
+	a := getArena()
+	defer putArena(a)
+	return connectRegionArena(s, nodes, p, a)
 }
 
-// ConnectRegionArena is ConnectRegion through an explicit arena: the
+// connectRegionArena is ConnectRegion through an explicit arena: the
 // point slice, kd-tree, query scratch, dedup set and edge accumulator
 // all live in the arena, so the only retained allocation is the returned
 // edge list.
-func ConnectRegionArena(s *cspace.Space, nodes []Node, p Params, a *Arena) ([][2]int, cspace.Counters) {
-	return ConnectRegionIncrementalArena(s, nodes, 0, p, a)
+func connectRegionArena(s *cspace.Space, nodes []Node, p Params, a *arena) ([][2]int, cspace.Counters) {
+	return connectRegionIncrementalArena(s, nodes, 0, p, a)
 }
 
-// ConnectRegionIncremental is ConnectRegionIncrementalArena through a
+// ConnectRegionIncremental is connectRegionIncrementalArena through a
 // pooled arena.
 func ConnectRegionIncremental(s *cspace.Space, nodes []Node, firstNew int, p Params) ([][2]int, cspace.Counters) {
-	a := GetArena()
-	defer PutArena(a)
-	return ConnectRegionIncrementalArena(s, nodes, firstNew, p, a)
+	a := getArena()
+	defer putArena(a)
+	return connectRegionIncrementalArena(s, nodes, firstNew, p, a)
 }
 
-// ConnectRegionIncrementalArena is the round-growth variant of
-// ConnectRegionArena: only nodes[firstNew:] issue kNN queries, against
+// connectRegionIncrementalArena is the round-growth variant of
+// connectRegionArena: only nodes[firstNew:] issue kNN queries, against
 // the full node set, so a later engine round pays for its new samples
 // without re-attempting the previous rounds' pairs. firstNew = 0 is
-// exactly ConnectRegionArena (the one-shot planners route through here),
+// exactly connectRegionArena (the one-shot planners route through here),
 // so the first round of an engine run is bit-identical to the one-shot
 // pipeline.
-func ConnectRegionIncrementalArena(s *cspace.Space, nodes []Node, firstNew int, p Params, a *Arena) ([][2]int, cspace.Counters) {
+func connectRegionIncrementalArena(s *cspace.Space, nodes []Node, firstNew int, p Params, a *arena) ([][2]int, cspace.Counters) {
 	var work cspace.Counters
 	if len(nodes) < 2 || firstNew >= len(nodes) {
 		return nil, work
@@ -198,11 +198,11 @@ func ConnectRegionIncrementalArena(s *cspace.Space, nodes []Node, firstNew int, 
 // expanded sampling volume): SampleRegion followed by ConnectRegion.
 // Deterministic given the stream.
 func BuildRegion(s *cspace.Space, box geom.AABB, regionID int, p Params, r *rng.Stream) RegionResult {
-	a := GetArena()
-	defer PutArena(a)
+	a := getArena()
+	defer putArena(a)
 	var res RegionResult
-	res.Nodes, res.Work = SampleRegionArena(s, box, regionID, p, r, a)
-	edges, connectWork := ConnectRegionArena(s, res.Nodes, p, a)
+	res.Nodes, res.Work = sampleRegionArena(s, box, regionID, p, r, a)
+	edges, connectWork := connectRegionArena(s, res.Nodes, p, a)
 	res.Edges = edges
 	res.Work.Add(connectWork)
 	return res
@@ -227,17 +227,17 @@ type BoundaryResult struct {
 // for) each try the local planner against their k nearest nodes in b.
 // maxSources <= 0 uses every node of a.
 func ConnectBoundary(s *cspace.Space, aNodes, bNodes []Node, k, maxSources int) BoundaryResult {
-	ar := GetArena()
-	defer PutArena(ar)
-	return ConnectBoundaryArena(s, aNodes, bNodes, k, maxSources, ar)
+	ar := getArena()
+	defer putArena(ar)
+	return connectBoundaryArena(s, aNodes, bNodes, k, maxSources, ar)
 }
 
-// ConnectBoundaryArena is ConnectBoundary through an explicit arena. The
+// connectBoundaryArena is ConnectBoundary through an explicit arena. The
 // frontier centroid accumulates in place in a reused buffer (the
 // allocating version rebuilt the centroid vector once per added point),
 // and both regions' point slices, the kd-tree and all kNN scratch come
 // from the arena.
-func ConnectBoundaryArena(s *cspace.Space, aNodes, bNodes []Node, k, maxSources int, ar *Arena) BoundaryResult {
+func connectBoundaryArena(s *cspace.Space, aNodes, bNodes []Node, k, maxSources int, ar *arena) BoundaryResult {
 	var res BoundaryResult
 	if len(aNodes) == 0 || len(bNodes) == 0 {
 		return res
@@ -298,68 +298,4 @@ func ConnectBoundaryArena(s *cspace.Space, aNodes, bNodes []Node, k, maxSources 
 	}
 	res.Edges = copyEdges(ar.edges)
 	return res
-}
-
-// Query connects start and goal to the roadmap (each to its k nearest
-// nodes) and extracts a shortest path. It returns the configuration
-// sequence including start and goal, and ok=false if no path exists.
-// The roadmap is left unchanged on return, but it IS temporarily
-// mutated (transient attachment vertices are added and removed), so
-// concurrent callers must serialize.
-//
-// Query is the reference implementation Index.Query is parity-tested
-// against (index_test.go): it re-gathers every roadmap point and
-// rebuilds the kd-tree per call and searches the graph itself, sharing
-// no code with the index. Production callers build an Index once and use
-// Index.Query, which is non-mutating, concurrency-safe and amortizes the
-// build cost across calls.
-func Query(s *cspace.Space, m *Roadmap, start, goal cspace.Config, k int, c *cspace.Counters) ([]cspace.Config, bool) {
-	if !s.Valid(start, c) || !s.Valid(goal, c) {
-		return nil, false
-	}
-	pts := make([]geom.Vec, m.NumNodes())
-	for i := 0; i < m.NumNodes(); i++ {
-		pts[i] = m.G.Vertex(graph.ID(i)).Q
-	}
-	// Full-roadmap trees are the largest built anywhere; the parallel
-	// build produces a bit-identical tree faster for big maps.
-	tree := knn.BuildParallel(pts, 0)
-
-	attach := func(q cspace.Config) (graph.ID, bool) {
-		id := m.G.AddVertex(Node{Q: q, Region: -1})
-		hits, evals := tree.Nearest(q, k)
-		if c != nil {
-			c.KNNQueries++
-			c.KNNEvals += int64(evals)
-		}
-		connected := false
-		for _, h := range hits {
-			if s.LocalPlan(q, pts[h.Index], c) {
-				m.G.AddEdge(id, graph.ID(h.Index), s.Distance(q, pts[h.Index]))
-				connected = true
-			}
-		}
-		return id, connected
-	}
-
-	sid, okS := attach(start)
-	gid, okG := attach(goal)
-	// Remove the transient vertices before returning (goal first: it was
-	// added last).
-	defer func() {
-		m.G.RemoveLastVertex()
-		m.G.RemoveLastVertex()
-	}()
-	if !okS || !okG {
-		return nil, false
-	}
-	ids, _, ok := m.G.ShortestPath(sid, gid)
-	if !ok {
-		return nil, false
-	}
-	path := make([]cspace.Config, len(ids))
-	for i, id := range ids {
-		path[i] = m.G.Vertex(id).Q.Clone()
-	}
-	return path, true
 }

@@ -69,8 +69,10 @@ func RadialSubdivision(apex geom.Vec, spec RadialSpec, r *rng.Stream) *Graph {
 	if k >= n {
 		k = n - 1
 	}
+	var sc knn.QueryScratch
+	var res []knn.Result
 	for i := range dirs {
-		res, _ := tree.NearestExcluding(dirs[i], k, func(j int) bool { return j == i })
+		res, _ = tree.NearestInto(&sc, dirs[i], k, i, res[:0])
 		nearestAngle := math.Pi
 		for _, hit := range res {
 			g.AddEdge(graph.ID(i), graph.ID(hit.Index), 1)

@@ -14,11 +14,9 @@
 package repairbench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 
+	"parmp/internal/bench"
 	"parmp/internal/core"
 	"parmp/internal/cspace"
 	"parmp/internal/env"
@@ -199,75 +197,26 @@ func Run(cfg Config) (Result, error) {
 	return r, nil
 }
 
-// Write marshals r as indented JSON.
-func Write(w io.Writer, r Result) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
+// The repair regression thresholds. The benchmark is deterministic, so
+// any drift is a real behavior change.
+const (
+	// MinSpeedup is the floor under the mean repair speedup — the "repair
+	// must beat rebuild" contract.
+	MinSpeedup = 1
+	// MaxRegress is the fraction by which the total repair makespan may
+	// exceed the baseline's.
+	MaxRegress = 0.10
+)
 
-// WriteFile writes r to path ("-" for stdout).
-func WriteFile(path string, r Result) error {
-	if path == "-" {
-		return Write(os.Stdout, r)
+// Check gates r, reporting every violation: the speedup floor always,
+// the makespan regression when a baseline is given.
+func Check(r Result, baseline *Result) error {
+	limits := []bench.Limit{
+		{Name: "mean repair speedup", Cur: r.SpeedupMean, Ref: MinSpeedup, Kind: bench.Floor},
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+	if baseline != nil {
+		limits = append(limits, bench.Limit{Name: "total repair makespan",
+			Cur: r.RepairTotal, Ref: baseline.RepairTotal, Kind: bench.Regress, Tol: MaxRegress})
 	}
-	if err := Write(f, r); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// Load reads a Result from path.
-func Load(path string) (Result, error) {
-	var r Result
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return r, err
-	}
-	if err := json.Unmarshal(b, &r); err != nil {
-		return r, fmt.Errorf("%s: %w", path, err)
-	}
-	return r, nil
-}
-
-// Gate bundles the repair regression thresholds. The benchmark is
-// deterministic, so any drift is a real behavior change.
-type Gate struct {
-	// MinSpeedup fails the run when the mean repair speedup falls below
-	// this absolute floor — the "repair must beat rebuild" contract.
-	// Non-positive disables.
-	MinSpeedup float64
-	// MaxRepairRegress fails the run when the total repair makespan
-	// exceeds the baseline's by more than this fraction. Negative
-	// disables; nil baseline checks only MinSpeedup.
-	MaxRepairRegress float64
-}
-
-// Check enforces g against r relative to baseline. It returns every
-// violation, not just the first.
-func (g Gate) Check(r Result, baseline *Result) error {
-	var errs []error
-	if g.MinSpeedup > 0 && r.SpeedupMean < g.MinSpeedup {
-		errs = append(errs, fmt.Errorf("mean repair speedup %.2fx below floor %.2fx — repair no longer beats rebuild",
-			r.SpeedupMean, g.MinSpeedup))
-	}
-	if baseline != nil && g.MaxRepairRegress >= 0 && baseline.RepairTotal > 0 {
-		if limit := baseline.RepairTotal * (1 + g.MaxRepairRegress); r.RepairTotal > limit {
-			errs = append(errs, fmt.Errorf("total repair makespan %.2f exceeds baseline %.2f by more than %.0f%% (limit %.2f)",
-				r.RepairTotal, baseline.RepairTotal, 100*g.MaxRepairRegress, limit))
-		}
-	}
-	if len(errs) == 0 {
-		return nil
-	}
-	msg := "repair gate:"
-	for _, e := range errs {
-		msg += "\n  " + e.Error()
-	}
-	return fmt.Errorf("%s", msg)
+	return bench.Check("repair gate", limits)
 }

@@ -2,6 +2,7 @@ package repairbench
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 )
 
@@ -18,14 +19,15 @@ func TestRepairBenchDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ba, bb bytes.Buffer
-	if err := Write(&ba, a); err != nil {
+	ba, err := json.Marshal(a)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Write(&bb, b); err != nil {
+	bb, err := json.Marshal(b)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(ba.Bytes(), bb.Bytes()) {
+	if !bytes.Equal(ba, bb) {
 		t.Fatal("two identical runs serialized differently")
 	}
 }
@@ -50,7 +52,7 @@ func TestRepairBeatsRebuild(t *testing.T) {
 		if r.SpeedupMean < 1 {
 			t.Fatalf("%s: mean speedup %.2fx below 1", scenario, r.SpeedupMean)
 		}
-		if err := (Gate{MinSpeedup: 1}).Check(r, nil); err != nil {
+		if err := Check(r, nil); err != nil {
 			t.Fatalf("%s: %v", scenario, err)
 		}
 	}
@@ -60,11 +62,11 @@ func TestRepairBeatsRebuild(t *testing.T) {
 func TestRepairGate(t *testing.T) {
 	base := Result{RepairTotal: 100, SpeedupMean: 5}
 	good := Result{RepairTotal: 105, SpeedupMean: 4}
-	if err := (Gate{MinSpeedup: 1, MaxRepairRegress: 0.10}).Check(good, &base); err != nil {
+	if err := Check(good, &base); err != nil {
 		t.Fatalf("good run tripped the gate: %v", err)
 	}
 	slow := Result{RepairTotal: 150, SpeedupMean: 0.8}
-	err := (Gate{MinSpeedup: 1, MaxRepairRegress: 0.10}).Check(slow, &base)
+	err := Check(slow, &base)
 	if err == nil {
 		t.Fatal("regressed run passed the gate")
 	}

@@ -8,12 +8,12 @@ import (
 	"parmp/internal/knn"
 )
 
-// Arena bundles the reusable buffers one RRT task needs: collision
+// arena bundles the reusable buffers one RRT task needs: collision
 // scratch, kNN query scratch, a rebuildable kd-tree, point slices and
 // candidate-configuration buffers. Extend/Connect tasks borrow one from
 // a sync.Pool so steady-state growth allocates only the accepted tree
-// nodes. An Arena is not safe for concurrent use.
-type Arena struct {
+// nodes. An arena is not safe for concurrent use.
+type arena struct {
 	sc    cspace.Scratch
 	bt    cspace.Batch
 	qsc   knn.QueryScratch
@@ -26,16 +26,16 @@ type Arena struct {
 	qNew  cspace.Config
 }
 
-var arenaPool = sync.Pool{New: func() any { return new(Arena) }}
+var arenaPool = sync.Pool{New: func() any { return new(arena) }}
 
-// GetArena borrows an arena from the shared pool.
-func GetArena() *Arena { return arenaPool.Get().(*Arena) }
+// getArena borrows an arena from the shared pool.
+func getArena() *arena { return arenaPool.Get().(*arena) }
 
-// PutArena returns an arena to the pool.
-func PutArena(a *Arena) { arenaPool.Put(a) }
+// putArena returns an arena to the pool.
+func putArena(a *arena) { arenaPool.Put(a) }
 
 // treePoints fills a.pts with the configurations of t's nodes.
-func (a *Arena) treePoints(t *Tree) []geom.Vec {
+func (a *arena) treePoints(t *Tree) []geom.Vec {
 	if cap(a.pts) < t.Len() {
 		a.pts = make([]geom.Vec, t.Len())
 	}
@@ -47,7 +47,7 @@ func (a *Arena) treePoints(t *Tree) []geom.Vec {
 }
 
 // auxPoints fills a.aux with the configurations of t's nodes.
-func (a *Arena) auxPoints(t *Tree) []geom.Vec {
+func (a *arena) auxPoints(t *Tree) []geom.Vec {
 	if cap(a.aux) < t.Len() {
 		a.aux = make([]geom.Vec, t.Len())
 	}

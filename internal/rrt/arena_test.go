@@ -31,12 +31,12 @@ func TestGrowRegionArenaReuseBitIdentical(t *testing.T) {
 	s := cspace.NewPointSpace(env.Mixed30())
 	reg := coneRegion(2, geom.V(1, 1, 0), geom.V(0.5, 0.5, 0.5), 0.4, 0.6)
 	p := Params{Nodes: 30, Step: 0.05, GoalBias: 0.1}
-	dirty := GetArena()
-	defer PutArena(dirty)
+	dirty := getArena()
+	defer putArena(dirty)
 	for _, seed := range []uint64{21, 22} {
-		fresh := GrowRegionArena(s, reg, p, rng.Derive(seed, 0), new(Arena))
+		fresh := growRegionArena(s, reg, p, rng.Derive(seed, 0), new(arena))
 		for rep := 0; rep < 3; rep++ {
-			treesEqual(t, GrowRegionArena(s, reg, p, rng.Derive(seed, 0), dirty), fresh)
+			treesEqual(t, growRegionArena(s, reg, p, rng.Derive(seed, 0), dirty), fresh)
 		}
 	}
 }
@@ -86,12 +86,12 @@ func TestConnectArenaReuse(t *testing.T) {
 	ta := GrowRegion(s, ra, p, rng.Derive(41, 0)).Tree
 	tb := GrowRegion(s, rb, p, rng.Derive(41, 1)).Tree
 	var cw cspace.Counters
-	wi, wj, wok := ConnectArena(s, ta, tb, geom.V(0.1, 0.5, 0.5), 4, &cw, new(Arena))
-	dirty := GetArena()
-	defer PutArena(dirty)
+	wi, wj, wok := connectArena(s, ta, tb, geom.V(0.1, 0.5, 0.5), 4, &cw, new(arena))
+	dirty := getArena()
+	defer putArena(dirty)
 	for rep := 0; rep < 3; rep++ {
 		var c cspace.Counters
-		gi, gj, gok := ConnectArena(s, ta, tb, geom.V(0.1, 0.5, 0.5), 4, &c, dirty)
+		gi, gj, gok := connectArena(s, ta, tb, geom.V(0.1, 0.5, 0.5), 4, &c, dirty)
 		if gi != wi || gj != wj || gok != wok || c != cw {
 			t.Fatalf("rep %d: got (%d,%d,%v,%+v), want (%d,%d,%v,%+v)", rep, gi, gj, gok, c, wi, wj, wok, cw)
 		}

@@ -64,13 +64,13 @@ type BiResult struct {
 // the cone (consuming r), else not at all (single-tree degradation).
 // The returned counters meter the validity checks and samples spent.
 func NewBiTree(s *cspace.Space, reg *region.Region, goal cspace.Config, r *rng.Stream) (*BiTree, cspace.Counters) {
-	a := GetArena()
-	defer PutArena(a)
-	return NewBiTreeArena(s, reg, goal, r, a)
+	a := getArena()
+	defer putArena(a)
+	return newBiTreeArena(s, reg, goal, r, a)
 }
 
-// NewBiTreeArena is NewBiTree through an explicit arena.
-func NewBiTreeArena(s *cspace.Space, reg *region.Region, goal cspace.Config, r *rng.Stream, a *Arena) (*BiTree, cspace.Counters) {
+// newBiTreeArena is NewBiTree through an explicit arena.
+func newBiTreeArena(s *cspace.Space, reg *region.Region, goal cspace.Config, r *rng.Stream, a *arena) (*BiTree, cspace.Counters) {
 	var work cspace.Counters
 	bi := &BiTree{A: NewTree(reg.Apex, reg.ID)}
 	d := reg.Apex.Dim()
@@ -130,14 +130,14 @@ func boundedConeTarget(s *cspace.Space, reg *region.Region) cspace.Config {
 	return reg.Apex.Add(reg.Ray.Scale(tmax * 0.999))
 }
 
-// GrowBiTree is GrowBiTreeArena through a pooled arena.
+// GrowBiTree is growBiTreeArena through a pooled arena.
 func GrowBiTree(s *cspace.Space, reg *region.Region, bi *BiTree, p Params, r *rng.Stream) BiResult {
-	a := GetArena()
-	defer PutArena(a)
-	return GrowBiTreeArena(s, reg, bi, p, r, a)
+	a := getArena()
+	defer putArena(a)
+	return growBiTreeArena(s, reg, bi, p, r, a)
 }
 
-// GrowBiTreeArena continues growing a region's tree pair until the
+// growBiTreeArena continues growing a region's tree pair until the
 // combined node count reaches p.Nodes, the iteration budget runs out,
 // or the trees meet (a met pair stops growing — its corridor through
 // the region is established). Each iteration extends one tree (they
@@ -150,12 +150,12 @@ func GrowBiTree(s *cspace.Space, reg *region.Region, bi *BiTree, p Params, r *rn
 // round, so engines resuming a committed pair stay bit-identical to an
 // uninterrupted run with the same per-round streams. RRT-Connect
 // requires symmetric local motions; callers gate steered spaces out.
-func GrowBiTreeArena(s *cspace.Space, reg *region.Region, bi *BiTree, p Params, r *rng.Stream, a *Arena) BiResult {
+func growBiTreeArena(s *cspace.Space, reg *region.Region, bi *BiTree, p Params, r *rng.Stream, a *arena) BiResult {
 	res := BiResult{Bi: bi}
 	if bi.B == nil {
 		// No free goal-side root exists in this region's cone: grow a
 		// plain branch so the region still contributes coverage.
-		gr := GrowTreeArena(s, reg, bi.A, p, r, a)
+		gr := growTreeArena(s, reg, bi.A, p, r, a)
 		res.Work = gr.Work
 		res.Iters = gr.Iters
 		return res
@@ -188,10 +188,10 @@ func GrowBiTreeArena(s *cspace.Space, reg *region.Region, bi *BiTree, p Params, 
 	return res
 }
 
-// extendOnce extends t one step toward qRand, mirroring GrowTreeArena's
+// extendOnce extends t one step toward qRand, mirroring growTreeArena's
 // acceptance checks (bounds, cone, validity, batched local plan). It
 // returns the new node's index and whether the extension was accepted.
-func extendOnce(s *cspace.Space, reg *region.Region, t *Tree, qRand cspace.Config, step float64, w *cspace.Counters, a *Arena) (int, bool) {
+func extendOnce(s *cspace.Space, reg *region.Region, t *Tree, qRand cspace.Config, step float64, w *cspace.Counters, a *arena) (int, bool) {
 	nearIdx := 0
 	bestD := math.Inf(1)
 	for i, n := range t.Nodes {
@@ -227,7 +227,7 @@ func extendOnce(s *cspace.Space, reg *region.Region, t *Tree, qRand cspace.Confi
 // as a node, until q is reached exactly (returning its node index and
 // true) or a step leaves the region, collides, or the step budget runs
 // out (trapped).
-func connectGreedy(s *cspace.Space, reg *region.Region, t *Tree, q cspace.Config, step float64, w *cspace.Counters, a *Arena) (int, bool) {
+func connectGreedy(s *cspace.Space, reg *region.Region, t *Tree, q cspace.Config, step float64, w *cspace.Counters, a *arena) (int, bool) {
 	nearIdx := 0
 	bestD := math.Inf(1)
 	for i, n := range t.Nodes {

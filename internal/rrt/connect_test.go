@@ -122,17 +122,17 @@ func TestGrowBiTreeArenaReuseBitIdentical(t *testing.T) {
 	s := cspace.NewPointSpace(env.Mixed30())
 	reg := coneRegion(2, geom.V(1, 1, 0), geom.V(0.5, 0.5, 0.5), 0.4, 0.6)
 	p := Params{Nodes: 60, Step: 0.05, GoalBias: 0.1}
-	dirty := GetArena()
-	defer PutArena(dirty)
+	dirty := getArena()
+	defer putArena(dirty)
 	for _, seed := range []uint64{31, 32} {
 		fr := rng.Derive(seed, 0)
-		fbi, fw := NewBiTreeArena(s, reg, nil, fr, new(Arena))
-		fres := GrowBiTreeArena(s, reg, fbi, p, fr, new(Arena))
+		fbi, fw := newBiTreeArena(s, reg, nil, fr, new(arena))
+		fres := growBiTreeArena(s, reg, fbi, p, fr, new(arena))
 		fres.Work.Add(fw)
 		for rep := 0; rep < 3; rep++ {
 			dr := rng.Derive(seed, 0)
-			dbi, dw := NewBiTreeArena(s, reg, nil, dr, dirty)
-			dres := GrowBiTreeArena(s, reg, dbi, p, dr, dirty)
+			dbi, dw := newBiTreeArena(s, reg, nil, dr, dirty)
+			dres := growBiTreeArena(s, reg, dbi, p, dr, dirty)
 			dres.Work.Add(dw)
 			biEqual(t, dres, fres)
 		}

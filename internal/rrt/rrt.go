@@ -85,18 +85,18 @@ type Result struct {
 // exactly the dynamic, hard-to-estimate workload the paper describes for
 // radial RRT.
 func GrowRegion(s *cspace.Space, reg *region.Region, p Params, r *rng.Stream) Result {
-	a := GetArena()
-	defer PutArena(a)
-	return GrowRegionArena(s, reg, p, r, a)
+	a := getArena()
+	defer putArena(a)
+	return growRegionArena(s, reg, p, r, a)
 }
 
-// GrowRegionArena is GrowRegion through an explicit arena: candidate and
+// growRegionArena is GrowRegion through an explicit arena: candidate and
 // stepped configurations live in reused buffers (cloned only on
 // acceptance) and collision checks route through the arena's scratch.
 // RNG consumption is identical to the allocating path, so the grown tree
 // is the same for the same stream.
-func GrowRegionArena(s *cspace.Space, reg *region.Region, p Params, r *rng.Stream, a *Arena) Result {
-	return GrowTreeArena(s, reg, NewTree(reg.Apex, reg.ID), p, r, a)
+func growRegionArena(s *cspace.Space, reg *region.Region, p Params, r *rng.Stream, a *arena) Result {
+	return growTreeArena(s, reg, NewTree(reg.Apex, reg.ID), p, r, a)
 }
 
 // GrowTree continues growing an existing branch inside reg until it has
@@ -106,13 +106,13 @@ func GrowRegionArena(s *cspace.Space, reg *region.Region, p Params, r *rng.Strea
 // bit-identical to the one-shot pipeline; later rounds pass the
 // previous round's tree to resume growth.
 func GrowTree(s *cspace.Space, reg *region.Region, tree *Tree, p Params, r *rng.Stream) Result {
-	a := GetArena()
-	defer PutArena(a)
-	return GrowTreeArena(s, reg, tree, p, r, a)
+	a := getArena()
+	defer putArena(a)
+	return growTreeArena(s, reg, tree, p, r, a)
 }
 
-// GrowTreeArena is GrowTree through an explicit arena.
-func GrowTreeArena(s *cspace.Space, reg *region.Region, tree *Tree, p Params, r *rng.Stream, a *Arena) Result {
+// growTreeArena is GrowTree through an explicit arena.
+func growTreeArena(s *cspace.Space, reg *region.Region, tree *Tree, p Params, r *rng.Stream, a *arena) Result {
 	res := Result{Tree: tree}
 	target := region.ConeTarget(reg)
 	// Brute-force nearest neighbour: the tree is rebuilt incrementally and
@@ -169,14 +169,14 @@ func GrowTreeArena(s *cspace.Space, reg *region.Region, tree *Tree, p Params, r 
 // to the nearest nodes of b. It returns the first successful bridging pair
 // (index in a, index in b) and ok.
 func Connect(s *cspace.Space, a, b *Tree, bTarget geom.Vec, kFrontier int, c *cspace.Counters) (int, int, bool) {
-	ar := GetArena()
-	defer PutArena(ar)
-	return ConnectArena(s, a, b, bTarget, kFrontier, c, ar)
+	ar := getArena()
+	defer putArena(ar)
+	return connectArena(s, a, b, bTarget, kFrontier, c, ar)
 }
 
-// ConnectArena is Connect through an explicit arena: both trees' point
+// connectArena is Connect through an explicit arena: both trees' point
 // slices, the kd-tree over b and all kNN scratch are reused.
-func ConnectArena(s *cspace.Space, a, b *Tree, bTarget geom.Vec, kFrontier int, c *cspace.Counters, ar *Arena) (int, int, bool) {
+func connectArena(s *cspace.Space, a, b *Tree, bTarget geom.Vec, kFrontier int, c *cspace.Counters, ar *arena) (int, int, bool) {
 	if a.Len() == 0 || b.Len() == 0 {
 		return 0, 0, false
 	}

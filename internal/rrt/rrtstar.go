@@ -20,20 +20,9 @@ type StarTree struct {
 // Len returns the node count.
 func (t *StarTree) Len() int { return len(t.Nodes) }
 
-// StarParams configures region RRT* growth.
-type StarParams struct {
-	Params
-	// RewireRadius is the neighbourhood radius for choose-parent and
-	// rewiring. Zero defaults to 3 x Step.
-	RewireRadius float64
-}
-
-func (p StarParams) rewireRadius() float64 {
-	if p.RewireRadius > 0 {
-		return p.RewireRadius
-	}
-	return 3 * p.Step
-}
+// rewireSteps is the RRT* choose-parent and rewiring neighbourhood
+// radius, in steps.
+const rewireSteps = 3
 
 // StarResult is the product of growing one RRT* region branch.
 type StarResult struct {
@@ -50,7 +39,7 @@ type StarResult struct {
 // neighbours through the new node when that shortens their path to the
 // root. The extra local planning makes region costs even more
 // heterogeneous, which is why it is interesting for load balancing.
-func GrowRegionStar(s *cspace.Space, reg *region.Region, p StarParams, r *rng.Stream) StarResult {
+func GrowRegionStar(s *cspace.Space, reg *region.Region, p Params, r *rng.Stream) StarResult {
 	return GrowStarTree(s, reg, &StarTree{
 		Nodes: []Node{{Q: reg.Apex.Clone(), Parent: -1, Region: reg.ID}},
 		Cost:  []float64{0},
@@ -63,12 +52,12 @@ func GrowRegionStar(s *cspace.Space, reg *region.Region, p StarParams, r *rng.St
 // exactly; an engine's later rounds pass the previous round's tree
 // (with its cost-to-root vector) so choose-parent and rewiring keep
 // improving the existing branch.
-func GrowStarTree(s *cspace.Space, reg *region.Region, tree *StarTree, p StarParams, r *rng.Stream) StarResult {
-	a := GetArena()
-	defer PutArena(a)
+func GrowStarTree(s *cspace.Space, reg *region.Region, tree *StarTree, p Params, r *rng.Stream) StarResult {
+	a := getArena()
+	defer putArena(a)
 	res := StarResult{Tree: tree}
 	target := region.ConeTarget(reg)
-	radius := p.rewireRadius()
+	radius := rewireSteps * p.Step
 	for res.Iters = 0; res.Iters < p.maxIters() && res.Tree.Len() < p.Nodes; res.Iters++ {
 		if r.Float64() < p.GoalBias {
 			a.qRand = geom.CopyInto(a.qRand, target)

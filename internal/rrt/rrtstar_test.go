@@ -13,7 +13,7 @@ import (
 func TestGrowRegionStarBasics(t *testing.T) {
 	s := cspace.NewPointSpace(env.Free())
 	reg := coneRegion(0, geom.V(1, 0, 0), geom.V(0.5, 0.5, 0.5), 0.45, 0.7)
-	p := StarParams{Params: Params{Nodes: 40, Step: 0.05, GoalBias: 0.1}}
+	p := Params{Nodes: 40, Step: 0.05, GoalBias: 0.1}
 	res := GrowRegionStar(s, reg, p, rng.New(1))
 	if res.Tree.Len() != 40 {
 		t.Fatalf("tree size = %d", res.Tree.Len())
@@ -30,7 +30,7 @@ func TestStarCostsConsistent(t *testing.T) {
 	// Invariant: every node's cost equals parent's cost + edge length.
 	s := cspace.NewPointSpace(env.Mixed30())
 	reg := coneRegion(1, geom.V(0, 1, 0), geom.V(0.5, 0.5, 0.5), 0.4, 0.6)
-	p := StarParams{Params: Params{Nodes: 40, Step: 0.05, GoalBias: 0.1}}
+	p := Params{Nodes: 40, Step: 0.05, GoalBias: 0.1}
 	res := GrowRegionStar(s, reg, p, rng.New(2))
 	for i := 1; i < res.Tree.Len(); i++ {
 		n := res.Tree.Nodes[i]
@@ -44,7 +44,7 @@ func TestStarCostsConsistent(t *testing.T) {
 func TestStarNoParentCycles(t *testing.T) {
 	s := cspace.NewPointSpace(env.Free())
 	reg := coneRegion(0, geom.V(1, 1, 0).Unit(), geom.V(0.3, 0.3, 0.5), 0.4, 0.7)
-	p := StarParams{Params: Params{Nodes: 60, Step: 0.05, GoalBias: 0.1}}
+	p := Params{Nodes: 60, Step: 0.05, GoalBias: 0.1}
 	res := GrowRegionStar(s, reg, p, rng.New(3))
 	for i := range res.Tree.Nodes {
 		seen := map[int]bool{}
@@ -62,7 +62,7 @@ func TestStarCostsBeatOrMatchPlainRRT(t *testing.T) {
 	// tree's nearest-parent baseline; on average it should be better.
 	s := cspace.NewPointSpace(env.Free())
 	regStar := coneRegion(0, geom.V(1, 0, 0), geom.V(0.5, 0.5, 0.5), 0.45, 0.7)
-	p := StarParams{Params: Params{Nodes: 60, Step: 0.04, GoalBias: 0.1}}
+	p := Params{Nodes: 60, Step: 0.04, GoalBias: 0.1}
 	res := GrowRegionStar(s, regStar, p, rng.New(4))
 	// Every node's cost must be >= straight-line distance to root
 	// (admissibility) and <= sum of hops (consistency by construction).
@@ -80,7 +80,7 @@ func TestStarCostsBeatOrMatchPlainRRT(t *testing.T) {
 func TestStarDeterministic(t *testing.T) {
 	s := cspace.NewPointSpace(env.Mixed30())
 	reg := coneRegion(2, geom.V(0, 0, 1), geom.V(0.5, 0.5, 0.5), 0.4, 0.6)
-	p := StarParams{Params: Params{Nodes: 30, Step: 0.05, GoalBias: 0.1}}
+	p := Params{Nodes: 30, Step: 0.05, GoalBias: 0.1}
 	a := GrowRegionStar(s, reg, p, rng.Derive(9, 2))
 	b := GrowRegionStar(s, reg, p, rng.Derive(9, 2))
 	if a.Tree.Len() != b.Tree.Len() || a.Rewires != b.Rewires || a.Work != b.Work {
@@ -94,7 +94,7 @@ func TestStarCostsMoreThanPlain(t *testing.T) {
 	s := cspace.NewPointSpace(env.Free())
 	reg := coneRegion(0, geom.V(1, 0, 0), geom.V(0.5, 0.5, 0.5), 0.45, 0.7)
 	plain := GrowRegion(s, reg, Params{Nodes: 40, Step: 0.05, GoalBias: 0.1}, rng.Derive(7, 0))
-	star := GrowRegionStar(s, reg, StarParams{Params: Params{Nodes: 40, Step: 0.05, GoalBias: 0.1}}, rng.Derive(7, 0))
+	star := GrowRegionStar(s, reg, Params{Nodes: 40, Step: 0.05, GoalBias: 0.1}, rng.Derive(7, 0))
 	if star.Work.LPCalls <= plain.Work.LPCalls {
 		t.Fatalf("RRT* LP calls %d should exceed plain %d", star.Work.LPCalls, plain.Work.LPCalls)
 	}

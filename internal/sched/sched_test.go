@@ -172,11 +172,9 @@ func TestBackoff(t *testing.T) {
 	}
 }
 
+// TestWriteTrace checks the line a trace writer prints per event.
 func TestWriteTrace(t *testing.T) {
-	var sb strings.Builder
-	tr := WriteTrace(&sb)
-	tr(TraceEvent{Time: 1.5, Kind: "exec", Proc: 3, Peer: -1, Task: 7})
-	out := sb.String()
+	out := TraceEvent{Time: 1.5, Kind: "exec", Proc: 3, Peer: -1, Task: 7}.String()
 	for _, want := range []string{"t=1.5", "exec", "proc=3", "task=7"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("trace line %q missing %q", out, want)

@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // TraceEvent is one runtime occurrence, emitted through Config.Trace.
 // "exec" events carry the task's start time and duration; protocol events
@@ -24,10 +21,3 @@ func (e TraceEvent) String() string {
 
 // Tracer receives runtime events.
 type Tracer func(TraceEvent)
-
-// WriteTrace returns a Tracer that writes one line per event to w.
-func WriteTrace(w io.Writer) Tracer {
-	return func(e TraceEvent) {
-		fmt.Fprintln(w, e.String())
-	}
-}

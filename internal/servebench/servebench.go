@@ -12,11 +12,10 @@
 package servebench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"sort"
+
+	"parmp/internal/bench"
 )
 
 // Percentiles summarizes a latency distribution in microseconds.
@@ -88,42 +87,6 @@ type Result struct {
 	StalePaths int64 `json:"stale_paths,omitempty"`
 }
 
-// Write marshals r as indented JSON.
-func Write(w io.Writer, r Result) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// WriteFile writes r to path ("-" for stdout).
-func WriteFile(path string, r Result) error {
-	if path == "-" {
-		return Write(os.Stdout, r)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := Write(f, r); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// Load reads a Result from path.
-func Load(path string) (Result, error) {
-	var r Result
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return r, err
-	}
-	if err := json.Unmarshal(b, &r); err != nil {
-		return r, fmt.Errorf("%s: %w", path, err)
-	}
-	return r, nil
-}
-
 // Gate bundles the serving regression thresholds.
 type Gate struct {
 	// MaxErrorRate fails the run when Errors/Queries exceeds it.
@@ -139,23 +102,14 @@ type Gate struct {
 // Check enforces g against r, comparing tails to baseline when non-nil.
 // It returns every violation, not just the first.
 func (g Gate) Check(r Result, baseline *Result) error {
-	var errs []error
-	if g.MaxErrorRate >= 0 && r.ErrorRate > g.MaxErrorRate {
-		errs = append(errs, fmt.Errorf("error rate %.4f%% exceeds %.4f%% (%d/%d)",
-			100*r.ErrorRate, 100*g.MaxErrorRate, r.Errors, r.Queries))
+	var limits []bench.Limit
+	if g.MaxErrorRate >= 0 {
+		limits = append(limits, bench.Limit{Name: fmt.Sprintf("error rate (%d/%d)", r.Errors, r.Queries),
+			Cur: r.ErrorRate, Ref: g.MaxErrorRate, Kind: bench.Ceiling})
 	}
 	if baseline != nil && g.MaxRegress >= 0 {
-		if limit := baseline.Latency.P99 * (1 + g.MaxRegress); baseline.Latency.P99 > 0 && r.Latency.P99 > limit {
-			errs = append(errs, fmt.Errorf("latency p99 %.0fµs exceeds baseline %.0fµs by more than %.0f%% (limit %.0fµs)",
-				r.Latency.P99, baseline.Latency.P99, 100*g.MaxRegress, limit))
-		}
+		limits = append(limits, bench.Limit{Name: "latency p99 (µs)",
+			Cur: r.Latency.P99, Ref: baseline.Latency.P99, Kind: bench.Regress, Tol: g.MaxRegress})
 	}
-	if len(errs) == 0 {
-		return nil
-	}
-	msg := "serve gate:"
-	for _, e := range errs {
-		msg += "\n  " + e.Error()
-	}
-	return fmt.Errorf("%s", msg)
+	return bench.Check("serve gate", limits)
 }

@@ -4,6 +4,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"parmp/internal/bench"
 )
 
 func TestComputePercentiles(t *testing.T) {
@@ -72,10 +74,10 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 		CacheHit:     &Percentiles{P50: 4, P99: 20},
 		CacheHitRate: 0.42, BatchMean: 5.5,
 	}
-	if err := WriteFile(path, in); err != nil {
+	if err := bench.WriteFile(path, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := Load(path)
+	out, err := bench.Load[Result](path)
 	if err != nil {
 		t.Fatal(err)
 	}

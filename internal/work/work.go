@@ -109,18 +109,6 @@ func OpteronCluster() MachineProfile {
 	}
 }
 
-// ProfileByName looks up a machine profile ("hopper" or
-// "opteron-cluster"). ok is false for unknown names.
-func ProfileByName(name string) (MachineProfile, bool) {
-	switch name {
-	case "hopper":
-		return Hopper(), true
-	case "opteron-cluster", "opteron":
-		return OpteronCluster(), true
-	}
-	return MachineProfile{}, false
-}
-
 // Latency returns the one-way latency between processors a and b.
 func (p MachineProfile) Latency(a, b int) float64 {
 	if p.CoresPerNode <= 0 {

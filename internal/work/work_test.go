@@ -64,18 +64,6 @@ func TestBarrierGrowth(t *testing.T) {
 	}
 }
 
-func TestProfileByName(t *testing.T) {
-	if p, ok := ProfileByName("hopper"); !ok || p.Name != "hopper" {
-		t.Fatal("hopper lookup failed")
-	}
-	if p, ok := ProfileByName("opteron"); !ok || p.Name != "opteron-cluster" {
-		t.Fatal("opteron lookup failed")
-	}
-	if _, ok := ProfileByName("cray-unknown"); ok {
-		t.Fatal("unknown profile should fail")
-	}
-}
-
 func TestProfilesDistinct(t *testing.T) {
 	h, o := Hopper(), OpteronCluster()
 	if h.LatencyRemote >= o.LatencyRemote {
