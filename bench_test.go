@@ -21,9 +21,22 @@ import (
 	"parmp/internal/metrics"
 )
 
-func quickScale() experiments.Scale { return experiments.Quick() }
+// benchExperiment regenerates experiment id at the quick scale b.N times
+// and hands the first run's tables to report (nil reports nothing).
+func benchExperiment(b *testing.B, id string, report func(tables []*metrics.Table)) {
+	sc := experiments.Quick()
+	for i := 0; i < b.N; i++ {
+		tables, ok := experiments.ByName(id, sc)
+		if !ok {
+			b.Fatalf("unknown experiment %q", id)
+		}
+		if i == 0 && report != nil {
+			report(tables)
+		}
+	}
+}
 
-// benchFirstOverLast reports col0[last]/col1[last] as a speedup metric.
+// reportSpeedup reports base/improved at the first and last sweep point.
 func reportSpeedup(b *testing.B, tb *metrics.Table, base, improved string) {
 	bs := tb.Column(base)
 	im := tb.Column(improved)
@@ -35,133 +48,84 @@ func reportSpeedup(b *testing.B, tb *metrics.Table, base, improved string) {
 }
 
 func BenchmarkFig4a(b *testing.B) {
-	sc := quickScale()
-	for i := 0; i < b.N; i++ {
-		tb := experiments.Fig4a(sc)
-		if i == 0 {
-			naive := tb.Column("model-imbalance")
-			best := tb.Column("model-improvement")
-			b.ReportMetric(naive[len(naive)-1], "naiveCV")
-			b.ReportMetric(best[len(best)-1], "bestCV")
-		}
-	}
+	benchExperiment(b, "fig4a", func(tables []*metrics.Table) {
+		naive := tables[0].Column("model-imbalance")
+		best := tables[0].Column("model-improvement")
+		b.ReportMetric(naive[len(naive)-1], "naiveCV")
+		b.ReportMetric(best[len(best)-1], "bestCV")
+	})
 }
 
 func BenchmarkFig4b(b *testing.B) {
-	sc := quickScale()
-	for i := 0; i < b.N; i++ {
-		tb := experiments.Fig4b(sc)
-		if i == 0 {
-			theo := tb.Column("theoretical-pct")
-			b.ReportMetric(theo[0], "theoretical-pct-lowP")
-		}
-	}
+	benchExperiment(b, "fig4b", func(tables []*metrics.Table) {
+		b.ReportMetric(tables[0].Column("theoretical-pct")[0], "theoretical-pct-lowP")
+	})
 }
 
 func BenchmarkFig5a(b *testing.B) {
-	sc := quickScale()
-	for i := 0; i < b.N; i++ {
-		tb := experiments.Fig5a(sc)
-		if i == 0 {
-			reportSpeedup(b, tb, "without-lb", "repartitioning")
-		}
-	}
+	benchExperiment(b, "fig5a", func(tables []*metrics.Table) {
+		reportSpeedup(b, tables[0], "without-lb", "repartitioning")
+	})
 }
 
 func BenchmarkFig5b(b *testing.B) {
-	sc := quickScale()
-	for i := 0; i < b.N; i++ {
-		tb := experiments.Fig5b(sc)
-		if i == 0 {
-			before := tb.Column("before-repartitioning")
-			after := tb.Column("after-repartitioning")
-			b.ReportMetric(before[0], "cv-before")
-			b.ReportMetric(after[0], "cv-after")
-		}
-	}
+	benchExperiment(b, "fig5b", func(tables []*metrics.Table) {
+		b.ReportMetric(tables[0].Column("before-repartitioning")[0], "cv-before")
+		b.ReportMetric(tables[0].Column("after-repartitioning")[0], "cv-after")
+	})
 }
 
 func BenchmarkFig5c(b *testing.B) {
-	sc := quickScale()
-	for i := 0; i < b.N; i++ {
-		tb := experiments.Fig5c(sc)
-		if i == 0 {
-			noLB := tb.Column("without-lb")
-			rp := tb.Column("repartitioning")
-			b.ReportMetric(noLB[0]-noLB[len(noLB)-1], "spread-nolb")
-			b.ReportMetric(rp[0]-rp[len(rp)-1], "spread-repart")
-		}
-	}
+	benchExperiment(b, "fig5c", func(tables []*metrics.Table) {
+		noLB := tables[0].Column("without-lb")
+		rp := tables[0].Column("repartitioning")
+		b.ReportMetric(noLB[0]-noLB[len(noLB)-1], "spread-nolb")
+		b.ReportMetric(rp[0]-rp[len(rp)-1], "spread-repart")
+	})
 }
 
 func BenchmarkFig6(b *testing.B) {
-	sc := quickScale()
-	for i := 0; i < b.N; i++ {
-		tb := experiments.Fig6(sc)
-		if i == 0 {
-			reportSpeedup(b, tb, "without-lb", "repartitioning")
-		}
-	}
+	benchExperiment(b, "fig6", func(tables []*metrics.Table) {
+		reportSpeedup(b, tables[0], "without-lb", "repartitioning")
+	})
 }
 
 func BenchmarkFig7a(b *testing.B) {
-	sc := quickScale()
-	for i := 0; i < b.N; i++ {
-		tb := experiments.Fig7a(sc)
-		if i == 0 {
-			nc := tb.Column("node-connection")
-			rc := tb.Column("region-connection")
-			other := tb.Column("other")
-			b.ReportMetric(nc[0]/(nc[0]+rc[0]+other[0]), "node-conn-frac")
-		}
-	}
+	benchExperiment(b, "fig7a", func(tables []*metrics.Table) {
+		nc := tables[0].Column("node-connection")
+		rc := tables[0].Column("region-connection")
+		other := tables[0].Column("other")
+		b.ReportMetric(nc[0]/(nc[0]+rc[0]+other[0]), "node-conn-frac")
+	})
 }
 
 func BenchmarkFig7b(b *testing.B) {
-	sc := quickScale()
-	for i := 0; i < b.N; i++ {
-		tb := experiments.Fig7b(sc)
-		if i == 0 {
-			region := tb.Column("region-graph")
-			if region[0] > 0 {
-				b.ReportMetric(region[1]/region[0], "remote-access-ratio")
-			}
+	benchExperiment(b, "fig7b", func(tables []*metrics.Table) {
+		if region := tables[0].Column("region-graph"); region[0] > 0 {
+			b.ReportMetric(region[1]/region[0], "remote-access-ratio")
 		}
-	}
+	})
 }
 
 func BenchmarkFig8(b *testing.B) {
-	sc := quickScale()
-	for i := 0; i < b.N; i++ {
-		tables := experiments.Fig8(sc)
-		if i == 0 {
-			reportSpeedup(b, tables[0], "without-lb", "repartitioning")
-		}
-	}
+	benchExperiment(b, "fig8", func(tables []*metrics.Table) {
+		reportSpeedup(b, tables[0], "without-lb", "repartitioning")
+	})
 }
 
 func BenchmarkFig9(b *testing.B) {
-	sc := quickScale()
-	for i := 0; i < b.N; i++ {
-		tables := experiments.Fig9(sc)
-		if i == 0 {
-			b.ReportMetric(metrics.Sum(tables[0].Column("stolen")), "stolen-lowP")
-			b.ReportMetric(metrics.Sum(tables[1].Column("stolen")), "stolen-highP")
-		}
-	}
+	benchExperiment(b, "fig9", func(tables []*metrics.Table) {
+		b.ReportMetric(metrics.Sum(tables[0].Column("stolen")), "stolen-lowP")
+		b.ReportMetric(metrics.Sum(tables[1].Column("stolen")), "stolen-highP")
+	})
 }
 
 func BenchmarkFig10(b *testing.B) {
-	sc := quickScale()
-	for i := 0; i < b.N; i++ {
-		tables := experiments.Fig10(sc)
-		if i == 0 {
-			mixed := tables[0]
-			noLB := mixed.Column("without-lb")
-			diff := mixed.Column("diffusive-ws")
-			b.ReportMetric(noLB[0]/diff[0], "rrt-steal-speedup")
-		}
-	}
+	benchExperiment(b, "fig10", func(tables []*metrics.Table) {
+		noLB := tables[0].Column("without-lb")
+		diff := tables[0].Column("diffusive-ws")
+		b.ReportMetric(noLB[0]/diff[0], "rrt-steal-speedup")
+	})
 }
 
 // BenchmarkPlanPRM measures the library's end-to-end planning throughput
@@ -224,41 +188,26 @@ func BenchmarkPlanRRT(b *testing.B) {
 // Ablation benchmarks: design-choice studies from DESIGN.md.
 
 func BenchmarkAblationDecomposition(b *testing.B) {
-	sc := quickScale()
-	for i := 0; i < b.N; i++ {
-		tb := experiments.AblationDecomposition(sc)
-		if i == 0 {
-			noLB := tb.Column("without-lb")
-			rp := tb.Column("repartitioning")
-			last := len(noLB) - 1
-			b.ReportMetric(noLB[last]/rp[last], "speedup-at-max-decomp")
-		}
-	}
+	benchExperiment(b, "ablation-decomposition", func(tables []*metrics.Table) {
+		noLB := tables[0].Column("without-lb")
+		rp := tables[0].Column("repartitioning")
+		last := len(noLB) - 1
+		b.ReportMetric(noLB[last]/rp[last], "speedup-at-max-decomp")
+	})
 }
 
 func BenchmarkAblationStealChunk(b *testing.B) {
-	sc := quickScale()
-	for i := 0; i < b.N; i++ {
-		experiments.AblationStealChunk(sc)
-	}
+	benchExperiment(b, "ablation-stealchunk", nil)
 }
 
 func BenchmarkAblationPartitioner(b *testing.B) {
-	sc := quickScale()
-	for i := 0; i < b.N; i++ {
-		tb := experiments.AblationPartitioner(sc)
-		if i == 0 {
-			cut := tb.Column("edge-cut")
-			if cut[0] > 0 {
-				b.ReportMetric(cut[1]/cut[0], "lpt-cut-ratio")
-			}
+	benchExperiment(b, "ablation-partitioner", func(tables []*metrics.Table) {
+		if cut := tables[0].Column("edge-cut"); cut[0] > 0 {
+			b.ReportMetric(cut[1]/cut[0], "lpt-cut-ratio")
 		}
-	}
+	})
 }
 
 func BenchmarkAblationVictimPolicy(b *testing.B) {
-	sc := quickScale()
-	for i := 0; i < b.N; i++ {
-		experiments.AblationVictimPolicy(sc)
-	}
+	benchExperiment(b, "ablation-victims", nil)
 }

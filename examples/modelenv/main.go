@@ -30,7 +30,10 @@ func main() {
 	fmt.Println("granularity bound of Section III.")
 
 	fmt.Println("\nFull Figure 4 reproduction (model vs measured):")
-	sc := experiments.Quick()
-	fmt.Println(experiments.Fig4a(sc).String())
-	fmt.Println(experiments.Fig4b(sc).String())
+	for _, id := range []string{"fig4a", "fig4b"} {
+		tables, _ := experiments.ByName(id, experiments.Quick())
+		for _, tb := range tables {
+			fmt.Println(tb.String())
+		}
+	}
 }

@@ -19,7 +19,6 @@ import (
 	"parmp/internal/core"
 	"parmp/internal/cspace"
 	"parmp/internal/env"
-	"parmp/internal/metrics"
 	"parmp/internal/obsv"
 	"parmp/internal/work"
 )
@@ -149,11 +148,6 @@ func Run(cfg Config) (Result, error) {
 	var cvN int
 	for _, pr := range res.PhaseReports {
 		m := obsv.Analyze(pr.Report)
-		busy := make([]float64, len(pr.Report.Workers))
-		for i, ws := range pr.Report.Workers {
-			busy[i] = ws.Busy
-		}
-		cv := metrics.CV(busy)
 		r.Phases = append(r.Phases, PhaseBalance{
 			Round:           pr.Round,
 			Phase:           pr.Phase,
@@ -162,7 +156,7 @@ func Run(cfg Config) (Result, error) {
 			Imbalance:       m.Imbalance,
 			StealEfficiency: m.StealEfficiency,
 			TasksMigrated:   m.TasksMigrated,
-			BusyCV:          cv,
+			BusyCV:          m.BusyCV,
 		})
 		utilSum += m.Utilization
 		if m.Imbalance > r.ImbalanceMax {
@@ -172,7 +166,7 @@ func Run(cfg Config) (Result, error) {
 			r.StealEfficiencyMin = m.StealEfficiency
 		}
 		if pr.Phase == "construct" && (pr.Round >= 1 || cfg.Rounds == 1) {
-			cvSum += cv
+			cvSum += m.BusyCV
 			cvN++
 		}
 	}

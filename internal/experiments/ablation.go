@@ -6,147 +6,88 @@ import (
 	"parmp/internal/core"
 	"parmp/internal/cspace"
 	"parmp/internal/env"
-	"parmp/internal/geom"
 	"parmp/internal/metrics"
-	"parmp/internal/steal"
+	"parmp/internal/obsv"
+	"parmp/internal/sched"
 	"parmp/internal/work"
 )
 
-// This file contains ablation studies for the design choices DESIGN.md
-// calls out. They are not paper figures; they quantify why the system is
-// built the way it is.
-
-// AblationDecomposition varies the over-decomposition degree
+// ablationDecomposition varies the over-decomposition degree
 // (regions per processor) at fixed P and reports the total time without
 // LB and with each balancer. The paper argues "the size of the biggest
 // quanta of work establishes a lower bound by which the problem can be
 // balanced": at 1 region/proc no technique can help; benefit grows with
 // granularity until overheads bite.
-func AblationDecomposition(sc Scale) *metrics.Table {
+func ablationDecomposition(sc Scale) *metrics.Table {
 	const procs = 16
-	t := &metrics.Table{
-		Title:   fmt.Sprintf("Ablation: over-decomposition at %d procs, med-cube", procs),
-		XLabel:  "regions/proc",
-		Columns: []string{"without-lb", "repartitioning", "hybrid-ws"},
-	}
 	s := cspace.NewPointSpace(env.MedCube())
-	for _, rpp := range []int{1, 2, 4, 8, 16} {
-		opts := prmOpts(sc, procs, work.Hopper())
-		opts.Regions = procs * rpp
-		row := make([]float64, 3)
-		for i, st := range []struct {
-			strategy core.Strategy
-			policy   steal.Policy
-		}{
-			{core.NoLB, nil},
-			{core.Repartition, nil},
-			{core.WorkStealing, steal.Hybrid{K: 8}},
-		} {
-			o := opts
-			o.Strategy = st.strategy
-			o.Policy = st.policy
-			res, err := core.ParallelPRM(s, o)
-			if err != nil {
-				panic(err)
-			}
-			row[i] = res.TotalTime
-		}
-		t.AddRow(float64(rpp), row...)
-	}
+	t := sweep(fmt.Sprintf("Ablation: over-decomposition at %d procs, med-cube", procs), "regions/proc",
+		[]int{1, 2, 4, 8, 16}, []series{noLB, repartLB, hybridWS}, func(rpp int, st series) float64 {
+			opts := prmOpts(sc, procs, work.Hopper())
+			opts.Regions = procs * rpp
+			return mustPRM(s, st.apply(opts)).TotalTime
+		})
 	t.Notes = append(t.Notes,
 		"total work grows with region count (constant samples/region); compare within a row")
 	return t
 }
 
-// AblationStealChunk varies the steal granularity: one region per steal
+// ablationStealChunk varies the steal granularity: one region per steal
 // (the paper's ownership-transfer model and our default) versus stealing
 // a quarter or half of the victim's pending deque per request.
-func AblationStealChunk(sc Scale) *metrics.Table {
+func ablationStealChunk(sc Scale) *metrics.Table {
 	const procs = 16
-	t := &metrics.Table{
-		Title:   fmt.Sprintf("Ablation: steal chunk size at %d procs, med-cube (hybrid)", procs),
-		XLabel:  "procs",
-		Columns: []string{"steal-one", "steal-quarter", "steal-half"},
+	chunked := func(label string, chunk float64) series {
+		st := relabel(hybridWS, label)
+		st.chunk = chunk
+		return st
 	}
-	s := cspace.NewPointSpace(env.MedCube())
-	for _, p := range []int{8, 16, 32} {
-		row := make([]float64, 3)
-		for i, chunk := range []float64{1e-9, 0.25, 0.5} {
-			opts := prmOpts(sc, p, work.Hopper())
-			opts.Strategy = core.WorkStealing
-			opts.Policy = steal.Hybrid{K: 8}
-			opts.StealChunk = chunk
-			res, err := core.ParallelPRM(s, opts)
-			if err != nil {
-				panic(err)
-			}
-			row[i] = res.TotalTime
-		}
-		t.AddRow(float64(p), row...)
-	}
-	return t
+	return sweep(fmt.Sprintf("Ablation: steal chunk size at %d procs, med-cube (hybrid)", procs), "procs",
+		[]int{8, 16, 32},
+		[]series{chunked("steal-one", 1e-9), chunked("steal-quarter", 0.25), chunked("steal-half", 0.5)},
+		prmTime(sc, env.MedCube(), work.Hopper()))
 }
 
-// AblationWeights compares repartitioning driven by three weight sources:
+// ablationWeights compares repartitioning driven by three weight sources:
 // the measured per-region sample counts (the paper's estimator and our
 // default), the exact free volume (an oracle), and uniform weights (a
 // weight-oblivious rebalance). Measured should track the oracle; uniform
 // should barely help.
-func AblationWeights(sc Scale) *metrics.Table {
+func ablationWeights(sc Scale) *metrics.Table {
 	const procs = 16
-	t := &metrics.Table{
-		Title:   fmt.Sprintf("Ablation: repartition weight source at %d procs, med-cube", procs),
-		XLabel:  "row",
-		Columns: []string{"node-connection-time"},
-	}
-	e := env.MedCube()
-	s := cspace.NewPointSpace(e)
+	t := newTable(fmt.Sprintf("Ablation: repartition weight source at %d procs, med-cube", procs), "row",
+		"node-connection-time")
+	s := cspace.NewPointSpace(env.MedCube())
 
 	// Baseline and sample-count weights come straight from the driver.
-	base := prmOpts(sc, procs, work.Hopper())
-	noLB, err := core.ParallelPRM(s, base)
-	if err != nil {
-		panic(err)
-	}
-	rp := base
-	rp.Strategy = core.Repartition
-	measured, err := core.ParallelPRM(s, rp)
-	if err != nil {
-		panic(err)
-	}
-	t.AddRow(0, noLB.Phases.NodeConnection)
+	opts := prmOpts(sc, procs, work.Hopper())
+	base := mustPRM(s, noLB.apply(opts)).Phases.NodeConnection
+	t.AddRow(0, base)
 	t.Notes = append(t.Notes, "row 0 = no load balancing")
-	t.AddRow(1, measured.Phases.NodeConnection)
+	t.AddRow(1, mustPRM(s, repartLB.apply(opts)).Phases.NodeConnection)
 	t.Notes = append(t.Notes, "row 1 = repartition on measured sample counts (default)")
 
 	// Uniform weights: pretend every region costs the same. Equal-count
 	// contiguous chunks == the naive partition, so this is a no-op
 	// rebalance; report the baseline time as its effect.
-	t.AddRow(2, noLB.Phases.NodeConnection)
+	t.AddRow(2, base)
 	t.Notes = append(t.Notes, "row 2 = repartition on uniform weights (no-op by construction)")
 	return t
 }
 
-// AblationPartitioner compares the two repartitioning algorithms: pure
+// ablationPartitioner compares the two repartitioning algorithms: pure
 // LPT (best balance, ignores locality) versus the spatially contiguous
 // region-growing partitioner (the default). LPT should win slightly on
 // node connection but lose on region connection via its edge cut.
-func AblationPartitioner(sc Scale) *metrics.Table {
+func ablationPartitioner(sc Scale) *metrics.Table {
 	const procs = 16
-	t := &metrics.Table{
-		Title:   fmt.Sprintf("Ablation: partitioner at %d procs, med-cube", procs),
-		XLabel:  "partitioner#",
-		Columns: []string{"node-connection", "region-connection", "edge-cut", "total"},
-	}
+	t := newTable(fmt.Sprintf("Ablation: partitioner at %d procs, med-cube", procs), "partitioner#",
+		"node-connection", "region-connection", "edge-cut", "total")
 	s := cspace.NewPointSpace(env.MedCube())
 	for i, part := range []core.Partitioner{core.PartitionSpatial, core.PartitionLPT} {
-		opts := prmOpts(sc, procs, work.Hopper())
-		opts.Strategy = core.Repartition
+		opts := repartLB.apply(prmOpts(sc, procs, work.Hopper()))
 		opts.Partitioner = part
-		res, err := core.ParallelPRM(s, opts)
-		if err != nil {
-			panic(err)
-		}
+		res := mustPRM(s, opts)
 		t.AddRow(float64(i), res.Phases.NodeConnection, res.Phases.RegionConnection,
 			float64(res.EdgeCut), res.TotalTime)
 	}
@@ -154,66 +95,38 @@ func AblationPartitioner(sc Scale) *metrics.Table {
 	return t
 }
 
-// AblationVictimPolicy reports steal-protocol health per policy at a
+// ablationVictimPolicy reports steal-protocol health per policy at a
 // fixed processor count: grants, denials, and tasks moved.
-func AblationVictimPolicy(sc Scale) *metrics.Table {
+func ablationVictimPolicy(sc Scale) *metrics.Table {
 	const procs = 32
-	t := &metrics.Table{
-		Title:   fmt.Sprintf("Ablation: victim policy protocol traffic at %d procs, med-cube", procs),
-		XLabel:  "policy#",
-		Columns: []string{"steals-issued", "steals-granted", "steals-denied", "tasks-moved", "total-time"},
-	}
+	t := newTable(fmt.Sprintf("Ablation: victim policy protocol traffic at %d procs, med-cube", procs), "policy#",
+		"steals-issued", "steals-granted", "steals-denied", "tasks-moved", "total-time")
 	s := cspace.NewPointSpace(env.MedCube())
-	for i, pol := range []steal.Policy{steal.Hybrid{K: 8}, steal.RandK{K: 8}, steal.Diffusive{}} {
-		opts := prmOpts(sc, procs, work.Hopper())
-		opts.Strategy = core.WorkStealing
-		opts.Policy = pol
-		res, err := core.ParallelPRM(s, opts)
-		if err != nil {
-			panic(err)
-		}
-		var issued, granted, denied, moved int
-		for _, ps := range res.ProcStats {
-			issued += ps.StealsIssued
-			granted += ps.StealsGranted
-			denied += ps.StealsDenied
-			moved += ps.TasksStolen
-		}
-		t.AddRow(float64(i), float64(issued), float64(granted), float64(denied),
-			float64(moved), res.TotalTime)
-		t.Notes = append(t.Notes, fmt.Sprintf("policy %d = %s", i, pol.Name()))
+	for i, st := range []series{hybridWS, rand8WS, diffusiveWS} {
+		res := mustPRM(s, st.apply(prmOpts(sc, procs, work.Hopper())))
+		m := obsv.Analyze(sched.Report{Workers: res.ProcStats})
+		t.AddRow(float64(i), float64(m.StealsIssued), float64(m.StealsGranted), float64(m.StealsDenied),
+			float64(m.TasksMigrated), res.TotalTime)
+		t.Notes = append(t.Notes, fmt.Sprintf("policy %d = %s", i, st.policy.Name()))
 	}
 	return t
 }
 
-// AblationRRTStar compares plain radial RRT against the RRT* extension at
+// ablationRRTStar compares plain radial RRT against the RRT* extension at
 // fixed P: RRT* pays more local planning per node (choose-parent +
 // rewiring), deepening per-region cost heterogeneity — which work
 // stealing then exploits.
-func AblationRRTStar(sc Scale) *metrics.Table {
+func ablationRRTStar(sc Scale) *metrics.Table {
 	const procs = 8
-	t := &metrics.Table{
-		Title:   fmt.Sprintf("Ablation: RRT vs RRT* at %d procs, mixed-30", procs),
-		XLabel:  "variant#",
-		Columns: []string{"no-lb-time", "diffusive-time", "steal-speedup"},
-	}
+	t := newTable(fmt.Sprintf("Ablation: RRT vs RRT* at %d procs, mixed-30", procs), "variant#",
+		"no-lb-time", "diffusive-time", "steal-speedup")
 	s := cspace.NewPointSpace(env.Mixed30())
-	root := geom.V(0.5, 0.5, 0.5)
 	for i, star := range []bool{false, true} {
-		base := rrtOpts(sc, procs, work.OpteronCluster())
-		base.Star = star
-		noLB, err := core.ParallelRRT(s, root, base)
-		if err != nil {
-			panic(err)
-		}
-		ws := base
-		ws.Strategy = core.WorkStealing
-		ws.Policy = steal.Diffusive{}
-		stolen, err := core.ParallelRRT(s, root, ws)
-		if err != nil {
-			panic(err)
-		}
-		t.AddRow(float64(i), noLB.TotalTime, stolen.TotalTime, noLB.TotalTime/stolen.TotalTime)
+		opts := rrtOpts(sc, procs, work.OpteronCluster())
+		opts.Star = star
+		base := mustRRT(s, rrtRoot(), noLB.apply(opts)).TotalTime
+		stolen := mustRRT(s, rrtRoot(), diffusiveWS.apply(opts)).TotalTime
+		t.AddRow(float64(i), base, stolen, base/stolen)
 	}
 	t.Notes = append(t.Notes, "variant 0 = plain RRT, 1 = RRT* (choose-parent + rewiring)")
 	return t

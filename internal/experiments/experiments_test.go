@@ -1,6 +1,12 @@
 package experiments
 
 import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -8,6 +14,8 @@ import (
 )
 
 // tiny returns a minimal scale so the whole figure set runs in seconds.
+// One portfolio trial, not more: seeds 7 and 8 both censor the single
+// configuration, at 4 s and 2.5 s of wall clock.
 func tiny() Scale {
 	return Scale{
 		Name:             "tiny",
@@ -29,7 +37,36 @@ func tiny() Scale {
 		Seed:             7,
 		RaceSeeds:        2,
 		RaceRounds:       4,
+		PortfolioTrials:  1,
+		RepartRounds:     2,
 	}
+}
+
+// ran memoizes tables: every entry runs once per test binary, however
+// many tests read it.
+var ran = map[string][]*metrics.Table{}
+
+// tables returns entry id's tables at the tiny scale.
+func tables(t *testing.T, id string) []*metrics.Table {
+	t.Helper()
+	if _, done := ran[id]; !done {
+		tbs, ok := ByName(id, tiny())
+		if !ok || len(tbs) == 0 {
+			t.Fatalf("ByName(%q) failed", id)
+		}
+		ran[id] = tbs
+	}
+	return ran[id]
+}
+
+// table returns the one table of a single-table entry.
+func table(t *testing.T, id string) *metrics.Table {
+	t.Helper()
+	tbs := tables(t, id)
+	if len(tbs) != 1 {
+		t.Fatalf("%s: %d tables, want 1", id, len(tbs))
+	}
+	return tbs[0]
 }
 
 func TestScaleByName(t *testing.T) {
@@ -45,7 +82,7 @@ func TestScaleByName(t *testing.T) {
 }
 
 func TestFig4aShape(t *testing.T) {
-	tb := Fig4a(tiny())
+	tb := table(t, "fig4a")
 	if len(tb.XS) != 3 || len(tb.Columns) != 4 {
 		t.Fatalf("shape: %d rows %d cols", len(tb.XS), len(tb.Columns))
 	}
@@ -66,7 +103,7 @@ func TestFig4aShape(t *testing.T) {
 }
 
 func TestFig4bShape(t *testing.T) {
-	tb := Fig4b(tiny())
+	tb := table(t, "fig4b")
 	theo := tb.Column("theoretical-pct")
 	exp := tb.Column("experimental-pct")
 	run := tb.Column("runtime-pct")
@@ -82,7 +119,7 @@ func TestFig4bShape(t *testing.T) {
 }
 
 func TestFig5aShapes(t *testing.T) {
-	tb := Fig5a(tiny())
+	tb := table(t, "fig5a")
 	noLB := tb.Column("without-lb")
 	rp := tb.Column("repartitioning")
 	hybrid := tb.Column("hybrid-ws")
@@ -103,7 +140,7 @@ func TestFig5aShapes(t *testing.T) {
 }
 
 func TestFig5bCVDrops(t *testing.T) {
-	tb := Fig5b(tiny())
+	tb := table(t, "fig5b")
 	before := tb.Column("before-repartitioning")
 	after := tb.Column("after-repartitioning")
 	for i := range before {
@@ -118,7 +155,7 @@ func TestFig5bCVDrops(t *testing.T) {
 
 func TestFig5cProfile(t *testing.T) {
 	sc := tiny()
-	tb := Fig5c(sc)
+	tb := table(t, "fig5c")
 	if len(tb.XS) != sc.ProfileProcs {
 		t.Fatalf("rows = %d, want %d", len(tb.XS), sc.ProfileProcs)
 	}
@@ -139,7 +176,7 @@ func TestFig5cProfile(t *testing.T) {
 }
 
 func TestFig6HighScale(t *testing.T) {
-	tb := Fig6(tiny())
+	tb := table(t, "fig6")
 	noLB := tb.Column("without-lb")
 	rp := tb.Column("repartitioning")
 	if rp[0] >= noLB[0] {
@@ -148,7 +185,7 @@ func TestFig6HighScale(t *testing.T) {
 }
 
 func TestFig7aBreakdown(t *testing.T) {
-	tb := Fig7a(tiny())
+	tb := table(t, "fig7a")
 	if len(tb.XS) != 4 {
 		t.Fatalf("rows = %d, want 4 strategies", len(tb.XS))
 	}
@@ -167,7 +204,7 @@ func TestFig7aBreakdown(t *testing.T) {
 }
 
 func TestFig7bRemoteAccesses(t *testing.T) {
-	tb := Fig7b(tiny())
+	tb := table(t, "fig7b")
 	region := tb.Column("region-graph")
 	roadmap := tb.Column("roadmap-graph")
 	// Row 0 = no-lb, row 1 = repartitioning: repartitioning increases
@@ -181,16 +218,16 @@ func TestFig7bRemoteAccesses(t *testing.T) {
 }
 
 func TestFig8ThreeEnvironments(t *testing.T) {
-	tables := Fig8(tiny())
-	if len(tables) != 3 {
-		t.Fatalf("tables = %d", len(tables))
+	tbs := tables(t, "fig8")
+	if len(tbs) != 3 {
+		t.Fatalf("tables = %d", len(tbs))
 	}
 	// med-cube: repartitioning wins at low P. free: nothing loses badly.
-	med := tables[0]
+	med := tbs[0]
 	if med.Column("repartitioning")[0] >= med.Column("without-lb")[0] {
 		t.Fatal("med-cube repartitioning should win")
 	}
-	free := tables[2]
+	free := tbs[2]
 	noLB := free.Column("without-lb")
 	for _, col := range []string{"repartitioning", "hybrid-ws", "rand-8-ws"} {
 		vals := free.Column(col)
@@ -203,11 +240,11 @@ func TestFig8ThreeEnvironments(t *testing.T) {
 }
 
 func TestFig9TaskDistribution(t *testing.T) {
-	tables := Fig9(tiny())
-	if len(tables) != 2 {
-		t.Fatalf("tables = %d", len(tables))
+	tbs := tables(t, "fig9")
+	if len(tbs) != 2 {
+		t.Fatalf("tables = %d", len(tbs))
 	}
-	for ti, tb := range tables {
+	for ti, tb := range tbs {
 		stolen := tb.Column("stolen")
 		local := tb.Column("non-stolen")
 		totalStolen, totalLocal := metrics.Sum(stolen), metrics.Sum(local)
@@ -222,19 +259,19 @@ func TestFig9TaskDistribution(t *testing.T) {
 	// find work once they have exhausted their local regions" — the
 	// per-processor count of executed stolen tasks shrinks under strong
 	// scaling (Fig 9(b) vs 9(a)).
-	perProcLow := metrics.Mean(tables[0].Column("stolen"))
-	perProcHigh := metrics.Mean(tables[1].Column("stolen"))
+	perProcLow := metrics.Mean(tbs[0].Column("stolen"))
+	perProcHigh := metrics.Mean(tbs[1].Column("stolen"))
 	if perProcHigh > perProcLow {
 		t.Fatalf("stolen tasks per proc should shrink with P: low=%v high=%v", perProcLow, perProcHigh)
 	}
 }
 
 func TestFig10RRT(t *testing.T) {
-	tables := Fig10(tiny())
-	if len(tables) != 3 {
-		t.Fatalf("tables = %d", len(tables))
+	tbs := tables(t, "fig10")
+	if len(tbs) != 3 {
+		t.Fatalf("tables = %d", len(tbs))
 	}
-	mixed := tables[0]
+	mixed := tbs[0]
 	noLB := mixed.Column("without-lb")
 	diff := mixed.Column("diffusive-ws")
 	// In the heavily blocked mixed env, diffusive stealing should help at
@@ -243,7 +280,7 @@ func TestFig10RRT(t *testing.T) {
 		t.Fatalf("diffusive should beat noLB in mixed at low P: %v vs %v", diff[0], noLB[0])
 	}
 	// Free environment: no strategy catastrophically worse.
-	free := tables[2]
+	free := tbs[2]
 	freeNoLB := free.Column("without-lb")
 	for _, col := range []string{"hybrid-ws", "rand-8-ws", "diffusive-ws"} {
 		vals := free.Column(col)
@@ -255,35 +292,125 @@ func TestFig10RRT(t *testing.T) {
 	}
 }
 
+// TestByNameCoversAll runs every registry entry once (shared with the
+// shape tests through tables) and checks each table says what its
+// entry's kind promises.
 func TestByNameCoversAll(t *testing.T) {
-	sc := tiny()
-	for _, id := range Names() {
-		if id == "all" {
-			continue
-		}
-		tables, ok := ByName(id, sc)
-		if !ok || len(tables) == 0 {
-			t.Fatalf("ByName(%q) failed", id)
-		}
-		for _, tb := range tables {
+	for _, e := range registry {
+		for _, tb := range tables(t, e.id) {
 			if tb.Title == "" || len(tb.XS) == 0 {
-				t.Fatalf("%s: empty table", id)
+				t.Fatalf("%s: empty table", e.id)
 			}
-			lower := strings.ToLower(tb.Title)
-			if !strings.Contains(lower, "fig") && !strings.Contains(lower, "ablation") &&
-				!strings.Contains(lower, "rrt vs rrt-connect") &&
-				!strings.Contains(lower, "repartition") {
-				t.Fatalf("%s: title %q does not name a figure, ablation, planner race or repartition study", id, tb.Title)
+			// A figure's tables are titled "Fig ...", an ablation's
+			// "Ablation: ...", a race's end "wall clock)", a study's
+			// none of these.
+			if strings.HasPrefix(tb.Title, "Fig ") != (e.kind == figure) ||
+				strings.HasPrefix(tb.Title, "Ablation: ") != (e.kind == ablation) ||
+				strings.HasSuffix(tb.Title, "wall clock)") != (e.kind == race) {
+				t.Fatalf("%s: kind %d but title %q", e.id, e.kind, tb.Title)
 			}
 		}
 	}
-	if _, ok := ByName("fig99", sc); ok {
+	if _, ok := ByName("fig99", tiny()); ok {
 		t.Fatal("unknown experiment should fail")
 	}
 }
 
+func ids(es []entry) []string {
+	var out []string
+	for _, e := range es {
+		out = append(out, e.id)
+	}
+	return out
+}
+
+// TestRegistry pins what is derived from the registry: the id list (CLI
+// help text) and the two groups' members and order.
+func TestRegistry(t *testing.T) {
+	seen := map[string]bool{}
+	for _, id := range Names() {
+		if seen[id] {
+			t.Fatalf("id %q listed twice", id)
+		}
+		seen[id] = true
+	}
+	figs := []string{"fig4a", "fig4b", "fig5a", "fig5b", "fig5c", "fig6",
+		"fig7a", "fig7b", "fig8", "fig9", "fig10"}
+	abls := []string{"ablation-decomposition", "ablation-stealchunk", "ablation-weights",
+		"ablation-partitioner", "ablation-victims", "ablation-rrtstar"}
+	wantNames := slices.Concat(figs, abls, []string{"ablations", "planners", "portfolio", "repartition", "all"})
+	if got := Names(); !slices.Equal(got, wantNames) {
+		t.Fatalf("Names() = %v, want %v", got, wantNames)
+	}
+	if got, want := ids(lookup("all")), append(slices.Clone(figs), "repartition"); !slices.Equal(got, want) {
+		t.Fatalf("all = %v, want %v", got, want)
+	}
+	if got := ids(lookup("ablations")); !slices.Equal(got, abls) {
+		t.Fatalf("ablations = %v, want %v", got, abls)
+	}
+	if got := lookup("fig99"); got != nil {
+		t.Fatalf("unknown id resolved to %v", ids(got))
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/tiny.golden from this run")
+
+// counts picks the solve tallies out of a race table's notes.
+var counts = regexp.MustCompile(`(solved |censored=)\d+/\d+`)
+
+// TestTinyGolden compares everything bit-stable the harness prints at the
+// tiny scale, byte for byte, with testdata/tiny.golden (written at commit
+// 35bf5e0, before the registry): the CSV of every table of "all" and
+// "ablations", and of the two races what does not depend on the clock —
+// shape, path lengths and solve tallies, with the *-ms columns dropped.
+func TestTinyGolden(t *testing.T) {
+	var b bytes.Buffer
+	for _, e := range slices.Concat(lookup("all"), lookup("ablations"), lookup("planners"), lookup("portfolio")) {
+		for _, tb := range tables(t, e.id) {
+			fmt.Fprintf(&b, "# %s\n", tb.Title)
+			if err := stable(tb).WriteCSV(&b); err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range tb.Notes {
+				if m := counts.FindString(n); m != "" {
+					fmt.Fprintf(&b, "# %s\n", m)
+				}
+			}
+			b.WriteByte('\n')
+		}
+	}
+	const path = "testdata/tiny.golden"
+	if *update {
+		if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b.Bytes(), want) {
+		t.Fatalf("tables differ from %s (rerun with -update after an intended change):\n%s", path, b.Bytes())
+	}
+}
+
+// stable returns tb without its wall-clock (*-ms) columns.
+func stable(tb *metrics.Table) *metrics.Table {
+	out := &metrics.Table{Title: tb.Title, XLabel: tb.XLabel, XS: tb.XS, Rows: make([][]float64, len(tb.Rows))}
+	for c, name := range tb.Columns {
+		if strings.HasSuffix(name, "-ms") {
+			continue
+		}
+		out.Columns = append(out.Columns, name)
+		for r := range tb.Rows {
+			out.Rows[r] = append(out.Rows[r], tb.Rows[r][c])
+		}
+	}
+	return out
+}
+
 func TestAblationDecompositionGranularityBound(t *testing.T) {
-	tb := AblationDecomposition(tiny())
+	tb := table(t, "ablation-decomposition")
 	noLB := tb.Column("without-lb")
 	rp := tb.Column("repartitioning")
 	// At 1 region/proc no balancer can improve anything.
@@ -298,7 +425,7 @@ func TestAblationDecompositionGranularityBound(t *testing.T) {
 }
 
 func TestAblationPartitionerTradeoff(t *testing.T) {
-	tb := AblationPartitioner(tiny())
+	tb := table(t, "ablation-partitioner")
 	nc := tb.Column("node-connection")
 	rc := tb.Column("region-connection")
 	cut := tb.Column("edge-cut")
@@ -320,7 +447,7 @@ func TestAblationPartitionerTradeoff(t *testing.T) {
 }
 
 func TestAblationVictimPolicyAccounting(t *testing.T) {
-	tb := AblationVictimPolicy(tiny())
+	tb := table(t, "ablation-victims")
 	issued := tb.Column("steals-issued")
 	granted := tb.Column("steals-granted")
 	denied := tb.Column("steals-denied")
@@ -335,7 +462,7 @@ func TestAblationVictimPolicyAccounting(t *testing.T) {
 }
 
 func TestAblationStealChunkRuns(t *testing.T) {
-	tb := AblationStealChunk(tiny())
+	tb := table(t, "ablation-stealchunk")
 	for _, col := range tb.Columns {
 		for i, v := range tb.Column(col) {
 			if v <= 0 {
@@ -346,7 +473,7 @@ func TestAblationStealChunkRuns(t *testing.T) {
 }
 
 func TestAblationWeightsShape(t *testing.T) {
-	tb := AblationWeights(tiny())
+	tb := table(t, "ablation-weights")
 	times := tb.Column("node-connection-time")
 	if times[1] >= times[0] {
 		t.Fatalf("measured-weight repartitioning should beat baseline: %v vs %v", times[1], times[0])
@@ -357,7 +484,7 @@ func TestAblationWeightsShape(t *testing.T) {
 }
 
 func TestAblationRRTStar(t *testing.T) {
-	tb := AblationRRTStar(tiny())
+	tb := table(t, "ablation-rrtstar")
 	noLB := tb.Column("no-lb-time")
 	// RRT* costs strictly more than plain RRT for the same node budget.
 	if noLB[1] <= noLB[0] {

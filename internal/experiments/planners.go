@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"math"
+	"slices"
 	"time"
 
 	"parmp/internal/core"
@@ -22,8 +22,12 @@ const plannerRaceShortcut = 1000
 type raceOutcome struct {
 	ms     float64 // wall-clock milliseconds to first solution
 	length float64 // smoothed path length (0 when unsolved)
-	rounds int
 	solved bool
+}
+
+// sinceMS is the wall-clock milliseconds elapsed since start.
+func sinceMS(start time.Time) float64 {
+	return float64(time.Since(start).Microseconds()) / 1000
 }
 
 // racePlanner grows one engine round by round until a committed snapshot
@@ -32,44 +36,21 @@ type raceOutcome struct {
 // and path extraction, so the comparison isolates planner growth.
 func racePlanner(planner string, s *cspace.Space, root, goal cspace.Config, opts core.Options, maxRounds int) raceOutcome {
 	start := time.Now()
-	var grow func() (*core.RRTResult, error)
+	var eng *core.RRTEngine
 	switch planner {
 	case "rrt":
-		eng, err := core.NewRRTEngine(s, root, opts)
-		if err != nil {
-			panic(err)
-		}
-		grow = func() (*core.RRTResult, error) {
-			if err := eng.GrowRound(nil); err != nil {
-				return nil, err
-			}
-			return eng.Result(), nil
-		}
+		eng = must(core.NewRRTEngine(s, root, opts))
 	case "rrtconnect":
-		eng, err := core.NewRRTConnectEngine(s, root, goal, opts)
-		if err != nil {
-			panic(err)
-		}
-		grow = func() (*core.RRTResult, error) {
-			if err := eng.GrowRound(nil); err != nil {
-				return nil, err
-			}
-			return eng.Result(), nil
-		}
+		eng = must(core.NewRRTConnectEngine(s, root, goal, opts))
 	default:
 		panic(fmt.Sprintf("experiments: unknown planner %q", planner))
 	}
 	for round := 1; round <= maxRounds; round++ {
-		res, err := grow()
-		if err != nil {
-			panic(err)
-		}
-		ix := core.BuildTreeIndex(res)
-		path, ok := ix.ExtractPath(s, goal, nil)
+		path, ok := core.BuildTreeIndex(grow(eng, 1)).ExtractPath(s, goal, nil)
 		if !ok {
 			continue
 		}
-		ms := float64(time.Since(start).Microseconds()) / 1000
+		ms := sinceMS(start)
 		// Densify before each shortcut pass so cuts can land mid-segment
 		// (vertex-pair shortcutting alone gets stuck on taut polylines);
 		// every pass is monotone non-increasing in length.
@@ -77,19 +58,14 @@ func racePlanner(planner string, s *cspace.Space, root, goal cspace.Config, opts
 			path = cspace.Densify(s, path, 4*opts.Step)
 			path = cspace.Shortcut(s, path, plannerRaceShortcut, rng.Derive(opts.Seed, 0x5407+pass), nil)
 		}
-		return raceOutcome{ms: ms, length: cspace.PathLength(s, path), rounds: round, solved: true}
+		return raceOutcome{ms: ms, length: cspace.PathLength(s, path), solved: true}
 	}
-	return raceOutcome{ms: float64(time.Since(start).Microseconds()) / 1000, rounds: maxRounds}
+	return raceOutcome{ms: sinceMS(start)}
 }
 
 // raceOpts sizes a planner race on e: radial reach is the environment
 // diagonal so the corner-to-corner benchmark query is inside every cone.
 func raceOpts(sc Scale, e *env.Environment, seed uint64) core.Options {
-	var d2 float64
-	for d := 0; d < e.Dim(); d++ {
-		span := e.Bounds.Hi[d] - e.Bounds.Lo[d]
-		d2 += span * span
-	}
 	// A fine step keeps the open-space race growth-dominated: covering
 	// the corner-to-corner distance takes many extension steps, which is
 	// the work the bidirectional search halves. The narrow-passage walls
@@ -99,92 +75,59 @@ func raceOpts(sc Scale, e *env.Environment, seed uint64) core.Options {
 	if e.Name == "walls" {
 		step = 0.05
 	}
-	return core.Options{
-		Procs:   8,
-		Regions: 32,
-		// Doubled node budget per round: a denser round-1 tree gives the
-		// smoother corridor the path-cost comparison needs.
-		NodesPerRegion: 2 * sc.NodesPerRegion,
-		Step:           step,
-		GoalBias:       0.1,
-		Radius:         math.Sqrt(d2),
-		RegionK:        4,
-		Profile:        work.OpteronCluster(),
-		Seed:           seed,
-	}
+	opts := rrtOpts(sc, 8, work.OpteronCluster())
+	// Doubled node budget per round: a denser round-1 tree gives the
+	// smoother corridor the path-cost comparison needs.
+	opts.Regions, opts.NodesPerRegion = 32, 2*sc.NodesPerRegion
+	opts.Step, opts.Radius, opts.Seed = step, diagonal(e), seed
+	return opts
 }
 
-// PlannerCompare races the radial tree planners to the first solution of
+// plannerCompare races the radial tree planners to the first solution of
 // e's corner-to-corner benchmark query and tabulates wall-clock
 // milliseconds and smoothed path length per seed (the EXPERIMENTS.md
 // "RRT vs RRT-Connect" table). Unsolved seeds report length 0 and the
 // time of the full round budget. Summary notes give each planner's mean
 // time, mean path length and solve rate, plus the pairwise speedup when
 // both rrt and rrtconnect raced.
-func PlannerCompare(sc Scale, e *env.Environment, planners []string) *metrics.Table {
-	seeds, maxRounds := sc.RaceSeeds, sc.RaceRounds
-	if seeds <= 0 {
-		seeds = 5
-	}
-	if maxRounds <= 0 {
-		maxRounds = 64
-	}
-	cols := make([]string, 0, 2*len(planners))
+func plannerCompare(sc Scale, e *env.Environment, planners []string) *metrics.Table {
+	t := newTable(fmt.Sprintf("RRT vs RRT-Connect to First Solution, %s (wall clock)", e.Name), "seed#")
 	for _, p := range planners {
-		cols = append(cols, p+"-ms", p+"-pathlen")
-	}
-	t := &metrics.Table{
-		Title:   fmt.Sprintf("RRT vs RRT-Connect to First Solution, %s (wall clock)", e.Name),
-		XLabel:  "seed#",
-		Columns: cols,
+		t.Columns = append(t.Columns, p+"-ms", p+"-pathlen")
 	}
 	s := cspace.NewPointSpace(e)
-	root := make(cspace.Config, e.Dim())
-	goal := make(cspace.Config, e.Dim())
-	for d := range root {
-		root[d] = e.Bounds.Lo[d] + 0.05*(e.Bounds.Hi[d]-e.Bounds.Lo[d])
-		goal[d] = e.Bounds.Lo[d] + 0.95*(e.Bounds.Hi[d]-e.Bounds.Lo[d])
-	}
+	root, goal := corners(e)
 	if !s.Valid(root, nil) || !s.Valid(goal, nil) {
 		panic(fmt.Sprintf("experiments: %s benchmark corners are not free", e.Name))
 	}
-	sums := make(map[string]*struct {
-		ms, length float64
-		solved     int
-	}, len(planners))
-	for _, p := range planners {
-		sums[p] = &struct {
-			ms, length float64
-			solved     int
-		}{}
-	}
-	for i := 0; i < seeds; i++ {
-		row := make([]float64, 0, len(cols))
-		for _, p := range planners {
-			out := racePlanner(p, s, root, goal, raceOpts(sc, e, sc.Seed+uint64(i)), maxRounds)
+	// Per-planner sums over seeds: time, solved path length, solve count.
+	ms := make([]float64, len(planners))
+	length := make([]float64, len(planners))
+	solved := make([]int, len(planners))
+	for i := 0; i < sc.RaceSeeds; i++ {
+		var row []float64
+		for j, p := range planners {
+			out := racePlanner(p, s, root, goal, raceOpts(sc, e, sc.Seed+uint64(i)), sc.RaceRounds)
 			row = append(row, out.ms, out.length)
-			sum := sums[p]
-			sum.ms += out.ms
+			ms[j] += out.ms
 			if out.solved {
-				sum.length += out.length
-				sum.solved++
+				length[j] += out.length
+				solved[j]++
 			}
 		}
 		t.AddRow(float64(i), row...)
 	}
-	for _, p := range planners {
-		sum := sums[p]
+	for j, p := range planners {
 		meanLen := 0.0
-		if sum.solved > 0 {
-			meanLen = sum.length / float64(sum.solved)
+		if solved[j] > 0 {
+			meanLen = length[j] / float64(solved[j])
 		}
 		t.Notes = append(t.Notes, fmt.Sprintf("%s: mean %.1f ms, mean path length %.3f, solved %d/%d",
-			p, sum.ms/float64(seeds), meanLen, sum.solved, seeds))
+			p, ms[j]/float64(sc.RaceSeeds), meanLen, solved[j], sc.RaceSeeds))
 	}
-	if rrt, ok := sums["rrt"]; ok {
-		if rc, ok := sums["rrtconnect"]; ok && rc.ms > 0 {
-			t.Notes = append(t.Notes, fmt.Sprintf("rrtconnect speedup over rrt: %.2fx", rrt.ms/rc.ms))
-		}
+	rrt, rc := slices.Index(planners, "rrt"), slices.Index(planners, "rrtconnect")
+	if rrt >= 0 && rc >= 0 && ms[rc] > 0 {
+		t.Notes = append(t.Notes, fmt.Sprintf("rrtconnect speedup over rrt: %.2fx", ms[rrt]/ms[rc]))
 	}
 	return t
 }
@@ -197,7 +140,7 @@ func Planners(sc Scale, planners []string) []*metrics.Table {
 		planners = []string{"rrt", "rrtconnect"}
 	}
 	return []*metrics.Table{
-		PlannerCompare(sc, env.MedCube(), planners),
-		PlannerCompare(sc, env.ByName("walls"), planners),
+		plannerCompare(sc, env.MedCube(), planners),
+		plannerCompare(sc, env.ByName("walls"), planners),
 	}
 }

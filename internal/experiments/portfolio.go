@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"parmp"
@@ -33,11 +32,6 @@ const portfolioUnitRounds = 384
 // the seed's bidirectional trees lock onto the right doorways — the
 // heavy-tailed regime the portfolio is built for.
 func portfolioOpts(e *env.Environment, seed uint64) parmp.Options {
-	var d2 float64
-	for d := 0; d < e.Dim(); d++ {
-		span := e.Bounds.Hi[d] - e.Bounds.Lo[d]
-		d2 += span * span
-	}
 	return parmp.Options{
 		Procs:            2,
 		Regions:          8,
@@ -45,7 +39,7 @@ func portfolioOpts(e *env.Environment, seed uint64) parmp.Options {
 		NodesPerRegion:   2,
 		Step:             0.05,
 		GoalBias:         0.1,
-		Radius:           math.Sqrt(d2),
+		Radius:           diagonal(e),
 		RegionK:          4,
 		Strategy:         parmp.Repartition,
 		Seed:             seed,
@@ -57,20 +51,17 @@ func portfolioOpts(e *env.Environment, seed uint64) parmp.Options {
 // false) and report elapsed time at the cutoff. The race report is
 // returned for overhead accounting either way.
 func portfolioRun(space *parmp.Space, start, goal parmp.Config, opts parmp.Options, po parmp.PortfolioOptions) (float64, *parmp.PortfolioReport, bool) {
-	pf, err := parmp.NewPortfolio(space, start, goal, opts, po)
-	if err != nil {
-		panic(err)
-	}
+	pf := must(parmp.NewPortfolio(space, start, goal, opts, po))
 	t0 := time.Now()
-	_, err = pf.Solve(context.Background())
-	ms := float64(time.Since(t0).Microseconds()) / 1000
+	_, err := pf.Solve(context.Background())
+	ms := sinceMS(t0)
 	if err != nil && !errors.Is(err, parmp.ErrNoSolution) {
 		panic(fmt.Sprintf("experiments: portfolio run failed: %v", err))
 	}
 	return ms, pf.Report(), err == nil
 }
 
-// PortfolioTail measures the tail of time-to-first-solution on the
+// portfolioTail measures the tail of time-to-first-solution on the
 // narrow-passage walls environment. RRT-Connect there is classically
 // heavy-tailed: most seeds thread the doorways in a few hundred rounds,
 // but a fraction lock both trees onto mismatched doors and stay stuck
@@ -82,19 +73,11 @@ func portfolioRun(space *parmp.Space, start, goal parmp.Config, opts parmp.Optio
 // quantify p50/p99/p999 per column, censored-run counts, and the losers'
 // cancellation overhead (rounds grown by non-winning racers per solved
 // query).
-func PortfolioTail(sc Scale) *metrics.Table {
+func portfolioTail(sc Scale) *metrics.Table {
 	trials := sc.PortfolioTrials
-	if trials <= 0 {
-		trials = 12
-	}
 	e := env.ByName("walls")
 	space := parmp.NewPointSpace(e)
-	start := make(parmp.Config, e.Dim())
-	goal := make(parmp.Config, e.Dim())
-	for d := range start {
-		start[d] = e.Bounds.Lo[d] + 0.05*(e.Bounds.Hi[d]-e.Bounds.Lo[d])
-		goal[d] = e.Bounds.Lo[d] + 0.95*(e.Bounds.Hi[d]-e.Bounds.Lo[d])
-	}
+	start, goal := corners(e)
 
 	configs := []struct {
 		label string
@@ -107,18 +90,12 @@ func PortfolioTail(sc Scale) *metrics.Table {
 		{"portfolio4-luby-ms", parmp.PortfolioOptions{
 			Racers: 4, Planners: []string{"rrtconnect"}, Restarts: "luby", UnitRounds: portfolioUnitRounds, MaxWaves: portfolioMaxWaves}},
 	}
-	cols := make([]string, len(configs))
+	t := newTable(fmt.Sprintf("Portfolio vs Single Config: Time to First Solution, walls (%d trials, wall clock)", trials), "trial#")
+	for _, c := range configs {
+		t.Columns = append(t.Columns, c.label)
+	}
 	samples := make([][]float64, len(configs))
 	censored := make([]int, len(configs))
-	for i, c := range configs {
-		cols[i] = c.label
-		samples[i] = make([]float64, 0, trials)
-	}
-	t := &metrics.Table{
-		Title:   fmt.Sprintf("Portfolio vs Single Config: Time to First Solution, walls (%d trials, wall clock)", trials),
-		XLabel:  "trial#",
-		Columns: cols,
-	}
 	var loserRounds, winnerRounds, stopped, restarts, lubySolved int
 	for i := 0; i < trials; i++ {
 		row := make([]float64, len(configs))
@@ -146,13 +123,14 @@ func PortfolioTail(sc Scale) *metrics.Table {
 		}
 		t.AddRow(float64(i), row...)
 	}
+	p99 := make([]float64, len(configs))
 	for j, c := range configs {
 		p := servebench.Compute(samples[j])
+		p99[j] = p.P99
 		t.Notes = append(t.Notes, fmt.Sprintf("%s: p50=%.0fms p99=%.0fms p999=%.0fms max=%.0fms censored=%d/%d",
 			c.label, p.P50, p.P99, p.P999, p.Max, censored[j], trials))
 	}
-	singleP99 := servebench.Compute(samples[0]).P99
-	pfP99 := servebench.Compute(samples[2]).P99
+	singleP99, pfP99 := p99[0], p99[2]
 	t.Notes = append(t.Notes, fmt.Sprintf("portfolio4-luby p99 vs single p99: %.0fms vs %.0fms (%.2fx better)",
 		pfP99, singleP99, singleP99/pfP99))
 	t.Notes = append(t.Notes, fmt.Sprintf(

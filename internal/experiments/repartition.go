@@ -6,85 +6,35 @@ import (
 	"parmp/internal/core"
 	"parmp/internal/cspace"
 	"parmp/internal/env"
-	"parmp/internal/geom"
 	"parmp/internal/metrics"
+	"parmp/internal/obsv"
 	"parmp/internal/work"
 )
 
-// repartRounds is the growth-round budget for the closed-loop
-// repartitioning experiment: the cost model needs warm rounds to act, so
-// single-shot runs cannot show it.
-func repartRounds(sc Scale) int {
-	if sc.RepartRounds > 0 {
-		return sc.RepartRounds
-	}
-	return 4
-}
+// The closed-loop series: repartitioning on the paper's static weights
+// (k-ray probes for trees, this round's sample counts for roadmaps), on
+// EWMA-observed costs, and with the between-rounds diffusive rebalance.
+var (
+	repartObserved  = series{label: "repart-observed", strategy: core.Repartition, costModel: core.CostObserved}
+	repartDiffusive = series{label: "repart-obs-diffusive", strategy: core.Repartition,
+		costModel: core.CostObserved, rebalance: core.RebalanceDiffusive}
+)
 
-// repartCombo is one CostModel × Rebalance configuration under test.
-type repartCombo struct {
-	label string
-	cm    core.CostModelKind
-	rb    core.RebalanceKind
-}
-
-var repartCombos = []repartCombo{
-	{"static/none", core.CostStatic, core.RebalanceNone},
-	{"static/diffusive", core.CostStatic, core.RebalanceDiffusive},
-	{"observed/none", core.CostObserved, core.RebalanceNone},
-	{"observed/diffusive", core.CostObserved, core.RebalanceDiffusive},
-}
-
-// RepartitionRRT measures whether observed-cost weighting rescues RRT
+// repartitionRRT measures whether observed-cost weighting rescues RRT
 // repartitioning from the paper's failure mode: cumulative virtual time
 // over multiple growth rounds, sweeping processor counts, comparing no
 // load balancing against repartitioning on k-ray weights (the paper's
 // estimator), on EWMA-observed branch costs, and observed costs plus the
 // between-rounds diffusive rebalance.
-func RepartitionRRT(sc Scale, e *env.Environment, title string) *metrics.Table {
-	t := &metrics.Table{
-		Title:  title,
-		XLabel: "procs",
-		Columns: []string{
-			"without-lb", "repart-kray", "repart-observed", "repart-obs-diffusive",
-		},
-	}
+func repartitionRRT(sc Scale, e *env.Environment, title string) *metrics.Table {
 	s := cspace.NewPointSpace(e)
-	root := geom.V(0.5, 0.5, 0.5)
-	if !s.Valid(root, nil) {
-		root = findFreeRoot(s)
-	}
-	rounds := repartRounds(sc)
-	run := func(opts core.Options) float64 {
-		eng, err := core.NewRRTEngine(s, root, opts)
-		if err != nil {
-			panic(err)
-		}
-		for r := 0; r < rounds; r++ {
-			if err := eng.GrowRound(nil); err != nil {
-				panic(err)
-			}
-		}
-		return eng.Result().TotalTime
-	}
-	for _, p := range sc.RRTProcs {
-		base := rrtOpts(sc, p, work.OpteronCluster())
-
-		noLB := base
-		noLB.Strategy = core.NoLB
-
-		kray := base
-		kray.Strategy = core.Repartition
-
-		observed := kray
-		observed.CostModel = core.CostObserved
-
-		diffusive := observed
-		diffusive.Rebalance = core.RebalanceDiffusive
-
-		t.AddRow(float64(p), run(noLB), run(kray), run(observed), run(diffusive))
-	}
-	t.Notes = append(t.Notes, fmt.Sprintf("cumulative virtual time over %d growth rounds", rounds))
+	t := sweep(title, "procs", sc.RRTProcs,
+		[]series{noLB, relabel(repartLB, "repart-kray"), repartObserved, repartDiffusive},
+		func(p int, st series) float64 {
+			opts := st.apply(rrtOpts(sc, p, work.OpteronCluster()))
+			return grow(must(core.NewRRTEngine(s, rrtRoot(), opts)), sc.RepartRounds).TotalTime
+		})
+	t.Notes = append(t.Notes, fmt.Sprintf("cumulative virtual time over %d growth rounds", sc.RepartRounds))
 	return t
 }
 
@@ -104,52 +54,35 @@ func repartPRMOpts(sc Scale) core.Options {
 		ConnectK:         3,
 		Profile:          work.Hopper(),
 		Seed:             sc.Seed,
-		Strategy:         core.Repartition,
 	}
 }
 
-// RepartitionPRMCV compares PRM construct-phase imbalance (per-worker
+// repartPRM grows the comparison's PRM under st for the scale's round
+// budget and returns the cumulative result with each round's
+// construct-phase busy-time CV.
+func repartPRM(sc Scale, s *cspace.Space, st series) (*core.PRMResult, []float64) {
+	res := grow(must(core.NewPRMEngine(s, st.apply(repartPRMOpts(sc)))), sc.RepartRounds)
+	var cvs []float64
+	for _, pr := range res.PhaseReports {
+		if pr.Phase == "construct" {
+			cvs = append(cvs, obsv.Analyze(pr.Report).BusyCV)
+		}
+	}
+	return res, cvs
+}
+
+// repartitionPRMCV compares PRM construct-phase imbalance (per-worker
 // busy-time CV) round by round when repartitioning weights come from
 // this round's sample counts (the static estimate) versus the observed
 // per-sample cost model. Round 0 is identical by construction (the
 // cold-start fallback); the observed series must win once warm on
 // environments where per-sample connection cost varies by region.
-func RepartitionPRMCV(sc Scale, e *env.Environment, title string) *metrics.Table {
-	t := &metrics.Table{
-		Title:   title,
-		XLabel:  "round",
-		Columns: []string{"sample-count-cv", "observed-cv"},
-	}
+func repartitionPRMCV(sc Scale, e *env.Environment, title string) *metrics.Table {
+	t := newTable(title, "round", "sample-count-cv", "observed-cv")
 	s := cspace.NewPointSpace(e)
-	rounds := repartRounds(sc)
-	run := func(cm core.CostModelKind) []float64 {
-		opts := repartPRMOpts(sc)
-		opts.CostModel = cm
-		eng, err := core.NewPRMEngine(s, opts)
-		if err != nil {
-			panic(err)
-		}
-		for r := 0; r < rounds; r++ {
-			if err := eng.GrowRound(nil); err != nil {
-				panic(err)
-			}
-		}
-		var cvs []float64
-		for _, pr := range eng.Result().PhaseReports {
-			if pr.Phase != "construct" {
-				continue
-			}
-			busy := make([]float64, len(pr.Report.Workers))
-			for i, ws := range pr.Report.Workers {
-				busy[i] = ws.Busy
-			}
-			cvs = append(cvs, metrics.CV(busy))
-		}
-		return cvs
-	}
-	static := run(core.CostStatic)
-	observed := run(core.CostObserved)
-	for r := 0; r < len(static) && r < len(observed); r++ {
+	_, static := repartPRM(sc, s, repartLB)
+	_, observed := repartPRM(sc, s, repartObserved)
+	for r := range static {
 		t.AddRow(float64(r), static[r], observed[r])
 	}
 	o := repartPRMOpts(sc)
@@ -159,79 +92,46 @@ func RepartitionPRMCV(sc Scale, e *env.Environment, title string) *metrics.Table
 	return t
 }
 
-// RepartitionCombos crosses CostModel × Rebalance on a multi-round PRM
+// repartitionCombos crosses CostModel × Rebalance on a multi-round PRM
 // under repartitioning: cumulative virtual time, warm-round construct
 // CV, and the two migration counters, one row per combination.
-func RepartitionCombos(sc Scale, e *env.Environment, title string) *metrics.Table {
-	t := &metrics.Table{
-		Title:   title,
-		XLabel:  "combo",
-		Columns: []string{"total-time", "construct-cv-warm", "migrated", "diffused"},
-	}
+func repartitionCombos(sc Scale, e *env.Environment, title string) *metrics.Table {
+	t := newTable(title, "combo", "total-time", "construct-cv-warm", "migrated", "diffused")
 	s := cspace.NewPointSpace(e)
-	rounds := repartRounds(sc)
-	for i, c := range repartCombos {
-		opts := repartPRMOpts(sc)
-		opts.CostModel = c.cm
-		opts.Rebalance = c.rb
-		eng, err := core.NewPRMEngine(s, opts)
-		if err != nil {
-			panic(err)
-		}
-		for r := 0; r < rounds; r++ {
-			if err := eng.GrowRound(nil); err != nil {
-				panic(err)
-			}
-		}
-		res := eng.Result()
-		var cvSum float64
-		var cvN int
-		round := 0
-		for _, pr := range res.PhaseReports {
-			if pr.Phase != "construct" {
-				continue
-			}
-			if round >= 1 {
-				busy := make([]float64, len(pr.Report.Workers))
-				for j, ws := range pr.Report.Workers {
-					busy[j] = ws.Busy
-				}
-				cvSum += metrics.CV(busy)
-				cvN++
-			}
-			round++
-		}
-		cv := 0.0
-		if cvN > 0 {
-			cv = cvSum / float64(cvN)
-		}
-		t.AddRow(float64(i), res.TotalTime, cv,
+	staticDiffusive := series{strategy: core.Repartition, rebalance: core.RebalanceDiffusive}
+	for i, st := range []series{
+		relabel(repartLB, "static/none"), relabel(staticDiffusive, "static/diffusive"),
+		relabel(repartObserved, "observed/none"), relabel(repartDiffusive, "observed/diffusive"),
+	} {
+		res, cvs := repartPRM(sc, s, st)
+		// Round 0 is the cold start every combination shares.
+		t.AddRow(float64(i), res.TotalTime, metrics.Mean(cvs[min(1, len(cvs)):]),
 			float64(res.MigratedRegions), float64(res.DiffusedRegions))
-		t.Notes = append(t.Notes, fmt.Sprintf("combo %d = %s", i, c.label))
+		t.Notes = append(t.Notes, fmt.Sprintf("combo %d = %s", i, st.label))
 	}
 	o := repartPRMOpts(sc)
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("%d rounds, %d procs, %d regions", rounds, o.Procs, o.Regions))
+		fmt.Sprintf("%d rounds, %d procs, %d regions", sc.RepartRounds, o.Procs, o.Regions))
 	return t
 }
 
-// Repartition runs the closed-loop load-balancing experiment: the RRT
+// repartition runs the closed-loop load-balancing experiment: the RRT
 // repartitioning flip test on mixed-30 (the paper's failure-mode
 // environment, Fig 10(b)) and free, the PRM round-by-round CV comparison
 // on mixed (heterogeneous per-sample cost) and med-cube (homogeneous —
 // where zero-lag sample counts remain competitive), and the four-way
 // CostModel × Rebalance cross.
-func Repartition(sc Scale) []*metrics.Table {
+func repartition(sc Scale) []*metrics.Table {
 	return []*metrics.Table{
-		RepartitionRRT(sc, env.Mixed30(),
+		repartitionRRT(sc, env.Mixed30(),
 			"Repartition: RRT Cumulative Time, mixed-30, Opteron"),
-		RepartitionRRT(sc, env.Free(),
+		repartitionRRT(sc, env.Free(),
 			"Repartition: RRT Cumulative Time, free, Opteron"),
-		RepartitionPRMCV(sc, env.Mixed(),
+		repartitionPRMCV(sc, env.Mixed(),
 			"Repartition: PRM Construct CV by Round, mixed, Hopper"),
-		RepartitionPRMCV(sc, env.MedCube(),
+		repartitionPRMCV(sc, env.MedCube(),
 			"Repartition: PRM Construct CV by Round, med-cube, Hopper"),
-		RepartitionCombos(sc, env.Mixed(),
+		repartitionCombos(sc, env.Mixed(),
 			"Repartition: CostModel x Rebalance, mixed, Hopper"),
 	}
 }

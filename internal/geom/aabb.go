@@ -47,16 +47,6 @@ func (b AABB) Contains(p Vec) bool {
 	return true
 }
 
-// ContainsOpen reports whether p lies strictly inside b.
-func (b AABB) ContainsOpen(p Vec) bool {
-	for i := range b.Lo {
-		if p[i] <= b.Lo[i] || p[i] >= b.Hi[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Center returns the midpoint of b.
 func (b AABB) Center() Vec {
 	c := make(Vec, len(b.Lo))
@@ -92,21 +82,6 @@ func (b AABB) Intersects(o AABB) bool {
 		}
 	}
 	return true
-}
-
-// Intersection returns the overlap of b and o and whether it is non-empty.
-// The returned box may be degenerate (zero width) when boxes merely touch.
-func (b AABB) Intersection(o AABB) (AABB, bool) {
-	lo := make(Vec, len(b.Lo))
-	hi := make(Vec, len(b.Lo))
-	for i := range b.Lo {
-		lo[i] = math.Max(b.Lo[i], o.Lo[i])
-		hi[i] = math.Min(b.Hi[i], o.Hi[i])
-		if lo[i] > hi[i] {
-			return AABB{}, false
-		}
-	}
-	return AABB{Lo: lo, Hi: hi}, true
 }
 
 // IntersectionVolume returns the volume of the overlap of b and o, or 0 if

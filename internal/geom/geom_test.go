@@ -79,9 +79,6 @@ func TestAABBContains(t *testing.T) {
 	if b.Contains(V(1.01, 0.5)) || b.Contains(V(-0.01, 0.5)) {
 		t.Fatal("outside points should not be contained")
 	}
-	if b.ContainsOpen(V(0, 0.5)) {
-		t.Fatal("boundary not strictly inside")
-	}
 }
 
 func TestAABBVolumeCenter(t *testing.T) {
@@ -102,10 +99,6 @@ func TestAABBIntersection(t *testing.T) {
 	b := Box2(1, 1, 3, 3)
 	if !a.Intersects(b) {
 		t.Fatal("overlapping boxes should intersect")
-	}
-	inter, ok := a.Intersection(b)
-	if !ok || inter.Volume() != 1 {
-		t.Fatalf("Intersection = %v ok=%v", inter, ok)
 	}
 	if got := a.IntersectionVolume(b); got != 1 {
 		t.Fatalf("IntersectionVolume = %v", got)
@@ -214,15 +207,6 @@ func TestQuatComposition(t *testing.T) {
 	}
 }
 
-func TestQuatConjInverse(t *testing.T) {
-	q := QuatFromEuler(0.3, -0.7, 1.1)
-	v := V(1, 2, 3)
-	back := q.Conj().Rotate(q.Rotate(v))
-	if !back.Equal(v, 1e-12) {
-		t.Fatalf("conjugate did not invert: %v", back)
-	}
-}
-
 func TestQuatRotationPreservesNorm(t *testing.T) {
 	clamp := func(x float64) float64 {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
@@ -244,10 +228,10 @@ func TestTransformApplyCompose(t *testing.T) {
 	a := Transform{R: QuatFromEuler(0, 0, math.Pi/2), T: V(1, 0, 0)}
 	b := Transform{R: QuatIdentity, T: V(0, 1, 0)}
 	p := V(1, 0, 0)
-	seq := a.Apply(b.Apply(p))
-	comp := a.Compose(b).Apply(p)
-	if !seq.Equal(comp, 1e-12) {
-		t.Fatalf("compose mismatch: %v vs %v", seq, comp)
+	// b translates p to (1,1,0); a turns that a quarter about z to
+	// (-1,1,0) and translates it to (0,1,0).
+	if seq := a.Apply(b.Apply(p)); !seq.Equal(V(0, 1, 0), 1e-12) {
+		t.Fatalf("a after b maps %v to %v, want (0,1,0)", p, seq)
 	}
 }
 

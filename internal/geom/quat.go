@@ -35,9 +35,6 @@ func (q Quat) Mul(r Quat) Quat {
 	}
 }
 
-// Conj returns the conjugate (inverse for unit quaternions).
-func (q Quat) Conj() Quat { return Quat{W: q.W, X: -q.X, Y: -q.Y, Z: -q.Z} }
-
 // Norm returns the quaternion magnitude.
 func (q Quat) Norm() float64 {
 	return math.Sqrt(q.W*q.W + q.X*q.X + q.Y*q.Y + q.Z*q.Z)
@@ -75,9 +72,4 @@ type Transform struct {
 // Apply maps a point from body frame to world frame.
 func (t Transform) Apply(p Vec) Vec {
 	return t.R.Rotate(p).Add(t.T)
-}
-
-// Compose returns the transform equivalent to applying u first, then t.
-func (t Transform) Compose(u Transform) Transform {
-	return Transform{R: t.R.Mul(u.R), T: t.R.Rotate(u.T).Add(t.T)}
 }

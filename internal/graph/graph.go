@@ -124,9 +124,6 @@ func (g *Graph[V]) NumEdges() int { return g.edges }
 // Vertex returns the payload of id. It panics for out-of-range ids.
 func (g *Graph[V]) Vertex(id ID) V { return g.verts[id] }
 
-// SetVertex replaces the payload of id.
-func (g *Graph[V]) SetVertex(id ID, v V) { g.verts[id] = v }
-
 // AddEdge inserts an undirected edge a—b with the given weight. Duplicate
 // and self edges are rejected (returning false).
 func (g *Graph[V]) AddEdge(a, b ID, weight float64) bool {

@@ -44,10 +44,6 @@ func TestAddVertexEdge(t *testing.T) {
 	if g.Vertex(a) != "a" {
 		t.Fatalf("Vertex = %q", g.Vertex(a))
 	}
-	g.SetVertex(a, "z")
-	if g.Vertex(a) != "z" {
-		t.Fatal("SetVertex did not stick")
-	}
 	if g.Degree(a) != 1 || g.Degree(b) != 1 {
 		t.Fatal("degrees wrong")
 	}
@@ -203,8 +199,8 @@ func TestShortestPathMatchesBFSOnUnitWeights(t *testing.T) {
 
 func TestUnionFindBasics(t *testing.T) {
 	u := NewUnionFind(5)
-	if u.Sets() != 5 || u.Len() != 5 {
-		t.Fatalf("init sets=%d len=%d", u.Sets(), u.Len())
+	if u.Len() != 5 {
+		t.Fatalf("init len=%d", u.Len())
 	}
 	if !u.Union(0, 1) || !u.Union(1, 2) {
 		t.Fatal("unions should merge")
@@ -212,22 +208,19 @@ func TestUnionFindBasics(t *testing.T) {
 	if u.Union(0, 2) {
 		t.Fatal("redundant union should report false")
 	}
-	if !u.Connected(0, 2) || u.Connected(0, 3) {
+	if u.Find(0) != u.Find(2) || u.Find(0) == u.Find(3) {
 		t.Fatal("connectivity wrong")
-	}
-	if u.Sets() != 3 {
-		t.Fatalf("sets = %d", u.Sets())
 	}
 }
 
 func TestUnionFindGrow(t *testing.T) {
 	u := NewUnionFind(2)
 	first := u.Grow(3)
-	if first != 2 || u.Len() != 5 || u.Sets() != 5 {
-		t.Fatalf("grow: first=%d len=%d sets=%d", first, u.Len(), u.Sets())
+	if first != 2 || u.Len() != 5 {
+		t.Fatalf("grow: first=%d len=%d", first, u.Len())
 	}
 	u.Union(0, 4)
-	if !u.Connected(4, 0) {
+	if u.Find(4) != u.Find(0) {
 		t.Fatal("grown element should union")
 	}
 }
@@ -253,7 +246,7 @@ func TestUnionFindMatchesComponents(t *testing.T) {
 		labels, _ := g.ConnectedComponents()
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				if (labels[i] == labels[j]) != u.Connected(i, j) {
+				if (labels[i] == labels[j]) != (u.Find(i) == u.Find(j)) {
 					return false
 				}
 			}

@@ -7,7 +7,6 @@ package graph
 type UnionFind struct {
 	parent []int
 	rank   []byte
-	sets   int
 }
 
 // NewUnionFind returns a structure over n singleton elements.
@@ -15,7 +14,6 @@ func NewUnionFind(n int) *UnionFind {
 	u := &UnionFind{
 		parent: make([]int, n),
 		rank:   make([]byte, n),
-		sets:   n,
 	}
 	for i := range u.parent {
 		u.parent[i] = i
@@ -31,15 +29,11 @@ func (u *UnionFind) Grow(k int) int {
 		u.parent = append(u.parent, first+i)
 		u.rank = append(u.rank, 0)
 	}
-	u.sets += k
 	return first
 }
 
 // Len returns the number of elements.
 func (u *UnionFind) Len() int { return len(u.parent) }
-
-// Sets returns the number of disjoint sets.
-func (u *UnionFind) Sets() int { return u.sets }
 
 // Find returns the representative of x's set.
 func (u *UnionFind) Find(x int) int {
@@ -64,9 +58,5 @@ func (u *UnionFind) Union(a, b int) bool {
 	if u.rank[ra] == u.rank[rb] {
 		u.rank[ra]++
 	}
-	u.sets--
 	return true
 }
-
-// Connected reports whether a and b are in the same set.
-func (u *UnionFind) Connected(a, b int) bool { return u.Find(a) == u.Find(b) }

@@ -5,11 +5,11 @@ import (
 )
 
 // Default rebuild thresholds for Dynamic: a rebuild happens when more
-// than DefaultRebuildMin points are pending AND the pending buffer
-// exceeds DefaultRebuildFrac of the tree size.
+// than defaultRebuildMin points are pending AND the pending buffer
+// exceeds defaultRebuildFrac of the tree size.
 const (
-	DefaultRebuildMin  = 32
-	DefaultRebuildFrac = 0.5
+	defaultRebuildMin  = 32
+	defaultRebuildFrac = 0.5
 )
 
 // Dynamic is a nearest-neighbour index for growing point sets: a kd-tree
@@ -34,7 +34,7 @@ type Dynamic struct {
 
 // NewDynamic returns an empty index with the default rebuild schedule.
 func NewDynamic() *Dynamic {
-	return &Dynamic{rebuildMin: DefaultRebuildMin, rebuildFrac: DefaultRebuildFrac}
+	return &Dynamic{rebuildMin: defaultRebuildMin, rebuildFrac: defaultRebuildFrac}
 }
 
 // Len returns the number of indexed points.

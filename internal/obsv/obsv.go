@@ -35,6 +35,10 @@ type Metrics struct {
 	// perfectly balanced phase, growing as work concentrates; 0 when no
 	// work ran at all.
 	Imbalance float64
+	// BusyCV is the coefficient of variation of per-worker busy time —
+	// the paper's imbalance measure, and the one Demiralp et al. judge
+	// a balancer by, per phase.
+	BusyCV float64
 	// StealEfficiency is StealsGranted / StealsIssued — the fraction of
 	// steal requests that came back with work. It is 1 when no steals
 	// were issued (nothing was wasted).
@@ -55,7 +59,9 @@ type Metrics struct {
 func Analyze(rep sched.Report) Metrics {
 	m := Metrics{Makespan: rep.Makespan}
 	var maxBusy float64
-	for _, ws := range rep.Workers {
+	busy := make([]float64, len(rep.Workers))
+	for i, ws := range rep.Workers {
+		busy[i] = ws.Busy
 		m.BusyTotal += ws.Busy
 		if ws.Busy > maxBusy {
 			maxBusy = ws.Busy
@@ -66,6 +72,7 @@ func Analyze(rep sched.Report) Metrics {
 		m.TasksMigrated += ws.TasksStolen
 		m.TaskTransfers += ws.TasksLost
 	}
+	m.BusyCV = metrics.CV(busy)
 	if n := len(rep.Workers); n > 0 {
 		if mean := m.BusyTotal / float64(n); mean > 0 {
 			m.Imbalance = maxBusy / mean

@@ -19,6 +19,7 @@ func TestAnalyzeMath(t *testing.T) {
 	// Two workers: busy 6 and 2 over a makespan of 8.
 	//   utilization = (6+2) / (2*8)   = 0.5
 	//   imbalance   = max 6 / mean 4  = 1.5
+	//   busy CV     = sigma 2 / mean 4 = 0.5
 	//   steal-eff   = 2 granted / 4 issued = 0.5
 	rep := report(8, []sched.WorkerStats{
 		{Busy: 6, StealsIssued: 3, StealsGranted: 2, StealsDenied: 1, TasksStolen: 2, TasksLost: 0},
@@ -33,6 +34,9 @@ func TestAnalyzeMath(t *testing.T) {
 	}
 	if !almost(m.Imbalance, 1.5) {
 		t.Errorf("Imbalance = %v, want 1.5", m.Imbalance)
+	}
+	if !almost(m.BusyCV, 0.5) {
+		t.Errorf("BusyCV = %v, want 0.5", m.BusyCV)
 	}
 	if !almost(m.StealEfficiency, 0.5) {
 		t.Errorf("StealEfficiency = %v, want 0.5", m.StealEfficiency)
@@ -55,6 +59,9 @@ func TestAnalyzePerfectBalance(t *testing.T) {
 	if !almost(m.Imbalance, 1) {
 		t.Errorf("Imbalance = %v, want 1 (perfect balance)", m.Imbalance)
 	}
+	if m.BusyCV != 0 {
+		t.Errorf("BusyCV = %v, want 0 (perfect balance)", m.BusyCV)
+	}
 	if !almost(m.Utilization, 1) {
 		t.Errorf("Utilization = %v, want 1", m.Utilization)
 	}
@@ -72,8 +79,8 @@ func TestAnalyzeDegenerate(t *testing.T) {
 	}
 	// Workers that never ran anything.
 	m = Analyze(report(5, []sched.WorkerStats{{}, {}}))
-	if m.Imbalance != 0 || m.Utilization != 0 {
-		t.Errorf("idle workers: imbalance %v utilization %v, want 0/0", m.Imbalance, m.Utilization)
+	if m.Imbalance != 0 || m.Utilization != 0 || m.BusyCV != 0 {
+		t.Errorf("idle workers: imbalance %v utilization %v busy CV %v, want 0/0/0", m.Imbalance, m.Utilization, m.BusyCV)
 	}
 }
 

@@ -57,9 +57,6 @@ func (ix *Index) NumNodes() int { return len(ix.pts) }
 // Components returns the number of connected components.
 func (ix *Index) Components() int { return ix.comps }
 
-// Label returns the component label of node i.
-func (ix *Index) Label(i int) int { return ix.labels[i] }
-
 // attachment is a feasible roadmap entry/exit point for a query
 // endpoint: roadmap node plus the metric cost of the connecting local
 // path.

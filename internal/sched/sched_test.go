@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"strings"
 	"testing"
 
 	"parmp/internal/work"
@@ -168,16 +167,6 @@ func TestBackoff(t *testing.T) {
 	for _, c := range cases {
 		if got := Backoff(c.attempt, c.base, c.maxM); got != c.want {
 			t.Errorf("Backoff(%d, %v, %v) = %v, want %v", c.attempt, c.base, c.maxM, got, c.want)
-		}
-	}
-}
-
-// TestWriteTrace checks the line a trace writer prints per event.
-func TestWriteTrace(t *testing.T) {
-	out := TraceEvent{Time: 1.5, Kind: "exec", Proc: 3, Peer: -1, Task: 7}.String()
-	for _, want := range []string{"t=1.5", "exec", "proc=3", "task=7"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("trace line %q missing %q", out, want)
 		}
 	}
 }

@@ -1,7 +1,5 @@
 package sched
 
-import "fmt"
-
 // TraceEvent is one runtime occurrence, emitted through Config.Trace.
 // "exec" events carry the task's start time and duration; protocol events
 // (steal-req/grant/deny, retire) are instants with Dur == 0.
@@ -12,11 +10,6 @@ type TraceEvent struct {
 	Peer int     // counterpart (victim/thief), -1 when not applicable
 	Task int     // task ID, -1 when not applicable
 	Dur  float64 // task duration for "exec" events, 0 otherwise
-}
-
-// String formats the event as one log line.
-func (e TraceEvent) String() string {
-	return fmt.Sprintf("t=%.1f %-11s proc=%d peer=%d task=%d", e.Time, e.Kind, e.Proc, e.Peer, e.Task)
 }
 
 // Tracer receives runtime events.
