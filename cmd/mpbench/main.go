@@ -6,8 +6,6 @@
 //	mpbench -exp all -scale full
 //	mpbench -list
 //	mpbench -kernels BENCH_kernels.json
-//	mpbench -balance BENCH_balance.json -balance-baseline results/BENCH_balance_baseline.json
-//	mpbench -repair BENCH_repair.json -repair-baseline results/BENCH_repair_baseline.json
 //
 // The -kernels mode benchmarks the hot compute kernels (sampling,
 // collision checking, kNN, region connection) instead of running
@@ -16,24 +14,14 @@
 // any kernel fails kernelbench.Check (the allocs/op ceiling and the
 // batch-vs-scalar ns/item ratio) — the CI benchmark-regression gate.
 //
-// The -balance mode runs the deterministic load-balance benchmark
-// (internal/balancebench): a multi-round closed-loop PRM on the
-// virtual-time backend, reporting per-phase imbalance, utilization and
-// steal efficiency, gated against a checked-in baseline the same way.
-//
-// The -repair mode runs the deterministic repair-vs-rebuild benchmark
-// (internal/repairbench): a PRM roadmap in a scripted dynamic scenario,
-// costing each mutation step's incremental repair against a full
-// rebuild, gated on the repair speedup and a checked-in baseline.
-//
 // Each experiment prints one or more text tables whose rows/series mirror
 // the corresponding figure of "Using Load Balancing to Scalably
 // Parallelize Sampling-Based Motion Planning Algorithms" (IPDPS 2014).
 // The quick scale finishes in seconds; the full scale sweeps the paper's
 // processor counts (up to 3072 virtual processors) and takes minutes.
 //
-// Every mode writes its result file before its gate is evaluated, and
-// -cpuprofile / -memprofile wrap whichever mode runs.
+// The -kernels mode writes its result file before its gate is evaluated,
+// and -cpuprofile / -memprofile wrap whichever mode runs.
 package main
 
 import (
@@ -47,12 +35,10 @@ import (
 	"testing"
 	"time"
 
-	"parmp/internal/balancebench"
 	"parmp/internal/bench"
 	"parmp/internal/experiments"
 	"parmp/internal/kernelbench"
 	"parmp/internal/metrics"
-	"parmp/internal/repairbench"
 )
 
 func main() { os.Exit(run()) }
@@ -75,11 +61,6 @@ func run() int {
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	kernels := flag.String("kernels", "", "benchmark the compute kernels, write JSON results to this file (\"-\" for stdout) and apply the kernel gate")
 	kernelsBenchtime := flag.String("kernels-benchtime", "100x", "with -kernels, benchtime per kernel (e.g. 100x, 1s)")
-	balance := flag.String("balance", "", "run the deterministic load-balance benchmark and write BENCH_balance.json to this file (\"-\" for stdout)")
-	balanceBaseline := flag.String("balance-baseline", "", "with -balance, gate against this baseline JSON file")
-	repair := flag.String("repair", "", "run the deterministic repair-vs-rebuild benchmark, write BENCH_repair.json to this file (\"-\" for stdout) and apply the speedup floor")
-	repairScenario := flag.String("repair-scenario", "warehouse-forklift", "with -repair, the dynamic scenario to play")
-	repairBaseline := flag.String("repair-baseline", "", "with -repair, also gate against this baseline JSON file")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	flag.Parse()
@@ -96,14 +77,9 @@ func run() int {
 		return fail(err)
 	}
 	defer stopProfiles()
-	switch {
-	case *kernels != "":
+	if *kernels != "" {
 		err = runKernels(*kernels, *kernelsBenchtime)
-	case *balance != "":
-		err = runBalance(*balance, *balanceBaseline)
-	case *repair != "":
-		err = runRepair(*repair, *repairScenario, *repairBaseline)
-	default:
+	} else {
 		err = runExperiments(*exp, *planner, *scale, *format)
 	}
 	if err != nil {
@@ -205,64 +181,6 @@ func runExperiments(exp, planner, scale, format string) error {
 	}
 	fmt.Fprintf(os.Stderr, "mpbench: %s at scale %s in %v\n", exp, sc.Name, time.Since(start).Round(time.Millisecond))
 	return nil
-}
-
-// runBalance runs the deterministic load-balance benchmark, writes
-// BENCH_balance.json to path ("-" for stdout), and when a baseline is
-// given enforces the balance regression gate (construct CV, mean
-// utilization, total virtual time).
-func runBalance(path, baselinePath string) error {
-	start := time.Now()
-	r, err := balancebench.Run(balancebench.DefaultConfig())
-	if err != nil {
-		return err
-	}
-	if err := bench.WriteFile(path, r); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "mpbench: balance %s procs=%d regions=%d rounds=%d: construct CV %.4f, util %.4f, imbalance max %.3f, migrated %d, diffused %d, T=%.1f in %v\n",
-		r.Env, r.Procs, r.Regions, r.Rounds,
-		r.ConstructCVMean, r.UtilizationMean, r.ImbalanceMax,
-		r.MigratedRegions, r.DiffusedRegions, r.TotalVirtualTime,
-		time.Since(start).Round(time.Millisecond))
-	if baselinePath == "" {
-		return nil
-	}
-	baseline, err := bench.Load[balancebench.Result](baselinePath)
-	if err != nil {
-		return fmt.Errorf("bad baseline: %w", err)
-	}
-	return balancebench.Check(r, baseline)
-}
-
-// runRepair runs the deterministic repair-vs-rebuild benchmark, writes
-// BENCH_repair.json to path ("-" for stdout), and enforces the repair
-// gate: the speedup floor always, the makespan regression when a
-// baseline is given.
-func runRepair(path, scenario, baselinePath string) error {
-	start := time.Now()
-	cfg := repairbench.DefaultConfig()
-	cfg.Scenario = scenario
-	r, err := repairbench.Run(cfg)
-	if err != nil {
-		return err
-	}
-	if err := bench.WriteFile(path, r); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "mpbench: repair %s procs=%d regions=%d rounds=%d steps=%d: repair T=%.1f vs rebuild T=%.1f, speedup mean %.1fx min %.1fx in %v\n",
-		r.Scenario, r.Procs, r.Regions, r.Rounds, len(r.Steps),
-		r.RepairTotal, r.RebuildTotal, r.SpeedupMean, r.SpeedupMin,
-		time.Since(start).Round(time.Millisecond))
-	var baseline *repairbench.Result
-	if baselinePath != "" {
-		b, err := bench.Load[repairbench.Result](baselinePath)
-		if err != nil {
-			return fmt.Errorf("bad baseline: %w", err)
-		}
-		baseline = &b
-	}
-	return repairbench.Check(r, baseline)
 }
 
 // runKernels benchmarks the kernel suite, writes JSON results to path

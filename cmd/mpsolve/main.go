@@ -17,21 +17,15 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math"
 	"os"
-	"runtime"
+	"slices"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"parmp"
-	"parmp/internal/bench"
 	"parmp/internal/cspace"
 	"parmp/internal/prm"
-	"parmp/internal/rng"
-	"parmp/internal/servebench"
 )
 
 func parseConfig(s string) (parmp.Config, error) {
@@ -66,8 +60,6 @@ func main() {
 	restarts := flag.String("restarts", "luby", "portfolio restart schedule (luby, none)")
 	maxWaves := flag.Int("max-waves", 256, "portfolio wave budget before giving up (0 = race until -timeout)")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for growth; on expiry the committed rounds still serve (0 = none)")
-	queries := flag.Int("queries", 0, "serve mode: answer this many random queries against the final snapshot and report latency percentiles")
-	queriesJSON := flag.String("queries-json", "", "write the serve-mode result in the BENCH_serve.json schema to this path (\"-\" = stdout), comparable with mploadgen output")
 	mutate := flag.String("mutate", "", "dynamic-world mode: play this scripted scenario's mutations after growth, repairing the roadmap incrementally each step ("+strings.Join(parmp.DynamicScenarioNames(), ", ")+"); overrides -env")
 	mutateSteps := flag.Int("mutate-steps", 4, "with -mutate, scripted mutation steps to play")
 	flag.Parse()
@@ -134,32 +126,13 @@ func main() {
 		Seed:             *seed,
 		Sampler:          sampler,
 	}
-	if opts.Radius == 0 {
-		// Default the radial reach to the environment diagonal so the
-		// benchmark corner-to-corner queries stay inside every cone.
-		var d2 float64
-		for d := 0; d < e.Dim(); d++ {
-			span := e.Bounds.Hi[d] - e.Bounds.Lo[d]
-			d2 += span * span
-		}
-		opts.Radius = math.Sqrt(d2)
+	if opts.Strategy, opts.Policy, err = parmp.StrategyByName(*strategy); err != nil {
+		fmt.Fprintln(os.Stderr, "mpsolve:", err)
+		os.Exit(2)
 	}
-	switch *strategy {
-	case "none":
-		opts.Strategy = parmp.NoLB
-	case "repartition":
-		opts.Strategy = parmp.Repartition
-	case "hybrid":
-		opts.Strategy = parmp.WorkStealing
-		opts.Policy = parmp.Hybrid(8)
-	case "rand-8":
-		opts.Strategy = parmp.WorkStealing
-		opts.Policy = parmp.RandK(8)
-	case "diffusive":
-		opts.Strategy = parmp.WorkStealing
-		opts.Policy = parmp.Diffusive()
-	default:
-		fmt.Fprintf(os.Stderr, "mpsolve: unknown strategy %q\n", *strategy)
+	if !slices.Contains(parmp.PlannerNames(), *planner) {
+		fmt.Fprintf(os.Stderr, "mpsolve: unknown planner %q (want %s)\n",
+			*planner, strings.Join(parmp.PlannerNames(), ", "))
 		os.Exit(2)
 	}
 
@@ -174,19 +147,7 @@ func main() {
 	if *nPortfolio > 0 {
 		snap = racePortfolio(ctx, space, start, goal, opts, *planner, *nPortfolio, *restarts, *maxWaves, *rounds)
 	} else {
-		var eng *parmp.Engine
-		switch *planner {
-		case "prm":
-			eng, err = parmp.NewEngine(space, opts)
-		case "rrt":
-			eng, err = parmp.NewRRTEngine(space, start, opts)
-		case "rrtconnect":
-			eng, err = parmp.NewRRTConnectEngine(space, start, goal, opts)
-		default:
-			fmt.Fprintf(os.Stderr, "mpsolve: unknown planner %q (want %s)\n",
-				*planner, strings.Join(parmp.PlannerNames(), ", "))
-			os.Exit(2)
-		}
+		eng, err := parmp.NewEngineByName(*planner, space, start, goal, opts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mpsolve:", err)
 			os.Exit(1)
@@ -248,10 +209,6 @@ func main() {
 		fmt.Printf("phases      : redistribute=%.0f grow=%.0f region-conn=%.0f\n",
 			res.Phases.Redistribution, res.Phases.NodeConnection, res.Phases.RegionConnection)
 		fmt.Printf("load CV     : %.3f -> %.3f\n", res.CVBefore, res.CVAfter)
-	}
-
-	if *queries > 0 {
-		serve(snap, space, e.Name, *queries, *seed, *queriesJSON)
 	}
 
 	path, ok := snap.Query(start, goal, 8)
@@ -324,78 +281,4 @@ func racePortfolio(ctx context.Context, space *parmp.Space, start, goal parmp.Co
 		}
 	}
 	return pf.Snapshot()
-}
-
-// serve answers n random queries against the frozen snapshot from one
-// goroutine per CPU — exercising the lock-free concurrent read path —
-// and reports wall-clock latency percentiles and the hit rate. With a
-// jsonPath it also writes the run in the BENCH_serve.json schema, so
-// in-process numbers line up against mploadgen's over-the-wire ones.
-func serve(snap *parmp.Snapshot, space *parmp.Space, envName string, n int, seed uint64, jsonPath string) {
-	pairs := make([][2]parmp.Config, n)
-	r := rng.Derive(seed, 0x5e27e)
-	for i := range pairs {
-		pairs[i] = [2]parmp.Config{randomConfig(space, r), randomConfig(space, r)}
-	}
-	latUS := make([]float64, n)
-	hits := make([]bool, n)
-	workers := runtime.GOMAXPROCS(0)
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				t0 := time.Now()
-				_, ok := snap.Query(pairs[i][0], pairs[i][1], 8)
-				latUS[i] = float64(time.Since(t0).Nanoseconds()) / 1e3
-				hits[i] = ok
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	solved := 0
-	for _, ok := range hits {
-		if ok {
-			solved++
-		}
-	}
-	pcts := servebench.Compute(latUS)
-	fmt.Printf("serve       : %d queries on %d workers in %v (%d solved)\n", n, workers, elapsed.Round(time.Millisecond), solved)
-	fmt.Printf("latency     : p50=%.0fµs p99=%.0fµs p999=%.0fµs max=%.0fµs\n",
-		pcts.P50, pcts.P99, pcts.P999, pcts.Max)
-	if jsonPath != "" {
-		res := servebench.Result{
-			Source:      "mpsolve",
-			Env:         envName,
-			Mode:        "closed",
-			Workers:     workers,
-			Queries:     int64(n),
-			Solved:      int64(solved),
-			DurationSec: elapsed.Seconds(),
-			Throughput:  float64(n) / elapsed.Seconds(),
-			Latency:     pcts,
-		}
-		if err := bench.WriteFile(jsonPath, res); err != nil {
-			fmt.Fprintln(os.Stderr, "mpsolve:", err)
-			os.Exit(1)
-		}
-	}
-}
-
-// randomConfig draws a uniform configuration in the space's bounds.
-func randomConfig(space *parmp.Space, r *rng.Stream) parmp.Config {
-	q := make(parmp.Config, space.Dim())
-	for d := 0; d < space.Dim(); d++ {
-		lo, hi := space.Bounds.Lo[d], space.Bounds.Hi[d]
-		q[d] = lo + r.Float64()*(hi-lo)
-	}
-	return q
 }

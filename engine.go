@@ -2,6 +2,8 @@ package parmp
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -128,6 +130,29 @@ func NewRRTConnectEngine(space *Space, root, goal Config, opts Options) (*Engine
 		return nil, err
 	}
 	return newEngine(space, treePlanner{ce}), nil
+}
+
+// NewEngineByName creates the named planner's engine (see PlannerNames):
+// "prm" ignores root and goal, "rrt" roots its tree at root, "rrtconnect"
+// also aims it at goal. This is the one place a planner name becomes a
+// constructor — the command-line tools, the serving tier and Portfolio
+// racers all come through it — so it carries their shared default: a
+// tree planner with opts.Radius zero reaches the length of the
+// environment's bounds diagonal, which keeps a corner-to-corner query
+// inside every cone.
+func NewEngineByName(planner string, space *Space, root, goal Config, opts Options) (*Engine, error) {
+	if planner != "prm" && opts.Radius == 0 {
+		opts.Radius = space.Env.Bounds.Extent().Norm()
+	}
+	switch planner {
+	case "prm":
+		return NewEngine(space, opts)
+	case "rrt":
+		return NewRRTEngine(space, root, opts)
+	case "rrtconnect":
+		return NewRRTConnectEngine(space, root, goal, opts)
+	}
+	return nil, fmt.Errorf("parmp: unknown planner %q (want %s)", planner, strings.Join(PlannerNames(), ", "))
 }
 
 func newEngine(space *Space, pl planner) *Engine {

@@ -1,8 +1,10 @@
 package parmp
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -282,5 +284,42 @@ func TestEngineFirstGrowLeavesInitialResultUntouched(t *testing.T) {
 				t.Fatal("committed round 0 carries no CVBefore")
 			}
 		})
+	}
+}
+
+// NewEngineByName is each planner's own constructor, plus the by-name
+// surfaces' default reach for trees: a zero Radius is the bounds diagonal.
+func TestNewEngineByName(t *testing.T) {
+	space := NewPointSpace(EnvironmentByName("mixed-30"))
+	root, goal := V(0.05, 0.05, 0.05), V(0.95, 0.95, 0.95)
+	opts := Options{Procs: 4, Regions: 32, SamplesPerRegion: 8, NodesPerRegion: 15, Seed: 3}
+	explicit := opts
+	explicit.Radius = math.Sqrt(3) // the unit cube's diagonal
+	grown := func(eng *Engine, err error) *Snapshot {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Grow(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return eng.Snapshot()
+	}
+	for _, planner := range PlannerNames() {
+		byName := grown(NewEngineByName(planner, space, root, goal, opts))
+		switch planner {
+		case "prm":
+			direct := grown(NewEngine(space, opts)).PRM().Roadmap
+			if !bytes.Equal(roadmapBytes(t, byName.PRM().Roadmap), roadmapBytes(t, direct)) {
+				t.Fatal("prm by name differs from NewEngine")
+			}
+		case "rrt":
+			rrtResultsEqual(t, byName.RRT(), grown(NewRRTEngine(space, root, explicit)).RRT())
+		case "rrtconnect":
+			rrtResultsEqual(t, byName.RRT(), grown(NewRRTConnectEngine(space, root, goal, explicit)).RRT())
+		}
+	}
+	if _, err := NewEngineByName("dijkstra", space, root, goal, opts); err == nil {
+		t.Fatal("unknown planner accepted")
 	}
 }

@@ -1,8 +1,8 @@
-// Package bench is what the CI gate harnesses (kernelbench,
-// balancebench, repairbench, servebench) share: result files as indented
-// JSON, and one limit table that reports every violated threshold. Each
-// harness keeps its own result schema and builds its own table; what a
-// threshold means is decided once, here.
+// Package bench is what the two CI gate harnesses (kernelbench,
+// servebench) share: result files as indented JSON, and one limit table
+// that reports every violated threshold. Each harness keeps its own
+// result schema and builds its own table; what a threshold means is
+// decided once, here.
 package bench
 
 import (
@@ -45,14 +45,10 @@ type Kind int
 const (
 	// Ceiling: Cur must not exceed Ref.
 	Ceiling Kind = iota
-	// Floor: Cur must not fall below Ref.
-	Floor
 	// Regress: Cur must not exceed Ref by more than the fraction Tol.
 	// A reference that is not positive (a baseline written before the
 	// field existed) gates nothing.
 	Regress
-	// Drop: Cur must not fall more than Tol absolute below Ref.
-	Drop
 )
 
 // Limit is one row of a gate's table.
@@ -70,19 +66,10 @@ func (l Limit) violation() string {
 		if l.Cur > l.Ref {
 			return fmt.Sprintf("%s %.6g exceeds %.6g", l.Name, l.Cur, l.Ref)
 		}
-	case Floor:
-		if l.Cur < l.Ref {
-			return fmt.Sprintf("%s %.6g below floor %.6g", l.Name, l.Cur, l.Ref)
-		}
 	case Regress:
 		if limit := l.Ref * (1 + l.Tol); l.Ref > 0 && l.Cur > limit {
 			return fmt.Sprintf("%s %.6g exceeds reference %.6g by more than %.0f%% (limit %.6g)",
 				l.Name, l.Cur, l.Ref, 100*l.Tol, limit)
-		}
-	case Drop:
-		if limit := l.Ref - l.Tol; l.Cur < limit {
-			return fmt.Sprintf("%s %.6g below reference %.6g by more than %.6g (limit %.6g)",
-				l.Name, l.Cur, l.Ref, l.Tol, limit)
 		}
 	}
 	return ""

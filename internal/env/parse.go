@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -18,8 +19,9 @@ import (
 //	box    x0 y0 [z0] x1 y1 [z1]
 //	sphere cx cy [cz] r
 //
-// The bounds line determines the dimension (2D or 3D) and must appear
-// before any obstacle. Blank lines and #-comments are ignored.
+// The bounds line determines the dimension (2D or 3D); it must appear
+// once, before any obstacle. Every number must be finite. Blank lines
+// and #-comments are ignored.
 func Parse(r io.Reader) (*Environment, error) {
 	e := &Environment{Name: "custom"}
 	dim := 0
@@ -33,6 +35,13 @@ func Parse(r io.Reader) (*Environment, error) {
 		}
 		fields := strings.Fields(line)
 		op, args := fields[0], fields[1:]
+		if op == "name" {
+			if len(args) != 1 {
+				return nil, fmt.Errorf("env: line %d: name wants one token", lineNo)
+			}
+			e.Name = args[0]
+			continue
+		}
 		nums := make([]float64, len(args))
 		numeric := true
 		for i, a := range args {
@@ -41,15 +50,20 @@ func Parse(r io.Reader) (*Environment, error) {
 				numeric = false
 				break
 			}
+			// NaN fails every ordered comparison below, so it would pass
+			// them all.
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("env: line %d: non-finite number %q", lineNo, a)
+			}
 			nums[i] = v
 		}
 		switch op {
-		case "name":
-			if len(args) != 1 {
-				return nil, fmt.Errorf("env: line %d: name wants one token", lineNo)
-			}
-			e.Name = args[0]
 		case "bounds":
+			if dim != 0 {
+				// A second line could change the dimension under the
+				// obstacles already read.
+				return nil, fmt.Errorf("env: line %d: bounds given twice", lineNo)
+			}
 			if !numeric || (len(nums) != 4 && len(nums) != 6) {
 				return nil, fmt.Errorf("env: line %d: bounds wants 4 (2D) or 6 (3D) numbers", lineNo)
 			}

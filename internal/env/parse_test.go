@@ -1,6 +1,7 @@
 package env
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -49,21 +50,91 @@ func TestParse2DAndSwappedBoxCorners(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	cases := []string{
-		"box 0 0 1 1\n",                      // obstacle before bounds
-		"bounds 0 0 1\n",                     // wrong arity
-		"bounds 1 1 0 0\n",                   // degenerate
-		"bounds 0 0 1 1\nsphere 0.5 0.5 0\n", // non-positive radius
-		"bounds 0 0 1 1\nwarp 1 2\n",         // unknown directive
-		"bounds 0 0 1 1\nbox a b c d\n",      // non-numeric
-		"",                                   // missing bounds
-		"name\n",                             // name arity
+	cases := []struct{ src, want string }{
+		{"box 0 0 1 1\n", "line 1: box before bounds"},
+		{"bounds 0 0 1\n", "line 1: bounds wants"},
+		{"bounds 1 1 0 0\n", "line 1: degenerate bounds"},
+		{"bounds 0 0 1 1\nsphere 0.5 0.5 0\n", "line 2: sphere radius"},
+		{"bounds 0 0 1 1\nwarp 1 2\n", "line 2: unknown directive"},
+		{"bounds 0 0 1 1\nbox a b c d\n", "line 2: box wants 4 numbers"},
+		{"", "missing bounds"},
+		{"name\n", "line 1: name wants"},
+		// NaN passes every ordered comparison: these three parsed, and an
+		// engine grew a roadmap inside the first.
+		{"bounds nan nan 1 1\n", `line 1: non-finite number "nan"`},
+		{"bounds 0 0 1 1\nsphere .5 .5 nan\n", `line 2: non-finite number "nan"`},
+		{"bounds 0 0 1 1\nbox .1 .1 +Inf .2\n", `line 2: non-finite number "+Inf"`},
+		{"bounds 0 0 -inf 1 1 1\n", `line 1: non-finite number "-inf"`},
+		// A second bounds line turned a 2D world holding a 2D box into a
+		// 3D world holding that 2D box.
+		{"bounds 0 0 1 1\nbox .2 .2 .4 .4\n\nbounds 0 0 0 1 1 1\n", "line 4: bounds given twice"},
 	}
-	for i, src := range cases {
-		if _, err := Parse(strings.NewReader(src)); err == nil {
-			t.Fatalf("case %d should fail: %q", i, src)
+	for _, c := range cases {
+		if _, err := Parse(strings.NewReader(c.src)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Parse(%q): err = %v, want one containing %q", c.src, err, c.want)
 		}
 	}
+	// A name is a token, not a number.
+	if e, err := Parse(strings.NewReader("name nan\nbounds 0 0 1 1\n")); err != nil || e.Name != "nan" {
+		t.Errorf("name nan: %v, %v", e, err)
+	}
+}
+
+// FuzzParse: the parser is reachable from POST /v1/query (env_text) and
+// mpsolve -envfile. It never panics; whatever it accepts is a world an
+// engine can subdivide (finite lo < hi bounds, every obstacle of the
+// world's dimension); and Write then Parse reproduces it exactly.
+func FuzzParse(f *testing.F) {
+	f.Add(sample3D)
+	f.Add("bounds 0 0 2 2\nbox 1.5 1.5 0.5 0.5\n")
+	f.Add("bounds nan nan 1 1\n")
+	f.Add("bounds 0 0 1 1\nsphere .5 .5 nan\n")
+	f.Add("bounds 0 0 1 1\nbox .2 .2 .4 .4\nbounds 0 0 0 1 1 1\n")
+	f.Fuzz(func(t *testing.T, src string) {
+		e, err := Parse(strings.NewReader(src))
+		if err != nil {
+			return
+		}
+		dim := e.Dim()
+		if (dim != 2 && dim != 3) || len(e.Bounds.Hi) != dim {
+			t.Fatalf("accepted a %d/%d-dimensional world", dim, len(e.Bounds.Hi))
+		}
+		finite := func(v geom.Vec) bool {
+			for _, x := range v {
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					return false
+				}
+			}
+			return len(v) == dim
+		}
+		if !finite(e.Bounds.Lo) || !finite(e.Bounds.Hi) {
+			t.Fatalf("accepted bounds %v", e.Bounds)
+		}
+		for d := 0; d < dim; d++ {
+			if !(e.Bounds.Lo[d] < e.Bounds.Hi[d]) {
+				t.Fatalf("accepted degenerate bounds %v", e.Bounds)
+			}
+		}
+		for i, o := range e.Obstacles {
+			if b := o.Bounds(); !finite(b.Lo) || !finite(b.Hi) {
+				t.Fatalf("obstacle %d of a %dD world has bounds %v", i, dim, b)
+			}
+		}
+		var first, second strings.Builder
+		if err := Write(&first, e); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Parse(strings.NewReader(first.String()))
+		if err != nil {
+			t.Fatalf("Parse rejects what Write wrote: %v\n%s", err, first.String())
+		}
+		if err := Write(&second, back); err != nil {
+			t.Fatal(err)
+		}
+		if first.String() != second.String() {
+			t.Fatalf("Write -> Parse is not a fixed point:\n%s\nvs\n%s", first.String(), second.String())
+		}
+	})
 }
 
 func TestWriteParseRoundTrip(t *testing.T) {

@@ -180,16 +180,6 @@ func Scenarios() []Scenario {
 	}
 }
 
-// ScenarioByName returns the named scenario, or ok=false.
-func ScenarioByName(name string) (Scenario, bool) {
-	for _, s := range Scenarios() {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return Scenario{}, false
-}
-
 // ScenarioNames lists the scenario names.
 func ScenarioNames() []string {
 	all := Scenarios()

@@ -163,6 +163,8 @@ var registry = []entry{
 	{"planners", race, func(sc Scale) []*metrics.Table { return Planners(sc, nil) }},
 	{"portfolio", race, one(portfolioTail)},
 	{"repartition", study, repartition},
+	{"balance", study, balance},
+	{"repair", study, repair},
 }
 
 // groups are the ids that run several entries. Both are virtual time and

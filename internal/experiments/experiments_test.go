@@ -338,11 +338,14 @@ func TestRegistry(t *testing.T) {
 		"fig7a", "fig7b", "fig8", "fig9", "fig10"}
 	abls := []string{"ablation-decomposition", "ablation-stealchunk", "ablation-weights",
 		"ablation-partitioner", "ablation-victims", "ablation-rrtstar"}
-	wantNames := slices.Concat(figs, abls, []string{"ablations", "planners", "portfolio", "repartition", "all"})
+	// The studies close the registry, so "all" — listed after its last
+	// member — stays the last id.
+	studies := []string{"repartition", "balance", "repair"}
+	wantNames := slices.Concat(figs, abls, []string{"ablations", "planners", "portfolio"}, studies, []string{"all"})
 	if got := Names(); !slices.Equal(got, wantNames) {
 		t.Fatalf("Names() = %v, want %v", got, wantNames)
 	}
-	if got, want := ids(lookup("all")), append(slices.Clone(figs), "repartition"); !slices.Equal(got, want) {
+	if got, want := ids(lookup("all")), slices.Concat(figs, studies); !slices.Equal(got, want) {
 		t.Fatalf("all = %v, want %v", got, want)
 	}
 	if got := ids(lookup("ablations")); !slices.Equal(got, abls) {
@@ -360,7 +363,8 @@ var counts = regexp.MustCompile(`(solved |censored=)\d+/\d+`)
 
 // TestTinyGolden compares everything bit-stable the harness prints at the
 // tiny scale, byte for byte, with testdata/tiny.golden (written at commit
-// 35bf5e0, before the registry): the CSV of every table of "all" and
+// 35bf5e0, before the registry; the balance and repair tables added when
+// those two gates became studies): the CSV of every table of "all" and
 // "ablations", and of the two races what does not depend on the clock —
 // shape, path lengths and solve tallies, with the *-ms columns dropped.
 func TestTinyGolden(t *testing.T) {
@@ -407,6 +411,57 @@ func stable(tb *metrics.Table) *metrics.Table {
 		}
 	}
 	return out
+}
+
+// TestBalanceContract: the closed-loop run is a balanced one — every
+// phase's ratios are in range and the balancer actually moved regions.
+// The numbers themselves are held by TestTinyGolden.
+func TestBalanceContract(t *testing.T) {
+	tbs := tables(t, "balance")
+	if len(tbs) != 2 {
+		t.Fatalf("tables = %d, want profile and summary", len(tbs))
+	}
+	prof, sum := tbs[0], tbs[1]
+	if len(prof.XS) != balanceRounds*3 {
+		t.Fatalf("%d phase rows, want %d rounds of sample / construct / region-connect", len(prof.XS), balanceRounds)
+	}
+	for i, u := range prof.Column("utilization") {
+		if u <= 0 || u > 1 {
+			t.Fatalf("row %d: utilization %.4f outside (0, 1]", i, u)
+		}
+	}
+	for i, f := range prof.Column("imbalance") {
+		if f < 1 {
+			t.Fatalf("row %d: imbalance %.4f below 1", i, f)
+		}
+	}
+	if cv := sum.Column("construct-cv")[0]; cv <= 0 {
+		t.Fatalf("construct CV %.4f not populated", cv)
+	}
+	if sum.Column("migrated")[0] == 0 {
+		t.Fatal("the closed loop migrated no regions")
+	}
+}
+
+// TestRepairBeatsRebuild: repair must beat rebuild on both scripted
+// scenarios — the contract the repair study exists to show.
+func TestRepairBeatsRebuild(t *testing.T) {
+	tbs := tables(t, "repair")
+	if len(tbs) != 2 {
+		t.Fatalf("tables = %d, want warehouse-forklift and door", len(tbs))
+	}
+	for _, tb := range tbs {
+		if len(tb.XS) != repairSteps {
+			t.Fatalf("%s: %d steps, want %d", tb.Title, len(tb.XS), repairSteps)
+		}
+		repair, rebuild := metrics.Sum(tb.Column("repair-makespan")), metrics.Sum(tb.Column("rebuild-makespan"))
+		if repair >= rebuild {
+			t.Fatalf("%s: repair total %.2f not below rebuild total %.2f", tb.Title, repair, rebuild)
+		}
+		if mean := metrics.Mean(tb.Column("speedup")); mean < 1 {
+			t.Fatalf("%s: mean speedup %.2fx below 1", tb.Title, mean)
+		}
+	}
 }
 
 func TestAblationDecompositionGranularityBound(t *testing.T) {

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"math"
-
 	"parmp/internal/core"
 	"parmp/internal/cspace"
 	"parmp/internal/env"
@@ -166,15 +164,4 @@ func corners(e *env.Environment) (start, goal cspace.Config) {
 		goal[d] = e.Bounds.Lo[d] + 0.95*span
 	}
 	return start, goal
-}
-
-// diagonal is the length of e's bounds diagonal: a radial reach that puts
-// the corner-to-corner query inside every cone.
-func diagonal(e *env.Environment) float64 {
-	var d2 float64
-	for d := 0; d < e.Dim(); d++ {
-		span := e.Bounds.Hi[d] - e.Bounds.Lo[d]
-		d2 += span * span
-	}
-	return math.Sqrt(d2)
 }

@@ -79,7 +79,7 @@ func raceOpts(sc Scale, e *env.Environment, seed uint64) core.Options {
 	// Doubled node budget per round: a denser round-1 tree gives the
 	// smoother corridor the path-cost comparison needs.
 	opts.Regions, opts.NodesPerRegion = 32, 2*sc.NodesPerRegion
-	opts.Step, opts.Radius, opts.Seed = step, diagonal(e), seed
+	opts.Step, opts.Radius, opts.Seed = step, e.Bounds.Extent().Norm(), seed
 	return opts
 }
 

@@ -31,7 +31,7 @@ const portfolioUnitRounds = 384
 // rounds stay cheap and time-to-first-solution is dominated by whether
 // the seed's bidirectional trees lock onto the right doorways — the
 // heavy-tailed regime the portfolio is built for.
-func portfolioOpts(e *env.Environment, seed uint64) parmp.Options {
+func portfolioOpts(seed uint64) parmp.Options {
 	return parmp.Options{
 		Procs:            2,
 		Regions:          8,
@@ -39,7 +39,6 @@ func portfolioOpts(e *env.Environment, seed uint64) parmp.Options {
 		NodesPerRegion:   2,
 		Step:             0.05,
 		GoalBias:         0.1,
-		Radius:           diagonal(e),
 		RegionK:          4,
 		Strategy:         parmp.Repartition,
 		Seed:             seed,
@@ -100,7 +99,7 @@ func portfolioTail(sc Scale) *metrics.Table {
 	for i := 0; i < trials; i++ {
 		row := make([]float64, len(configs))
 		for j, c := range configs {
-			ms, rep, solved := portfolioRun(space, start, goal, portfolioOpts(e, sc.Seed+uint64(i)), c.po)
+			ms, rep, solved := portfolioRun(space, start, goal, portfolioOpts(sc.Seed+uint64(i)), c.po)
 			row[j] = ms
 			samples[j] = append(samples[j], ms)
 			if !solved {

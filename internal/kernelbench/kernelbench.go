@@ -4,12 +4,15 @@
 // build, index build) — and emits machine-readable results for the CI
 // benchmark-regression gate.
 //
-// The kernel list mirrors the BenchmarkKernel* benchmarks in the
-// internal packages, but lives in normal (non-test) code so that
-// `mpbench -kernels` can run it from a plain binary via
-// testing.Benchmark. Allocation counts are the contract: the pooled
-// kernels are expected to stay at (near) zero allocs/op, and CI fails
-// when any kernel regresses above its threshold.
+// The kernel bodies live in normal (non-test) code so that
+// `mpbench -kernels` can run them from a plain binary via
+// testing.Benchmark; `go test -bench Kernel` runs the same bodies through
+// this package's BenchmarkKernel, so there is one suite. (The three
+// BenchmarkKernel* left in internal/knn time what the suite does not: the
+// allocating Nearest, and Build / BuildParallel where the suite times
+// Reset.) Allocation counts are the contract: the pooled kernels are
+// expected to stay at (near) zero allocs/op, and CI fails when any
+// kernel regresses above its threshold.
 package kernelbench
 
 import (

@@ -124,3 +124,11 @@ func TestCheckMaxAllocs(t *testing.T) {
 		t.Fatalf("error should name only the offender: %v", err)
 	}
 }
+
+// BenchmarkKernel runs every kernel of the suite as a sub-benchmark:
+// `go test -bench Kernel` and `mpbench -kernels` time the same bodies.
+func BenchmarkKernel(b *testing.B) {
+	for _, k := range Kernels() {
+		b.Run(k.Name, k.Bench)
+	}
+}

@@ -20,23 +20,6 @@ func BenchmarkKernelNearest(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelDynamicNearest measures the growing-set index queries
-// used by incremental planners (tree + pending-buffer merge).
-func BenchmarkKernelDynamicNearest(b *testing.B) {
-	r := rng.New(19)
-	pts := randomPoints(r, 1000, 3)
-	d := NewDynamic()
-	for _, p := range pts {
-		d.Add(p)
-	}
-	qs := randomPoints(r, 64, 3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.Nearest(qs[i%len(qs)], 8)
-	}
-}
-
 // BenchmarkKernelBuild measures kd-tree construction for a large region.
 func BenchmarkKernelBuild(b *testing.B) {
 	r := rng.New(23)

@@ -208,22 +208,6 @@ func FuzzNearestInto(f *testing.F) {
 	})
 }
 
-// BenchmarkKernelNearestInto is the steady-state pooled query: reused
-// scratch, reused result buffer — the allocation target is zero.
-func BenchmarkKernelNearestInto(b *testing.B) {
-	r := rng.New(17)
-	pts := randomPoints(r, 1000, 3)
-	tree := Build(pts)
-	qs := randomPoints(r, 64, 3)
-	var sc QueryScratch
-	var dst []Result
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst, _ = tree.NearestInto(&sc, qs[i%len(qs)], 8, -1, dst[:0])
-	}
-}
-
 // BenchmarkKernelBuildParallel measures the concurrent build of a
 // large-region tree.
 func BenchmarkKernelBuildParallel(b *testing.B) {

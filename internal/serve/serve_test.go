@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -113,6 +114,19 @@ func TestServeQueryEndToEnd(t *testing.T) {
 	code, _ = postJSON(t, ts.Client(), ts.URL+"/v1/query", QueryRequest{Spec: Spec{Env: "nope"}}, &er)
 	if code != http.StatusBadRequest {
 		t.Fatalf("unknown env: status %d (%s)", code, er.Error)
+	}
+	// So is an inline world env.Parse rejects: non-finite numbers, a second
+	// bounds line.
+	for _, text := range []string{
+		"bounds nan nan 1 1",
+		"bounds 0 0 1 1\nsphere .5 .5 nan",
+		"bounds 0 0 1 1\nbox .2 .2 .4 .4\nbounds 0 0 0 1 1 1",
+	} {
+		code, _ = postJSON(t, ts.Client(), ts.URL+"/v1/query", QueryRequest{Spec: Spec{EnvText: text},
+			Start: []float64{0.1, 0.1}, Goal: []float64{0.9, 0.9}}, &er)
+		if code != http.StatusBadRequest || !strings.Contains(er.Error, "env_text: env: line ") {
+			t.Fatalf("env_text %q: status %d (%s)", text, code, er.Error)
+		}
 	}
 	// Wrong-dimension endpoints answer a clean miss.
 	bad := req

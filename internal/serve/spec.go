@@ -3,7 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -75,9 +75,7 @@ func (sp Spec) Canonical(growRounds int) (Spec, error) {
 	if c.Planner == "" {
 		c.Planner = "prm"
 	}
-	switch c.Planner {
-	case "prm", "rrt", "rrtconnect":
-	default:
+	if !slices.Contains(parmp.PlannerNames(), c.Planner) {
 		return c, fmt.Errorf("spec: unknown planner %q (want %s)", c.Planner, strings.Join(parmp.PlannerNames(), ", "))
 	}
 	if c.Portfolio < 0 {
@@ -128,8 +126,8 @@ func (sp Spec) Canonical(growRounds int) (Spec, error) {
 	if c.Strategy == "" {
 		c.Strategy = "repartition"
 	}
-	if _, _, err := strategyOptions(c.Strategy); err != nil {
-		return c, err
+	if _, _, err := parmp.StrategyByName(c.Strategy); err != nil {
+		return c, fmt.Errorf("spec: %w", err)
 	}
 	if c.Rounds <= 0 {
 		c.Rounds = growRounds
@@ -181,23 +179,6 @@ func robotHalves(robot string) ([]float64, error) {
 	return halves, nil
 }
 
-// strategyOptions maps a strategy name onto Options fields.
-func strategyOptions(name string) (parmp.Strategy, parmp.StealPolicy, error) {
-	switch name {
-	case "none":
-		return parmp.NoLB, nil, nil
-	case "repartition":
-		return parmp.Repartition, nil, nil
-	case "hybrid":
-		return parmp.WorkStealing, parmp.Hybrid(8), nil
-	case "rand-8":
-		return parmp.WorkStealing, parmp.RandK(8), nil
-	case "diffusive":
-		return parmp.WorkStealing, parmp.Diffusive(), nil
-	}
-	return 0, nil, fmt.Errorf("spec: unknown strategy %q (want none, repartition, hybrid, rand-8, diffusive)", name)
-}
-
 // portfolioMaxWaves bounds background racing: an unsolvable race query
 // stops burning CPU after this many lockstep waves (the tenant keeps
 // serving its empty snapshot and surfaces grow_error in stats).
@@ -239,7 +220,7 @@ func (sp Spec) build() (engine, *parmp.Space, error) {
 		space = parmp.NewRigidBodySpace(e, halves[0], halves[1], halves[2])
 	}
 
-	strategy, policy, err := strategyOptions(sp.Strategy)
+	strategy, policy, err := parmp.StrategyByName(sp.Strategy)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -252,34 +233,19 @@ func (sp Spec) build() (engine, *parmp.Space, error) {
 		Strategy:         strategy,
 		Policy:           policy,
 	}
-	if sp.Planner != "prm" {
-		// Default the radial reach to the environment diagonal, like
-		// mpsolve: corner-to-corner queries stay inside every cone.
-		var d2 float64
-		for d := 0; d < e.Dim(); d++ {
-			span := e.Bounds.Hi[d] - e.Bounds.Lo[d]
-			d2 += span * span
-		}
-		opts.Radius = math.Sqrt(d2)
-	}
 
-	dim := space.Dim()
-	toConfig := func(v []float64, what string) (parmp.Config, error) {
-		if len(v) != dim {
-			return nil, fmt.Errorf("%s has %d coordinates, space is %dD", what, len(v), dim)
+	// A canonical spec carries exactly the endpoints its planner (or its
+	// portfolio's race query) uses.
+	for _, v := range []struct {
+		what string
+		q    []float64
+	}{{"root", sp.Root}, {"goal", sp.Goal}} {
+		if v.q != nil && len(v.q) != space.Dim() {
+			return nil, nil, fmt.Errorf("%s has %d coordinates, space is %dD", v.what, len(v.q), space.Dim())
 		}
-		return parmp.Config(v), nil
 	}
 	if sp.Portfolio > 0 {
-		root, err := toConfig(sp.Root, "root")
-		if err != nil {
-			return nil, nil, err
-		}
-		goal, err := toConfig(sp.Goal, "goal")
-		if err != nil {
-			return nil, nil, err
-		}
-		pf, err := parmp.NewPortfolio(space, root, goal, opts, parmp.PortfolioOptions{
+		pf, err := parmp.NewPortfolio(space, sp.Root, sp.Goal, opts, parmp.PortfolioOptions{
 			Racers:   sp.Portfolio,
 			Planners: []string{sp.Planner},
 			Restarts: sp.Restarts,
@@ -287,27 +253,6 @@ func (sp Spec) build() (engine, *parmp.Space, error) {
 		})
 		return pf, space, err
 	}
-	switch sp.Planner {
-	case "prm":
-		eng, err := parmp.NewEngine(space, opts)
-		return eng, space, err
-	case "rrt":
-		root, err := toConfig(sp.Root, "root")
-		if err != nil {
-			return nil, nil, err
-		}
-		eng, err := parmp.NewRRTEngine(space, root, opts)
-		return eng, space, err
-	default: // rrtconnect
-		root, err := toConfig(sp.Root, "root")
-		if err != nil {
-			return nil, nil, err
-		}
-		goal, err := toConfig(sp.Goal, "goal")
-		if err != nil {
-			return nil, nil, err
-		}
-		eng, err := parmp.NewRRTConnectEngine(space, root, goal, opts)
-		return eng, space, err
-	}
+	eng, err := parmp.NewEngineByName(sp.Planner, space, sp.Root, sp.Goal, opts)
+	return eng, space, err
 }

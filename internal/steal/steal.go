@@ -154,11 +154,11 @@ func (p Hybrid) Victims(thief, procs, attempt int, r *rng.Stream) []int {
 // "hybrid". ok is false for unknown names.
 func ByName(name string) (Policy, bool) {
 	switch name {
-	case "diffusive", "diff":
+	case "diffusive":
 		return Diffusive{}, true
 	case "hybrid":
 		return Hybrid{K: 8}, true
-	case "rand-8", "rand8", "rand":
+	case "rand-8":
 		return RandK{K: 8}, true
 	}
 	return nil, false

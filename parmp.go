@@ -37,6 +37,7 @@
 package parmp
 
 import (
+	"fmt"
 	"io"
 
 	"parmp/internal/core"
@@ -174,6 +175,23 @@ func Diffusive() StealPolicy { return steal.Diffusive{} }
 // Hybrid tries diffusive stealing first and falls back to k random
 // victims when no neighbour can serve the request.
 func Hybrid(k int) StealPolicy { return steal.Hybrid{K: k} }
+
+// StrategyByName resolves a load-balancing name as the command-line
+// tools and the serving tier spell it — "none", "repartition", or a steal
+// policy ("hybrid", "rand-8", "diffusive") — to the Options.Strategy and
+// Options.Policy that select it.
+func StrategyByName(name string) (Strategy, StealPolicy, error) {
+	switch name {
+	case "none":
+		return NoLB, nil, nil
+	case "repartition":
+		return Repartition, nil, nil
+	}
+	if policy, ok := steal.ByName(name); ok {
+		return WorkStealing, policy, nil
+	}
+	return 0, nil, fmt.Errorf("unknown strategy %q (want none, repartition, hybrid, rand-8, diffusive)", name)
+}
 
 // Machine profiles.
 

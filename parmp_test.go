@@ -65,6 +65,28 @@ func TestPublicStealPolicies(t *testing.T) {
 	}
 }
 
+// StrategyByName knows the five names the CLIs and the serving tier
+// document, and only those.
+func TestStrategyByName(t *testing.T) {
+	for name, want := range map[string]struct {
+		strategy Strategy
+		policy   string
+	}{
+		"none": {NoLB, ""}, "repartition": {Repartition, ""},
+		"hybrid": {WorkStealing, "hybrid"}, "rand-8": {WorkStealing, "rand-8"}, "diffusive": {WorkStealing, "diffusive"},
+	} {
+		strategy, policy, err := StrategyByName(name)
+		if err != nil || strategy != want.strategy || (policy == nil) != (want.policy == "") || (policy != nil && policy.Name() != want.policy) {
+			t.Fatalf("StrategyByName(%q) = %v, %v, %v", name, strategy, policy, err)
+		}
+	}
+	for _, name := range []string{"", "diff", "stealing"} {
+		if _, _, err := StrategyByName(name); err == nil {
+			t.Fatalf("StrategyByName(%q) accepted", name)
+		}
+	}
+}
+
 func TestPublicProfiles(t *testing.T) {
 	if HopperProfile().Name != "hopper" || OpteronProfile().Name != "opteron-cluster" {
 		t.Fatal("profile names wrong")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -30,7 +31,9 @@ type PortfolioOptions struct {
 	Racers int
 	// Planners assigns planner families to racers, cycled ("prm",
 	// "rrt", "rrtconnect"); racer i runs Planners[i % len]. Default
-	// {"prm"}. Tree planners root at the race's start configuration.
+	// {"prm"}. Tree planners root at the race's start configuration and,
+	// like every NewEngineByName engine, reach the environment diagonal
+	// when the base Options leave Radius zero.
 	Planners []string
 	// Restarts selects the restart schedule: "luby" (default) restarts
 	// a racer with a fresh derived seed whenever its Luby round budget
@@ -57,9 +60,7 @@ func (po PortfolioOptions) withDefaults() (PortfolioOptions, error) {
 		po.Planners = []string{"prm"}
 	}
 	for _, pl := range po.Planners {
-		switch pl {
-		case "prm", "rrt", "rrtconnect":
-		default:
+		if !slices.Contains(PlannerNames(), pl) {
 			return po, fmt.Errorf("parmp: unknown portfolio planner %q (want %s)",
 				pl, strings.Join(PlannerNames(), ", "))
 		}
@@ -187,18 +188,7 @@ func (p *Portfolio) buildEngine(racer, restart int) (*Engine, uint64, error) {
 	seed := portfolio.DeriveSeed(p.base.Seed, racer, restart)
 	opts := p.base
 	opts.Seed = seed
-	var (
-		eng *Engine
-		err error
-	)
-	switch pl := p.po.Planners[racer%len(p.po.Planners)]; pl {
-	case "prm":
-		eng, err = NewEngine(p.space, opts)
-	case "rrt":
-		eng, err = NewRRTEngine(p.space, p.start, opts)
-	default: // rrtconnect (names validated in withDefaults)
-		eng, err = NewRRTConnectEngine(p.space, p.start, p.goal, opts)
-	}
+	eng, err := NewEngineByName(p.po.Planners[racer%len(p.po.Planners)], p.space, p.start, p.goal, opts)
 	if err != nil {
 		return nil, 0, fmt.Errorf("parmp: portfolio racer %d restart %d: %w", racer, restart, err)
 	}
