@@ -140,7 +140,6 @@ func main() {
 	serveUS := make([]float64, *n)
 	status := make([]int16, *n)
 	cacheHit := make([]bool, *n)
-	batchSize := make([]int32, *n)
 	var solved, errors, rejected atomic.Int64
 	var next atomic.Int64
 	interval := time.Duration(0)
@@ -210,7 +209,6 @@ func main() {
 				case resp.StatusCode == http.StatusOK && decErr == nil:
 					serveUS[i] = ans.ServeUS
 					cacheHit[i] = ans.CacheHit
-					batchSize[i] = int32(ans.BatchSize)
 					if ans.OK {
 						solved.Add(1)
 					}
@@ -230,7 +228,7 @@ func main() {
 	// Summarize: client latency over every issued query, server-side
 	// percentiles over the 200s, cache-hit percentiles over the hits.
 	var serveOK, hitUS []float64
-	var hits, batchedN, batchSum int64
+	var hits int64
 	for i := 0; i < *n; i++ {
 		if status[i] != http.StatusOK {
 			continue
@@ -239,9 +237,6 @@ func main() {
 		if cacheHit[i] {
 			hits++
 			hitUS = append(hitUS, serveUS[i])
-		} else if batchSize[i] > 0 {
-			batchedN++
-			batchSum += int64(batchSize[i])
 		}
 	}
 	res := servebench.Result{
@@ -270,9 +265,6 @@ func main() {
 		p := servebench.Compute(hitUS)
 		res.CacheHit = &p
 	}
-	if batchedN > 0 {
-		res.BatchMean = float64(batchSum) / float64(batchedN)
-	}
 	res.Mutations = mutations.Load()
 	res.StalePaths = stalePaths.Load()
 
@@ -281,8 +273,8 @@ func main() {
 	fmt.Fprintf(os.Stderr, "  client latency: p50=%.0fµs p99=%.0fµs p999=%.0fµs max=%.0fµs\n",
 		res.Latency.P50, res.Latency.P99, res.Latency.P999, res.Latency.Max)
 	if res.Serve != nil {
-		fmt.Fprintf(os.Stderr, "  server  time  : p50=%.0fµs p99=%.0fµs p999=%.0fµs cache-hit-rate=%.1f%% batch-mean=%.2f\n",
-			res.Serve.P50, res.Serve.P99, res.Serve.P999, 100*res.CacheHitRate, res.BatchMean)
+		fmt.Fprintf(os.Stderr, "  server  time  : p50=%.0fµs p99=%.0fµs p999=%.0fµs cache-hit-rate=%.1f%%\n",
+			res.Serve.P50, res.Serve.P99, res.Serve.P999, 100*res.CacheHitRate)
 	}
 	if res.CacheHit != nil {
 		fmt.Fprintf(os.Stderr, "  cache hits    : p50=%.0fµs p99=%.0fµs\n", res.CacheHit.P50, res.CacheHit.P99)

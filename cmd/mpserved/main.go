@@ -1,11 +1,12 @@
 // Command mpserved serves motion-planning queries over HTTP: a
 // multi-tenant pool of parmp engines behind POST /v1/query and
-// POST /v1/batch, with background roadmap growth, server-side request
-// coalescing, a per-tenant path cache and bounded admission queues.
+// POST /v1/batch, with background roadmap growth, a per-tenant path
+// cache, and queries answered on the goroutine they arrive on behind a
+// bounded per-tenant admission gate.
 //
 // Usage:
 //
-//	mpserved -addr :8931 -rounds 3 -batch-max 32
+//	mpserved -addr :8931 -rounds 3 -queue 256
 //
 // Drive it with cmd/mploadgen; GET /v1/stats reports per-tenant
 // counters and GET /healthz liveness.
@@ -30,32 +31,23 @@ func main() {
 	maxTenants := flag.Int("max-tenants", 8, "engine pool capacity; least-recently-used tenants are evicted beyond it")
 	rounds := flag.Int("rounds", 3, "default background growth rounds for tenants whose spec does not set rounds")
 	growInterval := flag.Duration("grow-interval", 0, "pause between background growth rounds (0 = back-to-back)")
-	queue := flag.Int("queue", 256, "per-tenant admission queue depth; a full queue answers 429")
-	batchWorkers := flag.Int("batch-workers", 0, "batch workers per tenant (0 = GOMAXPROCS)")
-	batchMax := flag.Int("batch-max", 32, "max queries coalesced into one batch (1 = no batching)")
-	batchWindow := flag.Duration("batch-window", 200*time.Microsecond, "how long a batch waits for stragglers (0 = only already-queued requests join)")
+	queue := flag.Int("queue", 256, "queries a tenant admits and has not yet answered; one more answers 429")
 	cache := flag.Int("cache", 4096, "path cache entries per tenant (0 = disable)")
-	timeout := flag.Duration("timeout", 10*time.Second, "per-request budget, admission queueing included")
+	timeout := flag.Duration("timeout", 10*time.Second, "budget of one mutate request's repair")
 	k := flag.Int("k", 8, "default attachment count for queries that omit k")
 	flag.Parse()
 
 	cfg := serve.Config{
 		MaxTenants:     *maxTenants,
 		QueueDepth:     *queue,
-		BatchWorkers:   *batchWorkers,
-		BatchMax:       *batchMax,
-		BatchWindow:    *batchWindow,
 		CacheSize:      *cache,
 		GrowRounds:     *rounds,
 		GrowInterval:   *growInterval,
 		RequestTimeout: *timeout,
 		DefaultK:       *k,
 	}
-	// The flags use 0 for "off" (natural on a command line); the config
+	// The flag uses 0 for "off" (natural on a command line); the config
 	// uses negative for "off" so that its zero value means "default".
-	if *batchWindow == 0 {
-		cfg.BatchWindow = -1
-	}
 	if *cache == 0 {
 		cfg.CacheSize = -1
 	}
@@ -77,8 +69,8 @@ func main() {
 		}
 	}()
 
-	fmt.Fprintf(os.Stderr, "mpserved: listening on %s (rounds=%d batch-max=%d queue=%d cache=%d)\n",
-		*addr, *rounds, *batchMax, *queue, *cache)
+	fmt.Fprintf(os.Stderr, "mpserved: listening on %s (rounds=%d queue=%d cache=%d)\n",
+		*addr, *rounds, *queue, *cache)
 	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintln(os.Stderr, "mpserved:", err)
 		os.Exit(1)

@@ -461,30 +461,6 @@ func TestParallelRRTStar(t *testing.T) {
 	}
 }
 
-func TestAdaptivePRM(t *testing.T) {
-	s := cspace.NewPointSpace(env.MedCube())
-	base := quickOpts(4, 27)
-	base.Regions = 27
-	uniform, err := ParallelPRM(s, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ad := base
-	ad.Adaptive = true
-	ad.AdaptiveDepth = 2
-	adaptive, err := ParallelPRM(s, ad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if adaptive.RegionGraph.NumRegions() <= uniform.RegionGraph.NumRegions() {
-		t.Fatalf("adaptive should refine: %d vs %d regions",
-			adaptive.RegionGraph.NumRegions(), uniform.RegionGraph.NumRegions())
-	}
-	if adaptive.Roadmap.NumNodes() == 0 {
-		t.Fatal("adaptive run produced no roadmap")
-	}
-}
-
 func TestPRMWithOverlap(t *testing.T) {
 	// Overlapping region boxes let boundary samples land outside the core
 	// cell, which eases cross-region connection. The run must stay

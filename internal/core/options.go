@@ -135,11 +135,6 @@ type Options struct {
 	// Overlap is the inter-region sampling overlap fraction for grid
 	// subdivision, or the cone overlap angle (radians) for radial.
 	Overlap float64
-	// Adaptive refines grid cells that straddle obstacle boundaries
-	// (one extra split level along the longest axis, up to AdaptiveDepth)
-	// so granularity concentrates where workloads are heterogeneous.
-	Adaptive      bool
-	AdaptiveDepth int
 
 	// Strategy picks the load balancer; Policy the steal victim policy
 	// (required for WorkStealing); Partitioner the repartition algorithm.
@@ -152,11 +147,6 @@ type Options struct {
 	// raise it toward 0.5 for classic steal-half behaviour (see the
 	// ablation benchmarks).
 	StealChunk float64
-	// MaxRounds bounds how many consecutive unsuccessful victim rounds a
-	// thief tries before giving up for good (default 4, the paper's
-	// bounded-retry behaviour; set negative for unbounded retries until
-	// global termination). Sweepable for ablations.
-	MaxRounds int
 
 	// CostModel selects what the repartitioner balances on: the static
 	// estimators (default; the paper's setup) or the observed per-region
@@ -204,8 +194,6 @@ type Options struct {
 	// RRT parameters.
 	NodesPerRegion int
 	Step           float64
-	GoalBias       float64
-	RegionK        int     // adjacent cone count in the radial region graph
 	Radius         float64 // radial subdivision sphere radius
 	// Star grows asymptotically-optimal RRT* branches (choose-parent +
 	// rewiring) instead of plain RRT. More local-planning work per node,
@@ -245,31 +233,13 @@ func (o Options) Defaults() Options {
 	if o.Step <= 0 {
 		o.Step = 0.05
 	}
-	if o.GoalBias <= 0 {
-		o.GoalBias = 0.1
-	}
-	if o.RegionK <= 0 {
-		o.RegionK = 4
-	}
 	if o.Radius <= 0 {
 		o.Radius = 0.5
 	}
 	if o.StealChunk <= 0 {
 		o.StealChunk = 1e-9 // one region per steal
 	}
-	if o.MaxRounds == 0 {
-		o.MaxRounds = 4
-	}
 	return o
-}
-
-// maxRounds maps the Options convention (0 = default 4, negative =
-// unbounded) onto the runtime convention (0 = unbounded).
-func (o Options) maxRounds() int {
-	if o.MaxRounds < 0 {
-		return 0
-	}
-	return o.MaxRounds
 }
 
 // Validate reports configuration errors.

@@ -79,7 +79,7 @@ type pipeline struct {
 	// cm is the observed per-region cost model (CostObserved only),
 	// lazily built at the first construct observation. The engines feed
 	// it at commit time, so an aborted round never pollutes it.
-	cm costmodel.Model
+	cm *costmodel.EWMA
 }
 
 func newPipeline(opts Options) *pipeline {
@@ -122,6 +122,11 @@ func (pl *pipeline) hostExec(name string, queues [][]work.Task) {
 	}
 }
 
+// stealMaxRounds bounds how many consecutive unsuccessful victim rounds a
+// thief tries before giving up for good: the paper's bounded-retry
+// behaviour.
+const stealMaxRounds = 4
+
 // replay plays a phase on the virtual-time runtime and returns its
 // report, keeping a copy in the pipeline's phase-report log. Memoized
 // tasks answer instantly with their recorded cost, so the replay is pure
@@ -135,7 +140,7 @@ func (pl *pipeline) replay(ph phaseSpec) sched.Report {
 		Profile:    pl.opts.Profile,
 		Policy:     ph.policy,
 		StealChunk: pl.opts.StealChunk,
-		MaxRounds:  pl.opts.maxRounds(),
+		MaxRounds:  stealMaxRounds,
 		Seed:       pl.opts.Seed ^ ph.salt,
 		Stop:       pl.stop,
 	}, ph.queues)

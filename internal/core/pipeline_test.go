@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"parmp/internal/cspace"
+	"parmp/internal/dist"
 	"parmp/internal/env"
 	"parmp/internal/geom"
 	"parmp/internal/obsv"
@@ -13,41 +14,49 @@ import (
 	"parmp/internal/work"
 )
 
+// stealingRun plans one PRM round under RAND-2 stealing on a runtime
+// that hands the simulator whatever Config rewrite returns.
+func stealingRun(t *testing.T, rewrite func(sched.Config) sched.Config) *PRMResult {
+	t.Helper()
+	opts := quickOpts(4, 64)
+	opts.Strategy = WorkStealing
+	opts.Policy = steal.RandK{K: 2}
+	opts.Runtime = sched.RuntimeFunc(func(cfg sched.Config, queues [][]work.Task) sched.Report {
+		return dist.Runtime.Run(rewrite(cfg), queues)
+	})
+	res, err := ParallelPRM(cspace.NewPointSpace(env.MedCube()), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestMaxRoundsDefaultsAndMapping(t *testing.T) {
-	if got := (Options{}).Defaults().MaxRounds; got != 4 {
-		t.Fatalf("default MaxRounds = %d, want 4", got)
-	}
-	if got := (Options{MaxRounds: 9}).Defaults().MaxRounds; got != 9 {
-		t.Fatalf("explicit MaxRounds overridden: %d", got)
-	}
-	if got := (Options{MaxRounds: -1}).Defaults().MaxRounds; got != -1 {
-		t.Fatalf("negative MaxRounds should survive Defaults: %d", got)
-	}
-	// Runtime convention: 0 = unbounded.
-	if got := (Options{MaxRounds: -1}).maxRounds(); got != 0 {
-		t.Fatalf("negative MaxRounds should map to unbounded (0), got %d", got)
-	}
-	if got := (Options{MaxRounds: 7}).maxRounds(); got != 7 {
-		t.Fatalf("maxRounds() = %d, want 7", got)
+	// The retry bound is no longer an option: every phase the pipeline
+	// hands a runtime carries the paper's four bounded victim rounds.
+	phases := 0
+	stealingRun(t, func(cfg sched.Config) sched.Config {
+		phases++
+		if cfg.MaxRounds != 4 {
+			t.Errorf("phase %d: sched.Config.MaxRounds = %d, want 4", phases, cfg.MaxRounds)
+		}
+		return cfg
+	})
+	if phases == 0 {
+		t.Fatal("the run replayed no phase")
 	}
 }
 
 func TestMaxRoundsSweepable(t *testing.T) {
-	// MaxRounds is a first-class ablation knob: any bound must leave the
-	// planning output untouched (it only changes who gives up stealing
-	// when) while remaining deterministic.
-	s := cspace.NewPointSpace(env.MedCube())
-	base := quickOpts(4, 64)
-	base.Strategy = WorkStealing
-	base.Policy = steal.RandK{K: 2}
+	// The bound stays sweepable where it lives, in sched.Config: any
+	// value (0 = unbounded) must leave the planning output untouched — it
+	// only changes who gives up stealing when.
 	var ref *PRMResult
-	for _, rounds := range []int{1, 4, -1} {
-		opts := base
-		opts.MaxRounds = rounds
-		res, err := ParallelPRM(s, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, rounds := range []int{1, 4, 0} {
+		res := stealingRun(t, func(cfg sched.Config) sched.Config {
+			cfg.MaxRounds = rounds
+			return cfg
+		})
 		if ref == nil {
 			ref = res
 			continue

@@ -105,16 +105,7 @@ func NewPRMEngine(s *cspace.Space, opts Options) (*PRMEngine, error) {
 	}
 	dims := s.Env.Dim()
 	spec := region.SplitEvenly(dims, opts.Regions, opts.Overlap)
-	var rg *region.Graph
-	var err error
-	if opts.Adaptive {
-		rg, err = region.AdaptiveGrid(s.Env, region.AdaptiveSpec{
-			Base:     spec,
-			MaxDepth: opts.AdaptiveDepth,
-		})
-	} else {
-		rg, err = region.UniformGrid(s.Bounds, spec)
-	}
+	rg, err := region.UniformGrid(s.Bounds, spec)
 	if err != nil {
 		return nil, err
 	}

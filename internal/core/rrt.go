@@ -182,6 +182,14 @@ func NewRRTConnectEngine(s *cspace.Space, root, goal cspace.Config, opts Options
 	return newTreeEngine(s, root, goal.Clone(), opts)
 }
 
+// The tree planners' fixed shape: the probability of steering a branch
+// at its cone's target instead of a random sample, and how many adjacent
+// cones each cone has in the radial region graph.
+const (
+	rrtGoalBias = 0.1
+	rrtRegionK  = 4
+)
+
 func newTreeEngine(s *cspace.Space, root, goal cspace.Config, opts Options) (*RRTEngine, error) {
 	opts = opts.Defaults()
 	if err := opts.Validate(); err != nil {
@@ -191,7 +199,7 @@ func newTreeEngine(s *cspace.Space, root, goal cspace.Config, opts Options) (*RR
 	setupRNG := rng.Derive(opts.Seed, 0xabcdef)
 	rg := region.RadialSubdivision(apex, region.RadialSpec{
 		Regions:      opts.Regions,
-		K:            opts.RegionK,
+		K:            rrtRegionK,
 		Radius:       opts.Radius,
 		OverlapAngle: opts.Overlap,
 	}, setupRNG)
@@ -201,7 +209,7 @@ func newTreeEngine(s *cspace.Space, root, goal cspace.Config, opts Options) (*RR
 	assignContiguous(rg, opts.Procs)
 	e := &RRTEngine{
 		goal:     goal,
-		params:   rrt.Params{Nodes: opts.NodesPerRegion, Step: opts.Step, GoalBias: opts.GoalBias},
+		params:   rrt.Params{Nodes: opts.NodesPerRegion, Step: opts.Step, GoalBias: rrtGoalBias},
 		branches: make([]branch, rg.NumRegions()),
 	}
 	e.constructSalt = saltRRTConstruct

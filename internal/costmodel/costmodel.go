@@ -16,38 +16,17 @@
 // warm model never compares microseconds against raw sample counts.
 package costmodel
 
-// Model is a pluggable per-region cost estimator fed one observation
-// vector per round. Implementations must be deterministic: the virtual
-// time pipeline replays rounds bit-identically, so the model may not
-// consult wall clocks or randomness of its own.
-type Model interface {
-	// Observe folds one round's measured per-region costs into the model.
-	// observed[i] reports whether region i actually executed this round
-	// (costs[i] is meaningless when false) — unobserved regions keep
-	// their previous estimate.
-	Observe(costs []float64, observed []bool)
-	// Estimate returns the model's current cost estimate for region i and
-	// whether the model has ever observed that region.
-	Estimate(i int) (float64, bool)
-	// Blend combines the model with a static fallback estimate: observed
-	// regions get the model's estimate, unobserved ones get the static
-	// weight rescaled into the model's units. A nil static slice makes
-	// unobserved regions default to the mean observed cost.
-	Blend(static []float64) []float64
-	// Rounds is how many observation rounds the model has absorbed.
-	Rounds() int
-	// Name identifies the model in experiment tables.
-	Name() string
-}
-
 // DefaultAlpha is the EWMA smoothing factor used when none is given:
 // half the weight on the newest round, which tracks the strong
 // round-to-round autocorrelation of region costs while still damping
 // one-round noise spikes.
 const DefaultAlpha = 0.5
 
-// EWMA is the default Model: an exponentially weighted moving average of
-// each region's observed cost, est ← α·cost + (1−α)·est.
+// EWMA is the per-region cost estimator, fed one observation vector per
+// round: an exponentially weighted moving average of each region's
+// observed cost, est ← α·cost + (1−α)·est. It is deterministic — the
+// virtual-time pipeline replays rounds bit-identically, so it consults
+// no wall clock and no randomness of its own.
 type EWMA struct {
 	alpha  float64
 	est    []float64
@@ -68,7 +47,10 @@ func NewEWMA(n int, alpha float64) *EWMA {
 	}
 }
 
-// Observe implements Model. The first observation of a region seeds the
+// Observe folds one round's measured per-region costs into the model.
+// observed[i] reports whether region i actually executed this round
+// (costs[i] is meaningless when false) — unobserved regions keep their
+// previous estimate. The first observation of a region seeds the
 // estimate directly (no decay from an arbitrary zero), later ones decay.
 func (m *EWMA) Observe(costs []float64, observed []bool) {
 	any := false
@@ -93,21 +75,12 @@ func (m *EWMA) Observe(costs []float64, observed []bool) {
 	}
 }
 
-// Estimate implements Model.
-func (m *EWMA) Estimate(i int) (float64, bool) {
-	if i < 0 || i >= len(m.est) || !m.seen[i] {
-		return 0, false
-	}
-	return m.est[i], true
-}
-
-// Rounds implements Model.
+// Rounds is how many observation rounds the model has absorbed.
 func (m *EWMA) Rounds() int { return m.rounds }
 
-// Name implements Model.
-func (m *EWMA) Name() string { return "ewma" }
-
-// Blend implements Model. Static weights are rescaled by the ratio of
+// Blend combines the model with a static fallback estimate: observed
+// regions get the model's estimate, unobserved ones the static weight in
+// the model's units. Static weights are rescaled by the ratio of
 // the mean observed estimate to the mean static weight over observed
 // regions, mapping the static estimator's unit (sample counts, ray
 // costs) into the model's unit so a half-warm weight vector is

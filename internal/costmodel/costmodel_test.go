@@ -10,19 +10,19 @@ func TestCostModelEWMAObserve(t *testing.T) {
 	if m.Rounds() != 0 {
 		t.Fatalf("fresh model rounds = %d, want 0", m.Rounds())
 	}
-	if _, ok := m.Estimate(0); ok {
+	if m.seen[0] {
 		t.Fatal("fresh model claims an estimate")
 	}
 
 	// First observation seeds directly — no decay from zero.
 	m.Observe([]float64{10, 20, 0}, []bool{true, true, false})
-	if e, ok := m.Estimate(0); !ok || e != 10 {
-		t.Fatalf("Estimate(0) = %v,%v, want 10,true", e, ok)
+	if e, ok := m.est[0], m.seen[0]; !ok || e != 10 {
+		t.Fatalf("estimate 0 = %v,%v, want 10,true", e, ok)
 	}
-	if e, ok := m.Estimate(1); !ok || e != 20 {
-		t.Fatalf("Estimate(1) = %v,%v, want 20,true", e, ok)
+	if e, ok := m.est[1], m.seen[1]; !ok || e != 20 {
+		t.Fatalf("estimate 1 = %v,%v, want 20,true", e, ok)
 	}
-	if _, ok := m.Estimate(2); ok {
+	if m.seen[2] {
 		t.Fatal("unobserved region claims an estimate")
 	}
 	if m.Rounds() != 1 {
@@ -31,27 +31,21 @@ func TestCostModelEWMAObserve(t *testing.T) {
 
 	// Second observation decays: 0.5*20 + 0.5*10 = 15.
 	m.Observe([]float64{20, 20, 30}, []bool{true, false, true})
-	if e, _ := m.Estimate(0); e != 15 {
-		t.Fatalf("Estimate(0) after decay = %v, want 15", e)
+	if e := m.est[0]; e != 15 {
+		t.Fatalf("estimate 0 after decay = %v, want 15", e)
 	}
 	// Unobserved region keeps its previous estimate.
-	if e, _ := m.Estimate(1); e != 20 {
-		t.Fatalf("Estimate(1) unchanged = %v, want 20", e)
+	if e := m.est[1]; e != 20 {
+		t.Fatalf("estimate 1 unchanged = %v, want 20", e)
 	}
-	if e, _ := m.Estimate(2); e != 30 {
-		t.Fatalf("Estimate(2) seeded = %v, want 30", e)
+	if e, ok := m.est[2], m.seen[2]; !ok || e != 30 {
+		t.Fatalf("estimate 2 seeded = %v,%v, want 30,true", e, ok)
 	}
 	if m.Rounds() != 2 {
 		t.Fatalf("rounds = %d, want 2", m.Rounds())
 	}
 
-	// Out-of-range indices and bad alphas never panic.
-	if _, ok := m.Estimate(-1); ok {
-		t.Fatal("Estimate(-1) claims ok")
-	}
-	if _, ok := m.Estimate(99); ok {
-		t.Fatal("Estimate(99) claims ok")
-	}
+	// A bad alpha falls back to the default.
 	if a := NewEWMA(2, -1).alpha; a != DefaultAlpha {
 		t.Fatalf("alpha fallback = %v, want %v", a, DefaultAlpha)
 	}
@@ -109,13 +103,13 @@ func TestCostModelTracksDrift(t *testing.T) {
 	all := []bool{true}
 	m.Observe([]float64{100}, all)
 	m.Observe([]float64{1000}, all) // spike
-	if e, _ := m.Estimate(0); e != 550 {
+	if e := m.est[0]; e != 550 {
 		t.Fatalf("post-spike estimate = %v, want 550", e)
 	}
 	for i := 0; i < 20; i++ {
 		m.Observe([]float64{200}, all) // new sustained level
 	}
-	if e, _ := m.Estimate(0); math.Abs(e-200) > 1 {
+	if e := m.est[0]; math.Abs(e-200) > 1 {
 		t.Fatalf("converged estimate = %v, want ~200", e)
 	}
 }

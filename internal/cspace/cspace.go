@@ -56,8 +56,6 @@ func (c Counters) String() string {
 // caller's Scratch, and one batch pair over a struct-of-arrays Batch.
 // The scratch and the batch are never nil.
 type Robot interface {
-	// DOF returns the configuration dimension.
-	DOF() int
 	// ConfigFree reports whether configuration q is collision-free in e
 	// and how many obstacle tests were used.
 	ConfigFree(e *env.Environment, q Config, sc *Scratch) (bool, int)
@@ -83,9 +81,6 @@ type Robot interface {
 type PointRobot struct {
 	Dim int
 }
-
-// DOF implements Robot.
-func (r PointRobot) DOF() int { return r.Dim }
 
 // ConfigFree implements Robot; a point needs no temporaries.
 func (r PointRobot) ConfigFree(e *env.Environment, q Config, _ *Scratch) (bool, int) {
@@ -119,9 +114,6 @@ func NewRigidBox(hx, hy, hz float64) RigidBody {
 	}
 	return RigidBody{BodyPoints: pts}
 }
-
-// DOF implements Robot.
-func (r RigidBody) DOF() int { return 6 }
 
 // pose converts a configuration to a rigid transform. The translation
 // aliases q's first three components, so it costs no allocation.
@@ -185,7 +177,7 @@ type Linkage struct {
 	ProbesPL int // collision probe points per link (default 4)
 }
 
-// DOF implements Robot.
+// DOF returns the configuration dimension, one joint angle per link.
 func (l Linkage) DOF() int { return len(l.LinkLen) }
 
 // jointPositionsInto fills pos (length len(LinkLen)+1) with the chain's

@@ -60,8 +60,6 @@ func NewDubinsSpace(e *env.Environment, radius float64) *Space {
 // the heading dimension is kinematic, not geometric.
 type dubinsPoint struct{}
 
-func (dubinsPoint) DOF() int { return 3 }
-
 func (dubinsPoint) ConfigFree(e *env.Environment, q Config, _ *Scratch) (bool, int) {
 	return e.CheckPoint(q[:2])
 }

@@ -24,9 +24,6 @@ func NewRigidRect(hx, hy float64) RigidBody2D {
 	}}
 }
 
-// DOF implements Robot.
-func (r RigidBody2D) DOF() int { return 3 }
-
 // placedInto fills out (length len(Outline)) with the workspace outline
 // for configuration q.
 func (r RigidBody2D) placedInto(q Config, out []geom.Vec) {

@@ -333,6 +333,6 @@ func (s *sim) stealReply(e *event) {
 	}
 	// Round exhausted: back off exponentially, then start a new round.
 	s.attempt[p]++
-	backoff := sched.Backoff(s.attempt[p], s.cfg.Profile.LatencyRemote, s.cfg.MaxBackoff)
+	backoff := sched.Backoff(s.attempt[p], s.cfg.Profile.LatencyRemote)
 	s.schedule(e.t+backoff, &event{kind: evPop, proc: p})
 }

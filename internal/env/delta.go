@@ -42,11 +42,6 @@ type Delta struct {
 	Removed []Obstacle
 }
 
-// Empty reports whether the delta changes the obstacle set at all. An
-// empty delta still bumps the epoch (callers may commit no-op mutations
-// to force cache rollover) but repair is trivially a no-op.
-func (d Delta) Empty() bool { return len(d.Added) == 0 && len(d.Removed) == 0 }
-
 // Invalidating reports whether the delta can invalidate previously free
 // configurations or edges — i.e. whether it added any obstacle.
 func (d Delta) Invalidating() bool { return len(d.Added) > 0 }

@@ -24,8 +24,8 @@ func TestAddObstacleDelta(t *testing.T) {
 	if len(d.Added) != 1 || len(d.Removed) != 0 {
 		t.Fatalf("delta = %+v, want one added obstacle", d)
 	}
-	if !d.Invalidating() || d.Empty() {
-		t.Fatal("add delta must be invalidating and non-empty")
+	if !d.Invalidating() {
+		t.Fatal("add delta must be invalidating")
 	}
 	if free, _ := e.CheckPoint(geom.V(0.5, 0.5, 0.5)); free {
 		t.Fatal("center should now collide")

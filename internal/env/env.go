@@ -26,8 +26,6 @@ type Obstacle interface {
 	// SegmentHits reports whether the segment a→b passes through the
 	// obstacle.
 	SegmentHits(a, b geom.Vec) bool
-	// Volume returns the obstacle's d-dimensional volume.
-	Volume() float64
 }
 
 // BoxObstacle is an axis-aligned solid box.
@@ -43,9 +41,6 @@ func (o BoxObstacle) Bounds() geom.AABB { return o.Box }
 
 // SegmentHits implements Obstacle.
 func (o BoxObstacle) SegmentHits(a, b geom.Vec) bool { return o.Box.SegmentIntersects(a, b) }
-
-// Volume implements Obstacle.
-func (o BoxObstacle) Volume() float64 { return o.Box.Volume() }
 
 // SphereObstacle is a solid ball.
 type SphereObstacle struct {
@@ -85,14 +80,6 @@ func (o SphereObstacle) SegmentHits(a, b geom.Vec) bool {
 	}
 	closest := a.Lerp(b, t)
 	return closest.Dist2(o.Center) <= o.Radius*o.Radius
-}
-
-// Volume implements Obstacle. Only 2D and 3D are supported exactly; higher
-// dimensions use the general n-ball formula.
-func (o SphereObstacle) Volume() float64 {
-	d := float64(len(o.Center))
-	// V_d(r) = pi^(d/2) / Gamma(d/2+1) * r^d
-	return math.Pow(math.Pi, d/2) / math.Gamma(d/2+1) * math.Pow(o.Radius, d)
 }
 
 // Environment is a workspace: bounds plus obstacles.

@@ -172,4 +172,3 @@ type fakeObstacle struct{}
 func (fakeObstacle) Contains(geom.Vec) bool         { return false }
 func (fakeObstacle) Bounds() geom.AABB              { return unitBox(2) }
 func (fakeObstacle) SegmentHits(a, b geom.Vec) bool { return false }
-func (fakeObstacle) Volume() float64                { return 0 }

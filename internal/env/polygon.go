@@ -121,17 +121,3 @@ func maxf(a, b float64) float64 {
 	}
 	return b
 }
-
-// Volume implements Obstacle via the shoelace formula.
-func (o ConvexPolygon) Volume() float64 {
-	var area float64
-	n := len(o.Verts)
-	for i := 0; i < n; i++ {
-		a, b := o.Verts[i], o.Verts[(i+1)%n]
-		area += a[0]*b[1] - b[0]*a[1]
-	}
-	if area < 0 {
-		area = -area
-	}
-	return area / 2
-}

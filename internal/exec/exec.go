@@ -25,8 +25,7 @@ import (
 type (
 	// Config parameterizes a run; Config.Workers is the number of
 	// goroutines (default GOMAXPROCS). Profile is ignored: the executor
-	// pays real costs. MaxBackoff caps the idle-thief sleep backoff just
-	// as it caps the simulator's virtual-time backoff.
+	// pays real costs.
 	Config = sched.Config
 	// Report is the outcome of a run; times are wall-clock seconds.
 	Report = sched.Report
@@ -38,8 +37,8 @@ type (
 var Runtime sched.Runtime = sched.RuntimeFunc(Run)
 
 // stealBackoffBase is the first idle-thief sleep after a fully failed
-// steal round; successive failures double it up to Config.MaxBackoff
-// (default 16x) times this base, via the shared sched.Backoff curve.
+// steal round; successive failures double it up to 16 times this base,
+// via the shared sched.Backoff curve.
 const stealBackoffBase = 20 * time.Microsecond
 
 func workers(cfg Config) int {
@@ -257,7 +256,7 @@ func Run(cfg Config, queues [][]work.Task) Report {
 				// hammers the victims' deque mutexes while they work. A
 				// stop during the sleep wakes the thief immediately so
 				// cancellation latency is not a backoff period.
-				backoff := time.Duration(sched.Backoff(attempt, float64(stealBackoffBase), cfg.MaxBackoff))
+				backoff := time.Duration(sched.Backoff(attempt, float64(stealBackoffBase)))
 				if cfg.Stop != nil {
 					timer := time.NewTimer(backoff)
 					select {

@@ -133,9 +133,7 @@ func rrtOpts(sc Scale, procs int, profile work.MachineProfile) core.Options {
 		Regions:        sc.RRTRegions,
 		NodesPerRegion: sc.NodesPerRegion,
 		Step:           0.05,
-		GoalBias:       0.1,
 		Radius:         0.6,
-		RegionK:        4,
 		Profile:        profile,
 		Seed:           sc.Seed,
 	}

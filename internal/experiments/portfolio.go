@@ -38,8 +38,6 @@ func portfolioOpts(seed uint64) parmp.Options {
 		SamplesPerRegion: 4,
 		NodesPerRegion:   2,
 		Step:             0.05,
-		GoalBias:         0.1,
-		RegionK:          4,
 		Strategy:         parmp.Repartition,
 		Seed:             seed,
 	}

@@ -99,22 +99,6 @@ func (b AABB) IntersectionVolume(o AABB) float64 {
 	return v
 }
 
-// Expand returns b grown by margin on every side (shrunk if negative;
-// sides collapse to the center rather than inverting).
-func (b AABB) Expand(margin float64) AABB {
-	lo := make(Vec, len(b.Lo))
-	hi := make(Vec, len(b.Lo))
-	for i := range b.Lo {
-		lo[i] = b.Lo[i] - margin
-		hi[i] = b.Hi[i] + margin
-		if lo[i] > hi[i] {
-			m := 0.5 * (b.Lo[i] + b.Hi[i])
-			lo[i], hi[i] = m, m
-		}
-	}
-	return AABB{Lo: lo, Hi: hi}
-}
-
 // Clamp returns p with each component clamped into b.
 func (b AABB) Clamp(p Vec) Vec {
 	c := make(Vec, len(p))

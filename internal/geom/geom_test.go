@@ -127,14 +127,6 @@ func TestAABBIntersectionVolumeSymmetric(t *testing.T) {
 
 func TestAABBExpandClamp(t *testing.T) {
 	b := Box2(0, 0, 1, 1)
-	e := b.Expand(0.5)
-	if !e.Lo.Equal(V(-0.5, -0.5), 1e-12) || !e.Hi.Equal(V(1.5, 1.5), 1e-12) {
-		t.Fatalf("Expand = %v", e)
-	}
-	s := b.Expand(-1) // over-shrink collapses to center
-	if !s.Lo.Equal(V(0.5, 0.5), 1e-12) || !s.Hi.Equal(V(0.5, 0.5), 1e-12) {
-		t.Fatalf("over-shrink = %v", s)
-	}
 	if got := b.Clamp(V(5, -5)); !got.Equal(V(1, 0), 1e-12) {
 		t.Fatalf("Clamp = %v", got)
 	}
@@ -190,20 +182,27 @@ func TestRayEnter(t *testing.T) {
 
 func TestQuatRotate(t *testing.T) {
 	q := QuatFromEuler(0, 0, math.Pi/2)
-	got := q.Rotate(V(1, 0, 0))
+	got := q.RotateInto(nil, V(1, 0, 0))
 	if !got.Equal(V(0, 1, 0), 1e-12) {
-		t.Fatalf("Rotate = %v", got)
+		t.Fatalf("RotateInto = %v", got)
+	}
+	// dst may alias the argument.
+	v := V(1, 0, 0)
+	if q.RotateInto(v, v); !v.Equal(V(0, 1, 0), 1e-12) {
+		t.Fatalf("aliased RotateInto = %v", v)
 	}
 }
 
 func TestQuatComposition(t *testing.T) {
-	q1 := QuatFromEuler(0, 0, math.Pi/2)
-	q2 := QuatFromEuler(math.Pi/2, 0, 0)
+	// Z-Y-X Euler order: the quaternion of (roll, yaw) is the roll applied
+	// first, then the yaw.
+	roll := QuatFromEuler(math.Pi/2, 0, 0)
+	yaw := QuatFromEuler(0, 0, math.Pi/2)
 	v := V(0, 1, 0)
-	seq := q1.Rotate(q2.Rotate(v))
-	comp := q1.Mul(q2).Rotate(v)
-	if !seq.Equal(comp, 1e-12) {
-		t.Fatalf("composition mismatch: %v vs %v", seq, comp)
+	seq := yaw.RotateInto(nil, roll.RotateInto(nil, v))
+	comp := QuatFromEuler(math.Pi/2, 0, math.Pi/2).RotateInto(nil, v)
+	if !seq.Equal(comp, 1e-12) || !comp.Equal(V(0, 0, 1), 1e-12) {
+		t.Fatalf("composition mismatch: %v vs %v, want (0,0,1)", seq, comp)
 	}
 }
 
@@ -217,7 +216,7 @@ func TestQuatRotationPreservesNorm(t *testing.T) {
 	f := func(roll, pitch, yaw, x, y, z float64) bool {
 		q := QuatFromEuler(clamp(roll), clamp(pitch), clamp(yaw))
 		v := V(clamp(x), clamp(y), clamp(z))
-		return math.Abs(q.Rotate(v).Norm()-v.Norm()) < 1e-6*(1+v.Norm())
+		return math.Abs(q.RotateInto(nil, v).Norm()-v.Norm()) < 1e-6*(1+v.Norm())
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -226,11 +225,11 @@ func TestQuatRotationPreservesNorm(t *testing.T) {
 
 func TestTransformApplyCompose(t *testing.T) {
 	a := Transform{R: QuatFromEuler(0, 0, math.Pi/2), T: V(1, 0, 0)}
-	b := Transform{R: QuatIdentity, T: V(0, 1, 0)}
+	b := Transform{R: Quat{W: 1}, T: V(0, 1, 0)}
 	p := V(1, 0, 0)
 	// b translates p to (1,1,0); a turns that a quarter about z to
 	// (-1,1,0) and translates it to (0,1,0).
-	if seq := a.Apply(b.Apply(p)); !seq.Equal(V(0, 1, 0), 1e-12) {
+	if seq := a.ApplyInto(nil, b.ApplyInto(nil, p)); !seq.Equal(V(0, 1, 0), 1e-12) {
 		t.Fatalf("a after b maps %v to %v, want (0,1,0)", p, seq)
 	}
 }

@@ -49,6 +49,7 @@ func (v Vec) ScaleInPlace(s float64) {
 // needed) and returns dst. dst may alias v.
 func (q Quat) RotateInto(dst, v Vec) Vec {
 	dst = grow(dst, 3)
+	// v' = q * (0, v) * q^-1, expanded.
 	tx := 2 * (q.Y*v[2] - q.Z*v[1])
 	ty := 2 * (q.Z*v[0] - q.X*v[2])
 	tz := 2 * (q.X*v[1] - q.Y*v[0])
@@ -59,8 +60,9 @@ func (q Quat) RotateInto(dst, v Vec) Vec {
 	return dst
 }
 
-// ApplyInto writes the body-to-world mapping of p into dst (growing it as
-// needed) and returns dst. dst may alias p.
+// ApplyInto maps p from body frame to world frame — rotate, then
+// translate — writing into dst (growing it as needed) and returning it.
+// dst may alias p.
 func (t Transform) ApplyInto(dst, p Vec) Vec {
 	dst = t.R.RotateInto(dst, p)
 	dst.AddInPlace(t.T)

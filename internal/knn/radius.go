@@ -93,13 +93,10 @@ func sortResults(rs []Result) {
 	}
 }
 
-// BruteRadius is the exhaustive reference for Radius.
-func BruteRadius(pts []geom.Vec, q geom.Vec, radius float64) []Result {
-	return BruteRadiusInto(pts, q, radius, nil)
-}
-
-// BruteRadiusInto is BruteRadius appending into dst, so a reused dst
-// makes the scan allocation-free in steady state.
+// BruteRadiusInto is the exhaustive scan for the points within radius of
+// q — the reference for Radius, and what RRT* uses on its small
+// per-region trees — appending into dst, so a reused dst makes it
+// allocation-free in steady state.
 func BruteRadiusInto(pts []geom.Vec, q geom.Vec, radius float64, dst []Result) []Result {
 	if radius < 0 {
 		return dst

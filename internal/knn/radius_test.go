@@ -17,7 +17,7 @@ func TestRadiusMatchesBrute(t *testing.T) {
 		q := geom.V(r.Float64(), r.Float64(), r.Float64())
 		radius := r.Float64() * 0.5
 		got, _ := tree.Radius(q, radius)
-		want := BruteRadius(pts, q, radius)
+		want := BruteRadiusInto(pts, q, radius, nil)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: %d hits vs %d", trial, len(got), len(want))
 		}

@@ -176,7 +176,7 @@ func TestRadiusIntoMatchesBrute(t *testing.T) {
 		q := randomPoints(r, 1, 3)[0]
 		radius := r.Float64()
 		dst, _ = tree.RadiusInto(&sc, q, radius, dst[:0])
-		resultsEqual(t, "radius", dst, BruteRadius(pts, q, radius))
+		resultsEqual(t, "radius", dst, BruteRadiusInto(pts, q, radius, nil))
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"parmp/internal/cspace"
 	"parmp/internal/env"
 	"parmp/internal/geom"
+	"parmp/internal/graph"
 	"parmp/internal/rng"
 )
 
@@ -130,7 +131,7 @@ func TestQueryBatchDegenerate(t *testing.T) {
 	}
 
 	// Empty roadmap: all-miss.
-	ixe := BuildIndex(NewRoadmap())
+	ixe := BuildIndex(&Roadmap{G: graph.New[Node](0)})
 	if _, oks := ixe.QueryBatch(s, []cspace.Config{a}, []cspace.Config{b}, 4, nil, nil); oks[0] {
 		t.Fatal("empty roadmap must miss")
 	}
@@ -145,9 +146,9 @@ func TestQueryBatchDisconnected(t *testing.T) {
 		},
 	}
 	s := cspace.NewPointSpace(e)
-	m := NewRoadmap()
-	m.AddNode(Node{Q: geom.V(0.1, 0.5, 0.5)})
-	m.AddNode(Node{Q: geom.V(0.9, 0.5, 0.5)})
+	m := &Roadmap{G: graph.New[Node](0)}
+	m.G.AddVertex(Node{Q: geom.V(0.1, 0.5, 0.5)})
+	m.G.AddVertex(Node{Q: geom.V(0.9, 0.5, 0.5)})
 	ix := BuildIndex(m)
 	starts := []cspace.Config{geom.V(0.05, 0.5, 0.5), geom.V(0.05, 0.5, 0.5)}
 	goals := []cspace.Config{geom.V(0.95, 0.5, 0.5), geom.V(0.15, 0.5, 0.5)}

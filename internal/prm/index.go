@@ -54,9 +54,6 @@ func (ix *Index) Roadmap() *Roadmap { return ix.m }
 // NumNodes returns the number of indexed roadmap nodes.
 func (ix *Index) NumNodes() int { return len(ix.pts) }
 
-// Components returns the number of connected components.
-func (ix *Index) Components() int { return ix.comps }
-
 // attachment is a feasible roadmap entry/exit point for a query
 // endpoint: roadmap node plus the metric cost of the connecting local
 // path.

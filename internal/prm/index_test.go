@@ -14,10 +14,10 @@ import (
 // buildTestRoadmap assembles a roadmap from one BuildRegion pass.
 func buildTestRoadmap(t testing.TB, s *cspace.Space, samples int, seed uint64) *Roadmap {
 	t.Helper()
-	m := NewRoadmap()
+	m := &Roadmap{G: graph.New[Node](0)}
 	res := BuildRegion(s, geom.Box3(0, 0, 0, 1, 1, 1), 0, Params{SamplesPerRegion: samples, K: 6}, rng.New(seed))
 	for _, n := range res.Nodes {
-		m.AddNode(n)
+		m.G.AddVertex(n)
 	}
 	for _, e := range res.Edges {
 		m.G.AddEdge(graph.ID(e[0]), graph.ID(e[1]), s.Distance(res.Nodes[e[0]].Q, res.Nodes[e[1]].Q))
@@ -137,12 +137,12 @@ func TestIndexQueryDisconnected(t *testing.T) {
 		},
 	}
 	s := cspace.NewPointSpace(e)
-	m := NewRoadmap()
-	m.AddNode(Node{Q: geom.V(0.1, 0.5, 0.5)})
-	m.AddNode(Node{Q: geom.V(0.9, 0.5, 0.5)})
+	m := &Roadmap{G: graph.New[Node](0)}
+	m.G.AddVertex(Node{Q: geom.V(0.1, 0.5, 0.5)})
+	m.G.AddVertex(Node{Q: geom.V(0.9, 0.5, 0.5)})
 	ix := BuildIndex(m)
-	if ix.Components() != 2 {
-		t.Fatalf("components = %d, want 2", ix.Components())
+	if ix.comps != 2 {
+		t.Fatalf("components = %d, want 2", ix.comps)
 	}
 	var c cspace.Counters
 	if _, ok := ix.Query(s, geom.V(0.05, 0.5, 0.5), geom.V(0.95, 0.5, 0.5), 1, &c); ok {
@@ -173,7 +173,7 @@ func TestIndexQueryDoesNotMutate(t *testing.T) {
 
 func TestIndexQueryEmptyRoadmap(t *testing.T) {
 	s := freeSpace()
-	ix := BuildIndex(NewRoadmap())
+	ix := BuildIndex(&Roadmap{G: graph.New[Node](0)})
 	if _, ok := ix.Query(s, geom.V(0.1, 0.1, 0.1), geom.V(0.9, 0.9, 0.9), 4, nil); ok {
 		t.Fatal("empty roadmap query must fail")
 	}

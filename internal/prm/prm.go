@@ -30,14 +30,6 @@ type Roadmap struct {
 	G *graph.Graph[Node]
 }
 
-// NewRoadmap returns an empty roadmap.
-func NewRoadmap() *Roadmap {
-	return &Roadmap{G: graph.New[Node](0)}
-}
-
-// AddNode appends a roadmap vertex.
-func (m *Roadmap) AddNode(n Node) graph.ID { return m.G.AddVertex(n) }
-
 // NumNodes returns the vertex count.
 func (m *Roadmap) NumNodes() int { return m.G.NumVertices() }
 
@@ -51,9 +43,6 @@ type Params struct {
 	SamplesPerRegion int
 	// K is the number of nearest neighbours per connection attempt.
 	K int
-	// MaxTries bounds sampling attempts per requested sample (default 20)
-	// for SampleFreeIn-style callers.
-	MaxTries int
 	// Sampler generates candidates (default uniform). Narrow-passage
 	// samplers (Gaussian, bridge) concentrate nodes where connectivity is
 	// hard, at higher collision cost per attempt.
@@ -65,13 +54,6 @@ func (p Params) sampler() cspace.Sampler {
 		return cspace.UniformSampler{}
 	}
 	return p.Sampler
-}
-
-func (p Params) maxTries() int {
-	if p.MaxTries <= 0 {
-		return 20
-	}
-	return p.MaxTries
 }
 
 // RegionResult is the product of planning one region.

@@ -58,7 +58,7 @@ func TestBuildRegionBlockedRegion(t *testing.T) {
 	s := cspace.NewPointSpace(env.MedCube())
 	// Entirely inside the obstacle.
 	box := geom.Box3(0.3, 0.3, 0.3, 0.7, 0.7, 0.7)
-	res := BuildRegion(s, box, 0, Params{SamplesPerRegion: 10, K: 3, MaxTries: 5}, rng.New(2))
+	res := BuildRegion(s, box, 0, Params{SamplesPerRegion: 10, K: 3}, rng.New(2))
 	if len(res.Nodes) != 0 {
 		t.Fatalf("blocked region produced %d nodes", len(res.Nodes))
 	}
@@ -150,11 +150,11 @@ func TestConnectBoundaryBlockedWall(t *testing.T) {
 
 func TestQueryFindsPath(t *testing.T) {
 	s := freeSpace()
-	m := NewRoadmap()
+	m := &Roadmap{G: graph.New[Node](0)}
 	res := BuildRegion(s, geom.Box3(0, 0, 0, 1, 1, 1), 0, Params{SamplesPerRegion: 60, K: 6}, rng.New(7))
 	ids := make([]graph.ID, len(res.Nodes))
 	for i, n := range res.Nodes {
-		ids[i] = m.AddNode(n)
+		ids[i] = m.G.AddVertex(n)
 	}
 	for _, e := range res.Edges {
 		m.G.AddEdge(ids[e[0]], ids[e[1]], s.Distance(res.Nodes[e[0]].Q, res.Nodes[e[1]].Q))
@@ -183,8 +183,8 @@ func TestQueryFindsPath(t *testing.T) {
 
 func TestQueryInvalidEndpoints(t *testing.T) {
 	s := cspace.NewPointSpace(env.MedCube())
-	m := NewRoadmap()
-	m.AddNode(Node{Q: geom.V(0.05, 0.05, 0.05)})
+	m := &Roadmap{G: graph.New[Node](0)}
+	m.G.AddVertex(Node{Q: geom.V(0.05, 0.05, 0.05)})
 	if _, ok := BuildIndex(m).Query(s, geom.V(0.5, 0.5, 0.5), geom.V(0.05, 0.05, 0.05), 2, nil); ok {
 		t.Fatal("start inside obstacle must fail")
 	}
@@ -201,9 +201,9 @@ func TestQueryDisconnected(t *testing.T) {
 		},
 	}
 	s := cspace.NewPointSpace(e)
-	m := NewRoadmap()
-	m.AddNode(Node{Q: geom.V(0.1, 0.5, 0.5)})
-	m.AddNode(Node{Q: geom.V(0.9, 0.5, 0.5)})
+	m := &Roadmap{G: graph.New[Node](0)}
+	m.G.AddVertex(Node{Q: geom.V(0.1, 0.5, 0.5)})
+	m.G.AddVertex(Node{Q: geom.V(0.9, 0.5, 0.5)})
 	if _, ok := BuildIndex(m).Query(s, geom.V(0.05, 0.5, 0.5), geom.V(0.95, 0.5, 0.5), 1, nil); ok {
 		t.Fatal("wall-separated query must fail")
 	}
@@ -214,10 +214,10 @@ func TestQueryDisconnected(t *testing.T) {
 // Index under test, so Query must hand it back unchanged.
 func TestQueryDoesNotMutateRoadmap(t *testing.T) {
 	s := freeSpace()
-	m := NewRoadmap()
+	m := &Roadmap{G: graph.New[Node](0)}
 	res := BuildRegion(s, geom.Box3(0, 0, 0, 1, 1, 1), 0, Params{SamplesPerRegion: 40, K: 5}, rng.New(21))
 	for _, n := range res.Nodes {
-		m.AddNode(n)
+		m.G.AddVertex(n)
 	}
 	for _, e := range res.Edges {
 		m.G.AddEdge(graph.ID(e[0]), graph.ID(e[1]), s.Distance(res.Nodes[e[0]].Q, res.Nodes[e[1]].Q))

@@ -20,9 +20,9 @@ func buildRepairRoadmap(t *testing.T, e *env.Environment, samples int) (*cspace.
 	r := rng.New(11)
 	nodes, _ := SampleRegion(s, e.Bounds, 0, p, r)
 	edges, _ := ConnectRegion(s, nodes, p)
-	m := NewRoadmap()
+	m := &Roadmap{G: graph.New[Node](0)}
 	for _, nd := range nodes {
-		m.AddNode(nd)
+		m.G.AddVertex(nd)
 	}
 	for _, ed := range edges {
 		m.G.AddEdge(graph.ID(ed[0]), graph.ID(ed[1]), s.Distance(nodes[ed[0]].Q, nodes[ed[1]].Q))
@@ -184,11 +184,11 @@ func TestRelabelScopedMatchesFullRelabel(t *testing.T) {
 	dc := cspace.NewDeltaChecker(s, d)
 
 	oldToNew := make([]int, m.NumNodes())
-	repaired := NewRoadmap()
+	repaired := &Roadmap{G: graph.New[Node](0)}
 	for i := 0; i < m.NumNodes(); i++ {
 		nd := m.G.Vertex(graph.ID(i))
 		if dc.ConfigStillFree(nd.Q, nil) {
-			oldToNew[i] = int(repaired.AddNode(nd))
+			oldToNew[i] = int(repaired.G.AddVertex(nd))
 		} else {
 			oldToNew[i] = -1
 		}
@@ -253,7 +253,7 @@ func TestRelabelScopedMatchesFullRelabel(t *testing.T) {
 	}
 	// And IndexFromParts serves queries with those labels.
 	ix := IndexFromParts(repaired, gotLabels, gotComps)
-	if ix.Components() != gotComps || ix.NumNodes() != repaired.NumNodes() {
+	if ix.comps != gotComps || ix.NumNodes() != repaired.NumNodes() {
 		t.Fatal("IndexFromParts lost parts")
 	}
 }

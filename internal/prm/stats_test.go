@@ -5,21 +5,22 @@ import (
 	"testing"
 
 	"parmp/internal/geom"
+	"parmp/internal/graph"
 )
 
 func TestComputeStatsEmpty(t *testing.T) {
-	s := ComputeStats(NewRoadmap())
+	s := ComputeStats(&Roadmap{G: graph.New[Node](0)})
 	if s.Nodes != 0 || s.Components != 0 {
 		t.Fatalf("empty stats = %+v", s)
 	}
 }
 
 func TestComputeStats(t *testing.T) {
-	m := NewRoadmap()
-	a := m.AddNode(Node{Q: geom.V(0, 0)})
-	b := m.AddNode(Node{Q: geom.V(1, 0)})
-	c := m.AddNode(Node{Q: geom.V(2, 0)})
-	m.AddNode(Node{Q: geom.V(9, 9)}) // isolated
+	m := &Roadmap{G: graph.New[Node](0)}
+	a := m.G.AddVertex(Node{Q: geom.V(0, 0)})
+	b := m.G.AddVertex(Node{Q: geom.V(1, 0)})
+	c := m.G.AddVertex(Node{Q: geom.V(2, 0)})
+	m.G.AddVertex(Node{Q: geom.V(9, 9)}) // isolated
 	m.G.AddEdge(a, b, 1)
 	m.G.AddEdge(b, c, 1)
 	s := ComputeStats(m)

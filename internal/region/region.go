@@ -124,15 +124,6 @@ func (rg *Graph) SetWeights(w []float64) error {
 	return nil
 }
 
-// Weights returns a copy of all region weights in ID order.
-func (rg *Graph) Weights() []float64 {
-	w := make([]float64, rg.NumRegions())
-	for i := range w {
-		w[i] = rg.Region(i).Weight
-	}
-	return w
-}
-
 // LoadPerProcessor sums region weights per owner over p processors.
 func (rg *Graph) LoadPerProcessor(p int) []float64 {
 	load := make([]float64, p)

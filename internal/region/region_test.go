@@ -140,10 +140,9 @@ func TestWeightsRoundTrip(t *testing.T) {
 	if err := rg.SetWeights([]float64{1, 2, 3, 4}); err != nil {
 		t.Fatalf("SetWeights: %v", err)
 	}
-	w := rg.Weights()
 	for i, v := range []float64{1, 2, 3, 4} {
-		if w[i] != v {
-			t.Fatalf("Weights = %v", w)
+		if w := rg.Region(i).Weight; w != v {
+			t.Fatalf("region %d weight = %v, want %v", i, w, v)
 		}
 	}
 	NaiveColumnPartition(rg, 2)

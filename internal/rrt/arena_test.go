@@ -34,9 +34,9 @@ func TestGrowRegionArenaReuseBitIdentical(t *testing.T) {
 	dirty := getArena()
 	defer putArena(dirty)
 	for _, seed := range []uint64{21, 22} {
-		fresh := growRegionArena(s, reg, p, rng.Derive(seed, 0), new(arena))
+		fresh := growTreeArena(s, reg, NewTree(reg.Apex, reg.ID), p, rng.Derive(seed, 0), new(arena))
 		for rep := 0; rep < 3; rep++ {
-			treesEqual(t, growRegionArena(s, reg, p, rng.Derive(seed, 0), dirty), fresh)
+			treesEqual(t, growTreeArena(s, reg, NewTree(reg.Apex, reg.ID), p, rng.Derive(seed, 0), dirty), fresh)
 		}
 	}
 }
@@ -55,7 +55,7 @@ func TestGrowRegionPoolConcurrent(t *testing.T) {
 
 	grow := func(i int) Result {
 		reg := coneRegion(i, dirs[i%len(dirs)], geom.V(0.5, 0.5, 0.5), 0.4, 0.6)
-		return GrowRegion(s, reg, p, rng.Derive(31, uint64(i)))
+		return GrowTree(s, reg, NewTree(reg.Apex, reg.ID), p, rng.Derive(31, uint64(i)))
 	}
 	want := make([]Result, branches)
 	for i := range want {
@@ -83,8 +83,8 @@ func TestConnectArenaReuse(t *testing.T) {
 	ra := coneRegion(0, geom.V(1, 0, 0), geom.V(0.5, 0.5, 0.5), 0.45, 0.6)
 	rb := coneRegion(1, geom.V(-1, 0, 0), geom.V(0.5, 0.5, 0.5), 0.45, 0.6)
 	p := Params{Nodes: 25, Step: 0.05, GoalBias: 0.1}
-	ta := GrowRegion(s, ra, p, rng.Derive(41, 0)).Tree
-	tb := GrowRegion(s, rb, p, rng.Derive(41, 1)).Tree
+	ta := GrowTree(s, ra, NewTree(ra.Apex, ra.ID), p, rng.Derive(41, 0)).Tree
+	tb := GrowTree(s, rb, NewTree(rb.Apex, rb.ID), p, rng.Derive(41, 1)).Tree
 	var cw cspace.Counters
 	wi, wj, wok := connectArena(s, ta, tb, geom.V(0.1, 0.5, 0.5), 4, &cw, new(arena))
 	dirty := getArena()

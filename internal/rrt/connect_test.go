@@ -147,7 +147,7 @@ func TestGrowBiTreeSingleTreeFallback(t *testing.T) {
 
 	bi := &BiTree{A: NewTree(reg.Apex, reg.ID)}
 	got := GrowBiTree(s, reg, bi, p, rng.New(11))
-	want := GrowRegion(s, reg, p, rng.New(11))
+	want := GrowTree(s, reg, NewTree(reg.Apex, reg.ID), p, rng.New(11))
 	treesEqual(t, Result{Tree: got.Bi.A, Work: got.Work, Iters: got.Iters}, want)
 }
 

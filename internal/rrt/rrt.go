@@ -56,16 +56,11 @@ type Params struct {
 	// GoalBias is the probability of sampling the region's cone target
 	// instead of a uniform point in the cone.
 	GoalBias float64
-	// MaxIters bounds expansion iterations (default 20 × Nodes).
-	MaxIters int
 }
 
-func (p Params) maxIters() int {
-	if p.MaxIters > 0 {
-		return p.MaxIters
-	}
-	return 20 * p.Nodes
-}
+// maxIters bounds expansion iterations: a cone that points into an
+// obstacle stops trying after 20 attempts per requested node.
+func (p Params) maxIters() int { return 20 * p.Nodes }
 
 // Result is the product of growing one region branch.
 type Result struct {
@@ -75,43 +70,30 @@ type Result struct {
 	Iters int
 }
 
-// GrowRegion grows an RRT branch inside reg: sample in the cone (biased
+// GrowTree grows an RRT branch inside reg: sample in the cone (biased
 // toward the cone target), extend the nearest tree node by at most Step,
 // keep the new node if the extension is collision-free and stays inside
-// the (overlap-widened) cone.
+// the (overlap-widened) cone — until the branch has p.Nodes nodes
+// (total, not additional) or the iteration budget runs out. An engine's
+// first round passes a fresh single-node tree (NewTree(reg.Apex,
+// reg.ID)); later rounds pass the previous round's tree to resume
+// growth.
 //
 // The returned work counters reflect the actual collision effort, which
 // varies strongly with the obstacle density in the cone's direction —
 // exactly the dynamic, hard-to-estimate workload the paper describes for
 // radial RRT.
-func GrowRegion(s *cspace.Space, reg *region.Region, p Params, r *rng.Stream) Result {
-	a := getArena()
-	defer putArena(a)
-	return growRegionArena(s, reg, p, r, a)
-}
-
-// growRegionArena is GrowRegion through an explicit arena: candidate and
-// stepped configurations live in reused buffers (cloned only on
-// acceptance) and collision checks route through the arena's scratch.
-// RNG consumption is identical to the allocating path, so the grown tree
-// is the same for the same stream.
-func growRegionArena(s *cspace.Space, reg *region.Region, p Params, r *rng.Stream, a *arena) Result {
-	return growTreeArena(s, reg, NewTree(reg.Apex, reg.ID), p, r, a)
-}
-
-// GrowTree continues growing an existing branch inside reg until it has
-// p.Nodes nodes (total, not additional) or the iteration budget runs
-// out. Passing a fresh single-node tree is exactly GrowRegion — the
-// one-shot planners route through here — so an engine's first round is
-// bit-identical to the one-shot pipeline; later rounds pass the
-// previous round's tree to resume growth.
 func GrowTree(s *cspace.Space, reg *region.Region, tree *Tree, p Params, r *rng.Stream) Result {
 	a := getArena()
 	defer putArena(a)
 	return growTreeArena(s, reg, tree, p, r, a)
 }
 
-// growTreeArena is GrowTree through an explicit arena.
+// growTreeArena is GrowTree through an explicit arena: candidate and
+// stepped configurations live in reused buffers (cloned only on
+// acceptance) and collision checks route through the arena's scratch.
+// RNG consumption does not depend on the arena's history, so the grown
+// tree is the same for the same stream.
 func growTreeArena(s *cspace.Space, reg *region.Region, tree *Tree, p Params, r *rng.Stream, a *arena) Result {
 	res := Result{Tree: tree}
 	target := region.ConeTarget(reg)

@@ -21,7 +21,7 @@ func coneRegion(id int, dir geom.Vec, apex geom.Vec, radius, half float64) *regi
 func TestGrowRegionFreeSpace(t *testing.T) {
 	s := cspace.NewPointSpace(env.Free())
 	reg := coneRegion(0, geom.V(1, 0, 0), geom.V(0.5, 0.5, 0.5), 0.45, 0.6)
-	res := GrowRegion(s, reg, Params{Nodes: 40, Step: 0.05, GoalBias: 0.1}, rng.New(1))
+	res := GrowTree(s, reg, NewTree(reg.Apex, reg.ID), Params{Nodes: 40, Step: 0.05, GoalBias: 0.1}, rng.New(1))
 	if res.Tree.Len() != 40 {
 		t.Fatalf("tree size = %d, want 40", res.Tree.Len())
 	}
@@ -49,8 +49,8 @@ func TestGrowRegionDeterministic(t *testing.T) {
 	s := cspace.NewPointSpace(env.Mixed30())
 	reg := coneRegion(3, geom.V(0, 1, 0), geom.V(0.5, 0.5, 0.5), 0.4, 0.5)
 	p := Params{Nodes: 25, Step: 0.05, GoalBias: 0.1}
-	a := GrowRegion(s, reg, p, rng.Derive(11, 3))
-	b := GrowRegion(s, reg, p, rng.Derive(11, 3))
+	a := GrowTree(s, reg, NewTree(reg.Apex, reg.ID), p, rng.Derive(11, 3))
+	b := GrowTree(s, reg, NewTree(reg.Apex, reg.ID), p, rng.Derive(11, 3))
 	if a.Tree.Len() != b.Tree.Len() || a.Work != b.Work || a.Iters != b.Iters {
 		t.Fatal("identical seeds should replay identically")
 	}
@@ -65,7 +65,7 @@ func TestGrowRegionStepBound(t *testing.T) {
 	s := cspace.NewPointSpace(env.Free())
 	reg := coneRegion(0, geom.V(1, 0, 0), geom.V(0.5, 0.5, 0.5), 0.45, 0.6)
 	p := Params{Nodes: 30, Step: 0.04, GoalBias: 0.2}
-	res := GrowRegion(s, reg, p, rng.New(2))
+	res := GrowTree(s, reg, NewTree(reg.Apex, reg.ID), p, rng.New(2))
 	for i := 1; i < res.Tree.Len(); i++ {
 		n := res.Tree.Nodes[i]
 		d := s.Distance(n.Q, res.Tree.Nodes[n.Parent].Q)
@@ -84,9 +84,9 @@ func TestGrowRegionBlockedDirectionCostsMore(t *testing.T) {
 	apex := geom.V(0.1, 0.1, 0.1)
 	toward := coneRegion(0, geom.V(1, 1, 1), apex, 1.0, 0.35)
 	away := coneRegion(1, geom.V(-1, -1, -1).Unit(), apex.Clone(), 0.15, 0.35)
-	p := Params{Nodes: 30, Step: 0.04, GoalBias: 0.1, MaxIters: 900}
-	rt := GrowRegion(s, toward, p, rng.Derive(5, 0))
-	ra := GrowRegion(s, away, p, rng.Derive(5, 1))
+	p := Params{Nodes: 30, Step: 0.04, GoalBias: 0.1}
+	rt := GrowTree(s, toward, NewTree(toward.Apex, toward.ID), p, rng.Derive(5, 0))
+	ra := GrowTree(s, away, NewTree(away.Apex, away.ID), p, rng.Derive(5, 1))
 	if rt.Tree.Len() < 2 || ra.Tree.Len() < 2 {
 		t.Fatalf("trees too small: %d %d", rt.Tree.Len(), ra.Tree.Len())
 	}
@@ -119,8 +119,8 @@ func TestConnectAdjacentBranches(t *testing.T) {
 	a := coneRegion(0, geom.V(1, 0, 0), apex, 0.45, 0.7)
 	b := coneRegion(1, geom.V(math.Cos(0.8), math.Sin(0.8), 0), apex.Clone(), 0.45, 0.7)
 	p := Params{Nodes: 40, Step: 0.05, GoalBias: 0.15}
-	ra := GrowRegion(s, a, p, rng.Derive(9, 0))
-	rb := GrowRegion(s, b, p, rng.Derive(9, 1))
+	ra := GrowTree(s, a, NewTree(a.Apex, a.ID), p, rng.Derive(9, 0))
+	rb := GrowTree(s, b, NewTree(b.Apex, b.ID), p, rng.Derive(9, 1))
 	var c cspace.Counters
 	ia, ib, ok := Connect(s, ra.Tree, rb.Tree, region.ConeTarget(b), 5, &c)
 	if !ok {
@@ -147,13 +147,14 @@ func TestConnectEmptyTree(t *testing.T) {
 }
 
 func TestGrowRegionRespectsMaxIters(t *testing.T) {
-	// A cone pointing into the obstacle with a tight budget terminates.
+	// A cone pointing into the obstacle terminates on its iteration
+	// budget, 20 tries per requested node, short of its node target.
 	e := env.MedCube()
 	s := cspace.NewPointSpace(e)
 	apex := geom.V(0.5, 0.5, 0.05)
 	reg := coneRegion(0, geom.V(0, 0, 1), apex, 0.9, 0.1)
-	res := GrowRegion(s, reg, Params{Nodes: 1000, Step: 0.05, MaxIters: 50}, rng.New(3))
-	if res.Iters > 50 {
-		t.Fatalf("iters = %d exceeded budget", res.Iters)
+	res := GrowTree(s, reg, NewTree(reg.Apex, reg.ID), Params{Nodes: 25, Step: 0.05}, rng.New(3))
+	if res.Iters != 500 || res.Tree.Len() >= 25 {
+		t.Fatalf("iters = %d, nodes = %d: want the 500-iteration budget spent short of 25 nodes", res.Iters, res.Tree.Len())
 	}
 }

@@ -32,25 +32,17 @@ type StarResult struct {
 	Rewires int // parent changes applied by the rewiring step
 }
 
-// GrowRegionStar grows an asymptotically-optimal RRT* branch inside reg
+// GrowStarTree grows an asymptotically-optimal RRT* branch inside reg
 // (Karaman & Frazzoli 2011; the GPU-parallelized variant is Bialkowski et
-// al. 2011, cited by the paper). It extends like GrowRegion but chooses
+// al. 2011, cited by the paper) until it has p.Nodes nodes (total) or
+// the iteration budget runs out. It extends like GrowTree but chooses
 // the lowest-cost parent in the rewire neighbourhood and rewires
 // neighbours through the new node when that shortens their path to the
 // root. The extra local planning makes region costs even more
-// heterogeneous, which is why it is interesting for load balancing.
-func GrowRegionStar(s *cspace.Space, reg *region.Region, p Params, r *rng.Stream) StarResult {
-	return GrowStarTree(s, reg, &StarTree{
-		Nodes: []Node{{Q: reg.Apex.Clone(), Parent: -1, Region: reg.ID}},
-		Cost:  []float64{0},
-	}, p, r)
-}
-
-// GrowStarTree continues growing an existing RRT* branch until it has
-// p.Nodes nodes (total) or the iteration budget runs out. Like
-// rrt.GrowTree, a fresh single-node tree reproduces GrowRegionStar
-// exactly; an engine's later rounds pass the previous round's tree
-// (with its cost-to-root vector) so choose-parent and rewiring keep
+// heterogeneous, which is why it is interesting for load balancing. Like
+// GrowTree, an engine's first round passes a fresh single-node tree
+// (the cone's apex at cost 0) and later rounds the previous round's tree
+// with its cost-to-root vector, so choose-parent and rewiring keep
 // improving the existing branch.
 func GrowStarTree(s *cspace.Space, reg *region.Region, tree *StarTree, p Params, r *rng.Stream) StarResult {
 	a := getArena()

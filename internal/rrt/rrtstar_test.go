@@ -7,14 +7,20 @@ import (
 	"parmp/internal/cspace"
 	"parmp/internal/env"
 	"parmp/internal/geom"
+	"parmp/internal/region"
 	"parmp/internal/rng"
 )
+
+// freshStar is the single-node tree an engine's first round grows from.
+func freshStar(reg *region.Region) *StarTree {
+	return &StarTree{Nodes: []Node{{Q: reg.Apex.Clone(), Parent: -1, Region: reg.ID}}, Cost: []float64{0}}
+}
 
 func TestGrowRegionStarBasics(t *testing.T) {
 	s := cspace.NewPointSpace(env.Free())
 	reg := coneRegion(0, geom.V(1, 0, 0), geom.V(0.5, 0.5, 0.5), 0.45, 0.7)
 	p := Params{Nodes: 40, Step: 0.05, GoalBias: 0.1}
-	res := GrowRegionStar(s, reg, p, rng.New(1))
+	res := GrowStarTree(s, reg, freshStar(reg), p, rng.New(1))
 	if res.Tree.Len() != 40 {
 		t.Fatalf("tree size = %d", res.Tree.Len())
 	}
@@ -31,7 +37,7 @@ func TestStarCostsConsistent(t *testing.T) {
 	s := cspace.NewPointSpace(env.Mixed30())
 	reg := coneRegion(1, geom.V(0, 1, 0), geom.V(0.5, 0.5, 0.5), 0.4, 0.6)
 	p := Params{Nodes: 40, Step: 0.05, GoalBias: 0.1}
-	res := GrowRegionStar(s, reg, p, rng.New(2))
+	res := GrowStarTree(s, reg, freshStar(reg), p, rng.New(2))
 	for i := 1; i < res.Tree.Len(); i++ {
 		n := res.Tree.Nodes[i]
 		want := res.Tree.Cost[n.Parent] + s.Distance(res.Tree.Nodes[n.Parent].Q, n.Q)
@@ -45,7 +51,7 @@ func TestStarNoParentCycles(t *testing.T) {
 	s := cspace.NewPointSpace(env.Free())
 	reg := coneRegion(0, geom.V(1, 1, 0).Unit(), geom.V(0.3, 0.3, 0.5), 0.4, 0.7)
 	p := Params{Nodes: 60, Step: 0.05, GoalBias: 0.1}
-	res := GrowRegionStar(s, reg, p, rng.New(3))
+	res := GrowStarTree(s, reg, freshStar(reg), p, rng.New(3))
 	for i := range res.Tree.Nodes {
 		seen := map[int]bool{}
 		for cur := i; cur >= 0; cur = res.Tree.Nodes[cur].Parent {
@@ -63,7 +69,7 @@ func TestStarCostsBeatOrMatchPlainRRT(t *testing.T) {
 	s := cspace.NewPointSpace(env.Free())
 	regStar := coneRegion(0, geom.V(1, 0, 0), geom.V(0.5, 0.5, 0.5), 0.45, 0.7)
 	p := Params{Nodes: 60, Step: 0.04, GoalBias: 0.1}
-	res := GrowRegionStar(s, regStar, p, rng.New(4))
+	res := GrowStarTree(s, regStar, freshStar(regStar), p, rng.New(4))
 	// Every node's cost must be >= straight-line distance to root
 	// (admissibility) and <= sum of hops (consistency by construction).
 	for i := 1; i < res.Tree.Len(); i++ {
@@ -81,8 +87,8 @@ func TestStarDeterministic(t *testing.T) {
 	s := cspace.NewPointSpace(env.Mixed30())
 	reg := coneRegion(2, geom.V(0, 0, 1), geom.V(0.5, 0.5, 0.5), 0.4, 0.6)
 	p := Params{Nodes: 30, Step: 0.05, GoalBias: 0.1}
-	a := GrowRegionStar(s, reg, p, rng.Derive(9, 2))
-	b := GrowRegionStar(s, reg, p, rng.Derive(9, 2))
+	a := GrowStarTree(s, reg, freshStar(reg), p, rng.Derive(9, 2))
+	b := GrowStarTree(s, reg, freshStar(reg), p, rng.Derive(9, 2))
 	if a.Tree.Len() != b.Tree.Len() || a.Rewires != b.Rewires || a.Work != b.Work {
 		t.Fatal("RRT* not deterministic")
 	}
@@ -93,8 +99,8 @@ func TestStarCostsMoreThanPlain(t *testing.T) {
 	// same node budget — the load-balancing-relevant property.
 	s := cspace.NewPointSpace(env.Free())
 	reg := coneRegion(0, geom.V(1, 0, 0), geom.V(0.5, 0.5, 0.5), 0.45, 0.7)
-	plain := GrowRegion(s, reg, Params{Nodes: 40, Step: 0.05, GoalBias: 0.1}, rng.Derive(7, 0))
-	star := GrowRegionStar(s, reg, Params{Nodes: 40, Step: 0.05, GoalBias: 0.1}, rng.Derive(7, 0))
+	plain := GrowTree(s, reg, NewTree(reg.Apex, reg.ID), Params{Nodes: 40, Step: 0.05, GoalBias: 0.1}, rng.Derive(7, 0))
+	star := GrowStarTree(s, reg, freshStar(reg), Params{Nodes: 40, Step: 0.05, GoalBias: 0.1}, rng.Derive(7, 0))
 	if star.Work.LPCalls <= plain.Work.LPCalls {
 		t.Fatalf("RRT* LP calls %d should exceed plain %d", star.Work.LPCalls, plain.Work.LPCalls)
 	}

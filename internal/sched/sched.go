@@ -38,9 +38,6 @@ type Config struct {
 	StealChunk float64
 	// Seed drives victim randomization.
 	Seed uint64
-	// MaxBackoff caps the simulator's exponential retry backoff, as a
-	// multiple of the remote latency (default 16).
-	MaxBackoff float64
 	// MaxRounds bounds how many consecutive unsuccessful victim rounds a
 	// thief tries before giving up for good (0 = retry until global
 	// termination). Bounded retries model schedulers whose idle
@@ -212,21 +209,21 @@ func Reshard(queues [][]work.Task, workers int) [][]work.Task {
 	return resharded
 }
 
+// maxBackoffMultiple caps the retry backoff, as a multiple of its base.
+const maxBackoffMultiple = 16
+
 // Backoff returns the bounded exponential backoff delay after attempt
 // consecutive failed steal rounds (attempt >= 1): base * 2^(attempt-1),
-// capped at base * maxMultiple (default 16 when maxMultiple <= 0). The
-// simulator charges it in virtual time; the executor sleeps it in wall
-// time — one curve, so idle thieves back off identically instead of
-// hot-spinning on their victims' deques.
-func Backoff(attempt int, base, maxMultiple float64) float64 {
+// capped at 16 × base. The simulator charges it in virtual time (base =
+// the remote latency); the executor sleeps it in wall time — one curve,
+// so idle thieves back off identically instead of hot-spinning on their
+// victims' deques.
+func Backoff(attempt int, base float64) float64 {
 	if attempt < 1 {
 		attempt = 1
 	}
-	if maxMultiple <= 0 {
-		maxMultiple = 16
-	}
 	d := base * math.Pow(2, float64(attempt-1))
-	if lim := base * maxMultiple; d > lim {
+	if lim := base * maxBackoffMultiple; d > lim {
 		d = lim
 	}
 	return d

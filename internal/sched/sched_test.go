@@ -148,25 +148,22 @@ func TestReshard(t *testing.T) {
 }
 
 func TestBackoff(t *testing.T) {
-	// The shared curve: base * 2^(attempt-1), capped at base * maxMultiple.
+	// The shared curve: base * 2^(attempt-1), capped at 16 * base.
 	cases := []struct {
 		attempt    int
-		base, maxM float64
-		want       float64
+		base, want float64
 	}{
-		{1, 100, 16, 100},
-		{2, 100, 16, 200},
-		{3, 100, 16, 400},
-		{5, 100, 16, 1600},
-		{6, 100, 16, 1600},  // capped at 16x
-		{99, 100, 16, 1600}, // stays capped
-		{3, 100, 2, 200},    // custom cap
-		{0, 100, 16, 100},   // attempt clamps up to 1
-		{4, 100, 0, 800},    // maxMultiple <= 0 means the default 16
+		{1, 100, 100},
+		{2, 100, 200},
+		{3, 100, 400},
+		{5, 100, 1600},
+		{6, 100, 1600},  // capped at 16x
+		{99, 100, 1600}, // stays capped
+		{0, 100, 100},   // attempt clamps up to 1
 	}
 	for _, c := range cases {
-		if got := Backoff(c.attempt, c.base, c.maxM); got != c.want {
-			t.Errorf("Backoff(%d, %v, %v) = %v, want %v", c.attempt, c.base, c.maxM, got, c.want)
+		if got := Backoff(c.attempt, c.base); got != c.want {
+			t.Errorf("Backoff(%d, %v) = %v, want %v", c.attempt, c.base, got, c.want)
 		}
 	}
 }

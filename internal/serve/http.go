@@ -31,13 +31,12 @@ type QueryResponse struct {
 	// whether background growth has reached its target.
 	Rounds   int  `json:"rounds"`
 	GrowDone bool `json:"grow_done"`
-	// CacheHit marks answers served from the path cache; BatchSize is
-	// the coalesced batch this query rode in (1 = alone, 0 = cache hit
-	// answered before admission).
+	// CacheHit marks answers served from the path cache; BatchSize, in
+	// a /v1/batch result only, is how many of the batch's misses shared
+	// this query's QueryBatch call.
 	CacheHit  bool `json:"cache_hit"`
 	BatchSize int  `json:"batch_size,omitempty"`
-	// ServeUS is the server-side processing time in microseconds,
-	// admission queueing included.
+	// ServeUS is the server-side processing time in microseconds.
 	ServeUS float64 `json:"serve_us"`
 }
 
@@ -102,6 +101,17 @@ func (m MutationSpec) mutation() (parmp.Mutation, error) {
 	case "add":
 		switch {
 		case m.Box != nil && m.Sphere == nil:
+			// NewBoxObstacle panics on corners it cannot order; a request
+			// body must get an error instead.
+			lo, hi := m.Box.Lo, m.Box.Hi
+			if len(lo) != len(hi) {
+				return nil, fmt.Errorf(`box "lo" has %d coordinates, "hi" has %d`, len(lo), len(hi))
+			}
+			for i := range lo {
+				if lo[i] > hi[i] {
+					return nil, fmt.Errorf("box lo[%d]=%g > hi[%d]=%g", i, lo[i], i, hi[i])
+				}
+			}
 			return parmp.AddObstacle{Obstacle: parmp.NewBoxObstacle(m.Box.Lo, m.Box.Hi)}, nil
 		case m.Sphere != nil && m.Box == nil:
 			return parmp.AddObstacle{Obstacle: parmp.NewSphereObstacle(m.Sphere.Center, m.Sphere.Radius)}, nil
@@ -155,7 +165,7 @@ const maxBatchQueries = 1024
 
 // Server is the HTTP planning service: a Pool behind these endpoints.
 //
-//	POST /v1/query       one query; coalesced server-side
+//	POST /v1/query       one query, answered on the handler's goroutine
 //	POST /v1/batch       many queries answered against one snapshot
 //	POST /v1/env/mutate  edit a tenant's world; incremental repair
 //	GET  /v1/stats       pool and per-tenant counters
@@ -234,6 +244,42 @@ func (s *Server) tenantFor(w http.ResponseWriter, spec Spec) *tenant {
 	return t
 }
 
+// admit takes one slot of t's admission gate without waiting, or writes
+// the refusal: 503 for a tenant that was evicted or whose pool is
+// closing, 429 with a Retry-After hint when QueueDepth requests are
+// already in flight — a saturated tenant sheds load rather than stack
+// searches without bound. The caller releases the slot.
+func (s *Server) admit(w http.ResponseWriter, t *tenant) bool {
+	if t.ctx.Err() != nil {
+		writeError(w, http.StatusServiceUnavailable, "tenant closed (evicted or pool shutting down); retry")
+		return false
+	}
+	select {
+	case t.gate <- struct{}{}:
+		return true
+	default:
+		t.rejected.Add(1)
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusTooManyRequests, "tenant busy (%d requests in flight); retry", s.cfg.QueueDepth)
+		return false
+	}
+}
+
+// release returns the slot admit took.
+func (t *tenant) release() { <-t.gate }
+
+// answer runs one query against snap on the calling goroutine and caches
+// a found path under snap's generation. The tag is what keeps a query
+// that raced a rollover or a mutate out of the cache: put drops an entry
+// whose generation is no longer the cache's.
+func (t *tenant) answer(snap *parmp.Snapshot, key string, start, goal parmp.Config, k int) ([]parmp.Config, bool) {
+	path, ok := snap.Query(start, goal, k)
+	if ok {
+		t.cache.put(key, int64(snap.Generation()), path)
+	}
+	return path, ok
+}
+
 // pathFloats converts a path for JSON encoding.
 func pathFloats(path []parmp.Config) [][]float64 {
 	out := make([][]float64, len(path))
@@ -276,48 +322,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	req := &request{
-		ctx:   ctx,
-		key:   key,
-		start: start,
-		goal:  goal,
-		k:     k,
-		resp:  make(chan response, 1),
-	}
-	// Admission: a full queue rejects now — with a hint — rather than
-	// queueing without bound.
-	select {
-	case t.pending <- req:
-		t.queries.Add(1)
-	default:
-		t.rejected.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "tenant queue full (%d deep); retry", s.cfg.QueueDepth)
+	if !s.admit(w, t) {
 		return
 	}
-	select {
-	case resp := <-req.resp:
-		if resp.err != nil {
-			if errors.Is(resp.err, errTenantClosed) {
-				writeError(w, http.StatusServiceUnavailable, "%v", resp.err)
-			} else {
-				writeError(w, http.StatusRequestTimeout, "request expired in queue: %v", resp.err)
-			}
-			return
-		}
-		writeJSON(w, http.StatusOK, QueryResponse{
-			OK: resp.ok, Path: pathFloats(resp.path),
-			Rounds: resp.rounds, GrowDone: t.growDone.Load(),
-			CacheHit: resp.cacheHit, BatchSize: resp.batchSize,
-			ServeUS: us(time.Since(t0)),
-		})
-	case <-ctx.Done():
-		writeError(w, http.StatusRequestTimeout, "request timed out after %v", s.cfg.RequestTimeout)
-	case <-t.ctx.Done():
-		writeError(w, http.StatusServiceUnavailable, "tenant shutting down")
-	}
+	defer t.release()
+	t.queries.Add(1)
+	path, ok := t.answer(snap, key, start, goal, k)
+	writeJSON(w, http.StatusOK, QueryResponse{
+		OK: ok, Path: pathFloats(path),
+		Rounds: snap.Rounds(), GrowDone: t.growDone.Load(),
+		ServeUS: us(time.Since(t0)),
+	})
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -338,6 +353,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if t == nil {
 		return
 	}
+	// One slot for the whole batch: it is one request in flight.
+	if !s.admit(w, t) {
+		return
+	}
+	defer t.release()
 	snap := t.eng.Snapshot()
 	gen := int64(snap.Generation())
 	rounds := snap.Rounds()

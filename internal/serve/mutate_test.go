@@ -5,6 +5,8 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"parmp"
 )
 
 // The mutate endpoint's core guarantee: once the mutate response has
@@ -97,6 +99,58 @@ func TestServeMutateStaleQueryNeverServed(t *testing.T) {
 	}
 }
 
+// A query admitted against generation g holds that snapshot while it
+// searches. If a mutate publishes g+1 in the meantime, the query still
+// answers — from the world it was admitted in — but its path must never
+// enter the cache, where it would be served as a g+1 answer.
+func TestServeQueryAdmittedBeforeMutateNeverCached(t *testing.T) {
+	cfg := testConfig()
+	srv := New(cfg)
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	spec := Spec{Env: "free", Procs: 4, Regions: 32, Samples: 10}
+	q := QueryRequest{Spec: spec, Start: []float64{0.05, 0.5, 0.5}, Goal: []float64{0.95, 0.5, 0.5}}
+	postJSON(t, ts.Client(), ts.URL+"/v1/query", q, nil)
+	waitGrown(t, ts.Client(), ts.URL, 10*time.Second)
+
+	canon, err := spec.Canonical(cfg.GrowRounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ten, err := srv.Pool().Tenant(canon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The handler's state just past admission: snapshot g in hand.
+	admitted := ten.eng.Snapshot()
+
+	var mr MutateResponse
+	code, _ := postJSON(t, ts.Client(), ts.URL+"/v1/env/mutate", MutateRequest{Spec: spec, Mutations: []MutationSpec{{
+		Op:  "add",
+		Box: &BoxSpec{Lo: []float64{0.45, 0, 0}, Hi: []float64{0.55, 1, 1}},
+	}}}, &mr)
+	if code != http.StatusOK || mr.Generation <= admitted.Generation() {
+		t.Fatalf("mutate: status %d generation %d, want 200 and > %d", code, mr.Generation, admitted.Generation())
+	}
+
+	// The rest of the handler: search, then the tagged put.
+	start, goal := parmp.Config(q.Start), parmp.Config(q.Goal)
+	path, ok := ten.answer(admitted, cacheKey(start, goal, cfg.DefaultK), start, goal, cfg.DefaultK)
+	if !ok || len(path) < 2 {
+		t.Fatalf("query on the admitted snapshot: ok=%v path=%d", ok, len(path))
+	}
+	if n := ten.cache.len(); n != 0 {
+		t.Fatalf("cache holds %d entr(y/ies) computed before the mutate", n)
+	}
+	var qr QueryResponse
+	code, _ = postJSON(t, ts.Client(), ts.URL+"/v1/query", q, &qr)
+	if code != http.StatusOK || qr.OK || qr.CacheHit {
+		t.Fatalf("post-mutation query: status %d ok=%v cache_hit=%v, want a planned miss", code, qr.OK, qr.CacheHit)
+	}
+}
+
 // Invalid mutation batches are client errors with the world untouched.
 func TestServeMutateRejectsInvalid(t *testing.T) {
 	srv := New(testConfig())
@@ -117,6 +171,8 @@ func TestServeMutateRejectsInvalid(t *testing.T) {
 			Box:    &BoxSpec{Lo: []float64{0, 0, 0}, Hi: []float64{0.1, 0.1, 0.1}},
 			Sphere: &SphereSpec{Center: []float64{0.5, 0.5, 0.5}, Radius: 0.1},
 		}}},
+		{"box corners of different dimension", []MutationSpec{{Op: "add", Box: &BoxSpec{Lo: []float64{0, 0, 0}, Hi: []float64{0.1}}}}},
+		{"inverted box", []MutationSpec{{Op: "add", Box: &BoxSpec{Lo: []float64{0.5, 0.5, 0.5}, Hi: []float64{0.4, 0.6, 0.6}}}}},
 		{"degenerate sphere", []MutationSpec{{Op: "add", Sphere: &SphereSpec{Center: []float64{0.5, 0.5, 0.5}}}}},
 		{"remove missing index", []MutationSpec{{Op: "remove", Index: 7}}},
 		{"move without by", []MutationSpec{{Op: "move", Index: 0}}},

@@ -57,17 +57,18 @@ type tenant struct {
 	eng       engine
 	space     *parmp.Space
 
-	cache   *pathCache
-	pending chan *request
-	ctx     context.Context
-	cancel  context.CancelFunc
-	workers sync.WaitGroup // live batch workers (tests wait on it)
+	cache *pathCache
+	// gate is the admission gate: one token per query (or client batch)
+	// admitted and not yet answered, QueueDepth at most.
+	gate   chan struct{}
+	ctx    context.Context
+	cancel context.CancelFunc
 
-	queries   atomic.Int64 // admitted requests
+	queries   atomic.Int64 // answered queries, cache hits included
 	cacheHits atomic.Int64
-	rejected  atomic.Int64 // 429s and requests expired in queue
-	batches   atomic.Int64 // coalesced batches served
-	batched   atomic.Int64 // requests served through batches
+	rejected  atomic.Int64 // 429s
+	batches   atomic.Int64 // QueryBatch calls made for /v1/batch
+	batched   atomic.Int64 // queries answered through them
 	growDone  atomic.Bool
 	growErr   atomic.Pointer[error] // terminal (non-cancellation) Grow failure
 
@@ -77,17 +78,9 @@ type tenant struct {
 	repairUS atomic.Int64 // cumulative wall-clock repair latency, microseconds
 }
 
-// errTenantClosed is returned to requests stranded in the queue of a
-// tenant that was evicted or whose pool is shutting down.
-var errTenantClosed = errTenant("tenant closed (evicted or pool shutting down); retry")
-
 // ErrPoolClosed is returned by Tenant after Close: a closed pool
 // refuses new tenants instead of leaking goroutines on a dead context.
 var ErrPoolClosed = errors.New("serve: pool closed")
-
-type errTenant string
-
-func (e errTenant) Error() string { return string(e) }
 
 // NewPool creates an empty pool with cfg's defaults applied.
 func NewPool(cfg Config) *Pool {
@@ -101,11 +94,11 @@ func NewPool(cfg Config) *Pool {
 	}
 }
 
-// Close cancels every tenant's growth and serving and waits for their
-// goroutines — grow loops, batch workers, eviction drains — to exit.
-// After Close, Tenant returns ErrPoolClosed and requests already queued
-// are answered with errTenantClosed by the exiting workers; engines are
-// left to the garbage collector. Close is idempotent.
+// Close cancels every tenant and waits for their grow loops — the only
+// goroutines the pool starts — to exit. After Close, Tenant returns
+// ErrPoolClosed; a handler already past admission finishes its query on
+// the snapshot it holds; engines are left to the garbage collector.
+// Close is idempotent.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	p.closed = true
@@ -136,39 +129,32 @@ func (p *Pool) Tenant(spec Spec) (*tenant, error) {
 	}
 	ctx, cancel := context.WithCancel(p.ctx)
 	t := &tenant{
-		key:     key,
-		spec:    spec,
-		pool:    p,
-		cache:   newPathCache(p.cfg.CacheSize),
-		pending: make(chan *request, p.cfg.QueueDepth),
-		ctx:     ctx,
-		cancel:  cancel,
+		key:    key,
+		spec:   spec,
+		pool:   p,
+		cache:  newPathCache(p.cfg.CacheSize),
+		gate:   make(chan struct{}, p.cfg.QueueDepth),
+		ctx:    ctx,
+		cancel: cancel,
 	}
 	t.elem = p.order.PushFront(t)
 	p.tenants[key] = t
-	var evicted *tenant
 	if len(p.tenants) > p.cfg.MaxTenants {
 		back := p.order.Back()
-		evicted = back.Value.(*tenant)
+		evicted := back.Value.(*tenant)
 		p.order.Remove(back)
 		delete(p.tenants, evicted.key)
-		// Reserve the eviction drain's WaitGroup slot here, while the
-		// pool is provably open, so Close waits for the drain too.
-		p.wg.Add(1)
+		evicted.cancel()
 	}
 	p.mu.Unlock()
-	if evicted != nil {
-		evicted.close()
-	}
 	t.init()
 	return t, nil
 }
 
-// init builds the engine and starts the tenant's background goroutines,
-// exactly once. Safe to call from every request. If the pool closed
-// while the engine was building, no goroutines start — the tenant's
-// context is already dead and queued requests are handled by the
-// closing pool.
+// init builds the engine and starts the tenant's one background
+// goroutine, its grow loop, exactly once. Safe to call from every
+// request. If the pool closed while the engine was building, nothing
+// starts — the tenant's context is already dead.
 func (t *tenant) init() {
 	t.buildOnce.Do(func() {
 		eng, space, err := t.spec.build()
@@ -185,47 +171,10 @@ func (t *tenant) init() {
 			p.mu.Unlock()
 			return
 		}
-		p.wg.Add(1 + p.cfg.BatchWorkers)
-		t.workers.Add(p.cfg.BatchWorkers)
+		p.wg.Add(1)
 		p.mu.Unlock()
 		go t.growLoop()
-		for i := 0; i < p.cfg.BatchWorkers; i++ {
-			go t.batchWorker()
-		}
 	})
-}
-
-// close cancels the tenant and drains queued requests with
-// errTenantClosed until the queue has been quiet for a grace period, so
-// no admitted request is silently dropped. The caller (eviction in
-// Pool.Tenant) has already reserved this goroutine's WaitGroup slot
-// under p.mu.
-func (t *tenant) close() {
-	t.cancel()
-	go func() {
-		defer t.pool.wg.Done()
-		grace := time.NewTimer(t.pool.cfg.RequestTimeout)
-		defer grace.Stop()
-		for {
-			select {
-			case r := <-t.pending:
-				r.respond(response{err: errTenantClosed})
-			case <-grace.C:
-				return
-			case <-t.pool.ctx.Done():
-				// Pool closing: answer what is already queued and exit
-				// now — Close is waiting on this goroutine.
-				for {
-					select {
-					case r := <-t.pending:
-						r.respond(response{err: errTenantClosed})
-					default:
-						return
-					}
-				}
-			}
-		}
-	}()
 }
 
 // growLoop grows the tenant's engine toward its spec's round target,
@@ -273,9 +222,12 @@ type TenantStats struct {
 	CacheHits int64  `json:"cache_hits"`
 	CacheLen  int    `json:"cache_len"`
 	Rejected  int64  `json:"rejected"`
-	Batches   int64  `json:"batches"`
-	Batched   int64  `json:"batched"`
-	QueueLen  int    `json:"queue_len"`
+	// Batches counts the QueryBatch calls /v1/batch made and Batched the
+	// queries they answered; QueueLen is the number of queries admitted
+	// and not yet answered.
+	Batches  int64 `json:"batches"`
+	Batched  int64 `json:"batched"`
+	QueueLen int   `json:"queue_len"`
 	// Dynamic-world accounting: the snapshot's environment epoch and
 	// publish generation, mutate-request count, cumulative wall-clock
 	// repair latency and the repair work committed so far (virtual
@@ -319,7 +271,7 @@ func (p *Pool) Stats() []TenantStats {
 			Rejected:  t.rejected.Load(),
 			Batches:   t.batches.Load(),
 			Batched:   t.batched.Load(),
-			QueueLen:  len(t.pending),
+			QueueLen:  len(t.gate),
 			GrowDone:  t.growDone.Load(),
 		}
 		if errp := t.growErr.Load(); errp != nil {

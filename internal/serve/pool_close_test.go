@@ -1,154 +1,100 @@
 package serve
 
 import (
-	"context"
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
-
-	"parmp"
 )
 
-// TestPoolCloseRace hammers Tenant creation, queries, and LRU eviction
-// concurrently with Close. Run with -race: the pre-fix pool called
-// wg.Add from tenant.close and tenant.init while Close could already be
-// in wg.Wait (a WaitGroup misuse that panics or races), and Tenant
-// could create tenants after Close, leaking goroutines on a dead
-// context. Post-fix, every spawned request must come back as a path or
-// a clean error — never hang — and Tenant must refuse a closed pool
-// with ErrPoolClosed.
+// TestPoolCloseRace hammers tenant creation, queries and LRU eviction
+// concurrently with Close, by calling the handler directly so that every
+// goroutine alive is the test's or the pool's. Run with -race: an
+// earlier pool called wg.Add from tenant start-up while Close could
+// already be in wg.Wait (a WaitGroup misuse that panics or races), and
+// Tenant could create tenants after Close, leaking goroutines on a dead
+// context. Every request must come back as an answer or a clean refusal
+// — 503 from a closed pool or a canceled tenant, 429 from a full gate —
+// Tenant must refuse a closed pool with ErrPoolClosed, and no goroutine
+// may outlive Close.
 func TestPoolCloseRace(t *testing.T) {
+	before := runtime.NumGoroutine()
 	for iter := 0; iter < 8; iter++ {
 		cfg := testConfig()
 		cfg.MaxTenants = 2 // small cap: creations force evictions
-		cfg.RequestTimeout = 2 * time.Second
-		p := NewPool(cfg)
+		srv := New(cfg)
 
-		specs := make([]Spec, 6)
-		for i := range specs {
-			sp, err := Spec{Env: "small-cube", Seed: uint64(i + 1), Procs: 2, Regions: 8, Samples: 4}.Canonical(1)
+		bodies := make([][]byte, 6)
+		for i := range bodies {
+			b, err := json.Marshal(QueryRequest{
+				Spec:  Spec{Env: "small-cube", Seed: uint64(i + 1), Procs: 2, Regions: 8, Samples: 4},
+				Start: []float64{0.1, 0.1, 0.1},
+				Goal:  []float64{0.9, 0.9, 0.9},
+				K:     4,
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			specs[i] = sp
+			bodies[i] = b
 		}
 
 		var wg sync.WaitGroup
 		start := make(chan struct{})
-		type outcome struct {
-			id  int
-			err error
-		}
-		results := make(chan outcome, 64)
+		results := make(chan error, 64)
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
 				<-start
 				for i := 0; i < 8; i++ {
-					ten, err := p.Tenant(specs[(g+i)%len(specs)])
-					if err != nil {
-						if !errors.Is(err, ErrPoolClosed) {
-							results <- outcome{g*100 + i, fmt.Errorf("Tenant: %v", err)}
-							return
-						}
-						continue
-					}
-					if ten.buildErr != nil {
-						results <- outcome{g*100 + i, ten.buildErr}
+					rec := httptest.NewRecorder()
+					req := httptest.NewRequest("POST", "/v1/query", bytes.NewReader(bodies[(g+i)%len(bodies)]))
+					srv.Handler().ServeHTTP(rec, req)
+					switch rec.Code {
+					case http.StatusOK, http.StatusServiceUnavailable, http.StatusTooManyRequests:
+					default:
+						results <- fmt.Errorf("worker %d request %d: status %d: %s", g, i, rec.Code, rec.Body)
 						return
 					}
-					ctx, cancel := context.WithTimeout(context.Background(), cfg.RequestTimeout)
-					req := &request{
-						ctx:   ctx,
-						key:   fmt.Sprintf("g%d-i%d", g, i),
-						start: parmp.Config{0.1, 0.1, 0.1},
-						goal:  parmp.Config{0.9, 0.9, 0.9},
-						k:     4,
-						resp:  make(chan response, 1),
-					}
-					select {
-					case ten.pending <- req:
-						// Every admitted request must be answered: by a
-						// worker, a drain, or the tenant dying under it.
-						select {
-						case <-req.resp:
-						case <-ten.ctx.Done():
-						case <-time.After(2 * cfg.RequestTimeout):
-							results <- outcome{g*100 + i, errors.New("admitted request hung")}
-							cancel()
-							return
-						}
-					default:
-					}
-					cancel()
 				}
 			}(g)
 		}
 		close(start)
 		// Close mid-hammer, concurrently with creations and evictions.
 		time.Sleep(time.Duration(iter) * 3 * time.Millisecond)
-		p.Close()
+		srv.Close()
 		wg.Wait()
 		close(results)
-		for r := range results {
-			t.Errorf("iter %d worker %d: %v", iter, r.id, r.err)
+		for err := range results {
+			t.Errorf("iter %d %v", iter, err)
 		}
 		if t.Failed() {
 			return
 		}
 		// Post-close semantics: no new tenants, ever.
-		if _, err := p.Tenant(specs[0]); !errors.Is(err, ErrPoolClosed) {
+		sp, err := Spec{Env: "small-cube"}.Canonical(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := srv.Pool().Tenant(sp); !errors.Is(err, ErrPoolClosed) {
 			t.Fatalf("Tenant after Close returned %v, want ErrPoolClosed", err)
 		}
 	}
-}
-
-// TestPoolCloseDrainsQueued verifies the batcher drain: requests
-// already admitted to a tenant's queue when the pool closes are
-// answered with a clean shutdown error rather than waiting out their
-// own deadlines.
-func TestPoolCloseDrainsQueued(t *testing.T) {
-	cfg := testConfig()
-	cfg.BatchWorkers = 1
-	cfg.RequestTimeout = 30 * time.Second // a hang would be obvious
-	p := NewPool(cfg)
-	sp, err := Spec{Env: "small-cube", Procs: 2, Regions: 8, Samples: 4}.Canonical(1)
-	if err != nil {
-		t.Fatal(err)
+	// Close waited for every grow loop and the handlers have returned:
+	// nothing the pools started is still running. (The runtime may take a
+	// moment to retire exited goroutines.)
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
 	}
-	ten, err := p.Tenant(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ten.buildErr != nil {
-		t.Fatal(ten.buildErr)
-	}
-	// Queue requests, then close. The worker (or its exit drain) must
-	// answer every one of them promptly.
-	reqs := make([]*request, 16)
-	for i := range reqs {
-		reqs[i] = &request{
-			ctx:   context.Background(),
-			key:   fmt.Sprintf("q%d", i),
-			start: parmp.Config{0.1, 0.1, 0.1},
-			goal:  parmp.Config{0.9, 0.9, 0.9},
-			k:     4,
-			resp:  make(chan response, 1),
-		}
-		ten.pending <- reqs[i]
-	}
-	p.Close()
-	for i, r := range reqs {
-		select {
-		case resp := <-r.resp:
-			if resp.err != nil && !errors.Is(resp.err, errTenantClosed) {
-				t.Fatalf("request %d: unexpected error %v", i, resp.err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("request %d unanswered after Close", i)
-		}
+	if after := runtime.NumGoroutine(); after > before {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutine(s) outlived Close:\n%s", after-before, buf[:runtime.Stack(buf, true)])
 	}
 }

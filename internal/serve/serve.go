@@ -13,28 +13,28 @@
 //     snapshot (graceful rollover — in-flight queries keep their old
 //     snapshot) and invalidates the tenant's path cache. Tenants are
 //     evicted least-recently-used beyond the pool cap.
-//   - Each tenant runs a set of batch workers that drain a bounded
-//     admission queue, coalescing concurrent requests into batches
-//     answered against one snapshot via Snapshot.QueryBatch — kd
-//     lookups amortized through knn.NearestBatch and one multi-source
-//     Dijkstra per distinct goal.
+//   - A query is answered where it arrives: the handler probes the
+//     path cache, takes one slot of the tenant's admission gate, and runs
+//     Snapshot.Query — an aimed A* with two allocations — on its own
+//     goroutine. There is no queue, no worker and no hand-off between
+//     the socket and the search. POST /v1/batch is for a client that
+//     knows its queries share goals: it takes one slot of the same gate
+//     and answers through Snapshot.QueryBatch, kd lookups amortized
+//     through knn.NearestBatch and one goal-rooted search per distinct
+//     goal.
 //   - pathCache is a per-tenant LRU over (start, goal, k) keyed by
-//     exact float bits, tagged with the snapshot round it answers for
-//     and dropped wholesale on rollover.
-//   - Backpressure: when a tenant's admission queue is full the server
-//     answers 429 with Retry-After instead of queueing unboundedly, and
-//     every request carries a context deadline that propagates through
-//     admission and batching.
+//     exact float bits, tagged with the snapshot generation it answers
+//     for and dropped wholesale on rollover.
+//   - Backpressure: the gate holds QueueDepth slots; when none is free
+//     the server answers 429 with Retry-After instead of piling
+//     searches onto a saturated tenant.
 //
 // cmd/mpserved wraps this package in a binary; cmd/mploadgen drives it
 // with millions of queries and feeds the percentiles into the
 // servebench regression gate.
 package serve
 
-import (
-	"runtime"
-	"time"
-)
+import "time"
 
 // Config tunes the server. The zero value is not usable; call
 // (*Config).withDefaults or use New, which applies defaults.
@@ -42,19 +42,10 @@ type Config struct {
 	// MaxTenants caps the number of live engines; beyond it the
 	// least-recently-used tenant is evicted. Default 8.
 	MaxTenants int
-	// QueueDepth bounds each tenant's admission queue; a full queue
-	// answers 429. Default 256.
+	// QueueDepth bounds the queries (and client batches) each tenant
+	// has admitted and not yet answered; one more answers 429.
+	// Default 256.
 	QueueDepth int
-	// BatchWorkers is the number of goroutines draining each tenant's
-	// queue. Default runtime.GOMAXPROCS(0).
-	BatchWorkers int
-	// BatchMax caps how many requests one worker coalesces into a
-	// batch. 1 disables batching. Default 32.
-	BatchMax int
-	// BatchWindow is how long a worker waits for stragglers after the
-	// first request of a batch. Negative coalesces only what is
-	// already queued (no wait). Default 200µs.
-	BatchWindow time.Duration
 	// CacheSize is the per-tenant path-cache capacity in entries.
 	// Negative disables caching. Default 4096.
 	CacheSize int
@@ -64,8 +55,9 @@ type Config struct {
 	// GrowInterval pauses between background growth rounds, leaving
 	// CPU for serving. Default 0 (grow back-to-back).
 	GrowInterval time.Duration
-	// RequestTimeout bounds each request's total time in the server
-	// (admission wait included). Default 10s.
+	// RequestTimeout bounds a mutate request's repair; past it the
+	// world is left unchanged. Queries never wait, so they carry no
+	// deadline. Default 10s.
 	RequestTimeout time.Duration
 	// DefaultK is the attachment count used when a query omits k.
 	// Default 8.
@@ -79,17 +71,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
-	}
-	if c.BatchWorkers <= 0 {
-		c.BatchWorkers = runtime.GOMAXPROCS(0)
-	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 32
-	}
-	if c.BatchWindow < 0 {
-		c.BatchWindow = 0
-	} else if c.BatchWindow == 0 {
-		c.BatchWindow = 200 * time.Microsecond
 	}
 	if c.CacheSize < 0 {
 		c.CacheSize = 0

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"parmp/internal/geom"
 )
 
 // testConfig keeps tenants tiny and growth fast for tests.
@@ -17,9 +20,6 @@ func testConfig() Config {
 	return Config{
 		MaxTenants:     2,
 		QueueDepth:     64,
-		BatchWorkers:   4,
-		BatchMax:       16,
-		BatchWindow:    100 * time.Microsecond,
 		CacheSize:      128,
 		GrowRounds:     1,
 		RequestTimeout: 5 * time.Second,
@@ -137,6 +137,34 @@ func TestServeQueryEndToEnd(t *testing.T) {
 	}
 }
 
+// A spec sized past the limits is refused at every endpoint before any
+// tenant exists: at the parent this request held its handler for 38 s
+// building 3.2 M regions and left the process at 3.2 GB.
+func TestServeOversizedSpecRejected(t *testing.T) {
+	srv := New(testConfig())
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	for _, path := range []string{"/v1/query", "/v1/batch", "/v1/env/mutate"} {
+		resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(
+			`{"spec":{"env":"med-cube","procs":400000},"start":[0.1,0.1,0.1],"goal":[0.9,0.9,0.9],`+
+				`"queries":[{"start":[0.1,0.1,0.1],"goal":[0.9,0.9,0.9]}],"mutations":[{"op":"remove"}]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er errorResponse
+		json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(er.Error, "procs 400000 exceeds the limit of 1024") {
+			t.Fatalf("%s: status %d (%s), want 400 naming procs and its limit", path, resp.StatusCode, er.Error)
+		}
+	}
+	if n := len(srv.Pool().Stats()); n != 0 {
+		t.Fatalf("%d tenant(s) built for a refused spec", n)
+	}
+}
+
 // A portfolio-built tenant serves through the same endpoints: the race
 // runs in the background grow loop, the winner's snapshot answers the
 // race query, and stats report the race's progress.
@@ -204,10 +232,9 @@ func TestServeBatchEndpoint(t *testing.T) {
 	}
 }
 
-// Concurrent clients on one tenant: everything answers, batches form,
-// and the cache serves repeats. This is the coalescing path under real
-// contention.
-func TestServeConcurrentClientsBatchAndCache(t *testing.T) {
+// Concurrent clients on one tenant: everything answers and the cache
+// serves repeats, with every miss searched on its own handler goroutine.
+func TestServeConcurrentClientsAndCache(t *testing.T) {
 	cfg := testConfig()
 	srv := New(cfg)
 	defer srv.Close()
@@ -221,8 +248,8 @@ func TestServeConcurrentClientsBatchAndCache(t *testing.T) {
 
 	// A small hot set so distinct goals still repeat across clients. The
 	// test roadmap is deliberately tiny, so keep only the pairs it
-	// actually solves — the contract under test is coalescing + caching,
-	// not roadmap coverage. Growth is done, so solvability is stable.
+	// actually solves — the contract under test is concurrent answering
+	// + caching, not roadmap coverage. Growth is done, so solvability is stable.
 	candidates := [][2][]float64{
 		{{0.05, 0.05, 0.05}, {0.95, 0.95, 0.95}},
 		{{0.1, 0.9, 0.1}, {0.9, 0.1, 0.9}},
@@ -292,21 +319,19 @@ func TestServeConcurrentClientsBatchAndCache(t *testing.T) {
 	}
 }
 
-// A full admission queue must answer 429 with Retry-After, not block.
+// A full admission gate must answer 429 with Retry-After, not wait.
 func TestServeBackpressure(t *testing.T) {
 	cfg := testConfig()
 	cfg.QueueDepth = 1
-	cfg.BatchWorkers = 1
-	cfg.BatchMax = 1
-	cfg.CacheSize = -1 // force every request through the queue
+	cfg.CacheSize = -1 // force every request through the gate
 	srv := New(cfg)
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// Build the tenant, then wedge it: stop its worker and fill the
-	// depth-1 queue directly, so the next admission deterministically
-	// overflows instead of racing the worker's drain speed.
+	// Build the tenant, then wedge it: take the gate's only slot
+	// directly, so the next admission deterministically overflows
+	// instead of racing a real query's search time.
 	spec, err := testSpec().Canonical(cfg.GrowRounds)
 	if err != nil {
 		t.Fatal(err)
@@ -318,9 +343,7 @@ func TestServeBackpressure(t *testing.T) {
 	if ten.buildErr != nil {
 		t.Fatal(ten.buildErr)
 	}
-	ten.cancel()
-	ten.workers.Wait()
-	ten.pending <- &request{resp: make(chan response, 1)}
+	ten.gate <- struct{}{}
 
 	q := QueryRequest{
 		Spec:  testSpec(),
@@ -335,15 +358,85 @@ func TestServeBackpressure(t *testing.T) {
 	if hdr.Get("Retry-After") == "" {
 		t.Fatal("429 carried no Retry-After header")
 	}
-	if st := srv.Pool().Stats(); st[0].Rejected == 0 {
-		t.Fatal("stats did not count rejections")
+	// A client batch is one request in flight: same gate, same answer.
+	code, _ = postJSON(t, ts.Client(), ts.URL+"/v1/batch", BatchRequest{
+		Spec: testSpec(), Queries: []BatchQuery{{Start: q.Start, Goal: q.Goal}},
+	}, &er)
+	if code != http.StatusTooManyRequests {
+		t.Fatalf("batch: status %d (%s), want 429", code, er.Error)
 	}
-	// Free the queue slot: an admitted request on a canceled tenant is
-	// answered 503, never silently dropped.
-	<-ten.pending
+	if st := srv.Pool().Stats(); st[0].Rejected != 2 || st[0].QueueLen != 1 {
+		t.Fatalf("stats rejected=%d queue_len=%d, want 2 and 1", st[0].Rejected, st[0].QueueLen)
+	}
+	// Free the slot: a request that reaches a canceled tenant is
+	// answered 503, and a finished one leaves the gate empty.
+	ten.release()
+	code, _ = postJSON(t, ts.Client(), ts.URL+"/v1/query", q, nil)
+	if code != http.StatusOK || len(ten.gate) != 0 {
+		t.Fatalf("after release: status %d, %d slot(s) held, want 200 and 0", code, len(ten.gate))
+	}
+	ten.cancel()
 	code, _ = postJSON(t, ts.Client(), ts.URL+"/v1/query", q, &er)
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("status %d (%s), want 503 from canceled tenant", code, er.Error)
+	}
+}
+
+// A single /v1/query miss and the same pair through /v1/batch run two
+// different searches (aimed A* from the start, blind goal-rooted) over
+// one roadmap; both are exact, so the paths have the same length.
+func TestServeQueryAndBatchAgree(t *testing.T) {
+	cfg := testConfig()
+	cfg.CacheSize = -1 // both answers are misses
+	srv := New(cfg)
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	pairs := []BatchQuery{
+		{Start: []float64{0.05, 0.05, 0.05}, Goal: []float64{0.95, 0.95, 0.95}},
+		{Start: []float64{0.1, 0.9, 0.1}, Goal: []float64{0.95, 0.95, 0.95}},
+		{Start: []float64{0.2, 0.2, 0.8}, Goal: []float64{0.8, 0.8, 0.2}},
+	}
+	postJSON(t, ts.Client(), ts.URL+"/v1/batch", BatchRequest{Spec: testSpec(), Queries: pairs[:1]}, nil)
+	waitGrown(t, ts.Client(), ts.URL, 10*time.Second)
+
+	var br BatchResponse
+	code, _ := postJSON(t, ts.Client(), ts.URL+"/v1/batch", BatchRequest{Spec: testSpec(), Queries: pairs}, &br)
+	if code != http.StatusOK || len(br.Results) != len(pairs) {
+		t.Fatalf("batch: status %d results %d", code, len(br.Results))
+	}
+	length := func(path [][]float64) float64 {
+		var sum float64
+		for i := 1; i < len(path); i++ {
+			sum += geom.Vec(path[i]).Dist(path[i-1])
+		}
+		return sum
+	}
+	solved := 0
+	for i, p := range pairs {
+		var qr QueryResponse
+		code, _ := postJSON(t, ts.Client(), ts.URL+"/v1/query", QueryRequest{Spec: testSpec(), Start: p.Start, Goal: p.Goal}, &qr)
+		if code != http.StatusOK || qr.CacheHit || qr.BatchSize != 0 {
+			t.Fatalf("pair %d: status %d cache_hit=%v batch_size=%d", i, code, qr.CacheHit, qr.BatchSize)
+		}
+		if qr.OK != br.Results[i].OK {
+			t.Fatalf("pair %d: query ok=%v, batch ok=%v", i, qr.OK, br.Results[i].OK)
+		}
+		if !qr.OK {
+			continue
+		}
+		solved++
+		if a, b := length(qr.Path), length(br.Results[i].Path); math.Abs(a-b) > 1e-9*(1+a) {
+			t.Fatalf("pair %d: query path length %.12g, batch %.12g", i, a, b)
+		}
+	}
+	if solved == 0 {
+		t.Fatal("no pair solvable after growth")
+	}
+	// Only /v1/batch feeds the batch counters now.
+	if st := srv.Pool().Stats()[0]; st.Batches != 2 || st.Batched != int64(1+len(pairs)) {
+		t.Fatalf("stats batches=%d batched=%d, want 2 and %d", st.Batches, st.Batched, 1+len(pairs))
 	}
 }
 

@@ -51,11 +51,40 @@ type Spec struct {
 	Restarts string `json:"restarts,omitempty"`
 }
 
+// Size limits of a spec. A tenant is built on its first request's own
+// goroutine, before any deadline applies, and both the build (procs,
+// regions) and the roadmap it then grows (regions × samples × rounds,
+// once per portfolio racer) are sized by numbers the client sends: left
+// unbounded, one request holds a handler for minutes and the process for
+// gigabytes. The limits sit an order of magnitude above anything the
+// repository's own experiments serve.
+const (
+	maxProcs     = 1024
+	maxRegions   = 8 * maxProcs // the engine's default for maxProcs
+	maxSamples   = 512
+	maxRounds    = 64
+	maxPortfolio = 16
+)
+
 // Canonical returns the spec with defaults applied and names
 // normalized, or an error when the spec cannot name a tenant. growRounds
 // is the server's default growth target.
 func (sp Spec) Canonical(growRounds int) (Spec, error) {
 	c := sp
+	for _, f := range []struct {
+		name     string
+		val, max int
+	}{
+		{"procs", c.Procs, maxProcs},
+		{"regions", c.Regions, maxRegions},
+		{"samples", c.Samples, maxSamples},
+		{"rounds", c.Rounds, maxRounds},
+		{"portfolio", c.Portfolio, maxPortfolio},
+	} {
+		if f.val > f.max {
+			return c, fmt.Errorf("spec: %s %d exceeds the limit of %d", f.name, f.val, f.max)
+		}
+	}
 	c.Env = strings.ToLower(strings.TrimSpace(c.Env))
 	c.EnvText = strings.TrimSpace(c.EnvText)
 	if (c.Env == "") == (c.EnvText == "") {

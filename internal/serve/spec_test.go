@@ -65,12 +65,30 @@ func TestSpecCanonicalErrors(t *testing.T) {
 		{"bad robot params", Spec{Env: "med-cube", Robot: "se2:0.1"}, "needs 2 half-extents"},
 		{"negative half-extent", Spec{Env: "med-cube", Robot: "rigid:-1,1,1"}, "bad half-extent"},
 		{"portfolio without query", Spec{Env: "med-cube", Portfolio: 2}, "requires root and goal"},
+		{"procs over the limit", Spec{Env: "med-cube", Procs: 400000}, "procs 400000 exceeds the limit of 1024"},
+		{"regions over the limit", Spec{Env: "med-cube", Regions: maxRegions + 1}, "regions 8193 exceeds the limit of 8192"},
+		{"samples over the limit", Spec{Env: "med-cube", Samples: maxSamples + 1}, "samples 513 exceeds the limit of 512"},
+		{"rounds over the limit", Spec{Env: "med-cube", Rounds: maxRounds + 1}, "rounds 65 exceeds the limit of 64"},
+		{"portfolio over the limit", Spec{Env: "med-cube", Portfolio: maxPortfolio + 1, Root: []float64{0.1, 0.1, 0.1}, Goal: []float64{0.9, 0.9, 0.9}}, "portfolio 17 exceeds the limit of 16"},
 		{"bad restart schedule", Spec{Env: "med-cube", Portfolio: 2, Root: []float64{0.1, 0.1, 0.1}, Goal: []float64{0.9, 0.9, 0.9}, Restarts: "fibonacci"}, "unknown restart schedule"},
 	}
 	for _, tc := range bad {
 		if _, err := tc.sp.Canonical(3); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want containing %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// A spec at every limit at once is still a tenant.
+func TestSpecCanonicalAtLimits(t *testing.T) {
+	sp := Spec{Env: "med-cube", Procs: maxProcs, Regions: maxRegions, Samples: maxSamples, Rounds: maxRounds,
+		Portfolio: maxPortfolio, Root: []float64{0.1, 0.1, 0.1}, Goal: []float64{0.9, 0.9, 0.9}}
+	c, err := sp.Canonical(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Procs != maxProcs || c.Regions != maxRegions || c.Samples != maxSamples || c.Rounds != maxRounds || c.Portfolio != maxPortfolio {
+		t.Fatalf("canonical spec at the limits moved a size: %+v", c)
 	}
 }
 

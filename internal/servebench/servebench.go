@@ -3,10 +3,8 @@
 // internal/kernelbench's allocation gate.
 //
 // Sampling-based planners have heavy-tailed solve and query times, so
-// the contract here is percentile-first: every producer — cmd/mploadgen
-// driving a live mpserved, and cmd/mpsolve's in-process -queries serve
-// mode — reports p50/p99/p999 in the same schema, which makes offline
-// and served numbers directly comparable and lets CI fail a build on a
+// the contract here is percentile-first: cmd/mploadgen, driving a live
+// mpserved, reports p50/p99/p999, which lets CI fail a build on a
 // tail-latency regression against a checked-in baseline, not just on a
 // mean shift.
 package servebench
@@ -50,11 +48,11 @@ func Compute(us []float64) Percentiles {
 // Result is one serving benchmark run: the BENCH_serve.json schema.
 type Result struct {
 	// Source identifies the producer: "mploadgen" (over-the-wire against
-	// mpserved) or "mpsolve" (in-process serve mode).
+	// mpserved).
 	Source string `json:"source"`
 	Env    string `json:"env"`
 	// Mode is the load shape: "closed" (fixed concurrency) or "open"
-	// (fixed arrival rate); mpsolve reports "closed".
+	// (fixed arrival rate).
 	Mode    string  `json:"mode,omitempty"`
 	Workers int     `json:"workers,omitempty"`
 	RateQPS float64 `json:"rate_qps,omitempty"`
@@ -67,18 +65,14 @@ type Result struct {
 	DurationSec float64 `json:"duration_sec"`
 	Throughput  float64 `json:"throughput_qps"`
 
-	// Latency is what the client observed (over-the-wire for mploadgen,
-	// call latency for mpsolve).
+	// Latency is what the client observed, over the wire.
 	Latency Percentiles `json:"latency"`
-	// Serve is the server-side processing time per request, when the
-	// producer has it (mploadgen reads it off each response).
+	// Serve is the server-side processing time per request (mploadgen
+	// reads it off each response).
 	Serve *Percentiles `json:"serve,omitempty"`
 	// CacheHit is the server-side latency of path-cache hits only.
 	CacheHit     *Percentiles `json:"cache_hit,omitempty"`
 	CacheHitRate float64      `json:"cache_hit_rate,omitempty"`
-	// BatchMean is the mean coalesced batch size over non-cache-hit
-	// queries, as reported by the server.
-	BatchMean float64 `json:"batch_mean,omitempty"`
 	// Mutations counts environment mutations issued during the run
 	// (mploadgen -mutate-every); StalePaths counts probe responses that
 	// returned a path through a freshly-added obstacle — any nonzero

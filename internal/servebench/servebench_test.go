@@ -72,7 +72,7 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 		Latency:      Percentiles{P50: 100, P90: 200, P99: 400, P999: 900, Max: 1500},
 		Serve:        &Percentiles{P50: 80, P99: 300},
 		CacheHit:     &Percentiles{P50: 4, P99: 20},
-		CacheHitRate: 0.42, BatchMean: 5.5,
+		CacheHitRate: 0.42,
 	}
 	if err := bench.WriteFile(path, in); err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 		if out.Source != in.Source || out.Latency != in.Latency ||
 			out.Serve == nil || *out.Serve != *in.Serve ||
 			out.CacheHit == nil || *out.CacheHit != *in.CacheHit ||
-			out.Queries != in.Queries || out.BatchMean != in.BatchMean {
+			out.Queries != in.Queries || out.CacheHitRate != in.CacheHitRate {
 			t.Fatalf("round trip mismatch: %+v vs %+v", out, in)
 		}
 	}
