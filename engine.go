@@ -320,56 +320,20 @@ func (s *Snapshot) Query(start, goal Config, k int) ([]Config, bool) {
 	return s.rrtQuery(start, goal)
 }
 
-// QueryBatch answers len(starts) queries against the frozen snapshot in
-// one pass, returning per-query paths and hit flags aligned with the
-// inputs. Queries that fail input screening (see Query) miss without
-// disturbing the rest of the batch; a mismatched goals length misses the
-// whole batch.
-//
-// For PRM snapshots the batch amortizes shared work: endpoint
-// deduplication, one batched kd pass for every attachment lookup, and
-// one goal-rooted shortest-path search per distinct goal — so a batch
-// over hot (start, goal) pairs costs far less than a Query loop. Tree
-// snapshots answer each query individually. Safe for concurrent use.
+// QueryBatch answers len(starts) queries against the frozen snapshot: a
+// batch is its queries, answered in order, so slot i of the returned
+// paths and hit flags is exactly Query(starts[i], goals[i], k). A query
+// that fails input screening (see Query) misses without disturbing the
+// rest of the batch; a mismatched goals length misses the whole batch.
+// Safe for concurrent use.
 func (s *Snapshot) QueryBatch(starts, goals []Config, k int) ([][]Config, []bool) {
-	n := len(starts)
-	paths := make([][]Config, n)
-	oks := make([]bool, n)
-	if len(goals) != n || n == 0 {
+	paths := make([][]Config, len(starts))
+	oks := make([]bool, len(starts))
+	if len(goals) != len(starts) {
 		return paths, oks
 	}
-	if s.prmIx == nil {
-		for i := range starts {
-			if s.queryInputOK(starts[i], goals[i], k) {
-				paths[i], oks[i] = s.rrtQuery(starts[i], goals[i])
-			}
-		}
-		return paths, oks
-	}
-	// Screen here so the prm batch only sees servable queries, then
-	// scatter the sub-batch answers back to their slots.
-	keep := make([]int, 0, n)
 	for i := range starts {
-		if s.queryInputOK(starts[i], goals[i], k) {
-			keep = append(keep, i)
-		}
-	}
-	switch len(keep) {
-	case 0:
-		return paths, oks
-	case n:
-		// The common case: nothing screened out, so the batch goes through
-		// as it came and comes back as the index answered it.
-		return s.prmIx.QueryBatch(s.space, starts, goals, k, nil, nil)
-	}
-	subStarts := make([]Config, len(keep))
-	subGoals := make([]Config, len(keep))
-	for j, i := range keep {
-		subStarts[j], subGoals[j] = starts[i], goals[i]
-	}
-	subPaths, subOKs := s.prmIx.QueryBatch(s.space, subStarts, subGoals, k, nil, nil)
-	for j, i := range keep {
-		paths[i], oks[i] = subPaths[j], subOKs[j]
+		paths[i], oks[i] = s.Query(starts[i], goals[i], k)
 	}
 	return paths, oks
 }

@@ -3,6 +3,7 @@ package parmp
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -77,7 +78,7 @@ func TestSnapshotQueryBatchMatchesQuery(t *testing.T) {
 		V(0.05, 0.05, 0.05),
 		V(0.1, 0.1), // wrong dimension: misses alone
 		V(0.1, 0.9, 0.1),
-		V(0.05, 0.05, 0.05),     // repeat of query 0: dedup path
+		V(0.05, 0.05, 0.05),     // repeat of query 0
 		V(math.NaN(), 0.5, 0.5), // NaN: misses alone
 	}
 	goals := []Config{
@@ -139,6 +140,52 @@ func TestSnapshotQueryBatchTree(t *testing.T) {
 		}
 		if refOK && math.Abs(PathLength(space, paths[i])-PathLength(space, refPath)) > 1e-9 {
 			t.Fatalf("tree query %d: path lengths differ", i)
+		}
+	}
+}
+
+// A batch is its queries: with a wrong-dimension, a NaN and an
+// out-of-bounds slot between good ones, every slot — good or malformed —
+// is exactly what Query answers for that pair, for both snapshot kinds.
+func TestSnapshotQueryBatchIsItsQueries(t *testing.T) {
+	ctx := context.Background()
+	prmEng, err := NewEngine(NewPointSpace(EnvironmentByName("med-cube")), testEngineOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := V(0.5, 0.5, 0.5)
+	rrtEng, err := NewRRTEngine(NewPointSpace(EnvironmentByName("mixed-30")), root, Options{Procs: 4, Regions: 32, NodesPerRegion: 30, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		eng  *Engine
+		good [2][2]Config // two well-formed (start, goal) pairs
+	}{
+		{"prm", prmEng, [2][2]Config{{V(0.05, 0.05, 0.05), V(0.95, 0.95, 0.95)}, {V(0.1, 0.9, 0.1), V(0.95, 0.95, 0.95)}}},
+		{"tree", rrtEng, [2][2]Config{{root, V(0.5, 0.5, 0.6)}, {root, V(0.3, 0.3, 0.3)}}},
+	} {
+		if err := tc.eng.GrowN(ctx, 2); err != nil {
+			t.Fatal(err)
+		}
+		snap := tc.eng.Snapshot()
+		a, b := tc.good[0], tc.good[1]
+		starts := []Config{a[0], V(0.1, 0.1), b[0], V(math.NaN(), 0.5, 0.5), a[0], b[0], b[0]}
+		goals := []Config{a[1], a[1], b[1], b[1], a[1], V(0.5, 0.5, 1.5), b[1]}
+		paths, oks := snap.QueryBatch(starts, goals, 8)
+		solved := 0
+		for i := range starts {
+			want, wantOK := snap.Query(starts[i], goals[i], 8)
+			if oks[i] != wantOK || !reflect.DeepEqual(paths[i], want) {
+				t.Fatalf("%s slot %d: batch (%v, %v), Query (%v, %v)", tc.name, i, paths[i], oks[i], want, wantOK)
+			}
+			if wantOK {
+				solved++
+			}
+		}
+		if solved != 4 {
+			t.Fatalf("%s: %d slots solved, want the 4 well-formed ones", tc.name, solved)
 		}
 	}
 }

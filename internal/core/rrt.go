@@ -628,27 +628,7 @@ func ParallelRRTConnect(s *cspace.Space, root, goal cspace.Config, opts Options)
 // of a BFS sweep over the region graph.
 func assignContiguous(rg *region.Graph, procs int) {
 	n := rg.NumRegions()
-	order := make([]int, 0, n)
-	seen := make([]bool, n)
-	for start := 0; start < n; start++ {
-		if seen[start] {
-			continue
-		}
-		queue := []int{start}
-		seen[start] = true
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			order = append(order, cur)
-			for _, nb := range rg.Adjacent(cur) {
-				if !seen[nb] {
-					seen[nb] = true
-					queue = append(queue, nb)
-				}
-			}
-		}
-	}
-	for rank, ri := range order {
+	for rank, ri := range rg.SweepOrder() {
 		owner := rank * procs / n
 		if owner >= procs {
 			owner = procs - 1

@@ -56,21 +56,6 @@ func TestVecLerpEndpoints(t *testing.T) {
 	}
 }
 
-func TestCross(t *testing.T) {
-	got := V(1, 0, 0).Cross(V(0, 1, 0))
-	if !got.Equal(V(0, 0, 1), 1e-12) {
-		t.Fatalf("Cross = %v", got)
-	}
-	// Anti-commutativity property.
-	f := func(a, b, c, d, e, g float64) bool {
-		u, v := V(a, b, c), V(d, e, g)
-		return u.Cross(v).Equal(v.Cross(u).Scale(-1), 1e-9)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAABBContains(t *testing.T) {
 	b := Box2(0, 0, 1, 1)
 	if !b.Contains(V(0.5, 0.5)) || !b.Contains(V(0, 0)) || !b.Contains(V(1, 1)) {

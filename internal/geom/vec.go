@@ -115,19 +115,6 @@ func (v Vec) Equal(w Vec, eps float64) bool {
 	return true
 }
 
-// Cross returns the 3D cross product v × w. It panics unless both vectors
-// are 3-dimensional.
-func (v Vec) Cross(w Vec) Vec {
-	if len(v) != 3 || len(w) != 3 {
-		panic("geom: Cross requires 3D vectors")
-	}
-	return Vec{
-		v[1]*w[2] - v[2]*w[1],
-		v[2]*w[0] - v[0]*w[2],
-		v[0]*w[1] - v[1]*w[0],
-	}
-}
-
 // String formats v as "(x, y, ...)" with compact precision.
 func (v Vec) String() string {
 	parts := make([]string, len(v))

@@ -63,33 +63,6 @@ func TestForEachEdgeVisitsOnce(t *testing.T) {
 	}
 }
 
-func TestBFSOrder(t *testing.T) {
-	g := buildPath(4)
-	var order []ID
-	g.BFS(0, func(id ID) bool {
-		order = append(order, id)
-		return true
-	})
-	want := []ID{0, 1, 2, 3}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v", order)
-		}
-	}
-}
-
-func TestBFSEarlyStop(t *testing.T) {
-	g := buildPath(10)
-	visits := 0
-	g.BFS(0, func(ID) bool {
-		visits++
-		return visits < 3
-	})
-	if visits != 3 {
-		t.Fatalf("visits = %d", visits)
-	}
-}
-
 func TestConnectedComponents(t *testing.T) {
 	g := New[int](6)
 	for i := 0; i < 6; i++ {

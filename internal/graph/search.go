@@ -2,30 +2,6 @@ package graph
 
 import "container/heap"
 
-// BFS traverses g from start, calling visit for each reachable vertex in
-// breadth-first order. Traversal stops early if visit returns false.
-func (g *Graph[V]) BFS(start ID, visit func(ID) bool) {
-	if int(start) >= len(g.adj) {
-		return
-	}
-	seen := make([]bool, len(g.adj))
-	queue := []ID{start}
-	seen[start] = true
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if !visit(cur) {
-			return
-		}
-		for _, e := range g.adj[cur] {
-			if !seen[e.To] {
-				seen[e.To] = true
-				queue = append(queue, e.To)
-			}
-		}
-	}
-}
-
 // ConnectedComponents returns a component label per vertex and the number
 // of components, numbered by their lowest vertex id. Every vertex is
 // enqueued exactly once, so one queue of NumVertices slots serves every

@@ -66,7 +66,6 @@ func Kernels() []Kernel {
 		{Name: "GraphBulkBuild", Bench: benchGraphBulkBuild},
 		{Name: "IndexBuild", Bench: benchIndexBuild},
 		{Name: "IndexQuery", Bench: benchIndexQuery},
-		{Name: "IndexQueryBatch", Items: batchIndexQueries, Bench: benchIndexQueryBatch},
 		{Name: "LocalPlan", Bench: benchLocalPlan},
 		{Name: "LocalPlanBatch", Bench: benchLocalPlanBatch},
 		{Name: "NearestInto", Bench: benchNearestInto},
@@ -103,8 +102,9 @@ func RunAll() []Result {
 }
 
 // MaxAllocs is the allocs/op ceiling every kernel must stay under: the
-// pooled kernels sit at 0–1 and the snapshot queries at a few dozen,
-// while a per-node or per-probe allocation runs to thousands.
+// pooled kernels sit at 0–2 (a snapshot query returns two) and the
+// commit-side builds at 4–14, while a per-node or per-probe allocation
+// runs to thousands.
 const MaxAllocs = 50
 
 // BatchMaxRatio bounds each batched kernel's per-item time relative to
@@ -374,22 +374,12 @@ func benchKDTreeBuild(b *testing.B) {
 	}
 }
 
-// batchIndexQueries is the IndexQueryBatch batch: 16 queries over 4
-// goals, so both a shared goal-rooted search and the endpoint dedupe run.
-// A query returns two allocations (waypoint slice and coordinate slab)
-// and the batch two more, 34 in all — under the 50 the gate allows, which
-// a map or a per-vertex allocation on the query path would pass at once.
-const (
-	batchIndexQueries = 16
-	batchIndexGoals   = 4
-)
-
 // queryFixture is what the snapshot kernels — query and commit side —
 // run on.
 type queryFixture struct {
 	s  *cspace.Space
 	ix *prm.Index
-	qs []cspace.Config
+	qs []cspace.Config // IndexQuery pairs the first half with the second
 	// What the roadmap was published from, for the commit-side kernels.
 	nodes []prm.Node
 	spans []graph.EdgeSpan
@@ -410,7 +400,7 @@ var queryBenchIndex = sync.OnceValue(func() queryFixture {
 	}
 	spans := []graph.EdgeSpan{{Ends: res.Edges, Weights: weights}}
 	m := &prm.Roadmap{G: graph.FromSpans(res.Nodes, spans)}
-	return queryFixture{s, prm.BuildIndex(m), freeConfigs(s, 2*batchIndexQueries, 31), res.Nodes, spans}
+	return queryFixture{s, prm.BuildIndex(m), freeConfigs(s, 32, 31), res.Nodes, spans}
 })
 
 // benchGraphBulkBuild is the publish half of a commit: the roadmap graph
@@ -445,19 +435,5 @@ func benchIndexQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ix.Query(s, qs[i%half], qs[half+i%half], 8, nil)
-	}
-}
-
-func benchIndexQueryBatch(b *testing.B) {
-	fx := queryBenchIndex()
-	s, ix, qs := fx.s, fx.ix, fx.qs
-	starts, goals := qs[:batchIndexQueries], make([]cspace.Config, batchIndexQueries)
-	for i := range goals {
-		goals[i] = qs[batchIndexQueries+i%batchIndexGoals]
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.QueryBatch(s, starts, goals, 8, nil, nil)
 	}
 }

@@ -1,10 +1,9 @@
 // Package obsv is the observability layer over the scheduler runtime:
 // it derives the paper's load-balance metrics — imbalance factor,
 // utilization, steal efficiency, migration volume — from any
-// sched.Report (either backend, virtual or wall-clock time), renders
-// them as metrics.Table rows so the existing CSV/JSON exporters work
-// unchanged, and exports execution traces in Chrome trace_event JSON
-// for chrome://tracing and Perfetto (see ChromeTrace).
+// sched.Report (either backend, virtual or wall-clock time; see
+// Analyze), and exports execution traces in Chrome trace_event JSON for
+// chrome://tracing and Perfetto (see ChromeTrace).
 //
 // The paper's central evidence is per-processor utilization over time
 // (its Figures 9-12: who was busy, who idled, who stole); this package
@@ -13,8 +12,6 @@
 package obsv
 
 import (
-	"fmt"
-
 	"parmp/internal/metrics"
 	"parmp/internal/sched"
 )
@@ -86,36 +83,4 @@ func Analyze(rep sched.Report) Metrics {
 		m.StealEfficiency = float64(m.StealsGranted) / float64(m.StealsIssued)
 	}
 	return m
-}
-
-// Phase labels one report for table rendering.
-type Phase struct {
-	Name   string
-	Report sched.Report
-}
-
-// phaseColumns are the PhaseTable series, one Metrics field each.
-var phaseColumns = []string{
-	"makespan", "utilization", "imbalance", "steal-eff",
-	"steals-issued", "steals-granted", "tasks-migrated", "task-transfers",
-}
-
-// PhaseTable derives per-phase load-balance metrics and lays them out as
-// one metrics.Table row per phase (X = phase index; a note names each
-// index), so Table.WriteCSV / WriteJSON export them unchanged.
-func PhaseTable(title string, phases []Phase) *metrics.Table {
-	t := &metrics.Table{
-		Title:   title,
-		XLabel:  "phase",
-		Columns: phaseColumns,
-	}
-	for i, ph := range phases {
-		m := Analyze(ph.Report)
-		t.AddRow(float64(i),
-			m.Makespan, m.Utilization, m.Imbalance, m.StealEfficiency,
-			float64(m.StealsIssued), float64(m.StealsGranted),
-			float64(m.TasksMigrated), float64(m.TaskTransfers))
-		t.Notes = append(t.Notes, fmt.Sprintf("phase %d = %s", i, ph.Name))
-	}
-	return t
 }

@@ -2,7 +2,6 @@ package obsv
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"parmp/internal/sched"
@@ -81,40 +80,5 @@ func TestAnalyzeDegenerate(t *testing.T) {
 	m = Analyze(report(5, []sched.WorkerStats{{}, {}}))
 	if m.Imbalance != 0 || m.Utilization != 0 || m.BusyCV != 0 {
 		t.Errorf("idle workers: imbalance %v utilization %v busy CV %v, want 0/0/0", m.Imbalance, m.Utilization, m.BusyCV)
-	}
-}
-
-func TestPhaseTable(t *testing.T) {
-	phases := []Phase{
-		{Name: "sample", Report: report(4, []sched.WorkerStats{{Busy: 4}, {Busy: 4}})},
-		{Name: "construct", Report: report(8, []sched.WorkerStats{
-			{Busy: 6, StealsIssued: 2, StealsGranted: 1, TasksStolen: 1, TasksLost: 0},
-			{Busy: 2, TasksLost: 1},
-		})},
-	}
-	tb := PhaseTable("per-phase load balance", phases)
-	if len(tb.XS) != 2 || len(tb.Rows) != 2 {
-		t.Fatalf("table has %d/%d rows, want 2", len(tb.XS), len(tb.Rows))
-	}
-	if len(tb.Columns) != len(tb.Rows[0]) {
-		t.Fatalf("%d columns but %d values per row", len(tb.Columns), len(tb.Rows[0]))
-	}
-	if got := tb.Column("imbalance"); !almost(got[0], 1) || !almost(got[1], 1.5) {
-		t.Errorf("imbalance column = %v, want [1 1.5]", got)
-	}
-	if got := tb.Column("steal-eff"); !almost(got[0], 1) || !almost(got[1], 0.5) {
-		t.Errorf("steal-eff column = %v, want [1 0.5]", got)
-	}
-	// Phase names ride along as notes (X stays numeric so CSV/JSON export
-	// work unchanged).
-	if len(tb.Notes) != 2 || !strings.Contains(tb.Notes[0], "sample") || !strings.Contains(tb.Notes[1], "construct") {
-		t.Errorf("notes should name the phases, got %v", tb.Notes)
-	}
-	var sb strings.Builder
-	if err := tb.WriteCSV(&sb); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
-	}
-	if !strings.Contains(sb.String(), "imbalance") {
-		t.Errorf("CSV export missing header, got %q", sb.String())
 	}
 }

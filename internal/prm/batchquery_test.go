@@ -19,6 +19,20 @@ func pathLength(s *cspace.Space, path []cspace.Config) float64 {
 	return sum
 }
 
+// samePath reports whether two paths are the same floats, waypoint for
+// waypoint.
+func samePath(a, b []cspace.Config) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].Equal(b[i], 0) {
+			return false
+		}
+	}
+	return true
+}
+
 func randomValid(s *cspace.Space, r *rng.Stream) cspace.Config {
 	for {
 		q := make(cspace.Config, s.Dim())
@@ -32,9 +46,8 @@ func randomValid(s *cspace.Space, r *rng.Stream) cspace.Config {
 }
 
 func TestQueryBatchMatchesQuery(t *testing.T) {
-	// Every batch answer must agree with the scalar Query: same
-	// success/failure, equal total path length (the node sequence may
-	// differ among exact metric ties), and a valid hop chain.
+	// Every batch answer must be the scalar Query's: same success/failure,
+	// the same path float for float, and a valid hop chain.
 	cases := []struct {
 		name  string
 		space *cspace.Space
@@ -49,8 +62,7 @@ func TestQueryBatchMatchesQuery(t *testing.T) {
 		const nq = 40
 		starts := make([]cspace.Config, nq)
 		goals := make([]cspace.Config, nq)
-		// Mix of distinct pairs, repeated pairs (cache-hot shape) and
-		// shared goals (the Dijkstra-sharing shape).
+		// Mix of distinct pairs, repeated pairs and shared goals.
 		hotGoal := randomValid(tc.space, r)
 		for i := range starts {
 			switch i % 4 {
@@ -86,9 +98,8 @@ func TestQueryBatchMatchesQuery(t *testing.T) {
 					t.Fatalf("%s query %d: hop %d invalid", tc.name, i, h)
 				}
 			}
-			got, want := pathLength(tc.space, paths[i]), pathLength(tc.space, refPath)
-			if diff := got - want; diff > 1e-9 || diff < -1e-9 {
-				t.Fatalf("%s query %d: batch length %.12f, scalar %.12f", tc.name, i, got, want)
+			if !samePath(paths[i], refPath) {
+				t.Fatalf("%s query %d: batch path %v, scalar %v", tc.name, i, paths[i], refPath)
 			}
 		}
 	}
@@ -126,8 +137,8 @@ func TestQueryBatchDegenerate(t *testing.T) {
 	if oks[2] != refOK {
 		t.Fatalf("valid query in mixed batch: ok=%v, scalar=%v", oks[2], refOK)
 	}
-	if refOK && pathLength(blocked, paths[2])-pathLength(blocked, refPath) > 1e-9 {
-		t.Fatal("valid query in mixed batch returned a longer path")
+	if !samePath(paths[2], refPath) {
+		t.Fatal("valid query in mixed batch is not the scalar answer")
 	}
 
 	// Empty roadmap: all-miss.
@@ -180,7 +191,7 @@ func TestQueryBatchScratchReuse(t *testing.T) {
 		starts[i] = randomValid(s, r)
 		goals[i] = randomValid(s, r)
 	}
-	goals[5], goals[6] = goals[4], goals[4] // one shared search
+	goals[5], goals[6] = goals[4], goals[4] // a shared goal
 	sc := &BatchScratch{}
 	first, firstOK := ix.QueryBatch(s, starts, goals, 4, sc, nil)
 	hits := 0
@@ -199,19 +210,20 @@ func TestQueryBatchScratchReuse(t *testing.T) {
 	for _, sc := range []*BatchScratch{sc, nil, nil} {
 		again, _ := ix.QueryBatch(s, starts, goals, 4, sc, nil)
 		for i := range first {
-			if pathLength(s, first[i]) != pathLength(s, again[i]) {
+			if !samePath(first[i], again[i]) {
 				t.Fatalf("query %d: answer changed with a reused scratch (own: %v)", i, sc != nil)
 			}
 		}
 	}
 }
 
-// FuzzQueryBatchVsQuery is the batch/scalar contract: whatever the shape
-// of the batch, query i of QueryBatch succeeds exactly when Index.Query
-// does and returns a path of the same length, and a missed query returns
-// a nil path. shape spends one byte per query: fresh pair, goal shared
-// with the previous query, previous pair repeated, start == goal, an
-// endpoint in collision, an endpoint of the wrong dimension.
+// FuzzQueryBatchVsQuery is the batch/scalar contract: a batch is its
+// queries. Whatever the shape of the batch, QueryBatch screens it slot by
+// slot, never panics, and slot i is Index.Query's answer bit for bit — a
+// miss (nil path) where an endpoint has the wrong dimension. shape spends
+// one byte per query: fresh pair, goal shared with the previous query,
+// previous pair repeated, start == goal, an endpoint in collision, an
+// endpoint of the wrong dimension.
 func FuzzQueryBatchVsQuery(f *testing.F) {
 	// Fixed roadmaps: building one per input would leave the fuzzer no
 	// time to explore.
@@ -251,11 +263,12 @@ func FuzzQueryBatchVsQuery(f *testing.F) {
 		}
 		for i := range shape {
 			var want []cspace.Config
+			var wantOK bool
 			if len(starts[i]) == s.Dim() && len(goals[i]) == s.Dim() {
-				want, _ = ix.Query(s, starts[i], goals[i], k, nil)
+				want, wantOK = ix.Query(s, starts[i], goals[i], k, nil)
 			}
-			if oks[i] != (want != nil) {
-				t.Fatalf("query %d: batch ok=%v, scalar ok=%v", i, oks[i], want != nil)
+			if oks[i] != wantOK || !samePath(paths[i], want) {
+				t.Fatalf("query %d: batch (%v, %v), scalar (%v, %v)", i, paths[i], oks[i], want, wantOK)
 			}
 			if !oks[i] {
 				if paths[i] != nil {
@@ -265,9 +278,6 @@ func FuzzQueryBatchVsQuery(f *testing.F) {
 			}
 			if !paths[i][0].Equal(starts[i], 0) || !paths[i][len(paths[i])-1].Equal(goals[i], 0) {
 				t.Fatalf("query %d: path endpoints are not the query's", i)
-			}
-			if d := pathLength(s, paths[i]) - pathLength(s, want); d > 1e-9 || d < -1e-9 {
-				t.Fatalf("query %d: batch length %.12f, scalar %.12f", i, pathLength(s, paths[i]), pathLength(s, want))
 			}
 		}
 	})

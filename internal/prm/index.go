@@ -118,14 +118,11 @@ func (ix *Index) query(sc *BatchScratch, s *cspace.Space, start, goal cspace.Con
 			sc.seed(int32(a.node), a.cost, ix.heuristic(s, int32(a.node), goal))
 		}
 	}
-	for _, a := range goals {
-		sc.target(int32(a.node))
-	}
 	exit := ix.search(sc, s, goal, goals)
 	if exit < 0 {
 		// Unreachable despite the component test can't happen (labels come
 		// from the same graph), but guard anyway.
 		return nil, false
 	}
-	return ix.path(sc, exit, start, goal, false), true
+	return ix.path(sc, exit, start, goal), true
 }

@@ -11,9 +11,9 @@ import (
 
 // BatchScratch is the reusable state of one in-flight Index.Query or
 // Index.QueryBatch: the kd and collision scratch the attach step runs
-// through, the attachment and endpoint buffers, and the search state
-// (dist/prev arrays sized to the roadmap, a typed binary heap). With a
-// warm scratch a query allocates only what it returns.
+// through, the attachment buffers, and the search state (dist/prev
+// arrays sized to the roadmap, a typed binary heap). With a warm scratch
+// a query allocates only what it returns.
 //
 // Callers normally pass a nil *BatchScratch and the index borrows one
 // from a package-level pool for the duration of the call; a caller that
@@ -23,37 +23,25 @@ import (
 // concurrent calls.
 type BatchScratch struct {
 	// Search state, indexed by roadmap node. dist[v] and prev[v] mean
-	// something only while seen[v] == gen, and v is a target the search
+	// something only while seen[v] == gen, and v is an exit the search
 	// has not settled yet only while mark[v] == gen, so starting a search
 	// is one increment of gen, not a sweep over the arrays.
-	gen       uint32
-	seen      []uint32
-	mark      []uint32
-	dist      []float64
-	prev      []int32
-	heap      []heapEntry
-	remaining int // marked vertices not settled yet
+	gen  uint32
+	seen []uint32
+	mark []uint32
+	dist []float64
+	prev []int32
+	heap []heapEntry
 
-	// Attach state: kd hits of the endpoints (flat, delimited by offs in
-	// a batch), the feasible attachments found among them, and the
-	// distinct component labels of whichever side is being tested.
+	// Attach state: kd hits of the two endpoints (start's, then goal's),
+	// the feasible attachments found among them, and the distinct
+	// component labels of whichever side is being tested.
 	knn    knn.QueryScratch
 	cs     cspace.Scratch
 	bt     cspace.Batch
 	hits   []knn.Result
-	offs   []int
 	atts   []attachment
 	labels []int
-
-	// Batch state.
-	eps     []endpoint
-	table   []int32 // open-addressing hash table over eps, -1 = empty
-	startEp []int32
-	goalEp  []int32
-	queries []cspace.Config // the valid endpoints' configurations, for NearestBatch
-	need    []bool          // parallel to hits: worth a local plan
-	order   []int32         // servable queries sorted by goal endpoint
-	count   []int32         // counting-sort buckets, one per endpoint
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(BatchScratch) }}
@@ -135,7 +123,6 @@ func (sc *BatchScratch) begin(n int) {
 		sc.gen = 1
 	}
 	sc.heap = sc.heap[:0]
-	sc.remaining = 0
 }
 
 // seed makes node a source reached at cost g, with h its heuristic.
@@ -149,50 +136,39 @@ func (sc *BatchScratch) seed(node int32, g, h float64) {
 	sc.push(heapEntry{f: g + h, g: g, node: node})
 }
 
-// target marks node as one the search has to settle.
-func (sc *BatchScratch) target(node int32) {
-	if sc.mark[node] != sc.gen {
-		sc.mark[node] = sc.gen
-		sc.remaining++
-	}
-}
-
-// reached reports whether the last search found a route to node; dist
-// and the prev chain then describe one, the shortest for every settled
-// vertex — so for every target of a search run without exits, which stops
-// only once all of them are settled.
-func (sc *BatchScratch) reached(node int32) bool { return sc.seen[node] == sc.gen }
-
-// heuristic is h(v): the straight-line s.Distance from v to goal, or 0
-// when there is no goal to aim at.
+// heuristic is h(v): the straight-line s.Distance from v to goal.
 func (ix *Index) heuristic(s *cspace.Space, v int32, goal cspace.Config) float64 {
-	if goal == nil {
-		return 0
-	}
 	return s.Distance(ix.pts[v], goal)
 }
 
 // search is the package's one shortest-path loop. From the sources
 // seeded since begin it settles roadmap vertices in ascending f = g + h
-// until every target is settled or no unsettled vertex can still beat
-// the best exit, leaving final distances and prev links (toward the
-// sources) for every settled vertex in sc.
+// until every exit is settled or no unsettled vertex can still beat the
+// best exit, leaving final distances and prev links (toward the sources)
+// for every settled vertex in sc.
 //
-// h is heuristic toward goal; a nil goal makes this Dijkstra. Every
-// roadmap edge weighs s.Distance between its ends and an exit's
-// cost is s.Distance(exit, goal), so by the triangle inequality h never
-// overestimates the cost of leaving through any exit and satisfies
-// h(u) <= w(u,v) + h(v): f values pop in ascending order and a vertex's
-// first current pop carries its final distance.
+// h is heuristic toward goal. Every roadmap edge weighs s.Distance
+// between its ends and an exit's cost is s.Distance(exit, goal), so by
+// the triangle inequality h never overestimates the cost of leaving
+// through any exit and satisfies h(u) <= w(u,v) + h(v): f values pop in
+// ascending order and a vertex's first current pop carries its final
+// distance.
 //
-// exits, when non-nil, are the targets' costs of leaving the roadmap; the
-// node of the cheapest dist + cost is returned (-1 when no exit was
-// reached). With nil exits the targets are only settled.
+// exits are the roadmap nodes the goal attaches to, with their costs of
+// leaving the roadmap; the node of the cheapest dist + cost is returned
+// (-1 when no exit was reached).
 func (ix *Index) search(sc *BatchScratch, s *cspace.Space, goal cspace.Config, exits []attachment) int32 {
 	gen := sc.gen
 	g := ix.m.G
+	remaining := 0 // exits not settled yet
+	for _, x := range exits {
+		if sc.mark[x.node] != gen {
+			sc.mark[x.node] = gen
+			remaining++
+		}
+	}
 	bestNode, best := int32(-1), math.Inf(1)
-	for len(sc.heap) > 0 && sc.remaining > 0 {
+	for len(sc.heap) > 0 && remaining > 0 {
 		it := sc.pop()
 		if it.f >= best {
 			break // every remaining route is at least this long
@@ -203,7 +179,7 @@ func (ix *Index) search(sc *BatchScratch, s *cspace.Space, goal cspace.Config, e
 		}
 		if sc.mark[v] == gen {
 			sc.mark[v] = 0
-			sc.remaining--
+			remaining--
 			for _, x := range exits {
 				if int32(x.node) == v && it.g+x.cost < best {
 					bestNode, best = v, it.g+x.cost
@@ -224,13 +200,12 @@ func (ix *Index) search(sc *BatchScratch, s *cspace.Space, goal cspace.Config, e
 	return bestNode
 }
 
-// path returns first, the roadmap vertices on the prev chain from node
-// back to its source, and last, as one []Config over one []float64 slab.
-// The chain of a goal-rooted search already reads first → last; that of
-// a start-rooted one reads last → first and is laid out reversed.
-func (ix *Index) path(sc *BatchScratch, node int32, first, last cspace.Config, goalRooted bool) []cspace.Config {
-	hops, floats := 0, len(first)+len(last)
-	for v := node; v >= 0; v = sc.prev[v] {
+// path returns start, the roadmap vertices on the prev chain from exit
+// back to its source — laid out reversed, since the chain reads goal
+// side first — and goal, as one []Config over one []float64 slab.
+func (ix *Index) path(sc *BatchScratch, exit int32, start, goal cspace.Config) []cspace.Config {
+	hops, floats := 0, len(start)+len(goal)
+	for v := exit; v >= 0; v = sc.prev[v] {
 		hops++
 		floats += len(ix.pts[v])
 	}
@@ -241,16 +216,13 @@ func (ix *Index) path(sc *BatchScratch, node int32, first, last cspace.Config, g
 		slab = append(slab, q...)
 		path[i] = slab[lo:len(slab):len(slab)]
 	}
-	put(0, first)
-	i, step := hops, -1
-	if goalRooted {
-		i, step = 1, 1
-	}
-	for v := node; v >= 0; v = sc.prev[v] {
+	put(0, start)
+	i := hops
+	for v := exit; v >= 0; v = sc.prev[v] {
 		put(i, ix.pts[v])
-		i += step
+		i--
 	}
-	put(hops+1, last)
+	put(hops+1, goal)
 	return path
 }
 

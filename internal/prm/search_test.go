@@ -37,29 +37,15 @@ func newScratchFixture(t *testing.T, samples int, seed uint64) *scratchFixture {
 // sc and requires the fresh-scratch answers.
 func (f *scratchFixture) check(t *testing.T, tag string, sc *BatchScratch) {
 	t.Helper()
-	same := func(a, b []cspace.Config) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if !a[i].Equal(b[i], 0) {
-				return false
-			}
-		}
-		return true
-	}
 	for i := range f.starts {
-		if got, _ := f.ix.query(sc, f.s, f.starts[i], f.goals[i], 4, nil); !same(got, f.want[i]) {
+		if got, _ := f.ix.query(sc, f.s, f.starts[i], f.goals[i], 4, nil); !samePath(got, f.want[i]) {
 			t.Fatalf("%s: query %d differs from its fresh-scratch answer", tag, i)
 		}
 	}
 	paths, oks := f.ix.QueryBatch(f.s, f.starts, f.goals, 4, sc, nil)
 	for i := range paths {
-		if oks[i] != (f.want[i] != nil) {
-			t.Fatalf("%s: batch query %d ok=%v", tag, i, oks[i])
-		}
-		if d := pathLength(f.s, paths[i]) - pathLength(f.s, f.want[i]); math.Abs(d) > 1e-9 {
-			t.Fatalf("%s: batch query %d length off by %g", tag, i, d)
+		if oks[i] != (f.want[i] != nil) || !samePath(paths[i], f.want[i]) {
+			t.Fatalf("%s: batch query %d (ok=%v) differs from its fresh-scratch answer", tag, i, oks[i])
 		}
 	}
 }
@@ -120,5 +106,11 @@ func TestQueryAllocsIndependentOfSearchSize(t *testing.T) {
 	}
 	if allocs[0] != 2 || allocs[1] != 2 {
 		t.Fatalf("allocations per query: near %v, far %v, want 2 and 2", allocs[0], allocs[1])
+	}
+	// A batch is its queries: two allocations per hit and the two result
+	// slices, nothing of its own.
+	starts, goals := []cspace.Config{near[0], far[0]}, []cspace.Config{near[1], far[1]}
+	if got := testing.AllocsPerRun(20, func() { ix.QueryBatch(s, starts, goals, 8, sc, nil) }); got != 2*2+2 {
+		t.Fatalf("allocations per batch of two hits: %v, want 6", got)
 	}
 }

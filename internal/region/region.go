@@ -83,6 +83,32 @@ func (rg *Graph) Regions() []*Region {
 	return out
 }
 
+// SweepOrder returns every region ID in breadth-first order over the
+// adjacency graph, each component swept from its lowest ID. Consecutive
+// regions of the order are adjacent wherever the graph allows, so a
+// contiguous chunk of it is a contiguous set of regions.
+func (rg *Graph) SweepOrder() []int {
+	n := rg.NumRegions()
+	order := make([]int, 0, n) // doubles as the queue: order[head:] is still to expand
+	seen := make([]bool, n)
+	for start := 0; start < n; start++ {
+		if seen[start] {
+			continue
+		}
+		seen[start] = true
+		order = append(order, start)
+		for head := len(order) - 1; head < len(order); head++ {
+			for _, e := range rg.G.Neighbors(graph.ID(order[head])) {
+				if nb := int(e.To); !seen[nb] {
+					seen[nb] = true
+					order = append(order, nb)
+				}
+			}
+		}
+	}
+	return order
+}
+
 // Adjacent returns the IDs of regions adjacent to i.
 func (rg *Graph) Adjacent(i int) []int {
 	edges := rg.G.Neighbors(graph.ID(i))

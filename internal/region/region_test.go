@@ -2,10 +2,12 @@ package region
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"parmp/internal/geom"
+	"parmp/internal/graph"
 	"parmp/internal/rng"
 )
 
@@ -131,6 +133,22 @@ func TestEdgeCutChangesWithPartition(t *testing.T) {
 	}
 	if rg.EdgeCut() != 0 {
 		t.Fatal("single-owner cut should be 0")
+	}
+}
+
+func TestSweepOrder(t *testing.T) {
+	// Breadth first from region 0 in adjacency order (0's neighbours 3
+	// then 1, before 3's neighbour 2), then each further component from
+	// its lowest ID: the isolated 4, then 5-6.
+	rg := &Graph{G: graph.New[*Region](7)}
+	for i := 0; i < 7; i++ {
+		rg.G.AddVertex(&Region{ID: i})
+	}
+	for _, e := range [][2]graph.ID{{0, 3}, {0, 1}, {3, 2}, {1, 2}, {6, 5}} {
+		rg.G.AddEdge(e[0], e[1], 1)
+	}
+	if got, want := rg.SweepOrder(), []int{0, 3, 1, 2, 4, 5, 6}; !slices.Equal(got, want) {
+		t.Fatalf("SweepOrder = %v, want %v", got, want)
 	}
 }
 

@@ -117,26 +117,7 @@ func GreedySpatial(rg *region.Graph, weights []float64, p int, slack float64) []
 			order[i] = i
 		}
 	} else {
-		order = make([]int, 0, n)
-		seen := make([]bool, n)
-		for start := 0; start < n; start++ {
-			if seen[start] {
-				continue
-			}
-			queue := []int{start}
-			seen[start] = true
-			for len(queue) > 0 {
-				cur := queue[0]
-				queue = queue[1:]
-				order = append(order, cur)
-				for _, nb := range rg.Adjacent(cur) {
-					if !seen[nb] {
-						seen[nb] = true
-						queue = append(queue, nb)
-					}
-				}
-			}
-		}
+		order = rg.SweepOrder()
 	}
 
 	// Region growing: fill processor 0 with a contiguous BFS chunk, then

@@ -18,6 +18,8 @@ func FuzzSpecCanonical(f *testing.F) {
 		`{"env":"med-cube"}`,
 		`{"env":" MED-CUBE ","procs":8,"samples":16,"seed":1,"strategy":"Repartition","rounds":3}`,
 		`{"env":"med-cube","procs":400000}`,
+		`{"env":"med-cube","regions":8192,"samples":512,"rounds":2}`,
+		`{"env":"med-cube","procs":1024,"samples":512,"rounds":1}`,
 		`{"env":"med-cube","regions":-5,"samples":-1,"rounds":-2,"portfolio":-3}`,
 		`{"env_text":"bounds 0 0 1 1\nbox .2 .2 .4 .4","robot":"se2:0.05,0.02"}`,
 		`{"env":"walls","planner":"rrtconnect","root":[0.05,0.05,0.05],"goal":[0.95,0.95,0.95]}`,
@@ -39,7 +41,7 @@ func FuzzSpecCanonical(f *testing.F) {
 		}
 		if c.Procs < 1 || c.Procs > maxProcs || c.Regions < 0 || c.Regions > maxRegions ||
 			c.Samples < 1 || c.Samples > maxSamples || c.Rounds < 1 || c.Rounds > maxRounds ||
-			c.Portfolio < 0 || c.Portfolio > maxPortfolio {
+			c.Portfolio < 0 || c.Portfolio > maxPortfolio || c.growWork() > maxGrowWork {
 			t.Fatalf("accepted spec outside the size limits: %+v", c)
 		}
 		again, err := c.Canonical(3)

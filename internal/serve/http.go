@@ -31,17 +31,14 @@ type QueryResponse struct {
 	// whether background growth has reached its target.
 	Rounds   int  `json:"rounds"`
 	GrowDone bool `json:"grow_done"`
-	// CacheHit marks answers served from the path cache; BatchSize, in
-	// a /v1/batch result only, is how many of the batch's misses shared
-	// this query's QueryBatch call.
-	CacheHit  bool `json:"cache_hit"`
-	BatchSize int  `json:"batch_size,omitempty"`
+	// CacheHit marks answers served from the path cache.
+	CacheHit bool `json:"cache_hit"`
 	// ServeUS is the server-side processing time in microseconds.
 	ServeUS float64 `json:"serve_us"`
 }
 
 // BatchRequest is the body of POST /v1/batch: one tenant spec and many
-// queries, answered together against one snapshot.
+// queries, answered in order against one snapshot.
 type BatchRequest struct {
 	Spec    Spec         `json:"spec"`
 	Queries []BatchQuery `json:"queries"`
@@ -364,42 +361,27 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	grown := t.growDone.Load()
 	results := make([]QueryResponse, len(br.Queries))
 	t.queries.Add(int64(len(br.Queries)))
+	t.batches.Add(1)
 
-	// Cache pass, then one QueryBatch per distinct k over the misses.
-	byK := make(map[int][]int, 1)
-	keys := make([]string, len(br.Queries))
+	// A batch is its queries, answered in order as handleQuery answers
+	// one: cache probe, then a search whose path is cached the moment it
+	// is found — so a pair repeated inside the batch hits the second time.
 	for i, q := range br.Queries {
 		k := q.K
 		if k == 0 {
 			k = s.cfg.DefaultK
 		}
-		keys[i] = cacheKey(parmp.Config(q.Start), parmp.Config(q.Goal), k)
-		if path, ok := t.cache.get(keys[i], gen); ok {
+		start, goal := parmp.Config(q.Start), parmp.Config(q.Goal)
+		key := cacheKey(start, goal, k)
+		path, hit := t.cache.get(key, gen)
+		ok := hit
+		if hit {
 			t.cacheHits.Add(1)
-			results[i] = QueryResponse{OK: true, Path: pathFloats(path), Rounds: rounds, GrowDone: grown, CacheHit: true}
-			continue
+		} else {
+			t.batched.Add(1)
+			path, ok = t.answer(snap, key, start, goal, k)
 		}
-		byK[k] = append(byK[k], i)
-	}
-	for k, idxs := range byK {
-		starts := make([]parmp.Config, len(idxs))
-		goals := make([]parmp.Config, len(idxs))
-		for j, i := range idxs {
-			starts[j] = parmp.Config(br.Queries[i].Start)
-			goals[j] = parmp.Config(br.Queries[i].Goal)
-		}
-		paths, oks := snap.QueryBatch(starts, goals, k)
-		t.batches.Add(1)
-		t.batched.Add(int64(len(idxs)))
-		for j, i := range idxs {
-			if oks[j] {
-				t.cache.put(keys[i], gen, paths[j])
-			}
-			results[i] = QueryResponse{
-				OK: oks[j], Path: pathFloats(paths[j]),
-				Rounds: rounds, GrowDone: grown, BatchSize: len(idxs),
-			}
-		}
+		results[i] = QueryResponse{OK: ok, Path: pathFloats(path), Rounds: rounds, GrowDone: grown, CacheHit: hit}
 	}
 	writeJSON(w, http.StatusOK, BatchResponse{Results: results, ServeUS: us(time.Since(t0))})
 }

@@ -67,8 +67,8 @@ type tenant struct {
 	queries   atomic.Int64 // answered queries, cache hits included
 	cacheHits atomic.Int64
 	rejected  atomic.Int64 // 429s
-	batches   atomic.Int64 // QueryBatch calls made for /v1/batch
-	batched   atomic.Int64 // queries answered through them
+	batches   atomic.Int64 // /v1/batch requests answered
+	batched   atomic.Int64 // queries in them that ran a search
 	growDone  atomic.Bool
 	growErr   atomic.Pointer[error] // terminal (non-cancellation) Grow failure
 
@@ -222,9 +222,9 @@ type TenantStats struct {
 	CacheHits int64  `json:"cache_hits"`
 	CacheLen  int    `json:"cache_len"`
 	Rejected  int64  `json:"rejected"`
-	// Batches counts the QueryBatch calls /v1/batch made and Batched the
-	// queries they answered; QueueLen is the number of queries admitted
-	// and not yet answered.
+	// Batches counts the /v1/batch requests answered and Batched the
+	// queries in them that ran a search (the rest were cache hits);
+	// QueueLen is the number of queries admitted and not yet answered.
 	Batches  int64 `json:"batches"`
 	Batched  int64 `json:"batched"`
 	QueueLen int   `json:"queue_len"`

@@ -17,11 +17,10 @@
 //     path cache, takes one slot of the tenant's admission gate, and runs
 //     Snapshot.Query — an aimed A* with two allocations — on its own
 //     goroutine. There is no queue, no worker and no hand-off between
-//     the socket and the search. POST /v1/batch is for a client that
-//     knows its queries share goals: it takes one slot of the same gate
-//     and answers through Snapshot.QueryBatch, kd lookups amortized
-//     through knn.NearestBatch and one goal-rooted search per distinct
-//     goal.
+//     the socket and the search. POST /v1/batch saves a client round
+//     trips, nothing else: it takes one slot of the same gate, and a
+//     batch is its queries, answered in order on the handler goroutine,
+//     each through the same cache probe and search.
 //   - pathCache is a per-tenant LRU over (start, goal, k) keyed by
 //     exact float bits, tagged with the snapshot generation it answers
 //     for and dropped wholesale on rollover.

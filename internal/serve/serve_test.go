@@ -4,15 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"parmp/internal/geom"
 )
 
 // testConfig keeps tenants tiny and growth fast for tests.
@@ -146,18 +144,24 @@ func TestServeOversizedSpecRejected(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	for _, path := range []string{"/v1/query", "/v1/batch", "/v1/env/mutate"} {
-		resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(
-			`{"spec":{"env":"med-cube","procs":400000},"start":[0.1,0.1,0.1],"goal":[0.9,0.9,0.9],`+
-				`"queries":[{"start":[0.1,0.1,0.1],"goal":[0.9,0.9,0.9]}],"mutations":[{"op":"remove"}]}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var er errorResponse
-		json.NewDecoder(resp.Body).Decode(&er)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(er.Error, "procs 400000 exceeds the limit of 1024") {
-			t.Fatalf("%s: status %d (%s), want 400 naming procs and its limit", path, resp.StatusCode, er.Error)
+	for _, tc := range []struct{ sizes, want string }{
+		{`"procs":400000`, "procs 400000 exceeds the limit of 1024"},
+		// Every field inside its own limit, their product not.
+		{`"regions":8192,"samples":512,"rounds":64`, "= 268435456 sampling attempts exceeds the limit of 4194304"},
+	} {
+		for _, path := range []string{"/v1/query", "/v1/batch", "/v1/env/mutate"} {
+			resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(
+				`{"spec":{"env":"med-cube",`+tc.sizes+`},"start":[0.1,0.1,0.1],"goal":[0.9,0.9,0.9],`+
+					`"queries":[{"start":[0.1,0.1,0.1],"goal":[0.9,0.9,0.9]}],"mutations":[{"op":"remove"}]}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var er errorResponse
+			json.NewDecoder(resp.Body).Decode(&er)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(er.Error, tc.want) {
+				t.Fatalf("%s %s: status %d (%s), want 400 containing %q", path, tc.sizes, resp.StatusCode, er.Error, tc.want)
+			}
 		}
 	}
 	if n := len(srv.Pool().Stats()); n != 0 {
@@ -223,9 +227,17 @@ func TestServeBatchEndpoint(t *testing.T) {
 			t.Fatalf("batch query %d missed", i)
 		}
 	}
-	// Duplicate queries must agree with each other.
-	if fmt.Sprint(br.Results[0].Path) != fmt.Sprint(br.Results[2].Path) {
-		t.Fatal("duplicate batch queries disagree")
+	// The duplicate is answered by the cache entry query 0 left (or found).
+	if !br.Results[2].CacheHit || !reflect.DeepEqual(br.Results[0].Path, br.Results[2].Path) {
+		t.Fatalf("duplicate batch query: cache_hit=%v, same path=%v", br.Results[2].CacheHit,
+			reflect.DeepEqual(br.Results[0].Path, br.Results[2].Path))
+	}
+	if br.Results[1].CacheHit {
+		t.Fatal("a pair asked once came back as a cache hit")
+	}
+	// Two requests of four queries: each either hit the cache or ran a search.
+	if st := srv.Pool().Stats()[0]; st.Batches != 2 || st.CacheHits < 1 || st.Batched+st.CacheHits != 4 {
+		t.Fatalf("stats batches=%d batched=%d cache_hits=%d", st.Batches, st.Batched, st.CacheHits)
 	}
 	if code, _ := postJSON(t, ts.Client(), ts.URL+"/v1/batch", BatchRequest{Spec: testSpec()}, nil); code != http.StatusBadRequest {
 		t.Fatalf("empty batch: status %d", code)
@@ -382,9 +394,8 @@ func TestServeBackpressure(t *testing.T) {
 	}
 }
 
-// A single /v1/query miss and the same pair through /v1/batch run two
-// different searches (aimed A* from the start, blind goal-rooted) over
-// one roadmap; both are exact, so the paths have the same length.
+// A single /v1/query miss and the same pair through /v1/batch run the
+// same search over one roadmap: the paths are equal float for float.
 func TestServeQueryAndBatchAgree(t *testing.T) {
 	cfg := testConfig()
 	cfg.CacheSize = -1 // both answers are misses
@@ -406,19 +417,12 @@ func TestServeQueryAndBatchAgree(t *testing.T) {
 	if code != http.StatusOK || len(br.Results) != len(pairs) {
 		t.Fatalf("batch: status %d results %d", code, len(br.Results))
 	}
-	length := func(path [][]float64) float64 {
-		var sum float64
-		for i := 1; i < len(path); i++ {
-			sum += geom.Vec(path[i]).Dist(path[i-1])
-		}
-		return sum
-	}
 	solved := 0
 	for i, p := range pairs {
 		var qr QueryResponse
 		code, _ := postJSON(t, ts.Client(), ts.URL+"/v1/query", QueryRequest{Spec: testSpec(), Start: p.Start, Goal: p.Goal}, &qr)
-		if code != http.StatusOK || qr.CacheHit || qr.BatchSize != 0 {
-			t.Fatalf("pair %d: status %d cache_hit=%v batch_size=%d", i, code, qr.CacheHit, qr.BatchSize)
+		if code != http.StatusOK || qr.CacheHit {
+			t.Fatalf("pair %d: status %d cache_hit=%v", i, code, qr.CacheHit)
 		}
 		if qr.OK != br.Results[i].OK {
 			t.Fatalf("pair %d: query ok=%v, batch ok=%v", i, qr.OK, br.Results[i].OK)
@@ -427,8 +431,8 @@ func TestServeQueryAndBatchAgree(t *testing.T) {
 			continue
 		}
 		solved++
-		if a, b := length(qr.Path), length(br.Results[i].Path); math.Abs(a-b) > 1e-9*(1+a) {
-			t.Fatalf("pair %d: query path length %.12g, batch %.12g", i, a, b)
+		if !reflect.DeepEqual(qr.Path, br.Results[i].Path) {
+			t.Fatalf("pair %d: query path %v, batch path %v", i, qr.Path, br.Results[i].Path)
 		}
 	}
 	if solved == 0 {

@@ -58,13 +58,30 @@ type Spec struct {
 // unbounded, one request holds a handler for minutes and the process for
 // gigabytes. The limits sit an order of magnitude above anything the
 // repository's own experiments serve.
+//
+// The per-field limits do not bound their product: every field at its
+// limit asks for 4.3 × 10⁹ sampling attempts of background growth that
+// only eviction cancels. maxGrowWork bounds regions × samples × rounds ×
+// racers, two orders of magnitude above the largest engine the
+// repository grows (the benchmark's grow-prm, 256 × 32 × 5 ≈ 41 k).
 const (
 	maxProcs     = 1024
 	maxRegions   = 8 * maxProcs // the engine's default for maxProcs
 	maxSamples   = 512
 	maxRounds    = 64
 	maxPortfolio = 16
+	maxGrowWork  = 4 << 20
 )
+
+// growWork is the sampling attempts a canonical spec's background growth
+// makes: regions × samples × rounds, once per portfolio racer.
+func (sp Spec) growWork() int64 {
+	regions := sp.Regions
+	if regions == 0 {
+		regions = 8 * sp.Procs // the engine's default
+	}
+	return int64(regions) * int64(sp.Samples) * int64(sp.Rounds) * int64(max(1, sp.Portfolio))
+}
 
 // Canonical returns the spec with defaults applied and names
 // normalized, or an error when the spec cannot name a tenant. growRounds
@@ -160,6 +177,9 @@ func (sp Spec) Canonical(growRounds int) (Spec, error) {
 	}
 	if c.Rounds <= 0 {
 		c.Rounds = growRounds
+	}
+	if w := c.growWork(); w > maxGrowWork {
+		return c, fmt.Errorf("spec: regions × samples × rounds × racers = %d sampling attempts exceeds the limit of %d", w, maxGrowWork)
 	}
 	return c, nil
 }

@@ -70,6 +70,9 @@ func TestSpecCanonicalErrors(t *testing.T) {
 		{"samples over the limit", Spec{Env: "med-cube", Samples: maxSamples + 1}, "samples 513 exceeds the limit of 512"},
 		{"rounds over the limit", Spec{Env: "med-cube", Rounds: maxRounds + 1}, "rounds 65 exceeds the limit of 64"},
 		{"portfolio over the limit", Spec{Env: "med-cube", Portfolio: maxPortfolio + 1, Root: []float64{0.1, 0.1, 0.1}, Goal: []float64{0.9, 0.9, 0.9}}, "portfolio 17 exceeds the limit of 16"},
+		{"product over the limit", Spec{Env: "med-cube", Regions: maxRegions, Samples: maxSamples, Rounds: 2}, "= 8388608 sampling attempts exceeds the limit of 4194304"},
+		{"default regions in the product", Spec{Env: "med-cube", Procs: maxProcs, Samples: maxSamples, Rounds: 2}, "= 8388608 sampling attempts exceeds the limit of 4194304"},
+		{"racers in the product", Spec{Env: "med-cube", Regions: 128, Samples: 64, Rounds: maxRounds, Portfolio: maxPortfolio, Root: []float64{0.1, 0.1, 0.1}, Goal: []float64{0.9, 0.9, 0.9}}, "= 8388608 sampling attempts exceeds the limit of 4194304"},
 		{"bad restart schedule", Spec{Env: "med-cube", Portfolio: 2, Root: []float64{0.1, 0.1, 0.1}, Goal: []float64{0.9, 0.9, 0.9}, Restarts: "fibonacci"}, "unknown restart schedule"},
 	}
 	for _, tc := range bad {
@@ -79,16 +82,24 @@ func TestSpecCanonicalErrors(t *testing.T) {
 	}
 }
 
-// A spec at every limit at once is still a tenant.
+// Every field reaches its own limit in some tenant, and a product of
+// exactly maxGrowWork is still one.
 func TestSpecCanonicalAtLimits(t *testing.T) {
-	sp := Spec{Env: "med-cube", Procs: maxProcs, Regions: maxRegions, Samples: maxSamples, Rounds: maxRounds,
-		Portfolio: maxPortfolio, Root: []float64{0.1, 0.1, 0.1}, Goal: []float64{0.9, 0.9, 0.9}}
-	c, err := sp.Canonical(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Procs != maxProcs || c.Regions != maxRegions || c.Samples != maxSamples || c.Rounds != maxRounds || c.Portfolio != maxPortfolio {
-		t.Fatalf("canonical spec at the limits moved a size: %+v", c)
+	root, goal := []float64{0.1, 0.1, 0.1}, []float64{0.9, 0.9, 0.9}
+	for i, sp := range []Spec{
+		{Env: "med-cube", Procs: maxProcs, Regions: maxRegions, Samples: maxSamples, Rounds: 1},
+		{Env: "med-cube", Procs: 8, Regions: 64, Samples: 64, Rounds: maxRounds, Portfolio: maxPortfolio, Root: root, Goal: goal},
+	} {
+		c, err := sp.Canonical(3)
+		if err != nil {
+			t.Fatalf("spec %d: %v", i, err)
+		}
+		if c.Procs != sp.Procs || c.Regions != sp.Regions || c.Samples != sp.Samples || c.Rounds != sp.Rounds || c.Portfolio != sp.Portfolio {
+			t.Fatalf("canonical spec %d at the limits moved a size: %+v", i, c)
+		}
+		if w := c.growWork(); w != maxGrowWork {
+			t.Fatalf("spec %d: grow work %d, want exactly the limit %d", i, w, maxGrowWork)
+		}
 	}
 }
 
