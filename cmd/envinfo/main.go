@@ -49,7 +49,7 @@ func main() {
 		e = env.ByName(*envName)
 	}
 	if e == nil {
-		fmt.Fprintf(os.Stderr, "envinfo: unknown environment %q\n", *envName)
+		fmt.Fprintf(os.Stderr, "envinfo: unknown environment %q (have %s)\n", *envName, strings.Join(parmp.EnvironmentNames(), ", "))
 		os.Exit(2)
 	}
 	fmt.Println(e)

@@ -94,7 +94,7 @@ func main() {
 		e = parmp.EnvironmentByName(*envName)
 	}
 	if e == nil {
-		fmt.Fprintf(os.Stderr, "mpsolve: unknown environment %q\n", *envName)
+		fmt.Fprintf(os.Stderr, "mpsolve: unknown environment %q (have %s)\n", *envName, strings.Join(parmp.EnvironmentNames(), ", "))
 		os.Exit(2)
 	}
 	start, err := parseConfig(*startStr)

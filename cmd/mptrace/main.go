@@ -1,9 +1,11 @@
-// Command mptrace runs a small work-stealing simulation with event
-// tracing enabled and renders a per-processor utilization timeline, making
-// the steal protocol visible: who ran what, who stole from whom, and
-// where processors idled. With -chrome it additionally exports the run in
-// Chrome trace_event JSON, loadable in chrome://tracing or Perfetto, one
-// track per processor.
+// Command mptrace runs one growth round of the parallel PRM with event
+// tracing enabled on the virtual-time runtime and renders, for every
+// phase the round replays (sample, construct, region-connect), a
+// per-processor utilization timeline, making the steal protocol visible:
+// who ran what, who stole from whom, and where processors idled. With
+// -chrome it additionally exports the whole round in Chrome trace_event
+// JSON, loadable in chrome://tracing or Perfetto, one track per
+// processor, the phases one after another.
 //
 // With -costs it instead runs a multi-round closed-loop PRM (observed
 // cost model + repartitioning) and prints a per-region task-cost table
@@ -19,6 +21,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -30,9 +33,7 @@ import (
 	"parmp/internal/env"
 	"parmp/internal/metrics"
 	"parmp/internal/obsv"
-	"parmp/internal/prm"
-	"parmp/internal/region"
-	"parmp/internal/rng"
+	"parmp/internal/sched"
 	"parmp/internal/steal"
 	"parmp/internal/work"
 )
@@ -57,96 +58,104 @@ func main() {
 		os.Exit(2)
 	}
 
+	var err error
 	if *costs {
-		if err := runCosts(e, *procs, *regions, *samples, *rounds, *top); err != nil {
-			fmt.Fprintln(os.Stderr, "mptrace:", err)
-			os.Exit(1)
+		err = runCosts(e, *procs, *regions, *samples, *rounds, *top)
+	} else {
+		opts := core.Options{Strategy: core.NoLB}
+		if *policyName != "none" {
+			policy, ok := steal.ByName(*policyName)
+			if !ok {
+				fmt.Fprintf(os.Stderr, "mptrace: unknown policy %q\n", *policyName)
+				os.Exit(2)
+			}
+			opts.Strategy, opts.Policy = core.WorkStealing, policy
 		}
-		return
+		err = runTrace(e, *procs, *regions, *samples, opts, *policyName, *width, *chromeOut, *verbose)
 	}
-	var policy steal.Policy
-	if *policyName != "none" {
-		var ok bool
-		policy, ok = steal.ByName(*policyName)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "mptrace: unknown policy %q\n", *policyName)
-			os.Exit(2)
-		}
-	}
-
-	// Build the node-connection workload exactly as the PRM driver does.
-	s := cspace.NewPointSpace(e)
-	rg, err := region.UniformGrid(s.Bounds, region.SplitEvenly(e.Dim(), *regions, 0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mptrace:", err)
-		os.Exit(2)
+		os.Exit(1)
 	}
-	region.NaiveColumnPartition(rg, *procs)
-	params := prm.Params{SamplesPerRegion: *samples, K: 4}
-	cost := work.DefaultCostModel()
-	nodes := make([][]prm.Node, rg.NumRegions())
-	queues := make([][]work.Task, *procs)
-	for i := 0; i < rg.NumRegions(); i++ {
-		i := i
-		nodes[i], _ = prm.SampleRegion(s, rg.Region(i).Box, i, params, rng.Derive(1, uint64(i)))
-		queues[rg.Owner[i]] = append(queues[rg.Owner[i]], work.Task{
-			ID:      i,
-			Payload: len(nodes[i]),
-			Run: func() (float64, int) {
-				_, w := prm.ConnectRegion(s, nodes[i], params)
-				return cost.Time(w), len(nodes[i])
-			},
-		})
-	}
+}
 
-	var events []dist.TraceEvent
+// runTrace traces the driver itself: Options.Runtime is the seam every
+// phase replay goes through, so a runtime that installs a tracer and
+// forwards to the simulator sees one growth round exactly as the engine
+// runs it. It prints a timeline and the load-balance metrics per phase.
+func runTrace(e *env.Environment, procs, regions, samples int, opts core.Options, policyName string, width int, chromeOut string, verbose bool) error {
+	type phaseTrace struct {
+		events []dist.TraceEvent
+		rep    dist.Report
+	}
+	var phases []*phaseTrace
 	chrome := obsv.NewChromeTrace(obsv.ScaleVirtual)
-	rep := dist.Run(dist.Config{
-		Workers: *procs,
-		Profile: work.Hopper(),
-		Policy:  policy,
-		Seed:    7,
-		Trace: func(ev dist.TraceEvent) {
-			events = append(events, ev)
+	elapsed := 0.0 // makespans of the phases before this one: its offset on the chrome timeline
+	opts.Runtime = sched.RuntimeFunc(func(cfg dist.Config, queues [][]work.Task) dist.Report {
+		ph := &phaseTrace{}
+		phases = append(phases, ph)
+		cfg.Trace = func(ev dist.TraceEvent) {
+			ph.events = append(ph.events, ev)
+			ev.Time += elapsed
 			chrome.Event(ev)
-		},
-	}, queues)
-
-	fmt.Printf("%d tasks on %d procs, policy=%s, makespan=%.0f units\n\n",
-		rep.TotalTasks, *procs, *policyName, rep.Makespan)
-	for _, line := range dist.Timeline(events, rep, *procs, *width) {
-		fmt.Println(line)
+		}
+		ph.rep = dist.Run(cfg, queues)
+		elapsed += ph.rep.Makespan
+		return ph.rep
+	})
+	eng, err := newEngine(e, procs, regions, samples, opts)
+	if err != nil {
+		return err
 	}
-	fmt.Printf("\n'#' executing, '.' idle/communicating; one column = %.0f virtual units\n",
-		rep.Makespan/float64(*width))
-	m := obsv.Analyze(rep)
-	fmt.Printf("utilization=%.2f imbalance=%.2f steal-eff=%.2f (granted %d / issued %d) migrated=%d transfers=%d\n",
-		m.Utilization, m.Imbalance, m.StealEfficiency,
-		m.StealsGranted, m.StealsIssued, m.TasksMigrated, m.TaskTransfers)
-
-	if *chromeOut != "" {
-		f, err := os.Create(*chromeOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mptrace:", err)
-			os.Exit(1)
-		}
-		if _, err := chrome.WriteTo(f); err != nil {
-			fmt.Fprintln(os.Stderr, "mptrace:", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "mptrace:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("chrome trace written to %s (open in chrome://tracing or ui.perfetto.dev)\n", *chromeOut)
+	if err := eng.GrowRound(nil); err != nil {
+		return err
 	}
 
-	if *verbose {
-		fmt.Println()
-		for _, ev := range events {
-			fmt.Println(ev)
+	// The engine logs one report per replay, in replay order: its names
+	// label the traced phases.
+	for i, pr := range eng.Result().PhaseReports {
+		ph := phases[i]
+		fmt.Printf("%s: %d tasks on %d procs, policy=%s, makespan=%.0f units\n\n",
+			pr.Phase, ph.rep.TotalTasks, len(ph.rep.Workers), policyName, ph.rep.Makespan)
+		for _, line := range dist.Timeline(ph.events, ph.rep, width) {
+			fmt.Println(line)
+		}
+		fmt.Printf("\n'#' executing, '.' idle/communicating; one column = %.0f virtual units\n",
+			ph.rep.Makespan/float64(width))
+		m := obsv.Analyze(ph.rep)
+		fmt.Printf("utilization=%.2f imbalance=%.2f steal-eff=%.2f (granted %d / issued %d) migrated=%d transfers=%d\n\n",
+			m.Utilization, m.Imbalance, m.StealEfficiency,
+			m.StealsGranted, m.StealsIssued, m.TasksMigrated, m.TaskTransfers)
+	}
+
+	if chromeOut != "" {
+		var buf bytes.Buffer
+		if _, err := chrome.WriteTo(&buf); err != nil {
+			return err
+		}
+		if err := os.WriteFile(chromeOut, buf.Bytes(), 0o644); err != nil {
+			return err
+		}
+		fmt.Printf("chrome trace written to %s (open in chrome://tracing or ui.perfetto.dev)\n", chromeOut)
+	}
+	if verbose {
+		for _, ph := range phases {
+			fmt.Println()
+			for _, ev := range ph.events {
+				fmt.Println(ev)
+			}
 		}
 	}
+	return nil
+}
+
+// newEngine builds the PRM engine both modes drive: opts supplies the
+// load-balancing choice (and, when tracing, the runtime), the rest is
+// fixed.
+func newEngine(e *env.Environment, procs, regions, samples int, opts core.Options) (*core.PRMEngine, error) {
+	opts.Procs, opts.Regions, opts.SamplesPerRegion = procs, regions, samples
+	opts.ConnectK, opts.Profile, opts.Seed = 3, work.Hopper(), 7
+	return core.NewPRMEngine(cspace.NewPointSpace(e), opts)
 }
 
 // runCosts drives the closed-loop PRM engine (observed cost model +
@@ -155,17 +164,7 @@ func main() {
 // cumulative mean/max, then the per-processor cost distribution the next
 // repartition will balance.
 func runCosts(e *env.Environment, procs, regions, samples, rounds, top int) error {
-	s := cspace.NewPointSpace(e)
-	eng, err := core.NewPRMEngine(s, core.Options{
-		Procs:            procs,
-		Regions:          regions,
-		SamplesPerRegion: samples,
-		ConnectK:         3,
-		Profile:          work.Hopper(),
-		Seed:             7,
-		Strategy:         core.Repartition,
-		CostModel:        core.CostObserved,
-	})
+	eng, err := newEngine(e, procs, regions, samples, core.Options{Strategy: core.Repartition, CostModel: core.CostObserved})
 	if err != nil {
 		return err
 	}

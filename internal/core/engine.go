@@ -38,9 +38,10 @@ type RunStats struct {
 	TotalTime float64
 	// ProcStats is the construction-phase execution profile.
 	ProcStats []sched.WorkerStats
-	// PhaseReports holds every phase's virtual-time runtime report, in
-	// replay order, so per-phase load-balance metrics (internal/obsv)
-	// derive from a finished run without re-executing it.
+	// PhaseReports holds the virtual-time runtime report of every phase of
+	// every growth round, in replay order, so per-phase load-balance
+	// metrics (internal/obsv) derive from a finished run without
+	// re-executing it. Repairs add none (see Repairs).
 	PhaseReports []PhaseReport
 	// NodeLoads[p] counts roadmap / tree nodes on processor p after the
 	// run — the paper's load-profile quantity (Fig. 5(c)).
@@ -59,7 +60,7 @@ type RunStats struct {
 	DiffusedRegions int
 	// RegionCosts[i] summarizes region i's observed construct-phase task
 	// costs over all committed rounds (count/sum/max; see RegionCost).
-	// The bounded replacement for the per-task maps the retained
+	// The bounded replacement for the per-task records the retained
 	// PhaseReports drop.
 	RegionCosts []RegionCost
 	// Repairs summarizes the incremental-repair work committed by

@@ -39,13 +39,13 @@ type phaseSpec struct {
 // internal/obsv) are derivable from a finished run without re-executing
 // it.
 //
-// Memory bound: the retained reports drop their per-task maps
-// (ExecutedBy/Cost/Payload/Elapsed/TaskRegion) after the pipeline has
-// derived what it needs from them — the cost model observes the live
-// report before retention — so a result holds O(rounds × phases ×
-// workers) worker stats, not O(rounds × tasks) task entries. Per-region
-// cost detail survives in the results' bounded RegionCosts summary
-// (count/sum/max per region, O(regions) total).
+// Memory bound: the retained reports drop their per-task records
+// (sched.Report.Tasks) after the pipeline has derived what it needs from
+// them — the cost model observes the live report before retention — so a
+// result holds O(rounds × phases × workers) worker stats, not O(rounds ×
+// tasks) task entries. Per-region cost detail survives in the results'
+// bounded RegionCosts summary (count/sum/max per region, O(regions)
+// total).
 type PhaseReport struct {
 	// Phase is the phase name ("sample", "construct", "weight",
 	// "region-connect", ...).
@@ -131,8 +131,8 @@ const stealMaxRounds = 4
 // report, keeping a copy in the pipeline's phase-report log. Memoized
 // tasks answer instantly with their recorded cost, so the replay is pure
 // accounting after a host pre-pass. The retained copy is trimmed of its
-// per-task maps (see PhaseReport's memory bound); the returned report is
-// the full one, so same-round consumers (ownership write-back, cost
+// per-task records (see PhaseReport's memory bound); the returned report
+// is the full one, so same-round consumers (ownership write-back, cost
 // observation, weight correlation) see every task.
 func (pl *pipeline) replay(ph phaseSpec) sched.Report {
 	rep := pl.vt.Run(sched.Config{
@@ -144,21 +144,9 @@ func (pl *pipeline) replay(ph phaseSpec) sched.Report {
 		Seed:       pl.opts.Seed ^ ph.salt,
 		Stop:       pl.stop,
 	}, ph.queues)
-	pl.reports = append(pl.reports, PhaseReport{Phase: ph.name, Round: len(pl.reports), Report: trimReport(rep)})
-	return rep
-}
-
-// trimReport returns a copy of rep without the per-task maps, keeping the
-// O(workers) profile (stats, makespan, totals) that per-phase metrics
-// derive from. Retaining full reports across an engine's lifetime would
-// grow O(rounds × tasks); the bounded per-region view lives in the
-// results' RegionCosts instead.
-func trimReport(rep sched.Report) sched.Report {
-	rep.ExecutedBy = nil
-	rep.Cost = nil
-	rep.Payload = nil
-	rep.Elapsed = nil
-	rep.TaskRegion = nil
+	kept := rep
+	kept.Tasks = nil // the log keeps the O(workers) profile only
+	pl.reports = append(pl.reports, PhaseReport{Phase: ph.name, Round: len(pl.reports), Report: kept})
 	return rep
 }
 
@@ -190,18 +178,18 @@ func (c RegionCost) Mean() float64 {
 }
 
 // accumulateRegionCosts folds one construct report's per-task costs into
-// the per-region accumulator, keyed by TaskRegion. Untagged tasks
-// (work.NoRegion) are skipped.
+// the per-region accumulator, keyed by each record's Region. Untagged
+// tasks (work.NoRegion) are skipped.
 func accumulateRegionCosts(acc []RegionCost, rep sched.Report) {
-	for id, c := range rep.Cost {
-		r, ok := rep.TaskRegion[id]
-		if !ok || r < 0 || r >= len(acc) {
+	for _, t := range rep.Tasks {
+		if t.Region < 0 || t.Region >= len(acc) {
 			continue
 		}
-		acc[r].Count++
-		acc[r].Sum += c
-		if c > acc[r].Max {
-			acc[r].Max = c
+		c := &acc[t.Region]
+		c.Count++
+		c.Sum += t.Cost
+		if t.Cost > c.Max {
+			c.Max = t.Cost
 		}
 	}
 }
@@ -244,13 +232,14 @@ func costTask(id int, cost float64) work.Task {
 // observeConstruct folds one round's construct-phase report into the
 // observed cost model, attributing each task's occupancy time (Elapsed,
 // which equals the virtual cost on the virtual-time backend) to its
-// TaskRegion. When units is non-nil the model tracks cost per work unit
-// (cost divided by units[r] — for PRM, the region's fresh sample count
-// that round) instead of raw task cost, which keeps the estimate
-// comparable across rounds whose unit counts differ; regions with zero
-// units that round carry no information and are skipped. No-op unless
-// Options.CostModel is CostObserved. The engines call it at commit time
-// only, so aborted rounds leave the model untouched.
+// Region, in execution order. When units is non-nil the model tracks
+// cost per work unit (cost divided by units[r] — for PRM, the region's
+// fresh sample count that round) instead of raw task cost, which keeps
+// the estimate comparable across rounds whose unit counts differ;
+// regions with zero units that round carry no information and are
+// skipped. No-op unless Options.CostModel is CostObserved. The engines
+// call it at commit time only, so aborted rounds leave the model
+// untouched.
 func (pl *pipeline) observeConstruct(n int, rep sched.Report, units []int) {
 	if pl.opts.CostModel != CostObserved {
 		return
@@ -260,13 +249,12 @@ func (pl *pipeline) observeConstruct(n int, rep sched.Report, units []int) {
 	}
 	costs := make([]float64, n)
 	seen := make([]bool, n)
-	for id, c := range rep.Elapsed {
-		r, ok := rep.TaskRegion[id]
-		if !ok || r < 0 || r >= n {
+	for _, t := range rep.Tasks {
+		if t.Region < 0 || t.Region >= n {
 			continue
 		}
-		costs[r] += c
-		seen[r] = true
+		costs[t.Region] += t.Elapsed
+		seen[t.Region] = true
 	}
 	if units != nil {
 		for r := 0; r < n; r++ {
@@ -363,8 +351,8 @@ func (pl *pipeline) applyOwnership(rg *region.Graph, rep sched.Report) {
 	if pl.opts.Strategy != WorkStealing {
 		return
 	}
-	for id, p := range rep.ExecutedBy {
-		rg.Owner[id] = p
+	for _, t := range rep.Tasks {
+		rg.Owner[t.ID] = t.Worker
 	}
 }
 

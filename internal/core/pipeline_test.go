@@ -197,9 +197,13 @@ func checkHostPasses(t *testing.T, passes map[string]hostPass, hw int, phases ..
 		for _, ws := range p.rep.Workers {
 			ran += ws.TasksLocal + ws.TasksStolen
 		}
-		if p.rep.Stopped || p.rep.TotalTasks != total || ran != total || len(p.rep.ExecutedBy) != total {
-			t.Errorf("phase %q: %d tasks queued, %d reported, %d executions by %d distinct ids (stopped=%v)",
-				phase, total, p.rep.TotalTasks, ran, len(p.rep.ExecutedBy), p.rep.Stopped)
+		ids := map[int]bool{}
+		for _, r := range p.rep.Tasks {
+			ids[r.ID] = true
+		}
+		if p.rep.Stopped || p.rep.TotalTasks != total || ran != total || len(p.rep.Tasks) != total || len(ids) != total {
+			t.Errorf("phase %q: %d tasks queued, %d reported, %d executions, %d records of %d distinct ids (stopped=%v)",
+				phase, total, p.rep.TotalTasks, ran, len(p.rep.Tasks), len(ids), p.rep.Stopped)
 		}
 	}
 }

@@ -90,6 +90,11 @@ type RRTRepair struct {
 func (e *engine) applyDelta(s *cspace.Space, d env.Delta, stop <-chan struct{}) (RepairStats, error) {
 	opts, pl, rg := e.opts, e.pl, e.rg
 	n := rg.NumRegions()
+	// The phase-report log belongs to growth rounds: a repair's makespan
+	// and counts live in RepairStats, and retaining its two reports per
+	// call would grow a long-lived mutated engine without bound. The log
+	// ends a repair where it began, committed or aborted.
+	reportMark := len(pl.reports)
 	abort := e.begin(stop)
 	defer e.end()
 
@@ -128,6 +133,7 @@ func (e *engine) applyDelta(s *cspace.Space, d env.Delta, stop <-chan struct{}) 
 			pl.observeConstruct(n, report, nil)
 		}
 	}
+	pl.reports = pl.reports[:reportMark]
 	e.s = s
 	e.stats.Repairs.Add(st)
 	e.stats.Phases.Repair += st.Makespan

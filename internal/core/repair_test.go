@@ -42,6 +42,57 @@ func assertRoadmapValid(t *testing.T, s *cspace.Space, m *prm.Roadmap) {
 	}
 }
 
+// TestApplyDeltaKeepsPhaseReportsBounded: the phase-report log belongs
+// to growth rounds. A hundred invalidating deltas on a grown engine
+// leave it as long as they found it (it read 3 -> 203 when every repair
+// retained its two phase reports), while the repair accounting still
+// accumulates.
+func TestApplyDeltaKeepsPhaseReportsBounded(t *testing.T) {
+	world := env.Free()
+	s := cspace.NewPointSpace(world)
+	opts := quickOpts(4, 64)
+	opts.SamplesPerRegion = 4
+	eng, err := NewPRMEngine(s, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.GrowRound(nil); err != nil {
+		t.Fatal(err)
+	}
+	grown := len(eng.Result().PhaseReports)
+	if grown == 0 {
+		t.Fatal("the growth round retained no phase reports")
+	}
+	const deltas = 100
+	for i := 0; i < deltas; i++ {
+		// A thin slab marching across the cube: every delta adds an
+		// obstacle, so every delta is invalidating.
+		x := 0.05 + 0.009*float64(i)
+		var d env.Delta
+		world, d = mutateAddBox(t, world, geom.Box3(x, 0.2, 0.2, x+0.004, 0.8, 0.8))
+		s = s.WithEnv(world)
+		if _, err := eng.ApplyDelta(s, d, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res := eng.Result()
+	if got := len(res.PhaseReports); got != grown {
+		t.Errorf("%d deltas took PhaseReports from %d to %d entries", deltas, grown, got)
+	}
+	if res.Repairs.Deltas != deltas || res.Repairs.Makespan <= 0 || res.Phases.Repair != res.Repairs.Makespan {
+		t.Errorf("repair accounting lost: %d deltas, makespan %v, Phases.Repair %v",
+			res.Repairs.Deltas, res.Repairs.Makespan, res.Phases.Repair)
+	}
+	// The next growth round appends its own reports where the log ended.
+	if err := eng.GrowRound(nil); err != nil {
+		t.Fatal(err)
+	}
+	after := eng.Result().PhaseReports
+	if len(after) != 2*grown || after[grown].Round != grown {
+		t.Errorf("round 2 left %d reports (first new Round %d), want %d", len(after), after[min(grown, len(after)-1)].Round, 2*grown)
+	}
+}
+
 func TestPRMEngineApplyDelta(t *testing.T) {
 	base := env.Free()
 	s := cspace.NewPointSpace(base)
@@ -321,19 +372,19 @@ func TestRRTStarEngineApplyDeltaCosts(t *testing.T) {
 		if st.tree == nil {
 			continue
 		}
-		if len(st.cost) != len(st.tree.Nodes) {
-			t.Fatalf("region %d: %d costs for %d nodes", i, len(st.cost), len(st.tree.Nodes))
+		if len(st.tree.Cost) != len(st.tree.Nodes) {
+			t.Fatalf("region %d: %d costs for %d nodes", i, len(st.tree.Cost), len(st.tree.Nodes))
 		}
 		for j, nd := range st.tree.Nodes {
 			if nd.Parent < 0 {
-				if st.cost[j] != 0 {
-					t.Fatalf("region %d root cost %v", i, st.cost[j])
+				if st.tree.Cost[j] != 0 {
+					t.Fatalf("region %d root cost %v", i, st.tree.Cost[j])
 				}
 				continue
 			}
-			want := st.cost[nd.Parent] + after.Distance(st.tree.Nodes[nd.Parent].Q, nd.Q)
-			if diff := st.cost[j] - want; diff > 1e-9 || diff < -1e-9 {
-				t.Fatalf("region %d node %d cost %v, want %v", i, j, st.cost[j], want)
+			want := st.tree.Cost[nd.Parent] + after.Distance(st.tree.Nodes[nd.Parent].Q, nd.Q)
+			if diff := st.tree.Cost[j] - want; diff > 1e-9 || diff < -1e-9 {
+				t.Fatalf("region %d node %d cost %v, want %v", i, j, st.tree.Cost[j], want)
 			}
 		}
 	}

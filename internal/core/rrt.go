@@ -61,12 +61,11 @@ func (r *RRTResult) TotalNodes() int {
 
 // branch is one region's growth state under any of the tree planner's
 // three growth variants. tree is the root-anchored branch that the
-// connection phase, results and snapshots see; RRT* also keeps each
-// node's cost-to-root, RRT-Connect the tree pair that tree is merged
-// from. A zero branch is a region that has not grown yet.
+// connection phase, results and snapshots see (under RRT* it carries
+// each node's cost-to-root); RRT-Connect also keeps the tree pair that
+// tree is merged from. A zero branch is a region that has not grown yet.
 type branch struct {
 	tree *rrt.Tree
-	cost []float64   // RRT* only, parallel to tree.Nodes
 	bi   *rrt.BiTree // RRT-Connect only
 }
 
@@ -334,23 +333,19 @@ func (e *RRTEngine) constructTask(round, i int) work.Task {
 				// Unmet goal-side trees stay out of the merged branch
 				// (their nodes cannot reach the root) but keep growing.
 				rd.grown[i] = branch{tree: rrt.MergeBiTree(res.Bi), bi: res.Bi}
-			case e.opts.Star:
-				star := &rrt.StarTree{Nodes: []rrt.Node{{Q: reg.Apex.Clone(), Parent: -1, Region: reg.ID}}, Cost: []float64{0}}
-				if old.tree != nil {
-					star = &rrt.StarTree{Nodes: append([]rrt.Node(nil), old.tree.Nodes...), Cost: append([]float64(nil), old.cost...)}
-				}
-				res := rrt.GrowStarTree(e.s, reg, star, params, r)
-				w = res.Work
-				rd.grown[i] = branch{tree: &rrt.Tree{Nodes: res.Tree.Nodes}, cost: res.Tree.Cost}
-				rd.rewires[i] = res.Rewires
 			default:
 				tree := rrt.NewTree(reg.Apex, reg.ID)
 				if old.tree != nil {
-					tree = &rrt.Tree{Nodes: append([]rrt.Node(nil), old.tree.Nodes...)}
+					tree = old.tree.Copy()
 				}
-				res := rrt.GrowTree(e.s, reg, tree, params, r)
-				w = res.Work
-				rd.grown[i] = branch{tree: res.Tree}
+				if e.opts.Star {
+					res := rrt.GrowStarTree(e.s, reg, tree, params, r)
+					w = res.Work
+					rd.rewires[i] = res.Rewires
+				} else {
+					w = rrt.GrowTree(e.s, reg, tree, params, r).Work
+				}
+				rd.grown[i] = branch{tree: tree}
 			}
 			return e.opts.Cost.Time(w), rd.grown[i].size()
 		},
@@ -395,8 +390,8 @@ func (e *RRTEngine) commit(round int, weights []float64, report sched.Report) {
 	// correlation is high where the k-ray probe's is not).
 	if e.opts.Strategy == Repartition && (round == 0 || e.opts.CostModel == CostObserved) {
 		costs := make([]float64, len(weights))
-		for i := range costs {
-			costs[i] = report.Cost[i]
+		for _, t := range report.Tasks {
+			costs[t.ID] = t.Cost
 		}
 		e.weightCorr = metrics.Pearson(weights, costs)
 	}
@@ -498,23 +493,14 @@ func (e *RRTEngine) repairTask(s *cspace.Space, dc *cspace.DeltaChecker, i int) 
 				rp.remaps[i] = mr
 				rp.pruned[i] = branch{tree: rrt.MergeBiTree(bi), bi: bi}
 			default:
-				t := &rrt.Tree{Nodes: append([]rrt.Node(nil), old.tree.Nodes...)}
+				t := old.tree.Copy()
 				rp.remaps[i], *st = rrt.PruneTree(s, dc, t, repairGraftK)
-				rp.pruned[i] = branch{tree: t}
 				if e.opts.Star {
-					// Rebuild the cost-to-root vector by a forward pass
-					// (parents precede children), which also prices any
-					// regrafted edges.
-					cost := make([]float64, 0, t.Len())
-					for _, nd := range t.Nodes {
-						c := 0.0
-						if nd.Parent >= 0 {
-							c = cost[nd.Parent] + s.Distance(t.Nodes[nd.Parent].Q, nd.Q)
-						}
-						cost = append(cost, c)
-					}
-					rp.pruned[i].cost = cost
+					// Compaction leaves the cost vector stale, and regrafted
+					// edges need pricing.
+					t.RecomputeCost(s)
 				}
+				rp.pruned[i] = branch{tree: t}
 			}
 			return e.opts.Cost.Time(st.Work), rp.pruned[i].size()
 		},

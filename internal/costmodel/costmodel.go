@@ -7,9 +7,9 @@
 // weighted moving average over them is a far better predictor of next
 // round's work.
 //
-// The model consumes sched.Report's per-task Elapsed times attributed by
-// TaskRegion (internal/core folds them per region before calling
-// Observe) and produces the weight vector internal/core feeds to
+// The model consumes the Elapsed times of sched.Report's task records,
+// attributed by their Region (internal/core folds them per region before
+// calling Observe) and produces the weight vector internal/core feeds to
 // region.Graph.SetWeights before repartitioning. Cold start falls back
 // to the caller's static estimate: Blend rescales static weights into
 // observed units for regions the model has not seen yet, so a partially

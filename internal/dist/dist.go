@@ -128,13 +128,6 @@ func Run(cfg Config, queues [][]work.Task) Report {
 		attempt:    make([]int, cfg.Workers),
 		candidates: make([][]int, cfg.Workers),
 		pending:    make([][]*event, cfg.Workers),
-		report: Report{
-			ExecutedBy: map[int]int{},
-			Cost:       map[int]float64{},
-			Payload:    map[int]int{},
-			Elapsed:    map[int]float64{},
-			TaskRegion: map[int]int{},
-		},
 	}
 	for p := 0; p < cfg.Workers; p++ {
 		s.rngs[p] = rng.Derive(cfg.Seed, uint64(p)+1)
@@ -144,6 +137,7 @@ func Run(cfg Config, queues [][]work.Task) Report {
 		}
 	}
 	s.report.TotalTasks = s.remaining
+	s.report.Tasks = make([]sched.TaskResult, 0, s.remaining)
 	for p := 0; p < cfg.Workers; p++ {
 		s.schedule(0, &event{kind: evPop, proc: p})
 	}
@@ -230,14 +224,12 @@ func (s *sim) execute(p int, q sched.Entry, t float64) {
 		s.stats[p].TasksLocal++
 	}
 	s.traceExec(t, p, q.Task.ID, cost)
-	s.report.ExecutedBy[q.Task.ID] = p
-	s.report.Cost[q.Task.ID] = cost
-	s.report.Payload[q.Task.ID] = payload
 	// In virtual time a task occupies its worker for exactly its reported
 	// cost, so Elapsed == Cost is the simulator's half of the parity
 	// contract (the executor records measured wall time instead).
-	s.report.Elapsed[q.Task.ID] = cost
-	s.report.TaskRegion[q.Task.ID] = q.Task.Region
+	s.report.Tasks = append(s.report.Tasks, sched.TaskResult{
+		ID: q.Task.ID, Worker: p, Region: q.Task.Region, Cost: cost, Payload: payload, Elapsed: cost,
+	})
 	s.remaining--
 	s.attempt[p] = 0
 	s.candidates[p] = nil

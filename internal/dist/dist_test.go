@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -25,6 +26,20 @@ func fixedTasks(rows [][]float64) [][]work.Task {
 		}
 	}
 	return queues
+}
+
+// executedBy maps each recorded task to the processor that ran it,
+// failing on a task recorded twice.
+func executedBy(t *testing.T, rep Report) map[int]int {
+	t.Helper()
+	by := make(map[int]int, len(rep.Tasks))
+	for _, r := range rep.Tasks {
+		if _, dup := by[r.ID]; dup {
+			t.Fatalf("task %d recorded twice", r.ID)
+		}
+		by[r.ID] = r.Worker
+	}
+	return by
 }
 
 func testProfile() work.MachineProfile {
@@ -82,8 +97,8 @@ func TestStealingReducesMakespan(t *testing.T) {
 func TestAllTasksExecutedExactlyOnce(t *testing.T) {
 	rows := [][]float64{{5, 7, 3, 9, 2}, {}, {1}, {}}
 	rep := Run(Config{Workers: 4, Profile: testProfile(), Policy: steal.Hybrid{K: 2}, Seed: 7}, fixedTasks(rows))
-	if len(rep.ExecutedBy) != 6 {
-		t.Fatalf("executed %d tasks, want 6", len(rep.ExecutedBy))
+	if by := executedBy(t, rep); len(by) != 6 {
+		t.Fatalf("executed %d tasks, want 6", len(by))
 	}
 	total := 0
 	for _, ps := range rep.Workers {
@@ -97,8 +112,8 @@ func TestAllTasksExecutedExactlyOnce(t *testing.T) {
 	for _, ps := range rep.Workers {
 		busySum += ps.Busy
 	}
-	for _, c := range rep.Cost {
-		costSum += c
+	for _, r := range rep.Tasks {
+		costSum += r.Cost
 	}
 	if math.Abs(busySum-costSum) > 1e-9 {
 		t.Fatalf("busy %v != cost %v", busySum, costSum)
@@ -118,10 +133,10 @@ func TestDeterminism(t *testing.T) {
 			t.Fatalf("proc %d stats differ", p)
 		}
 	}
-	for id, proc := range a.ExecutedBy {
-		if b.ExecutedBy[id] != proc {
-			t.Fatalf("task %d executed by %d vs %d", id, proc, b.ExecutedBy[id])
-		}
+	// Records come in virtual-time execution order, so equal slices mean
+	// the same tasks ran on the same processors in the same order.
+	if !slices.Equal(a.Tasks, b.Tasks) {
+		t.Fatalf("task records differ:\n%+v\n%+v", a.Tasks, b.Tasks)
 	}
 }
 
@@ -130,11 +145,12 @@ func TestStealFromBack(t *testing.T) {
 	// (ids 2,3), leaving the front for the owner.
 	rows := [][]float64{{100, 100, 100, 100}, {}}
 	rep := Run(Config{Workers: 2, Profile: testProfile(), Policy: steal.RandK{K: 1}, Seed: 1, StealChunk: 0.5}, fixedTasks(rows))
-	if rep.ExecutedBy[0] != 0 || rep.ExecutedBy[1] != 0 {
-		t.Fatalf("front tasks should stay with owner: %v", rep.ExecutedBy)
+	by := executedBy(t, rep)
+	if by[0] != 0 || by[1] != 0 {
+		t.Fatalf("front tasks should stay with owner: %v", by)
 	}
-	if rep.ExecutedBy[2] != 1 && rep.ExecutedBy[3] != 1 {
-		t.Fatalf("back tasks should migrate: %v", rep.ExecutedBy)
+	if by[2] != 1 && by[3] != 1 {
+		t.Fatalf("back tasks should migrate: %v", by)
 	}
 }
 
@@ -160,8 +176,8 @@ func TestMakespanLowerBound(t *testing.T) {
 		t.Fatalf("makespan %v below biggest task", rep.Makespan)
 	}
 	var total float64
-	for _, c := range rep.Cost {
-		total += c
+	for _, r := range rep.Tasks {
+		total += r.Cost
 	}
 	if rep.Makespan < total/4 {
 		t.Fatalf("makespan %v below work bound %v", rep.Makespan, total/4)
@@ -192,12 +208,13 @@ func TestQueueMismatchReshards(t *testing.T) {
 	if rep.TotalTasks != 5 {
 		t.Fatalf("TotalTasks = %d, want 5", rep.TotalTasks)
 	}
-	if len(rep.ExecutedBy) != 5 {
-		t.Fatalf("ExecutedBy has %d entries, want 5", len(rep.ExecutedBy))
+	by := executedBy(t, rep)
+	if len(by) != 5 {
+		t.Fatalf("%d tasks recorded, want 5", len(by))
 	}
 	// Round-robin re-shard: tasks 0,2,4 on worker 0; tasks 1,3 on worker 1.
 	for id, want := range map[int]int{0: 0, 1: 1, 2: 0, 3: 1, 4: 0} {
-		if got := rep.ExecutedBy[id]; got != want {
+		if got := by[id]; got != want {
 			t.Errorf("task %d executed by %d, want %d (round-robin)", id, got, want)
 		}
 	}
@@ -310,7 +327,7 @@ func TestSimulatorInvariantsProperty(t *testing.T) {
 		policies := []steal.Policy{nil, steal.RandK{K: 2}, steal.Diffusive{}, steal.Hybrid{K: 3}}
 		pol := policies[r.Intn(len(policies))]
 		rep := Run(Config{Workers: p, Profile: testProfile(), Policy: pol, Seed: seed}, fixedTasks(rows))
-		if len(rep.ExecutedBy) != nTasks {
+		if len(rep.Tasks) != nTasks {
 			return false
 		}
 		if nTasks > 0 && rep.Makespan+1e-9 < maxTask {

@@ -8,8 +8,10 @@ import (
 // Timeline renders an ASCII utilization chart from a traced run: one row
 // per processor, '#' where the processor was executing a task and '.'
 // where it was idle or communicating. events must come from a Run with
-// Config.Trace installed; rep supplies task costs and totals.
-func Timeline(events []TraceEvent, rep Report, procs, width int) []string {
+// Config.Trace installed; rep supplies the makespan, the processor count
+// and the worker totals.
+func Timeline(events []TraceEvent, rep Report, width int) []string {
+	procs := len(rep.Workers)
 	if width < 1 {
 		width = 1
 	}
@@ -26,17 +28,13 @@ func Timeline(events []TraceEvent, rep Report, procs, width int) []string {
 			continue
 		}
 		from := int(ev.Time / scale)
-		to := int((ev.Time + rep.Cost[ev.Task]) / scale)
+		to := int((ev.Time + ev.Dur) / scale)
 		for i := from; i <= to && i < width; i++ {
 			rows[ev.Proc][i] = '#'
 		}
 	}
 	out := make([]string, procs)
-	for p := range rows {
-		var ps ProcStats
-		if p < len(rep.Workers) {
-			ps = rep.Workers[p]
-		}
+	for p, ps := range rep.Workers {
 		out[p] = fmt.Sprintf("p%-3d |%s| busy=%.0f local=%d stolen=%d",
 			p, rows[p], ps.Busy, ps.TasksLocal, ps.TasksStolen)
 	}

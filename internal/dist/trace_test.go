@@ -50,7 +50,7 @@ func TestTimeline(t *testing.T) {
 		Workers: 2, Profile: testProfile(), Policy: steal.RandK{K: 1}, Seed: 1,
 		Trace: func(e TraceEvent) { events = append(events, e) },
 	}, fixedTasks(rows))
-	lines := Timeline(events, rep, 2, 40)
+	lines := Timeline(events, rep, 40)
 	if len(lines) != 2 {
 		t.Fatalf("lines = %d", len(lines))
 	}
@@ -63,7 +63,7 @@ func TestTimeline(t *testing.T) {
 		}
 	}
 	// Degenerate width clamps.
-	if got := Timeline(events, rep, 2, 0); len(got) != 2 {
+	if got := Timeline(events, rep, 0); len(got) != 2 {
 		t.Fatal("zero width should still render")
 	}
 }

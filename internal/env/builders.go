@@ -247,37 +247,41 @@ func Corner2D() *Environment {
 	return e
 }
 
-// ByName returns a paper environment by its experiment name, or nil if
-// unknown. Recognized names: med-cube, small-cube, free, mixed, mixed-30,
-// walls, maze-2d, corner-2d, model-2d.
+// named is the one table of the paper environments by experiment name,
+// in listing order; ByName and Names both read it.
+var named = []struct {
+	name  string
+	build func() *Environment
+}{
+	{"med-cube", MedCube},
+	{"small-cube", SmallCube},
+	{"free", Free},
+	{"mixed", Mixed},
+	{"mixed-30", Mixed30},
+	{"walls", func() *Environment { return Walls(3, 0.15) }},
+	{"walls-45", func() *Environment { return Walls45(3, 0.2) }},
+	{"maze-2d", func() *Environment { return Maze2D(4, 0.2) }},
+	{"corner-2d", Corner2D},
+	{"model-2d", func() *Environment { return Model2D(0.25) }},
+}
+
+// ByName builds a paper environment by its experiment name, or returns
+// nil if the name is not one of Names.
 func ByName(name string) *Environment {
-	switch name {
-	case "med-cube":
-		return MedCube()
-	case "small-cube":
-		return SmallCube()
-	case "free":
-		return Free()
-	case "mixed":
-		return Mixed()
-	case "mixed-30":
-		return Mixed30()
-	case "walls":
-		return Walls(3, 0.15)
-	case "walls-45":
-		return Walls45(3, 0.2)
-	case "maze-2d":
-		return Maze2D(4, 0.2)
-	case "corner-2d":
-		return Corner2D()
-	case "model-2d":
-		return Model2D(0.25)
+	for _, e := range named {
+		if e.name == name {
+			return e.build()
+		}
 	}
 	return nil
 }
 
-// Names lists the environments known to ByName.
+// Names lists the environments known to ByName. Testing a name for
+// membership builds nothing.
 func Names() []string {
-	return []string{"med-cube", "small-cube", "free", "mixed", "mixed-30",
-		"walls", "walls-45", "maze-2d", "corner-2d", "model-2d"}
+	names := make([]string, len(named))
+	for i, e := range named {
+		names[i] = e.name
+	}
+	return names
 }

@@ -214,6 +214,32 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestEnvironmentTable holds the one table ByName and Names read: no
+// name twice, every name builds its own world, an unknown name builds
+// nothing, and the listing is the caller's to modify.
+func TestEnvironmentTable(t *testing.T) {
+	seen := map[string]bool{}
+	for _, name := range Names() {
+		if seen[name] {
+			t.Errorf("environment %q listed twice", name)
+		}
+		seen[name] = true
+		if e := ByName(name); e == nil || e.Name != name || len(e.Obstacles) == 0 && name != "free" {
+			t.Errorf("ByName(%q) = %v, want that world", name, e)
+		}
+	}
+	if len(seen) != 10 {
+		t.Errorf("%d environments listed, want the paper's 10", len(seen))
+	}
+	if ByName("") != nil || ByName("Med-Cube") != nil {
+		t.Error("a name outside Names() must build nothing")
+	}
+	Names()[0] = "scribbled"
+	if Names()[0] != "med-cube" {
+		t.Error("Names must return a copy of the table's names")
+	}
+}
+
 func TestEnvironmentString(t *testing.T) {
 	s := MedCube().String()
 	if s == "" {

@@ -92,8 +92,8 @@ func segmentsIntersect(p1, p2, p3, p4 geom.Vec) bool {
 	}
 	onSeg := func(p, q, r geom.Vec) bool {
 		// q collinear with pr: is q within the bounding box of pr?
-		return minf(p[0], r[0]) <= q[0] && q[0] <= maxf(p[0], r[0]) &&
-			minf(p[1], r[1]) <= q[1] && q[1] <= maxf(p[1], r[1])
+		return min(p[0], r[0]) <= q[0] && q[0] <= max(p[0], r[0]) &&
+			min(p[1], r[1]) <= q[1] && q[1] <= max(p[1], r[1])
 	}
 	switch {
 	case d1 == 0 && onSeg(p3, p1, p4):
@@ -106,18 +106,4 @@ func segmentsIntersect(p1, p2, p3, p4 geom.Vec) bool {
 		return true
 	}
 	return false
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

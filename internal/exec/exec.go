@@ -87,18 +87,14 @@ func (d *deque) pushBack(qs []sched.Entry) {
 
 // workerState accumulates one worker's results without sharing.
 type workerState struct {
-	busy       time.Duration
-	finish     time.Duration
-	local      int
-	stolen     int
-	issued     int
-	granted    int
-	denied     int
-	executedBy map[int]int
-	cost       map[int]float64
-	payload    map[int]int
-	elapsed    map[int]float64
-	region     map[int]int
+	busy    time.Duration
+	finish  time.Duration
+	local   int
+	stolen  int
+	issued  int
+	granted int
+	denied  int
+	tasks   []sched.TaskResult
 }
 
 // Run executes the per-worker task queues to completion and returns the
@@ -156,13 +152,6 @@ func Run(cfg Config, queues [][]work.Task) Report {
 	var wg sync.WaitGroup
 	for id := 0; id < w; id++ {
 		id := id
-		states[id] = workerState{
-			executedBy: map[int]int{},
-			cost:       map[int]float64{},
-			payload:    map[int]int{},
-			elapsed:    map[int]float64{},
-			region:     map[int]int{},
-		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -196,14 +185,13 @@ func Run(cfg Config, queues [][]work.Task) Report {
 					d := time.Since(t0)
 					st.busy += d
 					st.finish = time.Since(start)
-					st.executedBy[q.Task.ID] = id
-					st.cost[q.Task.ID] = cost
-					st.payload[q.Task.ID] = payload
 					// Elapsed is the executor's half of the parity
 					// contract: measured wall seconds the task occupied
 					// this worker (the simulator records Elapsed == Cost).
-					st.elapsed[q.Task.ID] = d.Seconds()
-					st.region[q.Task.ID] = q.Task.Region
+					st.tasks = append(st.tasks, sched.TaskResult{
+						ID: q.Task.ID, Worker: id, Region: q.Task.Region,
+						Cost: cost, Payload: payload, Elapsed: d.Seconds(),
+					})
 					if q.Stolen {
 						st.stolen++
 					} else {
@@ -278,11 +266,7 @@ func Run(cfg Config, queues [][]work.Task) Report {
 		Wall:       wall,
 		Workers:    make([]WorkerStats, w),
 		TotalTasks: totalTasks,
-		ExecutedBy: map[int]int{},
-		Cost:       map[int]float64{},
-		Payload:    map[int]int{},
-		Elapsed:    map[int]float64{},
-		TaskRegion: map[int]int{},
+		Tasks:      make([]sched.TaskResult, 0, totalTasks),
 		Stopped:    stopped.Load(),
 	}
 	for id := range states {
@@ -298,21 +282,7 @@ func Run(cfg Config, queues [][]work.Task) Report {
 			StealsGranted: st.granted,
 			StealsDenied:  st.denied,
 		}
-		for task, worker := range st.executedBy {
-			rep.ExecutedBy[task] = worker
-		}
-		for task, c := range st.cost {
-			rep.Cost[task] = c
-		}
-		for task, p := range st.payload {
-			rep.Payload[task] = p
-		}
-		for task, e := range st.elapsed {
-			rep.Elapsed[task] = e
-		}
-		for task, r := range st.region {
-			rep.TaskRegion[task] = r
-		}
+		rep.Tasks = append(rep.Tasks, st.tasks...)
 	}
 	return rep
 }

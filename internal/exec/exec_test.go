@@ -35,8 +35,12 @@ func TestAllTasksRunOnce(t *testing.T) {
 	if ran != 100 {
 		t.Fatalf("ran %d tasks, want 100", ran)
 	}
-	if len(rep.ExecutedBy) != 100 {
-		t.Fatalf("ExecutedBy has %d entries", len(rep.ExecutedBy))
+	seen := map[int]bool{}
+	for _, r := range rep.Tasks {
+		seen[r.ID] = true
+	}
+	if len(rep.Tasks) != 100 || len(seen) != 100 {
+		t.Fatalf("%d records over %d distinct tasks, want 100 of each", len(rep.Tasks), len(seen))
 	}
 	total := 0
 	for _, ws := range rep.Workers {
@@ -99,7 +103,7 @@ func TestSingleWorker(t *testing.T) {
 
 func TestEmptyRun(t *testing.T) {
 	rep := Run(Config{Workers: 2, Policy: steal.Diffusive{}}, [][]work.Task{nil, nil})
-	if len(rep.ExecutedBy) != 0 {
+	if len(rep.Tasks) != 0 {
 		t.Fatal("nothing should have run")
 	}
 }

@@ -43,22 +43,19 @@ func TestWallClockCostMetricsBalanced(t *testing.T) {
 	}
 	rep := exec.Run(exec.Config{Workers: workers, Seed: 7}, queues)
 
-	if len(rep.Elapsed) != perWorker*workers || len(rep.TaskRegion) != perWorker*workers {
-		t.Fatalf("Elapsed/TaskRegion cover %d/%d tasks, want %d",
-			len(rep.Elapsed), len(rep.TaskRegion), perWorker*workers)
-	}
-	for id, e := range rep.Elapsed {
-		if e < delay.Seconds() {
-			t.Fatalf("task %d elapsed %.6fs, below its %.6fs sleep", id, e, delay.Seconds())
-		}
-		if rep.TaskRegion[id] != id {
-			t.Fatalf("task %d tagged region %d", id, rep.TaskRegion[id])
-		}
+	if len(rep.Tasks) != perWorker*workers {
+		t.Fatalf("%d task records, want %d", len(rep.Tasks), perWorker*workers)
 	}
 	// Busy must be exactly the sum of measured task times per worker.
 	perWorkerElapsed := make([]float64, workers)
-	for id, e := range rep.Elapsed {
-		perWorkerElapsed[rep.ExecutedBy[id]] += e
+	for _, r := range rep.Tasks {
+		if r.Elapsed < delay.Seconds() {
+			t.Fatalf("task %d elapsed %.6fs, below its %.6fs sleep", r.ID, r.Elapsed, delay.Seconds())
+		}
+		if r.Region != r.ID {
+			t.Fatalf("task %d tagged region %d", r.ID, r.Region)
+		}
+		perWorkerElapsed[r.Worker] += r.Elapsed
 	}
 	for w, ws := range rep.Workers {
 		if diff := math.Abs(ws.Busy - perWorkerElapsed[w]); diff > 1e-9*(1+ws.Busy) {
@@ -115,9 +112,20 @@ func TestWallClockCostMetricsSkewed(t *testing.T) {
 		t.Errorf("stealing should raise utilization: %.3f vs %.3f", withSteal.Utilization, noSteal.Utilization)
 	}
 	// Migrated tasks keep their cost attribution: every task still has a
-	// measured Elapsed and its original region tag.
-	if len(stealRep.Elapsed) != n || len(stealRep.TaskRegion) != n {
-		t.Fatalf("stolen run lost cost attribution: %d/%d of %d tasks",
-			len(stealRep.Elapsed), len(stealRep.TaskRegion), n)
+	// record with its original region tag, and some ran off worker 0.
+	if len(stealRep.Tasks) != n {
+		t.Fatalf("stolen run lost cost attribution: %d records for %d tasks", len(stealRep.Tasks), n)
+	}
+	moved := 0
+	for _, r := range stealRep.Tasks {
+		if r.Region != r.ID {
+			t.Fatalf("task %d lost its region tag across a steal: %d", r.ID, r.Region)
+		}
+		if r.Worker != 0 {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Error("no record names a worker other than the loaded one")
 	}
 }

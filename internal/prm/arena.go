@@ -39,28 +39,18 @@ func getArena() *arena { return arenaPool.Get().(*arena) }
 // only logical state is cleared by the kernels that use it.
 func putArena(a *arena) { arenaPool.Put(a) }
 
-// points fills a.pts with the configurations of nodes.
-func (a *arena) points(nodes []Node) []geom.Vec {
-	if cap(a.pts) < len(nodes) {
-		a.pts = make([]geom.Vec, len(nodes))
+// gather fills *buf (regrown when too small) with the configurations of
+// nodes and returns it.
+func gather(buf *[]geom.Vec, nodes []Node) []geom.Vec {
+	if cap(*buf) < len(nodes) {
+		*buf = make([]geom.Vec, len(nodes))
 	}
-	a.pts = a.pts[:len(nodes)]
+	pts := (*buf)[:len(nodes)]
 	for i, n := range nodes {
-		a.pts[i] = n.Q
+		pts[i] = n.Q
 	}
-	return a.pts
-}
-
-// auxPoints fills a.aux with the configurations of nodes.
-func (a *arena) auxPoints(nodes []Node) []geom.Vec {
-	if cap(a.aux) < len(nodes) {
-		a.aux = make([]geom.Vec, len(nodes))
-	}
-	a.aux = a.aux[:len(nodes)]
-	for i, n := range nodes {
-		a.aux[i] = n.Q
-	}
-	return a.aux
+	*buf = pts
+	return pts
 }
 
 // resetSeen returns the cleared dedup set.

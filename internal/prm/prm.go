@@ -141,7 +141,7 @@ func connectRegionIncrementalArena(s *cspace.Space, nodes []Node, firstNew int, 
 	if len(nodes) < 2 || firstNew >= len(nodes) {
 		return nil, work
 	}
-	pts := a.points(nodes)
+	pts := gather(&a.pts, nodes)
 	a.tree.Reset(pts)
 	seen := a.resetSeen()
 	a.edges = a.edges[:0]
@@ -224,7 +224,7 @@ func connectBoundaryArena(s *cspace.Space, aNodes, bNodes []Node, k, maxSources 
 	if len(aNodes) == 0 || len(bNodes) == 0 {
 		return res
 	}
-	bPts := ar.points(bNodes)
+	bPts := gather(&ar.pts, bNodes)
 	ar.tree.Reset(bPts)
 	if k <= 0 {
 		k = 1
@@ -248,7 +248,7 @@ func connectBoundaryArena(s *cspace.Space, aNodes, bNodes []Node, k, maxSources 
 			centroid.AddInPlace(p)
 		}
 		centroid.ScaleInPlace(1 / float64(len(bPts)))
-		aPts := ar.auxPoints(aNodes)
+		aPts := gather(&ar.aux, aNodes)
 		var hits []knn.Result
 		hits, _ = knn.BruteNearestInto(&ar.qsc, aPts, centroid, maxSources, -1, ar.hits[:0])
 		ar.hits = hits

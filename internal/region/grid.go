@@ -104,8 +104,8 @@ func UniformGrid(bounds geom.AABB, spec GridSpec) (*Graph, error) {
 			ehi := make(geom.Vec, dims)
 			for i := 0; i < dims; i++ {
 				m := spec.Overlap * cellExtent[i]
-				elo[i] = maxf(bounds.Lo[i], lo[i]-m)
-				ehi[i] = minf(bounds.Hi[i], hi[i]+m)
+				elo[i] = max(bounds.Lo[i], lo[i]-m)
+				ehi[i] = min(bounds.Hi[i], hi[i]+m)
 			}
 			box = geom.NewAABB(elo, ehi)
 		}
@@ -146,20 +146,6 @@ func MustUniformGrid(bounds geom.AABB, spec GridSpec) *Graph {
 		panic(err)
 	}
 	return g
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // NaiveColumnPartition assigns regions to p processors by contiguous

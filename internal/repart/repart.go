@@ -16,11 +16,11 @@ package repart
 
 import (
 	"container/heap"
-	"math"
 	"sort"
 
 	"parmp/internal/env"
 	"parmp/internal/geom"
+	"parmp/internal/metrics"
 	"parmp/internal/region"
 	"parmp/internal/rng"
 	"parmp/internal/work"
@@ -267,26 +267,5 @@ func CoefficientOfVariation(weights []float64, assign []int, procs int) float64 
 	for i, w := range weights {
 		load[assign[i]] += w
 	}
-	return cvOf(load)
-}
-
-func cvOf(load []float64) float64 {
-	n := float64(len(load))
-	if n == 0 {
-		return 0
-	}
-	var sum float64
-	for _, l := range load {
-		sum += l
-	}
-	mu := sum / n
-	if mu == 0 {
-		return 0
-	}
-	var ss float64
-	for _, l := range load {
-		d := l - mu
-		ss += d * d
-	}
-	return math.Sqrt(ss/n) / mu
+	return metrics.CV(load)
 }

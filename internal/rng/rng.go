@@ -9,7 +9,10 @@
 // balancing policies.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // splitmix64 is the SplitMix64 generator (Steele, Lea, Flood; JAVA 8's
 // SplittableRandom finalizer). It is used both as a stream on its own and
@@ -68,28 +71,11 @@ func (s *Stream) Intn(n int) int {
 	bound := uint64(n)
 	for {
 		v := s.Uint64()
-		hi, lo := mul128(v, bound)
+		hi, lo := bits.Mul64(v, bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
 	}
-}
-
-// mul128 returns the 128-bit product of a and b as (hi, lo).
-func mul128(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	alo, ahi := a&mask, a>>32
-	blo, bhi := b&mask, b>>32
-	t := alo * blo
-	w0 := t & mask
-	k := t >> 32
-	t = ahi*blo + k
-	w1 := t & mask
-	w2 := t >> 32
-	t = alo*bhi + w1
-	hi = ahi*bhi + w2 + (t >> 32)
-	lo = (t << 32) + w0
-	return hi, lo
 }
 
 // NormFloat64 returns a normally distributed float64 with mean 0 and

@@ -113,24 +113,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestMul128(t *testing.T) {
-	cases := []struct {
-		a, b, hi, lo uint64
-	}{
-		{0, 0, 0, 0},
-		{1, 1, 0, 1},
-		{math.MaxUint64, 2, 1, math.MaxUint64 - 1},
-		{1 << 32, 1 << 32, 1, 0},
-		{math.MaxUint64, math.MaxUint64, math.MaxUint64 - 1, 1},
-	}
-	for _, c := range cases {
-		hi, lo := mul128(c.a, c.b)
-		if hi != c.hi || lo != c.lo {
-			t.Fatalf("mul128(%d,%d) = (%d,%d), want (%d,%d)", c.a, c.b, hi, lo, c.hi, c.lo)
-		}
-	}
-}
-
 func BenchmarkUint64(b *testing.B) {
 	s := New(1)
 	for i := 0; i < b.N; i++ {

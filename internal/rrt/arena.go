@@ -34,26 +34,16 @@ func getArena() *arena { return arenaPool.Get().(*arena) }
 // putArena returns an arena to the pool.
 func putArena(a *arena) { arenaPool.Put(a) }
 
-// treePoints fills a.pts with the configurations of t's nodes.
-func (a *arena) treePoints(t *Tree) []geom.Vec {
-	if cap(a.pts) < t.Len() {
-		a.pts = make([]geom.Vec, t.Len())
+// gather fills *buf (regrown when too small) with the configurations of
+// t's nodes and returns it.
+func gather(buf *[]geom.Vec, t *Tree) []geom.Vec {
+	if cap(*buf) < t.Len() {
+		*buf = make([]geom.Vec, t.Len())
 	}
-	a.pts = a.pts[:t.Len()]
+	pts := (*buf)[:t.Len()]
 	for i, n := range t.Nodes {
-		a.pts[i] = n.Q
+		pts[i] = n.Q
 	}
-	return a.pts
-}
-
-// auxPoints fills a.aux with the configurations of t's nodes.
-func (a *arena) auxPoints(t *Tree) []geom.Vec {
-	if cap(a.aux) < t.Len() {
-		a.aux = make([]geom.Vec, t.Len())
-	}
-	a.aux = a.aux[:t.Len()]
-	for i, n := range t.Nodes {
-		a.aux[i] = n.Q
-	}
-	return a.aux
+	*buf = pts
+	return pts
 }

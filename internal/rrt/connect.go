@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"parmp/internal/cspace"
-	"parmp/internal/geom"
 	"parmp/internal/region"
 	"parmp/internal/rng"
 )
@@ -29,14 +28,7 @@ type BiTree struct {
 // Copy returns a deep copy of the bi-tree's node slices (configurations
 // are shared — tree nodes are immutable once appended).
 func (bi *BiTree) Copy() *BiTree {
-	c := &BiTree{Met: bi.Met, AMeet: bi.AMeet, BMeet: bi.BMeet}
-	if bi.A != nil {
-		c.A = &Tree{Nodes: append([]Node(nil), bi.A.Nodes...)}
-	}
-	if bi.B != nil {
-		c.B = &Tree{Nodes: append([]Node(nil), bi.B.Nodes...)}
-	}
-	return c
+	return &BiTree{A: bi.A.Copy(), B: bi.B.Copy(), Met: bi.Met, AMeet: bi.AMeet, BMeet: bi.BMeet}
 }
 
 // Len returns the combined node count of both trees.
@@ -166,12 +158,9 @@ func growBiTreeArena(s *cspace.Space, reg *region.Region, bi *BiTree, p Params, 
 		if res.Iters%2 == 1 {
 			cur, other = bi.B, bi.A
 		}
-		if r.Float64() < p.GoalBias {
-			a.qRand = geom.CopyInto(a.qRand, target)
-		} else {
-			a.qRand = region.SampleInConeInto(a.qRand, reg, r)
-		}
-		newIdx, ok := extendOnce(s, reg, cur, a.qRand, p.Step, &res.Work, a)
+		qRand := a.sample(reg, target, p.GoalBias, r)
+		from, _ := nearest(s, cur, qRand, &res.Work)
+		newIdx, _, ok := a.step(s, reg, cur, from, qRand, p.Step, &res.Work)
 		if !ok {
 			continue
 		}
@@ -188,84 +177,26 @@ func growBiTreeArena(s *cspace.Space, reg *region.Region, bi *BiTree, p Params, 
 	return res
 }
 
-// extendOnce extends t one step toward qRand, mirroring growTreeArena's
-// acceptance checks (bounds, cone, validity, batched local plan). It
-// returns the new node's index and whether the extension was accepted.
-func extendOnce(s *cspace.Space, reg *region.Region, t *Tree, qRand cspace.Config, step float64, w *cspace.Counters, a *arena) (int, bool) {
-	nearIdx := 0
-	bestD := math.Inf(1)
-	for i, n := range t.Nodes {
-		if d := s.Distance(n.Q, qRand); d < bestD {
-			bestD = d
-			nearIdx = i
-		}
-	}
-	w.KNNQueries++
-	w.KNNEvals += int64(t.Len())
-	qNear := t.Nodes[nearIdx].Q
-	a.qNew, _ = s.StepTowardInto(a.qNew, qNear, qRand, step)
-	qNew := a.qNew
-	w.Samples++
-	if !s.Bounds.Contains(qNew) {
-		return 0, false
-	}
-	if s.Steer == nil && !region.InCone(reg, qNew[:reg.Apex.Dim()]) {
-		return 0, false
-	}
-	if !s.ValidS(qNew, &a.sc, w) {
-		return 0, false
-	}
-	if !s.LocalPlanBatch(qNear, qNew, &a.bt, w) {
-		return 0, false
-	}
-	t.Nodes = append(t.Nodes, Node{Q: qNew.Clone(), Parent: nearIdx, Region: reg.ID})
-	return t.Len() - 1, true
-}
-
 // connectGreedy is the CONNECT heuristic: starting from t's node
 // nearest to q, repeatedly step toward q, appending each accepted step
 // as a node, until q is reached exactly (returning its node index and
 // true) or a step leaves the region, collides, or the step budget runs
 // out (trapped).
 func connectGreedy(s *cspace.Space, reg *region.Region, t *Tree, q cspace.Config, step float64, w *cspace.Counters, a *arena) (int, bool) {
-	nearIdx := 0
-	bestD := math.Inf(1)
-	for i, n := range t.Nodes {
-		if d := s.Distance(n.Q, q); d < bestD {
-			bestD = d
-			nearIdx = i
-		}
-	}
-	w.KNNQueries++
-	w.KNNEvals += int64(t.Len())
-	// Straight-line marching covers bestD in ceil(bestD/step) steps; the
-	// 2x slack plus constant guards float edge cases without allowing
-	// unbounded growth.
-	maxSteps := 4 + 2*int(math.Ceil(bestD/step))
-	cur := nearIdx
+	cur, d := nearest(s, t, q, w)
+	// Straight-line marching covers d in ceil(d/step) steps; the 2x slack
+	// plus constant guards float edge cases without allowing unbounded
+	// growth.
+	maxSteps := 4 + 2*int(math.Ceil(d/step))
 	for n := 0; n < maxSteps; n++ {
-		qNear := t.Nodes[cur].Q
-		var reached bool
-		a.qNew, reached = s.StepTowardInto(a.qNew, qNear, q, step)
-		qNew := a.qNew
-		w.Samples++
-		if !s.Bounds.Contains(qNew) {
+		next, reached, ok := a.step(s, reg, t, cur, q, step, w)
+		if !ok {
 			return 0, false
 		}
-		if s.Steer == nil && !region.InCone(reg, qNew[:reg.Apex.Dim()]) {
-			return 0, false
-		}
-		if !s.ValidS(qNew, &a.sc, w) {
-			return 0, false
-		}
-		if !s.LocalPlanBatch(qNear, qNew, &a.bt, w) {
-			return 0, false
-		}
-		t.Nodes = append(t.Nodes, Node{Q: qNew.Clone(), Parent: cur, Region: reg.ID})
-		cur = t.Len() - 1
 		if reached {
-			return cur, true
+			return next, true
 		}
+		cur = next
 	}
 	return 0, false
 }

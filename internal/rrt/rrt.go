@@ -25,9 +25,12 @@ type Node struct {
 	Region int
 }
 
-// Tree is an RRT branch: nodes[0] is the root.
+// Tree is an RRT branch: Nodes[0] is the root.
 type Tree struct {
 	Nodes []Node
+	// Cost is each node's cost-to-root, parallel to Nodes, which RRT*
+	// maintains so rewiring can improve it; nil for plain branches.
+	Cost []float64
 }
 
 // NewTree returns a tree containing only root.
@@ -37,6 +40,31 @@ func NewTree(root cspace.Config, regionID int) *Tree {
 
 // Len returns the node count.
 func (t *Tree) Len() int { return len(t.Nodes) }
+
+// Copy returns a tree with its own node and cost slices (configurations
+// are shared — tree nodes are immutable once appended), so growth,
+// rewiring and pruning on the copy leave t untouched. A nil tree copies
+// to nil.
+func (t *Tree) Copy() *Tree {
+	if t == nil {
+		return nil
+	}
+	return &Tree{Nodes: append([]Node(nil), t.Nodes...), Cost: append([]float64(nil), t.Cost...)}
+}
+
+// RecomputeCost rebuilds Cost by a forward pass over Nodes (parents
+// precede children in an append-only or freshly pruned tree), pricing
+// every parent edge — regrafted ones included — by the space's metric.
+func (t *Tree) RecomputeCost(s *cspace.Space) {
+	t.Cost = make([]float64, 0, t.Len())
+	for _, nd := range t.Nodes {
+		c := 0.0
+		if nd.Parent >= 0 {
+			c = t.Cost[nd.Parent] + s.Distance(t.Nodes[nd.Parent].Q, nd.Q)
+		}
+		t.Cost = append(t.Cost, c)
+	}
+}
 
 // PathToRoot returns the node indices from node i back to the root.
 func (t *Tree) PathToRoot(i int) []int {
@@ -97,53 +125,72 @@ func GrowTree(s *cspace.Space, reg *region.Region, tree *Tree, p Params, r *rng.
 func growTreeArena(s *cspace.Space, reg *region.Region, tree *Tree, p Params, r *rng.Stream, a *arena) Result {
 	res := Result{Tree: tree}
 	target := region.ConeTarget(reg)
-	// Brute-force nearest neighbour: the tree is rebuilt incrementally and
-	// stays small per region; metering matches kd usage elsewhere.
-	for res.Iters = 0; res.Iters < p.maxIters() && res.Tree.Len() < p.Nodes; res.Iters++ {
-		if r.Float64() < p.GoalBias {
-			a.qRand = geom.CopyInto(a.qRand, target)
-		} else {
-			a.qRand = region.SampleInConeInto(a.qRand, reg, r)
-		}
-		qRand := a.qRand
-		// Nearest node in the branch under the space's weighted metric
-		// (angular DOFs are down-weighted so spatial exploration is not
-		// dominated by heading differences).
-		nearIdx := 0
-		bestD := math.Inf(1)
-		for i, n := range res.Tree.Nodes {
-			if d := s.Distance(n.Q, qRand); d < bestD {
-				bestD = d
-				nearIdx = i
-			}
-		}
-		res.Work.KNNQueries++
-		res.Work.KNNEvals += int64(res.Tree.Len())
-		qNear := res.Tree.Nodes[nearIdx].Q
-
-		a.qNew, _ = s.StepTowardInto(a.qNew, qNear, qRand, p.Step)
-		qNew := a.qNew
-		res.Work.Samples++
-		if !s.Bounds.Contains(qNew) {
-			continue
-		}
-		// Stay within the region (cone plus overlap). Steered spaces are
-		// exempt: a feasible curve's first step generally does not move
-		// toward the sample, so the cone acts as a sampling bias only
-		// ("some overlap between regions is allowed so branches can
-		// explore part of the space in adjacent regions").
-		if s.Steer == nil && !region.InCone(reg, qNew[:reg.Apex.Dim()]) {
-			continue
-		}
-		if !s.ValidS(qNew, &a.sc, &res.Work) {
-			continue
-		}
-		if !s.LocalPlanBatch(qNear, qNew, &a.bt, &res.Work) {
-			continue
-		}
-		res.Tree.Nodes = append(res.Tree.Nodes, Node{Q: qNew.Clone(), Parent: nearIdx, Region: reg.ID})
+	for res.Iters = 0; res.Iters < p.maxIters() && tree.Len() < p.Nodes; res.Iters++ {
+		qRand := a.sample(reg, target, p.GoalBias, r)
+		from, _ := nearest(s, tree, qRand, &res.Work)
+		a.step(s, reg, tree, from, qRand, p.Step, &res.Work)
 	}
 	return res
+}
+
+// sample draws an extension target into a.qRand: the cone's target with
+// probability goalBias, else a uniform point in the cone.
+func (a *arena) sample(reg *region.Region, target geom.Vec, goalBias float64, r *rng.Stream) cspace.Config {
+	if r.Float64() < goalBias {
+		a.qRand = geom.CopyInto(a.qRand, target)
+	} else {
+		a.qRand = region.SampleInConeInto(a.qRand, reg, r)
+	}
+	return a.qRand
+}
+
+// nearest returns t's node nearest to q under the space's weighted
+// metric (angular DOFs are down-weighted so spatial exploration is not
+// dominated by heading differences) and its distance. Brute force: the
+// tree is rebuilt incrementally and stays small per region; metering
+// matches kd usage elsewhere.
+func nearest(s *cspace.Space, t *Tree, q cspace.Config, w *cspace.Counters) (int, float64) {
+	idx, best := 0, math.Inf(1)
+	for i, n := range t.Nodes {
+		if d := s.Distance(n.Q, q); d < best {
+			idx, best = i, d
+		}
+	}
+	w.KNNQueries++
+	w.KNNEvals += int64(t.Len())
+	return idx, best
+}
+
+// step is the one extension primitive of the plain and bidirectional
+// growers: move at most stepSize from t's node from toward q and append
+// the stepped configuration as from's child when it lies in bounds and
+// in the region, is valid, and the edge to it is collision-free. It
+// returns the new node's index, whether the step landed exactly on q,
+// and whether it was accepted.
+func (a *arena) step(s *cspace.Space, reg *region.Region, t *Tree, from int, q cspace.Config, stepSize float64, w *cspace.Counters) (idx int, reached, ok bool) {
+	qNear := t.Nodes[from].Q
+	a.qNew, reached = s.StepTowardInto(a.qNew, qNear, q, stepSize)
+	qNew := a.qNew
+	w.Samples++
+	if !s.Bounds.Contains(qNew) {
+		return 0, false, false
+	}
+	// Stay within the region (cone plus overlap). Steered spaces are
+	// exempt: a feasible curve's first step generally does not move
+	// toward the sample, so the cone acts as a sampling bias only
+	// ("some overlap between regions is allowed so branches can
+	// explore part of the space in adjacent regions").
+	if s.Steer == nil && !region.InCone(reg, qNew[:reg.Apex.Dim()]) {
+		return 0, false, false
+	}
+	if !s.ValidS(qNew, &a.sc, w) {
+		return 0, false, false
+	}
+	if !s.LocalPlanBatch(qNear, qNew, &a.bt, w) {
+		return 0, false, false
+	}
+	t.Nodes = append(t.Nodes, Node{Q: qNew.Clone(), Parent: from, Region: reg.ID})
+	return t.Len() - 1, reached, true
 }
 
 // Connect attempts to join two region branches: for each frontier node of
@@ -162,8 +209,7 @@ func connectArena(s *cspace.Space, a, b *Tree, bTarget geom.Vec, kFrontier int, 
 	if a.Len() == 0 || b.Len() == 0 {
 		return 0, 0, false
 	}
-	aPts := ar.auxPoints(a)
-	bPts := ar.treePoints(b)
+	aPts, bPts := gather(&ar.aux, a), gather(&ar.pts, b)
 	// Frontier of a: nodes nearest to b's territory.
 	frontier, _ := knn.BruteNearestInto(&ar.qsc, aPts, bTarget, kFrontier, -1, ar.near[:0])
 	ar.near = frontier

@@ -4,29 +4,19 @@ import (
 	"math"
 
 	"parmp/internal/cspace"
-	"parmp/internal/geom"
 	"parmp/internal/knn"
 	"parmp/internal/region"
 	"parmp/internal/rng"
 )
 
-// StarTree is an RRT* branch: like Tree but with path costs maintained
-// per node so rewiring can improve them.
-type StarTree struct {
-	Nodes []Node
-	Cost  []float64 // cost-to-root per node
-}
-
-// Len returns the node count.
-func (t *StarTree) Len() int { return len(t.Nodes) }
-
 // rewireSteps is the RRT* choose-parent and rewiring neighbourhood
 // radius, in steps.
 const rewireSteps = 3
 
-// StarResult is the product of growing one RRT* region branch.
+// StarResult is the product of growing one RRT* region branch; Tree
+// carries the cost-to-root vector.
 type StarResult struct {
-	Tree    *StarTree
+	Tree    *Tree
 	Work    cspace.Counters
 	Iters   int
 	Rewires int // parent changes applied by the rewiring step
@@ -41,37 +31,29 @@ type StarResult struct {
 // root. The extra local planning makes region costs even more
 // heterogeneous, which is why it is interesting for load balancing. Like
 // GrowTree, an engine's first round passes a fresh single-node tree
-// (the cone's apex at cost 0) and later rounds the previous round's tree
+// (NewTree: the cone's apex) and later rounds the previous round's tree
 // with its cost-to-root vector, so choose-parent and rewiring keep
-// improving the existing branch.
-func GrowStarTree(s *cspace.Space, reg *region.Region, tree *StarTree, p Params, r *rng.Stream) StarResult {
+// improving the existing branch; a tree handed over without costs gets
+// them from Tree.RecomputeCost first.
+//
+// The acceptance test is RRT*'s own, not the plain growers' step: it has
+// no steered-space cone exemption, and its edges validate through the
+// bisection local planner (LocalPlanS), which stops billing a rejected
+// edge at the first collision it finds where the SoA batch order bills
+// every step up front — the cheaper algorithm for the long, often
+// blocked edges choose-parent and rewiring propose, not a copy of it.
+func GrowStarTree(s *cspace.Space, reg *region.Region, tree *Tree, p Params, r *rng.Stream) StarResult {
 	a := getArena()
 	defer putArena(a)
+	if len(tree.Cost) != tree.Len() {
+		tree.RecomputeCost(s)
+	}
 	res := StarResult{Tree: tree}
 	target := region.ConeTarget(reg)
 	radius := rewireSteps * p.Step
 	for res.Iters = 0; res.Iters < p.maxIters() && res.Tree.Len() < p.Nodes; res.Iters++ {
-		if r.Float64() < p.GoalBias {
-			a.qRand = geom.CopyInto(a.qRand, target)
-		} else {
-			a.qRand = region.SampleInConeInto(a.qRand, reg, r)
-		}
-		qRand := a.qRand
-		if cap(a.pts) < res.Tree.Len() {
-			a.pts = make([]geom.Vec, res.Tree.Len())
-		}
-		pts := a.pts[:res.Tree.Len()]
-		nearIdx := 0
-		bestNear := math.Inf(1)
-		for i, n := range res.Tree.Nodes {
-			pts[i] = n.Q
-			if d := s.Distance(n.Q, qRand); d < bestNear {
-				bestNear = d
-				nearIdx = i
-			}
-		}
-		res.Work.KNNQueries++
-		res.Work.KNNEvals += int64(len(pts))
+		qRand := a.sample(reg, target, p.GoalBias, r)
+		nearIdx, _ := nearest(s, res.Tree, qRand, &res.Work)
 		a.qNew, _ = s.StepTowardInto(a.qNew, res.Tree.Nodes[nearIdx].Q, qRand, p.Step)
 		qNew := a.qNew
 		res.Work.Samples++
@@ -83,6 +65,7 @@ func GrowStarTree(s *cspace.Space, reg *region.Region, tree *StarTree, p Params,
 		}
 
 		// Choose-parent: the neighbour minimizing cost-to-root + edge.
+		pts := gather(&a.pts, res.Tree)
 		neighbours := knn.BruteRadiusInto(pts, qNew, radius, a.near[:0])
 		a.near = neighbours
 		res.Work.KNNEvals += int64(len(pts))
@@ -133,7 +116,7 @@ func GrowStarTree(s *cspace.Space, reg *region.Region, tree *StarTree, p Params,
 
 // propagateCostDrop pushes a cost reduction at node idx down to its
 // descendants.
-func propagateCostDrop(t *StarTree, idx int, delta float64) {
+func propagateCostDrop(t *Tree, idx int, delta float64) {
 	for i := range t.Nodes {
 		if t.Nodes[i].Parent == idx {
 			t.Cost[i] -= delta

@@ -12,9 +12,7 @@ import (
 )
 
 // freshStar is the single-node tree an engine's first round grows from.
-func freshStar(reg *region.Region) *StarTree {
-	return &StarTree{Nodes: []Node{{Q: reg.Apex.Clone(), Parent: -1, Region: reg.ID}}, Cost: []float64{0}}
-}
+func freshStar(reg *region.Region) *Tree { return NewTree(reg.Apex, reg.ID) }
 
 func TestGrowRegionStarBasics(t *testing.T) {
 	s := cspace.NewPointSpace(env.Free())

@@ -75,36 +75,51 @@ func checkParityReport(t *testing.T, name string, rep sched.Report, execCount []
 	if lost < stolen {
 		t.Errorf("%s: tasks lost %d < tasks stolen %d", name, lost, stolen)
 	}
-	if len(rep.ExecutedBy) != tasks {
-		t.Fatalf("%s: ExecutedBy has %d entries, want %d", name, len(rep.ExecutedBy), tasks)
+	// One record per executed task, distinct IDs: every task recorded
+	// exactly once, whatever the steal schedule did to placement.
+	byID := recordsByID(t, name, rep)
+	if len(rep.Tasks) != tasks {
+		t.Fatalf("%s: Tasks has %d records, want %d", name, len(rep.Tasks), tasks)
 	}
 	for i := 0; i < tasks; i++ {
-		w, ok := rep.ExecutedBy[i]
+		r, ok := byID[i]
 		if !ok {
-			t.Errorf("%s: task %d missing from ExecutedBy", name, i)
-		} else if w < 0 || w >= workers {
-			t.Errorf("%s: task %d executed by out-of-range worker %d", name, i, w)
+			t.Errorf("%s: task %d has no record", name, i)
+			continue
 		}
-		if rep.Cost[i] != float64(1+i%5) {
-			t.Errorf("%s: task %d cost %v, want %v", name, i, rep.Cost[i], float64(1+i%5))
+		if r.Worker < 0 || r.Worker >= workers {
+			t.Errorf("%s: task %d executed by out-of-range worker %d", name, i, r.Worker)
 		}
-		if rep.Payload[i] != i%3 {
-			t.Errorf("%s: task %d payload %d, want %d", name, i, rep.Payload[i], i%3)
+		if r.Cost != float64(1+i%5) {
+			t.Errorf("%s: task %d cost %v, want %v", name, i, r.Cost, float64(1+i%5))
+		}
+		if r.Payload != i%3 {
+			t.Errorf("%s: task %d payload %d, want %d", name, i, r.Payload, i%3)
 		}
 		// Per-task cost attribution (the online cost model's input): both
 		// backends must record every executed task's occupancy time and its
 		// region tag, whatever the steal schedule did to placement.
-		if e, ok := rep.Elapsed[i]; !ok {
-			t.Errorf("%s: task %d missing from Elapsed", name, i)
-		} else if e < 0 {
-			t.Errorf("%s: task %d elapsed %v, want >= 0", name, i, e)
+		if r.Elapsed < 0 {
+			t.Errorf("%s: task %d elapsed %v, want >= 0", name, i, r.Elapsed)
 		}
-		if r, ok := rep.TaskRegion[i]; !ok {
-			t.Errorf("%s: task %d missing from TaskRegion", name, i)
-		} else if r != i%4 {
-			t.Errorf("%s: task %d region %d, want %d", name, i, r, i%4)
+		if r.Region != i%4 {
+			t.Errorf("%s: task %d region %d, want %d", name, i, r.Region, i%4)
 		}
 	}
+}
+
+// recordsByID indexes a report's task records by task ID, failing on a
+// task recorded twice.
+func recordsByID(t *testing.T, name string, rep sched.Report) map[int]sched.TaskResult {
+	t.Helper()
+	byID := make(map[int]sched.TaskResult, len(rep.Tasks))
+	for _, r := range rep.Tasks {
+		if _, dup := byID[r.ID]; dup {
+			t.Errorf("%s: task %d recorded twice", name, r.ID)
+		}
+		byID[r.ID] = r
+	}
+	return byID
 }
 
 func TestRuntimeParity(t *testing.T) {
@@ -164,16 +179,12 @@ func TestPerTaskCostParity(t *testing.T) {
 				Seed:       42,
 			}, queues)
 			checkParityReport(t, rt.name, rep, execCount, workers)
-			if rt.name == "dist" {
-				for i := 0; i < tasks; i++ {
-					if rep.Elapsed[i] != rep.Cost[i] {
-						t.Errorf("dist: task %d elapsed %v != cost %v", i, rep.Elapsed[i], rep.Cost[i])
-					}
-				}
-			}
 			busySum := make([]float64, workers)
-			for id, e := range rep.Elapsed {
-				busySum[rep.ExecutedBy[id]] += e
+			for _, r := range rep.Tasks {
+				if rt.name == "dist" && r.Elapsed != r.Cost {
+					t.Errorf("dist: task %d elapsed %v != cost %v", r.ID, r.Elapsed, r.Cost)
+				}
+				busySum[r.Worker] += r.Elapsed
 			}
 			for w := range rep.Workers {
 				got, want := rep.Workers[w].Busy, busySum[w]
@@ -367,7 +378,7 @@ func TestRuntimeParityMismatchedQueues(t *testing.T) {
 						},
 					})
 				}
-				// No stealing, so the executed-by map IS the re-shard
+				// No stealing, so each record's Worker IS the re-shard
 				// assignment; it must match sched.Reshard's round-robin.
 				rep := rt.rt.Run(sched.Config{Workers: workers, Profile: work.Hopper(), Seed: 5}, queues)
 				if rep.TotalTasks != tasks {
@@ -378,12 +389,12 @@ func TestRuntimeParityMismatchedQueues(t *testing.T) {
 						t.Errorf("task %d ran %d times, want 1", i, c)
 					}
 				}
-				want := sched.Reshard(queues, workers)
-				for w, q := range want {
+				byID := recordsByID(t, rt.name, rep)
+				for w, q := range sched.Reshard(queues, workers) {
 					for _, task := range q {
-						if got := rep.ExecutedBy[task.ID]; got != w {
-							t.Errorf("task %d executed by %d, want %d (shared round-robin re-shard)",
-								task.ID, got, w)
+						if r, ok := byID[task.ID]; !ok || r.Worker != w {
+							t.Errorf("task %d executed by %d (recorded %v), want %d (shared round-robin re-shard)",
+								task.ID, r.Worker, ok, w)
 						}
 					}
 				}

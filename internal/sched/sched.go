@@ -47,8 +47,8 @@ type Config struct {
 	// Stop, when non-nil, requests cooperative cancellation: the host
 	// executor observes it between tasks (and while an idle thief sleeps),
 	// the simulator between virtual events. A stopped run returns a
-	// Report with Stopped set; already-executed tasks keep their recorded
-	// results, unexecuted ones are simply absent from the report. Wire a
+	// Report with Stopped set; already-executed tasks keep their records,
+	// unexecuted ones are simply absent from Report.Tasks. Wire a
 	// context's Done channel here to make a phase deadline-bounded.
 	Stop <-chan struct{}
 	// Trace, when non-nil, receives execution events (see TraceEvent):
@@ -85,6 +85,30 @@ type WorkerStats struct {
 	StealsIssued, StealsGranted, StealsDenied int
 }
 
+// TaskResult is one executed task's outcome: who ran it and what it cost.
+type TaskResult struct {
+	// ID is the task's work.Task.ID; Worker is the worker that ultimately
+	// ran it (ownership transfer makes this differ from the initial owner).
+	ID, Worker int
+	// Region is the task's work.Task.Region tag, the attribution key the
+	// online cost model (internal/costmodel) uses to fold Elapsed into
+	// per-region estimates. Tasks tagged work.NoRegion are recorded as
+	// such; untagged producers leave the zero value (region 0), so only
+	// region-tagged phases should be fed to the model.
+	Region int
+	// Cost is the task's reported cost; Payload its reported payload (e.g.
+	// roadmap vertices created), for downstream migration pricing.
+	Cost    float64
+	Payload int
+	// Elapsed is the time the task actually occupied its worker, in the
+	// report's time units: for the simulator this is identical to Cost (a
+	// task occupies exactly its reported virtual cost); for the host
+	// executor it is the measured wall-clock seconds of the task's Run
+	// call (Cost stays whatever the closure reported, which may be in
+	// different units).
+	Elapsed float64
+}
+
 // Report is the outcome of a runtime execution.
 type Report struct {
 	// Makespan is the completion time of the whole run: virtual time for
@@ -95,36 +119,19 @@ type Report struct {
 	Wall       time.Duration
 	Workers    []WorkerStats
 	TotalTasks int
-	// ExecutedBy[taskID] is the worker that ultimately ran the task
-	// (ownership transfer makes this differ from the initial owner).
-	ExecutedBy map[int]int
-	// Cost[taskID] is the task's reported cost; Payload[taskID] its
-	// reported payload (e.g. roadmap vertices created), for downstream
-	// migration pricing.
-	Cost    map[int]float64
-	Payload map[int]int
-	// Elapsed[taskID] is the time the task actually occupied its worker,
-	// in the report's time units: for the simulator this is identical to
-	// Cost (a task occupies exactly its reported virtual cost); for the
-	// host executor it is the measured wall-clock seconds of the task's
-	// Run call (Cost stays whatever the closure reported, which may be in
-	// different units). Parity contract, asserted in internal/sched's
-	// tests: both backends populate Elapsed for every executed task, and
-	// each worker's Busy equals the sum of its tasks' Elapsed.
-	Elapsed map[int]float64
-	// TaskRegion[taskID] is the executed task's work.Task.Region tag, the
-	// attribution key the online cost model (internal/costmodel) uses to
-	// fold Elapsed into per-region estimates. Tasks tagged work.NoRegion
-	// are recorded as such; untagged producers leave the zero value
-	// (region 0), so only region-tagged phases should be fed to the model.
-	TaskRegion map[int]int
+	// Tasks holds one record per executed task, in execution order (the
+	// simulator's virtual-time order; the host executor's workers
+	// concatenated, each in the order it ran its tasks). Parity contract,
+	// asserted in internal/sched's tests: both backends record every
+	// executed task exactly once, and each worker's Busy equals the sum of
+	// its records' Elapsed.
+	Tasks []TaskResult
 	// TerminationCost is the virtual time spent detecting global
 	// termination (simulator only; zero when stealing is disabled).
 	TerminationCost float64
 	// Stopped reports that the run was cancelled through Config.Stop
-	// before all tasks executed. Executed tasks' entries in ExecutedBy/
-	// Cost/Payload remain valid; makespans and worker stats cover only
-	// the work done before the stop was observed.
+	// before all tasks executed. Tasks holds only what ran; makespans and
+	// worker stats cover only the work done before the stop was observed.
 	Stopped bool
 }
 

@@ -58,11 +58,31 @@ func TestDistStopReturnsPartialReport(t *testing.T) {
 	if !rep.Stopped {
 		t.Fatal("report must be marked Stopped")
 	}
-	if ran != 0 {
-		t.Fatalf("pre-canceled run executed %d tasks", ran)
+	if ran != 0 || len(rep.Tasks) != 0 {
+		t.Fatalf("pre-canceled run executed %d tasks, recorded %d", ran, len(rep.Tasks))
 	}
 	if rep.TerminationCost != 0 {
 		t.Fatal("stopped run must not charge termination detection")
+	}
+
+	// A stop that fires mid-run: the report records exactly what ran.
+	stop = make(chan struct{})
+	ran = 0
+	queues := queuesOf(4, 8, 10, &ran)
+	fire := queues[2][1].Run
+	queues[2][1].Run = func() (float64, int) {
+		close(stop)
+		return fire()
+	}
+	rep = dist.Runtime.Run(sched.Config{Workers: 4, Profile: work.Hopper(), Stop: stop}, queues)
+	if !rep.Stopped || rep.TotalTasks != 32 {
+		t.Fatalf("mid-run stop: Stopped %v, TotalTasks %d, want true, 32", rep.Stopped, rep.TotalTasks)
+	}
+	if int64(len(rep.Tasks)) != ran || ran == 0 || ran >= 32 {
+		t.Fatalf("mid-run stop: %d records for %d executed tasks of 32", len(rep.Tasks), ran)
+	}
+	if last := rep.Tasks[len(rep.Tasks)-1]; last.ID != queues[2][1].ID || last.Worker != 2 {
+		t.Fatalf("mid-run stop: last record %+v, want the stopping task %d on worker 2", last, queues[2][1].ID)
 	}
 }
 
@@ -116,6 +136,9 @@ func TestExecStopBetweenTasks(t *testing.T) {
 	}
 	if got := atomic.LoadInt64(&ran); got != 1 {
 		t.Fatalf("expected only the in-flight task to finish, ran %d", got)
+	}
+	if len(rep.Tasks) != 1 || rep.Tasks[0].ID != 0 || rep.TotalTasks != 16 {
+		t.Fatalf("stopped run must record only the task that ran: %+v of %d", rep.Tasks, rep.TotalTasks)
 	}
 }
 

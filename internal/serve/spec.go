@@ -107,8 +107,11 @@ func (sp Spec) Canonical(growRounds int) (Spec, error) {
 	if (c.Env == "") == (c.EnvText == "") {
 		return c, fmt.Errorf("spec: exactly one of env and env_text is required")
 	}
-	if c.Env != "" && parmp.EnvironmentByName(c.Env) == nil {
-		return c, fmt.Errorf("spec: unknown environment %q (have %s)", c.Env, strings.Join(parmp.EnvironmentNames(), ", "))
+	if c.Env != "" {
+		// Canonical runs on every request: test the name, do not build the world.
+		if names := parmp.EnvironmentNames(); !slices.Contains(names, c.Env) {
+			return c, fmt.Errorf("spec: unknown environment %q (have %s)", c.Env, strings.Join(names, ", "))
+		}
 	}
 	c.Robot = strings.ToLower(strings.TrimSpace(c.Robot))
 	if c.Robot == "" {

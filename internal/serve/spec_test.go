@@ -82,6 +82,31 @@ func TestSpecCanonicalErrors(t *testing.T) {
 	}
 }
 
+// Canonical runs on every request, so validating the environment name
+// must not build the world: its allocations are the same for the
+// cheapest environment to construct and the dearest (11 / 662 / 735 per
+// call when the check was EnvironmentByName(name) == nil).
+func TestSpecCanonicalAllocsIndependentOfEnvironment(t *testing.T) {
+	allocs := func(name string) float64 {
+		sp := Spec{Env: name}
+		return testing.AllocsPerRun(50, func() {
+			if _, err := sp.Canonical(3); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	base := allocs("med-cube")
+	for _, name := range []string{"mixed", "corner-2d"} {
+		if got := allocs(name); got != base {
+			t.Errorf("Canonical allocates %v times for %q, %v for med-cube", got, name, base)
+		}
+	}
+	_, err := Spec{Env: "atlantis"}.Canonical(3)
+	if err == nil || !strings.Contains(err.Error(), strings.Join(parmp.EnvironmentNames(), ", ")) {
+		t.Errorf("unknown environment: err = %v, want the list of known names", err)
+	}
+}
+
 // Every field reaches its own limit in some tenant, and a product of
 // exactly maxGrowWork is still one.
 func TestSpecCanonicalAtLimits(t *testing.T) {
