@@ -1,7 +1,8 @@
 // Command mploadgen drives a running mpserved with a reproducible query
 // load — closed-loop (fixed concurrency) or open-loop (fixed arrival
-// rate) — and writes the latency percentiles in the BENCH_serve.json
-// schema, optionally failing against a checked-in baseline.
+// rate, each request timed from the instant it was due) — and writes the
+// latency percentiles in the BENCH_serve.json schema, optionally failing
+// against a checked-in baseline.
 //
 // Usage:
 //
@@ -143,8 +144,10 @@ func main() {
 	var solved, errors, rejected atomic.Int64
 	var next atomic.Int64
 	interval := time.Duration(0)
+	var lateUS []float64 // open loop: how long after its due time each request left
 	if *rate > 0 {
 		interval = time.Duration(float64(time.Second) / *rate)
+		lateUS = make([]float64, *n)
 	}
 
 	fmt.Fprintf(os.Stderr, "mploadgen: %d queries, %d workers, %d tenant(s), hot=%.0f%%",
@@ -175,9 +178,6 @@ func main() {
 				if i >= *n {
 					return
 				}
-				if interval > 0 {
-					time.Sleep(time.Until(t0.Add(time.Duration(i) * interval)))
-				}
 				// Pair choice is a pure function of (seed, i): the load
 				// replays identically whatever the worker count.
 				qr := rng.Derive(*seed, uint64(i))
@@ -193,6 +193,14 @@ func main() {
 					fatalf("marshal: %v", err)
 				}
 				q0 := time.Now()
+				if interval > 0 {
+					// An open loop times a request from the instant it was due:
+					// when every connection is busy it leaves late, and that wait
+					// is latency its caller saw (no coordinated omission).
+					q0 = t0.Add(time.Duration(i) * interval)
+					time.Sleep(time.Until(q0))
+					lateUS[i] = float64(time.Since(q0).Nanoseconds()) / 1e3
+				}
 				resp, err := client.Post(*url+"/v1/query", "application/json", bytes.NewReader(body))
 				latUS[i] = float64(time.Since(q0).Nanoseconds()) / 1e3
 				if err != nil {
@@ -255,6 +263,8 @@ func main() {
 	res.ErrorRate = float64(res.Errors) / float64(res.Queries)
 	if interval > 0 {
 		res.Mode, res.RateQPS = "open", *rate
+		late := servebench.Compute(lateUS)
+		res.Late = &late
 	}
 	if len(serveOK) > 0 {
 		p := servebench.Compute(serveOK)
@@ -272,6 +282,9 @@ func main() {
 		res.Queries, elapsed.Round(time.Millisecond), res.Throughput, res.Solved, res.Errors, res.Rejected)
 	fmt.Fprintf(os.Stderr, "  client latency: p50=%.0fµs p99=%.0fµs p999=%.0fµs max=%.0fµs\n",
 		res.Latency.P50, res.Latency.P99, res.Latency.P999, res.Latency.Max)
+	if res.Late != nil {
+		fmt.Fprintf(os.Stderr, "  sent late     : p99=%.0fµs max=%.0fµs after the due time (counted in client latency)\n", res.Late.P99, res.Late.Max)
+	}
 	if res.Serve != nil {
 		fmt.Fprintf(os.Stderr, "  server  time  : p50=%.0fµs p99=%.0fµs p999=%.0fµs cache-hit-rate=%.1f%%\n",
 			res.Serve.P50, res.Serve.P99, res.Serve.P999, 100*res.CacheHitRate)

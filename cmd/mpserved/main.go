@@ -53,7 +53,9 @@ func main() {
 	}
 
 	srv := serve.New(cfg)
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	// An idle connection that never sends its request line is dropped
+	// rather than held forever.
+	hs := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -269,16 +269,12 @@ func (e *engine) GrowRound(stop <-chan struct{}) error {
 	// --- Region-connection phase: every adjacent pair's attempt runs
 	// host-concurrently, then replays in virtual time on an owner of the
 	// pair, priced by whether the two regions share a processor.
-	costs, ok := e.hostCosts("region-connect", len(e.pairs), func(idx int) cspace.Counters {
-		return e.p.connectPair(idx, e.pairs[idx][0], e.pairs[idx][1])
-	})
-	if !ok {
-		return abort()
-	}
 	connLoad := make([]float64, opts.Procs)
-	connQueues := make([][]work.Task, opts.Procs)
 	regionRemote := 0
-	for idx, pr := range e.pairs {
+	phases.RegionConnection, ok = e.costPhase("region-connect", len(e.pairs), func(idx int) cspace.Counters {
+		return e.p.connectPair(idx, e.pairs[idx][0], e.pairs[idx][1])
+	}, func(idx int, cost float64) (int, float64) {
+		pr := e.pairs[idx]
 		ownerA, ownerB := rg.Owner[pr[0]], rg.Owner[pr[1]]
 		remote := ownerA != ownerB
 		access := opts.Profile.LocalAccess
@@ -286,19 +282,17 @@ func (e *engine) GrowRound(stop <-chan struct{}) error {
 			regionRemote++
 			access = opts.Profile.RemoteAccess
 		}
-		cost := costs[idx] + access*float64(1+e.p.bookPair(idx, pr[0], pr[1], remote))
+		cost += access * float64(1+e.p.bookPair(idx, pr[0], pr[1], remote))
 		runner := ownerA
 		if e.pairOnEitherOwner && connLoad[ownerB] < connLoad[ownerA] {
 			runner = ownerB
 		}
 		connLoad[runner] += cost
-		connQueues[runner] = append(connQueues[runner], costTask(idx, cost))
-	}
-	connRep := pl.replay(phaseSpec{name: "region-connect", queues: connQueues})
-	if connRep.Stopped || sched.Canceled(stop) {
+		return runner, cost
+	})
+	if !ok {
 		return abort()
 	}
-	phases.RegionConnection = connRep.Makespan + pl.barrier()
 	phases.Other = pl.barrier()
 
 	// --- Commit. Nothing before this point mutated committed state, so
@@ -328,24 +322,34 @@ func (e *engine) GrowRound(stop <-chan struct{}) error {
 	return nil
 }
 
-// hostCosts runs m independent checks as one host-concurrent pass named
-// phase and returns their virtual costs by index, or ok=false when the
-// engine was stopped meanwhile. (With HostWorkers <= 1 the checks run
-// here, sequentially.)
-func (e *engine) hostCosts(phase string, m int, check func(idx int) cspace.Counters) (costs []float64, ok bool) {
+// costPhase turns m independent checks into one replayed bulk-synchronous
+// phase named name: the checks run as one host-concurrent pass (with
+// HostWorkers <= 1 here, sequentially), then place, called in index order
+// with check idx's virtual cost, says which processor pays what for it,
+// and the charges replay in virtual time. It returns the phase's time —
+// makespan plus the closing barrier — or ok=false when the engine was
+// stopped meanwhile.
+func (e *engine) costPhase(name string, m int, check func(idx int) cspace.Counters, place func(idx int, cost float64) (proc int, charged float64)) (time float64, ok bool) {
+	pl := e.pl
 	tasks := [][]work.Task{make([]work.Task, m)}
 	for idx := range tasks[0] {
 		tasks[0][idx] = work.Task{ID: idx, Run: func() (float64, int) { return e.opts.Cost.Time(check(idx)), 0 }}
 	}
-	e.pl.hostExec(phase, tasks)
-	if sched.Canceled(e.pl.stop) {
-		return nil, false
+	pl.hostExec(name, tasks)
+	if sched.Canceled(pl.stop) {
+		return 0, false
 	}
-	costs = make([]float64, m)
-	for idx := range costs {
-		costs[idx], _ = tasks[0][idx].Run() // memoized after the host pass
+	queues := make([][]work.Task, e.opts.Procs)
+	for idx := range tasks[0] {
+		cost, _ := tasks[0][idx].Run() // memoized after the host pass
+		proc, charged := place(idx, cost)
+		queues[proc] = append(queues[proc], costTask(idx, charged))
 	}
-	return costs, true
+	rep := pl.replay(phaseSpec{name: name, queues: queues})
+	if rep.Stopped || sched.Canceled(pl.stop) {
+		return 0, false
+	}
+	return rep.Makespan + pl.barrier(), true
 }
 
 // publish completes the statistics that derive from the committed

@@ -33,8 +33,8 @@ type prmRegionData struct {
 	connectWork cspace.Counters
 }
 
-// boundaryEdge records cross-region connections for the merge step, with
-// their lengths (see prmRegionData).
+// boundaryEdge records one adjacent pair's committed cross-region
+// connections for the merge step, with their lengths (see prmRegionData).
 type boundaryEdge struct {
 	a, b    int
 	pairs   [][2]int
@@ -53,7 +53,8 @@ type PRMEngine struct {
 	params prm.Params
 
 	// data and boundary accumulate the committed per-region roadmaps and
-	// cross-region edges across rounds.
+	// cross-region edges across rounds: one entry per region, and one per
+	// adjacent pair (indexed like engine.pairs) however many rounds ran.
 	data          []prmRegionData
 	boundary      []boundaryEdge
 	roadmapRemote int
@@ -74,7 +75,6 @@ type prmRound struct {
 	combined      [][]prm.Node
 	firstNew      []int
 	brs           []prm.BoundaryResult // per adjacent pair
-	boundary      []boundaryEdge
 	roadmapRemote int
 }
 
@@ -83,7 +83,7 @@ type prmRepair struct {
 	base      []int   // merged-roadmap id of each region's first node
 	localCand [][]int // per-region candidate node indices (nil = screen all)
 	rrs       []prm.RegionRepair
-	brs       []boundaryRepair // per committed boundary edge set
+	brs       []boundaryRepair // per adjacent pair
 	// remap and touched are the committed repair's PRMRepair.VertexRemap
 	// and TouchedVertices.
 	remap, touched []int
@@ -118,6 +118,10 @@ func NewPRMEngine(s *cspace.Space, opts Options) (*PRMEngine, error) {
 	e.connectorPhase = "repair-boundary"
 	e.pairOnEitherOwner = true
 	e.setup(s, opts, rg, e)
+	e.boundary = make([]boundaryEdge, len(e.pairs))
+	for idx, pr := range e.pairs {
+		e.boundary[idx].a, e.boundary[idx].b = pr[0], pr[1]
+	}
 	return e, nil
 }
 
@@ -214,15 +218,14 @@ func (e *PRMEngine) connectPair(idx, a, b int) cspace.Counters {
 	return out.Work
 }
 
-// bookPair keeps the pair's boundary edges; every attempt touched the
-// other region's roadmap once.
-func (e *PRMEngine) bookPair(idx, a, b int, remote bool) int {
-	br := e.rd.brs[idx]
+// bookPair counts the pair's attempts: every one touched the other
+// region's roadmap once.
+func (e *PRMEngine) bookPair(idx, _, _ int, remote bool) int {
+	attempts := e.rd.brs[idx].Attempts
 	if remote {
-		e.rd.roadmapRemote += br.Attempts
+		e.rd.roadmapRemote += attempts
 	}
-	e.rd.boundary = append(e.rd.boundary, boundaryEdge{a: a, b: b, pairs: br.Edges})
-	return br.Attempts
+	return attempts
 }
 
 func (e *PRMEngine) commit(int, []float64, sched.Report) {
@@ -237,20 +240,13 @@ func (e *PRMEngine) commit(int, []float64, sched.Report) {
 		d.sampleWork.Add(f.sampleWork)
 		d.connectWork.Add(f.connectWork)
 	}
-	// The round's boundary sets cut their weights from one slab.
-	pairs := 0
-	for _, be := range rd.boundary {
-		pairs += len(be.pairs)
-	}
-	slab := make([]float64, 0, pairs)
-	for _, be := range rd.boundary {
+	for idx := range e.boundary {
+		be := &e.boundary[idx]
 		na, nb := e.data[be.a].nodes, e.data[be.b].nodes
-		first := len(slab)
-		for _, pr := range be.pairs {
-			slab = append(slab, e.s.Distance(na[pr[0]].Q, nb[pr[1]].Q))
+		be.pairs = append(be.pairs, rd.brs[idx].Edges...)
+		for _, pr := range rd.brs[idx].Edges {
+			be.weights = append(be.weights, e.s.Distance(na[pr[0]].Q, nb[pr[1]].Q))
 		}
-		be.weights = slab[first:]
-		e.boundary = append(e.boundary, be)
 	}
 	e.roadmapRemote += rd.roadmapRemote
 	e.changed = true
@@ -275,9 +271,9 @@ func (e *PRMEngine) publish(stats RunStats) {
 // roadmap builds the merged roadmap in one sweep: the regions' nodes
 // copied into one vertex slice (region-major ids) and the committed
 // edges, with the weights stored beside them, handed to the graph's bulk
-// constructor in the order they were committed in — region edges in
-// region order, then boundary sets. The result shares no storage with
-// the engine (compact works in place) and is never written again.
+// constructor region edges first, in region order, then each adjacent
+// pair's boundary set. The result shares no storage with the engine
+// (compact works in place) and is never written again.
 func (e *PRMEngine) roadmap() *prm.Roadmap {
 	base := e.bases()
 	nodes := make([]prm.Node, 0, base[len(e.data)])
@@ -365,8 +361,8 @@ func (e *PRMEngine) connectors() []int {
 	return regions
 }
 
-// recheckConnector re-validates one boundary edge set: an edge dies with
-// either endpoint, or when the delta now blocks it.
+// recheckConnector re-validates one pair's boundary edge set: an edge dies
+// with either endpoint, or when the delta now blocks it.
 func (e *PRMEngine) recheckConnector(dc *cspace.DeltaChecker, idx int) cspace.Counters {
 	be, rrs := e.boundary[idx], e.rp.rrs
 	br := boundaryRepair{keep: make([]bool, len(be.pairs))}
@@ -413,15 +409,6 @@ func (e *PRMEngine) commitRepair(st *RepairStats) {
 	if st.RemovedNodes > 0 || st.RemovedEdges > 0 {
 		e.compact()
 	}
-	// Boundary sets left without a pair — by this repair or since the
-	// round that booked them — stop being connectors.
-	kept := e.boundary[:0]
-	for _, be := range e.boundary {
-		if len(be.pairs) > 0 {
-			kept = append(kept, be)
-		}
-	}
-	e.boundary = kept
 }
 
 // compact drops what the open repair found dead from the committed

@@ -111,21 +111,13 @@ func (e *engine) applyDelta(s *cspace.Space, d env.Delta, stop <-chan struct{}) 
 		st.Makespan = report.Makespan + pl.barrier()
 
 		regions := e.p.connectors()
-		costs, ok := e.hostCosts(e.connectorPhase, len(regions), func(idx int) cspace.Counters {
+		connTime, ok := e.costPhase(e.connectorPhase, len(regions), func(idx int) cspace.Counters {
 			return e.p.recheckConnector(dc, idx)
-		})
+		}, func(idx int, cost float64) (int, float64) { return rg.Owner[regions[idx]], cost })
 		if !ok {
 			return RepairStats{}, abort()
 		}
-		connQueues := make([][]work.Task, opts.Procs)
-		for idx, r := range regions {
-			connQueues[rg.Owner[r]] = append(connQueues[rg.Owner[r]], costTask(idx, costs[idx]))
-		}
-		connRep := pl.replay(phaseSpec{name: e.connectorPhase, queues: connQueues})
-		if connRep.Stopped || sched.Canceled(stop) {
-			return RepairStats{}, abort()
-		}
-		st.Makespan += connRep.Makespan + pl.barrier()
+		st.Makespan += connTime
 
 		// --- Commit. Nothing above mutated committed state.
 		e.p.commitRepair(&st)

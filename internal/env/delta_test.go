@@ -2,6 +2,7 @@ package env
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -246,13 +247,13 @@ func TestScenariosRunInBounds(t *testing.T) {
 	for _, sc := range Scenarios() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			e, mut := sc.Build()
+			e, script := sc.BuildMoves()
 			if e.Epoch != 0 {
 				t.Fatalf("base epoch = %d", e.Epoch)
 			}
 			var last uint64
 			for k := 0; k < 32; k++ {
-				d, err := mut(e, k)
+				d, err := e.ApplyMoves(script(k))
 				if err != nil {
 					t.Fatalf("step %d: %v", k, err)
 				}
@@ -271,21 +272,47 @@ func TestScenariosRunInBounds(t *testing.T) {
 }
 
 func TestScenarioDoorTogglesPassage(t *testing.T) {
-	e, mut := Door()
+	e, script := DoorMoves()
 	mid := geom.V(0.5, 0.2, 0.5) // center of the doorway
 	if free, _ := e.CheckPoint(mid); !free {
 		t.Fatal("doorway must start open")
 	}
-	if _, err := mut(e, 0); err != nil {
+	if _, err := e.ApplyMoves(script(0)); err != nil {
 		t.Fatal(err)
 	}
 	if free, _ := e.CheckPoint(mid); free {
 		t.Fatal("doorway must be blocked after closing")
 	}
-	if _, err := mut(e, 1); err != nil {
+	if _, err := e.ApplyMoves(script(1)); err != nil {
 		t.Fatal(err)
 	}
 	if free, _ := e.CheckPoint(mid); !free {
 		t.Fatal("doorway must reopen")
+	}
+}
+
+// A rejected move leaves the world and the epoch untouched, even when
+// earlier moves of the same call were legal.
+func TestApplyMovesAllOrNothing(t *testing.T) {
+	e, script := WarehouseForkliftMoves()
+	if _, err := e.ApplyMoves(script(0)); err != nil {
+		t.Fatal(err)
+	}
+	before, epoch := append([]Obstacle(nil), e.Obstacles...), e.Epoch
+	moves := append(script(1), Move{Index: len(e.Obstacles), By: geom.V(0, 0.1)})
+	if _, err := e.ApplyMoves(moves); !errors.Is(err, ErrNoSuchObstacle) {
+		t.Fatalf("err = %v, want ErrNoSuchObstacle", err)
+	}
+	// A forklift cannot be driven out of the workspace either.
+	if _, err := e.ApplyMoves([]Move{script(1)[0], {Index: script(1)[1].Index, By: geom.V(5, 0)}}); !errors.Is(err, ErrOutOfBounds) {
+		t.Fatalf("err = %v, want ErrOutOfBounds", err)
+	}
+	if e.Epoch != epoch || !reflect.DeepEqual(e.Obstacles, before) {
+		t.Fatalf("rejected moves changed the world: epoch %d -> %d", epoch, e.Epoch)
+	}
+	// The script carries on from where the rejected calls left it.
+	d, err := e.ApplyMoves(script(1))
+	if err != nil || d.Epoch != epoch+3 || len(d.Added) != 3 || len(d.Removed) != 3 {
+		t.Fatalf("step 1 after the rejections: delta %+v, err %v", d, err)
 	}
 }

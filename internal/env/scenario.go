@@ -16,21 +16,14 @@ import (
 type Scenario struct {
 	Name string
 	Desc string
-	// Build returns a fresh base environment (epoch 0) and the Mutator
-	// that advances its scripted motion.
-	Build func() (*Environment, Mutator)
-	// BuildMoves returns a fresh base environment plus the script as
-	// data — step k's obstacle translations — for callers that route
-	// mutations through a higher layer (parmp.Engine.ApplyDelta) instead
-	// of applying them to the environment directly.
+	// BuildMoves returns a fresh base environment (epoch 0) plus the
+	// script as data: step k's (0-based) obstacle translations. Steps must
+	// be applied in order 0, 1, 2, ... — each translation is relative to
+	// the pose the previous step left behind — either to the environment
+	// directly (ApplyMoves) or through a higher layer
+	// (parmp.Engine.ApplyDelta).
 	BuildMoves func() (*Environment, func(k int) []Move)
 }
-
-// A Mutator applies scripted step k (0-based) to e and returns the
-// committed delta. Steps must be applied in order 0, 1, 2, ... to the
-// same environment: each step's translation is relative to the pose the
-// previous step left behind.
-type Mutator func(e *Environment, k int) (Delta, error)
 
 // A Move is one scripted translation: the obstacle at Index moves by By.
 type Move struct {
@@ -38,37 +31,27 @@ type Move struct {
 	By    geom.Vec
 }
 
-// MovesMutator wraps a step-as-data script as a Mutator, committing each
-// step's moves in order and merging their deltas.
-func MovesMutator(steps func(k int) []Move) Mutator {
-	return func(e *Environment, k int) (Delta, error) {
-		var merged Delta
-		for i, mv := range steps(k) {
-			d, err := e.MoveObstacle(mv.Index, mv.By)
-			if err != nil {
-				return Delta{}, fmt.Errorf("move %d (obstacle %d) step %d: %w", i, mv.Index, k, err)
-			}
-			if merged.Epoch == 0 {
-				merged = d
-			} else {
-				merged = merged.Merge(d)
-			}
+// ApplyMoves commits moves in order and returns their merged delta. All
+// or nothing: a rejected move leaves the environment — obstacles and
+// epoch — untouched.
+func (e *Environment) ApplyMoves(moves []Move) (Delta, error) {
+	c := e.Clone()
+	var merged Delta
+	for i, mv := range moves {
+		d, err := c.MoveObstacle(mv.Index, mv.By)
+		if err != nil {
+			return Delta{}, fmt.Errorf("move %d (obstacle %d): %w", i, mv.Index, err)
 		}
-		return merged, nil
+		merged = merged.Merge(d)
 	}
+	e.Obstacles, e.Epoch = c.Obstacles, c.Epoch
+	return merged, nil
 }
 
-// WarehouseForklift is a 2D warehouse: vertical shelving slabs with
+// WarehouseForkliftMoves is a 2D warehouse: vertical shelving slabs with
 // aisles between them, patrolled by small forklift obstacles that drive
 // up and down the aisles on deterministic triangle-wave schedules. Each
 // step moves every forklift one increment along its patrol.
-func WarehouseForklift() (*Environment, Mutator) {
-	e, steps := WarehouseForkliftMoves()
-	return e, MovesMutator(steps)
-}
-
-// WarehouseForkliftMoves is WarehouseForklift with the patrol script
-// returned as data (see Scenario.BuildMoves).
 func WarehouseForkliftMoves() (*Environment, func(k int) []Move) {
 	e := &Environment{Name: "warehouse-forklift", Bounds: unitBox(2)}
 	// Shelving: four vertical slabs leaving aisles and open bands at the
@@ -127,18 +110,11 @@ func triangleWave(t, lo, hi float64) float64 {
 	return lo + (2-u)*span
 }
 
-// Door is the narrow-passage walls environment with a sliding door over
-// the doorway: even steps close it (blocking the only passage through
-// the wall), odd steps open it again. The closed door severs every path
-// through the passage, so repair must split and re-join the roadmap's
-// connected components.
-func Door() (*Environment, Mutator) {
-	e, steps := DoorMoves()
-	return e, MovesMutator(steps)
-}
-
-// DoorMoves is Door with the slide script returned as data (see
-// Scenario.BuildMoves).
+// DoorMoves is the narrow-passage walls environment with a sliding door
+// over the doorway: even steps close it (blocking the only passage
+// through the wall), odd steps open it again. The closed door severs
+// every path through the passage, so repair must split and re-join the
+// roadmap's connected components.
 func DoorMoves() (*Environment, func(k int) []Move) {
 	const doorW = 0.2
 	e := Walls(1, doorW)
@@ -168,13 +144,11 @@ func Scenarios() []Scenario {
 		{
 			Name:       "warehouse-forklift",
 			Desc:       "2D warehouse shelving with three forklifts patrolling the aisles",
-			Build:      WarehouseForklift,
 			BuildMoves: WarehouseForkliftMoves,
 		},
 		{
 			Name:       "door",
 			Desc:       "narrow-passage wall whose doorway is closed/opened by a sliding door",
-			Build:      Door,
 			BuildMoves: DoorMoves,
 		},
 	}

@@ -93,7 +93,7 @@ func repairVsRebuild(sc env.Scenario) *metrics.Table {
 		"checked-nodes", "checked-edges", "removed-nodes", "removed-edges",
 		"repair-makespan", "rebuild-makespan", "speedup")
 	opts := contractOpts(repairRegions)
-	world, mutate := sc.Build()
+	world, script := sc.BuildMoves()
 	space := cspace.NewPointSpace(world)
 	eng := must(core.NewPRMEngine(space, opts))
 	grow(eng, repairRounds)
@@ -101,7 +101,7 @@ func repairVsRebuild(sc env.Scenario) *metrics.Table {
 		// Scripted steps are relative to the poses the previous step left,
 		// so each step mutates a clone of the current world.
 		world = world.Clone()
-		delta := must(mutate(world, k))
+		delta := must(world.ApplyMoves(script(k)))
 		space = space.WithEnv(world)
 		st := must(eng.ApplyDelta(space, delta, nil, nil)).Stats
 		rebuilt := grow(must(core.NewPRMEngine(cspace.NewPointSpace(world), opts)), repairRounds)

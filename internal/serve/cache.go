@@ -5,26 +5,22 @@ import (
 	"encoding/binary"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"parmp"
 )
 
 // pathCache is a per-tenant LRU over answered queries. Entries are
-// tagged with the snapshot round they were computed against: a snapshot
-// rollover (new round published) invalidates the whole cache, both so
-// misses get retried against the grown roadmap and so fresher, shorter
-// paths replace stale ones. Only hits are cached — a negative answer is
-// exactly what growth is about to change.
+// tagged with the snapshot generation they were computed against: a
+// snapshot rollover (a round or a repair published) invalidates the whole
+// cache, both so misses get retried against the grown roadmap and so
+// fresher, shorter paths replace stale ones. Only hits are cached — a
+// negative answer is exactly what growth is about to change.
 type pathCache struct {
 	mu      sync.Mutex
 	max     int
-	gen     int64 // snapshot round the live entries answer for
+	gen     int64 // snapshot generation the live entries answer for
 	entries map[string]*list.Element
 	order   *list.List // front = most recently used
-
-	hits   atomic.Int64
-	misses atomic.Int64
 }
 
 type cacheEntry struct {
@@ -58,7 +54,7 @@ func cacheKey(start, goal parmp.Config, k int) string {
 }
 
 // get returns the cached path for key when present and computed against
-// snapshot round gen. The returned path is shared: callers must not
+// snapshot generation gen. The returned path is shared: callers must not
 // mutate it.
 func (c *pathCache) get(key string, gen int64) ([]parmp.Config, bool) {
 	if c.max <= 0 {
@@ -67,23 +63,20 @@ func (c *pathCache) get(key string, gen int64) ([]parmp.Config, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.gen != gen {
-		c.misses.Add(1)
 		return nil, false
 	}
 	el, ok := c.entries[key]
 	if !ok {
-		c.misses.Add(1)
 		return nil, false
 	}
 	c.order.MoveToFront(el)
-	c.hits.Add(1)
 	return el.Value.(*cacheEntry).path, true
 }
 
-// put caches path under key for snapshot round gen, evicting the least
-// recently used entry beyond capacity. A put tagged with a round other
-// than the cache's current one is dropped: the batch that computed it
-// raced a rollover, and its answer may already be stale.
+// put caches path under key for snapshot generation gen, evicting the
+// least recently used entry beyond capacity. A put tagged with a
+// generation other than the cache's current one is dropped: the query
+// that computed it raced a rollover, and its answer may already be stale.
 func (c *pathCache) put(key string, gen int64, path []parmp.Config) {
 	if c.max <= 0 {
 		return
@@ -106,8 +99,8 @@ func (c *pathCache) put(key string, gen int64, path []parmp.Config) {
 	}
 }
 
-// invalidate drops every entry and retags the cache for snapshot round
-// gen. Idempotent per round.
+// invalidate drops every entry and retags the cache for snapshot
+// generation gen. Idempotent per generation.
 func (c *pathCache) invalidate(gen int64) {
 	if c.max <= 0 {
 		return

@@ -230,13 +230,11 @@ func (s *Server) tenantFor(w http.ResponseWriter, spec Spec) *tenant {
 		return nil
 	}
 	t, err := s.pool.Tenant(canon)
-	if err != nil {
+	switch {
+	case errors.Is(err, ErrPoolClosed):
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
-		return nil
-	}
-	if t.buildErr != nil {
-		writeError(w, http.StatusBadRequest, "tenant build failed: %v", t.buildErr)
-		return nil
+	case err != nil:
+		writeError(w, http.StatusBadRequest, "tenant build failed: %v", err)
 	}
 	return t
 }

@@ -23,8 +23,8 @@ type engine interface {
 }
 
 // Pool owns the server's engines: one tenant per canonical spec,
-// constructed lazily on first request, grown in the background, evicted
-// least-recently-used beyond the cap.
+// constructed lazily on first request, pooled once built (see Tenant),
+// grown in the background, evicted least-recently-used beyond the cap.
 //
 // WaitGroup discipline: every p.wg.Add happens under p.mu while closed
 // is provably false, so Close's Wait never races an Add — the Go
@@ -39,23 +39,26 @@ type Pool struct {
 	closed  bool
 	tenants map[string]*tenant
 	order   *list.List // *tenant, front = most recently used
+	// pending holds the engine builds in flight, so concurrent first
+	// requests for one spec share one build.
+	pending map[string]*pendingBuild
 }
 
-// tenant is one engine plus its serving machinery. The engine is built
-// by the first request (buildOnce), so pool bookkeeping never blocks on
-// C-space subdivision; until then eng/space are nil and buildErr is
-// unset.
+// pendingBuild is one spec's engine build: done closes once t or err is
+// set.
+type pendingBuild struct {
+	done chan struct{}
+	t    *tenant
+	err  error
+}
+
+// tenant is one built engine plus its serving machinery.
 type tenant struct {
 	key  string
 	spec Spec
 	pool *Pool
 	elem *list.Element
-
-	buildOnce sync.Once
-	built     atomic.Bool // set after buildOnce completes; gates buildErr/eng/space reads
-	buildErr  error
-	eng       engine
-	space     *parmp.Space
+	eng  engine
 
 	cache *pathCache
 	// gate is the admission gate: one token per query (or client batch)
@@ -91,6 +94,7 @@ func NewPool(cfg Config) *Pool {
 		cancel:  cancel,
 		tenants: make(map[string]*tenant),
 		order:   list.New(),
+		pending: make(map[string]*pendingBuild),
 	}
 }
 
@@ -110,10 +114,14 @@ func (p *Pool) Close() {
 	p.wg.Wait()
 }
 
-// Tenant returns the live tenant for a canonical spec, creating (and
-// lazily building) it on first use and touching it in the LRU order.
-// After Close it returns ErrPoolClosed. The returned tenant's init must
-// be checked: a build error makes it unservable.
+// Tenant returns the live tenant for a canonical spec, touching it in
+// the LRU order; the first request for a spec builds its engine outside
+// the pool lock (bookkeeping never blocks on C-space subdivision) and
+// only a built tenant takes a slot, evicting the least recently used one
+// beyond the cap, and starts its one background goroutine, the grow loop.
+// A spec that cannot build returns the build error and leaves the pool
+// as it was. After Close — or when the pool closed while the engine was
+// building, in which case nothing starts — it returns ErrPoolClosed.
 func (p *Pool) Tenant(spec Spec) (*tenant, error) {
 	key := spec.Key()
 	p.mu.Lock()
@@ -124,57 +132,53 @@ func (p *Pool) Tenant(spec Spec) (*tenant, error) {
 	if t, ok := p.tenants[key]; ok {
 		p.order.MoveToFront(t.elem)
 		p.mu.Unlock()
-		t.init()
 		return t, nil
 	}
-	ctx, cancel := context.WithCancel(p.ctx)
-	t := &tenant{
-		key:    key,
-		spec:   spec,
-		pool:   p,
-		cache:  newPathCache(p.cfg.CacheSize),
-		gate:   make(chan struct{}, p.cfg.QueueDepth),
-		ctx:    ctx,
-		cancel: cancel,
+	if b, ok := p.pending[key]; ok {
+		p.mu.Unlock()
+		<-b.done
+		return b.t, b.err
 	}
-	t.elem = p.order.PushFront(t)
-	p.tenants[key] = t
-	if len(p.tenants) > p.cfg.MaxTenants {
-		back := p.order.Back()
-		evicted := back.Value.(*tenant)
-		p.order.Remove(back)
-		delete(p.tenants, evicted.key)
-		evicted.cancel()
-	}
+	b := &pendingBuild{done: make(chan struct{})}
+	p.pending[key] = b
 	p.mu.Unlock()
-	t.init()
-	return t, nil
-}
 
-// init builds the engine and starts the tenant's one background
-// goroutine, its grow loop, exactly once. Safe to call from every
-// request. If the pool closed while the engine was building, nothing
-// starts — the tenant's context is already dead.
-func (t *tenant) init() {
-	t.buildOnce.Do(func() {
-		eng, space, err := t.spec.build()
-		if err != nil {
-			t.buildErr = err
-			t.built.Store(true)
-			return
+	eng, err := spec.build()
+
+	p.mu.Lock()
+	delete(p.pending, key)
+	if err == nil && p.closed {
+		err = ErrPoolClosed
+	}
+	if err == nil {
+		ctx, cancel := context.WithCancel(p.ctx)
+		t := &tenant{
+			key:    key,
+			spec:   spec,
+			pool:   p,
+			eng:    eng,
+			cache:  newPathCache(p.cfg.CacheSize),
+			gate:   make(chan struct{}, p.cfg.QueueDepth),
+			ctx:    ctx,
+			cancel: cancel,
 		}
-		t.eng, t.space = eng, space
-		t.built.Store(true)
-		p := t.pool
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			return
+		t.elem = p.order.PushFront(t)
+		p.tenants[key] = t
+		if len(p.tenants) > p.cfg.MaxTenants {
+			back := p.order.Back()
+			evicted := back.Value.(*tenant)
+			p.order.Remove(back)
+			delete(p.tenants, evicted.key)
+			evicted.cancel()
 		}
 		p.wg.Add(1)
-		p.mu.Unlock()
 		go t.growLoop()
-	})
+		b.t = t
+	}
+	p.mu.Unlock()
+	b.err = err
+	close(b.done)
+	return b.t, err
 }
 
 // growLoop grows the tenant's engine toward its spec's round target,
@@ -208,10 +212,12 @@ func (t *tenant) growLoop() {
 
 // TenantStats is one tenant's row in the stats endpoint.
 type TenantStats struct {
-	Env      string `json:"env"`
-	Planner  string `json:"planner"`
-	Seed     uint64 `json:"seed"`
-	BuildErr string `json:"build_error,omitempty"`
+	Env     string `json:"env"`
+	Planner string `json:"planner"`
+	Seed    uint64 `json:"seed"`
+	// BuildErr is always empty and off the wire (a tenant is listed once
+	// built); the frozen bench/ still reads it — it goes with ROADMAP item 2.
+	BuildErr string `json:"-"`
 	// GrowError is a terminal background-growth failure; the tenant
 	// still serves its last committed snapshot.
 	GrowError string `json:"grow_error,omitempty"`
@@ -277,34 +283,28 @@ func (p *Pool) Stats() []TenantStats {
 		if errp := t.growErr.Load(); errp != nil {
 			st.GrowError = (*errp).Error()
 		}
-		if t.built.Load() {
-			if t.buildErr != nil {
-				st.BuildErr = t.buildErr.Error()
-			} else {
-				snap := t.eng.Snapshot()
-				st.Rounds = snap.Rounds()
-				st.Nodes = snap.NumNodes()
-				st.Epoch = snap.Epoch()
-				st.Generation = snap.Generation()
-				st.Repairs = t.repairs.Load()
-				st.RepairUS = float64(t.repairUS.Load())
-				var rep parmp.RepairStats
-				if r := snap.PRM(); r != nil {
-					rep = r.Repairs
-				} else if r := snap.RRT(); r != nil {
-					rep = r.Repairs
-				}
-				st.RepairMakespan = rep.Makespan
-				st.RepairRemoved = rep.RemovedNodes + rep.RemovedEdges
-				if pf, ok := t.eng.(*parmp.Portfolio); ok {
-					ps := pf.Stats()
-					st.Racers = ps.Racers
-					st.Waves = ps.Waves
-					st.Restarts = ps.Restarts
-					if w := ps.Winner; w >= 0 {
-						st.Winner = &w
-					}
-				}
+		snap := t.eng.Snapshot()
+		st.Rounds = snap.Rounds()
+		st.Nodes = snap.NumNodes()
+		st.Epoch = snap.Epoch()
+		st.Generation = snap.Generation()
+		st.Repairs = t.repairs.Load()
+		st.RepairUS = float64(t.repairUS.Load())
+		var rep parmp.RepairStats
+		if r := snap.PRM(); r != nil {
+			rep = r.Repairs
+		} else if r := snap.RRT(); r != nil {
+			rep = r.Repairs
+		}
+		st.RepairMakespan = rep.Makespan
+		st.RepairRemoved = rep.RemovedNodes + rep.RemovedEdges
+		if pf, ok := t.eng.(*parmp.Portfolio); ok {
+			ps := pf.Stats()
+			st.Racers = ps.Racers
+			st.Waves = ps.Waves
+			st.Restarts = ps.Restarts
+			if w := ps.Winner; w >= 0 {
+				st.Winner = &w
 			}
 		}
 		out = append(out, st)

@@ -62,7 +62,7 @@ func waitGrown(t *testing.T, client *http.Client, base string, deadline time.Dur
 		resp.Body.Close()
 		done := len(st.Tenants) > 0
 		for _, ten := range st.Tenants {
-			if !ten.GrowDone && ten.BuildErr == "" {
+			if !ten.GrowDone {
 				done = false
 			}
 		}
@@ -352,9 +352,6 @@ func TestServeBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ten.buildErr != nil {
-		t.Fatal(ten.buildErr)
-	}
 	ten.gate <- struct{}{}
 
 	q := QueryRequest{
@@ -468,9 +465,6 @@ func TestPoolLazyAndLRU(t *testing.T) {
 		return ten
 	}
 	a := get(mk("med-cube", 1))
-	if a.buildErr != nil {
-		t.Fatal(a.buildErr)
-	}
 	if again := get(mk("med-cube", 1)); again != a {
 		t.Fatal("same canonical spec must share the tenant")
 	}
@@ -529,5 +523,78 @@ func TestServeRolloverConsistency(t *testing.T) {
 		if qr.GrowDone && qr.CacheHit {
 			break // steady state reached and cache warm: done
 		}
+	}
+}
+
+// A spec that cannot build must not evict a tenant that serves: three
+// specs that pass Canonical and fail in build — sent concurrently, twice
+// each — are answered 400 and forgotten, while the one grown tenant of a
+// two-slot pool keeps its rounds, its nodes and its place in /v1/stats
+// (it read two dead tenants and no live one when a tenant took its slot
+// before it had built).
+func TestUnbuildableSpecTakesNoSlot(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxTenants = 2
+	srv := New(cfg)
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	good := QueryRequest{Spec: testSpec(), Start: []float64{0.05, 0.05, 0.05}, Goal: []float64{0.95, 0.95, 0.95}}
+	if code, _ := postJSON(t, ts.Client(), ts.URL+"/v1/query", good, nil); code != http.StatusOK {
+		t.Fatalf("status %d", code)
+	}
+	waitGrown(t, ts.Client(), ts.URL, 10*time.Second)
+	stats := func() []TenantStats {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st StatsResponse
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st.Tenants
+	}
+	before := stats()
+	if len(before) != 1 || before[0].Rounds == 0 || before[0].Nodes == 0 {
+		t.Fatalf("fixture: %+v", before)
+	}
+
+	bad := []Spec{
+		{Env: "med-cube", Procs: 8, Regions: 1}, // core: Regions must be >= Procs
+		{Env: "med-cube", Robot: "se2:0.1,0.1"}, // a 2-D robot in a 3-D world
+		{EnvText: "garbage"},
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 2*len(bad); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body, _ := json.Marshal(QueryRequest{Spec: bad[i%len(bad)], Start: good.Start, Goal: good.Goal})
+			resp, err := ts.Client().Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			var er errorResponse
+			json.NewDecoder(resp.Body).Decode(&er)
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(er.Error, "tenant build failed") {
+				t.Errorf("spec %d: status %d %q, want 400 from the build", i%len(bad), resp.StatusCode, er.Error)
+			}
+		}()
+	}
+	wg.Wait()
+
+	after := stats()
+	if len(after) != 1 || after[0].Env != "med-cube" || after[0].Rounds != before[0].Rounds || after[0].Nodes != before[0].Nodes || !after[0].GrowDone {
+		t.Fatalf("/v1/stats after the unbuildable specs: %+v, want exactly %+v", after, before)
+	}
+	var qr QueryResponse
+	if code, _ := postJSON(t, ts.Client(), ts.URL+"/v1/query", good, &qr); code != http.StatusOK || !qr.OK || qr.Rounds != before[0].Rounds {
+		t.Fatalf("the grown tenant stopped serving: status %d, %+v", code, qr)
 	}
 }

@@ -236,25 +236,25 @@ func robotHalves(robot string) ([]float64, error) {
 // serving its empty snapshot and surfaces grow_error in stats).
 const portfolioMaxWaves = 256
 
-// build constructs the tenant's space and engine — a plain Engine, or a
-// Portfolio when the spec races one — from a canonical spec.
-func (sp Spec) build() (engine, *parmp.Space, error) {
+// build constructs the tenant's engine — a plain Engine, or a Portfolio
+// when the spec races one — from a canonical spec.
+func (sp Spec) build() (engine, error) {
 	var e *parmp.Environment
 	if sp.Env != "" {
 		e = parmp.EnvironmentByName(sp.Env)
 		if e == nil {
-			return nil, nil, fmt.Errorf("unknown environment %q", sp.Env)
+			return nil, fmt.Errorf("unknown environment %q", sp.Env)
 		}
 	} else {
 		var err error
 		e, err = parmp.ParseEnvironment(strings.NewReader(sp.EnvText))
 		if err != nil {
-			return nil, nil, fmt.Errorf("env_text: %w", err)
+			return nil, fmt.Errorf("env_text: %w", err)
 		}
 	}
 	halves, err := robotHalves(sp.Robot)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var space *parmp.Space
 	switch {
@@ -262,19 +262,19 @@ func (sp Spec) build() (engine, *parmp.Space, error) {
 		space = parmp.NewPointSpace(e)
 	case strings.HasPrefix(sp.Robot, "se2"):
 		if e.Dim() != 2 {
-			return nil, nil, fmt.Errorf("robot se2 needs a 2D environment, %s is %dD", e.Name, e.Dim())
+			return nil, fmt.Errorf("robot se2 needs a 2D environment, %s is %dD", e.Name, e.Dim())
 		}
 		space = parmp.NewSE2Space(e, halves[0], halves[1])
 	default: // rigid
 		if e.Dim() != 3 {
-			return nil, nil, fmt.Errorf("robot rigid needs a 3D environment, %s is %dD", e.Name, e.Dim())
+			return nil, fmt.Errorf("robot rigid needs a 3D environment, %s is %dD", e.Name, e.Dim())
 		}
 		space = parmp.NewRigidBodySpace(e, halves[0], halves[1], halves[2])
 	}
 
 	strategy, policy, err := parmp.StrategyByName(sp.Strategy)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	opts := parmp.Options{
 		Procs:            sp.Procs,
@@ -293,7 +293,7 @@ func (sp Spec) build() (engine, *parmp.Space, error) {
 		q    []float64
 	}{{"root", sp.Root}, {"goal", sp.Goal}} {
 		if v.q != nil && len(v.q) != space.Dim() {
-			return nil, nil, fmt.Errorf("%s has %d coordinates, space is %dD", v.what, len(v.q), space.Dim())
+			return nil, fmt.Errorf("%s has %d coordinates, space is %dD", v.what, len(v.q), space.Dim())
 		}
 	}
 	if sp.Portfolio > 0 {
@@ -303,8 +303,7 @@ func (sp Spec) build() (engine, *parmp.Space, error) {
 			Restarts: sp.Restarts,
 			MaxWaves: portfolioMaxWaves,
 		})
-		return pf, space, err
+		return pf, err
 	}
-	eng, err := parmp.NewEngineByName(sp.Planner, space, sp.Root, sp.Goal, opts)
-	return eng, space, err
+	return parmp.NewEngineByName(sp.Planner, space, sp.Root, sp.Goal, opts)
 }

@@ -133,12 +133,12 @@ func TestSpecBuildInlineEnv(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, space, err := sp.build()
+	eng, err := sp.build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng == nil || space == nil || space.Dim() != 3 {
-		t.Fatalf("inline build: eng=%v dim=%d", eng, space.Dim())
+	if dim := eng.Snapshot().PRM().RegionGraph.Region(0).Box.Dim(); dim != 3 {
+		t.Fatalf("inline build subdivided a %dD space, want 3D", dim)
 	}
 
 	// A 3D environment cannot carry an SE(2) robot.
@@ -146,7 +146,7 @@ func TestSpecBuildInlineEnv(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := sp2.build(); err == nil || !strings.Contains(err.Error(), "2D environment") {
+	if _, err := sp2.build(); err == nil || !strings.Contains(err.Error(), "2D environment") {
 		t.Fatalf("se2-in-3D build err = %v", err)
 	}
 }
@@ -188,7 +188,7 @@ func TestSpecPortfolioCanonicalAndBuild(t *testing.T) {
 		t.Fatal("stray Restarts field leaked into the tenant key")
 	}
 
-	eng, _, err := sp.build()
+	eng, err := sp.build()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,8 +65,12 @@ type Result struct {
 	DurationSec float64 `json:"duration_sec"`
 	Throughput  float64 `json:"throughput_qps"`
 
-	// Latency is what the client observed, over the wire.
-	Latency Percentiles `json:"latency"`
+	// Latency is what the client observed, over the wire; in open-loop
+	// mode it runs from the instant the request was due, and Late is how
+	// long after that instant the generator sent it (a busy generator's
+	// backlog, included in Latency).
+	Latency Percentiles  `json:"latency"`
+	Late    *Percentiles `json:"late_us,omitempty"`
 	// Serve is the server-side processing time per request (mploadgen
 	// reads it off each response).
 	Serve *Percentiles `json:"serve,omitempty"`

@@ -122,29 +122,19 @@ func MeshNeighbors(proc, procs int) []int {
 	return out
 }
 
-// Hybrid runs Diffusive rounds first and escalates to RandK after
-// FallbackAfter unsuccessful rounds ("in the event that no request could
-// be serviced, requests are sent to random processors").
+// Hybrid runs one Diffusive round first and escalates to RandK once it
+// was unsuccessful ("in the event that no request could be serviced,
+// requests are sent to random processors").
 type Hybrid struct {
 	K int
-	// FallbackAfter is the number of failed diffusive rounds before
-	// random stealing kicks in (default 1).
-	FallbackAfter int
 }
 
 // Name implements Policy.
 func (p Hybrid) Name() string { return "hybrid" }
 
-func (p Hybrid) fallbackAfter() int {
-	if p.FallbackAfter <= 0 {
-		return 1
-	}
-	return p.FallbackAfter
-}
-
 // Victims implements Policy.
 func (p Hybrid) Victims(thief, procs, attempt int, r *rng.Stream) []int {
-	if attempt < p.fallbackAfter() {
+	if attempt == 0 {
 		return Diffusive{}.Victims(thief, procs, attempt, r)
 	}
 	return RandK{K: p.K}.Victims(thief, procs, attempt, r)

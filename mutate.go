@@ -139,11 +139,7 @@ func applyMutations(cur *Space, muts []Mutation) (*env.Environment, env.Delta, e
 		if err != nil {
 			return nil, env.Delta{}, fmt.Errorf("parmp: mutation %d: %w", i, err)
 		}
-		if i == 0 {
-			delta = d
-		} else {
-			delta = delta.Merge(d)
-		}
+		delta = delta.Merge(d)
 	}
 	return clone, delta, nil
 }

@@ -42,14 +42,15 @@ type PortfolioOptions struct {
 	// UnitRounds scales Luby budgets into growth rounds (budget =
 	// Luby(restart+1) × UnitRounds). Default 1.
 	UnitRounds int
-	// QueryK is the attachment count used to test the race query
-	// against PRM snapshots. Default 8.
-	QueryK int
 	// MaxWaves bounds Solve: after this many waves without a solution
 	// it returns ErrNoSolution. 0 means race until the context says
 	// otherwise.
 	MaxWaves int
 }
+
+// raceAttachK is the attachment count used to test the race query against
+// PRM snapshots.
+const raceAttachK = 8
 
 // withDefaults fills unset fields and validates names.
 func (po PortfolioOptions) withDefaults() (PortfolioOptions, error) {
@@ -74,9 +75,6 @@ func (po PortfolioOptions) withDefaults() (PortfolioOptions, error) {
 	}
 	if po.UnitRounds <= 0 {
 		po.UnitRounds = 1
-	}
-	if po.QueryK <= 0 {
-		po.QueryK = 8
 	}
 	return po, nil
 }
@@ -204,7 +202,7 @@ type racerInstance struct {
 func (ri *racerInstance) Grow(ctx context.Context) error { return ri.eng.Grow(ctx) }
 
 func (ri *racerInstance) Solved() bool {
-	_, ok := ri.eng.Snapshot().Query(ri.pf.start, ri.pf.goal, ri.pf.po.QueryK)
+	_, ok := ri.eng.Snapshot().Query(ri.pf.start, ri.pf.goal, raceAttachK)
 	return ok
 }
 
