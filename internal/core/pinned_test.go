@@ -1,6 +1,7 @@
 package core
 
 import (
+	"hash"
 	"hash/fnv"
 	"math"
 	"reflect"
@@ -127,4 +128,164 @@ func TestRoadmapPinned(t *testing.T) {
 	run("med-cube", env.MedCube(), opts, func(k int, w *env.Environment) (*env.Environment, env.Delta) {
 		return mutateAddBox(t, w, slabs[k])
 	})
+}
+
+// pinnedTree is what TestTreePinned holds fixed for one tree engine
+// history: each branch's node count, a hash of every branch's node
+// coordinate bits and parent vector, the bridges, the virtual accounting,
+// and a hash of the paths the published forest gives to fixed goals.
+type pinnedTree struct {
+	branchNodes []int
+	treeHash    uint64
+	bridges     [][4]int
+	totalTime   uint64 // TotalTime bits
+	repairs     RepairStats
+	pathHash    uint64
+}
+
+// treePinGoals are the goals TestTreePinned extracts paths to: near the
+// root, behind the first wall, the far corner, and inside the middle
+// wall of walls.
+var treePinGoals = []cspace.Config{
+	geom.V(0.15, 0.2, 0.5), geom.V(0.4, 0.6, 0.3), geom.V(0.9, 0.9, 0.5), geom.V(0.5, 0.1, 0.5),
+}
+
+// pinTree hashes res and the paths BuildTreeIndex(res).ExtractPath gives
+// to treePinGoals (each goal's ok flag, then its waypoints' bits).
+func pinTree(s *cspace.Space, res *RRTResult) pinnedTree {
+	var buf [8]byte
+	put := func(h hash.Hash64, u uint64) {
+		for k := range buf {
+			buf[k] = byte(u >> (8 * k))
+		}
+		h.Write(buf[:])
+	}
+	p := pinnedTree{bridges: res.Bridges, totalTime: math.Float64bits(res.TotalTime), repairs: res.Repairs}
+	h := fnv.New64a()
+	for _, b := range res.Branches {
+		if b == nil {
+			p.branchNodes = append(p.branchNodes, 0)
+			continue
+		}
+		p.branchNodes = append(p.branchNodes, b.Len())
+		for _, n := range b.Nodes {
+			put(h, uint64(int64(n.Parent)))
+			for _, x := range n.Q {
+				put(h, math.Float64bits(x))
+			}
+		}
+	}
+	p.treeHash = h.Sum64()
+	ix := BuildTreeIndex(res)
+	h = fnv.New64a()
+	for _, g := range treePinGoals {
+		path, ok := ix.ExtractPath(s, g, nil)
+		if ok {
+			put(h, 1)
+		} else {
+			put(h, 0)
+		}
+		for _, q := range path {
+			for _, x := range q {
+				put(h, math.Float64bits(x))
+			}
+		}
+	}
+	p.pathHash = h.Sum64()
+	return p
+}
+
+// wantTree was read at the parent of the cosine-domain cone test and the
+// batched goal attach (AngleBetween in every cone test, sequential
+// LocalPlan per attach candidate) and must not move.
+var wantTree = map[string]pinnedTree{
+	"rrt/walls": {[]int{14, 48, 48, 9, 48, 48, 32, 48, 7, 48, 48, 48, 18, 11, 7, 17}, 0x23d18ae7c6058434,
+		[][4]int{{0, 3, 14, 2}, {0, 3, 9, 0}, {0, 2, 8, 1}, {0, 2, 3, 1}, {1, 11, 10, 10}, {1, 7, 6, 3}, {1, 1, 14, 0}, {3, 3, 12, 6}, {3, 3, 13, 3}, {3, 4, 15, 2}, {4, 9, 11, 7}, {1, 43, 2, 39}, {2, 19, 5, 25}, {2, 29, 7, 35}, {4, 33, 9, 36}},
+		0x40e6792b851eb852,
+		RepairStats{Deltas: 1, CheckedNodes: 12, CheckedEdges: 0, RemovedNodes: 31, RemovedEdges: 4, Grafted: 17, Makespan: 2817.86,
+			Work: cspace.Counters{CDCalls: 639, CDObstacle: 8230, LPSteps: 627, LPCalls: 97, KNNQueries: 36, KNNEvals: 280}},
+		0x81a5af5fc4eeb413},
+	"rrtstar/walls": {[]int{14, 48, 48, 9, 48, 48, 32, 48, 7, 48, 48, 48, 18, 11, 7, 17}, 0x31d6ce50aab717d3,
+		[][4]int{{0, 3, 14, 2}, {0, 3, 9, 0}, {0, 2, 8, 1}, {0, 2, 3, 1}, {1, 11, 10, 10}, {1, 7, 6, 3}, {1, 1, 14, 0}, {3, 3, 12, 6}, {3, 3, 13, 3}, {3, 4, 15, 2}, {4, 9, 11, 7}, {1, 43, 2, 39}, {2, 19, 5, 25}, {2, 29, 7, 35}, {4, 32, 9, 36}},
+		0x40f77295c28f5c29,
+		RepairStats{Deltas: 1, CheckedNodes: 12, CheckedEdges: 4, RemovedNodes: 31, RemovedEdges: 4, Grafted: 75, Makespan: 4716.2,
+			Work: cspace.Counters{CDCalls: 805, CDObstacle: 10350, LPSteps: 793, LPCalls: 157, KNNQueries: 94, KNNEvals: 1109}},
+		0xf7f9a24efbb245},
+	"rrtconnect/walls": {[]int{5, 8, 21, 5, 15, 21, 6, 41, 5, 6, 8, 7, 17, 7, 5, 6}, 0x2750ef9e2bbd94a1,
+		[][4]int{{0, 2, 14, 2}, {0, 2, 9, 3}, {0, 2, 8, 3}, {0, 2, 3, 1}, {1, 2, 10, 4}, {1, 2, 2, 18}, {1, 2, 6, 4}, {1, 5, 14, 0}, {2, 3, 5, 4}, {3, 2, 12, 5}, {3, 2, 13, 2}, {3, 2, 15, 3}, {4, 7, 11, 2}, {2, 10, 7, 28}, {4, 2, 7, 9}},
+		0x40d84cbae147ae14,
+		RepairStats{Deltas: 1, CheckedNodes: 3, CheckedEdges: 0, RemovedNodes: 8, RemovedEdges: 2, Grafted: 0, Makespan: 1292.1,
+			Work: cspace.Counters{CDCalls: 131, CDObstacle: 1655, LPSteps: 128, LPCalls: 20, KNNQueries: 5, KNNEvals: 30}},
+		0x5767d2842c4e7fbe},
+	"rrt/mixed-30": {[]int{48, 48, 48, 48, 48, 48, 48, 48, 48, 48, 48, 48, 1, 2, 48, 4}, 0x2699dc6743f1c204,
+		[][4]int{{0, 4, 3, 0}, {1, 2, 10, 1}, {1, 2, 2, 2}, {1, 2, 6, 0}, {1, 7, 14, 5}, {2, 10, 5, 11}, {2, 8, 7, 4}, {3, 1, 12, 0}, {3, 1, 14, 1}, {3, 1, 13, 0}, {3, 1, 8, 1}, {3, 1, 15, 0}, {4, 11, 7, 7}, {4, 5, 9, 3}, {4, 3, 11, 1}},
+		0x412dee72d70a3d71,
+		RepairStats{Deltas: 1, CheckedNodes: 2, CheckedEdges: 0, RemovedNodes: 34, RemovedEdges: 0, Grafted: 0, Makespan: 40529.78,
+			Work: cspace.Counters{CDCalls: 226, CDObstacle: 79517, LPSteps: 224, LPCalls: 64, KNNQueries: 32, KNNEvals: 64}},
+		0x33b65b5460ec8579},
+	"rrtstar/mixed-30": {[]int{48, 48, 48, 48, 48, 48, 48, 48, 48, 48, 48, 48, 1, 2, 48, 4}, 0x8f77dab07ed00c66,
+		[][4]int{{0, 7, 8, 2}, {0, 5, 3, 0}, {1, 2, 10, 1}, {1, 2, 2, 2}, {1, 2, 6, 0}, {1, 11, 14, 2}, {2, 10, 5, 11}, {2, 8, 7, 4}, {3, 1, 12, 0}, {3, 1, 14, 1}, {3, 1, 13, 0}, {3, 1, 15, 0}, {4, 11, 7, 7}, {4, 3, 11, 1}, {0, 30, 9, 39}},
+		0x4137b67123d70a3d,
+		RepairStats{Deltas: 1, CheckedNodes: 2, CheckedEdges: 3, RemovedNodes: 34, RemovedEdges: 1, Grafted: 32, Makespan: 45781.78,
+			Work: cspace.Counters{CDCalls: 338, CDObstacle: 118561, LPSteps: 336, LPCalls: 99, KNNQueries: 64, KNNEvals: 514}},
+		0xe6b813b61dd7f58c},
+	"rrtconnect/mixed-30": {[]int{20, 27, 16, 2, 23, 13, 15, 24, 19, 39, 8, 49, 1, 2, 15, 2}, 0xb3ca818dc927e2cd,
+		[][4]int{{0, 9, 9, 0}, {0, 7, 8, 3}, {0, 7, 3, 0}, {1, 2, 10, 1}, {1, 2, 2, 2}, {1, 2, 6, 0}, {1, 4, 14, 1}, {2, 9, 5, 4}, {2, 9, 7, 5}, {3, 1, 12, 0}, {3, 1, 14, 1}, {3, 1, 13, 0}, {3, 1, 15, 0}, {4, 1, 11, 0}, {4, 7, 9, 3}},
+		0x411f181f70a3d70a,
+		RepairStats{Deltas: 1, CheckedNodes: 2, CheckedEdges: 2, RemovedNodes: 8, RemovedEdges: 1, Grafted: 0, Makespan: 9467.86,
+			Work: cspace.Counters{CDCalls: 58, CDObstacle: 18323, LPSteps: 56, LPCalls: 20, KNNQueries: 6, KNNEvals: 18}},
+		0x691d97d08ac1ade8},
+}
+
+// TestTreePinned pins six tree engine histories — RRT, RRT* and
+// RRT-Connect on walls and mixed-30; 3 growth rounds, one invalidating
+// delta, 1 more round — end to end: every branch (node counts, node
+// coordinates and parents), the bridges, what the simulator charged
+// (TotalTime bits, the full RepairStats), and the paths the published
+// forest answers for four fixed goals. The RRT engine on walls runs
+// under Repartition, so its round-0 k-ray weights — cone draws of their
+// own — decide ownership and with it TotalTime.
+func TestTreePinned(t *testing.T) {
+	scenes := []struct {
+		name       string
+		world      *env.Environment
+		root, goal cspace.Config
+		box        geom.AABB
+	}{
+		{"walls", env.ByName("walls"), geom.V(0.1, 0.1, 0.5), geom.V(0.9, 0.9, 0.5), geom.Box3(0.1, 0.25, 0.2, 0.2, 0.35, 0.8)},
+		{"mixed-30", env.Mixed30(), geom.V(0.5, 0.5, 0.5), geom.V(0.9, 0.9, 0.9), geom.Box3(0.55, 0.4, 0.4, 0.65, 0.6, 0.6)},
+	}
+	for _, sc := range scenes {
+		for _, planner := range []string{"rrt", "rrtstar", "rrtconnect"} {
+			name := planner + "/" + sc.name
+			opts := rrtOpts(4, 16)
+			opts.Radius = 0.9
+			opts.Star = planner == "rrtstar"
+			if name == "rrt/walls" {
+				opts.Strategy = Repartition
+			}
+			s := cspace.NewPointSpace(sc.world)
+			var eng *RRTEngine
+			var err error
+			if planner == "rrtconnect" {
+				eng, err = NewRRTConnectEngine(s, sc.root, sc.goal, opts)
+			} else {
+				eng, err = NewRRTEngine(s, sc.root, opts)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			growRRT(t, eng, 3)
+			world, d := mutateAddBox(t, sc.world, sc.box)
+			s = s.WithEnv(world)
+			if _, err := eng.ApplyDelta(s, d, nil); err != nil {
+				t.Fatal(err)
+			}
+			res := growRRT(t, eng, 1)
+			assertForestValid(t, s, res)
+			if got, want := pinTree(s, res), wantTree[name]; !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: forest moved\n got  %#v\n want %#v", name, got, want)
+			}
+		}
+	}
 }

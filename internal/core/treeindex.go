@@ -55,7 +55,10 @@ func (ix *TreeIndex) NumNodes() int { return len(ix.pts) }
 // O(log n) per lookup; nearby nodes can all be unreachable — wrong side
 // of a wall, incompatible heading — so it keeps widening until every
 // node has been tried. ok is false when the goal cannot be attached to
-// the tree. Safe for concurrent use.
+// the tree. Safe for concurrent use. Candidates are tried through the
+// batched local planner (the sequential one in a steered space), which
+// accepts exactly the edges the sequential one accepts: the path is the
+// same, and what c bills for a rejected candidate is the batch order's.
 func (ix *TreeIndex) ExtractPath(s *cspace.Space, goal cspace.Config, c *cspace.Counters) ([]cspace.Config, bool) {
 	if !s.Valid(goal, c) {
 		return nil, false
@@ -64,6 +67,7 @@ func (ix *TreeIndex) ExtractPath(s *cspace.Space, goal cspace.Config, c *cspace.
 	if n == 0 {
 		return nil, false
 	}
+	var bt cspace.Batch
 	tried := 0
 	for k := 8; tried < n; k *= 2 {
 		hits, evals := ix.tree.Nearest(goal, k)
@@ -78,7 +82,7 @@ func (ix *TreeIndex) ExtractPath(s *cspace.Space, goal cspace.Config, c *cspace.
 			branch := ix.res.Branches[rf.branch]
 			// Plan tree → goal: steering may be asymmetric (a forward-only
 			// car cannot drive a path backwards).
-			if !s.LocalPlan(branch.Nodes[rf.node].Q, goal, c) {
+			if !s.LocalPlanBatch(branch.Nodes[rf.node].Q, goal, &bt, c) {
 				continue
 			}
 			idxPath := branch.PathToRoot(rf.node)

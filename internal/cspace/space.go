@@ -138,8 +138,8 @@ func (s *Space) Valid(q Config, c *Counters) bool {
 // failed check. Work (one validity check plus one edge sweep per step)
 // is metered into c. The endpoints are assumed already validated. It is
 // the only order a steered space can use, and the one callers without a
-// scratch of their own use (repair, path utilities, tree attach): its
-// scratch is local to the call.
+// scratch of their own use (repair, path utilities): its scratch is
+// local to the call.
 func (s *Space) LocalPlan(a, b Config, c *Counters) bool {
 	var sc Scratch
 	if c != nil {

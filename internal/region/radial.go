@@ -94,15 +94,46 @@ func RadialSubdivision(apex geom.Vec, spec RadialSpec, r *rng.Stream) *Graph {
 // InCone reports whether point p lies within region r's cone (apex at
 // r.Apex, axis r.Ray, half-angle r.HalfAngle) and within its radius.
 func InCone(r *Region, p geom.Vec) bool {
-	v := p.Sub(r.Apex)
-	d := v.Norm()
+	// v·v and v·Ray over v = p − Apex, in Sub's and Dot's order: same bits.
+	var vv, vr float64
+	for i := range p {
+		x := p[i] - r.Apex[i]
+		vv += x * x
+		vr += x * r.Ray[i]
+	}
+	d := math.Sqrt(vv)
 	if d > r.Radius {
 		return false
 	}
 	if d == 0 {
 		return true
 	}
-	return geom.AngleBetween(v, r.Ray) <= r.HalfAngle
+	return withinAngle(vr, vv, r.Ray.Norm2(), r.HalfAngle, math.Cos(r.HalfAngle))
+}
+
+// withinAngle returns exactly geom.AngleBetween(u, v) <= h for vectors
+// with u·v = dot, u·u = uu, v·v = vv, given cosH = math.Cos(h). It
+// computes AngleBetween's c (same norms, dot product and clamp) but runs
+// its arc cosine only for c within 1e-9 of cos h: acos has slope ≤ −1,
+// so c ≥ cos h + 1e-9 puts the angle ≥ 1e-9 below h and c ≤ cos h − 1e-9
+// ≥ 1e-9 above it, far beyond math.Cos's and math.Acos's error. The band
+// is needed: core.widenGoalCone sets the goal cone's h to the goal's
+// angle + 1e-9, which moves the cosine by ≈ sin(h)·1e-9, so the goal's c
+// lands in the band and gets AngleBetween's own test. Outside [0, π) the
+// cosine says nothing: h ≥ π holds every c but NaN, h < 0 none.
+func withinAngle(dot, uu, vv, h, cosH float64) bool {
+	nu, nv := math.Sqrt(uu), math.Sqrt(vv)
+	if nu == 0 || nv == 0 {
+		return 0 <= h
+	}
+	c := max(-1, min(1, dot/(nu*nv))) // NaN stays NaN
+	if h >= math.Pi || h < 0 {
+		return h >= 0 && c == c
+	}
+	if c >= cosH+1e-9 || c <= cosH-1e-9 {
+		return c > cosH
+	}
+	return math.Acos(c) <= h
 }
 
 // ConeTarget returns the biasing target for region r: the point at the
@@ -111,28 +142,24 @@ func ConeTarget(r *Region) geom.Vec {
 	return r.Apex.Add(r.Ray.Scale(r.Radius))
 }
 
-// SampleInCone draws a point uniformly-ish inside region r's cone by
-// rejection from the enclosing ball sector: a direction within HalfAngle
-// of the axis and a radius r^(1/d)-distributed. The direction is produced
-// by perturbing the axis and re-normalizing, which concentrates slightly
-// toward the axis — acceptable for RRT biasing (the paper's growth is
-// biased toward the region target anyway).
-func SampleInCone(reg *Region, r *rng.Stream) geom.Vec {
-	return SampleInConeInto(nil, reg, r)
-}
-
-// SampleInConeInto is SampleInCone writing into dst (growing it as
-// needed). The RNG stream consumption is identical to SampleInCone, so
-// pooled and unpooled growth produce the same tree from the same stream.
+// SampleInConeInto draws a point uniformly-ish inside region r's cone
+// into dst (grown as needed; nil allocates), by rejection from the
+// enclosing ball sector: a direction within HalfAngle of the axis and a
+// radius r^(1/d)-distributed. The direction is produced by perturbing the
+// axis and re-normalizing, which concentrates slightly toward the axis —
+// acceptable for RRT biasing (the paper's growth is biased toward the
+// region target anyway). The draws do not depend on dst.
 func SampleInConeInto(dst geom.Vec, reg *Region, r *rng.Stream) geom.Vec {
 	d := reg.Apex.Dim()
+	h, rr := reg.HalfAngle, reg.Ray.Norm2()
+	cosH, sinH := math.Cos(h), math.Sin(h)
 	for tries := 0; tries < 64; tries++ {
 		dst = geom.SampleOnSphereInto(dst, d, r)
-		if geom.AngleBetween(dst, reg.Ray) > reg.HalfAngle {
+		if !withinAngle(dst.Dot(reg.Ray), dst.Norm2(), rr, h, cosH) {
 			// Blend toward the axis instead of rejecting forever for
 			// narrow cones.
 			blend := r.Float64()
-			scale := blend * math.Sin(reg.HalfAngle)
+			scale := blend * sinH
 			var n2 float64
 			for i := range dst {
 				dst[i] = reg.Ray[i]*(1-blend) + dst[i]*scale
@@ -142,7 +169,7 @@ func SampleInConeInto(dst geom.Vec, reg *Region, r *rng.Stream) geom.Vec {
 				dst.ScaleInPlace(1 / math.Sqrt(n2))
 			}
 		}
-		if geom.AngleBetween(dst, reg.Ray) <= reg.HalfAngle {
+		if withinAngle(dst.Dot(reg.Ray), dst.Norm2(), rr, h, cosH) {
 			rad := reg.Radius * math.Pow(r.Float64(), 1/float64(d))
 			for i := range dst {
 				dst[i] = reg.Apex[i] + dst[i]*rad

@@ -256,7 +256,7 @@ func TestSampleInConeStaysInCone(t *testing.T) {
 		Radius: 0.4, HalfAngle: 0.5,
 	}
 	for i := 0; i < 500; i++ {
-		p := SampleInCone(reg, r)
+		p := SampleInConeInto(nil, reg, r)
 		if p.Dist(reg.Apex) > reg.Radius+1e-9 {
 			t.Fatalf("sample %v beyond radius", p)
 		}

@@ -253,7 +253,7 @@ func KRayWeights(e *env.Environment, rg *region.Graph, k int, seed uint64) []flo
 
 // sampleConeDir draws a unit direction within the region's cone.
 func sampleConeDir(reg *region.Region, r *rng.Stream) geom.Vec {
-	p := region.SampleInCone(reg, r).Sub(reg.Apex)
+	p := region.SampleInConeInto(nil, reg, r).Sub(reg.Apex)
 	if p.Norm() < 1e-12 {
 		return reg.Ray.Clone()
 	}
