@@ -7,25 +7,23 @@ import (
 	"parmp/internal/geom"
 )
 
-// Batch is a struct-of-arrays scratch for the batched collision
-// kernels: candidate configurations (and edge endpoints) live in
-// per-dimension contiguous float columns, so the per-obstacle inner
-// loops of env.CheckPointsSoA / env.SegmentsFreeSoA stream over flat
-// slices with no interface dispatch and no per-candidate allocation.
-// A batch fails fast on the first colliding candidate.
+// Batch is a struct-of-arrays scratch for the path kernels: the
+// configurations of a local plan's path live in per-dimension contiguous
+// float columns (block A), so the per-obstacle inner loops of
+// env.CheckPointsSoA / env.SegmentsFreeSoA stream over flat slices with
+// no interface dispatch and no per-configuration allocation. A path
+// fails fast on the first colliding check.
 //
-// Block A holds candidate configurations; block B, when filled by the
-// edge appenders, pairs with A so edge i runs A[i]→B[i]. Robot kernels
-// expand the configuration blocks into workspace probe columns
-// internally. A Batch is not safe for concurrent use; the zero value is
-// ready after Reset.
+// Robot kernels pose block A into workspace columns, each configuration
+// once, and hand the env kernels column windows of them. A Batch is not
+// safe for concurrent use; the zero value is ready after Reset.
 type Batch struct {
 	n   int
 	dim int
-	a   [][]float64 // block A: candidate configurations, one column per DOF
-	b   [][]float64 // block B: edge end configurations paired with block A
+	a   [][]float64 // block A: the path's configurations, one column per DOF
 
-	wa, wb, wc, wd [][]float64 // workspace probe columns built by robot kernels
+	wa, wb, wc, wd [][]float64 // workspace columns built by robot kernels
+	lo, hi         [][]float64 // column windows: slice headers, never copies
 
 	esc env.BatchScratch
 	pa  geom.Vec // probe temporary
@@ -45,28 +43,25 @@ func resetCols(cols [][]float64, d int) [][]float64 {
 	return cols
 }
 
-// Reset empties the batch for candidates of the given dimension.
+// window points dst at rows [from, to) of every column of cols.
+func window(dst, cols [][]float64, from, to int) [][]float64 {
+	dst = dst[:0]
+	for _, c := range cols {
+		dst = append(dst, c[from:to])
+	}
+	return dst
+}
+
+// Reset empties the batch for configurations of the given dimension.
 func (bt *Batch) Reset(dim int) {
 	bt.n = 0
 	bt.dim = dim
 	bt.a = resetCols(bt.a, dim)
-	bt.b = resetCols(bt.b, dim)
-}
-
-// Len returns the number of batched candidates.
-func (bt *Batch) Len() int { return bt.n }
-
-// Append adds configuration q to block A.
-func (bt *Batch) Append(q Config) {
-	for k := 0; k < bt.dim; k++ {
-		bt.a[k] = append(bt.a[k], q[k])
-	}
-	bt.n++
 }
 
 // AppendLerp adds the interpolated configuration a + t*(b-a) to block
 // A, with the same per-component arithmetic as geom.LerpInto so batched
-// candidates are bit-identical to the scalar planner's.
+// configurations are bit-identical to the scalar planner's.
 func (bt *Batch) AppendLerp(a, b Config, t float64) {
 	for k := 0; k < bt.dim; k++ {
 		bt.a[k] = append(bt.a[k], a[k]+t*(b[k]-a[k]))
@@ -74,58 +69,59 @@ func (bt *Batch) AppendLerp(a, b Config, t float64) {
 	bt.n++
 }
 
-// AppendEdge adds the edge qa→qb to blocks A and B.
-func (bt *Batch) AppendEdge(qa, qb Config) {
-	for k := 0; k < bt.dim; k++ {
-		bt.a[k] = append(bt.a[k], qa[k])
-		bt.b[k] = append(bt.b[k], qb[k])
+// pointsFree checks the posed points of configurations 1..n-1, where
+// posed holds m points per configuration, configuration-major.
+func (bt *Batch) pointsFree(e *env.Environment, posed [][]float64, m int) (bool, int) {
+	bt.hi = window(bt.hi, posed, m, bt.n*m)
+	return e.CheckPointsSoA(bt.hi, (bt.n-1)*m, &bt.esc)
+}
+
+// stepsFree sweeps every step i-1 → i of the path: probe p of
+// configuration i-1 to probe p of configuration i, where swept holds m
+// probes per configuration. The two ends are the windows [0, (n-1)·m)
+// and [m, n·m) of the same columns.
+func (bt *Batch) stepsFree(e *env.Environment, swept [][]float64, m int) (bool, int) {
+	k := (bt.n - 1) * m
+	bt.lo = window(bt.lo, swept, 0, k)
+	bt.hi = window(bt.hi, swept, m, k+m)
+	return e.SegmentsFreeSoA(bt.lo, bt.hi, k, &bt.esc)
+}
+
+// PathFreeBatch implements Robot: the configuration columns are the
+// workspace point columns.
+func (r PointRobot) PathFreeBatch(e *env.Environment, bt *Batch) (bool, int) {
+	return pointPathFree(e, bt, bt.a)
+}
+
+// PathFreeBatch implements Robot: only the (x, y) columns are geometric;
+// heading is kinematic.
+func (dubinsPoint) PathFreeBatch(e *env.Environment, bt *Batch) (bool, int) {
+	return pointPathFree(e, bt, bt.a[:2])
+}
+
+// pointPathFree is the path kernel of a point whose workspace position
+// is the configuration columns cols: nothing to pose, no body segments.
+func pointPathFree(e *env.Environment, bt *Batch, cols [][]float64) (bool, int) {
+	if bt.n < 2 {
+		return true, 0
 	}
-	bt.n++
-}
-
-// AppendEdgeLerp adds the edge between the interpolations of a→b at t0
-// and t1.
-func (bt *Batch) AppendEdgeLerp(a, b Config, t0, t1 float64) {
-	for k := 0; k < bt.dim; k++ {
-		ak := a[k]
-		d := b[k] - ak
-		bt.a[k] = append(bt.a[k], ak+t0*d)
-		bt.b[k] = append(bt.b[k], ak+t1*d)
+	free, tests := bt.pointsFree(e, cols, 1)
+	if !free {
+		return false, tests
 	}
-	bt.n++
+	sfree, stests := bt.stepsFree(e, cols, 1)
+	return sfree, tests + stests
 }
 
-// ConfigFreeBatch implements Robot: the configuration columns are
-// the workspace point columns.
-func (r PointRobot) ConfigFreeBatch(e *env.Environment, bt *Batch) (bool, int) {
-	return e.CheckPointsSoA(bt.a, bt.n, &bt.esc)
-}
-
-// EdgeFreeBatch implements Robot.
-func (r PointRobot) EdgeFreeBatch(e *env.Environment, bt *Batch) (bool, int) {
-	return e.SegmentsFreeSoA(bt.a, bt.b, bt.n, &bt.esc)
-}
-
-// ConfigFreeBatch implements Robot: only the (x, y) columns are
-// geometric; heading is kinematic.
-func (dubinsPoint) ConfigFreeBatch(e *env.Environment, bt *Batch) (bool, int) {
-	return e.CheckPointsSoA(bt.a[:2], bt.n, &bt.esc)
-}
-
-// EdgeFreeBatch implements Robot.
-func (dubinsPoint) EdgeFreeBatch(e *env.Environment, bt *Batch) (bool, int) {
-	return e.SegmentsFreeSoA(bt.a[:2], bt.b[:2], bt.n, &bt.esc)
-}
-
-// bodyPointsInto expands the rigid body's probe points for every
-// configuration in the SoA block cfg, config-major (config i's probe p
-// lands at column index i*len(r.BodyPoints)+p). The world coordinates
-// match Transform.ApplyInto bit for bit.
-func (r RigidBody) bodyPointsInto(bt *Batch, cfg [][]float64, dst [][]float64) [][]float64 {
+// bodyPointsInto poses the rigid body's probe points for every
+// configuration of block A, config-major (config i's probe p lands at
+// column index i*len(r.BodyPoints)+p). The world coordinates match
+// Transform.ApplyInto bit for bit.
+func (r RigidBody) bodyPointsInto(bt *Batch, dst [][]float64) [][]float64 {
 	dst = resetCols(dst, 3)
 	for i := 0; i < bt.n; i++ {
-		rot := geom.QuatFromEuler(cfg[3][i], cfg[4][i], cfg[5][i])
-		tx, ty, tz := cfg[0][i], cfg[1][i], cfg[2][i]
+		rot := geom.QuatFromEuler(bt.a[3][i], bt.a[4][i], bt.a[5][i])
+		tx, ty, tz := bt.a[0][i], bt.a[1][i], bt.a[2][i]
 		for _, bp := range r.BodyPoints {
 			bt.pa = rot.RotateInto(bt.pa, bp)
 			dst[0] = append(dst[0], bt.pa[0]+tx)
@@ -136,22 +132,23 @@ func (r RigidBody) bodyPointsInto(bt *Batch, cfg [][]float64, dst [][]float64) [
 	return dst
 }
 
-// ConfigFreeBatch implements Robot: all probe points of all
-// configurations are checked in one SoA sweep, then all center→probe
-// spokes in another.
-func (r RigidBody) ConfigFreeBatch(e *env.Environment, bt *Batch) (bool, int) {
+// PathFreeBatch implements Robot: the probe points of configurations
+// 1..n-1 are checked in one SoA sweep, their center→probe spokes in a
+// second, and every probe's step-to-step segment in a third, all over
+// the one posed block.
+func (r RigidBody) PathFreeBatch(e *env.Environment, bt *Batch) (bool, int) {
 	np := len(r.BodyPoints)
-	if np == 0 || bt.n == 0 {
+	if np == 0 || bt.n < 2 {
 		return true, 0
 	}
-	bt.wa = r.bodyPointsInto(bt, bt.a, bt.wa)
-	free, tests := e.CheckPointsSoA(bt.wa, bt.n*np, &bt.esc)
+	bt.wa = r.bodyPointsInto(bt, bt.wa)
+	free, tests := bt.pointsFree(e, bt.wa, np)
 	if !free {
 		return false, tests
 	}
 	bt.wb = resetCols(bt.wb, 3)
 	bt.wc = resetCols(bt.wc, 3)
-	for i := 0; i < bt.n; i++ {
+	for i := 1; i < bt.n; i++ {
 		base := i * np
 		for p := 1; p < np; p++ {
 			for k := 0; k < 3; k++ {
@@ -160,35 +157,27 @@ func (r RigidBody) ConfigFreeBatch(e *env.Environment, bt *Batch) (bool, int) {
 			}
 		}
 	}
-	sfree, stests := e.SegmentsFreeSoA(bt.wb, bt.wc, bt.n*(np-1), &bt.esc)
-	return sfree, tests + stests
-}
-
-// EdgeFreeBatch implements Robot: every probe point of every edge
-// sweeps one segment, all checked in one SoA sweep.
-func (r RigidBody) EdgeFreeBatch(e *env.Environment, bt *Batch) (bool, int) {
-	np := len(r.BodyPoints)
-	if np == 0 || bt.n == 0 {
-		return true, 0
+	sfree, stests := e.SegmentsFreeSoA(bt.wb, bt.wc, (bt.n-1)*(np-1), &bt.esc)
+	if tests += stests; !sfree {
+		return false, tests
 	}
-	bt.wa = r.bodyPointsInto(bt, bt.a, bt.wa)
-	bt.wb = r.bodyPointsInto(bt, bt.b, bt.wb)
-	return e.SegmentsFreeSoA(bt.wa, bt.wb, bt.n*np, &bt.esc)
+	efree, etests := bt.stepsFree(e, bt.wa, np)
+	return efree, tests + etests
 }
 
-// jointColumnsInto expands the chain's joint positions for every
-// configuration in cfg, config-major (config i's joint j at column
+// jointColumnsInto poses the chain's joint positions for every
+// configuration of block A, config-major (config i's joint j at column
 // index i*(len(l.LinkLen)+1)+j), matching jointPositionsInto bit for
 // bit.
-func (l Linkage) jointColumnsInto(bt *Batch, cfg [][]float64, dst [][]float64) [][]float64 {
+func (l Linkage) jointColumnsInto(bt *Batch, dst [][]float64) [][]float64 {
 	dst = resetCols(dst, 2)
 	for i := 0; i < bt.n; i++ {
 		x, y := l.Base[0], l.Base[1]
 		dst[0] = append(dst[0], x)
 		dst[1] = append(dst[1], y)
 		for j, length := range l.LinkLen {
-			x = x + length*math.Cos(cfg[j][i])
-			y = y + length*math.Sin(cfg[j][i])
+			x = x + length*math.Cos(bt.a[j][i])
+			y = y + length*math.Sin(bt.a[j][i])
 			dst[0] = append(dst[0], x)
 			dst[1] = append(dst[1], y)
 		}
@@ -196,22 +185,23 @@ func (l Linkage) jointColumnsInto(bt *Batch, cfg [][]float64, dst [][]float64) [
 	return dst
 }
 
-// ConfigFreeBatch implements Robot: all joints of all
-// configurations are point-checked in one sweep, then all link bodies
-// are segment-swept in another.
-func (l Linkage) ConfigFreeBatch(e *env.Environment, bt *Batch) (bool, int) {
+// PathFreeBatch implements Robot: the joints of configurations 1..n-1
+// are point-checked in one sweep and their link bodies segment-swept in
+// another; then the probe points interpolated along each link of every
+// configuration sweep one segment per step, as EdgeFree's do.
+func (l Linkage) PathFreeBatch(e *env.Environment, bt *Batch) (bool, int) {
 	nj := len(l.LinkLen) + 1
-	if bt.n == 0 {
+	if bt.n < 2 {
 		return true, 0
 	}
-	bt.wa = l.jointColumnsInto(bt, bt.a, bt.wa)
-	free, tests := e.CheckPointsSoA(bt.wa, bt.n*nj, &bt.esc)
+	bt.wa = l.jointColumnsInto(bt, bt.wa)
+	free, tests := bt.pointsFree(e, bt.wa, nj)
 	if !free {
 		return false, tests
 	}
 	bt.wb = resetCols(bt.wb, 2)
 	bt.wc = resetCols(bt.wc, 2)
-	for i := 0; i < bt.n; i++ {
+	for i := 1; i < bt.n; i++ {
 		base := i * nj
 		for j := 0; j+1 < nj; j++ {
 			for k := 0; k < 2; k++ {
@@ -220,22 +210,11 @@ func (l Linkage) ConfigFreeBatch(e *env.Environment, bt *Batch) (bool, int) {
 			}
 		}
 	}
-	sfree, stests := e.SegmentsFreeSoA(bt.wb, bt.wc, bt.n*(nj-1), &bt.esc)
-	return sfree, tests + stests
-}
-
-// EdgeFreeBatch implements Robot: the probe points interpolated
-// along each link sweep segments between the two configurations of
-// every edge, all checked in one SoA sweep.
-func (l Linkage) EdgeFreeBatch(e *env.Environment, bt *Batch) (bool, int) {
-	nj := len(l.LinkLen) + 1
-	if bt.n == 0 || nj < 2 {
-		return true, 0
+	sfree, stests := e.SegmentsFreeSoA(bt.wb, bt.wc, (bt.n-1)*(nj-1), &bt.esc)
+	if tests += stests; !sfree {
+		return false, tests
 	}
 	np := l.probes()
-	bt.wa = l.jointColumnsInto(bt, bt.a, bt.wa)
-	bt.wb = l.jointColumnsInto(bt, bt.b, bt.wb)
-	bt.wc = resetCols(bt.wc, 2)
 	bt.wd = resetCols(bt.wd, 2)
 	for i := 0; i < bt.n; i++ {
 		base := i * nj
@@ -244,23 +223,22 @@ func (l Linkage) EdgeFreeBatch(e *env.Environment, bt *Batch) (bool, int) {
 				t := float64(p) / float64(np)
 				for k := 0; k < 2; k++ {
 					a0 := bt.wa[k][base+j]
-					b0 := bt.wb[k][base+j]
-					bt.wc[k] = append(bt.wc[k], a0+t*(bt.wa[k][base+j+1]-a0))
-					bt.wd[k] = append(bt.wd[k], b0+t*(bt.wb[k][base+j+1]-b0))
+					bt.wd[k] = append(bt.wd[k], a0+t*(bt.wa[k][base+j+1]-a0))
 				}
 			}
 		}
 	}
-	return e.SegmentsFreeSoA(bt.wc, bt.wd, bt.n*(nj-1)*(np+1), &bt.esc)
+	efree, etests := bt.stepsFree(e, bt.wd, (nj-1)*(np+1))
+	return efree, tests + etests
 }
 
-// outlineColumnsInto expands the placed outline for every configuration
-// in cfg, config-major, matching placedInto bit for bit.
-func (r RigidBody2D) outlineColumnsInto(bt *Batch, cfg [][]float64, dst [][]float64) [][]float64 {
+// outlineColumnsInto poses the outline for every configuration of block
+// A, config-major, matching placedInto bit for bit.
+func (r RigidBody2D) outlineColumnsInto(bt *Batch, dst [][]float64) [][]float64 {
 	dst = resetCols(dst, 2)
 	for i := 0; i < bt.n; i++ {
-		sin, cos := math.Sincos(cfg[2][i])
-		x, y := cfg[0][i], cfg[1][i]
+		sin, cos := math.Sincos(bt.a[2][i])
+		x, y := bt.a[0][i], bt.a[1][i]
 		for _, v := range r.Outline {
 			dst[0] = append(dst[0], x+v[0]*cos-v[1]*sin)
 			dst[1] = append(dst[1], y+v[0]*sin+v[1]*cos)
@@ -269,22 +247,23 @@ func (r RigidBody2D) outlineColumnsInto(bt *Batch, cfg [][]float64, dst [][]floa
 	return dst
 }
 
-// ConfigFreeBatch implements Robot: all outline vertices of all
-// configurations are point-checked in one sweep, then all outline edges
-// (with wraparound) are segment-swept in another.
-func (r RigidBody2D) ConfigFreeBatch(e *env.Environment, bt *Batch) (bool, int) {
+// PathFreeBatch implements Robot: the outline vertices of configurations
+// 1..n-1 are point-checked in one sweep and their outline edges (with
+// wraparound) segment-swept in another; then every vertex sweeps one
+// segment per step.
+func (r RigidBody2D) PathFreeBatch(e *env.Environment, bt *Batch) (bool, int) {
 	nv := len(r.Outline)
-	if nv == 0 || bt.n == 0 {
+	if nv == 0 || bt.n < 2 {
 		return true, 0
 	}
-	bt.wa = r.outlineColumnsInto(bt, bt.a, bt.wa)
-	free, tests := e.CheckPointsSoA(bt.wa, bt.n*nv, &bt.esc)
+	bt.wa = r.outlineColumnsInto(bt, bt.wa)
+	free, tests := bt.pointsFree(e, bt.wa, nv)
 	if !free {
 		return false, tests
 	}
 	bt.wb = resetCols(bt.wb, 2)
 	bt.wc = resetCols(bt.wc, 2)
-	for i := 0; i < bt.n; i++ {
+	for i := 1; i < bt.n; i++ {
 		base := i * nv
 		for v := 0; v < nv; v++ {
 			for k := 0; k < 2; k++ {
@@ -293,28 +272,23 @@ func (r RigidBody2D) ConfigFreeBatch(e *env.Environment, bt *Batch) (bool, int) 
 			}
 		}
 	}
-	sfree, stests := e.SegmentsFreeSoA(bt.wb, bt.wc, bt.n*nv, &bt.esc)
-	return sfree, tests + stests
-}
-
-// EdgeFreeBatch implements Robot: every outline vertex of every
-// edge sweeps one segment.
-func (r RigidBody2D) EdgeFreeBatch(e *env.Environment, bt *Batch) (bool, int) {
-	nv := len(r.Outline)
-	if nv == 0 || bt.n == 0 {
-		return true, 0
+	sfree, stests := e.SegmentsFreeSoA(bt.wb, bt.wc, (bt.n-1)*nv, &bt.esc)
+	if tests += stests; !sfree {
+		return false, tests
 	}
-	bt.wa = r.outlineColumnsInto(bt, bt.a, bt.wa)
-	bt.wb = r.outlineColumnsInto(bt, bt.b, bt.wb)
-	return e.SegmentsFreeSoA(bt.wa, bt.wb, bt.n*nv, &bt.esc)
+	efree, etests := bt.stepsFree(e, bt.wa, nv)
+	return efree, tests + etests
 }
 
-// LocalPlanBatch is the batched local planner: the interpolated
-// configurations of the whole edge are laid out in the batch's SoA
-// block and validated with one ConfigFreeBatch sweep, then all step
-// edges with one EdgeFreeBatch sweep. Obstacle-major iteration inside
-// the sweeps amortizes interface dispatch across the batch, and each
-// sweep fails fast on the first hit.
+// LocalPlanBatch is the batched local planner: the path's configurations
+// a = q_0, q_1, …, q_steps = b are laid out in the batch's SoA block and
+// validated in one robot pass (PathFreeBatch), which poses each of them
+// once. Obstacle-major iteration inside its sweeps amortizes interface
+// dispatch across the path, and each sweep fails fast on the first hit.
+// The start is the edge's already-validated endpoint: posed for the
+// first step, neither checked nor counted. It goes through AppendLerp
+// like every other configuration, as a + 0·(b-a), which is a itself up
+// to the sign of a zero whenever b-a is finite.
 //
 // The accept/reject outcome is identical to LocalPlan/LocalPlanS: all
 // three reject iff any of the same point or edge checks fails, and on
@@ -334,26 +308,15 @@ func (s *Space) LocalPlanBatch(a, b Config, bt *Batch, c *Counters) bool {
 		steps = 1
 	}
 	bt.Reset(s.Dim())
-	for i := 1; i <= steps; i++ {
+	for i := 0; i <= steps; i++ {
 		bt.AppendLerp(a, b, float64(i)/float64(steps))
 	}
-	free, tests := s.Robot.ConfigFreeBatch(s.Env, bt)
+	free, tests := s.Robot.PathFreeBatch(s.Env, bt)
 	if c != nil {
-		// Charged up front: on acceptance the totals are exactly what the
-		// scalar planner counts (steps validity checks, all tests).
+		// Charged whatever the verdict: on acceptance the totals are exactly
+		// what the scalar planner counts (steps validity checks, all tests).
 		c.LPSteps += int64(steps)
 		c.CDCalls += int64(steps)
-		c.CDObstacle += int64(tests)
-	}
-	if !free {
-		return false
-	}
-	bt.Reset(s.Dim())
-	for i := 1; i <= steps; i++ {
-		bt.AppendEdgeLerp(a, b, float64(i-1)/float64(steps), float64(i)/float64(steps))
-	}
-	free, tests = s.Robot.EdgeFreeBatch(s.Env, bt)
-	if c != nil {
 		c.CDObstacle += int64(tests)
 	}
 	return free

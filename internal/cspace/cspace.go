@@ -53,7 +53,7 @@ func (c Counters) String() string {
 
 // Robot maps configurations to workspace collision queries. Every robot
 // has one scalar kernel pair, which writes its temporaries through the
-// caller's Scratch, and one batch pair over a struct-of-arrays Batch.
+// caller's Scratch, and one path kernel over a struct-of-arrays Batch.
 // The scratch and the batch are never nil.
 type Robot interface {
 	// ConfigFree reports whether configuration q is collision-free in e
@@ -63,16 +63,16 @@ type Robot interface {
 	// configurations that are already close (one resolution step apart)
 	// is collision-free. Implementations may assume a≈b.
 	EdgeFree(e *env.Environment, a, b Config, sc *Scratch) (bool, int)
-	// ConfigFreeBatch validates every configuration in the batch's
-	// block A. It must accept/reject exactly as ConfigFree run per
-	// candidate, and on an all-free batch return the sum of the scalar
-	// test counts; a rejecting batch may stop at a different count (the
-	// same fail-fast contract LocalPlanS documents for rejected edges).
-	ConfigFreeBatch(e *env.Environment, bt *Batch) (bool, int)
-	// EdgeFreeBatch validates the workspace sweep of every edge
-	// A[i]→B[i] under the same contract; as with EdgeFree, endpoints are
-	// assumed close.
-	EdgeFreeBatch(e *env.Environment, bt *Batch) (bool, int)
+	// PathFreeBatch validates the path through the batch's
+	// configurations q_0..q_{n-1}, posing each once. It must accept or
+	// reject exactly as the scalar march — ConfigFree on q_1..q_{n-1},
+	// then EdgeFree on every step q_{i-1}→q_i — and on a free path return
+	// the sum of the scalar test counts; a rejecting path may stop at a
+	// different count (the same fail-fast contract LocalPlanS documents
+	// for rejected edges). q_0 is the caller's already-validated start:
+	// posed for the first step, neither checked nor counted. As with
+	// EdgeFree, consecutive configurations are assumed close.
+	PathFreeBatch(e *env.Environment, bt *Batch) (bool, int)
 }
 
 // PointRobot is a point in the workspace; its configuration is its

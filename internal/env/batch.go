@@ -1,10 +1,6 @@
 package env
 
-import (
-	"math"
-
-	"parmp/internal/geom"
-)
+import "parmp/internal/geom"
 
 // BatchScratch holds the gather buffers the SoA batch queries fall back
 // to when an obstacle type has no column kernel. The zero value is ready
@@ -204,36 +200,16 @@ func sphereContainsAny(o SphereObstacle, cols [][]float64, n int) (bool, int) {
 	return false, 0
 }
 
-// boxSegmentHitsAny returns the first batch segment intersecting b. The
-// per-segment slab test reproduces AABB.SegmentIntersects exactly
-// (including its 1e-15 degenerate-axis epsilon and boundary-touching
-// semantics).
+// boxSegmentHitsAny returns the first batch segment intersecting b. Each
+// segment steps through geom.Slab axis by axis, exactly as
+// AABB.SegmentIntersects does.
 func boxSegmentHitsAny(b geom.AABB, acols, bcols [][]float64, n int) (bool, int) {
 	d := len(b.Lo)
 	for i := 0; i < n; i++ {
-		tMin, tMax := 0.0, 1.0
-		hit := true
-		for k := 0; k < d; k++ {
+		tMin, tMax, hit := 0.0, 1.0, true
+		for k := 0; k < d && hit; k++ {
 			av := acols[k][i]
-			dd := bcols[k][i] - av
-			if math.Abs(dd) < 1e-15 {
-				if av < b.Lo[k] || av > b.Hi[k] {
-					hit = false
-					break
-				}
-				continue
-			}
-			t1 := (b.Lo[k] - av) / dd
-			t2 := (b.Hi[k] - av) / dd
-			if t1 > t2 {
-				t1, t2 = t2, t1
-			}
-			tMin = math.Max(tMin, t1)
-			tMax = math.Min(tMax, t2)
-			if tMin > tMax {
-				hit = false
-				break
-			}
+			tMin, tMax, hit = geom.Slab(b.Lo[k], b.Hi[k], av, bcols[k][i]-av, tMin, tMax)
 		}
 		if hit {
 			return true, i

@@ -124,54 +124,49 @@ func (b AABB) DistanceTo(p Vec) float64 {
 	return math.Sqrt(s)
 }
 
+// Slab is one axis of the slab method: it clips the parameter interval
+// [tMin, tMax] of the line a + t·d to the slab [lo, hi] and reports
+// whether the interval is still non-empty. A direction below 1e-15 in
+// magnitude counts as parallel, leaving the interval as it is iff a lies
+// in the slab. SegmentIntersects, RayEnter and env's batched segment
+// kernel all step through it, so they agree bit for bit. The builtin
+// min and max inline where math.Min and math.Max are calls, and return
+// what those do (signed zeros included) unless an operand is NaN and
+// the other the infinity math's versions let win; a NaN needs a NaN or
+// overflowing coordinate, which no finite world of sane size produces.
+func Slab(lo, hi, a, d, tMin, tMax float64) (float64, float64, bool) {
+	if math.Abs(d) < 1e-15 {
+		return tMin, tMax, !(a < lo || a > hi)
+	}
+	t1 := (lo - a) / d
+	t2 := (hi - a) / d
+	if t1 > t2 {
+		t1, t2 = t2, t1
+	}
+	tMin, tMax = max(tMin, t1), min(tMax, t2)
+	return tMin, tMax, !(tMin > tMax)
+}
+
 // SegmentIntersects reports whether the segment a→b2 passes through the box,
 // using the slab method. Touching the boundary counts as intersecting.
 func (b AABB) SegmentIntersects(a, b2 Vec) bool {
-	tMin, tMax := 0.0, 1.0
-	for i := range b.Lo {
-		d := b2[i] - a[i]
-		if math.Abs(d) < 1e-15 {
-			if a[i] < b.Lo[i] || a[i] > b.Hi[i] {
-				return false
-			}
-			continue
-		}
-		t1 := (b.Lo[i] - a[i]) / d
-		t2 := (b.Hi[i] - a[i]) / d
-		if t1 > t2 {
-			t1, t2 = t2, t1
-		}
-		tMin = math.Max(tMin, t1)
-		tMax = math.Min(tMax, t2)
-		if tMin > tMax {
-			return false
-		}
+	tMin, tMax, ok := 0.0, 1.0, true
+	for i := 0; i < len(b.Lo) && ok; i++ {
+		tMin, tMax, ok = Slab(b.Lo[i], b.Hi[i], a[i], b2[i]-a[i], tMin, tMax)
 	}
-	return true
+	return ok
 }
 
 // RayEnter returns the parameter t >= 0 at which the ray origin+t*dir first
 // enters the box, and ok=false if the ray misses it. A ray starting inside
 // returns t=0.
 func (b AABB) RayEnter(origin, dir Vec) (float64, bool) {
-	tMin, tMax := 0.0, math.Inf(1)
-	for i := range b.Lo {
-		if math.Abs(dir[i]) < 1e-15 {
-			if origin[i] < b.Lo[i] || origin[i] > b.Hi[i] {
-				return 0, false
-			}
-			continue
-		}
-		t1 := (b.Lo[i] - origin[i]) / dir[i]
-		t2 := (b.Hi[i] - origin[i]) / dir[i]
-		if t1 > t2 {
-			t1, t2 = t2, t1
-		}
-		tMin = math.Max(tMin, t1)
-		tMax = math.Min(tMax, t2)
-		if tMin > tMax {
-			return 0, false
-		}
+	tMin, tMax, ok := 0.0, math.Inf(1), true
+	for i := 0; i < len(b.Lo) && ok; i++ {
+		tMin, tMax, ok = Slab(b.Lo[i], b.Hi[i], origin[i], dir[i], tMin, tMax)
+	}
+	if !ok {
+		return 0, false
 	}
 	return tMin, true
 }

@@ -165,6 +165,93 @@ func TestRayEnter(t *testing.T) {
 	}
 }
 
+// specialFloats are the inputs where math's functions take their own
+// branches: signed zeros, quarter turns, infinities and NaN.
+var specialFloats = []float64{0, math.Copysign(0, -1), math.Pi / 2, -math.Pi / 2, math.Pi, -math.Pi,
+	math.Inf(1), math.Inf(-1), math.NaN(), 1e-300, -1e-300, 1e300, math.MaxFloat64}
+
+// TestSlabMatchesMathMinMax holds Slab to the slab step it replaced,
+// written with math.Max and math.Min, on random and special inputs: bit
+// for bit (signed zeros included; a NaN may carry another payload),
+// except where math's versions met a NaN paired with an infinity.
+func TestSlabMatchesMathMinMax(t *testing.T) {
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+	}
+	nanVsInf := func(x, y float64) bool {
+		return math.IsNaN(x) && math.IsInf(y, 0) || math.IsInf(x, 0) && math.IsNaN(y)
+	}
+	// old reports, besides its result, whether its Max or Min met the
+	// one pair the builtins answer differently.
+	old := func(lo, hi, a, d, tMin, tMax float64) (float64, float64, bool, bool) {
+		if math.Abs(d) < 1e-15 {
+			return tMin, tMax, !(a < lo || a > hi), false
+		}
+		t1, t2 := (lo-a)/d, (hi-a)/d
+		if t1 > t2 {
+			t1, t2 = t2, t1
+		}
+		differs := nanVsInf(tMin, t1) || nanVsInf(tMax, t2)
+		tMin, tMax = math.Max(tMin, t1), math.Min(tMax, t2)
+		return tMin, tMax, !(tMin > tMax), differs
+	}
+	r := rng.New(3)
+	draw := func() float64 {
+		if r.Intn(4) == 0 {
+			return specialFloats[r.Intn(len(specialFloats))]
+		}
+		return r.Range(-2, 2)
+	}
+	for i := 0; i < 200000; i++ {
+		in := [6]float64{draw(), draw(), draw(), draw(), draw(), draw()}
+		g0, g1, gok := Slab(in[0], in[1], in[2], in[3], in[4], in[5])
+		w0, w1, wok, differs := old(in[0], in[1], in[2], in[3], in[4], in[5])
+		if !differs && (!same(g0, w0) || !same(g1, w1) || gok != wok) {
+			t.Fatalf("Slab%v = (%v, %v, %v), math.Max/Min step (%v, %v, %v)", in, g0, g1, gok, w0, w1, wok)
+		}
+	}
+}
+
+// TestQuatFromEulerMatchesSinCos holds QuatFromEuler's Sincos half
+// angles to the separate math.Sin / math.Cos calls it replaced, bit for
+// bit, on 10⁶ random angle triples plus every special value.
+func TestQuatFromEulerMatchesSinCos(t *testing.T) {
+	old := func(roll, pitch, yaw float64) Quat {
+		cr, sr := math.Cos(roll/2), math.Sin(roll/2)
+		cp, sp := math.Cos(pitch/2), math.Sin(pitch/2)
+		cy, sy := math.Cos(yaw/2), math.Sin(yaw/2)
+		return Quat{
+			W: cr*cp*cy + sr*sp*sy,
+			X: sr*cp*cy - cr*sp*sy,
+			Y: cr*sp*cy + sr*cp*sy,
+			Z: cr*cp*sy - sr*sp*cy,
+		}
+	}
+	same := func(a, b Quat) bool {
+		return math.Float64bits(a.W) == math.Float64bits(b.W) && math.Float64bits(a.X) == math.Float64bits(b.X) &&
+			math.Float64bits(a.Y) == math.Float64bits(b.Y) && math.Float64bits(a.Z) == math.Float64bits(b.Z)
+	}
+	check := func(roll, pitch, yaw float64) {
+		if got, want := QuatFromEuler(roll, pitch, yaw), old(roll, pitch, yaw); !same(got, want) {
+			t.Fatalf("QuatFromEuler(%v, %v, %v) = %+v, Sin/Cos gives %+v", roll, pitch, yaw, got, want)
+		}
+	}
+	for _, x := range specialFloats {
+		check(x, x, x)
+		check(x, 0.3, -1.2)
+	}
+	r := rng.New(2)
+	for i := 0; i < 1000000; i++ {
+		// Mostly configuration angles, some far outside [-π, π] where
+		// the argument reduction takes its other branches.
+		scale := math.Pi
+		if i%8 == 0 {
+			scale = math.Ldexp(1, r.Intn(64))
+		}
+		check(r.Range(-scale, scale), r.Range(-scale, scale), r.Range(-scale, scale))
+	}
+}
+
 func TestQuatRotate(t *testing.T) {
 	q := QuatFromEuler(0, 0, math.Pi/2)
 	got := q.RotateInto(nil, V(1, 0, 0))

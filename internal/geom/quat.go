@@ -9,11 +9,12 @@ type Quat struct {
 }
 
 // QuatFromEuler builds a rotation from Z-Y-X (yaw, pitch, roll) Euler
-// angles in radians.
+// angles in radians. Each half angle takes one math.Sincos, which
+// returns math.Sin's and math.Cos's results bit for bit.
 func QuatFromEuler(roll, pitch, yaw float64) Quat {
-	cr, sr := math.Cos(roll/2), math.Sin(roll/2)
-	cp, sp := math.Cos(pitch/2), math.Sin(pitch/2)
-	cy, sy := math.Cos(yaw/2), math.Sin(yaw/2)
+	sr, cr := math.Sincos(roll / 2)
+	sp, cp := math.Sincos(pitch / 2)
+	sy, cy := math.Sincos(yaw / 2)
 	return Quat{
 		W: cr*cp*cy + sr*sp*sy,
 		X: sr*cp*cy - cr*sp*sy,

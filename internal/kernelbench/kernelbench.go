@@ -59,15 +59,15 @@ func Kernels() []Kernel {
 	ks := []Kernel{
 		{Name: "ConnectRegion", Bench: benchConnectRegion},
 		{Name: "ConnectBoundary", Bench: benchConnectBoundary},
-		{Name: "ConfigFree", Bench: benchConfigFree},
-		{Name: "ConfigFreeBatch", Items: batchConfigs, Bench: benchConfigFreeBatch},
-		{Name: "EdgeFreeLinkage", Bench: benchEdgeFreeLinkage},
-		{Name: "EdgeFreeBatchLinkage", Items: batchEdges, Bench: benchEdgeFreeBatchLinkage},
 		{Name: "GraphBulkBuild", Bench: benchGraphBulkBuild},
 		{Name: "IndexBuild", Bench: benchIndexBuild},
 		{Name: "IndexQuery", Bench: benchIndexQuery},
 		{Name: "LocalPlan", Bench: benchLocalPlan},
 		{Name: "LocalPlanBatch", Bench: benchLocalPlanBatch},
+		{Name: "LocalPlanRigid", Bench: benchLocalPlanEdges(rigidBenchSpace, 0.08, false)},
+		{Name: "LocalPlanBatchRigid", Bench: benchLocalPlanEdges(rigidBenchSpace, 0.08, true)},
+		{Name: "LocalPlanLinkage", Bench: benchLocalPlanEdges(linkageBenchSpace, 0.2, false)},
+		{Name: "LocalPlanBatchLinkage", Bench: benchLocalPlanEdges(linkageBenchSpace, 0.2, true)},
 		{Name: "NearestInto", Bench: benchNearestInto},
 		{Name: "NearestBatch", Items: batchQueries, Bench: benchNearestBatch},
 		{Name: "DynamicNearest", Bench: benchDynamicNearest},
@@ -119,9 +119,9 @@ const BatchMaxRatio = 1.15
 // per op, the batch kernel the whole set), so per-item times are
 // directly comparable on any machine.
 var batchPairs = []struct{ batch, scalar string }{
-	{"ConfigFreeBatch", "ConfigFree"},
-	{"EdgeFreeBatchLinkage", "EdgeFreeLinkage"},
 	{"LocalPlanBatch", "LocalPlan"},
+	{"LocalPlanBatchRigid", "LocalPlanRigid"},
+	{"LocalPlanBatchLinkage", "LocalPlanLinkage"},
 	{"NearestBatch", "NearestInto"},
 }
 
@@ -169,11 +169,10 @@ func benchConnectBoundary(b *testing.B) {
 	}
 }
 
-// Batch sizes for the batched kernels; the scalar counterparts iterate
-// the same fixture sets one item per op, so per-item times compare the
-// exact same work.
+// Fixture sizes: both sides of a local-plan pair cycle through the same
+// batchEdges edges, one per op; NearestBatch answers batchQueries
+// queries per op, NearestInto one.
 const (
-	batchConfigs = 64
 	batchEdges   = 16
 	batchQueries = 64
 )
@@ -197,82 +196,43 @@ func rigidBenchSpace() *cspace.Space {
 	return cspace.NewRigidBodySpace(env.MedCube(), cspace.NewRigidBox(0.03, 0.02, 0.01))
 }
 
-func benchConfigFree(b *testing.B) {
-	s := rigidBenchSpace()
-	var c cspace.Counters
-	var sc cspace.Scratch
-	qs := freeConfigs(s, batchConfigs, 11)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.ValidS(qs[i%len(qs)], &sc, &c)
-	}
-}
-
-func benchConfigFreeBatch(b *testing.B) {
-	s := rigidBenchSpace()
-	qs := freeConfigs(s, batchConfigs, 11)
-	var bt cspace.Batch
-	bt.Reset(s.Dim())
-	for _, q := range qs {
-		bt.Append(q)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Robot.ConfigFreeBatch(s.Env, &bt)
-	}
-}
-
-// linkageBenchEdges returns n short edges whose swept motion is free, so
-// a batch sweep never fails fast and every item costs full validation.
-func linkageBenchEdges(e *env.Environment, l cspace.Linkage, s *cspace.Space, n int, seed uint64) (qa, qb []cspace.Config) {
-	r := rng.New(seed)
-	var sc cspace.Scratch
-	for len(qa) < n {
-		a := s.SampleIn(s.Bounds, r, nil)
-		bb := a.Clone()
-		for i := range bb {
-			bb[i] += 0.01
-		}
-		if ok, _ := l.EdgeFree(e, a, bb, &sc); ok {
-			qa = append(qa, a)
-			qb = append(qb, bb)
-		}
-	}
-	return qa, qb
-}
-
-func linkageBenchSpace() (*env.Environment, cspace.Linkage, *cspace.Space) {
-	e := env.Maze2D(4, 0.2)
+func linkageBenchSpace() *cspace.Space {
 	l := cspace.Linkage{Base: geom.V(0.5, 0.5), LinkLen: []float64{0.1, 0.1, 0.08, 0.06}}
-	return e, l, cspace.NewLinkageSpace(e, l)
+	return cspace.NewLinkageSpace(env.Maze2D(4, 0.2), l)
 }
 
-func benchEdgeFreeLinkage(b *testing.B) {
-	e, l, s := linkageBenchSpace()
-	qa, qb := linkageBenchEdges(e, l, s, batchEdges, 13)
-	var sc cspace.Scratch
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j := i % len(qa)
-		l.EdgeFree(e, qa[j], qb[j], &sc)
-	}
-}
-
-func benchEdgeFreeBatchLinkage(b *testing.B) {
-	e, l, s := linkageBenchSpace()
-	qa, qb := linkageBenchEdges(e, l, s, batchEdges, 13)
-	var bt cspace.Batch
-	bt.Reset(s.Dim())
-	for j := range qa {
-		bt.AppendEdge(qa[j], qb[j])
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.EdgeFreeBatch(e, &bt)
+// benchLocalPlanEdges times one local plan per op, through the batch or
+// the bisection order, over batchEdges free edges of the space (each
+// coordinate of an edge's end within reach of its start), so no plan
+// fails fast and both orders run every check of the edges PRM connects.
+func benchLocalPlanEdges(space func() *cspace.Space, reach float64, batch bool) func(*testing.B) {
+	return func(b *testing.B) {
+		s := space()
+		var sc cspace.Scratch
+		var bt cspace.Batch
+		var c cspace.Counters
+		r := rng.New(13)
+		var edges [][2]cspace.Config
+		for len(edges) < batchEdges {
+			qa := s.SampleIn(s.Bounds, r, nil)
+			qb := qa.Clone()
+			for k := range qb {
+				qb[k] += r.Range(-reach, reach)
+			}
+			if s.ValidS(qa, &sc, nil) && s.ValidS(qb, &sc, nil) && s.LocalPlanS(qa, qb, &sc, nil) {
+				edges = append(edges, [2]cspace.Config{qa, qb})
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e := edges[i%len(edges)]
+			if batch {
+				s.LocalPlanBatch(e[0], e[1], &bt, &c)
+			} else {
+				s.LocalPlanS(e[0], e[1], &sc, &c)
+			}
+		}
 	}
 }
 
