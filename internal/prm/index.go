@@ -79,12 +79,28 @@ func (ix *Index) Query(s *cspace.Space, start, goal cspace.Config, k int, c *csp
 }
 
 func (ix *Index) query(sc *BatchScratch, s *cspace.Space, start, goal cspace.Config, k int, c *cspace.Counters) ([]cspace.Config, bool) {
-	if !s.ValidS(start, &sc.cs, c) || !s.ValidS(goal, &sc.cs, c) {
+	starts, goals := ix.endpoints(sc, s, start, goal, k, c)
+	if len(goals) == 0 {
+		return nil, false // also covers no start attachment: nothing matched
+	}
+	exit := ix.search(sc, s, goal, starts, goals)
+	if exit < 0 {
+		// Unreachable despite the component test can't happen (labels come
+		// from the same graph), but guard anyway.
 		return nil, false
+	}
+	return ix.path(sc, exit, start, goal), true
+}
+
+// endpoints attaches start and goal to the roadmap and returns the start
+// attachments worth searching from and the goal attachments, both in sc.
+func (ix *Index) endpoints(sc *BatchScratch, s *cspace.Space, start, goal cspace.Config, k int, c *cspace.Counters) (starts, goals []attachment) {
+	if !s.ValidS(start, &sc.cs, c) || !s.ValidS(goal, &sc.cs, c) {
+		return nil, nil
 	}
 	k = min(k, len(ix.pts))
 	if k <= 0 {
-		return nil, false
+		return nil, nil
 	}
 	var evS, evG int
 	sc.hits, evS = ix.tree.NearestInto(&sc.knn, start, k, -1, sc.hits[:0])
@@ -101,28 +117,19 @@ func (ix *Index) query(sc *BatchScratch, s *cspace.Space, start, goal cspace.Con
 	// disconnected query is rejected without a single local plan.
 	sc.atts = sc.atts[:0]
 	sc.labels = ix.hitLabels(sc.labels[:0], hitsG)
-	starts := ix.attach(sc, s, start, hitsS, sc.labels, c)
+	starts = ix.attach(sc, s, start, hitsS, sc.labels, c)
 	sc.labels = ix.attLabels(sc.labels[:0], starts)
-	goals := ix.attach(sc, s, goal, hitsG, sc.labels, c)
-	if len(goals) == 0 {
-		return nil, false // also covers no start attachment: nothing matched
-	}
+	goals = ix.attach(sc, s, goal, hitsG, sc.labels, c)
 
 	// A start attachment whose candidate partner on the goal side failed
 	// its local plan is in a dead component: seeding it would only make
 	// the search explore that component.
 	sc.labels = ix.attLabels(sc.labels[:0], goals)
-	sc.begin(len(ix.pts))
+	live := starts[:0]
 	for _, a := range starts {
 		if hasLabel(sc.labels, ix.labels[a.node]) {
-			sc.seed(int32(a.node), a.cost, ix.heuristic(s, int32(a.node), goal))
+			live = append(live, a)
 		}
 	}
-	exit := ix.search(sc, s, goal, goals)
-	if exit < 0 {
-		// Unreachable despite the component test can't happen (labels come
-		// from the same graph), but guard anyway.
-		return nil, false
-	}
-	return ix.path(sc, exit, start, goal), true
+	return live, goals
 }

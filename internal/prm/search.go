@@ -11,9 +11,9 @@ import (
 
 // BatchScratch is the reusable state of one in-flight Index.Query or
 // Index.QueryBatch: the kd and collision scratch the attach step runs
-// through, the attachment buffers, and the search state (dist/prev
-// arrays sized to the roadmap, a typed binary heap). With a warm scratch
-// a query allocates only what it returns.
+// through, the attachment buffers, and the search state (one record per
+// roadmap node, an indexed 4-ary heap). With a warm scratch a query
+// allocates only what it returns.
 //
 // Callers normally pass a nil *BatchScratch and the index borrows one
 // from a package-level pool for the duration of the call; a caller that
@@ -22,16 +22,13 @@ import (
 // served and works for any smaller one. A scratch must not be shared by
 // concurrent calls.
 type BatchScratch struct {
-	// Search state, indexed by roadmap node. dist[v] and prev[v] mean
-	// something only while seen[v] == gen, and v is an exit the search
-	// has not settled yet only while mark[v] == gen, so starting a search
-	// is one increment of gen, not a sweep over the arrays.
-	gen  uint32
-	seen []uint32
-	mark []uint32
-	dist []float64
-	prev []int32
-	heap []heapEntry
+	// Search state: a record per roadmap node, whose stamps make it mean
+	// something only while they equal gen, so starting a search is one
+	// increment of gen, not a sweep; and the frontier, at most one entry
+	// per node.
+	gen   uint32
+	nodes []nodeState
+	heap  []heapEntry
 
 	// Attach state: kd hits of the two endpoints (start's, then goal's),
 	// the feasible attachments found among them, and the distinct
@@ -46,8 +43,18 @@ type BatchScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(BatchScratch) }}
 
-// heapEntry is one frontier vertex: g is the cost of the route that
-// pushed it, f = g + h what the heap orders by.
+// nodeState is one roadmap node's search record, 32 bytes. dist, h (the
+// node's heuristic), prev (toward the sources, -1 at a source) and pos
+// (its frontier slot, -1 when it has none) mean something only while
+// seen == gen; the node is an exit not settled yet only while mark == gen.
+type nodeState struct {
+	dist, h    float64
+	prev, pos  int32
+	seen, mark uint32
+}
+
+// heapEntry is one frontier vertex: g is the cost of its best route so
+// far, f = g + h what the heap orders by.
 type heapEntry struct {
 	f, g float64
 	node int32
@@ -66,104 +73,129 @@ func (a heapEntry) before(b heapEntry) bool {
 	return a.node < b.node
 }
 
-func (sc *BatchScratch) push(e heapEntry) {
-	sc.heap = append(sc.heap, e)
-	h := sc.heap
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h[i].before(h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
+// fix files e as its node's one frontier entry: appended when the node
+// has none, else over the dearer entry it replaces. A smaller g never
+// raises f, so the entry rises, unless f ties: then the smaller g orders
+// it later and it sinks.
+func (sc *BatchScratch) fix(e heapEntry) {
+	i := int(sc.nodes[e.node].pos)
+	switch {
+	case i < 0:
+		sc.heap = append(sc.heap, e)
+		sc.up(len(sc.heap)-1, e)
+	case e.before(sc.heap[i]):
+		sc.up(i, e)
+	default:
+		sc.down(i, e)
 	}
 }
 
 func (sc *BatchScratch) pop() heapEntry {
 	h := sc.heap
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	sc.heap = h
-	for i := 0; ; {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		small := l
-		if r := l + 1; r < n && h[r].before(h[l]) {
-			small = r
-		}
-		if !h[small].before(h[i]) {
-			break
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
+	top, last := h[0], h[len(h)-1]
+	sc.nodes[top.node].pos = -1
+	sc.heap = h[:len(h)-1]
+	if len(sc.heap) > 0 {
+		sc.down(0, last)
 	}
 	return top
 }
 
-// begin starts a new search over a roadmap of n nodes: the arrays are
+// up and down move e from the hole at slot i toward the root or the
+// leaves, shifting the entries they pass, and record every move in pos.
+func (sc *BatchScratch) up(i int, e heapEntry) {
+	h, nodes := sc.heap, sc.nodes
+	for i > 0 {
+		p := (i - 1) / 4
+		if !e.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		nodes[h[i].node].pos = int32(i)
+		i = p
+	}
+	h[i] = e
+	nodes[e.node].pos = int32(i)
+}
+
+func (sc *BatchScratch) down(i int, e heapEntry) {
+	h, nodes := sc.heap, sc.nodes
+	for c := 4*i + 1; c < len(h); c = 4*i + 1 {
+		m := c
+		for j := c + 1; j < min(c+4, len(h)); j++ {
+			if h[j].before(h[m]) {
+				m = j
+			}
+		}
+		if !h[m].before(e) {
+			break
+		}
+		h[i] = h[m]
+		nodes[h[i].node].pos = int32(i)
+		i = m
+	}
+	h[i] = e
+	nodes[e.node].pos = int32(i)
+}
+
+// begin starts a new search over a roadmap of n nodes: the records are
 // regrown if this roadmap is the largest the scratch has met, and every
-// stamp of earlier searches goes stale at once. The arrays are swept only
-// when the 32-bit generation wraps around.
+// stamp of earlier searches goes stale at once. The records are swept
+// only when the 32-bit generation wraps around.
 func (sc *BatchScratch) begin(n int) {
-	if len(sc.seen) < n {
-		sc.seen = make([]uint32, n)
-		sc.mark = make([]uint32, n)
-		sc.dist = make([]float64, n)
-		sc.prev = make([]int32, n)
+	if len(sc.nodes) < n {
+		sc.nodes = make([]nodeState, n)
 	}
 	sc.gen++
 	if sc.gen == 0 {
-		clear(sc.seen)
-		clear(sc.mark)
+		clear(sc.nodes)
 		sc.gen = 1
 	}
 	sc.heap = sc.heap[:0]
 }
 
-// seed makes node a source reached at cost g, with h its heuristic.
-func (sc *BatchScratch) seed(node int32, g, h float64) {
-	if sc.seen[node] == sc.gen && g >= sc.dist[node] {
+// reach offers node u a route of cost g whose last hop leaves prev (-1
+// for a source). If u has no route yet this search, or a dearer one, the
+// route becomes u's and u's frontier entry is filed under it. h(u), the
+// straight-line s.Distance to goal, is computed when u is first reached.
+func (ix *Index) reach(sc *BatchScratch, s *cspace.Space, goal cspace.Config, u int32, g float64, prev int32) {
+	n := &sc.nodes[u]
+	if n.seen != sc.gen {
+		n.seen, n.h, n.pos = sc.gen, s.Distance(ix.pts[u], goal), -1
+	} else if g >= n.dist {
 		return
 	}
-	sc.seen[node] = sc.gen
-	sc.dist[node] = g
-	sc.prev[node] = -1
-	sc.push(heapEntry{f: g + h, g: g, node: node})
+	n.dist, n.prev = g, prev
+	sc.fix(heapEntry{f: g + n.h, g: g, node: u})
 }
 
-// heuristic is h(v): the straight-line s.Distance from v to goal.
-func (ix *Index) heuristic(s *cspace.Space, v int32, goal cspace.Config) float64 {
-	return s.Distance(ix.pts[v], goal)
-}
-
-// search is the package's one shortest-path loop. From the sources
-// seeded since begin it settles roadmap vertices in ascending f = g + h
-// until every exit is settled or no unsettled vertex can still beat the
-// best exit, leaving final distances and prev links (toward the sources)
-// for every settled vertex in sc.
+// search is the package's one shortest-path loop. From the starts it
+// settles roadmap vertices in ascending f = g + h until every exit is
+// settled or no unsettled vertex can still beat the best exit, leaving
+// final distances and prev links (toward the sources) for every settled
+// vertex in sc.
 //
 // h is heuristic toward goal. Every roadmap edge weighs s.Distance
 // between its ends and an exit's cost is s.Distance(exit, goal), so by
 // the triangle inequality h never overestimates the cost of leaving
 // through any exit and satisfies h(u) <= w(u,v) + h(v): f values pop in
-// ascending order and a vertex's first current pop carries its final
-// distance.
+// ascending order and a vertex's first pop carries its final distance.
+// Should rounding ever lower a settled vertex's distance, reach files it
+// again and it is settled again.
 //
-// exits are the roadmap nodes the goal attaches to, with their costs of
-// leaving the roadmap; the node of the cheapest dist + cost is returned
-// (-1 when no exit was reached).
-func (ix *Index) search(sc *BatchScratch, s *cspace.Space, goal cspace.Config, exits []attachment) int32 {
-	gen := sc.gen
-	g := ix.m.G
+// starts and exits are the roadmap nodes the start and the goal attach
+// to, with their costs of entering and leaving the roadmap; the exit of
+// the cheapest dist + cost is returned (-1 when no exit was reached).
+func (ix *Index) search(sc *BatchScratch, s *cspace.Space, goal cspace.Config, starts, exits []attachment) int32 {
+	sc.begin(len(ix.pts))
+	for _, a := range starts {
+		ix.reach(sc, s, goal, int32(a.node), a.cost, -1)
+	}
+	gen, nodes, g := sc.gen, sc.nodes, ix.m.G
 	remaining := 0 // exits not settled yet
 	for _, x := range exits {
-		if sc.mark[x.node] != gen {
-			sc.mark[x.node] = gen
+		if nodes[x.node].mark != gen {
+			nodes[x.node].mark = gen
 			remaining++
 		}
 	}
@@ -174,11 +206,8 @@ func (ix *Index) search(sc *BatchScratch, s *cspace.Space, goal cspace.Config, e
 			break // every remaining route is at least this long
 		}
 		v := it.node
-		if it.g > sc.dist[v] {
-			continue // superseded by a cheaper route to v
-		}
-		if sc.mark[v] == gen {
-			sc.mark[v] = 0
+		if nodes[v].mark == gen {
+			nodes[v].mark = 0
 			remaining--
 			for _, x := range exits {
 				if int32(x.node) == v && it.g+x.cost < best {
@@ -187,14 +216,13 @@ func (ix *Index) search(sc *BatchScratch, s *cspace.Space, goal cspace.Config, e
 			}
 		}
 		for _, e := range g.Neighbors(graph.ID(v)) {
+			// The usual edge, to a vertex already reached as cheaply, is
+			// turned away here without a call.
 			u, nd := int32(e.To), it.g+e.Weight
-			if sc.seen[u] == gen && nd >= sc.dist[u] {
+			if nodes[u].seen == gen && nd >= nodes[u].dist {
 				continue
 			}
-			sc.seen[u] = gen
-			sc.dist[u] = nd
-			sc.prev[u] = v
-			sc.push(heapEntry{f: nd + ix.heuristic(s, u, goal), g: nd, node: u})
+			ix.reach(sc, s, goal, u, nd, v)
 		}
 	}
 	return bestNode
@@ -205,7 +233,7 @@ func (ix *Index) search(sc *BatchScratch, s *cspace.Space, goal cspace.Config, e
 // side first — and goal, as one []Config over one []float64 slab.
 func (ix *Index) path(sc *BatchScratch, exit int32, start, goal cspace.Config) []cspace.Config {
 	hops, floats := 0, len(start)+len(goal)
-	for v := exit; v >= 0; v = sc.prev[v] {
+	for v := exit; v >= 0; v = sc.nodes[v].prev {
 		hops++
 		floats += len(ix.pts[v])
 	}
@@ -218,7 +246,7 @@ func (ix *Index) path(sc *BatchScratch, exit int32, start, goal cspace.Config) [
 	}
 	put(0, start)
 	i := hops
-	for v := exit; v >= 0; v = sc.prev[v] {
+	for v := exit; v >= 0; v = sc.nodes[v].prev {
 		put(i, ix.pts[v])
 		i--
 	}
