@@ -130,6 +130,52 @@ func TestRoadmapPinned(t *testing.T) {
 	})
 }
 
+// wantRigid was read before the axis-range segment cull and the rigid
+// body's index-written columns, and must not move: per seed, the
+// roadmap pin and the Counters summed over every region's sample and
+// construct work.
+var wantRigid = map[uint64]struct {
+	roadmap pinnedRoadmap
+	work    cspace.Counters
+}{
+	1: {pinnedRoadmap{nodes: 562, edges: 1457, components: 1, edgeHash: 0x11327193638d1c88, totalTime: 70020.4},
+		cspace.Counters{CDCalls: 25666, CDObstacle: 632364, LPSteps: 24642, LPCalls: 1187, KNNQueries: 562, KNNEvals: 4418, Samples: 1024}},
+	2: {pinnedRoadmap{nodes: 538, edges: 1373, components: 1, edgeHash: 0x3b7cff8b7224df96, totalTime: 68958.70000000001},
+		cspace.Counters{CDCalls: 24552, CDObstacle: 601976, LPSteps: 23528, LPCalls: 1110, KNNQueries: 536, KNNEvals: 4156, Samples: 1024}},
+}
+
+// TestRigidBodyEnginePinned pins the 6-DOF box body the grow-prm
+// benchmark plans (half extents 0.03 × 0.02 × 0.01 in med-cube) through
+// two repartitioned PRM rounds, for two seeds: node, edge and component
+// counts, the edge set with its stored weights, TotalTime and the
+// summed Counters. TestRoadmapPinned plans point robots only; this is
+// the engine-level pin of the rigid body's path kernel and the box
+// segment kernel under it.
+func TestRigidBodyEnginePinned(t *testing.T) {
+	s := cspace.NewRigidBodySpace(env.MedCube(), cspace.NewRigidBox(0.03, 0.02, 0.01))
+	for _, seed := range []uint64{1, 2} {
+		opts := quickOpts(8, 64)
+		opts.SamplesPerRegion = 8
+		opts.Strategy = Repartition
+		opts.Seed = seed
+		eng, err := NewPRMEngine(s, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := growPRM(t, eng, 2)
+		assertRoadmapValid(t, s, res.Roadmap)
+		var work cspace.Counters
+		for _, d := range eng.data {
+			work.Add(d.sampleWork)
+			work.Add(d.connectWork)
+		}
+		got, want := pinRoadmap(res), wantRigid[seed]
+		if !reflect.DeepEqual(got, want.roadmap) || work != want.work {
+			t.Errorf("seed %d: rigid-body roadmap moved\n got  %#v\n      %#v\n want %#v\n      %#v", seed, got, work, want.roadmap, want.work)
+		}
+	}
+}
+
 // pinnedTree is what TestTreePinned holds fixed for one tree engine
 // history: each branch's node count, a hash of every branch's node
 // coordinate bits and parent vector, the bridges, the virtual accounting,

@@ -2,6 +2,7 @@ package cspace
 
 import (
 	"math"
+	"slices"
 
 	"parmp/internal/env"
 	"parmp/internal/geom"
@@ -39,6 +40,16 @@ func resetCols(cols [][]float64, d int) [][]float64 {
 	cols = cols[:d]
 	for k := range cols {
 		cols[k] = cols[k][:0]
+	}
+	return cols
+}
+
+// sizeCols resizes cols to d columns of n rows each, reusing storage;
+// the rows hold stale values until the caller writes them.
+func sizeCols(cols [][]float64, d, n int) [][]float64 {
+	cols = resetCols(cols, d)
+	for k := range cols {
+		cols[k] = slices.Grow(cols[k], n)[:n]
 	}
 	return cols
 }
@@ -118,15 +129,16 @@ func pointPathFree(e *env.Environment, bt *Batch, cols [][]float64) (bool, int) 
 // column index i*len(r.BodyPoints)+p). The world coordinates match
 // Transform.ApplyInto bit for bit.
 func (r RigidBody) bodyPointsInto(bt *Batch, dst [][]float64) [][]float64 {
-	dst = resetCols(dst, 3)
+	dst = sizeCols(dst, 3, bt.n*len(r.BodyPoints))
+	xs, ys, zs := dst[0], dst[1], dst[2]
+	j := 0
 	for i := 0; i < bt.n; i++ {
 		rot := geom.QuatFromEuler(bt.a[3][i], bt.a[4][i], bt.a[5][i])
 		tx, ty, tz := bt.a[0][i], bt.a[1][i], bt.a[2][i]
 		for _, bp := range r.BodyPoints {
 			bt.pa = rot.RotateInto(bt.pa, bp)
-			dst[0] = append(dst[0], bt.pa[0]+tx)
-			dst[1] = append(dst[1], bt.pa[1]+ty)
-			dst[2] = append(dst[2], bt.pa[2]+tz)
+			xs[j], ys[j], zs[j] = bt.pa[0]+tx, bt.pa[1]+ty, bt.pa[2]+tz
+			j++
 		}
 	}
 	return dst
@@ -146,18 +158,21 @@ func (r RigidBody) PathFreeBatch(e *env.Environment, bt *Batch) (bool, int) {
 	if !free {
 		return false, tests
 	}
-	bt.wb = resetCols(bt.wb, 3)
-	bt.wc = resetCols(bt.wc, 3)
-	for i := 1; i < bt.n; i++ {
-		base := i * np
-		for p := 1; p < np; p++ {
-			for k := 0; k < 3; k++ {
-				bt.wb[k] = append(bt.wb[k], bt.wa[k][base])
-				bt.wc[k] = append(bt.wc[k], bt.wa[k][base+p])
+	m := (bt.n - 1) * (np - 1)
+	bt.wb = sizeCols(bt.wb, 3, m)
+	bt.wc = sizeCols(bt.wc, 3, m)
+	for k := 0; k < 3; k++ {
+		posed, centers, probes := bt.wa[k], bt.wb[k], bt.wc[k]
+		j := 0
+		for base := np; base < bt.n*np; base += np {
+			c := posed[base]
+			for _, v := range posed[base+1 : base+np] {
+				centers[j], probes[j] = c, v
+				j++
 			}
 		}
 	}
-	sfree, stests := e.SegmentsFreeSoA(bt.wb, bt.wc, (bt.n-1)*(np-1), &bt.esc)
+	sfree, stests := e.SegmentsFreeSoA(bt.wb, bt.wc, m, &bt.esc)
 	if tests += stests; !sfree {
 		return false, tests
 	}

@@ -200,22 +200,71 @@ func sphereContainsAny(o SphereObstacle, cols [][]float64, n int) (bool, int) {
 	return false, 0
 }
 
-// boxSegmentHitsAny returns the first batch segment intersecting b. Each
-// segment steps through geom.Slab axis by axis, exactly as
-// AABB.SegmentIntersects does.
+// boxSegmentHitsAny returns the first batch segment intersecting b, with
+// AABB.SegmentIntersects' answer for every segment. In 2 and 3
+// dimensions, when geom.CullFaces admits every axis of b, a segment
+// first meets geom.SlabCull axis by axis, in the slab's order: a culled
+// segment costs compares only. Every other segment steps through
+// geom.Slab.
 func boxSegmentHitsAny(b geom.AABB, acols, bcols [][]float64, n int) (bool, int) {
-	d := len(b.Lo)
-	for i := 0; i < n; i++ {
-		tMin, tMax, hit := 0.0, 1.0, true
-		for k := 0; k < d && hit; k++ {
-			av := acols[k][i]
-			tMin, tMax, hit = geom.Slab(b.Lo[k], b.Hi[k], av, bcols[k][i]-av, tMin, tMax)
+	switch len(b.Lo) {
+	case 2:
+		x0, x1, xok := geom.CullFaces(b.Lo[0], b.Hi[0])
+		y0, y1, yok := geom.CullFaces(b.Lo[1], b.Hi[1])
+		if !xok || !yok {
+			break
 		}
-		if hit {
+		xa, ya, xb, yb := acols[0][:n], acols[1][:n], bcols[0][:n], bcols[1][:n]
+		for i := 0; i < n; i++ {
+			miss, guarded := geom.SlabCull(x0, x1, xa[i], xb[i])
+			if !miss && guarded {
+				miss, _ = geom.SlabCull(y0, y1, ya[i], yb[i])
+			}
+			if !miss && slabHits(b, acols, bcols, i) {
+				return true, i
+			}
+		}
+		return false, 0
+	case 3:
+		x0, x1, xok := geom.CullFaces(b.Lo[0], b.Hi[0])
+		y0, y1, yok := geom.CullFaces(b.Lo[1], b.Hi[1])
+		z0, z1, zok := geom.CullFaces(b.Lo[2], b.Hi[2])
+		if !xok || !yok || !zok {
+			break
+		}
+		xa, ya, za := acols[0][:n], acols[1][:n], acols[2][:n]
+		xb, yb, zb := bcols[0][:n], bcols[1][:n], bcols[2][:n]
+		for i := 0; i < n; i++ {
+			miss, guarded := geom.SlabCull(x0, x1, xa[i], xb[i])
+			if !miss && guarded {
+				miss, guarded = geom.SlabCull(y0, y1, ya[i], yb[i])
+				if !miss && guarded {
+					miss, _ = geom.SlabCull(z0, z1, za[i], zb[i])
+				}
+			}
+			if !miss && slabHits(b, acols, bcols, i) {
+				return true, i
+			}
+		}
+		return false, 0
+	}
+	for i := 0; i < n; i++ {
+		if slabHits(b, acols, bcols, i) {
 			return true, i
 		}
 	}
 	return false, 0
+}
+
+// slabHits steps segment i through geom.Slab axis by axis, exactly as
+// AABB.SegmentIntersects does behind its cull.
+func slabHits(b geom.AABB, acols, bcols [][]float64, i int) bool {
+	tMin, tMax, hit := 0.0, 1.0, true
+	for k := 0; k < len(b.Lo) && hit; k++ {
+		av := acols[k][i]
+		tMin, tMax, hit = geom.Slab(b.Lo[k], b.Hi[k], av, bcols[k][i]-av, tMin, tMax)
+	}
+	return hit
 }
 
 // sphereSegmentHitsAny returns the first batch segment passing through

@@ -147,9 +147,58 @@ func Slab(lo, hi, a, d, tMin, tMax float64) (float64, float64, bool) {
 	return tMin, tMax, !(tMin > tMax)
 }
 
+// The slab cull trusts faces and coordinates inside (−M, M), M = 2^20,
+// and culls an axis only when both ends lie beyond a face by g = 2^-28.
+const (
+	cullRange = 1 << 20
+	cullGap   = 0x1p-28
+)
+
+// CullFaces returns the faces of the slab [lo, hi] pushed out by g, for
+// SlabCull, and whether the cull applies to the slab: lo ≤ hi, both
+// inside (−M, M).
+func CullFaces(lo, hi float64) (loG, hiG float64, ok bool) {
+	return lo - cullGap, hi + cullGap, lo <= hi && lo > -cullRange && hi < cullRange
+}
+
+// SlabCull is the compare-only front of Slab for the coordinates a and b
+// of a segment's ends on one axis, against faces from CullFaces. guarded:
+// both lie inside (−M, M), which NaN and ±Inf do not. miss: both lie in
+// (−M, loG) or both in (hiG, M). A segment misses the box if some axis
+// reports miss and every axis before it reported guarded.
+//
+// A miss is exact. Ends below: lo − b > g − 2^-33 (loG rounds by half an
+// ulp of a face under M) and |b − a| < 2M, so for b > a Slab's
+// t1 = fl(fl(lo−a)/fl(b−a)) ≥ (1 + 15·2^-53)(1 − 3·2^-53) > 1 ≥ tMax;
+// for b < a both quotients are negative, tMax < 0 ≤ tMin; a parallel
+// axis rejects as a < lo. Ends above are the mirror image. Only a NaN
+// interval escapes, and only a NaN or infinite coordinate on an earlier
+// axis makes one: hence the guarded chain.
+func SlabCull(loG, hiG, a, b float64) (miss, guarded bool) {
+	if a < loG && b < loG && a > -cullRange && b > -cullRange ||
+		a > hiG && b > hiG && a < cullRange && b < cullRange {
+		return true, true
+	}
+	return false, math.Abs(a) < cullRange && math.Abs(b) < cullRange
+}
+
 // SegmentIntersects reports whether the segment a→b2 passes through the box,
-// using the slab method. Touching the boundary counts as intersecting.
+// using the slab method behind SlabCull. Touching the boundary counts as
+// intersecting.
 func (b AABB) SegmentIntersects(a, b2 Vec) bool {
+	for i := range b.Lo {
+		loG, hiG, ok := CullFaces(b.Lo[i], b.Hi[i])
+		if !ok {
+			break
+		}
+		miss, guarded := SlabCull(loG, hiG, a[i], b2[i])
+		if miss {
+			return false
+		}
+		if !guarded {
+			break
+		}
+	}
 	tMin, tMax, ok := 0.0, 1.0, true
 	for i := 0; i < len(b.Lo) && ok; i++ {
 		tMin, tMax, ok = Slab(b.Lo[i], b.Hi[i], a[i], b2[i]-a[i], tMin, tMax)

@@ -212,6 +212,72 @@ func TestSlabMatchesMathMinMax(t *testing.T) {
 	}
 }
 
+// TestSegmentCullMatchesSlab holds SegmentIntersects, cull and all, to
+// the bare slab loop it had before SlabCull, bit for bit, and holds
+// SlabCull's own claim: a miss on faces CullFaces admits is a Slab
+// rejection from every interval within [0, 1]. Faces and ends are drawn
+// on a face, a few ulps or the cull's gap either side of one, at and
+// across ±2^20, non-finite, or anywhere, at scales 1e-6 to 1e9, in one
+// to four dimensions, with zero-length and nearly parallel axes.
+func TestSegmentCullMatchesSlab(t *testing.T) {
+	slab := func(b AABB, a, c Vec) bool {
+		tMin, tMax, ok := 0.0, 1.0, true
+		for i := 0; i < len(b.Lo) && ok; i++ {
+			tMin, tMax, ok = Slab(b.Lo[i], b.Hi[i], a[i], c[i]-a[i], tMin, tMax)
+		}
+		return ok
+	}
+	r := rng.New(29)
+	scales := []float64{1e-6, 1e-3, 1, 1e3, 1e6, 1e9}
+	near := func(lo, hi, s float64) float64 {
+		face := []float64{lo, hi, lo - cullGap, hi + cullGap, cullRange, -cullRange}[r.Intn(6)]
+		switch r.Intn(6) {
+		case 0, 1:
+			return face
+		case 2:
+			for n := 1 + r.Intn(4); n > 0; n-- {
+				face = math.Nextafter(face, math.Inf(1-2*r.Intn(2)))
+			}
+			return face
+		case 3:
+			return specialFloats[r.Intn(len(specialFloats))]
+		default:
+			return r.Range(-2*s, 2*s)
+		}
+	}
+	for trial := 0; trial < 400000; trial++ {
+		s := scales[r.Intn(len(scales))]
+		d := 1 + r.Intn(4)
+		b := AABB{Lo: make(Vec, d), Hi: make(Vec, d)}
+		a, c := make(Vec, d), make(Vec, d)
+		for i := 0; i < d; i++ {
+			b.Lo[i], b.Hi[i] = r.Range(-s, s), r.Range(-s, s)
+			if b.Lo[i] > b.Hi[i] && r.Intn(8) != 0 {
+				b.Lo[i], b.Hi[i] = b.Hi[i], b.Lo[i]
+			}
+			a[i] = near(b.Lo[i], b.Hi[i], s)
+			switch r.Intn(4) {
+			case 0:
+				c[i] = a[i]
+			case 1:
+				c[i] = a[i] + r.Range(-1e-15, 1e-15)
+			default:
+				c[i] = near(b.Lo[i], b.Hi[i], s)
+			}
+		}
+		if got, want := b.SegmentIntersects(a, c), slab(b, a, c); got != want {
+			t.Fatalf("box %v segment %v→%v: SegmentIntersects %v, slab %v", b, a, c, got, want)
+		}
+		loG, hiG, ok := CullFaces(b.Lo[0], b.Hi[0])
+		if miss, _ := SlabCull(loG, hiG, a[0], c[0]); ok && miss {
+			tMin, tMax := r.Float64(), r.Float64()
+			if _, _, hit := Slab(b.Lo[0], b.Hi[0], a[0], c[0]-a[0], tMin, tMax); hit {
+				t.Fatalf("faces [%v, %v] ends %v, %v: SlabCull misses, Slab on [%v, %v] hits", b.Lo[0], b.Hi[0], a[0], c[0], tMin, tMax)
+			}
+		}
+	}
+}
+
 // TestQuatFromEulerMatchesSinCos holds QuatFromEuler's Sincos half
 // angles to the separate math.Sin / math.Cos calls it replaced, bit for
 // bit, on 10⁶ random angle triples plus every special value.
