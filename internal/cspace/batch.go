@@ -144,16 +144,72 @@ func (r RigidBody) bodyPointsInto(bt *Batch, dst [][]float64) [][]float64 {
 	return dst
 }
 
-// PathFreeBatch implements Robot: the probe points of configurations
-// 1..n-1 are checked in one SoA sweep, their center→probe spokes in a
-// second, and every probe's step-to-step segment in a third, all over
-// the one posed block.
+// reach is ρ = max|v|·(1 + 2^-20) + 2^-28 over the body points: no posed
+// probe lies farther than ρ from its configuration's translation on any
+// axis (DESIGN §9). A NaN or infinite point makes ρ NaN or infinite.
+func (r RigidBody) reach() float64 {
+	var m float64
+	for _, v := range r.BodyPoints {
+		m = max(m, v.Norm())
+	}
+	return m*(1+0x1p-20) + 0x1p-28
+}
+
+// sweptBound is the broad phase in front of the pose: the per-axis range
+// of the translation columns over every row of block A, widened by the
+// body's reach, holds every probe the path poses, and e answers whether
+// that box clears every obstacle and lies inside Bounds. The builtin min
+// and max let a NaN in any row poison the range; a NaN or infinite angle
+// (x − x is then NaN) answers false to both.
+func (r RigidBody) sweptBound(e *env.Environment, bt *Batch) (clear, inBounds bool) {
+	var fin float64
+	for _, col := range bt.a[3:6] {
+		for _, v := range col[:bt.n] {
+			fin += v - v
+		}
+	}
+	if fin != 0 {
+		return false, false
+	}
+	rho := r.reach()
+	var lo, hi [3]float64
+	for k := range lo {
+		col := bt.a[k][:bt.n]
+		l, h := col[0], col[0]
+		for _, v := range col[1:] {
+			l, h = min(l, v), max(h, v)
+		}
+		lo[k], hi[k] = l-rho, h+rho
+	}
+	return e.Clears(geom.AABB{Lo: lo[:], Hi: hi[:]})
+}
+
+// PathFreeBatch implements Robot. A path whose swept bound clears every
+// obstacle is not swept: it bills what the three sweeps bill on an
+// all-free path, unposed when the bound lies inside Bounds and otherwise
+// after the bounds sweep alone. Any other path has the probe points of
+// configurations 1..n-1 checked in one SoA sweep, their center→probe
+// spokes in a second, and every probe's step-to-step segment in a third,
+// all over the one posed block.
 func (r RigidBody) PathFreeBatch(e *env.Environment, bt *Batch) (bool, int) {
 	np := len(r.BodyPoints)
 	if np == 0 || bt.n < 2 {
 		return true, 0
 	}
+	// np points, np-1 spokes and np steps for each configuration 1..n-1.
+	allFree := (bt.n - 1) * (3*np - 1) * len(e.Obstacles)
+	clear, inBounds := r.sweptBound(e, bt)
+	if clear && inBounds {
+		return true, allFree
+	}
 	bt.wa = r.bodyPointsInto(bt, bt.wa)
+	if clear {
+		bt.hi = window(bt.hi, bt.wa, np, bt.n*np)
+		if !e.InBoundsSoA(bt.hi, (bt.n-1)*np) {
+			return false, 0
+		}
+		return true, allFree
+	}
 	free, tests := bt.pointsFree(e, bt.wa, np)
 	if !free {
 		return false, tests

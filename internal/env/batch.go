@@ -55,18 +55,12 @@ func (e *Environment) CheckPointsSoA(cols [][]float64, n int, sc *BatchScratch) 
 	if n == 0 {
 		return true, 0
 	}
-	d := e.Dim()
 	// Bounds sweep first: an out-of-bounds point costs no obstacle
 	// tests, exactly as in CheckPoint.
-	for k := 0; k < d; k++ {
-		lo, hi := e.Bounds.Lo[k], e.Bounds.Hi[k]
-		col := cols[k][:n]
-		for i := 0; i < n; i++ {
-			if col[i] < lo || col[i] > hi {
-				return false, 0
-			}
-		}
+	if !e.InBoundsSoA(cols, n) {
+		return false, 0
 	}
+	d := e.Dim()
 	for _, o := range e.Obstacles {
 		switch ob := o.(type) {
 		case BoxObstacle:
@@ -87,6 +81,64 @@ func (e *Environment) CheckPointsSoA(cols [][]float64, n int, sc *BatchScratch) 
 		tests += n
 	}
 	return true, tests
+}
+
+// InBoundsSoA reports whether points 0..n-1 of cols all lie inside
+// Bounds: CheckPointsSoA's bounds sweep, which rejects with no obstacle
+// test.
+func (e *Environment) InBoundsSoA(cols [][]float64, n int) bool {
+	for k := 0; k < e.Dim(); k++ {
+		lo, hi := e.Bounds.Lo[k], e.Bounds.Hi[k]
+		for _, v := range cols[k][:n] {
+			if v < lo || v > hi {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Clears reports whether the box swept lies inside Bounds (inBounds) and
+// beyond a face of every obstacle as the batched kernels cull (clear):
+// every obstacle is a box whose axes geom.CullFaces admits, and for each
+// some axis of swept is a geom.SlabCull miss after guarded axes. Then
+// CheckPointsSoA and SegmentsFreeSoA find no hit among points and
+// segments inside swept and count their tests as on an all-free batch.
+// Any other obstacle type, a refused box, a NaN bound or one reaching ±M
+// answers clear = false.
+func (e *Environment) Clears(swept geom.AABB) (clear, inBounds bool) {
+	if len(swept.Lo) != e.Dim() {
+		return false, false
+	}
+	inBounds = true
+	for k, lo := range swept.Lo {
+		inBounds = inBounds && e.Bounds.Lo[k] <= lo && swept.Hi[k] <= e.Bounds.Hi[k]
+	}
+	for _, o := range e.Obstacles {
+		if b, ok := o.(BoxObstacle); !ok || !beyondFace(b.Box, swept) {
+			return false, inBounds
+		}
+	}
+	return true, inBounds
+}
+
+// beyondFace is Clears' test of one box: the cull chain of
+// boxSegmentHitsAny, run on the box swept as if it were a segment.
+func beyondFace(b, swept geom.AABB) bool {
+	if d := len(b.Lo); d != len(swept.Lo) || d != 2 && d != 3 {
+		return false
+	}
+	beyond, guarded := false, true
+	for k := range b.Lo {
+		loG, hiG, ok := geom.CullFaces(b.Lo[k], b.Hi[k])
+		if !ok {
+			return false
+		}
+		if guarded && !beyond {
+			beyond, guarded = geom.SlabCull(loG, hiG, swept.Lo[k], swept.Hi[k])
+		}
+	}
+	return beyond
 }
 
 // SegmentsFreeSoA is the batched SegmentFree: segment i runs from
