@@ -144,10 +144,11 @@ func BenchmarkPlanPRM(b *testing.B) {
 
 // BenchmarkHostPipeline measures the wall-clock effect of running the
 // heavy planner phases (PRM sampling, node connection, region connection)
-// through the host executor: HostWorkers=1 executes every region closure
-// sequentially during the virtual-time replay, HostWorkers=GOMAXPROCS
-// pre-executes them concurrently. Virtual-time results are identical;
-// only wall clock changes.
+// through the host executor: every region closure executes once before
+// the virtual-time replay, which only accounts for the recorded costs —
+// in queue order on the caller's goroutine at HostWorkers=1, concurrently
+// on the executor at HostWorkers=GOMAXPROCS. Virtual-time results are
+// identical; only wall clock changes.
 func BenchmarkHostPipeline(b *testing.B) {
 	space := parmp.NewPointSpace(parmp.EnvironmentByName("med-cube"))
 	base := parmp.Options{

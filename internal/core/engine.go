@@ -323,25 +323,23 @@ func (e *engine) GrowRound(stop <-chan struct{}) error {
 }
 
 // costPhase turns m independent checks into one replayed bulk-synchronous
-// phase named name: the checks run as one host-concurrent pass (with
-// HostWorkers <= 1 here, sequentially), then place, called in index order
-// with check idx's virtual cost, says which processor pays what for it,
-// and the charges replay in virtual time. It returns the phase's time —
-// makespan plus the closing barrier — or ok=false when the engine was
-// stopped meanwhile.
+// phase named name: the checks execute once (execute), then place,
+// called in index order with check idx's virtual cost, says which
+// processor pays what for it, and the charges replay in virtual time. It
+// returns the phase's time — makespan plus the closing barrier — or
+// ok=false when the engine was stopped meanwhile.
 func (e *engine) costPhase(name string, m int, check func(idx int) cspace.Counters, place func(idx int, cost float64) (proc int, charged float64)) (time float64, ok bool) {
 	pl := e.pl
 	tasks := [][]work.Task{make([]work.Task, m)}
 	for idx := range tasks[0] {
 		tasks[0][idx] = work.Task{ID: idx, Run: func() (float64, int) { return e.opts.Cost.Time(check(idx)), 0 }}
 	}
-	pl.hostExec(name, tasks)
-	if sched.Canceled(pl.stop) {
+	if !pl.execute(name, tasks) {
 		return 0, false
 	}
 	queues := make([][]work.Task, e.opts.Procs)
-	for idx := range tasks[0] {
-		cost, _ := tasks[0][idx].Run() // memoized after the host pass
+	for idx, rec := range tasks[0] {
+		cost, _ := rec.Run()
 		proc, charged := place(idx, cost)
 		queues[proc] = append(queues[proc], costTask(idx, charged))
 	}

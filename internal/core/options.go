@@ -165,13 +165,13 @@ type Options struct {
 	Seed uint64
 
 	// HostWorkers > 1 executes every heavy phase's region closures
-	// (PRM sampling, node connection, region connection; RRT branch
-	// growth and connection) concurrently on that many OS goroutines
-	// before the virtual-time replay, using the real work-stealing
-	// executor (internal/exec). Results and the reported virtual times
-	// are bit-identical to the sequential run — region tasks are
-	// deterministic and memoized — so this is purely a wall-clock
-	// accelerator on multicore hosts.
+	// (PRM sampling, node connection, region connection, repair; RRT
+	// branch growth and connection) on that many OS goroutines of the
+	// real work-stealing executor (internal/exec) instead of in queue
+	// order on the caller's goroutine. Either way each closure runs once,
+	// before the virtual-time replay, and results and virtual times are
+	// bit-identical — region tasks are deterministic and order-independent
+	// — so this is purely a wall-clock accelerator on multicore hosts.
 	HostWorkers int
 
 	// Runtime overrides the scheduler backend executing the virtual-time

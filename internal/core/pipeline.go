@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sync"
+	"slices"
 
 	"parmp/internal/costmodel"
 	"parmp/internal/dist"
@@ -59,22 +59,23 @@ type PhaseReport struct {
 }
 
 // pipeline executes planner phases through the scheduler runtime layer:
-// every heavy phase runs once, concurrently, on the host executor (when
-// Options.HostWorkers > 1), and then replays deterministically on the
-// virtual-time runtime for the paper's load-balance accounting. Results
-// and virtual times are bit-identical to a sequential run because region
-// tasks are deterministic and memoized.
+// execute runs every task body of a phase exactly once — on the host
+// executor when Options.HostWorkers > 1, otherwise in queue order on the
+// caller's goroutine — and replaces each task by its record; replay then
+// plays the records on the virtual-time runtime for the paper's
+// load-balance accounting. Results and virtual times do not depend on
+// HostWorkers: region tasks are deterministic and order-independent, so
+// the replay sees the same (ID, Region, Payload, cost) either way.
 type pipeline struct {
 	opts Options
 	vt   sched.Runtime // virtual-time backend (default: the DES in internal/dist)
-	host sched.Runtime // real-goroutine backend for the host pre-pass
 	// reports accumulates every replayed phase's runtime report, in
 	// replay order, for the planner results' PhaseReports.
 	reports []PhaseReport
-	// stop, when non-nil, cooperatively cancels phase execution: both
-	// backends observe it between tasks/events and return early with
-	// Report.Stopped set. The engines set it per growth round from the
-	// caller's context; one-shot runs leave it nil (zero overhead).
+	// stop, when non-nil, cooperatively cancels phase execution: execute
+	// and the replay observe it between tasks/events and return early.
+	// The engines set it per growth round from the caller's context;
+	// one-shot runs leave it nil (zero overhead).
 	stop <-chan struct{}
 	// cm is the observed per-region cost model (CostObserved only),
 	// lazily built at the first construct observation. The engines feed
@@ -87,39 +88,61 @@ func newPipeline(opts Options) *pipeline {
 	if vt == nil {
 		vt = dist.Runtime
 	}
-	return &pipeline{opts: opts, vt: vt, host: exec.Runtime}
+	return &pipeline{opts: opts, vt: vt}
 }
 
-// hostPhaseObserver, when non-nil, receives each phase's host pre-pass:
+// hostPhaseObserver, when non-nil, receives each phase's host execution:
 // the configuration and queues handed to the executor, and its report.
 // Test hook only.
 var hostPhaseObserver func(phase string, cfg sched.Config, queues [][]work.Task, rep sched.Report)
 
-// hostExec memoizes the queued tasks in place and executes them
-// concurrently on HostWorkers goroutines. A no-op for HostWorkers <= 1,
-// where tasks run lazily (and sequentially) during the virtual-time
-// replay instead.
-func (pl *pipeline) hostExec(name string, queues [][]work.Task) {
+// record is task t after it ran: same ID, Region and Payload, and a Run
+// that returns the measured (cost, payload) without running again.
+func record(t work.Task, cost float64, payload int) work.Task {
+	t.Run = func() (float64, int) { return cost, payload }
+	return t
+}
+
+// execute runs every task of the phase exactly once and replaces it in
+// place by its record: in queue order on the caller's goroutine at
+// HostWorkers <= 1, else on HostWorkers executor goroutines, handed over
+// with IDs renumbered to their slot (phase-local IDs need not be unique
+// or dense). ok=false means the pipeline was stopped first; the queues
+// are then a mix of tasks and records, to be discarded.
+func (pl *pipeline) execute(name string, queues [][]work.Task) (ok bool) {
 	if pl.opts.HostWorkers <= 1 {
-		return
+		for _, q := range queues {
+			for i, t := range q {
+				if sched.Canceled(pl.stop) {
+					return false
+				}
+				cost, payload := t.Run()
+				q[i] = record(t, cost, payload)
+			}
+		}
+		return true
 	}
-	for p := range queues {
-		queues[p] = memoize(queues[p])
+	flat := make([][]work.Task, len(queues))
+	var slots []*work.Task
+	for p, q := range queues {
+		flat[p] = slices.Clone(q)
+		for i := range q {
+			flat[p][i].ID = len(slots)
+			slots = append(slots, &q[i])
+		}
 	}
-	pre := make([][]work.Task, len(queues))
-	for p := range queues {
-		pre[p] = append([]work.Task(nil), queues[p]...)
-	}
-	cfg := sched.Config{
-		Workers: pl.opts.HostWorkers,
-		Policy:  steal.RandK{K: 2},
-		Seed:    pl.opts.Seed,
-		Stop:    pl.stop,
-	}
-	rep := pl.host.Run(cfg, pre)
+	cfg := sched.Config{Workers: pl.opts.HostWorkers, Policy: steal.RandK{K: 2}, Seed: pl.opts.Seed, Stop: pl.stop}
+	rep := exec.Run(cfg, flat)
 	if hostPhaseObserver != nil {
-		hostPhaseObserver(name, cfg, pre, rep)
+		hostPhaseObserver(name, cfg, flat, rep)
 	}
+	if rep.Stopped || sched.Canceled(pl.stop) {
+		return false
+	}
+	for _, r := range rep.Tasks {
+		*slots[r.ID] = record(*slots[r.ID], r.Cost, r.Payload)
+	}
+	return true
 }
 
 // stealMaxRounds bounds how many consecutive unsuccessful victim rounds a
@@ -128,12 +151,12 @@ func (pl *pipeline) hostExec(name string, queues [][]work.Task) {
 const stealMaxRounds = 4
 
 // replay plays a phase on the virtual-time runtime and returns its
-// report, keeping a copy in the pipeline's phase-report log. Memoized
-// tasks answer instantly with their recorded cost, so the replay is pure
-// accounting after a host pre-pass. The retained copy is trimmed of its
-// per-task records (see PhaseReport's memory bound); the returned report
-// is the full one, so same-round consumers (ownership write-back, cost
-// observation, weight correlation) see every task.
+// report, keeping a copy in the pipeline's phase-report log. Its tasks
+// are records (execute) or costTasks, so the replay is pure accounting.
+// The retained copy is trimmed of its per-task records (see
+// PhaseReport's memory bound); the returned report is the full one, so
+// same-round consumers (ownership write-back, cost observation, weight
+// correlation) see every task.
 func (pl *pipeline) replay(ph phaseSpec) sched.Report {
 	rep := pl.vt.Run(sched.Config{
 		Workers:    pl.opts.Procs,
@@ -150,10 +173,13 @@ func (pl *pipeline) replay(ph phaseSpec) sched.Report {
 	return rep
 }
 
-// run executes a phase end to end: concurrent host pass, then the
-// deterministic virtual-time replay.
+// run executes a phase's tasks once, then replays their records in
+// virtual time. A stop during execution returns a stopped report with
+// no replay and no log entry.
 func (pl *pipeline) run(ph phaseSpec) sched.Report {
-	pl.hostExec(ph.name, ph.queues)
+	if !pl.execute(ph.name, ph.queues) {
+		return sched.Report{Stopped: true}
+	}
 	return pl.replay(ph)
 }
 
@@ -401,26 +427,4 @@ func worthRebalancing(weights []float64, current, candidate []int, procs int) bo
 	const threshold = 0.05
 	cur := maxLoad(current)
 	return cur > 0 && maxLoad(candidate) < cur*(1-threshold)
-}
-
-// memoize wraps tasks so each Run body executes at most once even when a
-// concurrent host pre-pass and the virtual-time replay both invoke it.
-func memoize(tasks []work.Task) []work.Task {
-	out := make([]work.Task, len(tasks))
-	for i := range tasks {
-		inner := tasks[i].Run
-		var once sync.Once
-		var cost float64
-		var payload int
-		out[i] = work.Task{
-			ID:      tasks[i].ID,
-			Payload: tasks[i].Payload,
-			Region:  tasks[i].Region,
-			Run: func() (float64, int) {
-				once.Do(func() { cost, payload = inner() })
-				return cost, payload
-			},
-		}
-	}
-	return out
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"parmp/internal/cspace"
@@ -145,15 +147,15 @@ func TestRRTPhaseReportsExposed(t *testing.T) {
 	}
 }
 
-// hostPass is one phase's host pre-pass as the pipeline handed it to the
-// executor, with the executor's report.
+// hostPass is one phase's host execution as the pipeline handed it to
+// the executor, with the executor's report.
 type hostPass struct {
 	cfg    sched.Config
 	queues [][]work.Task
 	rep    sched.Report
 }
 
-// observeHostPasses records every host pre-pass until the test ends.
+// observeHostPasses records every host execution until the test ends.
 func observeHostPasses(t *testing.T) map[string]hostPass {
 	passes := map[string]hostPass{}
 	hostPhaseObserver = func(phase string, cfg sched.Config, queues [][]work.Task, rep sched.Report) {
@@ -232,6 +234,20 @@ func TestPRMHostPhasesRunConcurrently(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkHostPasses(t, passes, hw, "sample", "construct", "region-connect")
+
+	// The repair path reaches the executor too: one delta whose box
+	// invalidates part of the roadmap re-checks every region and every
+	// connector.
+	mutated, delta := mutateAddBox(t, env.MedCube(), geom.Box3(0.05, 0.1, 0.1, 0.3, 0.3, 0.9))
+	e, err := NewPRMEngine(s, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	growPRM(t, e, 1)
+	if _, err := e.ApplyDelta(s.WithEnv(mutated), delta, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	checkHostPasses(t, passes, hw, "repair", "repair-boundary")
 }
 
 func TestRRTHostPhasesRunConcurrently(t *testing.T) {
@@ -244,4 +260,81 @@ func TestRRTHostPhasesRunConcurrently(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkHostPasses(t, passes, hw, "construct", "region-connect")
+}
+
+// doubleCall is an Options.Runtime decorator that calls every task it is
+// handed once more before forwarding to the DES, so a replay that runs
+// task bodies runs each of them twice.
+type doubleCall struct{ replays int }
+
+func (d *doubleCall) Run(cfg sched.Config, queues [][]work.Task) sched.Report {
+	d.replays++
+	for _, q := range queues {
+		for _, t := range q {
+			t.Run()
+		}
+	}
+	return dist.Runtime.Run(cfg, queues)
+}
+
+// Every task body of a phase runs exactly once, at every HostWorkers, and
+// the replay accounts for what the bodies returned; a phase stopped
+// before it starts runs no body and replays nothing.
+func TestPhaseTasksRunOnce(t *testing.T) {
+	const procs, n = 4, 37
+	policies := []struct {
+		name string
+		p    steal.Policy
+	}{{"bsp", nil}, {"hybrid", steal.Hybrid{K: 2}}}
+	for _, hw := range []int{0, 1, 4} {
+		for _, policy := range policies {
+			t.Run(fmt.Sprintf("hw%d/%s", hw, policy.name), func(t *testing.T) {
+				var bodies atomic.Int64
+				cost := func(i int) float64 { return float64(1 + i*i%7) }
+				queues := func() [][]work.Task {
+					qs := make([][]work.Task, procs)
+					for i := 0; i < n; i++ {
+						// IDs repeat (phase-local IDs need not be unique or
+						// dense); Region tells the tasks apart.
+						qs[i%procs] = append(qs[i%procs], work.Task{ID: i % 3, Region: i, Payload: i, Run: func() (float64, int) {
+							bodies.Add(1)
+							return cost(i), 2*i + 1
+						}})
+					}
+					return qs
+				}
+				rt := &doubleCall{}
+				opts := quickOpts(procs, 16)
+				opts.HostWorkers, opts.Runtime = hw, rt
+				pl := newPipeline(opts)
+
+				rep := pl.run(phaseSpec{name: "count", queues: queues(), policy: policy.p})
+				if got := bodies.Load(); got != n {
+					t.Fatalf("%d task bodies ran for %d tasks", got, n)
+				}
+				if rep.Stopped || rt.replays != 1 || len(rep.Tasks) != n || len(pl.reports) != 1 {
+					t.Fatalf("stopped %v, %d replays, %d task records, %d logged reports; want false, 1, %d, 1",
+						rep.Stopped, rt.replays, len(rep.Tasks), len(pl.reports), n)
+				}
+				seen := make([]bool, n)
+				for _, r := range rep.Tasks {
+					i := r.Region
+					if seen[i] || r.ID != i%3 || r.Cost != cost(i) || r.Payload != 2*i+1 {
+						t.Fatalf("task %d replayed as %+v (seen before %v), want ID %d, cost %v, payload %d", i, r, seen[i], i%3, cost(i), 2*i+1)
+					}
+					seen[i] = true
+				}
+
+				stop := make(chan struct{})
+				close(stop)
+				pl.stop = stop
+				bodies.Store(0)
+				rep = pl.run(phaseSpec{name: "count", queues: queues(), policy: policy.p})
+				if !rep.Stopped || rt.replays != 1 || len(pl.reports) != 1 || bodies.Load() != 0 {
+					t.Fatalf("stopped first: stopped %v, %d replays, %d logged reports, %d bodies; want true, 1, 1, 0",
+						rep.Stopped, rt.replays, len(pl.reports), bodies.Load())
+				}
+			})
+		}
+	}
 }

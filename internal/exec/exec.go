@@ -33,9 +33,6 @@ type (
 	WorkerStats = sched.WorkerStats
 )
 
-// Runtime is the host executor as a pluggable scheduler backend.
-var Runtime sched.Runtime = sched.RuntimeFunc(Run)
-
 // stealBackoffBase is the first idle-thief sleep after a fully failed
 // steal round; successive failures double it up to 16 times this base,
 // via the shared sched.Backoff curve.

@@ -129,7 +129,7 @@ func TestRuntimeParity(t *testing.T) {
 		rt   sched.Runtime
 	}{
 		{"dist", dist.Runtime},
-		{"exec", exec.Runtime},
+		{"exec", sched.RuntimeFunc(exec.Run)},
 	}
 	policies := []struct {
 		name   string
@@ -168,7 +168,7 @@ func TestPerTaskCostParity(t *testing.T) {
 	for _, rt := range []struct {
 		name string
 		rt   sched.Runtime
-	}{{"dist", dist.Runtime}, {"exec", exec.Runtime}} {
+	}{{"dist", dist.Runtime}, {"exec", sched.RuntimeFunc(exec.Run)}} {
 		t.Run(rt.name, func(t *testing.T) {
 			queues, execCount := parityWorkload(workers, tasks)
 			rep := rt.rt.Run(sched.Config{
@@ -274,7 +274,7 @@ func TestTraceKindSequenceParity(t *testing.T) {
 		for _, rt := range []struct {
 			name string
 			rt   sched.Runtime
-		}{{"dist", dist.Runtime}, {"exec", exec.Runtime}} {
+		}{{"dist", dist.Runtime}, {"exec", sched.RuntimeFunc(exec.Run)}} {
 			t.Run(tc.name+"/"+rt.name, func(t *testing.T) {
 				var mu sync.Mutex
 				var events []sched.TraceEvent
@@ -315,7 +315,7 @@ func TestRetireOncePerWorker(t *testing.T) {
 	for _, rt := range []struct {
 		name string
 		rt   sched.Runtime
-	}{{"dist", dist.Runtime}, {"exec", exec.Runtime}} {
+	}{{"dist", dist.Runtime}, {"exec", sched.RuntimeFunc(exec.Run)}} {
 		for _, tc := range []struct {
 			name      string
 			policy    steal.Policy
@@ -364,7 +364,7 @@ func TestRuntimeParityMismatchedQueues(t *testing.T) {
 		for _, rt := range []struct {
 			name string
 			rt   sched.Runtime
-		}{{"dist", dist.Runtime}, {"exec", exec.Runtime}} {
+		}{{"dist", dist.Runtime}, {"exec", sched.RuntimeFunc(exec.Run)}} {
 			t.Run(fmt.Sprintf("%s/shards-%d", rt.name, shards), func(t *testing.T) {
 				execCount := make([]int64, tasks)
 				queues := make([][]work.Task, shards)
@@ -411,7 +411,7 @@ func TestRuntimeParityMaxRounds(t *testing.T) {
 	for _, rt := range []struct {
 		name string
 		rt   sched.Runtime
-	}{{"dist", dist.Runtime}, {"exec", exec.Runtime}} {
+	}{{"dist", dist.Runtime}, {"exec", sched.RuntimeFunc(exec.Run)}} {
 		t.Run(rt.name, func(t *testing.T) {
 			queues, execCount := parityWorkload(workers, tasks)
 			rep := rt.rt.Run(sched.Config{

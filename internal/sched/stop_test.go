@@ -125,7 +125,7 @@ func TestExecStopBetweenTasks(t *testing.T) {
 	}
 	done := make(chan sched.Report, 1)
 	go func() {
-		done <- exec.Runtime.Run(sched.Config{Workers: 1, Stop: stop}, queues)
+		done <- exec.Run(sched.Config{Workers: 1, Stop: stop}, queues)
 	}()
 	<-started
 	close(stop)
@@ -146,7 +146,7 @@ func TestExecStopLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	stop := make(chan struct{})
 	close(stop)
-	rep := exec.Runtime.Run(sched.Config{
+	rep := exec.Run(sched.Config{
 		Workers: 8,
 		Policy:  steal.RandK{K: 2},
 		Stop:    stop,
