@@ -126,8 +126,18 @@ func (r RigidBody) pose(q Config) geom.Transform {
 
 // ConfigFree implements Robot. Probe points are checked individually and
 // the spokes from the first probe (the body center) to every other probe
-// are swept so thin obstacles crossing the body interior are caught.
+// are swept so thin obstacles crossing the body interior are caught. A
+// configuration with finite angles whose reach box [t − ρ, t + ρ] clears
+// every obstacle inside Bounds is not posed: it returns what the checks
+// count on a free configuration, np points and np−1 spokes against
+// every obstacle (DESIGN §9).
 func (r RigidBody) ConfigFree(e *env.Environment, q Config, sc *Scratch) (bool, int) {
+	if np := len(r.BodyPoints); np > 0 && q[3]-q[3]+q[4]-q[4]+q[5]-q[5] == 0 {
+		t := [3]float64{q[0], q[1], q[2]}
+		if clear, inBounds := reachBox(e, t, t, r.reach()); clear && inBounds {
+			return true, (2*np - 1) * len(e.Obstacles)
+		}
+	}
 	tr := r.pose(q)
 	sc.worldA = growVecs(sc.worldA, len(r.BodyPoints), 3)
 	world := sc.worldA
