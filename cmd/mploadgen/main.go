@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"parmp"
-	"parmp/internal/bench"
 	"parmp/internal/rng"
 	"parmp/internal/serve"
 	"parmp/internal/servebench"
@@ -296,13 +295,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "  mutations     : %d applied, %d stale paths\n", res.Mutations, res.StalePaths)
 	}
 
-	if err := bench.WriteFile(*out, res); err != nil {
+	if err := servebench.WriteFile(*out, res); err != nil {
 		fatalf("write %s: %v", *out, err)
 	}
 	gate := servebench.Gate{MaxErrorRate: *maxErrorRate, MaxRegress: *maxRegress}
 	var base *servebench.Result
 	if *baseline != "" {
-		b, err := bench.Load[servebench.Result](*baseline)
+		b, err := servebench.Load(*baseline)
 		if err != nil {
 			fatalf("baseline: %v", err)
 		}

@@ -96,6 +96,18 @@ func TestBulkBuildMatchesAddEdgeReplay(t *testing.T) {
 	}
 }
 
+// A bulk build is a fixed number of allocations whatever the graph's
+// size: degree counts, slab, row headers and the graph — none per row.
+func TestBulkBuildAllocsIndependentOfSize(t *testing.T) {
+	r := rng.New(79)
+	for _, n := range []int{1500, 6000} {
+		verts, spans := identity(n), randomSpans(r, n, 4, n)
+		if allocs := testing.AllocsPerRun(5, func() { FromSpans(verts, spans) }); allocs > 4 {
+			t.Errorf("%d vertices: FromSpans %v allocations, want at most 4", n, allocs)
+		}
+	}
+}
+
 // TestBulkBuiltRowsDoNotBleed runs what the reference prm.Query does to
 // a published roadmap — attach two transient vertices with AddEdge, then
 // RemoveLastVertex them — on a bulk-built graph. Rows share one slab, so

@@ -165,6 +165,34 @@ func TestResetReusesStorage(t *testing.T) {
 	}
 }
 
+// TestScratchKernelsAllocFree pins the steady-state allocation contract
+// of the pooled query kernels and of the in-place rebuild at 20 000
+// points, the size of a serving tenant's roadmap.
+func TestScratchKernelsAllocFree(t *testing.T) {
+	r := rng.New(19)
+	pts := randomPoints(r, 20000, 3)
+	qs := randomPoints(r, 64, 3)
+	tree := Build(pts)
+	d := NewDynamic()
+	for _, p := range pts {
+		d.Add(p)
+	}
+	var sc QueryScratch
+	var dst []Result
+	kernels := map[string]func(i int){
+		"KDTree.NearestInto":  func(i int) { dst, _ = tree.NearestInto(&sc, qs[i%len(qs)], 8, -1, dst[:0]) },
+		"Dynamic.NearestInto": func(i int) { dst, _ = d.NearestInto(&sc, qs[i%len(qs)], 8, dst[:0]) },
+		"KDTree.Reset":        func(int) { tree.Reset(pts) },
+	}
+	for name, k := range kernels {
+		k(0) // warm the buffers
+		i := 0
+		if allocs := testing.AllocsPerRun(5, func() { k(i); i++ }); allocs != 0 {
+			t.Errorf("%s allocates %v per op in steady state, want 0", name, allocs)
+		}
+	}
+}
+
 // TestRadiusIntoMatchesBrute cross-validates the scratch radius query.
 func TestRadiusIntoMatchesBrute(t *testing.T) {
 	r := rng.New(61)

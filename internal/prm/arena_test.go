@@ -115,3 +115,28 @@ func TestConnectBoundaryArenaReuse(t *testing.T) {
 		putArena(dirty)
 	}
 }
+
+// Connection runs out of a warm arena: one allocation, the returned edge
+// list, whatever the region's size. (The arena is held, not pooled:
+// sync.Pool drops entries at random under the race detector.) A commit's
+// index build is a fixed seven (component labels, point gather, kd-tree)
+// — none per node.
+func TestKernelAllocsIndependentOfSize(t *testing.T) {
+	s := cspace.NewPointSpace(env.MedCube())
+	a := new(arena)
+	for _, n := range []int{100, 200, 400} {
+		nodes, _ := SampleRegion(s, s.Bounds, 0, Params{SamplesPerRegion: n}, rng.New(7))
+		half := len(nodes) / 2
+		region := testing.AllocsPerRun(5, func() { connectRegionArena(s, nodes, Params{K: 8}, a) })
+		boundary := testing.AllocsPerRun(5, func() { connectBoundaryArena(s, nodes[:half], nodes[half:], 4, 16, a) })
+		if region > 1 || boundary > 1 {
+			t.Errorf("%d samples: ConnectRegion %v, ConnectBoundary %v allocations, want at most 1 and 1", n, region, boundary)
+		}
+	}
+	for _, n := range []int{2000, 8000} {
+		m := buildTestRoadmap(t, s, n, 29)
+		if allocs := testing.AllocsPerRun(3, func() { BuildIndex(m) }); allocs > 7 {
+			t.Errorf("%d nodes: BuildIndex %v allocations, want at most 7", m.NumNodes(), allocs)
+		}
+	}
+}
