@@ -9,7 +9,8 @@ import (
 	"parmp"
 )
 
-// pathCache is a per-tenant LRU over answered queries. Entries are
+// pathCache is a per-tenant LRU over answered queries, each held as its
+// path's JSON bytes, encoded once when the path was found. Entries are
 // tagged with the snapshot generation they were computed against: a
 // snapshot rollover (a round or a repair published) invalidates the whole
 // cache, both so misses get retried against the grown roadmap and so
@@ -23,9 +24,10 @@ type pathCache struct {
 	order   *list.List // front = most recently used
 }
 
+// cacheEntry holds an answer's encodePath bytes, never written after put.
 type cacheEntry struct {
 	key  string
-	path []parmp.Config // read-only by contract
+	path []byte
 }
 
 // newPathCache returns a cache holding at most max entries; max <= 0
@@ -53,10 +55,10 @@ func cacheKey(start, goal parmp.Config, k int) string {
 	return string(b)
 }
 
-// get returns the cached path for key when present and computed against
-// snapshot generation gen. The returned path is shared: callers must not
-// mutate it.
-func (c *pathCache) get(key string, gen int64) ([]parmp.Config, bool) {
+// get returns the cached encoded path for key when present and computed
+// against snapshot generation gen. The returned bytes are shared: callers
+// must not mutate them.
+func (c *pathCache) get(key string, gen int64) ([]byte, bool) {
 	if c.max <= 0 {
 		return nil, false
 	}
@@ -77,7 +79,7 @@ func (c *pathCache) get(key string, gen int64) ([]parmp.Config, bool) {
 // least recently used entry beyond capacity. A put tagged with a
 // generation other than the cache's current one is dropped: the query
 // that computed it raced a rollover, and its answer may already be stale.
-func (c *pathCache) put(key string, gen int64, path []parmp.Config) {
+func (c *pathCache) put(key string, gen int64, path []byte) {
 	if c.max <= 0 {
 		return
 	}

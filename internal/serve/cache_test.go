@@ -1,17 +1,20 @@
 package serve
 
 import (
+	"bytes"
 	"testing"
 
 	"parmp"
 )
 
-func cfgPath(vals ...float64) []parmp.Config {
+// cfgPath returns the encoded path the cache holds for a path through
+// (v, v, v) for each of vals.
+func cfgPath(vals ...float64) []byte {
 	path := make([]parmp.Config, len(vals))
 	for i, v := range vals {
 		path[i] = parmp.Config{v, v, v}
 	}
-	return path
+	return encodePath(path)
 }
 
 func TestPathCacheLRU(t *testing.T) {
@@ -75,7 +78,7 @@ func TestPathCacheRolloverInvalidation(t *testing.T) {
 		t.Fatal("stale put must be dropped")
 	}
 	c.put(key, 1, cfgPath(2))
-	if path, ok := c.get(key, 1); !ok || path[0][0] != 2 {
+	if path, ok := c.get(key, 1); !ok || !bytes.Equal(path, cfgPath(2)) {
 		t.Fatal("current-round put must land")
 	}
 }

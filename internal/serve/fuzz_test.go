@@ -56,8 +56,9 @@ func FuzzSpecCanonical(f *testing.F) {
 
 // Arbitrary bytes to the three POST endpoints of one small live server:
 // a handler never panics and never answers 5xx (the one documented 503,
-// a closed pool or canceled tenant, cannot occur here), and a path in a
-// 200 runs from the request's start to the request's goal. Tenants the
+// a closed pool or canceled tenant, cannot occur here), a 200 query or
+// batch reply is what encoding/json writes for its own decoding, and a
+// path in it runs from the request's start to the request's goal. Tenants the
 // fuzzer invents are kept tiny — the size limits themselves are
 // FuzzSpecCanonical's subject — so a mutated "procs" costs milliseconds,
 // not the shared machine's memory.
@@ -119,22 +120,28 @@ func FuzzServeQuery(f *testing.F) {
 			var queries []BatchQuery
 			var results []QueryResponse
 			var asked, answered bool
+			var reply any
 			if path == "/v1/query" {
 				var qr QueryRequest
 				asked = decode(body, &qr)
 				queries = []BatchQuery{{Start: qr.Start, Goal: qr.Goal}}
 				results = make([]QueryResponse, 1)
 				answered = json.Unmarshal(rec.Body.Bytes(), &results[0]) == nil
+				reply = results[0]
 			} else {
 				var breq BatchRequest
 				var bresp BatchResponse
 				asked = decode(body, &breq)
 				answered = json.Unmarshal(rec.Body.Bytes(), &bresp) == nil
 				queries, results = breq.Queries, bresp.Results
+				reply = bresp
 			}
 			if !asked || !answered || len(results) != len(queries) {
 				t.Fatalf("%s: 200 with request decoded=%v, reply decoded=%v, %d results for %d queries",
 					path, asked, answered, len(results), len(queries))
+			}
+			if want := referenceReply(reply); !bytes.Equal(rec.Body.Bytes(), want) {
+				t.Fatalf("%s: reply differs from encoding/json's:\n got %s\nwant %s", path, rec.Body, want)
 			}
 			for i, res := range results {
 				if !res.OK {

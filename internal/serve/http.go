@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
+	"strconv"
 	"time"
 
 	"parmp"
@@ -157,6 +159,9 @@ type errorResponse struct {
 // maxBodyBytes bounds request bodies (env_text is the only large field).
 const maxBodyBytes = 1 << 20
 
+// replyFields bounds the bytes of a query answer other than its path.
+const replyFields = 128
+
 // maxBatchQueries bounds one client-side batch.
 const maxBatchQueries = 1024
 
@@ -264,24 +269,78 @@ func (s *Server) admit(w http.ResponseWriter, t *tenant) bool {
 func (t *tenant) release() { <-t.gate }
 
 // answer runs one query against snap on the calling goroutine and caches
-// a found path under snap's generation. The tag is what keeps a query
-// that raced a rollover or a mutate out of the cache: put drops an entry
-// whose generation is no longer the cache's.
-func (t *tenant) answer(snap *parmp.Snapshot, key string, start, goal parmp.Config, k int) ([]parmp.Config, bool) {
+// a found path, encoded once, under snap's generation. The tag is what
+// keeps a query that raced a rollover or a mutate out of the cache: put
+// drops an entry whose generation is no longer the cache's.
+func (t *tenant) answer(snap *parmp.Snapshot, key string, start, goal parmp.Config, k int) ([]byte, bool) {
 	path, ok := snap.Query(start, goal, k)
+	enc := encodePath(path) // a miss's path is nil, and so is its encoding
 	if ok {
-		t.cache.put(key, int64(snap.Generation()), path)
+		t.cache.put(key, int64(snap.Generation()), enc)
 	}
-	return path, ok
+	return enc, ok
 }
 
-// pathFloats converts a path for JSON encoding.
-func pathFloats(path []parmp.Config) [][]float64 {
-	out := make([][]float64, len(path))
-	for i, q := range path {
-		out[i] = q
+// encodePath returns the JSON array encoding/json writes for path as a
+// [][]float64, or nil for an empty path, which a reply omits. Each of a
+// path's configurations is non-nil and finite: an endpoint or a node.
+func encodePath(path []parmp.Config) []byte {
+	if len(path) == 0 {
+		return nil
 	}
-	return out
+	b := make([]byte, 0, len(path)*(3+20*len(path[0])))
+	for _, q := range path {
+		b = append(b, ',', '[')
+		for j, v := range q {
+			if j > 0 {
+				b = append(b, ',')
+			}
+			b = appendFloat(b, v)
+		}
+		b = append(b, ']')
+	}
+	b[0] = '['
+	return append(b, ']')
+}
+
+// appendFloat appends f as encoding/json writes a float64: the shortest
+// decimal that reads back as f, in exponent form below 1e-6 and from
+// 1e21, a negative exponent's leading zero dropped (1e-07 becomes 1e-7).
+func appendFloat(b []byte, f float64) []byte {
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		b = strconv.AppendFloat(b, f, 'e', -1, 64)
+		if n := len(b); string(b[n-4:n-1]) == "e-0" {
+			b = append(b[:n-2], b[n-1])
+		}
+		return b
+	}
+	return strconv.AppendFloat(b, f, 'f', -1, 64)
+}
+
+// appendQueryResponse appends the QueryResponse object encoding/json
+// writes for these fields, path being an answer's encodePath bytes. It
+// writes every query answer: a /v1/query reply and each /v1/batch result.
+func appendQueryResponse(b []byte, ok bool, path []byte, rounds int, growDone, cacheHit bool, serveUS float64) []byte {
+	b = strconv.AppendBool(append(b, `{"ok":`...), ok)
+	if len(path) > 0 {
+		b = append(append(b, `,"path":`...), path...)
+	}
+	b = strconv.AppendInt(append(b, `,"rounds":`...), int64(rounds), 10)
+	b = strconv.AppendBool(append(b, `,"grow_done":`...), growDone)
+	b = strconv.AppendBool(append(b, `,"cache_hit":`...), cacheHit)
+	return appendServeUS(b, serveUS)
+}
+
+// appendServeUS closes a reply object with its serve_us field.
+func appendServeUS(b []byte, serveUS float64) []byte {
+	return append(appendFloat(append(b, `,"serve_us":`...), serveUS), '}')
+}
+
+// writeReply sends b as a 200, newline-terminated as json.Encoder ends one.
+func writeReply(w http.ResponseWriter, b []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(append(b, '\n'))
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -309,11 +368,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if path, ok := t.cache.get(key, int64(snap.Generation())); ok {
 		t.queries.Add(1)
 		t.cacheHits.Add(1)
-		writeJSON(w, http.StatusOK, QueryResponse{
-			OK: true, Path: pathFloats(path),
-			Rounds: snap.Rounds(), GrowDone: t.growDone.Load(),
-			CacheHit: true, ServeUS: us(time.Since(t0)),
-		})
+		writeReply(w, appendQueryResponse(make([]byte, 0, len(path)+replyFields),
+			true, path, snap.Rounds(), t.growDone.Load(), true, us(time.Since(t0))))
 		return
 	}
 
@@ -323,11 +379,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer t.release()
 	t.queries.Add(1)
 	path, ok := t.answer(snap, key, start, goal, k)
-	writeJSON(w, http.StatusOK, QueryResponse{
-		OK: ok, Path: pathFloats(path),
-		Rounds: snap.Rounds(), GrowDone: t.growDone.Load(),
-		ServeUS: us(time.Since(t0)),
-	})
+	writeReply(w, appendQueryResponse(make([]byte, 0, len(path)+replyFields),
+		ok, path, snap.Rounds(), t.growDone.Load(), false, us(time.Since(t0))))
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -357,7 +410,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	gen := int64(snap.Generation())
 	rounds := snap.Rounds()
 	grown := t.growDone.Load()
-	results := make([]QueryResponse, len(br.Queries))
+	b := append(make([]byte, 0, replyFields*len(br.Queries)), `{"results":[`...)
 	t.queries.Add(int64(len(br.Queries)))
 	t.batches.Add(1)
 
@@ -379,9 +432,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			t.batched.Add(1)
 			path, ok = t.answer(snap, key, start, goal, k)
 		}
-		results[i] = QueryResponse{OK: ok, Path: pathFloats(path), Rounds: rounds, GrowDone: grown, CacheHit: hit}
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendQueryResponse(b, ok, path, rounds, grown, hit, 0)
 	}
-	writeJSON(w, http.StatusOK, BatchResponse{Results: results, ServeUS: us(time.Since(t0))})
+	writeReply(w, appendServeUS(append(b, ']'), us(time.Since(t0))))
 }
 
 // handleMutate edits a tenant's environment through the engine's

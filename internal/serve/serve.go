@@ -23,7 +23,8 @@
 //     each through the same cache probe and search.
 //   - pathCache is a per-tenant LRU over (start, goal, k) keyed by
 //     exact float bits, tagged with the snapshot generation it answers
-//     for and dropped wholesale on rollover.
+//     for, dropped wholesale on rollover, and holding each path as JSON
+//     bytes, encoded once: every query reply is appended around them.
 //   - Backpressure: the gate holds QueueDepth slots; when none is free
 //     the server answers 429 with Retry-After instead of piling
 //     searches onto a saturated tenant.
