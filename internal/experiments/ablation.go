@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"parmp/internal/core"
-	"parmp/internal/cspace"
 	"parmp/internal/env"
 	"parmp/internal/metrics"
 	"parmp/internal/obsv"
@@ -20,12 +19,10 @@ import (
 // granularity until overheads bite.
 func ablationDecomposition(sc Scale) *metrics.Table {
 	const procs = 16
-	s := cspace.NewPointSpace(env.MedCube())
 	t := sweep(fmt.Sprintf("Ablation: over-decomposition at %d procs, med-cube", procs), "regions/proc",
 		[]int{1, 2, 4, 8, 16}, []series{noLB, repartLB, hybridWS}, func(rpp int, st series) float64 {
-			opts := prmOpts(sc, procs, work.Hopper())
-			opts.Regions = procs * rpp
-			return mustPRM(s, st.apply(opts)).TotalTime
+			sc.PRMRegions = procs * rpp
+			return prmRound(sc, env.MedCube(), work.Hopper(), procs, st).TotalTime
 		})
 	t.Notes = append(t.Notes,
 		"total work grows with region count (constant samples/region); compare within a row")
@@ -45,26 +42,23 @@ func ablationStealChunk(sc Scale) *metrics.Table {
 	return sweep(fmt.Sprintf("Ablation: steal chunk size at %d procs, med-cube (hybrid)", procs), "procs",
 		[]int{8, 16, 32},
 		[]series{chunked("steal-one", 1e-9), chunked("steal-quarter", 0.25), chunked("steal-half", 0.5)},
-		prmTime(sc, env.MedCube(), work.Hopper()))
+		func(p int, st series) float64 { return prmRound(sc, env.MedCube(), work.Hopper(), p, st).TotalTime })
 }
 
-// ablationWeights compares repartitioning driven by three weight sources:
-// the measured per-region sample counts (the paper's estimator and our
-// default), the exact free volume (an oracle), and uniform weights (a
-// weight-oblivious rebalance). Measured should track the oracle; uniform
-// should barely help.
+// ablationWeights reports the node-connection time of three rows: no load
+// balancing, repartitioning on the measured per-region sample counts (the
+// paper's estimator and our default), and repartitioning on uniform
+// weights (a weight-oblivious rebalance). Uniform weights reproduce the
+// naive partition, so that row equals the no-LB row by construction.
 func ablationWeights(sc Scale) *metrics.Table {
 	const procs = 16
 	t := newTable(fmt.Sprintf("Ablation: repartition weight source at %d procs, med-cube", procs), "row",
 		"node-connection-time")
-	s := cspace.NewPointSpace(env.MedCube())
-
 	// Baseline and sample-count weights come straight from the driver.
-	opts := prmOpts(sc, procs, work.Hopper())
-	base := mustPRM(s, noLB.apply(opts)).Phases.NodeConnection
+	base := prmRound(sc, env.MedCube(), work.Hopper(), procs, noLB).Phases.NodeConnection
 	t.AddRow(0, base)
 	t.Notes = append(t.Notes, "row 0 = no load balancing")
-	t.AddRow(1, mustPRM(s, repartLB.apply(opts)).Phases.NodeConnection)
+	t.AddRow(1, prmRound(sc, env.MedCube(), work.Hopper(), procs, repartLB).Phases.NodeConnection)
 	t.Notes = append(t.Notes, "row 1 = repartition on measured sample counts (default)")
 
 	// Uniform weights: pretend every region costs the same. Equal-count
@@ -83,11 +77,10 @@ func ablationPartitioner(sc Scale) *metrics.Table {
 	const procs = 16
 	t := newTable(fmt.Sprintf("Ablation: partitioner at %d procs, med-cube", procs), "partitioner#",
 		"node-connection", "region-connection", "edge-cut", "total")
-	s := cspace.NewPointSpace(env.MedCube())
 	for i, part := range []core.Partitioner{core.PartitionSpatial, core.PartitionLPT} {
-		opts := repartLB.apply(prmOpts(sc, procs, work.Hopper()))
-		opts.Partitioner = part
-		res := mustPRM(s, opts)
+		st := repartLB
+		st.partition = part
+		res := prmRound(sc, env.MedCube(), work.Hopper(), procs, st)
 		t.AddRow(float64(i), res.Phases.NodeConnection, res.Phases.RegionConnection,
 			float64(res.EdgeCut), res.TotalTime)
 	}
@@ -101,9 +94,8 @@ func ablationVictimPolicy(sc Scale) *metrics.Table {
 	const procs = 32
 	t := newTable(fmt.Sprintf("Ablation: victim policy protocol traffic at %d procs, med-cube", procs), "policy#",
 		"steals-issued", "steals-granted", "steals-denied", "tasks-moved", "total-time")
-	s := cspace.NewPointSpace(env.MedCube())
 	for i, st := range []series{hybridWS, rand8WS, diffusiveWS} {
-		res := mustPRM(s, st.apply(prmOpts(sc, procs, work.Hopper())))
+		res := prmRound(sc, env.MedCube(), work.Hopper(), procs, st)
 		m := obsv.Analyze(sched.Report{Workers: res.ProcStats})
 		t.AddRow(float64(i), float64(m.StealsIssued), float64(m.StealsGranted), float64(m.StealsDenied),
 			float64(m.TasksMigrated), res.TotalTime)
@@ -120,7 +112,7 @@ func ablationRRTStar(sc Scale) *metrics.Table {
 	const procs = 8
 	t := newTable(fmt.Sprintf("Ablation: RRT vs RRT* at %d procs, mixed-30", procs), "variant#",
 		"no-lb-time", "diffusive-time", "steal-speedup")
-	s := cspace.NewPointSpace(env.Mixed30())
+	s := robotSpace(env.Mixed30())
 	for i, star := range []bool{false, true} {
 		opts := rrtOpts(sc, procs, work.OpteronCluster())
 		opts.Star = star

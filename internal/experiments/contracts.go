@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"parmp/internal/core"
-	"parmp/internal/cspace"
 	"parmp/internal/env"
 	"parmp/internal/metrics"
 	"parmp/internal/obsv"
@@ -53,7 +52,7 @@ func contractOpts(regions int) core.Options {
 // position in res.PhaseReports gives its round and its phase.
 func balance(Scale) []*metrics.Table {
 	opts := contractOpts(balanceRegions)
-	res := grow(must(core.NewPRMEngine(cspace.NewPointSpace(env.MedCube()), opts)), balanceRounds)
+	res := grow(must(core.NewPRMEngine(robotSpace(env.MedCube()), opts)), balanceRounds)
 	perRound := len(res.PhaseReports) / balanceRounds
 
 	prof := newTable("Balance: Closed-Loop PRM Phase Profile, med-cube, Hopper", "round",
@@ -94,7 +93,7 @@ func repairVsRebuild(sc env.Scenario) *metrics.Table {
 		"repair-makespan", "rebuild-makespan", "speedup")
 	opts := contractOpts(repairRegions)
 	world, script := sc.BuildMoves()
-	space := cspace.NewPointSpace(world)
+	space := robotSpace(world)
 	eng := must(core.NewPRMEngine(space, opts))
 	grow(eng, repairRounds)
 	for k := 0; k < repairSteps; k++ {
@@ -104,7 +103,7 @@ func repairVsRebuild(sc env.Scenario) *metrics.Table {
 		delta := must(world.ApplyMoves(script(k)))
 		space = space.WithEnv(world)
 		st := must(eng.ApplyDelta(space, delta, nil, nil)).Stats
-		rebuilt := grow(must(core.NewPRMEngine(cspace.NewPointSpace(world), opts)), repairRounds)
+		rebuilt := grow(must(core.NewPRMEngine(robotSpace(world), opts)), repairRounds)
 		t.AddRow(float64(k), float64(st.CheckedNodes), float64(st.CheckedEdges),
 			float64(st.RemovedNodes), float64(st.RemovedEdges),
 			st.Makespan, rebuilt.TotalTime, rebuilt.TotalTime/st.Makespan)

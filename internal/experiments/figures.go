@@ -78,10 +78,10 @@ func fig4b(sc Scale) *metrics.Table {
 			SamplesPerRegion: sc.SamplesPerRegion, ConnectK: 4, BoundaryK: 1,
 			Profile: work.OpteronCluster(), Seed: sc.Seed,
 		}
-		base := mustPRM(s, opts)
+		base := must(core.ParallelPRM(s, opts))
 		opts.Strategy = core.Repartition
 		opts.Partitioner = core.PartitionLPT
-		rp := mustPRM(s, opts)
+		rp := must(core.ParallelPRM(s, opts))
 		t.AddRow(float64(p), m.TheoreticalImprovement(p), expPct,
 			pctDrop(base.Phases.NodeConnection, rp.Phases.NodeConnection))
 	}
@@ -101,7 +101,9 @@ func maxLoad(weights []float64, assign []int, p int) float64 {
 // scaling).
 func fig5a(sc Scale) *metrics.Table {
 	return sweep("Fig 5(a): PRM Execution Time, med-cube, Hopper", "procs",
-		sc.PRMProcs, prmSeries, prmTime(sc, env.MedCube(), work.Hopper()))
+		sc.PRMProcs, prmSeries, func(p int, st series) float64 {
+			return prmRound(sc, env.MedCube(), work.Hopper(), p, st).TotalTime
+		})
 }
 
 // fig5b reproduces Figure 5(b): coefficient of variation of PRM roadmap
@@ -109,9 +111,8 @@ func fig5a(sc Scale) *metrics.Table {
 func fig5b(sc Scale) *metrics.Table {
 	t := newTable("Fig 5(b): CV of PRM Load Before/After Repartitioning, med-cube, Hopper", "procs",
 		"before-repartitioning", "after-repartitioning")
-	s := cspace.NewPointSpace(env.MedCube())
 	for _, p := range sc.PRMProcs {
-		res := mustPRM(s, repartLB.apply(prmOpts(sc, p, work.Hopper())))
+		res := prmRound(sc, env.MedCube(), work.Hopper(), p, repartLB)
 		t.AddRow(float64(p), res.CVBefore, res.CVAfter)
 	}
 	return t
@@ -124,10 +125,8 @@ func fig5c(sc Scale) *metrics.Table {
 	p := sc.ProfileProcs
 	t := newTable(fmt.Sprintf("Fig 5(c): PRM Load Profile at %d procs, med-cube, Hopper", p), "proc",
 		"without-lb", "repartitioning", "ideal")
-	s := cspace.NewPointSpace(env.MedCube())
-	opts := prmOpts(sc, p, work.Hopper())
-	base := mustPRM(s, noLB.apply(opts))
-	rp := mustPRM(s, repartLB.apply(opts))
+	base := prmRound(sc, env.MedCube(), work.Hopper(), p, noLB)
+	rp := prmRound(sc, env.MedCube(), work.Hopper(), p, repartLB)
 	ideal := metrics.Sum(base.NodeLoads) / float64(p)
 	// Sort descending so the profile shape (spread vs flat) is evident,
 	// as in the paper's plot.
@@ -149,12 +148,10 @@ func sortedDesc(xs []float64) []float64 {
 // (up to 3072 in the full scale), med-cube on Hopper, NoLB vs
 // repartitioning.
 func fig6(sc Scale) *metrics.Table {
-	s := cspace.NewPointSpace(env.MedCube())
+	sc.PRMRegions = sc.PRMHighRegions
 	return sweep("Fig 6: PRM Execution Time at High Scale, med-cube, Hopper", "procs",
 		sc.PRMHighProcs, []series{noLB, repartLB}, func(p int, st series) float64 {
-			opts := prmOpts(sc, p, work.Hopper())
-			opts.Regions = sc.PRMHighRegions
-			return mustPRM(s, st.apply(opts)).TotalTime
+			return prmRound(sc, env.MedCube(), work.Hopper(), p, st).TotalTime
 		})
 }
 
@@ -166,9 +163,8 @@ func fig7a(sc Scale) *metrics.Table {
 	p := sc.ProfileProcs
 	t := newTable(fmt.Sprintf("Fig 7(a): PRM Phase Breakdown at %d procs, med-cube, Hopper", p), "strategy#",
 		"region-connection", "node-connection", "other")
-	s := cspace.NewPointSpace(env.MedCube())
 	for i, st := range prmSeries {
-		ph := mustPRM(s, st.apply(prmOpts(sc, p, work.Hopper()))).Phases
+		ph := prmRound(sc, env.MedCube(), work.Hopper(), p, st).Phases
 		t.AddRow(float64(i), ph.RegionConnection, ph.NodeConnection,
 			ph.Setup+ph.Sampling+ph.Redistribution+ph.Other)
 		t.Notes = append(t.Notes, fmt.Sprintf("strategy %d = %s", i, st.label))
@@ -183,9 +179,8 @@ func fig7b(sc Scale) *metrics.Table {
 	p := sc.RemoteProcs
 	t := newTable(fmt.Sprintf("Fig 7(b): Remote Accesses in Region Connection at %d procs, med-cube, Hopper", p),
 		"strategy#", "region-graph", "roadmap-graph")
-	s := cspace.NewPointSpace(env.MedCube())
 	for i, st := range []series{relabel(noLB, "no-lb"), repartLB} {
-		res := mustPRM(s, st.apply(prmOpts(sc, p, work.Hopper())))
+		res := prmRound(sc, env.MedCube(), work.Hopper(), p, st)
 		t.AddRow(float64(i), float64(res.RegionRemote), float64(res.RoadmapRemote))
 		t.Notes = append(t.Notes, fmt.Sprintf("strategy %d = %s", i, st.label))
 	}
@@ -197,7 +192,9 @@ func fig7b(sc Scale) *metrics.Table {
 // (c) free environments.
 func fig8(sc Scale) []*metrics.Table {
 	panel := func(title string, e *env.Environment) *metrics.Table {
-		return sweep(title, "procs", sc.OpteronProcs, prmSeries, prmTime(sc, e, work.OpteronCluster()))
+		return sweep(title, "procs", sc.OpteronProcs, prmSeries, func(p int, st series) float64 {
+			return prmRound(sc, e, work.OpteronCluster(), p, st).TotalTime
+		})
 	}
 	return []*metrics.Table{
 		panel("Fig 8(a): PRM Execution Time, med-cube, Opteron", env.MedCube()),
@@ -211,9 +208,8 @@ func fig8(sc Scale) []*metrics.Table {
 // med-cube on Hopper.
 func fig9(sc Scale) []*metrics.Table {
 	out := make([]*metrics.Table, 0, 2)
-	s := cspace.NewPointSpace(env.MedCube())
 	for _, p := range sc.Fig9Procs {
-		res := mustPRM(s, hybridWS.apply(prmOpts(sc, p, work.Hopper())))
+		res := prmRound(sc, env.MedCube(), work.Hopper(), p, hybridWS)
 		t := newTable(fmt.Sprintf("Fig 9: Stolen vs Non-Stolen Tasks on %d procs, med-cube, Hopper", p), "proc",
 			"stolen", "non-stolen")
 		for i, ps := range res.ProcStats {
@@ -230,7 +226,7 @@ func fig9(sc Scale) []*metrics.Table {
 // (c) free environments.
 func fig10(sc Scale) []*metrics.Table {
 	panel := func(title string, e *env.Environment, ss []series) *metrics.Table {
-		s := cspace.NewPointSpace(e)
+		s := robotSpace(e)
 		return sweep(title, "procs", sc.RRTProcs, ss, func(p int, st series) float64 {
 			return mustRRT(s, rrtRoot(), st.apply(rrtOpts(sc, p, work.OpteronCluster()))).TotalTime
 		})

@@ -20,6 +20,7 @@ type series struct {
 	chunk     float64 // StealChunk: the share of a victim's deque one steal takes
 	costModel core.CostModelKind
 	rebalance core.RebalanceKind
+	partition core.Partitioner
 }
 
 // The strategy table: every balancer the figures compare, under the
@@ -46,7 +47,7 @@ func relabel(st series, label string) series {
 // apply returns opts balanced the way s says.
 func (s series) apply(opts core.Options) core.Options {
 	opts.Strategy, opts.Policy, opts.StealChunk = s.strategy, s.policy, s.chunk
-	opts.CostModel, opts.Rebalance = s.costModel, s.rebalance
+	opts.CostModel, opts.Rebalance, opts.Partitioner = s.costModel, s.rebalance, s.partition
 	return opts
 }
 
@@ -79,11 +80,6 @@ func must[T any](v T, err error) T {
 	return v
 }
 
-// mustPRM is one growth round of the parallel PRM.
-func mustPRM(s *cspace.Space, opts core.Options) *core.PRMResult {
-	return must(core.ParallelPRM(s, opts))
-}
-
 // mustRRT is one growth round of the radial RRT.
 func mustRRT(s *cspace.Space, root cspace.Config, opts core.Options) *core.RRTResult {
 	return must(core.ParallelRRT(s, root, opts))
@@ -103,9 +99,17 @@ func grow[R any](eng interface {
 	return eng.Result()
 }
 
-func prmOpts(sc Scale, procs int, profile work.MachineProfile) core.Options {
-	return core.Options{
-		Procs:            procs,
+// robotSpace is the C-space every experiment plans in: the point robot
+// in e. The robot is chosen here and nowhere else; only Fig 4's model
+// space (modelSamples) is built apart.
+func robotSpace(e *env.Environment) *cspace.Space { return cspace.NewPointSpace(e) }
+
+// prmRound is one growth round of the figures' PRM configuration: e on
+// the machine profile models, at p procs over sc.PRMRegions regions,
+// balanced as st says.
+func prmRound(sc Scale, e *env.Environment, profile work.MachineProfile, p int, st series) *core.PRMResult {
+	return must(core.ParallelPRM(robotSpace(e), st.apply(core.Options{
+		Procs:            p,
 		Regions:          sc.PRMRegions,
 		SamplesPerRegion: sc.SamplesPerRegion,
 		ConnectK:         6,
@@ -124,7 +128,7 @@ func prmOpts(sc Scale, procs int, profile work.MachineProfile) core.Options {
 			Secondary: cspace.GaussianSampler{},
 			Fraction:  0.5,
 		},
-	}
+	})))
 }
 
 func rrtOpts(sc Scale, procs int, profile work.MachineProfile) core.Options {
@@ -136,15 +140,6 @@ func rrtOpts(sc Scale, procs int, profile work.MachineProfile) core.Options {
 		Radius:         0.6,
 		Profile:        profile,
 		Seed:           sc.Seed,
-	}
-}
-
-// prmTime is the cell of a PRM strategy sweep over processor counts:
-// total virtual time of one round on e.
-func prmTime(sc Scale, e *env.Environment, profile work.MachineProfile) func(int, series) float64 {
-	s := cspace.NewPointSpace(e)
-	return func(p int, st series) float64 {
-		return mustPRM(s, st.apply(prmOpts(sc, p, profile))).TotalTime
 	}
 }
 

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"time"
 
+	"parmp"
 	"parmp/internal/core"
 	"parmp/internal/cspace"
 	"parmp/internal/env"
@@ -36,17 +38,13 @@ func sinceMS(start time.Time) float64 {
 // and path extraction, so the comparison isolates planner growth.
 func racePlanner(planner string, s *cspace.Space, root, goal cspace.Config, opts core.Options, maxRounds int) raceOutcome {
 	start := time.Now()
-	var eng *core.RRTEngine
-	switch planner {
-	case "rrt":
-		eng = must(core.NewRRTEngine(s, root, opts))
-	case "rrtconnect":
-		eng = must(core.NewRRTConnectEngine(s, root, goal, opts))
-	default:
-		panic(fmt.Sprintf("experiments: unknown planner %q", planner))
-	}
+	eng := must(parmp.NewEngineByName(planner, s, root, goal, opts))
 	for round := 1; round <= maxRounds; round++ {
-		path, ok := core.BuildTreeIndex(grow(eng, 1)).ExtractPath(s, goal, nil)
+		if err := eng.Grow(context.Background()); err != nil {
+			panic(err)
+		}
+		// A tree snapshot ignores the attach count k.
+		path, ok := eng.Snapshot().Query(root, goal, 1)
 		if !ok {
 			continue
 		}
@@ -95,7 +93,7 @@ func plannerCompare(sc Scale, e *env.Environment, planners []string) *metrics.Ta
 	for _, p := range planners {
 		t.Columns = append(t.Columns, p+"-ms", p+"-pathlen")
 	}
-	s := cspace.NewPointSpace(e)
+	s := robotSpace(e)
 	root, goal := corners(e)
 	if !s.Valid(root, nil) || !s.Valid(goal, nil) {
 		panic(fmt.Sprintf("experiments: %s benchmark corners are not free", e.Name))

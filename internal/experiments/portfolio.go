@@ -73,7 +73,7 @@ func portfolioRun(space *parmp.Space, start, goal parmp.Config, opts parmp.Optio
 func portfolioTail(sc Scale) *metrics.Table {
 	trials := sc.PortfolioTrials
 	e := env.ByName("walls")
-	space := parmp.NewPointSpace(e)
+	space := robotSpace(e)
 	start, goal := corners(e)
 
 	configs := []struct {

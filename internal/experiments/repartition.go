@@ -27,7 +27,7 @@ var (
 // estimator), on EWMA-observed branch costs, and observed costs plus the
 // between-rounds diffusive rebalance.
 func repartitionRRT(sc Scale, e *env.Environment, title string) *metrics.Table {
-	s := cspace.NewPointSpace(e)
+	s := robotSpace(e)
 	t := sweep(title, "procs", sc.RRTProcs,
 		[]series{noLB, relabel(repartLB, "repart-kray"), repartObserved, repartDiffusive},
 		func(p int, st series) float64 {
@@ -79,7 +79,7 @@ func repartPRM(sc Scale, s *cspace.Space, st series) (*core.PRMResult, []float64
 // environments where per-sample connection cost varies by region.
 func repartitionPRMCV(sc Scale, e *env.Environment, title string) *metrics.Table {
 	t := newTable(title, "round", "sample-count-cv", "observed-cv")
-	s := cspace.NewPointSpace(e)
+	s := robotSpace(e)
 	_, static := repartPRM(sc, s, repartLB)
 	_, observed := repartPRM(sc, s, repartObserved)
 	for r := range static {
@@ -97,7 +97,7 @@ func repartitionPRMCV(sc Scale, e *env.Environment, title string) *metrics.Table
 // CV, and the two migration counters, one row per combination.
 func repartitionCombos(sc Scale, e *env.Environment, title string) *metrics.Table {
 	t := newTable(title, "combo", "total-time", "construct-cv-warm", "migrated", "diffused")
-	s := cspace.NewPointSpace(e)
+	s := robotSpace(e)
 	staticDiffusive := series{strategy: core.Repartition, rebalance: core.RebalanceDiffusive}
 	for i, st := range []series{
 		relabel(repartLB, "static/none"), relabel(staticDiffusive, "static/diffusive"),

@@ -216,7 +216,8 @@ type TenantStats struct {
 	Planner string `json:"planner"`
 	Seed    uint64 `json:"seed"`
 	// BuildErr is always empty and off the wire (a tenant is listed once
-	// built); the frozen bench/ still reads it — it goes with ROADMAP item 2.
+	// built); the frozen bench/ still reads it — it goes with the ROADMAP
+	// item that unfreezes bench/.
 	BuildErr string `json:"-"`
 	// GrowError is a terminal background-growth failure; the tenant
 	// still serves its last committed snapshot.

@@ -191,8 +191,9 @@ func (e *Engine) ApplyDelta(ctx context.Context, muts ...Mutation) (RepairStats,
 
 // ApplyDelta mutates the world for every contestant: the race's shared
 // space template advances (so engines built by future Luby restarts plan
-// the mutated world) and each live engine repairs its committed
-// structure via Engine.ApplyDelta. All racers receive the same mutation
+// the mutated world) and each live engine — racer 0's prebuilt one
+// before the first wave, then every racer still in the race — repairs
+// its committed structure via Engine.ApplyDelta. All racers receive the same mutation
 // sequence, so their environments — and epochs — stay in lockstep. The
 // returned stats sum the racers' repair work for this call.
 //
@@ -220,11 +221,14 @@ func (p *Portfolio) ApplyDelta(ctx context.Context, muts ...Mutation) (RepairSta
 		}
 		total.Add(st)
 	}
-	for _, eng := range p.engines {
-		if eng == nil {
+	for i, rs := range p.race.States() {
+		// A racer whose Luby budget ran out is dropped until the next wave
+		// rebuilds it from the template; p.engines still holds its old
+		// engine for Report, but that engine is no contestant to repair.
+		if rs.Instance == nil || rs.Err != nil {
 			continue
 		}
-		st, err := eng.ApplyDelta(ctx, muts...)
+		st, err := p.engines[i].ApplyDelta(ctx, muts...)
 		if err != nil {
 			return total, err
 		}

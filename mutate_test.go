@@ -469,3 +469,47 @@ func TestPortfolioApplyDelta(t *testing.T) {
 		}
 	}
 }
+
+// TestPortfolioApplyDeltaSkipsDroppedRacers: a racer whose Luby budget
+// ran out has no engine until the next wave rebuilds it from the
+// template, so a mutation between the two repairs nothing — the dropped
+// engines are not contestants and their repair work is not the race's.
+// The rebuilt racers still plan the mutated world.
+func TestPortfolioApplyDeltaSkipsDroppedRacers(t *testing.T) {
+	ctx := context.Background()
+	space := NewPointSpace(EnvironmentByName("med-cube"))
+	// The goal is inside the central block: no racer can solve, so each
+	// one-round budget runs out and every racer is dropped after a wave.
+	start, goal := V(0.05, 0.05, 0.05), V(0.5, 0.5, 0.5)
+	pf, err := NewPortfolio(space, start, goal, Options{
+		Procs: 2, Regions: 8, SamplesPerRegion: 4, Seed: 5,
+	}, PortfolioOptions{Racers: 2, MaxWaves: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pf.Grow(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := pf.Report().Restarts; got != 2 {
+		t.Fatalf("restarts after one wave = %d, want 2 (both racers dropped)", got)
+	}
+	box := NewBoxObstacle(V(0, 0, 0), V(0.2, 0.2, 0.2))
+	st, err := pf.ApplyDelta(ctx, AddObstacle{Obstacle: box})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Deltas != 0 || st.CheckedNodes != 0 || st.Makespan != 0 {
+		t.Fatalf("repaired dropped racers: %+v", st)
+	}
+	if pf.space.Env.Epoch != 1 {
+		t.Fatalf("template epoch = %d, want 1", pf.space.Env.Epoch)
+	}
+	if err := pf.Grow(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for i, eng := range pf.engines {
+		if got := eng.Snapshot().Epoch(); got != 1 {
+			t.Fatalf("rebuilt racer %d epoch = %d, want 1", i, got)
+		}
+	}
+}
