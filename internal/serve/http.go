@@ -1,13 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"parmp"
@@ -177,6 +180,7 @@ type Server struct {
 	pool  *Pool
 	mux   *http.ServeMux
 	start time.Time
+	specs specMemo // /v1/query's raw specs, canonicalised once
 }
 
 // New creates a Server with cfg's defaults applied.
@@ -234,7 +238,13 @@ func (s *Server) tenantFor(w http.ResponseWriter, spec Spec) *tenant {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return nil
 	}
-	t, err := s.pool.Tenant(canon)
+	return s.tenantKeyed(w, canon.Key(), canon)
+}
+
+// tenantKeyed resolves the tenant of a canonical spec and its key,
+// writing the error response on failure.
+func (s *Server) tenantKeyed(w http.ResponseWriter, key string, canon Spec) *tenant {
+	t, err := s.pool.tenant(key, canon)
 	switch {
 	case errors.Is(err, ErrPoolClosed):
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
@@ -343,21 +353,56 @@ func writeReply(w http.ResponseWriter, b []byte) {
 	w.Write(append(b, '\n'))
 }
 
+// bodyBufs holds the buffers /v1/query bodies are read into; one grown
+// past maxPooledBody is left to the collector.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 64 << 10
+
+// readQuery reads a /v1/query body and resolves its tenant, or writes the
+// error response and returns a nil tenant. A body scanQuery reads whose
+// raw spec is memoized skips encoding/json, Canonical and Key. Every other
+// body, and so every error, takes the path decode and tenantFor take,
+// and a scanned spec is memoized once that path has succeeded on it.
+func (s *Server) readQuery(w http.ResponseWriter, r *http.Request) (t *tenant, start, goal []float64, k int) {
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			bodyBufs.Put(buf)
+		}
+	}()
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	_, err := buf.ReadFrom(body)
+	q, scanned := scanQuery(buf.Bytes())
+	if scanned = scanned && err == nil; scanned {
+		if e, ok := s.specs.get(q.spec); ok {
+			return s.tenantKeyed(w, e.key, e.spec), q.start, q.goal, q.k
+		}
+	}
+	// json.Decoder answers from a body's first value and ignores what
+	// follows, even past maxBodyBytes: it reads what was read, then the
+	// rest of the stream.
+	var qr QueryRequest
+	if err := json.NewDecoder(io.MultiReader(bytes.NewReader(buf.Bytes()), body)).Decode(&qr); err != nil {
+		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		return nil, nil, nil, 0
+	}
+	if t = s.tenantFor(w, qr.Spec); t != nil && scanned {
+		s.specs.put(q.spec, memoEntry{spec: t.spec, key: t.key})
+	}
+	return t, qr.Start, qr.Goal, qr.K
+}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
-	var qr QueryRequest
-	if !decode(w, r, &qr) {
-		return
-	}
-	t := s.tenantFor(w, qr.Spec)
+	t, start, goal, k := s.readQuery(w, r)
 	if t == nil {
 		return
 	}
-	k := qr.K
 	if k == 0 {
 		k = s.cfg.DefaultK
 	}
-	start, goal := parmp.Config(qr.Start), parmp.Config(qr.Goal)
 	key := cacheKey(start, goal, k)
 
 	// Fast path: answer straight from the cache, before admission. The

@@ -123,7 +123,11 @@ func (p *Pool) Close() {
 // as it was. After Close — or when the pool closed while the engine was
 // building, in which case nothing starts — it returns ErrPoolClosed.
 func (p *Pool) Tenant(spec Spec) (*tenant, error) {
-	key := spec.Key()
+	return p.tenant(spec.Key(), spec)
+}
+
+// tenant is Tenant for a canonical spec whose key is already known.
+func (p *Pool) tenant(key string, spec Spec) (*tenant, error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
