@@ -74,8 +74,8 @@ func (p prmPlanner) repair(old *Snapshot, next *Space, delta env.Delta, stop <-c
 	}
 	s := &Snapshot{prmRes: p.Result(), prmIx: old.prmIx}
 	if rep.VertexRemap != nil {
-		// Scoped index repair: labels carry over for untouched components,
-		// only the kd-tree and touched components rebuild.
+		// Scoped index repair: only touched components relabel, and the kd
+		// forest is the repaired roadmap's region trees.
 		s.prmIx = prm.RepairIndex(old.prmIx, s.prmRes.Roadmap, rep.VertexRemap, rep.TouchedVertices)
 	}
 	return s, rep.Stats, nil

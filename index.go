@@ -6,7 +6,7 @@ import (
 )
 
 // A RoadmapIndex answers repeated queries against a frozen roadmap: the
-// kd-tree and connected-component labels are built once, and every
+// kd index and connected-component labels are built once, and every
 // Query runs against them without touching the roadmap. This is the
 // structure engine snapshots query through; build one directly when
 // planning with PlanPRM and answering more than a handful of queries.
@@ -17,8 +17,8 @@ type RoadmapIndex struct {
 	ix *prm.Index
 }
 
-// NewRoadmapIndex builds a query index over m (in parallel for large
-// roadmaps).
+// NewRoadmapIndex builds a query index over m: a planner's roadmap
+// brings its region kd-trees, any other gets one tree.
 func NewRoadmapIndex(m *Roadmap) *RoadmapIndex {
 	return &RoadmapIndex{ix: prm.BuildIndex(m)}
 }

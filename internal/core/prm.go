@@ -4,6 +4,7 @@ import (
 	"parmp/internal/cspace"
 	"parmp/internal/env"
 	"parmp/internal/graph"
+	"parmp/internal/knn"
 	"parmp/internal/prm"
 	"parmp/internal/region"
 	"parmp/internal/repart"
@@ -25,8 +26,11 @@ type PRMResult struct {
 // indices are local to the region's node slice) with the work they cost.
 // weights[j] is edge j's metric length, measured once at commit: the
 // metric never depends on the environment, so it outlives every delta.
+// tree, over exactly nodes, serves construct, region connection and the
+// snapshot's index; gaining or losing nodes brings a new one.
 type prmRegionData struct {
 	nodes       []prm.Node
+	tree        *knn.KDTree
 	sampleWork  cspace.Counters
 	edges       [][2]int
 	weights     []float64
@@ -74,6 +78,7 @@ type prmRound struct {
 	// ones; firstNew[i] indexes the first fresh node.
 	combined      [][]prm.Node
 	firstNew      []int
+	trees         []*knn.KDTree        // over combined[i], set by construct
 	brs           []prm.BoundaryResult // per adjacent pair
 	roadmapRemote int
 }
@@ -161,7 +166,7 @@ func (e *PRMEngine) weigh(round int, phases *PhaseBreakdown) (estimate, bool) {
 
 	counts := make([]int, n)
 	rd.combined = make([][]prm.Node, n)
-	rd.firstNew = make([]int, n)
+	rd.firstNew, rd.trees = make([]int, n), make([]*knn.KDTree, n)
 	for i := 0; i < n; i++ {
 		counts[i] = len(rd.fresh[i].nodes)
 		rd.firstNew[i] = len(e.data[i].nodes)
@@ -173,7 +178,9 @@ func (e *PRMEngine) weigh(round int, phases *PhaseBreakdown) (estimate, bool) {
 }
 
 // constructTask connects region i's new samples, querying against its
-// old + new nodes. Stealing the region moves all of its samples.
+// old + new nodes through the region's new tree (the committed one when
+// the round brought nothing). Stealing the region moves all of its
+// samples.
 func (e *PRMEngine) constructTask(round, i int) work.Task {
 	rd := e.rd
 	return work.Task{
@@ -181,18 +188,23 @@ func (e *PRMEngine) constructTask(round, i int) work.Task {
 		Payload: len(rd.combined[i]),
 		Run: func() (float64, int) {
 			f := &rd.fresh[i]
-			f.edges, f.connectWork = prm.ConnectRegionIncremental(e.s, rd.combined[i], rd.firstNew[i], e.params)
+			tree := e.data[i].tree
+			if tree == nil || len(f.nodes) > 0 {
+				tree = prm.RegionTree(rd.combined[i])
+			}
+			rd.trees[i] = tree
+			f.edges, f.connectWork = prm.ConnectRegionTree(e.s, tree, rd.firstNew[i], e.params)
 			return e.opts.Cost.Time(f.connectWork), len(rd.combined[i])
 		},
 	}
 }
 
 // connectPair connects regions a and b after a round: a's new nodes
-// against all of b, then a's old nodes against b's new nodes (new×all
-// plus old×new, so pairs whose regions gained nothing cost nothing).
-// Edge indices are mapped into the regions' final (committed) node
-// order. In round 0 "old" is empty, so the single new×all call is
-// exactly the one-shot ConnectBoundary.
+// against all of b, through b's tree, then a's old nodes against b's new
+// nodes (new×all plus old×new, so pairs whose regions gained nothing
+// cost nothing). Edge indices are mapped into the regions' final
+// (committed) node order. In round 0 "old" is empty, so the single
+// new×all call is exactly the one-shot ConnectBoundary.
 func (e *PRMEngine) connectPair(idx, a, b int) cspace.Counters {
 	combined, firstNew := e.rd.combined, e.rd.firstNew
 	out := &e.rd.brs[idx]
@@ -200,7 +212,7 @@ func (e *PRMEngine) connectPair(idx, a, b int) cspace.Counters {
 	oldA := combined[a][:firstNew[a]]
 	newB := combined[b][firstNew[b]:]
 	if len(newA) > 0 {
-		br := prm.ConnectBoundary(e.s, newA, combined[b], e.opts.BoundaryK, e.opts.BoundaryFrontier)
+		br := prm.ConnectBoundaryTree(e.s, newA, e.rd.trees[b], e.opts.BoundaryK, e.opts.BoundaryFrontier)
 		out.Work.Add(br.Work)
 		out.Attempts += br.Attempts
 		for _, pr := range br.Edges {
@@ -232,7 +244,7 @@ func (e *PRMEngine) commit(int, []float64, sched.Report) {
 	rd := e.rd
 	for i := range e.data {
 		d, f := &e.data[i], &rd.fresh[i]
-		d.nodes = rd.combined[i]
+		d.nodes, d.tree = rd.combined[i], rd.trees[i]
 		d.edges = append(d.edges, f.edges...)
 		for _, ed := range f.edges {
 			d.weights = append(d.weights, e.s.Distance(d.nodes[ed[0]].Q, d.nodes[ed[1]].Q))
@@ -273,20 +285,23 @@ func (e *PRMEngine) publish(stats RunStats) {
 // edges, with the weights stored beside them, handed to the graph's bulk
 // constructor region edges first, in region order, then each adjacent
 // pair's boundary set. The result shares no storage with the engine
-// (compact works in place) and is never written again.
+// (compact works in place) and is never written again; the region trees
+// it carries for its index are immutable.
 func (e *PRMEngine) roadmap() *prm.Roadmap {
 	base := e.bases()
 	nodes := make([]prm.Node, 0, base[len(e.data)])
+	trees := make([]*knn.KDTree, len(e.data))
 	spans := make([]graph.EdgeSpan, 0, len(e.data)+len(e.boundary))
 	for i := range e.data {
 		d := &e.data[i]
 		nodes = append(nodes, d.nodes...)
+		trees[i] = d.tree
 		spans = append(spans, graph.EdgeSpan{BaseA: graph.ID(base[i]), BaseB: graph.ID(base[i]), Ends: d.edges, Weights: d.weights})
 	}
 	for _, be := range e.boundary {
 		spans = append(spans, graph.EdgeSpan{BaseA: graph.ID(base[be.a]), BaseB: graph.ID(base[be.b]), Ends: be.pairs, Weights: be.weights})
 	}
-	return &prm.Roadmap{G: graph.FromSpans(nodes, spans)}
+	return prm.WithRegionTrees(graph.FromSpans(nodes, spans), trees)
 }
 
 // bases returns the merged-roadmap vertex id of each region's first
@@ -366,6 +381,7 @@ func (e *PRMEngine) connectors() []int {
 func (e *PRMEngine) recheckConnector(dc *cspace.DeltaChecker, idx int) cspace.Counters {
 	be, rrs := e.boundary[idx], e.rp.rrs
 	br := boundaryRepair{keep: make([]bool, len(be.pairs))}
+	var sc cspace.Scratch
 	for k, pr := range be.pairs {
 		if !rrs[be.a].Alive[pr[0]] || !rrs[be.b].Alive[pr[1]] {
 			br.removed++
@@ -378,7 +394,7 @@ func (e *PRMEngine) recheckConnector(dc *cspace.DeltaChecker, idx int) cspace.Co
 			continue
 		}
 		br.checked++
-		if dc.EdgeStillFree(qa, qb, &br.work) {
+		if dc.EdgeStillFreeS(qa, qb, &sc, &br.work) {
 			br.keep[k] = true
 		} else {
 			br.removed++
@@ -412,9 +428,10 @@ func (e *PRMEngine) commitRepair(st *RepairStats) {
 }
 
 // compact drops what the open repair found dead from the committed
-// structure, in place, and records the repair's vertex remap (pre-repair
-// id → post-repair id, -1 = removed) and the pre-repair ids whose
-// component lost a vertex or an edge, ascending.
+// structure, in place, gives every region that lost a node a new tree,
+// and records the repair's vertex remap (pre-repair id → post-repair id,
+// -1 = removed) and the pre-repair ids whose component lost a vertex or
+// an edge, ascending.
 func (e *PRMEngine) compact() {
 	rp := e.rp
 	base, rrs := rp.base, rp.rrs
@@ -434,7 +451,9 @@ func (e *PRMEngine) compact() {
 				touched[base[i]+l] = true
 			}
 		}
-		d.nodes = d.nodes[:w]
+		if w < len(d.nodes) {
+			d.nodes, d.tree = d.nodes[:w], prm.RegionTree(d.nodes[:w])
+		}
 		newBase[i+1] = newBase[i] + w
 
 		w = 0

@@ -206,8 +206,17 @@ func (dc *DeltaChecker) ConfigStillFree(q Config, c *Counters) bool {
 // remains valid after it, metering work into c. Endpoints are assumed
 // re-validated separately (the LocalPlan convention).
 func (dc *DeltaChecker) EdgeStillFree(a, b Config, c *Counters) bool {
+	return dc.EdgeStillFreeS(a, b, nil, c)
+}
+
+// EdgeStillFreeS is EdgeStillFree through a repair task's own scratch;
+// a nil sc makes one for an affected edge, as LocalPlan does.
+func (dc *DeltaChecker) EdgeStillFreeS(a, b Config, sc *Scratch, c *Counters) bool {
 	if !dc.EdgeAffected(a, b) {
 		return true
 	}
-	return dc.deltaSpace.LocalPlan(a, b, c)
+	if sc == nil {
+		sc = new(Scratch)
+	}
+	return dc.deltaSpace.localPlan(a, b, sc, c)
 }

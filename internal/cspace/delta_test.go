@@ -192,3 +192,45 @@ func TestDeltaCheckerLinkageDisk(t *testing.T) {
 		}
 	}
 }
+
+// TestDeltaCheckerScratchMatchesAdapter: EdgeStillFreeS, the form a
+// repair task uses, gives through one dirty scratch shared by every robot
+// the verdict and Counters EdgeStillFree gives through a fresh one.
+func TestDeltaCheckerScratchMatchesAdapter(t *testing.T) {
+	spaces := scratchSpaces()
+	spaces["point"] = NewPointSpace(env.Mixed30())
+	var sc Scratch
+	for name, s := range spaces {
+		mutated := s.Env.Clone()
+		mid := s.Env.Bounds.Center()
+		lo, hi := mid.Clone(), mid.Clone()
+		for i := range lo {
+			lo[i], hi[i] = mid[i]-0.2, mid[i]+0.2
+		}
+		d, err := mutated.AddObstacle(env.BoxObstacle{Box: geom.NewAABB(lo, hi)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dc := NewDeltaChecker(s, d)
+		r := rng.New(9)
+		checked := 0
+		for trial := 0; trial < 300; trial++ {
+			a, okA := s.SampleFreeIn(s.Bounds, r, 50, nil)
+			b, okB := s.SampleFreeIn(s.Bounds, r, 50, nil)
+			if !okA || !okB {
+				continue
+			}
+			b = a.Lerp(b, 0.3)
+			var want, got Counters
+			if dc.EdgeStillFree(a, b, &want) != dc.EdgeStillFreeS(a, b, &sc, &got) || got != want {
+				t.Fatalf("%s: EdgeStillFreeS differs from EdgeStillFree (counters %+v, want %+v)", name, got, want)
+			}
+			if dc.EdgeAffected(a, b) {
+				checked++
+			}
+		}
+		if checked == 0 {
+			t.Fatalf("%s: the delta reached no edge", name)
+		}
+	}
+}

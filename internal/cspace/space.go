@@ -142,6 +142,11 @@ func (s *Space) Valid(q Config, c *Counters) bool {
 // local to the call.
 func (s *Space) LocalPlan(a, b Config, c *Counters) bool {
 	var sc Scratch
+	return s.localPlan(a, b, &sc, c)
+}
+
+// localPlan is LocalPlan through a given scratch.
+func (s *Space) localPlan(a, b Config, sc *Scratch, c *Counters) bool {
 	if c != nil {
 		c.LPCalls++
 	}
@@ -167,10 +172,10 @@ func (s *Space) LocalPlan(a, b Config, c *Counters) bool {
 		if c != nil {
 			c.LPSteps++
 		}
-		if !s.ValidS(q, &sc, c) {
+		if !s.ValidS(q, sc, c) {
 			return false
 		}
-		free, tests := s.Robot.EdgeFree(s.Env, prev, q, &sc)
+		free, tests := s.Robot.EdgeFree(s.Env, prev, q, sc)
 		if c != nil {
 			c.CDObstacle += int64(tests)
 		}

@@ -124,6 +124,9 @@ func (g *Graph[V]) NumEdges() int { return g.edges }
 // Vertex returns the payload of id. It panics for out-of-range ids.
 func (g *Graph[V]) Vertex(id ID) V { return g.verts[id] }
 
+// Vertices returns every payload, indexed by id (read-only).
+func (g *Graph[V]) Vertices() []V { return g.verts }
+
 // AddEdge inserts an undirected edge a—b with the given weight. Duplicate
 // and self edges are rejected (returning false).
 func (g *Graph[V]) AddEdge(a, b ID, weight float64) bool {

@@ -12,7 +12,7 @@ import (
 // sortIndexByAxis sorts idx ascending by (pts[i][axis], i): the full
 // sort every split used to do. Kept as the reference the selection-built
 // tree is compared against.
-func sortIndexByAxis(idx []int, pts []geom.Vec, axis int) {
+func sortIndexByAxis(idx []int32, pts []geom.Vec, axis int) {
 	for len(idx) > 12 {
 		mid := medianOfThree(idx, pts, axis)
 		p := partitionIndex(idx, pts, axis, mid)
@@ -55,7 +55,7 @@ func referenceBuild(pts []geom.Vec) *KDTree {
 		if mid+1 < hi {
 			right = int32((mid + 1 + hi) / 2)
 		}
-		t.nodes[mid] = kdNode{axis: int32(axis), left: left, right: right}
+		t.nodes[mid] = kdNode{left: left, right: right}
 		rec(lo, mid, depth+1)
 		rec(mid+1, hi, depth+1)
 	}
@@ -138,8 +138,8 @@ func TestSelectionBuildIsTheSortedTree(t *testing.T) {
 					if ge != re {
 						t.Fatalf("%s Nearest %d: evals %d, want %d", ctx, qi, ge, re)
 					}
-					got, ge = built.Radius(q, 0.3)
-					ref, re = want.Radius(q, 0.3)
+					got, ge = built.RadiusInto(new(QueryScratch), q, 0.3, nil)
+					ref, re = want.RadiusInto(new(QueryScratch), q, 0.3, nil)
 					resultsEqual(t, fmt.Sprintf("%s Radius %d", ctx, qi), got, ref)
 					if ge != re {
 						t.Fatalf("%s Radius %d: evals %d, want %d", ctx, qi, ge, re)

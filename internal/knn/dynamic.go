@@ -70,12 +70,8 @@ func (d *Dynamic) NearestInto(sc *QueryScratch, q geom.Vec, k int, dst []Result)
 	if k <= 0 || len(d.pts) == 0 {
 		return dst, 0
 	}
-	var evals int
-	if d.treeLen > 0 {
-		evals = d.tree.searchHeap(sc, q, k, -1)
-	} else {
-		sc.reset(k)
-	}
+	sc.reset(k)
+	evals := d.tree.search(sc, q, -1, 0)
 	// Pending buffer: linear scan into the same heap.
 	for i := d.treeLen; i < len(d.pts); i++ {
 		sc.offer(Result{Index: i, Dist2: q.Dist2(d.pts[i])})

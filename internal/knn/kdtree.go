@@ -3,13 +3,14 @@
 // used for cross-validation in tests.
 //
 // Restricting connection attempts to nearby samples is what makes the
-// subdivision approach local; the kNN structure is rebuilt per region so
-// queries never leave the owning processor, and once per published
-// snapshot over the whole roadmap. A build is a median selection per
-// subtree into reused storage (see KDTree), O(n log n) and
-// allocation-free on a reused tree. All query entry points have
-// scratch-based *Into variants (see QueryScratch) that are allocation-free
-// in steady state — the hot sampling/connection path runs through those.
+// subdivision approach local; each region keeps its own kd-tree, so
+// queries never leave the owning processor, and a published snapshot
+// queries the whole roadmap through a Forest of the regions' trees,
+// building nothing. A build is a median selection per subtree into
+// reused storage (see KDTree), O(n log n) and allocation-free on a
+// reused tree. All query entry points have scratch-based *Into variants
+// (see QueryScratch) that are allocation-free in steady state — the hot
+// sampling/connection path runs through those.
 package knn
 
 import (
@@ -52,13 +53,15 @@ func resultBefore(a, b Result) bool {
 // therefore select (O(n) each, O(n log n) a build) instead of sorting.
 type KDTree struct {
 	pts   []geom.Vec
-	index []int    // permutation of original indices, tree order
-	nodes []kdNode // nodes[m] describes the subtree whose median is index[m]
+	index []int32   // permutation of original indices, tree order (< 2^31 points)
+	nodes []kdNode  // nodes[m] describes the subtree whose median is index[m]
+	box   []float64 // the points' bounding box, lows then highs (BuildBoxed)
 	dim   int
 }
 
+// kdNode links a node to its children. Its splitting axis is its depth
+// modulo the dimension, which a traversal counts as it descends.
 type kdNode struct {
-	axis        int32
 	left, right int32 // node ids (median positions), -1 for none
 }
 
@@ -70,12 +73,22 @@ func Build(pts []geom.Vec) *KDTree {
 	return t
 }
 
+// BuildBoxed is Build that also records the points' bounding box, by
+// which a Forest passes the tree over without reading it; build the
+// trees that go into a forest here.
+func BuildBoxed(pts []geom.Vec) *KDTree {
+	t := Build(pts)
+	t.box = make([]float64, 2*t.dim)
+	fillBox(t.box, pts)
+	return t
+}
+
 // Reset rebuilds the tree in place over a new point set, reusing the
 // node and index storage from previous builds. This is the steady-state
 // path for pooled arenas and the Dynamic index: after the first build of
 // comparable size, rebuilding allocates nothing.
 func (t *KDTree) Reset(pts []geom.Vec) {
-	t.pts = pts
+	t.pts, t.box = pts, nil
 	if len(pts) == 0 {
 		t.index = t.index[:0]
 		t.nodes = t.nodes[:0]
@@ -91,13 +104,13 @@ func (t *KDTree) Reset(pts []geom.Vec) {
 // reusing capacity.
 func (t *KDTree) prepare(n int) {
 	if cap(t.index) < n {
-		t.index = make([]int, n)
+		t.index = make([]int32, n)
 		t.nodes = make([]kdNode, n)
 	}
 	t.index = t.index[:n]
 	t.nodes = t.nodes[:n]
 	for i := range t.index {
-		t.index[i] = i
+		t.index[i] = int32(i)
 	}
 }
 
@@ -134,7 +147,7 @@ func (t *KDTree) split(lo, hi, depth int) int {
 	if mid+1 < hi {
 		right = int32((mid + 1 + hi) / 2)
 	}
-	t.nodes[mid] = kdNode{axis: int32(axis), left: left, right: right}
+	t.nodes[mid] = kdNode{left: left, right: right}
 	return mid
 }
 
@@ -148,6 +161,9 @@ func (t *KDTree) root() int32 {
 
 // Len returns the number of indexed points.
 func (t *KDTree) Len() int { return len(t.pts) }
+
+// Points returns the point slice the tree was built over (read-only).
+func (t *KDTree) Points() []geom.Vec { return t.pts }
 
 // Nearest returns up to k nearest neighbours of q, closest first (ties by
 // index), along with the number of distance evaluations performed (for
@@ -168,35 +184,40 @@ func (t *KDTree) NearestInto(sc *QueryScratch, q geom.Vec, k, skip int, dst []Re
 	if k <= 0 || len(t.pts) == 0 {
 		return dst, 0
 	}
-	evals := t.searchHeap(sc, q, k, skip)
+	sc.reset(k)
+	evals := t.search(sc, q, skip, 0)
 	return sc.drainSorted(dst), evals
 }
 
-// searchHeap runs the kd traversal, leaving the k nearest results in
-// sc's bounded max-heap (unsorted). Split out so Dynamic can merge its
-// pending-buffer scan into the same heap before sorting once.
-func (t *KDTree) searchHeap(sc *QueryScratch, q geom.Vec, k, skip int) int {
-	sc.reset(k)
+// search runs the kd traversal, offering the tree's points — numbered
+// from base, local index skip left out — to sc's bounded heap as it
+// stands, unsorted, so that Dynamic's pending buffer and a Forest's
+// other trees merge into the same heap before it is sorted once.
+func (t *KDTree) search(sc *QueryScratch, q geom.Vec, skip, base int) int {
+	sc.stack = sc.stack[:0]
 	evals := 0
-	node := t.root()
+	node, axis := t.root(), 0
 	for {
 		// Descend toward q, evaluating each node point and deferring the
 		// far child with its splitting-plane distance for later pruning.
 		for node >= 0 {
 			n := t.nodes[node]
-			pi := t.index[node]
+			pi := int(t.index[node])
 			d2 := q.Dist2(t.pts[pi])
 			evals++
 			if pi != skip {
-				sc.offer(Result{Index: pi, Dist2: d2})
+				sc.offer(Result{Index: base + pi, Dist2: d2})
 			}
-			delta := q[n.axis] - t.pts[pi][n.axis]
+			delta := q[axis] - t.pts[pi][axis]
 			near, far := n.left, n.right
 			if delta > 0 {
 				near, far = n.right, n.left
 			}
+			if axis++; axis == t.dim {
+				axis = 0
+			}
 			if far >= 0 {
-				sc.pushVisit(far, delta*delta)
+				sc.pushVisit(far, axis, delta*delta)
 			}
 			node = near
 		}
@@ -208,7 +229,7 @@ func (t *KDTree) searchHeap(sc *QueryScratch, q geom.Vec, k, skip int) int {
 		for len(sc.stack) > 0 {
 			f := sc.popVisit()
 			if !sc.full() || f.dist2 <= sc.worst().Dist2 {
-				node = f.node
+				node, axis = f.node, int(f.axis)
 				break
 			}
 		}

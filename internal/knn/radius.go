@@ -4,54 +4,54 @@ import (
 	"parmp/internal/geom"
 )
 
-// Radius returns all points within distance radius of q, closest first
-// (ties by index), along with the number of distance evaluations
-// performed. It is the connection primitive for radius-based roadmap
-// variants (PRM*-style neighbourhoods).
-func (t *KDTree) Radius(q geom.Vec, radius float64) ([]Result, int) {
-	var sc QueryScratch
-	return t.RadiusInto(&sc, q, radius, nil)
-}
-
 // RadiusInto appends all points within radius of q to dst, closest first
-// (ties by index). The scratch's visit stack is reused; result sorting
-// happens in the appended dst segment, so with a reused dst the query is
-// allocation-free in steady state.
+// (ties by index), and returns the number of distance evaluations. The
+// scratch's visit stack is reused and results sort in the appended dst
+// segment, so with a reused dst it is allocation-free in steady state.
 func (t *KDTree) RadiusInto(sc *QueryScratch, q geom.Vec, radius float64, dst []Result) ([]Result, int) {
 	if len(t.pts) == 0 || radius < 0 {
 		return dst, 0
 	}
-	r2 := radius * radius
 	base := len(dst)
+	dst, evals := t.radiusAppend(sc, q, radius*radius, 0, dst)
+	sortResults(dst[base:])
+	return dst, evals
+}
+
+// radiusAppend appends, unsorted and numbered from base, the points
+// within squared distance r2 of q, and returns the distance evaluations.
+func (t *KDTree) radiusAppend(sc *QueryScratch, q geom.Vec, r2 float64, base int, dst []Result) ([]Result, int) {
 	evals := 0
 	sc.stack = sc.stack[:0]
-	node := t.root()
+	node, axis := t.root(), 0
 	for {
 		for node >= 0 {
 			n := t.nodes[node]
-			pi := t.index[node]
+			pi := int(t.index[node])
 			d2 := q.Dist2(t.pts[pi])
 			evals++
 			if d2 <= r2 {
-				dst = append(dst, Result{Index: pi, Dist2: d2})
+				dst = append(dst, Result{Index: base + pi, Dist2: d2})
 			}
-			delta := q[n.axis] - t.pts[pi][n.axis]
+			delta := q[axis] - t.pts[pi][axis]
 			near, far := n.left, n.right
 			if delta > 0 {
 				near, far = n.right, n.left
 			}
+			if axis++; axis == t.dim {
+				axis = 0
+			}
 			if far >= 0 && delta*delta <= r2 {
-				sc.pushVisit(far, 0)
+				sc.pushVisit(far, axis, 0)
 			}
 			node = near
 		}
 		if len(sc.stack) == 0 {
-			break
+			return dst, evals
 		}
-		node = sc.popVisit().node
+		f := sc.popVisit()
+		node, axis = f.node, int(f.axis)
 	}
-	sortResults(dst[base:])
-	return dst, evals
 }
 
 // sortResults orders results ascending by (Dist2, Index) without

@@ -16,7 +16,7 @@ func TestRadiusMatchesBrute(t *testing.T) {
 		tree := Build(pts)
 		q := geom.V(r.Float64(), r.Float64(), r.Float64())
 		radius := r.Float64() * 0.5
-		got, _ := tree.Radius(q, radius)
+		got, _ := tree.RadiusInto(new(QueryScratch), q, radius, nil)
 		want := BruteRadiusInto(pts, q, radius, nil)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: %d hits vs %d", trial, len(got), len(want))
@@ -31,19 +31,19 @@ func TestRadiusMatchesBrute(t *testing.T) {
 
 func TestRadiusEdgeCases(t *testing.T) {
 	tree := Build(nil)
-	if out, _ := tree.Radius(geom.V(0, 0), 1); out != nil {
+	if out, _ := tree.RadiusInto(new(QueryScratch), geom.V(0, 0), 1, nil); out != nil {
 		t.Fatal("empty tree radius should be nil")
 	}
 	pts := []geom.Vec{geom.V(0, 0), geom.V(1, 0)}
 	tree = Build(pts)
-	if out, _ := tree.Radius(geom.V(0, 0), -1); out != nil {
+	if out, _ := tree.RadiusInto(new(QueryScratch), geom.V(0, 0), -1, nil); out != nil {
 		t.Fatal("negative radius should be nil")
 	}
-	out, _ := tree.Radius(geom.V(0, 0), 0)
+	out, _ := tree.RadiusInto(new(QueryScratch), geom.V(0, 0), 0, nil)
 	if len(out) != 1 || out[0].Index != 0 {
 		t.Fatalf("zero radius should hit the exact point: %v", out)
 	}
-	out, _ = tree.Radius(geom.V(0.5, 0), 10)
+	out, _ = tree.RadiusInto(new(QueryScratch), geom.V(0.5, 0), 10, nil)
 	if len(out) != 2 {
 		t.Fatalf("large radius should hit all: %v", out)
 	}
@@ -53,7 +53,7 @@ func TestRadiusSortedAscending(t *testing.T) {
 	r := rng.New(12)
 	pts := randomPoints(r, 500, 2)
 	tree := Build(pts)
-	out, _ := tree.Radius(geom.V(0.5, 0.5), 0.4)
+	out, _ := tree.RadiusInto(new(QueryScratch), geom.V(0.5, 0.5), 0.4, nil)
 	for i := 1; i < len(out); i++ {
 		if out[i].Dist2 < out[i-1].Dist2 {
 			t.Fatal("radius results not sorted")
@@ -68,7 +68,7 @@ func TestRadiusProperty(t *testing.T) {
 		tree := Build(pts)
 		q := geom.V(r.Float64(), r.Float64())
 		radius := r.Float64() * 0.7
-		got, _ := tree.Radius(q, radius)
+		got, _ := tree.RadiusInto(new(QueryScratch), q, radius, nil)
 		// All hits within radius and every point within radius is a hit.
 		hitSet := map[int]bool{}
 		for _, h := range got {

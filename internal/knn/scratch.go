@@ -15,6 +15,7 @@ type QueryScratch struct {
 
 type visitFrame struct {
 	node  int32
+	axis  int32   // the subtree root's splitting axis
 	dist2 float64 // squared distance from q to the subtree's splitting plane
 }
 
@@ -84,8 +85,8 @@ func (sc *QueryScratch) drainSorted(dst []Result) []Result {
 	return append(dst, sc.heap...)
 }
 
-func (sc *QueryScratch) pushVisit(node int32, dist2 float64) {
-	sc.stack = append(sc.stack, visitFrame{node: node, dist2: dist2})
+func (sc *QueryScratch) pushVisit(node int32, axis int, dist2 float64) {
+	sc.stack = append(sc.stack, visitFrame{node: node, axis: int32(axis), dist2: dist2})
 }
 
 func (sc *QueryScratch) popVisit() visitFrame {
@@ -101,7 +102,7 @@ func (sc *QueryScratch) popVisit() visitFrame {
 // side holding k and never recurses. The explicit index tie-break makes
 // the order strict, so the selected element is a pure function of the
 // point set, independent of the order idx arrives in.
-func selectIndex(idx []int, pts []geom.Vec, axis, k int) {
+func selectIndex(idx []int32, pts []geom.Vec, axis, k int) {
 	for len(idx) > 12 {
 		pivot := medianOfThree(idx, pts, axis)
 		p := partitionIndex(idx, pts, axis, pivot)
@@ -123,7 +124,7 @@ func selectIndex(idx []int, pts []geom.Vec, axis, k int) {
 }
 
 // axisBefore orders point indices by (coordinate, index).
-func axisBefore(pts []geom.Vec, axis, a, b int) bool {
+func axisBefore(pts []geom.Vec, axis int, a, b int32) bool {
 	ca, cb := pts[a][axis], pts[b][axis]
 	if ca != cb {
 		return ca < cb
@@ -133,7 +134,7 @@ func axisBefore(pts []geom.Vec, axis, a, b int) bool {
 
 // medianOfThree moves the median of idx's first/middle/last elements to
 // position 0 (the pivot slot) and returns its value.
-func medianOfThree(idx []int, pts []geom.Vec, axis int) int {
+func medianOfThree(idx []int32, pts []geom.Vec, axis int) int32 {
 	lo, mid, hi := 0, len(idx)/2, len(idx)-1
 	if axisBefore(pts, axis, idx[mid], idx[lo]) {
 		idx[mid], idx[lo] = idx[lo], idx[mid]
@@ -151,7 +152,7 @@ func medianOfThree(idx []int, pts []geom.Vec, axis int) int {
 // partitionIndex partitions idx around the pivot at position 0 and
 // returns the pivot's final position. The pivot's key is read once; an
 // element orders before it exactly as axisBefore says.
-func partitionIndex(idx []int, pts []geom.Vec, axis, pivot int) int {
+func partitionIndex(idx []int32, pts []geom.Vec, axis int, pivot int32) int {
 	pc := pts[pivot][axis]
 	store := 1
 	for i := 1; i < len(idx); i++ {

@@ -177,11 +177,18 @@ func TestScratchKernelsAllocFree(t *testing.T) {
 	for _, p := range pts {
 		d.Add(p)
 	}
+	parts := make([][]geom.Vec, 64)
+	for i := range parts {
+		parts[i] = pts[i*len(pts)/64 : (i+1)*len(pts)/64]
+	}
+	forest, _ := forestOf(parts)
 	var sc QueryScratch
 	var dst []Result
 	kernels := map[string]func(i int){
 		"KDTree.NearestInto":  func(i int) { dst, _ = tree.NearestInto(&sc, qs[i%len(qs)], 8, -1, dst[:0]) },
 		"Dynamic.NearestInto": func(i int) { dst, _ = d.NearestInto(&sc, qs[i%len(qs)], 8, dst[:0]) },
+		"Forest.NearestInto":  func(i int) { dst, _ = forest.NearestInto(&sc, qs[i%len(qs)], 8, -1, dst[:0]) },
+		"Forest.RadiusInto":   func(i int) { dst, _ = forest.RadiusInto(&sc, qs[i%len(qs)], 0.05, dst[:0]) },
 		"KDTree.Reset":        func(int) { tree.Reset(pts) },
 	}
 	for name, k := range kernels {

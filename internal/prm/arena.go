@@ -13,7 +13,7 @@ import (
 // and edge accumulators, and the dedup set. Region tasks borrow one from
 // a sync.Pool for the duration of a kernel call, so steady-state
 // planning allocates only the nodes and edges it actually returns. An
-// An arena is not safe for concurrent use.
+// arena is not safe for concurrent use.
 type arena struct {
 	sc       cspace.Scratch
 	bt       cspace.Batch

@@ -120,7 +120,8 @@ func TestConnectBoundaryArenaReuse(t *testing.T) {
 // list, whatever the region's size. (The arena is held, not pooled:
 // sync.Pool drops entries at random under the race detector.) A commit's
 // index build is a fixed seven (component labels, point gather, kd-tree)
-// — none per node.
+// — none per node — and at most as many when the roadmap carries region
+// trees, whatever its size, since the forest is assembled from them.
 func TestKernelAllocsIndependentOfSize(t *testing.T) {
 	s := cspace.NewPointSpace(env.MedCube())
 	a := new(arena)
@@ -138,5 +139,17 @@ func TestKernelAllocsIndependentOfSize(t *testing.T) {
 		if allocs := testing.AllocsPerRun(3, func() { BuildIndex(m) }); allocs > 7 {
 			t.Errorf("%d nodes: BuildIndex %v allocations, want at most 7", m.NumNodes(), allocs)
 		}
+	}
+	var treeAllocs []float64
+	for _, n := range []int{2000, 8000} {
+		m := withTrees(buildTestRoadmap(t, s, n, 29), 64)
+		allocs := testing.AllocsPerRun(3, func() { BuildIndex(m) })
+		if allocs > 7 {
+			t.Errorf("%d nodes in %d region trees: BuildIndex %v allocations, want at most 7", m.NumNodes(), len(m.trees), allocs)
+		}
+		treeAllocs = append(treeAllocs, allocs)
+	}
+	if treeAllocs[1] > treeAllocs[0] {
+		t.Errorf("BuildIndex over region trees: %v allocations at 2000 samples, %v at 8000; want no growth", treeAllocs[0], treeAllocs[1])
 	}
 }

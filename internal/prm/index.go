@@ -3,27 +3,28 @@ package prm
 import (
 	"parmp/internal/cspace"
 	"parmp/internal/geom"
-	"parmp/internal/graph"
 	"parmp/internal/knn"
 )
 
-// Index is a prebuilt query accelerator over a frozen roadmap: the full
-// kd-tree, the gathered point slice and the connected-component labels
-// are computed once at build time, so answering a query costs two kNN
+// Index is a prebuilt query accelerator over a frozen roadmap: a kd
+// forest and the connected-component labels, so a query costs two kNN
 // lookups plus a shortest-path search instead of re-gathering every
-// roadmap point and rebuilding the tree per call (what the reference
-// Query does). An Index never mutates its roadmap, which is what makes a
-// published engine snapshot safe for concurrent readers.
+// point and rebuilding the tree per call (the reference Query). An Index
+// never mutates its roadmap, which is what makes a published engine
+// snapshot safe for concurrent readers.
 type Index struct {
 	m      *Roadmap
-	pts    []geom.Vec
-	tree   *knn.KDTree
+	verts  []Node // m's vertices, which hold the points
+	forest knn.Forest
 	labels []int
 	comps  int
+	single [1]*knn.KDTree // the forest of a roadmap without region trees
 }
 
-// BuildIndex gathers m's configurations, builds the kd-tree (in
-// parallel for large maps) and labels connected components. The index
+// BuildIndex labels m's connected components and assembles its kd
+// forest: m's region trees when it carries them (see WithRegionTrees),
+// in O(regions), and otherwise one tree built over all of m (in
+// parallel for large maps). The index
 // keeps references into m; the roadmap must not be mutated afterwards.
 func BuildIndex(m *Roadmap) *Index {
 	labels, comps := m.G.ConnectedComponents()
@@ -31,28 +32,28 @@ func BuildIndex(m *Roadmap) *Index {
 }
 
 // IndexFromParts builds a query index over m from precomputed component
-// labels, gathering the configurations and building the kd-tree — the
-// part a from-scratch build and a repair (whose scoped relabel supplies
-// the labels) share.
+// labels, assembling the kd forest — the part a from-scratch build and a
+// repair (whose scoped relabel supplies the labels) share.
 func IndexFromParts(m *Roadmap, labels []int, comps int) *Index {
+	ix := &Index{m: m, verts: m.G.Vertices(), labels: labels, comps: comps}
+	if m.regionTrees() {
+		ix.forest = knn.NewForest(m.trees)
+		return ix
+	}
 	pts := make([]geom.Vec, m.NumNodes())
 	for i := range pts {
-		pts[i] = m.G.Vertex(graph.ID(i)).Q
+		pts[i] = ix.verts[i].Q
 	}
-	return &Index{
-		m:      m,
-		pts:    pts,
-		tree:   knn.BuildParallel(pts, 0),
-		labels: labels,
-		comps:  comps,
-	}
+	ix.single[0] = knn.BuildParallel(pts, 0)
+	ix.forest = knn.NewForest(ix.single[:])
+	return ix
 }
 
 // Roadmap returns the indexed roadmap (read-only by contract).
 func (ix *Index) Roadmap() *Roadmap { return ix.m }
 
 // NumNodes returns the number of indexed roadmap nodes.
-func (ix *Index) NumNodes() int { return len(ix.pts) }
+func (ix *Index) NumNodes() int { return ix.m.NumNodes() }
 
 // attachment is a feasible roadmap entry/exit point for a query
 // endpoint: roadmap node plus the metric cost of the connecting local
@@ -98,14 +99,14 @@ func (ix *Index) endpoints(sc *BatchScratch, s *cspace.Space, start, goal cspace
 	if !s.ValidS(start, &sc.cs, c) || !s.ValidS(goal, &sc.cs, c) {
 		return nil, nil
 	}
-	k = min(k, len(ix.pts))
+	k = min(k, ix.NumNodes())
 	if k <= 0 {
 		return nil, nil
 	}
 	var evS, evG int
-	sc.hits, evS = ix.tree.NearestInto(&sc.knn, start, k, -1, sc.hits[:0])
+	sc.hits, evS = ix.forest.NearestInto(&sc.knn, start, k, -1, sc.hits[:0])
 	ns := len(sc.hits)
-	sc.hits, evG = ix.tree.NearestInto(&sc.knn, goal, k, -1, sc.hits)
+	sc.hits, evG = ix.forest.NearestInto(&sc.knn, goal, k, -1, sc.hits)
 	if c != nil {
 		c.KNNQueries += 2
 		c.KNNEvals += int64(evS + evG)

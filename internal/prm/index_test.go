@@ -2,12 +2,14 @@ package prm
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"parmp/internal/cspace"
 	"parmp/internal/env"
 	"parmp/internal/geom"
 	"parmp/internal/graph"
+	"parmp/internal/knn"
 	"parmp/internal/rng"
 )
 
@@ -187,9 +189,7 @@ func TestConnectRegionIncrementalMatchesFull(t *testing.T) {
 	res := BuildRegion(s, geom.Box3(0, 0, 0, 1, 1, 1), 0, Params{SamplesPerRegion: 50, K: 4}, rng.New(3))
 	p := Params{SamplesPerRegion: 50, K: 4}
 
-	a := getArena()
-	defer putArena(a)
-	full, _ := connectRegionIncrementalArena(s, res.Nodes, 0, p, a)
+	full, _ := ConnectRegionIncremental(s, res.Nodes, 0, p)
 	ref, _ := ConnectRegion(s, res.Nodes, p)
 	if len(full) != len(ref) {
 		t.Fatalf("firstNew=0 produced %d edges, full connect %d", len(full), len(ref))
@@ -204,7 +204,7 @@ func TestConnectRegionIncrementalMatchesFull(t *testing.T) {
 	more := BuildRegion(s, geom.Box3(0, 0, 0, 1, 1, 1), 0, Params{SamplesPerRegion: 30, K: 4}, rng.New(4))
 	firstNew := len(res.Nodes)
 	all := append(append([]Node(nil), res.Nodes...), more.Nodes...)
-	inc, _ := connectRegionIncrementalArena(s, all, firstNew, p, a)
+	inc, _ := ConnectRegionIncremental(s, all, firstNew, p)
 	if len(inc) == 0 {
 		t.Fatal("incremental connect found no edges in free space")
 	}
@@ -213,4 +213,64 @@ func TestConnectRegionIncrementalMatchesFull(t *testing.T) {
 			t.Fatalf("incremental edge %v touches only old nodes", e)
 		}
 	}
+}
+
+// withTrees returns m carrying region trees over runs of size vertices,
+// the shape an engine publishes.
+func withTrees(m *Roadmap, size int) *Roadmap {
+	var trees []*knn.KDTree
+	for lo := 0; lo < m.NumNodes(); lo += size {
+		nodes := make([]Node, 0, size)
+		for v := lo; v < min(lo+size, m.NumNodes()); v++ {
+			nodes = append(nodes, m.G.Vertex(graph.ID(v)))
+		}
+		trees = append(trees, RegionTree(nodes))
+	}
+	return WithRegionTrees(m.G, trees)
+}
+
+// TestBuildIndexAssemblesRegionTrees: a roadmap whose region trees cover
+// it exactly is indexed by those trees; one whose trees do not is
+// indexed by one tree over all of it. Both answer as the one-tree index.
+func TestBuildIndexAssemblesRegionTrees(t *testing.T) {
+	s := cspace.NewPointSpace(env.Mixed30())
+	plain := buildTestRoadmap(t, s, 600, 17)
+	m := withTrees(plain, 37)
+	ix, one := BuildIndex(m), BuildIndex(plain)
+	if !m.regionTrees() || !reflect.DeepEqual(ix.forest, knn.NewForest(m.trees)) {
+		t.Fatal("BuildIndex did not assemble the roadmap's region trees")
+	}
+	if !indexedByOneTree(one) {
+		t.Fatal("a roadmap without trees is not indexed by one tree over all of it")
+	}
+	r := rng.New(3)
+	for i := 0; i < 40; i++ {
+		start, goal := geom.V(r.Float64(), r.Float64(), r.Float64()), geom.V(r.Float64(), r.Float64(), r.Float64())
+		got, gotOK := ix.Query(s, start, goal, 6, nil)
+		want, wantOK := one.Query(s, start, goal, 6, nil)
+		if gotOK != wantOK || !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %d: forest %v %d hops, one tree %v %d hops", i, gotOK, len(got), wantOK, len(want))
+		}
+	}
+	extra := append(append([]*knn.KDTree(nil), m.trees...), RegionTree([]Node{m.G.Vertex(0)}))
+	for name, bad := range map[string]*Roadmap{
+		"a tree past the vertex count": WithRegionTrees(m.G, extra),
+		"a tree missing":               WithRegionTrees(m.G, m.trees[1:]),
+		"a nil tree":                   WithRegionTrees(m.G, append([]*knn.KDTree{nil}, m.trees[1:]...)),
+	} {
+		if !indexedByOneTree(BuildIndex(bad)) {
+			t.Errorf("%s: not indexed by one tree over the roadmap", name)
+		}
+	}
+}
+
+// indexedByOneTree reports whether ix's forest is its own tree, built
+// over every vertex of its roadmap in id order.
+func indexedByOneTree(ix *Index) bool {
+	pts := make([]geom.Vec, ix.NumNodes())
+	for v := range pts {
+		pts[v] = ix.verts[v].Q
+	}
+	return reflect.DeepEqual(ix.forest, knn.NewForest(ix.single[:])) &&
+		reflect.DeepEqual(ix.single[0], knn.Build(pts))
 }

@@ -27,7 +27,36 @@ type Node struct {
 // Roadmap is a graph over free configurations; edge weights are metric
 // distances.
 type Roadmap struct {
-	G *graph.Graph[Node]
+	G     *graph.Graph[Node]
+	trees []*knn.KDTree // region trees, when set (see WithRegionTrees)
+}
+
+// WithRegionTrees returns the roadmap over g carrying the region trees
+// its index is assembled from (see BuildIndex): trees[i] is a kd-tree
+// over the configurations of the next trees[i].Len() vertices, in id
+// order. Neither the slice nor a tree may be mutated afterwards.
+func WithRegionTrees(g *graph.Graph[Node], trees []*knn.KDTree) *Roadmap {
+	return &Roadmap{G: g, trees: trees}
+}
+
+// regionTrees reports whether m's region trees cover exactly its vertices.
+func (m *Roadmap) regionTrees() bool {
+	n := 0
+	for _, t := range m.trees {
+		if t == nil {
+			return false
+		}
+		n += t.Len()
+	}
+	return len(m.trees) > 0 && n == m.NumNodes()
+}
+
+// RegionTree returns a kd-tree over the configurations of nodes, in
+// order, in storage of its own, with its bounding box recorded for the
+// forest: the tree a region keeps across rounds.
+func RegionTree(nodes []Node) *knn.KDTree {
+	var pts []geom.Vec
+	return knn.BuildBoxed(gather(&pts, nodes))
 }
 
 // NumNodes returns the vertex count.
@@ -118,31 +147,34 @@ func ConnectRegion(s *cspace.Space, nodes []Node, p Params) ([][2]int, cspace.Co
 // all live in the arena, so the only retained allocation is the returned
 // edge list.
 func connectRegionArena(s *cspace.Space, nodes []Node, p Params, a *arena) ([][2]int, cspace.Counters) {
-	return connectRegionIncrementalArena(s, nodes, 0, p, a)
+	a.tree.Reset(gather(&a.pts, nodes))
+	return connectTreeArena(s, &a.tree, 0, p, a)
 }
 
-// ConnectRegionIncremental is connectRegionIncrementalArena through a
-// pooled arena.
+// ConnectRegionIncremental is ConnectRegionTree through a new region tree
+// over nodes, as an engine round builds it.
 func ConnectRegionIncremental(s *cspace.Space, nodes []Node, firstNew int, p Params) ([][2]int, cspace.Counters) {
+	return ConnectRegionTree(s, RegionTree(nodes), firstNew, p)
+}
+
+// ConnectRegionTree is the round-growth variant of ConnectRegion through
+// a region's kept tree over its nodes (see RegionTree), which it only
+// reads: only the points from firstNew on query, against all of them, so
+// a later engine round pays for its new samples without re-attempting
+// the previous rounds' pairs. firstNew = 0 is exactly ConnectRegion.
+func ConnectRegionTree(s *cspace.Space, t *knn.KDTree, firstNew int, p Params) ([][2]int, cspace.Counters) {
 	a := getArena()
 	defer putArena(a)
-	return connectRegionIncrementalArena(s, nodes, firstNew, p, a)
+	return connectTreeArena(s, t, firstNew, p, a)
 }
 
-// connectRegionIncrementalArena is the round-growth variant of
-// connectRegionArena: only nodes[firstNew:] issue kNN queries, against
-// the full node set, so a later engine round pays for its new samples
-// without re-attempting the previous rounds' pairs. firstNew = 0 is
-// exactly connectRegionArena (the one-shot planners route through here),
-// so the first round of an engine run is bit-identical to the one-shot
-// pipeline.
-func connectRegionIncrementalArena(s *cspace.Space, nodes []Node, firstNew int, p Params, a *arena) ([][2]int, cspace.Counters) {
+// connectTreeArena is the body of ConnectRegion and ConnectRegionTree.
+func connectTreeArena(s *cspace.Space, tree *knn.KDTree, firstNew int, p Params, a *arena) ([][2]int, cspace.Counters) {
 	var work cspace.Counters
-	if len(nodes) < 2 || firstNew >= len(nodes) {
+	pts := tree.Points()
+	if len(pts) < 2 || firstNew >= len(pts) {
 		return nil, work
 	}
-	pts := gather(&a.pts, nodes)
-	a.tree.Reset(pts)
 	seen := a.resetSeen()
 	a.edges = a.edges[:0]
 	k := p.K
@@ -153,7 +185,7 @@ func connectRegionIncrementalArena(s *cspace.Space, nodes []Node, firstNew int, 
 	// is static during connection), then candidate edges validate through
 	// the batched SoA collision kernels.
 	var evals int
-	a.hits, a.offs, evals = a.tree.NearestBatch(&a.qsc, pts[firstNew:], k, firstNew, a.hits[:0], a.offs)
+	a.hits, a.offs, evals = tree.NearestBatch(&a.qsc, pts[firstNew:], k, firstNew, a.hits[:0], a.offs)
 	work.KNNQueries += int64(len(pts) - firstNew)
 	work.KNNEvals += int64(evals)
 	for i := firstNew; i < len(pts); i++ {
@@ -220,16 +252,28 @@ func ConnectBoundary(s *cspace.Space, aNodes, bNodes []Node, k, maxSources int) 
 // and both regions' point slices, the kd-tree and all kNN scratch come
 // from the arena.
 func connectBoundaryArena(s *cspace.Space, aNodes, bNodes []Node, k, maxSources int, ar *arena) BoundaryResult {
+	ar.tree.Reset(gather(&ar.pts, bNodes))
+	return connectBoundaryTreeArena(s, aNodes, &ar.tree, k, maxSources, ar)
+}
+
+// ConnectBoundaryTree is ConnectBoundary against region b's kept tree
+// over its nodes (see RegionTree), which it only reads.
+func ConnectBoundaryTree(s *cspace.Space, aNodes []Node, bTree *knn.KDTree, k, maxSources int) BoundaryResult {
+	ar := getArena()
+	defer putArena(ar)
+	return connectBoundaryTreeArena(s, aNodes, bTree, k, maxSources, ar)
+}
+
+// connectBoundaryTreeArena is the body of the two.
+func connectBoundaryTreeArena(s *cspace.Space, aNodes []Node, tree *knn.KDTree, k, maxSources int, ar *arena) BoundaryResult {
 	var res BoundaryResult
-	if len(aNodes) == 0 || len(bNodes) == 0 {
+	bPts := tree.Points()
+	if len(aNodes) == 0 || len(bPts) == 0 {
 		return res
 	}
-	bPts := gather(&ar.pts, bNodes)
-	ar.tree.Reset(bPts)
 	if k <= 0 {
 		k = 1
 	}
-
 	// Frontier selection: a's nodes nearest to the centroid of b.
 	if cap(ar.sources) < len(aNodes) {
 		ar.sources = make([]int, 0, len(aNodes))
@@ -267,12 +311,12 @@ func connectBoundaryArena(s *cspace.Space, aNodes, bNodes []Node, k, maxSources 
 	ar.edges = ar.edges[:0]
 	for _, i := range sources {
 		var evals int
-		ar.hits, evals = ar.tree.NearestInto(&ar.qsc, aNodes[i].Q, k, -1, ar.hits[:0])
+		ar.hits, evals = tree.NearestInto(&ar.qsc, aNodes[i].Q, k, -1, ar.hits[:0])
 		res.Work.KNNQueries++
 		res.Work.KNNEvals += int64(evals)
 		for _, h := range ar.hits {
 			res.Attempts++
-			if s.LocalPlanBatch(aNodes[i].Q, bNodes[h.Index].Q, &ar.bt, &res.Work) {
+			if s.LocalPlanBatch(aNodes[i].Q, bPts[h.Index], &ar.bt, &res.Work) {
 				ar.edges = append(ar.edges, [2]int{i, h.Index})
 				break // one bridge per source node suffices
 			}

@@ -136,7 +136,7 @@ func (hp *lazyHeap) pop() heapEntry {
 // TestSearchMatchesLazyHeap holds search to; it returns the exit and the
 // prev links toward the sources.
 func lazySearch(ix *Index, s *cspace.Space, goal cspace.Config, starts, exits []attachment) (int32, []int32) {
-	n := len(ix.pts)
+	n := ix.NumNodes()
 	seen, mark := make([]bool, n), make([]bool, n)
 	dist, prev := make([]float64, n), make([]int32, n)
 	var heap lazyHeap
@@ -146,7 +146,7 @@ func lazySearch(ix *Index, s *cspace.Space, goal cspace.Config, starts, exits []
 			continue
 		}
 		seen[node], dist[node], prev[node] = true, a.cost, -1
-		heap.push(heapEntry{f: a.cost + s.Distance(ix.pts[node], goal), g: a.cost, node: node})
+		heap.push(heapEntry{f: a.cost + s.Distance(ix.verts[node].Q, goal), g: a.cost, node: node})
 	}
 	g := ix.m.G
 	remaining := 0
@@ -181,7 +181,7 @@ func lazySearch(ix *Index, s *cspace.Space, goal cspace.Config, starts, exits []
 				continue
 			}
 			seen[u], dist[u], prev[u] = true, nd, v
-			heap.push(heapEntry{f: nd + s.Distance(ix.pts[u], goal), g: nd, node: u})
+			heap.push(heapEntry{f: nd + s.Distance(ix.verts[u].Q, goal), g: nd, node: u})
 		}
 	}
 	return bestNode, prev

@@ -5,6 +5,7 @@ import (
 
 	"parmp/internal/cspace"
 	"parmp/internal/graph"
+	"parmp/internal/knn"
 )
 
 // RegionRepair is the product of re-validating one region's committed
@@ -60,6 +61,7 @@ func RevalidateRegion(dc *cspace.DeltaChecker, nodes []Node, edges [][2]int, can
 			check(i)
 		}
 	}
+	var sc cspace.Scratch
 	for j, ed := range edges {
 		a, b := ed[0], ed[1]
 		if !rr.Alive[a] || !rr.Alive[b] {
@@ -71,7 +73,7 @@ func RevalidateRegion(dc *cspace.DeltaChecker, nodes []Node, edges [][2]int, can
 			continue
 		}
 		rr.CheckedEdges++
-		if dc.EdgeStillFree(nodes[a].Q, nodes[b].Q, &rr.Work) {
+		if dc.EdgeStillFreeS(nodes[a].Q, nodes[b].Q, &sc, &rr.Work) {
 			rr.KeepEdge[j] = true
 		} else {
 			rr.DeadEdges++
@@ -84,19 +86,20 @@ func RevalidateRegion(dc *cspace.DeltaChecker, nodes []Node, edges [][2]int, can
 // validity the delta may have changed — a superset by construction
 // (culling is conservative), so callers re-check members and trust
 // non-members. When the checker offers a cull ball (point-robot
-// C-spaces) the selection is a kd radius query over the index's
-// committed tree, filtered through the tighter box test; otherwise it
-// degrades to a scan. Sorted ascending. A nil return means "nothing
-// affected".
+// C-spaces) the selection is a kd radius query over the index's forest,
+// which searches only the trees whose box meets the ball, filtered
+// through the tighter box test; otherwise it degrades to a scan. Sorted
+// ascending. A nil return means "nothing affected".
 func (ix *Index) AffectedVertices(dc *cspace.DeltaChecker) []int {
 	if !dc.Invalidating() {
 		return nil
 	}
 	if center, radius, ok := dc.CullBall(); ok {
-		hits, _ := ix.tree.Radius(center, radius)
+		var sc knn.QueryScratch
+		hits, _ := ix.forest.RadiusInto(&sc, center, radius, nil)
 		out := make([]int, 0, len(hits))
 		for _, h := range hits {
-			if dc.ConfigAffected(ix.pts[h.Index]) {
+			if dc.ConfigAffected(ix.verts[h.Index].Q) {
 				out = append(out, h.Index)
 			}
 		}
@@ -104,8 +107,8 @@ func (ix *Index) AffectedVertices(dc *cspace.DeltaChecker) []int {
 		return out
 	}
 	var out []int
-	for i, p := range ix.pts {
-		if dc.ConfigAffected(p) {
+	for i, v := range ix.verts {
+		if dc.ConfigAffected(v.Q) {
 			out = append(out, i)
 		}
 	}
@@ -170,7 +173,8 @@ func RelabelScoped(m *Roadmap, oldLabel []int, touched []bool) (labels []int, co
 // pre-repair index: remap maps old vertex ids to new ones (-1 =
 // removed) and touchedVerts lists old vertex ids whose components lost
 // a vertex or an edge. Labels carry over for untouched components (the
-// scoped relabel), only the kd-tree and the touched components rebuild.
+// scoped relabel), only the touched components relabel, and the forest
+// is assembled as BuildIndex does.
 func RepairIndex(old *Index, m *Roadmap, remap []int, touchedVerts []int) *Index {
 	touched := make([]bool, old.comps)
 	for _, v := range touchedVerts {

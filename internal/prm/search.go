@@ -161,7 +161,7 @@ func (sc *BatchScratch) begin(n int) {
 func (ix *Index) reach(sc *BatchScratch, s *cspace.Space, goal cspace.Config, u int32, g float64, prev int32) {
 	n := &sc.nodes[u]
 	if n.seen != sc.gen {
-		n.seen, n.h, n.pos = sc.gen, s.Distance(ix.pts[u], goal), -1
+		n.seen, n.h, n.pos = sc.gen, s.Distance(ix.verts[u].Q, goal), -1
 	} else if g >= n.dist {
 		return
 	}
@@ -187,7 +187,7 @@ func (ix *Index) reach(sc *BatchScratch, s *cspace.Space, goal cspace.Config, u 
 // to, with their costs of entering and leaving the roadmap; the exit of
 // the cheapest dist + cost is returned (-1 when no exit was reached).
 func (ix *Index) search(sc *BatchScratch, s *cspace.Space, goal cspace.Config, starts, exits []attachment) int32 {
-	sc.begin(len(ix.pts))
+	sc.begin(ix.NumNodes())
 	for _, a := range starts {
 		ix.reach(sc, s, goal, int32(a.node), a.cost, -1)
 	}
@@ -235,7 +235,7 @@ func (ix *Index) path(sc *BatchScratch, exit int32, start, goal cspace.Config) [
 	hops, floats := 0, len(start)+len(goal)
 	for v := exit; v >= 0; v = sc.nodes[v].prev {
 		hops++
-		floats += len(ix.pts[v])
+		floats += len(ix.verts[v].Q)
 	}
 	path := make([]cspace.Config, hops+2)
 	slab := make([]float64, 0, floats)
@@ -247,7 +247,7 @@ func (ix *Index) path(sc *BatchScratch, exit int32, start, goal cspace.Config) [
 	put(0, start)
 	i := hops
 	for v := exit; v >= 0; v = sc.nodes[v].prev {
-		put(i, ix.pts[v])
+		put(i, ix.verts[v].Q)
 		i--
 	}
 	put(hops+1, goal)
@@ -263,8 +263,8 @@ func (ix *Index) path(sc *BatchScratch, exit int32, start, goal cspace.Config) [
 func (ix *Index) attach(sc *BatchScratch, s *cspace.Space, q cspace.Config, hits []knn.Result, far []int, c *cspace.Counters) []attachment {
 	lo := len(sc.atts)
 	for _, h := range hits {
-		if hasLabel(far, ix.labels[h.Index]) && s.LocalPlanBatch(q, ix.pts[h.Index], &sc.bt, c) {
-			sc.atts = append(sc.atts, attachment{node: h.Index, cost: s.Distance(q, ix.pts[h.Index])})
+		if hasLabel(far, ix.labels[h.Index]) && s.LocalPlanBatch(q, ix.verts[h.Index].Q, &sc.bt, c) {
+			sc.atts = append(sc.atts, attachment{node: h.Index, cost: s.Distance(q, ix.verts[h.Index].Q)})
 		}
 	}
 	return sc.atts[lo:]

@@ -97,32 +97,35 @@ func TestQueryAllocsIndependentOfSearchSize(t *testing.T) {
 	// A warm scratch leaves the returned path as the only allocation: the
 	// waypoint slice and its coordinate slab, however many vertices the
 	// search settled on the way.
+	// The same holds through a forest of region trees.
 	s := cspace.NewPointSpace(env.MedCube())
-	ix := BuildIndex(buildTestRoadmap(t, s, 400, 13))
-	sc := &BatchScratch{}
-	near := [2]cspace.Config{geom.V(0.1, 0.1, 0.1), geom.V(0.15, 0.1, 0.1)}
-	far := [2]cspace.Config{geom.V(0.05, 0.05, 0.05), geom.V(0.95, 0.95, 0.95)}
-	var hops [2]int
-	var allocs [2]float64
-	for i, pair := range [][2]cspace.Config{near, far} {
-		path, ok := ix.query(sc, s, pair[0], pair[1], 8, nil)
-		if !ok {
-			t.Fatalf("pair %d unsolved", i)
+	m := buildTestRoadmap(t, s, 400, 13)
+	for _, ix := range []*Index{BuildIndex(m), BuildIndex(withTrees(m, 37))} {
+		sc := &BatchScratch{}
+		near := [2]cspace.Config{geom.V(0.1, 0.1, 0.1), geom.V(0.15, 0.1, 0.1)}
+		far := [2]cspace.Config{geom.V(0.05, 0.05, 0.05), geom.V(0.95, 0.95, 0.95)}
+		var hops [2]int
+		var allocs [2]float64
+		for i, pair := range [][2]cspace.Config{near, far} {
+			path, ok := ix.query(sc, s, pair[0], pair[1], 8, nil)
+			if !ok {
+				t.Fatalf("pair %d unsolved", i)
+			}
+			hops[i] = len(path)
+			allocs[i] = testing.AllocsPerRun(20, func() { ix.query(sc, s, pair[0], pair[1], 8, nil) })
 		}
-		hops[i] = len(path)
-		allocs[i] = testing.AllocsPerRun(20, func() { ix.query(sc, s, pair[0], pair[1], 8, nil) })
-	}
-	if hops[1] <= hops[0] {
-		t.Fatalf("far path has %d waypoints, near %d: the pairs do not differ in search size", hops[1], hops[0])
-	}
-	if allocs[0] != 2 || allocs[1] != 2 {
-		t.Fatalf("allocations per query: near %v, far %v, want 2 and 2", allocs[0], allocs[1])
-	}
-	// A batch is its queries: two allocations per hit and the two result
-	// slices, nothing of its own.
-	starts, goals := []cspace.Config{near[0], far[0]}, []cspace.Config{near[1], far[1]}
-	if got := testing.AllocsPerRun(20, func() { ix.QueryBatch(s, starts, goals, 8, sc, nil) }); got != 2*2+2 {
-		t.Fatalf("allocations per batch of two hits: %v, want 6", got)
+		if hops[1] <= hops[0] {
+			t.Fatalf("far path has %d waypoints, near %d: the pairs do not differ in search size", hops[1], hops[0])
+		}
+		if allocs[0] != 2 || allocs[1] != 2 {
+			t.Fatalf("allocations per query: near %v, far %v, want 2 and 2", allocs[0], allocs[1])
+		}
+		// A batch is its queries: two allocations per hit and the two
+		// result slices, nothing of its own.
+		starts, goals := []cspace.Config{near[0], far[0]}, []cspace.Config{near[1], far[1]}
+		if got := testing.AllocsPerRun(20, func() { ix.QueryBatch(s, starts, goals, 8, sc, nil) }); got != 2*2+2 {
+			t.Fatalf("allocations per batch of two hits: %v, want 6", got)
+		}
 	}
 }
 

@@ -98,6 +98,45 @@ func TestApplyDeltaStaleQueryNeverServed(t *testing.T) {
 	}
 }
 
+// A delta that removes every node leaves each region's kd-tree over no
+// points; the next invalidating delta must still scope its re-validation
+// through that snapshot's index, and the engine must grow again after.
+func TestApplyDeltaAfterEveryNodeRemoved(t *testing.T) {
+	ctx := context.Background()
+	space := NewPointSpace(EnvironmentByName("free"))
+	eng, err := NewEngine(space, testEngineOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.GrowN(ctx, 2); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Snapshot().NumNodes() == 0 {
+		t.Fatal("no roadmap to remove")
+	}
+	all := NewBoxObstacle(V(-0.1, -0.1, -0.1), V(1.1, 1.1, 1.1))
+	if _, err := eng.ApplyDelta(ctx, AddObstacle{Obstacle: all}); err != nil {
+		t.Fatal(err)
+	}
+	if n := eng.Snapshot().NumNodes(); n != 0 {
+		t.Fatalf("%d nodes survive an obstacle over the whole space", n)
+	}
+	cube := NewBoxObstacle(V(0.4, 0.4, 0.4), V(0.6, 0.6, 0.6))
+	st, err := eng.ApplyDelta(ctx, AddObstacle{Obstacle: cube})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.RemovedNodes != 0 {
+		t.Fatalf("an empty roadmap lost %d nodes", st.RemovedNodes)
+	}
+	if p, ok := eng.Snapshot().Query(V(0.05, 0.5, 0.5), V(0.95, 0.5, 0.5), 8); ok {
+		t.Fatalf("an empty roadmap served a path: %v", p)
+	}
+	if err := eng.Grow(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // A world that never mutates must plan exactly as if the mutation API
 // did not exist: a zero-mutation ApplyDelta is a no-op, and a
 // removal-only delta leaves the committed roadmap bit-identical.
