@@ -108,7 +108,8 @@ func main() {
 		os.Exit(2)
 	}
 	if len(start) != e.Dim() || len(goal) != e.Dim() {
-		fmt.Fprintf(os.Stderr, "mpsolve: %s is %d-dimensional\n", *envName, e.Dim())
+		fmt.Fprintf(os.Stderr, "mpsolve: %s is %d-dimensional; start is %d-dimensional, goal %d-dimensional\n",
+			e.Name, e.Dim(), len(start), len(goal))
 		os.Exit(2)
 	}
 

@@ -57,14 +57,15 @@ type prmPlanner struct{ *core.PRMEngine }
 
 func (p prmPlanner) index() *Snapshot {
 	res := p.Result()
-	return &Snapshot{prmRes: res, prmIx: prm.BuildIndex(res.Roadmap)}
+	return &Snapshot{stats: &res.RunStats, prmRes: res, ix: prm.BuildIndex(res.Roadmap)}
 }
 
 func (p prmPlanner) repair(old *Snapshot, next *Space, delta env.Delta, stop <-chan struct{}) (*Snapshot, RepairStats, error) {
 	// Scope the re-validation with a kd radius query over the committed
 	// snapshot's index; AffectedVertices' nil ("nothing affected") must
 	// not reach the core as nil ("scan everything").
-	cand := old.prmIx.AffectedVertices(cspace.NewDeltaChecker(old.space, delta))
+	oldIx := old.ix.(*prm.Index)
+	cand := oldIx.AffectedVertices(cspace.NewDeltaChecker(old.space, delta))
 	if cand == nil {
 		cand = []int{}
 	}
@@ -72,11 +73,12 @@ func (p prmPlanner) repair(old *Snapshot, next *Space, delta env.Delta, stop <-c
 	if err != nil {
 		return nil, RepairStats{}, err
 	}
-	s := &Snapshot{prmRes: p.Result(), prmIx: old.prmIx}
+	res := p.Result()
+	s := &Snapshot{stats: &res.RunStats, prmRes: res, ix: oldIx}
 	if rep.VertexRemap != nil {
 		// Scoped index repair: only touched components relabel, and the kd
 		// forest is the repaired roadmap's region trees.
-		s.prmIx = prm.RepairIndex(old.prmIx, s.prmRes.Roadmap, rep.VertexRemap, rep.TouchedVertices)
+		s.ix = prm.RepairIndex(oldIx, res.Roadmap, rep.VertexRemap, rep.TouchedVertices)
 	}
 	return s, rep.Stats, nil
 }
@@ -85,15 +87,15 @@ type treePlanner struct{ *core.RRTEngine }
 
 func (p treePlanner) index() *Snapshot {
 	res := p.Result()
-	return &Snapshot{rrtRes: res, rrtIx: core.BuildTreeIndex(res)}
+	return &Snapshot{stats: &res.RunStats, rrtRes: res, ix: core.BuildTreeIndex(res)}
 }
 
 func (p treePlanner) repair(_ *Snapshot, next *Space, delta env.Delta, stop <-chan struct{}) (*Snapshot, RepairStats, error) {
-	rep, err := p.ApplyDelta(next, delta, stop)
+	st, err := p.ApplyDelta(next, delta, stop)
 	if err != nil {
 		return nil, RepairStats{}, err
 	}
-	return p.index(), rep.Stats, nil
+	return p.index(), st, nil
 }
 
 // NewEngine creates a PRM engine over space. The C-space is subdivided
@@ -230,11 +232,15 @@ type Snapshot struct {
 	gen    uint64
 	epoch  uint64
 
+	stats  *core.RunStats // the result's planner-independent part
 	prmRes *PRMResult
-	prmIx  *prm.Index
-
 	rrtRes *RRTResult
-	rrtIx  *core.TreeIndex
+	// ix is the result's query index: a roadmap's *prm.Index or a
+	// tree's *core.TreeIndex.
+	ix interface {
+		NumNodes() int
+		Query(s *Space, start, goal Config, k int, c *cspace.Counters) ([]Config, bool)
+	}
 }
 
 // Rounds returns the number of growth rounds this snapshot reflects.
@@ -263,12 +269,7 @@ func (s *Snapshot) RRT() *RRTResult { return s.rrtRes }
 
 // NumNodes returns the number of indexed configurations (roadmap nodes
 // or tree nodes).
-func (s *Snapshot) NumNodes() int {
-	if s.prmIx != nil {
-		return s.prmIx.NumNodes()
-	}
-	return s.rrtIx.NumNodes()
-}
+func (s *Snapshot) NumNodes() int { return s.ix.NumNodes() }
 
 // queryInputOK screens a query's inputs: k must be positive (even for
 // tree snapshots, where it is otherwise unused), and both endpoints must
@@ -314,10 +315,7 @@ func (s *Snapshot) Query(start, goal Config, k int) ([]Config, bool) {
 	if !s.queryInputOK(start, goal, k) {
 		return nil, false
 	}
-	if s.prmIx != nil {
-		return s.prmIx.Query(s.space, start, goal, k, nil)
-	}
-	return s.rrtQuery(start, goal)
+	return s.ix.Query(s.space, start, goal, k, nil)
 }
 
 // QueryBatch answers len(starts) queries against the frozen snapshot: a
@@ -336,23 +334,4 @@ func (s *Snapshot) QueryBatch(starts, goals []Config, k int) ([][]Config, []bool
 		paths[i], oks[i] = s.Query(starts[i], goals[i], k)
 	}
 	return paths, oks
-}
-
-func (s *Snapshot) rrtQuery(start, goal Config) ([]Config, bool) {
-	if s.rrtIx.NumNodes() == 0 {
-		return nil, false
-	}
-	root := s.rrtRes.Branches[0].Nodes[0].Q
-	path, ok := s.rrtIx.ExtractPath(s.space, goal, nil)
-	if !ok {
-		return nil, false
-	}
-	if start.Equal(root, 0) {
-		return path, true
-	}
-	// Off-root start: admit it only if one local plan reaches the root.
-	if !s.space.Valid(start, nil) || !s.space.LocalPlan(start, root, nil) {
-		return nil, false
-	}
-	return append([]Config{start.Clone()}, path...), true
 }

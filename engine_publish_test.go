@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"parmp/internal/cspace"
+	"parmp/internal/prm"
 )
 
 // A repair that removes nothing republishes: the new snapshot carries
@@ -48,7 +49,7 @@ func TestApplyDeltaRemovingNothingKeepsRoadmap(t *testing.T) {
 		if snap.PRM().Roadmap != before.PRM().Roadmap {
 			t.Errorf("%s: roadmap rebuilt for a repair that removed nothing", tc.name)
 		}
-		if snap.prmIx.Roadmap() != snap.PRM().Roadmap {
+		if snap.ix.(*prm.Index).Roadmap() != snap.PRM().Roadmap {
 			t.Errorf("%s: snapshot indexes a roadmap that is not its own", tc.name)
 		}
 		if snap.PRM() == before.PRM() {

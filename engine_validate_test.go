@@ -189,3 +189,46 @@ func TestSnapshotQueryBatchIsItsQueries(t *testing.T) {
 		}
 	}
 }
+
+// A tree snapshot's paths run from the engine's root, so its start rule
+// is: the root itself gets the root-to-goal path, a start one free local
+// plan from the root gets that path with the start prepended, and any
+// other start misses — one whose segment to the root crosses an
+// obstacle, one in collision — as does every query on an empty snapshot.
+func TestSnapshotTreeQueryStartRule(t *testing.T) {
+	space := NewPointSpace(EnvironmentByName("med-cube")) // cube [0.19, 0.81]³
+	root, goal := V(0.1, 0.5, 0.5), V(0.1, 0.9, 0.5)
+	eng, err := NewRRTEngine(space, root, Options{Procs: 4, Regions: 32, NodesPerRegion: 40, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if path, ok := eng.Snapshot().Query(root, goal, 8); ok || path != nil {
+		t.Fatalf("empty snapshot answered (%v, %v), want a miss", path, ok)
+	}
+	if err := eng.GrowN(context.Background(), 2); err != nil {
+		t.Fatal(err)
+	}
+	snap := eng.Snapshot()
+	want, ok := NewTreeIndex(snap.RRT()).ExtractPath(space, goal)
+	if !ok || !want[0].Equal(root, 0) {
+		t.Fatalf("fixture: goal %v not attached from the root (%v, %v)", goal, want, ok)
+	}
+	if got, ok := snap.Query(root, goal, 8); !ok || !reflect.DeepEqual(got, want) {
+		t.Fatalf("root start: (%v, %v), want (%v, true)", got, ok, want)
+	}
+	near := V(0.15, 0.5, 0.5)
+	if got, ok := snap.Query(near, goal, 8); !ok || !reflect.DeepEqual(got, append([]Config{near}, want...)) {
+		t.Fatalf("start %v a free step from the root: (%v, %v), want it prepended to %v", near, got, ok, want)
+	}
+	for _, tc := range []struct {
+		name  string
+		start Config
+	}{
+		{"segment to the root crosses the cube", V(0.9, 0.5, 0.5)},
+		{"start in collision", V(0.5, 0.5, 0.5)},
+	} {
+		if got, ok := snap.Query(tc.start, goal, 8); ok || got != nil {
+			t.Errorf("%s: (%v, %v), want a miss", tc.name, got, ok)
+		}
+	}
+}

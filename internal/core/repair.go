@@ -59,19 +59,6 @@ type PRMRepair struct {
 	TouchedVertices []int
 }
 
-// RRTRepair is the outcome of one ApplyDelta on a tree engine.
-type RRTRepair struct {
-	Stats RepairStats
-	// BranchRemaps[i] maps region i's pre-repair branch node ids to
-	// post-repair ids (-1 = pruned). Under RRT-Connect the ids are into
-	// the merged, root-anchored branch (what snapshots index). A nil
-	// entry is the identity.
-	BranchRemaps [][]int
-	// RemovedBridges counts cross-region bridges dropped because an
-	// endpoint died or the bridging edge is now blocked.
-	RemovedBridges int
-}
-
 // applyDelta incrementally repairs the committed structure against an
 // environment mutation, between growth rounds. s is the engine's space
 // re-bound to the mutated environment (cspace.Space.WithEnv on a mutated

@@ -324,7 +324,7 @@ func TestRRTEngineApplyDelta(t *testing.T) {
 
 	mutated, d := mutateAddBox(t, base, geom.Box3(0.35, 0.35, 0.35, 0.65, 0.65, 0.65))
 	after := s.WithEnv(mutated)
-	rep, err := eng.ApplyDelta(after, d, nil)
+	st, err := eng.ApplyDelta(after, d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,8 +336,8 @@ func TestRRTEngineApplyDelta(t *testing.T) {
 	if before.TotalNodes() != beforeNodes {
 		t.Fatal("published result mutated by repair")
 	}
-	if rep.Stats.RemovedNodes == 0 {
-		t.Fatalf("stats empty: %+v", rep.Stats)
+	if st.RemovedNodes == 0 {
+		t.Fatalf("stats empty: %+v", st)
 	}
 	if res.Repairs.Deltas != 1 || res.Phases.Repair <= 0 {
 		t.Fatal("repair accounting missing")
@@ -410,8 +410,7 @@ func TestRRTConnectEngineApplyDelta(t *testing.T) {
 
 	mutated, d := mutateAddBox(t, base, geom.Box3(0.35, 0.35, 0.35, 0.65, 0.65, 0.65))
 	after := s.WithEnv(mutated)
-	rep, err := eng.ApplyDelta(after, d, nil)
-	if err != nil {
+	if _, err := eng.ApplyDelta(after, d, nil); err != nil {
 		t.Fatal(err)
 	}
 	res := eng.Result()
@@ -422,7 +421,6 @@ func TestRRTConnectEngineApplyDelta(t *testing.T) {
 	if res.TreesMet > before.TreesMet {
 		t.Fatal("repair invented met pairs")
 	}
-	_ = rep
 	// Pairs keep growing (un-met pairs resume) and stay valid.
 	if err := eng.GrowRound(nil); err != nil {
 		t.Fatal(err)

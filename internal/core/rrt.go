@@ -131,11 +131,6 @@ type treeRepair struct {
 	remaps  [][]int // per region, in published-branch ids; nil = identity
 	sts     []rrt.PruneStats
 	bridges []bridgeCheck // per committed bridge
-	// committed reports that commitRepair ran (a delta that invalidates
-	// nothing leaves every remap the identity: RRTRepair.BranchRemaps nil);
-	// removed counts the bridges it dropped.
-	committed bool
-	removed   int
 }
 
 // bridgeCheck is one committed bridge's re-validation: its address in
@@ -442,23 +437,15 @@ func (e *RRTEngine) publish(stats RunStats) {
 // Under the observed cost model the repair phase's measured costs feed
 // the same per-region EWMA as construction, so the next round's
 // repartition sees the mutation's load concentration.
-func (e *RRTEngine) ApplyDelta(s *cspace.Space, d env.Delta, stop <-chan struct{}) (*RRTRepair, error) {
+func (e *RRTEngine) ApplyDelta(s *cspace.Space, d env.Delta, stop <-chan struct{}) (RepairStats, error) {
 	n := len(e.branches)
 	e.rp = &treeRepair{
 		pruned: make([]branch, n), remaps: make([][]int, n), sts: make([]rrt.PruneStats, n),
 		bridges: make([]bridgeCheck, len(e.bridges)),
 	}
 	st, err := e.applyDelta(s, d, stop)
-	rp := e.rp
 	e.rp = nil
-	if err != nil {
-		return nil, err
-	}
-	out := &RRTRepair{Stats: st, RemovedBridges: rp.removed}
-	if rp.committed {
-		out.BranchRemaps = rp.remaps
-	}
-	return out, nil
+	return st, err
 }
 
 // repairTask prunes a round-local copy of region i's branch, so an abort
@@ -569,9 +556,7 @@ func (e *RRTEngine) commitRepair(st *RepairStats) {
 			kept = append(kept, br.at)
 		}
 	}
-	rp.committed = true
-	rp.removed = len(e.bridges) - len(kept)
-	st.RemovedEdges += rp.removed
+	st.RemovedEdges += len(e.bridges) - len(kept)
 	e.bridges = kept
 }
 

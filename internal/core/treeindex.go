@@ -100,3 +100,27 @@ func (ix *TreeIndex) ExtractPath(s *cspace.Space, goal cspace.Config, c *cspace.
 	}
 	return nil, false
 }
+
+// Query answers a start-to-goal query against the tree. Every path runs
+// from the root, so start must be the root itself or one free local plan
+// from it (then it is prepended); the path follows tree edges to a node
+// that attaches goal (see ExtractPath). k is unused: the signature is
+// prm.Index.Query's, so a snapshot answers through either index.
+func (ix *TreeIndex) Query(s *cspace.Space, start, goal cspace.Config, k int, c *cspace.Counters) ([]cspace.Config, bool) {
+	if len(ix.pts) == 0 {
+		return nil, false
+	}
+	root := ix.res.Branches[0].Nodes[0].Q
+	path, ok := ix.ExtractPath(s, goal, c)
+	if !ok {
+		return nil, false
+	}
+	if start.Equal(root, 0) {
+		return path, true
+	}
+	// Off-root start: admit it only if one local plan reaches the root.
+	if !s.Valid(start, c) || !s.LocalPlan(start, root, c) {
+		return nil, false
+	}
+	return append([]cspace.Config{start.Clone()}, path...), true
+}

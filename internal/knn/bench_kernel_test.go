@@ -7,7 +7,7 @@ import (
 )
 
 // BenchmarkKernelNearest measures steady-state kd-tree queries (the
-// per-node lookup inside ConnectRegion).
+// per-node lookup inside ConnectRegionTree).
 func BenchmarkKernelNearest(b *testing.B) {
 	r := rng.New(17)
 	pts := randomPoints(r, 1000, 3)

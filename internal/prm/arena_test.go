@@ -10,7 +10,7 @@ import (
 	"parmp/internal/rng"
 )
 
-func regionsEqual(t *testing.T, got, want RegionResult) {
+func regionsEqual(t *testing.T, got, want regionResult) {
 	t.Helper()
 	if len(got.Nodes) != len(want.Nodes) {
 		t.Fatalf("node count %d, want %d", len(got.Nodes), len(want.Nodes))
@@ -33,6 +33,13 @@ func regionsEqual(t *testing.T, got, want RegionResult) {
 	}
 }
 
+// connectArenaTree connects every node of a region through a's own tree,
+// reset over the gathered nodes.
+func connectArenaTree(s *cspace.Space, nodes []Node, p Params, a *arena) ([][2]int, cspace.Counters) {
+	a.tree.Reset(gather(&a.pts, nodes))
+	return connectTreeArena(s, &a.tree, 0, p, a)
+}
+
 // TestArenaReuseBitIdentical replays the same region many times through
 // one deliberately dirty arena: every replay must reproduce the fresh
 // arena's result bit for bit, or pooled state is leaking into results.
@@ -41,11 +48,11 @@ func TestArenaReuseBitIdentical(t *testing.T) {
 	box := geom.Box3(0, 0, 0, 1, 1, 1)
 	p := Params{SamplesPerRegion: 40, K: 5}
 
-	build := func(a *arena, seed uint64) RegionResult {
-		var res RegionResult
+	build := func(a *arena, seed uint64) regionResult {
+		var res regionResult
 		r := rng.Derive(seed, 0)
 		res.Nodes, res.Work = sampleRegionArena(s, box, 0, p, r, a)
-		edges, cw := connectRegionArena(s, res.Nodes, p, a)
+		edges, cw := connectArenaTree(s, res.Nodes, p, a)
 		res.Edges = edges
 		res.Work.Add(cw)
 		return res
@@ -71,18 +78,18 @@ func TestArenaPoolConcurrent(t *testing.T) {
 	p := Params{SamplesPerRegion: 30, K: 4}
 	const regions = 24
 
-	want := make([]RegionResult, regions)
+	want := make([]regionResult, regions)
 	for i := range want {
-		want[i] = BuildRegion(s, box, i, p, rng.Derive(99, uint64(i)))
+		want[i] = buildRegion(s, box, i, p, rng.Derive(99, uint64(i)))
 	}
 
-	got := make([]RegionResult, regions)
+	got := make([]regionResult, regions)
 	var wg sync.WaitGroup
 	for i := 0; i < regions; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i] = BuildRegion(s, box, i, p, rng.Derive(99, uint64(i)))
+			got[i] = buildRegion(s, box, i, p, rng.Derive(99, uint64(i)))
 		}(i)
 	}
 	wg.Wait()
@@ -116,22 +123,24 @@ func TestConnectBoundaryArenaReuse(t *testing.T) {
 	}
 }
 
-// Connection runs out of a warm arena: one allocation, the returned edge
-// list, whatever the region's size. (The arena is held, not pooled:
-// sync.Pool drops entries at random under the race detector.) A commit's
-// index build is a fixed seven (component labels, point gather, kd-tree)
-// — none per node — and at most as many when the roadmap carries region
-// trees, whatever its size, since the forest is assembled from them.
+// Connection through a region's kept tree runs out of a warm arena: one
+// allocation, the returned edge list, whatever the region's size. (The
+// arena is held, not pooled: sync.Pool drops entries at random under the
+// race detector.) A commit's index build is a fixed seven (component
+// labels, point gather, kd-tree) — none per node — and at most as many
+// when the roadmap carries region trees, whatever its size, since the
+// forest is assembled from them.
 func TestKernelAllocsIndependentOfSize(t *testing.T) {
 	s := cspace.NewPointSpace(env.MedCube())
 	a := new(arena)
 	for _, n := range []int{100, 200, 400} {
 		nodes, _ := SampleRegion(s, s.Bounds, 0, Params{SamplesPerRegion: n}, rng.New(7))
 		half := len(nodes) / 2
-		region := testing.AllocsPerRun(5, func() { connectRegionArena(s, nodes, Params{K: 8}, a) })
+		tree := RegionTree(nodes)
+		region := testing.AllocsPerRun(5, func() { connectTreeArena(s, tree, 0, Params{K: 8}, a) })
 		boundary := testing.AllocsPerRun(5, func() { connectBoundaryArena(s, nodes[:half], nodes[half:], 4, 16, a) })
 		if region > 1 || boundary > 1 {
-			t.Errorf("%d samples: ConnectRegion %v, ConnectBoundary %v allocations, want at most 1 and 1", n, region, boundary)
+			t.Errorf("%d samples: ConnectRegionTree %v, ConnectBoundary %v allocations, want at most 1 and 1", n, region, boundary)
 		}
 	}
 	for _, n := range []int{2000, 8000} {

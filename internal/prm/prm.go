@@ -2,11 +2,12 @@
 // (Kavraki et al., 1996) used inside each subdivision region, plus the
 // roadmap data type and query answering.
 //
-// The parallel driver in internal/core invokes BuildRegion once per
-// region (Algorithm 1, line 8) and ConnectBoundary for each adjacent
-// region pair (lines 10–12). All collision and nearest-neighbour work is
-// metered through cspace.Counters so the load-balancing layers can charge
-// virtual processors for the work actually performed.
+// The parallel driver in internal/core invokes SampleRegion and then
+// ConnectRegionTree once per region (Algorithm 1, line 8) and
+// ConnectBoundary for each adjacent region pair (lines 10–12). All
+// collision and nearest-neighbour work is metered through
+// cspace.Counters so the load-balancing layers can charge virtual
+// processors for the work actually performed.
 package prm
 
 import (
@@ -85,13 +86,6 @@ func (p Params) sampler() cspace.Sampler {
 	return p.Sampler
 }
 
-// RegionResult is the product of planning one region.
-type RegionResult struct {
-	Nodes []Node          // free configurations generated in the region
-	Edges [][2]int        // local indices into Nodes
-	Work  cspace.Counters // work performed, for load accounting
-}
-
 // SampleRegion draws p.SamplesPerRegion uniform configurations in box and
 // keeps the valid ones — the cheap first sub-phase whose per-region node
 // counts are the paper's repartitioning weight for PRM. Fixed-attempt
@@ -130,45 +124,29 @@ func sampleRegionArena(s *cspace.Space, box geom.AABB, regionID int, p Params, r
 	return nodes, work
 }
 
-// ConnectRegion connects each node to its K nearest neighbours within the
-// region with the local planner — the expensive sub-phase ("the most time
-// consuming phase of the entire computation", ~90 % of total execution in
-// the paper's breakdown). Every k-nearest pair is attempted exactly once
-// (the paper's PRM attempts all k-nearest connections; no
-// connected-component shortcut).
-func ConnectRegion(s *cspace.Space, nodes []Node, p Params) ([][2]int, cspace.Counters) {
-	a := getArena()
-	defer putArena(a)
-	return connectRegionArena(s, nodes, p, a)
-}
-
-// connectRegionArena is ConnectRegion through an explicit arena: the
-// point slice, kd-tree, query scratch, dedup set and edge accumulator
-// all live in the arena, so the only retained allocation is the returned
-// edge list.
-func connectRegionArena(s *cspace.Space, nodes []Node, p Params, a *arena) ([][2]int, cspace.Counters) {
-	a.tree.Reset(gather(&a.pts, nodes))
-	return connectTreeArena(s, &a.tree, 0, p, a)
-}
-
 // ConnectRegionIncremental is ConnectRegionTree through a new region tree
 // over nodes, as an engine round builds it.
 func ConnectRegionIncremental(s *cspace.Space, nodes []Node, firstNew int, p Params) ([][2]int, cspace.Counters) {
 	return ConnectRegionTree(s, RegionTree(nodes), firstNew, p)
 }
 
-// ConnectRegionTree is the round-growth variant of ConnectRegion through
-// a region's kept tree over its nodes (see RegionTree), which it only
-// reads: only the points from firstNew on query, against all of them, so
-// a later engine round pays for its new samples without re-attempting
-// the previous rounds' pairs. firstNew = 0 is exactly ConnectRegion.
+// ConnectRegionTree connects each of a region's nodes to its K nearest
+// neighbours within the region with the local planner — the expensive
+// sub-phase ("the most time consuming phase of the entire computation",
+// ~90 % of total execution in the paper's breakdown). Every k-nearest
+// pair is attempted exactly once (the paper's PRM attempts all k-nearest
+// connections; no connected-component shortcut). It reads the region's
+// kept tree over its nodes (see RegionTree), and only the points from
+// firstNew on query, against all of them, so a later engine round pays
+// for its new samples without re-attempting the previous rounds' pairs;
+// firstNew = 0 connects the whole region.
 func ConnectRegionTree(s *cspace.Space, t *knn.KDTree, firstNew int, p Params) ([][2]int, cspace.Counters) {
 	a := getArena()
 	defer putArena(a)
 	return connectTreeArena(s, t, firstNew, p, a)
 }
 
-// connectTreeArena is the body of ConnectRegion and ConnectRegionTree.
+// connectTreeArena is ConnectRegionTree through an explicit arena.
 func connectTreeArena(s *cspace.Space, tree *knn.KDTree, firstNew int, p Params, a *arena) ([][2]int, cspace.Counters) {
 	var work cspace.Counters
 	pts := tree.Points()
@@ -206,20 +184,6 @@ func connectTreeArena(s *cspace.Space, tree *knn.KDTree, firstNew int, p Params,
 		}
 	}
 	return copyEdges(a.edges), work
-}
-
-// BuildRegion runs sequential PRM restricted to box (the region's
-// expanded sampling volume): SampleRegion followed by ConnectRegion.
-// Deterministic given the stream.
-func BuildRegion(s *cspace.Space, box geom.AABB, regionID int, p Params, r *rng.Stream) RegionResult {
-	a := getArena()
-	defer putArena(a)
-	var res RegionResult
-	res.Nodes, res.Work = sampleRegionArena(s, box, regionID, p, r, a)
-	edges, connectWork := connectRegionArena(s, res.Nodes, p, a)
-	res.Edges = edges
-	res.Work.Add(connectWork)
-	return res
 }
 
 // BoundaryResult is the product of connecting two adjacent regions.

@@ -12,10 +12,28 @@ import (
 
 func freeSpace() *cspace.Space { return cspace.NewPointSpace(env.Free()) }
 
+// regionResult is one region planned start to finish.
+type regionResult struct {
+	Nodes []Node          // free configurations generated in the region
+	Edges [][2]int        // local indices into Nodes
+	Work  cspace.Counters // work performed
+}
+
+// buildRegion plans one region as an engine's first round does:
+// SampleRegion in box, then ConnectRegionIncremental over every node.
+func buildRegion(s *cspace.Space, box geom.AABB, regionID int, p Params, r *rng.Stream) regionResult {
+	var res regionResult
+	res.Nodes, res.Work = SampleRegion(s, box, regionID, p, r)
+	edges, connectWork := ConnectRegionIncremental(s, res.Nodes, 0, p)
+	res.Edges = edges
+	res.Work.Add(connectWork)
+	return res
+}
+
 func TestBuildRegionGeneratesNodes(t *testing.T) {
 	s := freeSpace()
 	box := geom.Box3(0, 0, 0, 0.5, 0.5, 0.5)
-	res := BuildRegion(s, box, 3, Params{SamplesPerRegion: 50, K: 5}, rng.New(1))
+	res := buildRegion(s, box, 3, Params{SamplesPerRegion: 50, K: 5}, rng.New(1))
 	if len(res.Nodes) != 50 {
 		t.Fatalf("nodes = %d, want 50 in free space", len(res.Nodes))
 	}
@@ -39,8 +57,8 @@ func TestBuildRegionDeterministic(t *testing.T) {
 	s := cspace.NewPointSpace(env.MedCube())
 	box := geom.Box3(0, 0, 0, 1, 1, 1)
 	p := Params{SamplesPerRegion: 30, K: 4}
-	a := BuildRegion(s, box, 0, p, rng.Derive(7, 0))
-	b := BuildRegion(s, box, 0, p, rng.Derive(7, 0))
+	a := buildRegion(s, box, 0, p, rng.Derive(7, 0))
+	b := buildRegion(s, box, 0, p, rng.Derive(7, 0))
 	if len(a.Nodes) != len(b.Nodes) || len(a.Edges) != len(b.Edges) {
 		t.Fatal("identical seeds should give identical results")
 	}
@@ -58,7 +76,7 @@ func TestBuildRegionBlockedRegion(t *testing.T) {
 	s := cspace.NewPointSpace(env.MedCube())
 	// Entirely inside the obstacle.
 	box := geom.Box3(0.3, 0.3, 0.3, 0.7, 0.7, 0.7)
-	res := BuildRegion(s, box, 0, Params{SamplesPerRegion: 10, K: 3}, rng.New(2))
+	res := buildRegion(s, box, 0, Params{SamplesPerRegion: 10, K: 3}, rng.New(2))
 	if len(res.Nodes) != 0 {
 		t.Fatalf("blocked region produced %d nodes", len(res.Nodes))
 	}
@@ -70,7 +88,7 @@ func TestBuildRegionBlockedRegion(t *testing.T) {
 func TestBuildRegionEdgesValid(t *testing.T) {
 	s := cspace.NewPointSpace(env.MedCube())
 	box := geom.Box3(0, 0, 0, 1, 1, 1)
-	res := BuildRegion(s, box, 0, Params{SamplesPerRegion: 40, K: 5}, rng.New(3))
+	res := buildRegion(s, box, 0, Params{SamplesPerRegion: 40, K: 5}, rng.New(3))
 	for _, e := range res.Edges {
 		if e[0] < 0 || e[0] >= len(res.Nodes) || e[1] < 0 || e[1] >= len(res.Nodes) || e[0] == e[1] {
 			t.Fatalf("edge %v out of range", e)
@@ -90,8 +108,8 @@ func TestWorkHeterogeneity(t *testing.T) {
 	open := geom.Box3(0, 0, 0, 0.15, 0.15, 0.15)
 	clutter := geom.Box3(0.15, 0.15, 0.15, 0.85, 0.85, 0.85) // mostly obstacle
 	p := Params{SamplesPerRegion: 30, K: 4}
-	ro := BuildRegion(s, open, 0, p, rng.New(4))
-	rc := BuildRegion(s, clutter, 1, p, rng.New(4))
+	ro := buildRegion(s, open, 0, p, rng.New(4))
+	rc := buildRegion(s, clutter, 1, p, rng.New(4))
 	if len(ro.Nodes) == 0 || len(rc.Nodes) == 0 {
 		t.Fatal("both regions should produce some nodes")
 	}
@@ -105,8 +123,8 @@ func TestWorkHeterogeneity(t *testing.T) {
 func TestConnectBoundary(t *testing.T) {
 	s := freeSpace()
 	p := Params{SamplesPerRegion: 20, K: 3}
-	a := BuildRegion(s, geom.Box3(0, 0, 0, 0.5, 1, 1), 0, p, rng.Derive(5, 0))
-	b := BuildRegion(s, geom.Box3(0.5, 0, 0, 1, 1, 1), 1, p, rng.Derive(5, 1))
+	a := buildRegion(s, geom.Box3(0, 0, 0, 0.5, 1, 1), 0, p, rng.Derive(5, 0))
+	b := buildRegion(s, geom.Box3(0.5, 0, 0, 1, 1, 1), 1, p, rng.Derive(5, 1))
 	res := ConnectBoundary(s, a.Nodes, b.Nodes, 3, 0)
 	if len(res.Edges) == 0 {
 		t.Fatal("adjacent free regions should connect")
@@ -140,8 +158,8 @@ func TestConnectBoundaryBlockedWall(t *testing.T) {
 	}
 	s := cspace.NewPointSpace(e)
 	p := Params{SamplesPerRegion: 15, K: 3}
-	a := BuildRegion(s, geom.Box3(0, 0, 0, 0.45, 1, 1), 0, p, rng.Derive(6, 0))
-	b := BuildRegion(s, geom.Box3(0.55, 0, 0, 1, 1, 1), 1, p, rng.Derive(6, 1))
+	a := buildRegion(s, geom.Box3(0, 0, 0, 0.45, 1, 1), 0, p, rng.Derive(6, 0))
+	b := buildRegion(s, geom.Box3(0.55, 0, 0, 1, 1, 1), 1, p, rng.Derive(6, 1))
 	res := ConnectBoundary(s, a.Nodes, b.Nodes, 3, 0)
 	if len(res.Edges) != 0 {
 		t.Fatalf("wall-separated regions connected %d times", len(res.Edges))
@@ -151,7 +169,7 @@ func TestConnectBoundaryBlockedWall(t *testing.T) {
 func TestQueryFindsPath(t *testing.T) {
 	s := freeSpace()
 	m := &Roadmap{G: graph.New[Node](0)}
-	res := BuildRegion(s, geom.Box3(0, 0, 0, 1, 1, 1), 0, Params{SamplesPerRegion: 60, K: 6}, rng.New(7))
+	res := buildRegion(s, geom.Box3(0, 0, 0, 1, 1, 1), 0, Params{SamplesPerRegion: 60, K: 6}, rng.New(7))
 	ids := make([]graph.ID, len(res.Nodes))
 	for i, n := range res.Nodes {
 		ids[i] = m.G.AddVertex(n)
@@ -215,7 +233,7 @@ func TestQueryDisconnected(t *testing.T) {
 func TestQueryDoesNotMutateRoadmap(t *testing.T) {
 	s := freeSpace()
 	m := &Roadmap{G: graph.New[Node](0)}
-	res := BuildRegion(s, geom.Box3(0, 0, 0, 1, 1, 1), 0, Params{SamplesPerRegion: 40, K: 5}, rng.New(21))
+	res := buildRegion(s, geom.Box3(0, 0, 0, 1, 1, 1), 0, Params{SamplesPerRegion: 40, K: 5}, rng.New(21))
 	for _, n := range res.Nodes {
 		m.G.AddVertex(n)
 	}

@@ -19,7 +19,7 @@ func buildRepairRoadmap(t *testing.T, e *env.Environment, samples int) (*cspace.
 	p := Params{SamplesPerRegion: samples, K: 6}
 	r := rng.New(11)
 	nodes, _ := SampleRegion(s, e.Bounds, 0, p, r)
-	edges, _ := ConnectRegion(s, nodes, p)
+	edges, _ := ConnectRegionIncremental(s, nodes, 0, p)
 	m := &Roadmap{G: graph.New[Node](0)}
 	for _, nd := range nodes {
 		m.G.AddVertex(nd)

@@ -109,16 +109,6 @@ func (rg *Graph) SweepOrder() []int {
 	return order
 }
 
-// Adjacent returns the IDs of regions adjacent to i.
-func (rg *Graph) Adjacent(i int) []int {
-	edges := rg.G.Neighbors(graph.ID(i))
-	out := make([]int, len(edges))
-	for j, e := range edges {
-		out[j] = int(e.To)
-	}
-	return out
-}
-
 // ForEachAdjacentPair calls fn for every region adjacency (a < b).
 func (rg *Graph) ForEachAdjacentPair(fn func(a, b int)) {
 	rg.G.ForEachEdge(func(a, b graph.ID, _ float64) { fn(int(a), int(b)) })

@@ -37,11 +37,11 @@ func TestUniformGridStructure(t *testing.T) {
 	}
 	// Interior region has 4 neighbours, corner has 2.
 	corner := rg.Region(0)
-	if got := len(rg.Adjacent(corner.ID)); got != 2 {
+	if got := rg.G.Degree(graph.ID(corner.ID)); got != 2 {
 		t.Fatalf("corner degree = %d", got)
 	}
 	// Region 5 is coordinate (1,1): interior.
-	if got := len(rg.Adjacent(5)); got != 4 {
+	if got := rg.G.Degree(5); got != 4 {
 		t.Fatalf("interior degree = %d", got)
 	}
 }
@@ -196,7 +196,7 @@ func TestRadialSubdivision3D(t *testing.T) {
 		if reg.HalfAngle <= 0 || reg.HalfAngle > math.Pi {
 			t.Fatalf("half angle = %v", reg.HalfAngle)
 		}
-		if deg := len(rg.Adjacent(reg.ID)); deg < 4 {
+		if deg := rg.G.Degree(graph.ID(reg.ID)); deg < 4 {
 			// Undirected kNN edges: degree >= K is expected (mutual hits
 			// dedupe, others add).
 			t.Fatalf("region %d degree %d < K", reg.ID, deg)

@@ -358,7 +358,7 @@ func (p *Portfolio) Report() *PortfolioReport {
 			Err:      st.Err,
 		}
 		if eng := p.engines[i]; eng != nil {
-			rr.PhaseReports = snapshotPhaseReports(eng.Snapshot())
+			rr.PhaseReports = eng.Snapshot().stats.PhaseReports
 		}
 		rep.Racers[i] = rr
 	}
@@ -368,16 +368,4 @@ func (p *Portfolio) Report() *PortfolioReport {
 		rep.WinnerSeed = rep.Racers[w].Seed
 	}
 	return rep
-}
-
-// snapshotPhaseReports pulls the committed phase reports out of either
-// planner family's result.
-func snapshotPhaseReports(s *Snapshot) []PhaseReport {
-	if r := s.PRM(); r != nil {
-		return r.PhaseReports
-	}
-	if r := s.RRT(); r != nil {
-		return r.PhaseReports
-	}
-	return nil
 }
