@@ -18,12 +18,12 @@ import (
 // the previous snapshot stays valid and Grow can be called again.
 var ErrStopped = core.ErrStopped
 
-// Engine is a resumable planner: where PlanPRM and PlanRRT build their
-// structure in one shot and return, an Engine owns the space and
-// options, grows its roadmap (or tree) incrementally — each Grow call
-// is one pass through the phase pipeline, reusing the region graph and
-// partition state — and serves queries concurrently through immutable
-// snapshots published atomically after each round.
+// Engine is a resumable planner: it owns the space and options, grows
+// its roadmap (or tree) incrementally — each Grow call is one pass
+// through the phase pipeline, reusing the region graph and partition
+// state — and serves queries concurrently through immutable snapshots
+// published atomically after each round. PlanPRM, PlanRRT and
+// PlanRRTConnect return an engine's snapshot after its first round.
 //
 // Grow is serialized internally; Snapshot (and every Snapshot method)
 // is safe to call from any number of goroutines at any time, including
@@ -304,8 +304,8 @@ func (s *Snapshot) inBounds(q Config) bool {
 // the space's bounds — also answer (nil, false), never panic.
 //
 // For PRM snapshots, start and goal each attach to their k nearest
-// reachable roadmap nodes and a shortest-path search joins them —
-// without mutating the roadmap, unlike the package-level Query.
+// reachable roadmap nodes and a shortest-path search joins them; the
+// roadmap is not modified.
 //
 // For RRT snapshots the tree grows from the engine's root, so start
 // must be the root (or local-plannable to it, for a start a step away);

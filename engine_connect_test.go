@@ -57,7 +57,7 @@ func TestEngineRRTConnectRoundZeroMatchesPlanRRTConnect(t *testing.T) {
 	if err := eng.Grow(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	rrtResultsEqual(t, eng.Snapshot().RRT(), oneShot)
+	rrtResultsEqual(t, eng.Snapshot().RRT(), oneShot.RRT())
 }
 
 // RRT-Connect engines must be deterministic across call batching, and a
@@ -88,10 +88,11 @@ func TestEngineRRTConnectDeterministicAcrossCalls(t *testing.T) {
 	if a.Rounds() != 2 {
 		t.Fatalf("rounds = %d; want 2", a.Rounds())
 	}
-	one, err := PlanRRTConnect(space, root, goal, opts)
+	snap, err := PlanRRTConnect(space, root, goal, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	one := snap.RRT()
 	if ra.TotalNodes() < one.TotalNodes() {
 		t.Fatalf("2 rounds (%d nodes) shrank below round 0 (%d nodes)", ra.TotalNodes(), one.TotalNodes())
 	}

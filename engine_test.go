@@ -45,10 +45,11 @@ func roadmapBytes(t *testing.T, m *Roadmap) []byte {
 func TestEngineRoundZeroMatchesPlanPRM(t *testing.T) {
 	space := NewPointSpace(EnvironmentByName("med-cube"))
 	opts := testEngineOpts()
-	oneShot, err := PlanPRM(space, opts)
+	snap, err := PlanPRM(space, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	oneShot := snap.PRM()
 	eng, err := NewEngine(space, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -70,10 +71,11 @@ func TestEngineRRTRoundZeroMatchesPlanRRT(t *testing.T) {
 	space := NewPointSpace(EnvironmentByName("mixed-30"))
 	root := V(0.5, 0.5, 0.5)
 	opts := Options{Procs: 4, Regions: 32, NodesPerRegion: 20, Strategy: WorkStealing, Policy: RandK(4), Seed: 7}
-	oneShot, err := PlanRRT(space, root, opts)
+	snap, err := PlanRRT(space, root, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	oneShot := snap.RRT()
 	eng, err := NewRRTEngine(space, root, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -355,7 +357,11 @@ func TestEngineRRTDeterministicAcrossCalls(t *testing.T) {
 	if a.Rounds() != 2 {
 		t.Fatalf("rounds = %d; want 2", a.Rounds())
 	}
-	if one, _ := PlanRRT(space, root, opts); ra.TotalNodes() <= one.TotalNodes() {
-		t.Fatalf("2 rounds (%d nodes) did not grow past round 0 (%d nodes)", ra.TotalNodes(), one.TotalNodes())
+	one, err := PlanRRT(space, root, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ra.TotalNodes() <= one.RRT().TotalNodes() {
+		t.Fatalf("2 rounds (%d nodes) did not grow past round 0 (%d nodes)", ra.TotalNodes(), one.RRT().TotalNodes())
 	}
 }

@@ -5,12 +5,15 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"parmp/internal/core"
 )
 
 // Snapshot.Query must answer (nil, false) — never panic — for malformed
 // inputs: k ≤ 0, endpoints of the wrong dimension, endpoints outside the
 // space's bounds, and NaN coordinates. Checked against both snapshot
-// kinds, since the PRM and tree query paths diverge immediately.
+// kinds, since the PRM and tree query paths diverge immediately, and
+// against the snapshots the three one-shot planners return.
 func TestSnapshotQueryValidation(t *testing.T) {
 	space := NewPointSpace(EnvironmentByName("med-cube"))
 	prmEng, err := NewEngine(space, testEngineOpts())
@@ -30,6 +33,18 @@ func TestSnapshotQueryValidation(t *testing.T) {
 	if err := rrtEng.Grow(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	planned := func(snap *Snapshot, err error) *Snapshot {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	rrtOpts := Options{Procs: 4, Regions: 32, NodesPerRegion: 20, Radius: 0.9, Seed: 7}
+	snaps := []*Snapshot{prmEng.Snapshot(), rrtEng.Snapshot(),
+		planned(PlanPRM(space, testEngineOpts())),
+		planned(PlanRRT(rrtSpace, root, rrtOpts)),
+		planned(PlanRRTConnect(rrtSpace, root, V(0.9, 0.9, 0.9), rrtOpts)),
+	}
 
 	good := [2]Config{V(0.05, 0.05, 0.05), V(0.95, 0.95, 0.95)}
 	bad := []struct {
@@ -46,11 +61,11 @@ func TestSnapshotQueryValidation(t *testing.T) {
 		{"goal out of bounds", good[0], V(0.5, 0.5, 1.5), 8},
 		{"NaN coordinate", V(math.NaN(), 0.5, 0.5), good[1], 8},
 	}
-	for _, snap := range []*Snapshot{prmEng.Snapshot(), rrtEng.Snapshot()} {
+	for i, snap := range snaps {
 		for _, tc := range bad {
 			path, ok := snap.Query(tc.start, tc.goal, tc.k)
 			if ok || path != nil {
-				t.Errorf("%s: Query returned ok=%v path=%v, want miss", tc.name, ok, path)
+				t.Errorf("snapshot %d, %s: Query returned ok=%v path=%v, want miss", i, tc.name, ok, path)
 			}
 		}
 	}
@@ -209,7 +224,7 @@ func TestSnapshotTreeQueryStartRule(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := eng.Snapshot()
-	want, ok := NewTreeIndex(snap.RRT()).ExtractPath(space, goal)
+	want, ok := core.BuildTreeIndex(snap.RRT()).ExtractPath(space, goal, nil)
 	if !ok || !want[0].Equal(root, 0) {
 		t.Fatalf("fixture: goal %v not attached from the root (%v, %v)", goal, want, ok)
 	}

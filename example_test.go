@@ -10,7 +10,7 @@ import (
 // benchmark and answers a query through it.
 func ExamplePlanPRM() {
 	space := parmp.NewPointSpace(parmp.EnvironmentByName("med-cube"))
-	res, err := parmp.PlanPRM(space, parmp.Options{
+	snap, err := parmp.PlanPRM(space, parmp.Options{
 		Procs:            8,
 		Regions:          64,
 		SamplesPerRegion: 12,
@@ -21,9 +21,9 @@ func ExamplePlanPRM() {
 		fmt.Println("error:", err)
 		return
 	}
-	_, ok := parmp.Query(space, res.Roadmap,
-		parmp.V(0.05, 0.05, 0.05), parmp.V(0.95, 0.95, 0.95), 8)
+	_, ok := snap.Query(parmp.V(0.05, 0.05, 0.05), parmp.V(0.95, 0.95, 0.95), 8)
 	fmt.Println("solved:", ok)
+	res := snap.PRM()
 	fmt.Println("balanced:", res.CVAfter < res.CVBefore)
 	// Output:
 	// solved: true
@@ -35,7 +35,7 @@ func ExamplePlanPRM() {
 func ExamplePlanRRT() {
 	space := parmp.NewPointSpace(parmp.EnvironmentByName("free"))
 	root := parmp.V(0.5, 0.5, 0.5)
-	res, err := parmp.PlanRRT(space, root, parmp.Options{
+	snap, err := parmp.PlanRRT(space, root, parmp.Options{
 		Procs:          4,
 		Regions:        24,
 		NodesPerRegion: 15,
@@ -48,7 +48,7 @@ func ExamplePlanRRT() {
 		fmt.Println("error:", err)
 		return
 	}
-	path, ok := parmp.NewTreeIndex(res).ExtractPath(space, parmp.V(0.7, 0.6, 0.5))
+	path, ok := snap.Query(root, parmp.V(0.7, 0.6, 0.5), 1)
 	fmt.Println("reached:", ok, "— path starts at root:", path[0].Equal(root, 1e-9))
 	// Output:
 	// reached: true — path starts at root: true

@@ -32,7 +32,7 @@ func main() {
 	space := parmp.NewDubinsSpace(e, 0.06)
 
 	root := parmp.V(0.2, 0.5, 0) // left hall, facing +x
-	res, err := parmp.PlanRRT(space, root, parmp.Options{
+	snap, err := parmp.PlanRRT(space, root, parmp.Options{
 		Procs:          8,
 		Regions:        64,
 		NodesPerRegion: 50,
@@ -45,11 +45,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	res := snap.RRT()
 	fmt.Printf("grew %d feasible car states across %d cone regions (%.0f virtual units)\n",
 		res.TotalNodes(), len(res.Branches), res.TotalTime)
 
 	goal := parmp.V(0.8, 0.8, math.Pi/2) // far side, facing +y
-	path, ok := parmp.NewTreeIndex(res).ExtractPath(space, goal)
+	path, ok := snap.Query(root, goal, 1)
 	if !ok {
 		log.Fatal("goal unreachable; grow more nodes per region")
 	}

@@ -32,7 +32,7 @@ func main() {
 			root[i] = -math.Pi / 6
 		}
 	}
-	res, err := parmp.PlanRRT(space, root, parmp.Options{
+	snap, err := parmp.PlanRRT(space, root, parmp.Options{
 		Procs:          8,
 		Regions:        48,
 		NodesPerRegion: 24,
@@ -45,6 +45,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	res := snap.RRT()
 	fmt.Printf("grew %d tree nodes across %d cone regions\n",
 		res.TotalNodes(), len(res.Branches))
 	fmt.Printf("bridges between branches: %d (pruned %d cycle-closers)\n",

@@ -40,10 +40,11 @@ func main() {
 	var baseline float64
 	fmt.Printf("%-20s %12s %10s %10s %8s\n", "strategy", "virtual time", "speedup", "node-conn", "load CV")
 	for i, v := range variants {
-		res, err := parmp.PlanPRM(space, v.opts)
+		snap, err := parmp.PlanPRM(space, v.opts)
 		if err != nil {
 			log.Fatal(err)
 		}
+		res := snap.PRM()
 		if i == 0 {
 			baseline = res.TotalTime
 		}

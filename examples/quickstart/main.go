@@ -18,7 +18,7 @@ func main() {
 
 	// Plan on 16 virtual processors with 128 regions (8x over-decomposed)
 	// and bulk-synchronous repartitioning for load balance.
-	res, err := parmp.PlanPRM(space, parmp.Options{
+	snap, err := parmp.PlanPRM(space, parmp.Options{
 		Procs:            16,
 		Regions:          128,
 		SamplesPerRegion: 16,
@@ -28,6 +28,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	res := snap.PRM()
 	fmt.Printf("roadmap: %d nodes, %d edges\n", res.Roadmap.NumNodes(), res.Roadmap.NumEdges())
 	fmt.Printf("virtual execution time: %.0f units\n", res.TotalTime)
 	fmt.Printf("load CV: %.3f before balancing, %.3f after\n", res.CVBefore, res.CVAfter)
@@ -35,7 +36,7 @@ func main() {
 	// Answer a query through the narrow space around the obstacle.
 	start := parmp.V(0.05, 0.05, 0.05)
 	goal := parmp.V(0.95, 0.95, 0.95)
-	path, ok := parmp.Query(space, res.Roadmap, start, goal, 8)
+	path, ok := snap.Query(start, goal, 8)
 	if !ok {
 		log.Fatal("no path found; increase SamplesPerRegion")
 	}

@@ -39,7 +39,7 @@ func main() {
 	// are ~0.2 wide, so heading matters when crossing them.
 	space := parmp.NewSE2Space(e, 0.12, 0.04)
 
-	res, err := parmp.PlanPRM(space, parmp.Options{
+	snap, err := parmp.PlanPRM(space, parmp.Options{
 		Procs:            16,
 		Regions:          192,
 		SamplesPerRegion: 40,
@@ -51,12 +51,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	res := snap.PRM()
 	fmt.Printf("roadmap: %d nodes, %d edges; virtual time %.0f units\n",
 		res.Roadmap.NumNodes(), res.Roadmap.NumEdges(), res.TotalTime)
 
 	start := parmp.V(0.15, 0.51, 0) // facing +x in the left hall
 	goal := parmp.V(1.85, 0.5, 0)   // far right hall
-	path, ok := parmp.Query(space, res.Roadmap, start, goal, 10)
+	path, ok := snap.Query(start, goal, 10)
 	if !ok {
 		log.Fatal("no path found; raise SamplesPerRegion")
 	}

@@ -12,6 +12,21 @@ import (
 	"parmp/internal/work"
 )
 
+// oneRound grows a just-built engine one round and returns its result:
+// the one-shot plan of the engine's planner.
+func oneRound[R any](eng interface {
+	GrowRound(stop <-chan struct{}) error
+	Result() R
+}, err error) (res R, _ error) {
+	if err == nil {
+		err = eng.GrowRound(nil)
+	}
+	if err != nil {
+		return res, err
+	}
+	return eng.Result(), nil
+}
+
 func quickOpts(procs, regions int) Options {
 	return Options{
 		Procs:            procs,
@@ -25,7 +40,7 @@ func quickOpts(procs, regions int) Options {
 
 func TestParallelPRMBasic(t *testing.T) {
 	s := cspace.NewPointSpace(env.MedCube())
-	res, err := ParallelPRM(s, quickOpts(4, 64))
+	res, err := oneRound(NewPRMEngine(s, quickOpts(4, 64)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,20 +77,20 @@ func TestParallelPRMDeterministicAcrossStrategies(t *testing.T) {
 	s := cspace.NewPointSpace(env.MedCube())
 	base := quickOpts(4, 64)
 
-	noLB, err := ParallelPRM(s, base)
+	noLB, err := oneRound(NewPRMEngine(s, base))
 	if err != nil {
 		t.Fatal(err)
 	}
 	rp := base
 	rp.Strategy = Repartition
-	repart, err := ParallelPRM(s, rp)
+	repart, err := oneRound(NewPRMEngine(s, rp))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ws := base
 	ws.Strategy = WorkStealing
 	ws.Policy = steal.Hybrid{K: 4}
-	stolen, err := ParallelPRM(s, ws)
+	stolen, err := oneRound(NewPRMEngine(s, ws))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,13 +113,13 @@ func TestRepartitioningImprovesImbalancedPRM(t *testing.T) {
 	s := cspace.NewPointSpace(env.MedCube())
 	base := quickOpts(8, 128)
 	base.SamplesPerRegion = 5
-	noLB, err := ParallelPRM(s, base)
+	noLB, err := oneRound(NewPRMEngine(s, base))
 	if err != nil {
 		t.Fatal(err)
 	}
 	rp := base
 	rp.Strategy = Repartition
-	res, err := ParallelPRM(s, rp)
+	res, err := oneRound(NewPRMEngine(s, rp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,14 +139,14 @@ func TestWorkStealingImprovesImbalancedPRM(t *testing.T) {
 	s := cspace.NewPointSpace(env.MedCube())
 	base := quickOpts(8, 128)
 	base.SamplesPerRegion = 5
-	noLB, err := ParallelPRM(s, base)
+	noLB, err := oneRound(NewPRMEngine(s, base))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ws := base
 	ws.Strategy = WorkStealing
 	ws.Policy = steal.Hybrid{K: 8}
-	res, err := ParallelPRM(s, ws)
+	res, err := oneRound(NewPRMEngine(s, ws))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +168,7 @@ func TestFreeEnvironmentNoLBOverheadPRM(t *testing.T) {
 	// overhead over the baseline.
 	s := cspace.NewPointSpace(env.Free())
 	base := quickOpts(8, 128)
-	noLB, err := ParallelPRM(s, base)
+	noLB, err := oneRound(NewPRMEngine(s, base))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +176,7 @@ func TestFreeEnvironmentNoLBOverheadPRM(t *testing.T) {
 		func() Options { o := base; o.Strategy = Repartition; return o }(),
 		func() Options { o := base; o.Strategy = WorkStealing; o.Policy = steal.Diffusive{}; return o }(),
 	} {
-		res, err := ParallelPRM(s, cfg)
+		res, err := oneRound(NewPRMEngine(s, cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,11 +193,11 @@ func TestPRMRemoteAccessesIncreaseWithRepartitioning(t *testing.T) {
 	s := cspace.NewPointSpace(env.MedCube())
 	base := quickOpts(8, 128)
 	base.SamplesPerRegion = 5
-	noLB, _ := ParallelPRM(s, base)
+	noLB, _ := oneRound(NewPRMEngine(s, base))
 	rp := base
 	rp.Strategy = Repartition
 	rp.Partitioner = PartitionLPT // scatters regions, maximizing the effect
-	res, _ := ParallelPRM(s, rp)
+	res, _ := oneRound(NewPRMEngine(s, rp))
 	if res.RegionRemote <= noLB.RegionRemote {
 		t.Fatalf("remote accesses should rise: %d vs %d", res.RegionRemote, noLB.RegionRemote)
 	}
@@ -193,12 +208,12 @@ func TestPRMRemoteAccessesIncreaseWithRepartitioning(t *testing.T) {
 
 func TestOptionsValidation(t *testing.T) {
 	s := cspace.NewPointSpace(env.Free())
-	if _, err := ParallelPRM(s, Options{Procs: 8, Regions: 4}); err == nil {
+	if _, err := oneRound(NewPRMEngine(s, Options{Procs: 8, Regions: 4})); err == nil {
 		t.Fatal("Regions < Procs should fail")
 	}
 	bad := quickOpts(2, 8)
 	bad.Strategy = WorkStealing // no policy
-	if _, err := ParallelPRM(s, bad); err == nil {
+	if _, err := oneRound(NewPRMEngine(s, bad)); err == nil {
 		t.Fatal("WorkStealing without policy should fail")
 	}
 }
@@ -228,7 +243,7 @@ func rrtOpts(procs, regions int) Options {
 func TestParallelRRTBasic(t *testing.T) {
 	s := cspace.NewPointSpace(env.Mixed30())
 	root := geom.V(0.5, 0.5, 0.5)
-	res, err := ParallelRRT(s, root, rrtOpts(4, 32))
+	res, err := oneRound(NewRRTEngine(s, root, rrtOpts(4, 32)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +266,7 @@ func TestParallelRRTBasic(t *testing.T) {
 
 func TestParallelRRTBridgesAcyclic(t *testing.T) {
 	s := cspace.NewPointSpace(env.Free())
-	res, err := ParallelRRT(s, geom.V(0.5, 0.5, 0.5), rrtOpts(4, 24))
+	res, err := oneRound(NewRRTEngine(s, geom.V(0.5, 0.5, 0.5), rrtOpts(4, 24)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,14 +284,14 @@ func TestParallelRRTBridgesAcyclic(t *testing.T) {
 func TestRRTStealingHelpsInMixed(t *testing.T) {
 	s := cspace.NewPointSpace(env.Mixed())
 	base := rrtOpts(8, 64)
-	noLB, err := ParallelRRT(s, geom.V(0.3, 0.7, 0.5), base)
+	noLB, err := oneRound(NewRRTEngine(s, geom.V(0.3, 0.7, 0.5), base))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ws := base
 	ws.Strategy = WorkStealing
 	ws.Policy = steal.Diffusive{}
-	res, err := ParallelRRT(s, geom.V(0.3, 0.7, 0.5), ws)
+	res, err := oneRound(NewRRTEngine(s, geom.V(0.3, 0.7, 0.5), ws))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +308,7 @@ func TestRRTRepartitioningWeightIsPoor(t *testing.T) {
 	s := cspace.NewPointSpace(env.Mixed())
 	rp := rrtOpts(8, 64)
 	rp.Strategy = Repartition
-	res, err := ParallelRRT(s, geom.V(0.3, 0.7, 0.5), rp)
+	res, err := oneRound(NewRRTEngine(s, geom.V(0.3, 0.7, 0.5), rp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,11 +319,11 @@ func TestRRTRepartitioningWeightIsPoor(t *testing.T) {
 
 func TestParallelRRTDeterministic(t *testing.T) {
 	s := cspace.NewPointSpace(env.Mixed30())
-	a, err := ParallelRRT(s, geom.V(0.5, 0.5, 0.5), rrtOpts(4, 24))
+	a, err := oneRound(NewRRTEngine(s, geom.V(0.5, 0.5, 0.5), rrtOpts(4, 24)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ParallelRRT(s, geom.V(0.5, 0.5, 0.5), rrtOpts(4, 24))
+	b, err := oneRound(NewRRTEngine(s, geom.V(0.5, 0.5, 0.5), rrtOpts(4, 24)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,13 +335,13 @@ func TestParallelRRTDeterministic(t *testing.T) {
 func TestHostPrePassIdenticalResults(t *testing.T) {
 	s := cspace.NewPointSpace(env.MedCube())
 	base := quickOpts(4, 64)
-	seq, err := ParallelPRM(s, base)
+	seq, err := oneRound(NewPRMEngine(s, base))
 	if err != nil {
 		t.Fatal(err)
 	}
 	par := base
 	par.HostWorkers = 4
-	conc, err := ParallelPRM(s, par)
+	conc, err := oneRound(NewPRMEngine(s, par))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,13 +359,13 @@ func TestHostPrePassIdenticalResults(t *testing.T) {
 func TestRRTHostPrePassIdentical(t *testing.T) {
 	s := cspace.NewPointSpace(env.Mixed30())
 	base := rrtOpts(4, 24)
-	seq, err := ParallelRRT(s, geom.V(0.5, 0.5, 0.5), base)
+	seq, err := oneRound(NewRRTEngine(s, geom.V(0.5, 0.5, 0.5), base))
 	if err != nil {
 		t.Fatal(err)
 	}
 	par := base
 	par.HostWorkers = 3
-	conc, err := ParallelRRT(s, geom.V(0.5, 0.5, 0.5), par)
+	conc, err := oneRound(NewRRTEngine(s, geom.V(0.5, 0.5, 0.5), par))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +379,7 @@ func TestRRTExtractPath(t *testing.T) {
 	root := geom.V(0.5, 0.5, 0.5)
 	opts := rrtOpts(4, 32)
 	opts.NodesPerRegion = 20
-	res, err := ParallelRRT(s, root, opts)
+	res, err := oneRound(NewRRTEngine(s, root, opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +405,7 @@ func TestRRTExtractPath(t *testing.T) {
 
 func TestRRTExtractPathInvalidGoal(t *testing.T) {
 	s := cspace.NewPointSpace(env.MedCube())
-	res, err := ParallelRRT(s, geom.V(0.05, 0.05, 0.05), rrtOpts(4, 24))
+	res, err := oneRound(NewRRTEngine(s, geom.V(0.05, 0.05, 0.05), rrtOpts(4, 24)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +425,7 @@ func TestNarrowPassageSamplerInPipeline(t *testing.T) {
 		Secondary: cspace.GaussianSampler{},
 		Fraction:  0.5,
 	}
-	res, err := ParallelPRM(s, opts)
+	res, err := oneRound(NewPRMEngine(s, opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,13 +453,13 @@ func TestParallelRRTStar(t *testing.T) {
 	s := cspace.NewPointSpace(env.Free())
 	root := geom.V(0.5, 0.5, 0.5)
 	base := rrtOpts(4, 24)
-	plain, err := ParallelRRT(s, root, base)
+	plain, err := oneRound(NewRRTEngine(s, root, base))
 	if err != nil {
 		t.Fatal(err)
 	}
 	star := base
 	star.Star = true
-	starRes, err := ParallelRRT(s, root, star)
+	starRes, err := oneRound(NewRRTEngine(s, root, star))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,13 +483,13 @@ func TestPRMWithOverlap(t *testing.T) {
 	s := cspace.NewPointSpace(env.Free())
 	base := quickOpts(4, 27)
 	base.SamplesPerRegion = 8
-	noOv, err := ParallelPRM(s, base)
+	noOv, err := oneRound(NewPRMEngine(s, base))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ov := base
 	ov.Overlap = 0.25
-	withOv, err := ParallelPRM(s, ov)
+	withOv, err := oneRound(NewPRMEngine(s, ov))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +507,7 @@ func TestPRMWithOverlap(t *testing.T) {
 func TestRRTOptionsValidation(t *testing.T) {
 	s := cspace.NewPointSpace(env.Free())
 	bad := rrtOpts(4, 2) // Regions < Procs
-	if _, err := ParallelRRT(s, geom.V(0.5, 0.5, 0.5), bad); err == nil {
+	if _, err := oneRound(NewRRTEngine(s, geom.V(0.5, 0.5, 0.5), bad)); err == nil {
 		t.Fatal("Regions < Procs should fail for RRT too")
 	}
 }

@@ -108,11 +108,11 @@ func TestCostModelRoundZeroColdStartIdentical(t *testing.T) {
 	observed := static
 	observed.CostModel = CostObserved
 
-	a, err := ParallelPRM(s, static)
+	a, err := oneRound(NewPRMEngine(s, static))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ParallelPRM(s, observed)
+	b, err := oneRound(NewPRMEngine(s, observed))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func stealingRun(t *testing.T, rewrite func(sched.Config) sched.Config) *PRMResu
 	opts.Runtime = sched.RuntimeFunc(func(cfg sched.Config, queues [][]work.Task) sched.Report {
 		return dist.Runtime.Run(rewrite(cfg), queues)
 	})
-	res, err := ParallelPRM(cspace.NewPointSpace(env.MedCube()), opts)
+	res, err := oneRound(NewPRMEngine(cspace.NewPointSpace(env.MedCube()), opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestPRMPhaseReportsExposed(t *testing.T) {
 	opts := quickOpts(4, 64)
 	opts.Strategy = WorkStealing
 	opts.Policy = steal.RandK{K: 2}
-	res, err := ParallelPRM(s, opts)
+	res, err := oneRound(NewPRMEngine(s, opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestRRTPhaseReportsExposed(t *testing.T) {
 	s := cspace.NewPointSpace(env.Mixed30())
 	opts := rrtOpts(4, 24)
 	opts.Strategy = Repartition
-	res, err := ParallelRRT(s, geom.V(0.5, 0.5, 0.5), opts)
+	res, err := oneRound(NewRRTEngine(s, geom.V(0.5, 0.5, 0.5), opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestPRMHostPhasesRunConcurrently(t *testing.T) {
 	s := cspace.NewPointSpace(env.MedCube())
 	opts := quickOpts(4, 64)
 	opts.HostWorkers = hw
-	if _, err := ParallelPRM(s, opts); err != nil {
+	if _, err := oneRound(NewPRMEngine(s, opts)); err != nil {
 		t.Fatal(err)
 	}
 	checkHostPasses(t, passes, hw, "sample", "construct", "region-connect")
@@ -256,7 +256,7 @@ func TestRRTHostPhasesRunConcurrently(t *testing.T) {
 	s := cspace.NewPointSpace(env.Mixed30())
 	opts := rrtOpts(4, 24)
 	opts.HostWorkers = hw
-	if _, err := ParallelRRT(s, geom.V(0.5, 0.5, 0.5), opts); err != nil {
+	if _, err := oneRound(NewRRTEngine(s, geom.V(0.5, 0.5, 0.5), opts)); err != nil {
 		t.Fatal(err)
 	}
 	checkHostPasses(t, passes, hw, "construct", "region-connect")

@@ -50,8 +50,8 @@ type boundaryEdge struct {
 // node connection → region connection → merge) over the SAME region
 // graph, kd indexes and ownership state, appending new samples to the
 // per-region roadmaps instead of starting over. It is the round driver
-// (engine) with the PRM planner hooks; the one-shot ParallelPRM is
-// exactly one round of it.
+// (engine) with the PRM planner hooks; a one-shot plan is exactly one
+// round of it.
 type PRMEngine struct {
 	engine
 	params prm.Params
@@ -493,25 +493,4 @@ func (e *PRMEngine) compact() {
 		}
 	}
 	e.changed = true
-}
-
-// ParallelPRM runs the uniform-subdivision parallel PRM (Algorithm 1)
-// with the configured load-balancing strategy on space s. Every phase —
-// sample, weight, repartition, construct (node connection), region
-// connection, merge — executes through the scheduler runtime pipeline,
-// so heavy phases parallelize on the host (Options.HostWorkers) while
-// the virtual-time accounting stays deterministic.
-//
-// ParallelPRM is exactly one growth round of a PRMEngine; long-lived
-// callers that want to keep growing the same roadmap (or cancel
-// mid-build) should construct the engine directly.
-func ParallelPRM(s *cspace.Space, opts Options) (*PRMResult, error) {
-	eng, err := NewPRMEngine(s, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := eng.GrowRound(nil); err != nil {
-		return nil, err
-	}
-	return eng.Result(), nil
 }

@@ -88,8 +88,8 @@ func (b branch) size() int {
 // region graph, cone geometry and ownership state across rounds. It is
 // the round driver (engine) with the tree planner hooks; the growth
 // variant is plain RRT, RRT* (Options.Star) or RRT-Connect (a goal was
-// given — see NewRRTConnectEngine), and the one-shot ParallelRRT /
-// ParallelRRTConnect are exactly one round of it.
+// given — see NewRRTConnectEngine), and a one-shot plan is exactly one
+// round of it.
 type RRTEngine struct {
 	engine
 	goal   cspace.Config // RRT-Connect only; nil selects single-tree growth
@@ -558,41 +558,6 @@ func (e *RRTEngine) commitRepair(st *RepairStats) {
 	}
 	st.RemovedEdges += len(e.bridges) - len(kept)
 	e.bridges = kept
-}
-
-// ParallelRRT runs the uniform radial subdivision parallel RRT
-// (Algorithm 2) rooted at root with the configured load balancing. Like
-// ParallelPRM it is a phase pipeline over the scheduler runtime: weight,
-// repartition, branch growth (stealable) and branch connection all
-// execute through the runtime, sharing the PRM pipeline's skeleton.
-//
-// ParallelRRT is exactly one growth round of an RRTEngine; long-lived
-// callers that want to keep extending the same branches (or cancel
-// mid-build) should construct the engine directly.
-func ParallelRRT(s *cspace.Space, root cspace.Config, opts Options) (*RRTResult, error) {
-	eng, err := NewRRTEngine(s, root, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := eng.GrowRound(nil); err != nil {
-		return nil, err
-	}
-	return eng.Result(), nil
-}
-
-// ParallelRRTConnect runs the radial-subdivision parallel RRT-Connect
-// rooted at root, with every region's goal-side tree anchored toward
-// goal (exactly at goal for the region containing it). It is exactly one
-// growth round of NewRRTConnectEngine's engine.
-func ParallelRRTConnect(s *cspace.Space, root, goal cspace.Config, opts Options) (*RRTResult, error) {
-	eng, err := NewRRTConnectEngine(s, root, goal, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := eng.GrowRound(nil); err != nil {
-		return nil, err
-	}
-	return eng.Result(), nil
 }
 
 // assignContiguous partitions regions into equal-count contiguous chunks

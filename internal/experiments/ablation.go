@@ -116,8 +116,8 @@ func ablationRRTStar(sc Scale) *metrics.Table {
 	for i, star := range []bool{false, true} {
 		opts := rrtOpts(sc, procs, work.OpteronCluster())
 		opts.Star = star
-		base := mustRRT(s, rrtRoot(), noLB.apply(opts)).TotalTime
-		stolen := mustRRT(s, rrtRoot(), diffusiveWS.apply(opts)).TotalTime
+		base := grow(must(core.NewRRTEngine(s, rrtRoot(), noLB.apply(opts))), 1).TotalTime
+		stolen := grow(must(core.NewRRTEngine(s, rrtRoot(), diffusiveWS.apply(opts))), 1).TotalTime
 		t.AddRow(float64(i), base, stolen, base/stolen)
 	}
 	t.Notes = append(t.Notes, "variant 0 = plain RRT, 1 = RRT* (choose-parent + rewiring)")

@@ -78,10 +78,10 @@ func fig4b(sc Scale) *metrics.Table {
 			SamplesPerRegion: sc.SamplesPerRegion, ConnectK: 4, BoundaryK: 1,
 			Profile: work.OpteronCluster(), Seed: sc.Seed,
 		}
-		base := must(core.ParallelPRM(s, opts))
+		base := grow(must(core.NewPRMEngine(s, opts)), 1)
 		opts.Strategy = core.Repartition
 		opts.Partitioner = core.PartitionLPT
-		rp := must(core.ParallelPRM(s, opts))
+		rp := grow(must(core.NewPRMEngine(s, opts)), 1)
 		t.AddRow(float64(p), m.TheoreticalImprovement(p), expPct,
 			pctDrop(base.Phases.NodeConnection, rp.Phases.NodeConnection))
 	}
@@ -228,7 +228,7 @@ func fig10(sc Scale) []*metrics.Table {
 	panel := func(title string, e *env.Environment, ss []series) *metrics.Table {
 		s := robotSpace(e)
 		return sweep(title, "procs", sc.RRTProcs, ss, func(p int, st series) float64 {
-			return mustRRT(s, rrtRoot(), st.apply(rrtOpts(sc, p, work.OpteronCluster()))).TotalTime
+			return grow(must(core.NewRRTEngine(s, rrtRoot(), st.apply(rrtOpts(sc, p, work.OpteronCluster())))), 1).TotalTime
 		})
 	}
 	return []*metrics.Table{

@@ -80,11 +80,6 @@ func must[T any](v T, err error) T {
 	return v
 }
 
-// mustRRT is one growth round of the radial RRT.
-func mustRRT(s *cspace.Space, root cspace.Config, opts core.Options) *core.RRTResult {
-	return must(core.ParallelRRT(s, root, opts))
-}
-
 // grow runs rounds growth rounds on either core engine and returns its
 // cumulative result.
 func grow[R any](eng interface {
@@ -108,7 +103,7 @@ func robotSpace(e *env.Environment) *cspace.Space { return cspace.NewPointSpace(
 // the machine profile models, at p procs over sc.PRMRegions regions,
 // balanced as st says.
 func prmRound(sc Scale, e *env.Environment, profile work.MachineProfile, p int, st series) *core.PRMResult {
-	return must(core.ParallelPRM(robotSpace(e), st.apply(core.Options{
+	return grow(must(core.NewPRMEngine(robotSpace(e), st.apply(core.Options{
 		Procs:            p,
 		Regions:          sc.PRMRegions,
 		SamplesPerRegion: sc.SamplesPerRegion,
@@ -128,7 +123,7 @@ func prmRound(sc Scale, e *env.Environment, profile work.MachineProfile, p int, 
 			Secondary: cspace.GaussianSampler{},
 			Fraction:  0.5,
 		},
-	})))
+	}))), 1)
 }
 
 func rrtOpts(sc Scale, procs int, profile work.MachineProfile) core.Options {

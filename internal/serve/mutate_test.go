@@ -119,7 +119,7 @@ func TestServeQueryAdmittedBeforeMutateNeverCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ten, err := srv.Pool().Tenant(canon)
+	ten, err := srv.Pool().tenant(canon.Key(), canon)
 	if err != nil {
 		t.Fatal(err)
 	}

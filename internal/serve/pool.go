@@ -23,7 +23,7 @@ type engine interface {
 }
 
 // Pool owns the server's engines: one tenant per canonical spec,
-// constructed lazily on first request, pooled once built (see Tenant),
+// constructed lazily on first request, pooled once built (see tenant),
 // grown in the background, evicted least-recently-used beyond the cap.
 //
 // WaitGroup discipline: every p.wg.Add happens under p.mu while closed
@@ -81,7 +81,7 @@ type tenant struct {
 	repairUS atomic.Int64 // cumulative wall-clock repair latency, microseconds
 }
 
-// ErrPoolClosed is returned by Tenant after Close: a closed pool
+// ErrPoolClosed is returned by tenant after Close: a closed pool
 // refuses new tenants instead of leaking goroutines on a dead context.
 var ErrPoolClosed = errors.New("serve: pool closed")
 
@@ -99,7 +99,7 @@ func NewPool(cfg Config) *Pool {
 }
 
 // Close cancels every tenant and waits for their grow loops — the only
-// goroutines the pool starts — to exit. After Close, Tenant returns
+// goroutines the pool starts — to exit. After Close, tenant returns
 // ErrPoolClosed; a handler already past admission finishes its query on
 // the snapshot it holds; engines are left to the garbage collector.
 // Close is idempotent.
@@ -114,19 +114,15 @@ func (p *Pool) Close() {
 	p.wg.Wait()
 }
 
-// Tenant returns the live tenant for a canonical spec, touching it in
-// the LRU order; the first request for a spec builds its engine outside
-// the pool lock (bookkeeping never blocks on C-space subdivision) and
-// only a built tenant takes a slot, evicting the least recently used one
-// beyond the cap, and starts its one background goroutine, the grow loop.
+// tenant returns the live tenant for a canonical spec whose key is key,
+// touching it in the LRU order; the first request for a spec builds its
+// engine outside the pool lock (bookkeeping never blocks on C-space
+// subdivision) and only a built tenant takes a slot, evicting the least
+// recently used one beyond the cap, and starts its one background
+// goroutine, the grow loop.
 // A spec that cannot build returns the build error and leaves the pool
 // as it was. After Close — or when the pool closed while the engine was
 // building, in which case nothing starts — it returns ErrPoolClosed.
-func (p *Pool) Tenant(spec Spec) (*tenant, error) {
-	return p.tenant(spec.Key(), spec)
-}
-
-// tenant is Tenant for a canonical spec whose key is already known.
 func (p *Pool) tenant(key string, spec Spec) (*tenant, error) {
 	p.mu.Lock()
 	if p.closed {

@@ -18,10 +18,10 @@ import (
 // goroutine alive is the test's or the pool's. Run with -race: an
 // earlier pool called wg.Add from tenant start-up while Close could
 // already be in wg.Wait (a WaitGroup misuse that panics or races), and
-// Tenant could create tenants after Close, leaking goroutines on a dead
+// the pool could create tenants after Close, leaking goroutines on a dead
 // context. Every request must come back as an answer or a clean refusal
 // — 503 from a closed pool or a canceled tenant, 429 from a full gate —
-// Tenant must refuse a closed pool with ErrPoolClosed, and no goroutine
+// tenant must refuse a closed pool with ErrPoolClosed, and no goroutine
 // may outlive Close.
 func TestPoolCloseRace(t *testing.T) {
 	before := runtime.NumGoroutine()
@@ -82,8 +82,8 @@ func TestPoolCloseRace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := srv.Pool().Tenant(sp); !errors.Is(err, ErrPoolClosed) {
-			t.Fatalf("Tenant after Close returned %v, want ErrPoolClosed", err)
+		if _, err := srv.Pool().tenant(sp.Key(), sp); !errors.Is(err, ErrPoolClosed) {
+			t.Fatalf("tenant after Close returned %v, want ErrPoolClosed", err)
 		}
 	}
 	// Close waited for every grow loop and the handlers have returned:

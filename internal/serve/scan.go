@@ -236,10 +236,10 @@ type memoEntry struct {
 // and tenant key they resolved to, so a repeated spec skips decoding,
 // Canonical and Key. It is per Server, because Canonical depends on the
 // server's GrowRounds. A raw spec is put only after encoding/json,
-// Canonical and Pool.Tenant all succeeded on its body, so no failure is
-// remembered; the memo never holds a tenant, so eviction and rebuilds go
-// through the pool as before. When an entry would exceed either bound the
-// memo starts over empty.
+// Canonical and the pool's tenant lookup all succeeded on its body, so
+// no failure is remembered; the memo never holds a tenant, so eviction
+// and rebuilds go through the pool as before. When an entry would exceed
+// either bound the memo starts over empty.
 type specMemo struct {
 	mu    sync.Mutex
 	m     map[string]memoEntry

@@ -9,9 +9,9 @@
 //     problem lands on the same engine.
 //   - A /v1/query body in the shape json.Marshal writes is scanned
 //     without reflection, and its raw spec bytes, once encoding/json,
-//     Canonical and Pool.Tenant have succeeded on them, are memoized per
-//     server with their canonical spec and key; every other body, and
-//     every error, goes through encoding/json as before.
+//     Canonical and the pool's tenant lookup have succeeded on them, are
+//     memoized per server with their canonical spec and key; every other
+//     body, and every error, goes through encoding/json as before.
 //   - Pool maps tenant keys to lazily constructed engines. Each tenant
 //     grows its roadmap in a background goroutine toward a target round
 //     count; every committed round atomically publishes a fresh

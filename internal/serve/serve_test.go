@@ -348,7 +348,7 @@ func TestServeBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ten, err := srv.Pool().Tenant(spec)
+	ten, err := srv.Pool().tenant(spec.Key(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +458,7 @@ func TestPoolLazyAndLRU(t *testing.T) {
 	}
 	get := func(sp Spec) *tenant {
 		t.Helper()
-		ten, err := p.Tenant(sp)
+		ten, err := p.tenant(sp.Key(), sp)
 		if err != nil {
 			t.Fatal(err)
 		}

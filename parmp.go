@@ -24,19 +24,23 @@
 //
 //	e := parmp.EnvironmentByName("med-cube")
 //	space := parmp.NewPointSpace(e)
-//	res, err := parmp.PlanPRM(space, parmp.Options{
+//	snap, err := parmp.PlanPRM(space, parmp.Options{
 //		Procs:    64,
 //		Regions:  512,
 //		Strategy: parmp.Repartition,
 //	})
 //	if err != nil { ... }
-//	path, ok := parmp.Query(space, res.Roadmap, start, goal, 8)
+//	path, ok := snap.Query(start, goal, 8)
+//
+// A one-shot plan is the first Snapshot of an Engine; build the Engine
+// itself to keep growing, repair or cancel.
 //
 // See examples/ for runnable programs and cmd/mpbench for the harness that
 // regenerates every figure of the paper's evaluation.
 package parmp
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -56,9 +60,10 @@ type (
 	Options = core.Options
 	// Strategy selects the load balancing approach.
 	Strategy = core.Strategy
-	// PRMResult is the outcome of PlanPRM.
+	// PRMResult is a PRM snapshot's roadmap and run statistics.
 	PRMResult = core.PRMResult
-	// RRTResult is the outcome of PlanRRT.
+	// RRTResult is an RRT or RRT-Connect snapshot's branches and run
+	// statistics.
 	RRTResult = core.RRTResult
 	// PhaseBreakdown reports virtual time per pipeline phase.
 	PhaseBreakdown = core.PhaseBreakdown
@@ -90,37 +95,42 @@ const (
 )
 
 // PlanPRM constructs a roadmap of space's free C-space with the
-// uniform-subdivision parallel PRM under opts.
-func PlanPRM(space *Space, opts Options) (*PRMResult, error) {
-	return core.ParallelPRM(space, opts)
+// uniform-subdivision parallel PRM under opts: the snapshot of a fresh
+// NewEngine after one Grow.
+func PlanPRM(space *Space, opts Options) (*Snapshot, error) {
+	return planOnce(NewEngine(space, opts))
 }
 
 // PlanRRT grows a tree rooted at root with the uniform radial subdivision
-// parallel RRT under opts.
-func PlanRRT(space *Space, root Config, opts Options) (*RRTResult, error) {
-	return core.ParallelRRT(space, root, opts)
+// parallel RRT under opts: the snapshot of a fresh NewRRTEngine after one
+// Grow.
+func PlanRRT(space *Space, root Config, opts Options) (*Snapshot, error) {
+	return planOnce(NewRRTEngine(space, root, opts))
 }
 
 // PlanRRTConnect grows a pair of trees per region (root-side and
 // goal-side, greedily connected) with the uniform radial subdivision
-// parallel RRT-Connect under opts. Requires symmetric local motions:
+// parallel RRT-Connect under opts: the snapshot of a fresh
+// NewRRTConnectEngine after one Grow. Requires symmetric local motions:
 // steered spaces (Dubins) return an error.
-func PlanRRTConnect(space *Space, root, goal Config, opts Options) (*RRTResult, error) {
-	return core.ParallelRRTConnect(space, root, goal, opts)
+func PlanRRTConnect(space *Space, root, goal Config, opts Options) (*Snapshot, error) {
+	return planOnce(NewRRTConnectEngine(space, root, goal, opts))
+}
+
+// planOnce grows a just-built engine one round and returns its snapshot.
+func planOnce(e *Engine, err error) (*Snapshot, error) {
+	if err != nil {
+		return nil, err
+	}
+	if err := e.Grow(context.Background()); err != nil {
+		return nil, err
+	}
+	return e.Snapshot(), nil
 }
 
 // PlannerNames lists the planners understood by the command-line tools'
 // -planner flags and servable by an Engine.
 func PlannerNames() []string { return []string{"prm", "rrt", "rrtconnect"} }
-
-// Query connects start and goal to a roadmap (each to its k nearest
-// nodes) and extracts a path, returning ok=false if none exists. It
-// builds a throwaway index per call, so it suits one-shot queries;
-// answering several queries against the same roadmap is cheaper through
-// NewRoadmapIndex (or an Engine snapshot, which holds one already).
-func Query(space *Space, m *Roadmap, start, goal Config, k int) ([]Config, bool) {
-	return prm.BuildIndex(m).Query(space, start, goal, k, nil)
-}
 
 // NewPointSpace returns the C-space of a point robot in e.
 func NewPointSpace(e *Environment) *Space { return cspace.NewPointSpace(e) }

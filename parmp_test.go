@@ -11,7 +11,7 @@ func TestPublicPRMPipeline(t *testing.T) {
 		t.Fatal("med-cube missing")
 	}
 	space := NewPointSpace(e)
-	res, err := PlanPRM(space, Options{
+	snap, err := PlanPRM(space, Options{
 		Procs:            8,
 		Regions:          64,
 		SamplesPerRegion: 10,
@@ -21,11 +21,11 @@ func TestPublicPRMPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Roadmap.NumNodes() == 0 {
+	if snap.PRM().Roadmap.NumNodes() == 0 {
 		t.Fatal("empty roadmap")
 	}
 	start, goal := V(0.05, 0.05, 0.05), V(0.95, 0.95, 0.95)
-	path, ok := Query(space, res.Roadmap, start, goal, 8)
+	path, ok := snap.Query(start, goal, 8)
 	if !ok {
 		t.Fatal("query failed in med-cube")
 	}
@@ -36,7 +36,7 @@ func TestPublicPRMPipeline(t *testing.T) {
 
 func TestPublicRRTPipeline(t *testing.T) {
 	space := NewPointSpace(EnvironmentByName("mixed-30"))
-	res, err := PlanRRT(space, V(0.5, 0.5, 0.5), Options{
+	snap, err := PlanRRT(space, V(0.5, 0.5, 0.5), Options{
 		Procs:          4,
 		Regions:        24,
 		NodesPerRegion: 8,
@@ -48,8 +48,8 @@ func TestPublicRRTPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TotalNodes() < 24 {
-		t.Fatalf("tree too small: %d", res.TotalNodes())
+	if n := snap.RRT().TotalNodes(); n < 24 {
+		t.Fatalf("tree too small: %d", n)
 	}
 }
 
@@ -136,11 +136,11 @@ func TestPublicSamplersAndShortcut(t *testing.T) {
 		Procs: 4, Regions: 48, SamplesPerRegion: 12, Seed: 5,
 		Sampler: MixedSampler(UniformSampler(), GaussianSampler(0.05), 0.3),
 	}
-	res, err := PlanPRM(space, opts)
+	snap, err := PlanPRM(space, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Roadmap.NumNodes() == 0 {
+	if snap.PRM().Roadmap.NumNodes() == 0 {
 		t.Fatal("no nodes with mixed sampler")
 	}
 	path := []Config{V(0.05, 0.05, 0.05), V(0.05, 0.95, 0.05), V(0.95, 0.95, 0.95)}
@@ -156,17 +156,17 @@ func TestPublicSamplersAndShortcut(t *testing.T) {
 func TestPublicRRTStarAndExtract(t *testing.T) {
 	space := NewPointSpace(EnvironmentByName("free"))
 	root := V(0.5, 0.5, 0.5)
-	res, err := PlanRRT(space, root, Options{
+	snap, err := PlanRRT(space, root, Options{
 		Procs: 4, Regions: 24, NodesPerRegion: 15, Radius: 0.45,
 		Star: true, Seed: 9,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rewires == 0 {
+	if snap.RRT().Rewires == 0 {
 		t.Fatal("RRT* should rewire in free space")
 	}
-	path, ok := NewTreeIndex(res).ExtractPath(space, V(0.6, 0.55, 0.5))
+	path, ok := snap.Query(root, V(0.6, 0.55, 0.5), 1)
 	if !ok || len(path) < 2 {
 		t.Fatalf("extract failed: ok=%v len=%d", ok, len(path))
 	}
