@@ -41,9 +41,6 @@ func BuildTreeIndex(r *RRTResult) *TreeIndex {
 	return &TreeIndex{res: r, pts: pts, refs: refs, tree: knn.BuildParallel(pts, 0)}
 }
 
-// Result returns the indexed RRT result (read-only by contract).
-func (ix *TreeIndex) Result() *RRTResult { return ix.res }
-
 // NumNodes returns the number of indexed tree nodes.
 func (ix *TreeIndex) NumNodes() int { return len(ix.pts) }
 

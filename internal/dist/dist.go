@@ -35,8 +35,6 @@ type (
 	ProcStats = sched.WorkerStats
 	// TraceEvent is one simulator occurrence, emitted through Config.Trace.
 	TraceEvent = sched.TraceEvent
-	// Tracer receives simulator events in virtual-time order.
-	Tracer = sched.Tracer
 )
 
 // Runtime is the simulator as a pluggable scheduler backend.

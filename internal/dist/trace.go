@@ -1,7 +1,7 @@
 package dist
 
 // Trace event types live in internal/sched (shared with the host
-// executor); dist re-exports them as TraceEvent and Tracer.
+// executor); dist re-exports the event as TraceEvent.
 
 // trace emits an event if tracing is enabled.
 func (s *sim) trace(t float64, kind string, proc, peer, task int) {

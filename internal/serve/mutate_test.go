@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -198,7 +199,8 @@ func TestServeMutateRejectsInvalid(t *testing.T) {
 }
 
 // A portfolio tenant takes mutations too: every racer repairs, the
-// winner's snapshot reflects the new epoch, and stats agree.
+// winner's snapshot reflects the new epoch, and stats agree — and so
+// does an undecided race's empty snapshot.
 func TestServeMutatePortfolioTenant(t *testing.T) {
 	srv := New(testConfig())
 	defer srv.Close()
@@ -227,5 +229,48 @@ func TestServeMutatePortfolioTenant(t *testing.T) {
 	st := srv.Pool().Stats()[0]
 	if st.Epoch != 1 || st.Repairs != 1 {
 		t.Fatalf("stats epoch=%d repairs=%d, want 1 and 1", st.Epoch, st.Repairs)
+	}
+
+	// A race that cannot be won (the goal is inside med-cube's block),
+	// mutated once its first wave has run.
+	hopeless := Spec{Env: "med-cube", Portfolio: 2, Root: start, Goal: []float64{0.5, 0.5, 0.5},
+		Procs: 2, Regions: 8, Samples: 4}
+	postJSON(t, ts.Client(), ts.URL+"/v1/query", QueryRequest{Spec: hopeless, Start: start, Goal: goal}, nil)
+	racing := func() TenantStats {
+		resp, err := ts.Client().Get(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var sr StatsResponse
+		if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+			t.Fatal(err)
+		}
+		for _, ten := range sr.Tenants {
+			if ten.Env == "med-cube" {
+				return ten
+			}
+		}
+		t.Fatal("hopeless tenant not listed")
+		return TenantStats{}
+	}
+	for deadline := time.Now().Add(30 * time.Second); racing().Waves == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("hopeless race never ran a wave")
+		}
+	}
+	mr = MutateResponse{}
+	code, _ = postJSON(t, ts.Client(), ts.URL+"/v1/env/mutate", MutateRequest{
+		Spec: hopeless,
+		Mutations: []MutationSpec{{
+			Op:     "add",
+			Sphere: &SphereSpec{Center: []float64{0.9, 0.9, 0.9}, Radius: 0.05},
+		}},
+	}, &mr)
+	if code != http.StatusOK || mr.Epoch != 1 {
+		t.Fatalf("undecided portfolio mutate: status %d epoch %d, want 200 and 1", code, mr.Epoch)
+	}
+	if st := racing(); st.Epoch != 1 || st.Winner != nil {
+		t.Fatalf("undecided portfolio stats: epoch %d winner %v, want 1 and none", st.Epoch, st.Winner)
 	}
 }

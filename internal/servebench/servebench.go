@@ -126,67 +126,22 @@ type Gate struct {
 }
 
 // Check enforces g against r, comparing tails to baseline when non-nil.
-// It returns every violation, not just the first.
+// It returns every violation, not just the first. A baseline p99 that is
+// not positive (written before the field existed) gates nothing.
 func (g Gate) Check(r Result, baseline *Result) error {
-	var limits []limit
-	if g.MaxErrorRate >= 0 {
-		limits = append(limits, limit{name: fmt.Sprintf("error rate (%d/%d)", r.Errors, r.Queries),
-			cur: r.ErrorRate, ref: g.MaxErrorRate, kind: ceiling})
+	var bad strings.Builder
+	if g.MaxErrorRate >= 0 && r.ErrorRate > g.MaxErrorRate {
+		fmt.Fprintf(&bad, "\n  error rate (%d/%d) %.6g exceeds %.6g", r.Errors, r.Queries, r.ErrorRate, g.MaxErrorRate)
 	}
 	if baseline != nil && g.MaxRegress >= 0 {
-		limits = append(limits, limit{name: "latency p99 (µs)",
-			cur: r.Latency.P99, ref: baseline.Latency.P99, kind: regress, tol: g.MaxRegress})
-	}
-	return check("serve gate", limits)
-}
-
-// kind is how a limit compares the current value with its reference.
-type kind int
-
-const (
-	// ceiling: cur must not exceed ref.
-	ceiling kind = iota
-	// regress: cur must not exceed ref by more than the fraction tol.
-	// A reference that is not positive (a baseline written before the
-	// field existed) gates nothing.
-	regress
-)
-
-// limit is one row of a gate's table.
-type limit struct {
-	name     string
-	cur, ref float64
-	kind     kind
-	tol      float64
-}
-
-// violation describes how l is violated, or returns "".
-func (l limit) violation() string {
-	switch l.kind {
-	case ceiling:
-		if l.cur > l.ref {
-			return fmt.Sprintf("%s %.6g exceeds %.6g", l.name, l.cur, l.ref)
-		}
-	case regress:
-		if lim := l.ref * (1 + l.tol); l.ref > 0 && l.cur > lim {
-			return fmt.Sprintf("%s %.6g exceeds reference %.6g by more than %.0f%% (limit %.6g)",
-				l.name, l.cur, l.ref, 100*l.tol, lim)
-		}
-	}
-	return ""
-}
-
-// check enforces every limit and returns one error, headed by name,
-// listing every violation — not just the first.
-func check(name string, limits []limit) error {
-	var bad strings.Builder
-	for _, l := range limits {
-		if v := l.violation(); v != "" {
-			bad.WriteString("\n  " + v)
+		ref := baseline.Latency.P99
+		if lim := ref * (1 + g.MaxRegress); ref > 0 && r.Latency.P99 > lim {
+			fmt.Fprintf(&bad, "\n  latency p99 (µs) %.6g exceeds reference %.6g by more than %.0f%% (limit %.6g)",
+				r.Latency.P99, ref, 100*g.MaxRegress, lim)
 		}
 	}
 	if bad.Len() == 0 {
 		return nil
 	}
-	return fmt.Errorf("%s:%s", name, bad.String())
+	return fmt.Errorf("serve gate:%s", bad.String())
 }

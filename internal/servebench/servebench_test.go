@@ -44,10 +44,10 @@ func TestGateCheck(t *testing.T) {
 		t.Fatalf("error-rate violation not caught: %v", err)
 	}
 
-	// Both violations reported together.
+	// Both violations reported together, under the gate's heading.
 	both := slow
 	both.Errors, both.ErrorRate = 100, 0.01
-	if err := g.Check(both, &base); err == nil ||
+	if err := g.Check(both, &base); err == nil || !strings.HasPrefix(err.Error(), "serve gate:") ||
 		!strings.Contains(err.Error(), "p99") || !strings.Contains(err.Error(), "error rate") {
 		t.Fatalf("combined violations not fully reported: %v", err)
 	}
@@ -111,37 +111,38 @@ func TestWriteLoadRejectsMissingAndMalformed(t *testing.T) {
 }
 
 func TestCheckKinds(t *testing.T) {
+	gate := Gate{MaxErrorRate: 0.5, MaxRegress: 0.10}
+	hundred := Result{Latency: Percentiles{P99: 100}}
 	cases := []struct {
-		l   limit
-		bad bool
+		name      string
+		errorRate float64
+		p99       float64
+		baseline  Result
+		bad       string // substring naming the violation, "" when none
 	}{
-		{limit{"at ceiling", 50, 50, ceiling, 0}, false},
-		{limit{"over ceiling", 51, 50, ceiling, 0}, true},
-		{limit{"inside regress", 109, 100, regress, 0.10}, false},
-		{limit{"past regress", 111, 100, regress, 0.10}, true},
-		{limit{"regress without reference", 111, 0, regress, 0.10}, false},
+		{"at ceiling", 0.5, 100, hundred, ""},
+		{"over ceiling", 0.51, 100, hundred, "error rate"},
+		{"inside regress", 0, 109, hundred, ""},
+		{"past regress", 0, 111, hundred, "p99"},
+		{"regress without reference", 0, 111, Result{}, ""},
 	}
-	var all []limit
 	for _, c := range cases {
-		all = append(all, c.l)
-		if err := check("gate", []limit{c.l}); (err != nil) != c.bad {
-			t.Errorf("%s: err = %v, want violation %v", c.l.name, err, c.bad)
+		r := Result{ErrorRate: c.errorRate, Latency: Percentiles{P99: c.p99}}
+		err := gate.Check(r, &c.baseline)
+		if (err != nil) != (c.bad != "") || (err != nil && !strings.Contains(err.Error(), c.bad)) {
+			t.Errorf("%s: err = %v, want violation %q", c.name, err, c.bad)
 		}
 	}
-	// Every violation is reported, not just the first.
-	err := check("gate", all)
+	// Every violation is reported, not just the first, under the heading.
+	err := gate.Check(Result{ErrorRate: 0.51, Latency: Percentiles{P99: 111}}, &hundred)
 	if err == nil {
-		t.Fatal("table with violations passed")
+		t.Fatal("run with two violations passed")
 	}
-	for _, c := range cases {
-		if got := strings.Contains(err.Error(), c.l.name+" "); got != c.bad {
-			t.Errorf("%s: reported %v, want %v\n%v", c.l.name, got, c.bad, err)
-		}
+	if !strings.HasPrefix(err.Error(), "serve gate:") ||
+		!strings.Contains(err.Error(), "error rate") || !strings.Contains(err.Error(), "p99") {
+		t.Errorf("violations not all reported under the gate's heading: %v", err)
 	}
-	if !strings.HasPrefix(err.Error(), "gate:") {
-		t.Errorf("error not headed by the gate's name: %v", err)
-	}
-	if err := check("gate", nil); err != nil {
-		t.Errorf("empty table failed: %v", err)
+	if err := (Gate{MaxErrorRate: -1, MaxRegress: -1}).Check(Result{ErrorRate: 1, Latency: Percentiles{P99: 1e9}}, &hundred); err != nil {
+		t.Errorf("gate with no limits failed: %v", err)
 	}
 }

@@ -191,11 +191,14 @@ func (e *Engine) ApplyDelta(ctx context.Context, muts ...Mutation) (RepairStats,
 
 // ApplyDelta mutates the world for every contestant: the race's shared
 // space template advances (so engines built by future Luby restarts plan
-// the mutated world) and each live engine — racer 0's prebuilt one
-// before the first wave, then every racer still in the race — repairs
-// its committed structure via Engine.ApplyDelta. All racers receive the same mutation
-// sequence, so their environments — and epochs — stay in lockstep. The
-// returned stats sum the racers' repair work for this call.
+// the mutated world) and every live racer — racer 0's first engine
+// before the first wave, then every racer still in the race, winner and
+// losers alike — repairs its committed structure via Engine.ApplyDelta.
+// All racers receive the same mutation sequence, so their environments —
+// and epochs — stay in lockstep. The portfolio then republishes: the
+// winner's repaired snapshot, or, before the win, the empty snapshot in
+// the new world and epoch. The returned stats sum the racers' repair
+// work for this call.
 //
 // The mutations are validated against the template first: an invalid
 // mutation returns an error with no racer touched. Cancellation mid-way
@@ -214,32 +217,26 @@ func (p *Portfolio) ApplyDelta(ctx context.Context, muts ...Mutation) (RepairSta
 	if err != nil {
 		return total, err
 	}
-	if p.prebuilt != nil {
-		st, err := p.prebuilt.ApplyDelta(ctx, muts...)
-		if err != nil {
-			return total, err
-		}
-		total.Add(st)
-	}
-	for i, rs := range p.race.States() {
-		// A racer whose Luby budget ran out is dropped until the next wave
-		// rebuilds it from the template; p.engines still holds its old
-		// engine for Report, but that engine is no contestant to repair.
-		if rs.Instance == nil || rs.Err != nil {
+	for _, r := range p.racers {
+		// A racer whose budget ran out keeps its old engine for Report
+		// until the next wave rebuilds it from the template; that engine
+		// is no contestant to repair.
+		if r.eng == nil || r.due || r.err != nil {
 			continue
 		}
-		st, err := p.engines[i].ApplyDelta(ctx, muts...)
+		st, err := r.eng.ApplyDelta(ctx, muts...)
 		if err != nil {
 			return total, err
 		}
 		total.Add(st)
 	}
 	p.space = p.space.WithEnv(newEnv)
-	switch {
-	case p.winner != nil:
-		p.snap.Store(p.winner.Snapshot())
-	case p.prebuilt != nil:
-		p.snap.Store(p.prebuilt.Snapshot())
+	if w := p.Winner(); w >= 0 {
+		p.publish(*p.racers[w].eng.Snapshot())
+	} else {
+		s := *p.snap.Load()
+		s.space, s.epoch = p.space, p.space.Env.Epoch
+		p.publish(s)
 	}
 	return total, nil
 }

@@ -463,7 +463,7 @@ func TestPortfolioApplyDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Mutate before any wave: the prebuilt racer repairs, and racers
+	// Mutate before any wave: racer 0's first engine repairs, and racers
 	// built later inherit the mutated template.
 	cube := NewBoxObstacle(V(0.4, 0.4, 0.4), V(0.6, 0.6, 0.6))
 	if _, err := pf.ApplyDelta(ctx, AddObstacle{Obstacle: cube}); err != nil {
@@ -499,21 +499,22 @@ func TestPortfolioApplyDelta(t *testing.T) {
 		t.Fatalf("stale path served through the slab: %v", p)
 	}
 	// Every live racer saw the same mutation sequence.
-	for i, eng := range pf.engines {
-		if eng == nil {
+	for i, r := range pf.racers {
+		if r.eng == nil {
 			continue
 		}
-		if got := eng.Snapshot().Epoch(); got != 2 {
+		if got := r.eng.Snapshot().Epoch(); got != 2 {
 			t.Fatalf("racer %d epoch = %d, want 2", i, got)
 		}
 	}
 }
 
 // TestPortfolioApplyDeltaSkipsDroppedRacers: a racer whose Luby budget
-// ran out has no engine until the next wave rebuilds it from the
-// template, so a mutation between the two repairs nothing — the dropped
-// engines are not contestants and their repair work is not the race's.
-// The rebuilt racers still plan the mutated world.
+// ran out has no contestant engine until the next wave rebuilds it from
+// the template, so a mutation between the two repairs nothing — the
+// dropped engines are not contestants and their repair work is not the
+// race's. The portfolio still publishes the mutated world, and the
+// rebuilt racers plan it.
 func TestPortfolioApplyDeltaSkipsDroppedRacers(t *testing.T) {
 	ctx := context.Background()
 	space := NewPointSpace(EnvironmentByName("med-cube"))
@@ -532,6 +533,7 @@ func TestPortfolioApplyDeltaSkipsDroppedRacers(t *testing.T) {
 	if got := pf.Report().Restarts; got != 2 {
 		t.Fatalf("restarts after one wave = %d, want 2 (both racers dropped)", got)
 	}
+	before := pf.Snapshot()
 	box := NewBoxObstacle(V(0, 0, 0), V(0.2, 0.2, 0.2))
 	st, err := pf.ApplyDelta(ctx, AddObstacle{Obstacle: box})
 	if err != nil {
@@ -543,11 +545,16 @@ func TestPortfolioApplyDeltaSkipsDroppedRacers(t *testing.T) {
 	if pf.space.Env.Epoch != 1 {
 		t.Fatalf("template epoch = %d, want 1", pf.space.Env.Epoch)
 	}
+	// A mutation that repairs no racer is still the published world's.
+	if snap := pf.Snapshot(); snap.Epoch() != 1 || snap.Generation() <= before.Generation() {
+		t.Fatalf("published epoch/generation = %d/%d, want 1 and > %d",
+			snap.Epoch(), snap.Generation(), before.Generation())
+	}
 	if err := pf.Grow(ctx); err != nil {
 		t.Fatal(err)
 	}
-	for i, eng := range pf.engines {
-		if got := eng.Snapshot().Epoch(); got != 1 {
+	for i, r := range pf.racers {
+		if got := r.eng.Snapshot().Epoch(); got != 1 {
 			t.Fatalf("rebuilt racer %d epoch = %d, want 1", i, got)
 		}
 	}

@@ -10,7 +10,7 @@ import (
 	"sync/atomic"
 
 	"parmp/internal/core"
-	"parmp/internal/portfolio"
+	"parmp/internal/rng"
 )
 
 // PhaseReport is one phase's scheduler execution profile; see
@@ -90,34 +90,68 @@ func (po PortfolioOptions) withDefaults() (PortfolioOptions, error) {
 // A Portfolio serves exactly like an Engine: Snapshot returns the
 // latest atomically published immutable snapshot (empty until the race
 // is won, then the winner's), so Snapshot.Query/QueryBatch work
-// unchanged, concurrently with racing. Growth is serialized internally;
-// losers are cancelled through the engines' cooperative-cancellation
-// path and never tear committed state.
+// unchanged, concurrently with racing. Every published snapshot carries
+// the portfolio's own generation, strictly increasing across growth,
+// the win and repairs. Growth is serialized internally; losers are
+// cancelled through the engines' cooperative-cancellation path and
+// never tear committed state.
 //
-// Determinism: an uninterrupted race's winner and published snapshots
+// The race runs in lockstep waves: every live racer grows one round
+// concurrently, then a barrier arbitrates, and the lowest-indexed racer
+// whose committed round solves the query wins. A solver cancels every
+// higher-indexed racer mid-round (they lose any same-wave tie) and never
+// a lower one, so an uninterrupted race's winner and published snapshots
 // are a pure function of (space, query, base options, portfolio
-// options) — arbitration runs in lockstep waves with ties broken by
-// racer index, never by wall clock.
+// options), never of the wall clock.
 type Portfolio struct {
 	space       *Space
 	start, goal Config
 	base        Options
 	po          PortfolioOptions
+	// build constructs racer i's engine for a restart and returns it with
+	// its derived seed.
+	build func(i, restart int) (contestant, uint64, error)
 
-	mu       sync.Mutex // serializes Grow/Solve; guards the fields below
-	race     *portfolio.Race
-	engines  []*Engine // current engine per racer (nil before first wave)
-	seeds    []uint64  // current derived seed per racer
-	prebuilt *Engine   // racer 0's restart-0 engine, built eagerly
-	winner   *Engine
+	mu     sync.Mutex // serializes Grow/Solve/ApplyDelta; guards the fields below
+	racers []racer
+	gen    uint64 // snapshots published so far
 
 	snap atomic.Pointer[Snapshot]
-
-	// Lock-free stats mirrors, readable while a wave is in flight.
-	waves     atomic.Int64
-	restarts  atomic.Int64
-	winnerIdx atomic.Int64 // -1 until decided
+	// stats is the race's progress (waves, restarts, winner), replaced
+	// under mu on every change and readable while a wave is in flight.
+	stats atomic.Pointer[PortfolioStats]
 }
+
+// contestant is a racer's engine as the race drives it; *Engine is one.
+type contestant interface {
+	Grow(ctx context.Context) error
+	Snapshot() *Snapshot
+	ApplyDelta(ctx context.Context, muts ...Mutation) (RepairStats, error)
+}
+
+// racer is one contestant's state, updated by waves.
+type racer struct {
+	eng     contestant // current engine; nil before the first build
+	seed    uint64     // eng's derived seed
+	restart int        // completed restarts (0 = still on the first engine)
+	round   int        // committed rounds within the current budget
+	rounds  int        // committed rounds across all restarts
+	// budget is the current restart's round allowance (Luby value ×
+	// UnitRounds); 0 never restarts.
+	budget int
+	// due reports that the budget ran out: eng is kept for Report but is
+	// no contestant, and the next wave rebuilds the racer.
+	due bool
+	// stopped reports that the latest wave round was cancelled mid-flight
+	// by arbitration; the engine's committed state is untouched.
+	stopped bool
+	solved  bool  // the latest committed round answers the race query
+	err     error // terminal build/grow failure; the racer is out
+}
+
+// errAllRacersFailed reports that every contestant hit a terminal
+// build/grow error, so no wave can make progress.
+var errAllRacersFailed = errors.New("parmp: every portfolio racer failed")
 
 // NewPortfolio creates a portfolio racing to solve the (start, goal)
 // query in space. base supplies every racer's engine options; racer
@@ -134,76 +168,88 @@ func NewPortfolio(space *Space, start, goal Config, base Options, po PortfolioOp
 		return nil, fmt.Errorf("parmp: race query is %dD/%dD, space is %dD", len(start), len(goal), space.Dim())
 	}
 	p := &Portfolio{
-		space:   space,
-		start:   start.Clone(),
-		goal:    goal.Clone(),
-		base:    base,
-		po:      po,
-		engines: make([]*Engine, po.Racers),
-		seeds:   make([]uint64, po.Racers),
+		space:  space,
+		start:  start.Clone(),
+		goal:   goal.Clone(),
+		base:   base,
+		po:     po,
+		racers: make([]racer, po.Racers),
 	}
-	p.winnerIdx.Store(-1)
-	// Build racer 0's first engine eagerly: it validates the shared
+	p.build = p.buildEngine
+	p.stats.Store(&PortfolioStats{Racers: po.Racers, Winner: -1})
+	// Build racer 0's first engine now: it validates the shared
 	// configuration up front and donates the initial empty snapshot.
-	eng0, seed0, err := p.buildEngine(0, 0)
-	if err != nil {
+	p.ready(0)
+	if err := p.racers[0].err; err != nil {
 		return nil, err
 	}
-	p.prebuilt = eng0
-	p.seeds[0] = seed0
-	p.snap.Store(eng0.Snapshot())
-
-	racers := make([]portfolio.Racer, po.Racers)
-	for i := range racers {
-		i := i
-		racers[i] = portfolio.Racer{Build: func(restart int) (portfolio.Instance, error) {
-			eng := p.prebuilt
-			seed := p.seeds[0]
-			if i == 0 && restart == 0 && eng != nil {
-				p.prebuilt = nil
-			} else {
-				var err error
-				eng, seed, err = p.buildEngine(i, restart)
-				if err != nil {
-					return nil, err
-				}
-			}
-			p.engines[i], p.seeds[i] = eng, seed
-			return &racerInstance{eng: eng, pf: p}, nil
-		}}
-	}
-	unit := po.UnitRounds
-	if po.Restarts == "none" {
-		unit = 0
-	}
-	p.race = portfolio.New(racers, unit)
+	p.publish(*p.racers[0].eng.Snapshot())
 	return p, nil
 }
 
-// buildEngine constructs racer's engine for the given restart with its
+// buildEngine constructs racer i's engine for the given restart with its
 // deterministically derived seed.
-func (p *Portfolio) buildEngine(racer, restart int) (*Engine, uint64, error) {
-	seed := portfolio.DeriveSeed(p.base.Seed, racer, restart)
+func (p *Portfolio) buildEngine(i, restart int) (contestant, uint64, error) {
+	seed := deriveSeed(p.base.Seed, i, restart)
 	opts := p.base
 	opts.Seed = seed
-	eng, err := NewEngineByName(p.po.Planners[racer%len(p.po.Planners)], p.space, p.start, p.goal, opts)
+	eng, err := NewEngineByName(p.po.Planners[i%len(p.po.Planners)], p.space, p.start, p.goal, opts)
 	if err != nil {
-		return nil, 0, fmt.Errorf("parmp: portfolio racer %d restart %d: %w", racer, restart, err)
+		return nil, 0, fmt.Errorf("parmp: portfolio racer %d restart %d: %w", i, restart, err)
 	}
 	return eng, seed, nil
 }
 
-// racerInstance adapts an Engine onto the race's Instance contract.
-type racerInstance struct {
-	eng *Engine
-	pf  *Portfolio
+// luby returns the i-th element (1-based) of the Luby restart sequence
+// 1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8, ... Restarting with
+// budgets proportional to it is within a log factor of the optimal
+// restart strategy for any (unknown) runtime distribution.
+func luby(i int) int {
+	if i < 1 {
+		panic(fmt.Sprintf("parmp: Luby index %d < 1", i))
+	}
+	for k := 1; ; k++ {
+		if i == 1<<k-1 {
+			return 1 << (k - 1)
+		}
+		if i < 1<<k-1 {
+			return luby(i - (1<<(k-1) - 1))
+		}
+	}
 }
 
-func (ri *racerInstance) Grow(ctx context.Context) error { return ri.eng.Grow(ctx) }
+// deriveSeed maps (base seed, racer, restart) onto a decorrelated engine
+// seed, so a portfolio's entire seed tree is a pure function of the base
+// seed: racer 0 restart 0 always gets the same seed, across runs and
+// across hosts.
+func deriveSeed(base uint64, racer, restart int) uint64 {
+	return rng.Derive(rng.Derive(base, 0xb0a7f0110+uint64(racer)).Uint64(), uint64(restart)).Uint64()
+}
 
-func (ri *racerInstance) Solved() bool {
-	_, ok := ri.eng.Snapshot().Query(ri.pf.start, ri.pf.goal, raceAttachK)
-	return ok
+// ready (re)builds racer i's engine when it has none or its budget ran
+// out, with a fresh Luby budget; a build failure takes the racer out.
+func (p *Portfolio) ready(i int) {
+	r := &p.racers[i]
+	if r.err != nil || (r.eng != nil && !r.due) {
+		return
+	}
+	eng, seed, err := p.build(i, r.restart)
+	if err != nil {
+		r.err = err
+		return
+	}
+	r.eng, r.seed, r.due, r.round, r.budget = eng, seed, false, 0, 0
+	if p.po.Restarts != "none" {
+		r.budget = luby(r.restart+1) * p.po.UnitRounds
+	}
+}
+
+// publish installs s stamped with the portfolio's next generation.
+// Called with mu held (or before the portfolio escapes its constructor).
+func (p *Portfolio) publish(s Snapshot) {
+	p.gen++
+	s.gen = p.gen
+	p.snap.Store(&s)
 }
 
 // Grow advances the portfolio by one unit of work and publishes any new
@@ -221,32 +267,113 @@ func (p *Portfolio) Grow(ctx context.Context) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.winner != nil {
-		if err := p.winner.Grow(ctx); err != nil {
+	st := p.stats.Load()
+	if st.Winner >= 0 {
+		eng := p.racers[st.Winner].eng
+		if err := eng.Grow(ctx); err != nil {
 			return err
 		}
-		p.snap.Store(p.winner.Snapshot())
+		p.publish(*eng.Snapshot())
 		return nil
 	}
-	if p.po.MaxWaves > 0 && p.race.Waves() >= p.po.MaxWaves {
+	if p.po.MaxWaves > 0 && st.Waves >= p.po.MaxWaves {
 		return ErrNoSolution
 	}
-	won, err := p.race.Wave(ctx)
-	p.waves.Store(int64(p.race.Waves()))
-	p.restarts.Store(int64(p.race.Restarts()))
-	if err != nil {
+	if err := p.wave(ctx); err != nil {
 		if ctx.Err() != nil {
 			return ErrStopped
 		}
 		return err
 	}
-	if won {
-		i := p.race.Winner()
-		p.winner = p.engines[i]
-		p.winnerIdx.Store(int64(i))
-		p.snap.Store(p.winner.Snapshot())
-	}
 	return nil
+}
+
+// wave runs one lockstep wave of the undecided race: each live racer
+// (re)builds its engine if needed and grows one round, all concurrently;
+// the barrier then arbitrates, publishes a winner's snapshot, or marks
+// the racers whose budget ran out for a Luby restart. Cancellation of
+// ctx stops every in-flight round cooperatively and returns ctx.Err()
+// with all committed state intact. Called with mu held.
+func (p *Portfolio) wave(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	live := 0
+	for i := range p.racers {
+		p.ready(i)
+		if p.racers[i].err == nil {
+			live++
+		}
+	}
+	if live == 0 {
+		return errAllRacersFailed
+	}
+
+	// One cancellable context per racer: a solver cancels every
+	// higher-indexed racer, never a lower one, so the set of completed
+	// rounds below the eventual winner — and with it the arbitration
+	// outcome — is identical in every execution.
+	ctxs := make([]context.Context, len(p.racers))
+	cancels := make([]context.CancelFunc, len(p.racers))
+	for i := range p.racers {
+		ctxs[i], cancels[i] = context.WithCancel(ctx)
+		defer cancels[i]()
+	}
+	var wg sync.WaitGroup
+	for i := range p.racers {
+		r := &p.racers[i]
+		if r.err != nil {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := r.eng.Grow(ctxs[i]); err != nil {
+				if ctxs[i].Err() != nil {
+					r.stopped = true // cancelled mid-round; nothing committed
+				} else {
+					r.err = err
+				}
+				return
+			}
+			r.stopped = false
+			r.round++
+			r.rounds++
+			if _, ok := r.eng.Snapshot().Query(p.start, p.goal, raceAttachK); ok {
+				r.solved = true
+				for _, cancel := range cancels[i+1:] {
+					cancel()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	st := *p.stats.Load()
+	st.Waves++
+	for i := range p.racers {
+		if p.racers[i].solved {
+			st.Winner = i
+			break
+		}
+	}
+	if st.Winner < 0 && ctx.Err() == nil {
+		// Budget exhausted without a solution: the racer restarts on a
+		// fresh derived seed when the next wave rebuilds it.
+		for i := range p.racers {
+			if r := &p.racers[i]; r.err == nil && r.budget > 0 && r.round >= r.budget {
+				r.due = true
+				r.restart++
+				st.Restarts++
+			}
+		}
+	}
+	p.stats.Store(&st)
+	if st.Winner >= 0 {
+		p.publish(*p.racers[st.Winner].eng.Snapshot())
+		return nil
+	}
+	return ctx.Err()
 }
 
 // Solve races until the first solution and returns the final report.
@@ -254,26 +381,22 @@ func (p *Portfolio) Grow(ctx context.Context) error {
 // MaxWaves set, ErrNoSolution after that many fruitless waves. In both
 // cases committed state is intact and Solve can be called again.
 func (p *Portfolio) Solve(ctx context.Context) (*PortfolioReport, error) {
-	for {
-		if p.Winner() >= 0 {
-			return p.Report(), nil
-		}
-		if p.po.MaxWaves > 0 && int(p.waves.Load()) >= p.po.MaxWaves {
-			return p.Report(), ErrNoSolution
-		}
+	for p.Winner() < 0 {
 		if err := p.Grow(ctx); err != nil {
 			return p.Report(), err
 		}
 	}
+	return p.Report(), nil
 }
 
 // Winner returns the winning racer's index, or -1 while the race is
 // undecided. Safe to call concurrently with Grow.
-func (p *Portfolio) Winner() int { return int(p.winnerIdx.Load()) }
+func (p *Portfolio) Winner() int { return p.stats.Load().Winner }
 
 // Snapshot returns the latest published snapshot: valid and empty until
-// the race is won, then the winner's latest committed state. Immutable
-// and safe for concurrent use, exactly like Engine.Snapshot.
+// the race is won, then the winner's latest committed state, at the
+// portfolio's own generation and world epoch. Immutable and safe for
+// concurrent use, exactly like Engine.Snapshot.
 func (p *Portfolio) Snapshot() *Snapshot { return p.snap.Load() }
 
 // Rounds returns the published snapshot's committed round count (the
@@ -290,14 +413,7 @@ type PortfolioStats struct {
 }
 
 // Stats reports the race's progress without blocking on growth.
-func (p *Portfolio) Stats() PortfolioStats {
-	return PortfolioStats{
-		Racers:   p.po.Racers,
-		Waves:    int(p.waves.Load()),
-		Restarts: int(p.restarts.Load()),
-		Winner:   p.Winner(),
-	}
-}
+func (p *Portfolio) Stats() PortfolioStats { return *p.stats.Load() }
 
 // RacerReport is one contestant's final accounting.
 type RacerReport struct {
@@ -341,29 +457,29 @@ type PortfolioReport struct {
 func (p *Portfolio) Report() *PortfolioReport {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	st := p.stats.Load()
 	rep := &PortfolioReport{
-		Winner:   -1,
-		Waves:    p.race.Waves(),
-		Restarts: p.race.Restarts(),
-		Racers:   make([]RacerReport, p.po.Racers),
+		Winner:   st.Winner,
+		Waves:    st.Waves,
+		Restarts: st.Restarts,
+		Racers:   make([]RacerReport, len(p.racers)),
 	}
-	for i, st := range p.race.States() {
+	for i, r := range p.racers {
 		rr := RacerReport{
 			Planner:  p.po.Planners[i%len(p.po.Planners)],
-			Seed:     p.seeds[i],
-			Restarts: st.Restart,
-			Rounds:   st.Rounds,
-			Stopped:  st.Stopped,
-			Solved:   st.Solved,
-			Err:      st.Err,
+			Seed:     r.seed,
+			Restarts: r.restart,
+			Rounds:   r.rounds,
+			Stopped:  r.stopped,
+			Solved:   r.solved,
+			Err:      r.err,
 		}
-		if eng := p.engines[i]; eng != nil {
-			rr.PhaseReports = eng.Snapshot().stats.PhaseReports
+		if r.eng != nil {
+			rr.PhaseReports = r.eng.Snapshot().stats.PhaseReports
 		}
 		rep.Racers[i] = rr
 	}
-	if w := p.race.Winner(); w >= 0 {
-		rep.Winner = w
+	if w := st.Winner; w >= 0 {
 		rep.WinnerPlanner = rep.Racers[w].Planner
 		rep.WinnerSeed = rep.Racers[w].Seed
 	}
