@@ -31,6 +31,13 @@ func main() {
 	procs := flag.Int("procs", 8, "processors for the partition analysis")
 	samples := flag.Int("samples", 32, "sampling attempts per region")
 	flag.Parse()
+	// Every int flag is a count: reject a non-positive one before any work.
+	flag.Visit(func(f *flag.Flag) {
+		if n, ok := f.Value.(flag.Getter).Get().(int); ok && n <= 0 {
+			fmt.Fprintf(os.Stderr, "envinfo: -%s must be positive, got %d\n", f.Name, n)
+			os.Exit(2)
+		}
+	})
 
 	var e *env.Environment
 	if *envFile != "" {
@@ -56,7 +63,7 @@ func main() {
 	fmt.Printf("planners    : %s\n", strings.Join(parmp.PlannerNames(), ", "))
 
 	// Region-level free volume and sample-count weights.
-	rg, err := region.UniformGrid(e.Bounds, region.SplitEvenly(e.Dim(), *regions, 0))
+	rg, err := region.UniformGrid(e.Bounds, region.SplitEvenly(e.Dim(), *regions))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "envinfo:", err)
 		os.Exit(2)
@@ -67,7 +74,7 @@ func main() {
 	weights := make([]float64, n)
 	params := prm.Params{SamplesPerRegion: *samples, K: 4}
 	for i := 0; i < n; i++ {
-		vfree[i] = e.FreeVolumeIn(rg.Region(i).Core, 2000, uint64(i))
+		vfree[i] = e.FreeVolumeIn(rg.Region(i).Box, 2000, uint64(i))
 		nodes, _ := prm.SampleRegion(s, rg.Region(i).Box, i, params, rng.Derive(1, uint64(i)))
 		weights[i] = float64(len(nodes))
 	}

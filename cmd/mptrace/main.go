@@ -51,6 +51,13 @@ func main() {
 	top := flag.Int("top", 12, "with -costs, heaviest regions to list per round")
 	verbose := flag.Bool("v", false, "print the raw event log too")
 	flag.Parse()
+	// Every int flag is a count: reject a non-positive one before any work.
+	flag.Visit(func(f *flag.Flag) {
+		if n, ok := f.Value.(flag.Getter).Get().(int); ok && n <= 0 {
+			fmt.Fprintf(os.Stderr, "mptrace: -%s must be positive, got %d\n", f.Name, n)
+			os.Exit(2)
+		}
+	})
 
 	e := env.ByName(*envName)
 	if e == nil {

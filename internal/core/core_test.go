@@ -476,34 +476,6 @@ func TestParallelRRTStar(t *testing.T) {
 	}
 }
 
-func TestPRMWithOverlap(t *testing.T) {
-	// Overlapping region boxes let boundary samples land outside the core
-	// cell, which eases cross-region connection. The run must stay
-	// consistent and produce at least as many boundary bridges.
-	s := cspace.NewPointSpace(env.Free())
-	base := quickOpts(4, 27)
-	base.SamplesPerRegion = 8
-	noOv, err := oneRound(NewPRMEngine(s, base))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ov := base
-	ov.Overlap = 0.25
-	withOv, err := oneRound(NewPRMEngine(s, ov))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if withOv.Roadmap.NumNodes() != noOv.Roadmap.NumNodes() {
-		// Same sampling attempts in free space -> same node count.
-		t.Fatalf("node counts differ: %d vs %d", withOv.Roadmap.NumNodes(), noOv.Roadmap.NumNodes())
-	}
-	// Overlapped sampling boxes must exceed core cells.
-	r0 := withOv.RegionGraph.Region(0)
-	if r0.Box.Volume() <= r0.Core.Volume() {
-		t.Fatal("overlap did not expand sampling boxes")
-	}
-}
-
 func TestRRTOptionsValidation(t *testing.T) {
 	s := cspace.NewPointSpace(env.Free())
 	bad := rrtOpts(4, 2) // Regions < Procs

@@ -262,13 +262,13 @@ func TestPhaseReportsTrimmedAndRegionCostsBounded(t *testing.T) {
 	if len(res.PhaseReports) == 0 {
 		t.Fatal("no phase reports retained")
 	}
-	for _, pr := range res.PhaseReports {
+	for i, pr := range res.PhaseReports {
 		rep := pr.Report
 		if rep.Tasks != nil {
-			t.Fatalf("phase %q round %d retained %d per-task records", pr.Phase, pr.Round, len(rep.Tasks))
+			t.Fatalf("phase %q report %d retained %d per-task records", pr.Phase, i, len(rep.Tasks))
 		}
 		if len(rep.Workers) == 0 {
-			t.Fatalf("phase %q round %d lost its worker stats", pr.Phase, pr.Round)
+			t.Fatalf("phase %q report %d lost its worker stats", pr.Phase, i)
 		}
 	}
 	if len(res.RegionCosts) != res.RegionGraph.NumRegions() {

@@ -132,9 +132,6 @@ type Options struct {
 	// should be >= Procs. For grid subdivision the actual count is the
 	// nearest grid product >= Regions.
 	Regions int
-	// Overlap is the inter-region sampling overlap fraction for grid
-	// subdivision, or the cone overlap angle (radians) for radial.
-	Overlap float64
 
 	// Strategy picks the load balancer; Policy the steal victim policy
 	// (required for WorkStealing); Partitioner the repartition algorithm.

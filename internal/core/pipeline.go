@@ -50,10 +50,6 @@ type PhaseReport struct {
 	// Phase is the phase name ("sample", "construct", "weight",
 	// "region-connect", ...).
 	Phase string
-	// Round is the 0-based position of this report in the pipeline's
-	// replay order (phases that execute more than once get one report,
-	// and one Round, per execution).
-	Round int
 	// Report is the scheduler runtime's execution profile for the phase.
 	Report sched.Report
 }
@@ -169,7 +165,7 @@ func (pl *pipeline) replay(ph phaseSpec) sched.Report {
 	}, ph.queues)
 	kept := rep
 	kept.Tasks = nil // the log keeps the O(workers) profile only
-	pl.reports = append(pl.reports, PhaseReport{Phase: ph.name, Round: len(pl.reports), Report: kept})
+	pl.reports = append(pl.reports, PhaseReport{Phase: ph.name, Report: kept})
 	return rep
 }
 

@@ -92,9 +92,6 @@ func TestPRMPhaseReportsExposed(t *testing.T) {
 		if pr.Phase != wantPhases[i] {
 			t.Errorf("phase %d = %q, want %q", i, pr.Phase, wantPhases[i])
 		}
-		if pr.Round != i {
-			t.Errorf("phase %q Round = %d, want %d", pr.Phase, pr.Round, i)
-		}
 		if pr.Report.TotalTasks == 0 {
 			t.Errorf("phase %q report has no tasks", pr.Phase)
 		}
@@ -135,9 +132,6 @@ func TestRRTPhaseReportsExposed(t *testing.T) {
 	for i, pr := range res.PhaseReports {
 		if pr.Phase != wantPhases[i] {
 			t.Errorf("phase %d = %q, want %q", i, pr.Phase, wantPhases[i])
-		}
-		if pr.Round != i {
-			t.Errorf("phase %q Round = %d, want %d", pr.Phase, pr.Round, i)
 		}
 	}
 	for _, pr := range res.PhaseReports[:2] {

@@ -96,9 +96,8 @@ type prmRepair struct {
 
 // boundaryRepair is the re-validation outcome of one boundary edge set.
 type boundaryRepair struct {
-	keep             []bool
-	checked, removed int
-	work             cspace.Counters
+	keep []bool
+	RepairStats
 }
 
 // NewPRMEngine validates opts, subdivides the C-space and builds the
@@ -109,7 +108,7 @@ func NewPRMEngine(s *cspace.Space, opts Options) (*PRMEngine, error) {
 		return nil, err
 	}
 	dims := s.Env.Dim()
-	spec := region.SplitEvenly(dims, opts.Regions, opts.Overlap)
+	spec := region.SplitEvenly(dims, opts.Regions)
 	rg, err := region.UniformGrid(s.Bounds, spec)
 	if err != nil {
 		return nil, err
@@ -384,7 +383,7 @@ func (e *PRMEngine) recheckConnector(dc *cspace.DeltaChecker, idx int) cspace.Co
 	var sc cspace.Scratch
 	for k, pr := range be.pairs {
 		if !rrs[be.a].Alive[pr[0]] || !rrs[be.b].Alive[pr[1]] {
-			br.removed++
+			br.RemovedEdges++
 			continue
 		}
 		qa := e.data[be.a].nodes[pr[0]].Q
@@ -393,15 +392,15 @@ func (e *PRMEngine) recheckConnector(dc *cspace.DeltaChecker, idx int) cspace.Co
 			br.keep[k] = true
 			continue
 		}
-		br.checked++
-		if dc.EdgeStillFreeS(qa, qb, &sc, &br.work) {
+		br.CheckedEdges++
+		if dc.EdgeStillFreeS(qa, qb, &sc, &br.Work) {
 			br.keep[k] = true
 		} else {
-			br.removed++
+			br.RemovedEdges++
 		}
 	}
 	e.rp.brs[idx] = br
-	return br.work
+	return br.Work
 }
 
 // commitRepair folds the repair's counts into st and, when anything
@@ -411,16 +410,10 @@ func (e *PRMEngine) recheckConnector(dc *cspace.DeltaChecker, idx int) cspace.Co
 func (e *PRMEngine) commitRepair(st *RepairStats) {
 	rp := e.rp
 	for _, rr := range rp.rrs {
-		st.CheckedNodes += rr.CheckedNodes
-		st.CheckedEdges += rr.CheckedEdges
-		st.RemovedNodes += rr.DeadNodes
-		st.RemovedEdges += rr.DeadEdges
-		st.Work.Add(rr.Work)
+		st.Add(rr.RepairStats)
 	}
 	for _, br := range rp.brs {
-		st.CheckedEdges += br.checked
-		st.RemovedEdges += br.removed
-		st.Work.Add(br.work)
+		st.Add(br.RepairStats)
 	}
 	if st.RemovedNodes > 0 || st.RemovedEdges > 0 {
 		e.compact()

@@ -17,33 +17,7 @@ const repairGraftK = 4
 
 // RepairStats summarizes the incremental-repair work an engine has
 // committed across ApplyDelta calls.
-type RepairStats struct {
-	// Deltas counts committed ApplyDelta calls.
-	Deltas int
-	// CheckedNodes / CheckedEdges count the collision re-checks actually
-	// paid (conservative culling makes everything else free).
-	CheckedNodes, CheckedEdges int
-	// RemovedNodes / RemovedEdges count roadmap vertices / edges (or
-	// tree nodes / bridges) invalidated by the deltas.
-	RemovedNodes, RemovedEdges int
-	// Grafted counts severed RRT subtrees saved by regrafting.
-	Grafted int
-	// Makespan is the cumulative virtual time of the repair phases.
-	Makespan float64
-	Work     cspace.Counters
-}
-
-// Add folds b into a.
-func (a *RepairStats) Add(b RepairStats) {
-	a.Deltas += b.Deltas
-	a.CheckedNodes += b.CheckedNodes
-	a.CheckedEdges += b.CheckedEdges
-	a.RemovedNodes += b.RemovedNodes
-	a.RemovedEdges += b.RemovedEdges
-	a.Grafted += b.Grafted
-	a.Makespan += b.Makespan
-	a.Work.Add(b.Work)
-}
+type RepairStats = cspace.RepairStats
 
 // PRMRepair is the outcome of one PRMEngine.ApplyDelta.
 type PRMRepair struct {

@@ -88,8 +88,9 @@ func TestApplyDeltaKeepsPhaseReportsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := eng.Result().PhaseReports
-	if len(after) != 2*grown || after[grown].Round != grown {
-		t.Errorf("round 2 left %d reports (first new Round %d), want %d", len(after), after[min(grown, len(after)-1)].Round, 2*grown)
+	if len(after) != 2*grown || after[grown].Phase != after[0].Phase {
+		t.Errorf("round 2 left %d reports (report %d is phase %q), want %d starting with %q",
+			len(after), grown, after[min(grown, len(after)-1)].Phase, 2*grown, after[0].Phase)
 	}
 }
 

@@ -129,17 +129,17 @@ type bridgeTry struct {
 type treeRepair struct {
 	pruned  []branch
 	remaps  [][]int // per region, in published-branch ids; nil = identity
-	sts     []rrt.PruneStats
+	sts     []RepairStats
 	bridges []bridgeCheck // per committed bridge
 }
 
 // bridgeCheck is one committed bridge's re-validation: its address in
-// the repaired branches when it survives (keep), and the collision work
-// paid when the delta could have blocked it (checked).
+// the repaired branches when it survives (keep), and the re-check and
+// collision work paid when the delta could have blocked it.
 type bridgeCheck struct {
-	at            [4]int
-	keep, checked bool
-	work          cspace.Counters
+	at   [4]int
+	keep bool
+	RepairStats
 }
 
 // NewRRTEngine validates opts and builds the radial subdivision about
@@ -192,10 +192,9 @@ func newTreeEngine(s *cspace.Space, root, goal cspace.Config, opts Options) (*RR
 	apex := root.Clone()
 	setupRNG := rng.Derive(opts.Seed, 0xabcdef)
 	rg := region.RadialSubdivision(apex, region.RadialSpec{
-		Regions:      opts.Regions,
-		K:            rrtRegionK,
-		Radius:       opts.Radius,
-		OverlapAngle: opts.Overlap,
+		Regions: opts.Regions,
+		K:       rrtRegionK,
+		Radius:  opts.Radius,
 	}, setupRNG)
 	// The naive mapping groups spatially adjacent cones on the same
 	// processor (contiguous blocks of a BFS sweep over the region graph),
@@ -440,7 +439,7 @@ func (e *RRTEngine) publish(stats RunStats) {
 func (e *RRTEngine) ApplyDelta(s *cspace.Space, d env.Delta, stop <-chan struct{}) (RepairStats, error) {
 	n := len(e.branches)
 	e.rp = &treeRepair{
-		pruned: make([]branch, n), remaps: make([][]int, n), sts: make([]rrt.PruneStats, n),
+		pruned: make([]branch, n), remaps: make([][]int, n), sts: make([]RepairStats, n),
 		bridges: make([]bridgeCheck, len(e.bridges)),
 	}
 	st, err := e.applyDelta(s, d, stop)
@@ -528,30 +527,23 @@ func (e *RRTEngine) recheckConnector(dc *cspace.DeltaChecker, idx int) cspace.Co
 	out := &rp.bridges[idx]
 	out.at, out.keep = [4]int{br[0], na, br[2], nb}, true
 	if dc.EdgeAffected(qa, qb) {
-		out.checked = true
-		out.keep = dc.EdgeStillFree(qa, qb, &out.work)
+		out.CheckedEdges = 1
+		out.keep = dc.EdgeStillFree(qa, qb, &out.Work)
 	}
-	return out.work
+	return out.Work
 }
 
 func (e *RRTEngine) commitRepair(st *RepairStats) {
 	rp := e.rp
 	for i, ps := range rp.sts {
-		st.CheckedNodes += ps.CheckedNodes
-		st.CheckedEdges += ps.CheckedEdges
-		st.RemovedNodes += ps.Removed
-		st.Grafted += ps.Grafted
-		st.Work.Add(ps.Work)
+		st.Add(ps)
 		if rp.pruned[i].tree != nil {
 			e.branches[i] = rp.pruned[i]
 		}
 	}
 	var kept [][4]int
 	for _, br := range rp.bridges {
-		if br.checked {
-			st.CheckedEdges++
-			st.Work.Add(br.work)
-		}
+		st.Add(br.RepairStats)
 		if br.keep {
 			kept = append(kept, br.at)
 		}

@@ -15,6 +15,36 @@ func (s *Space) WithEnv(e *env.Environment) *Space {
 	return &c
 }
 
+// RepairStats tallies incremental-repair work: one region's or tree's
+// re-validation against a delta, or an engine's across its deltas.
+type RepairStats struct {
+	// Deltas counts committed ApplyDelta calls.
+	Deltas int
+	// CheckedNodes / CheckedEdges count the collision re-checks actually
+	// paid (conservative culling makes everything else free).
+	CheckedNodes, CheckedEdges int
+	// RemovedNodes / RemovedEdges count roadmap vertices / edges (or
+	// tree nodes / bridges) invalidated by the deltas.
+	RemovedNodes, RemovedEdges int
+	// Grafted counts severed RRT subtrees saved by regrafting.
+	Grafted int
+	// Makespan is the cumulative virtual time of the repair phases.
+	Makespan float64
+	Work     Counters
+}
+
+// Add folds b into a.
+func (a *RepairStats) Add(b RepairStats) {
+	a.Deltas += b.Deltas
+	a.CheckedNodes += b.CheckedNodes
+	a.CheckedEdges += b.CheckedEdges
+	a.RemovedNodes += b.RemovedNodes
+	a.RemovedEdges += b.RemovedEdges
+	a.Grafted += b.Grafted
+	a.Makespan += b.Makespan
+	a.Work.Add(b.Work)
+}
+
 // A DeltaChecker re-validates configurations and edges that were free
 // before an environment mutation against only the obstacles the
 // mutation added. Two facts make this sound:

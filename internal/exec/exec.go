@@ -260,7 +260,6 @@ func Run(cfg Config, queues [][]work.Task) Report {
 	wall := time.Since(start)
 	rep := Report{
 		Makespan:   wall.Seconds(),
-		Wall:       wall,
 		Workers:    make([]WorkerStats, w),
 		TotalTasks: totalTasks,
 		Tasks:      make([]sched.TaskResult, 0, totalTasks),

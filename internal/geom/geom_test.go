@@ -397,36 +397,6 @@ func TestSampleOnSphereMeanNearZero(t *testing.T) {
 	}
 }
 
-func TestFibonacciSphere(t *testing.T) {
-	pts := FibonacciSphere(64)
-	if len(pts) != 64 {
-		t.Fatalf("len = %d", len(pts))
-	}
-	for _, p := range pts {
-		if math.Abs(p.Norm()-1) > 1e-9 {
-			t.Fatalf("fibonacci point norm %v", p.Norm())
-		}
-	}
-	// Distinctness.
-	for i := range pts {
-		for j := i + 1; j < len(pts); j++ {
-			if pts[i].Equal(pts[j], 1e-9) {
-				t.Fatalf("points %d and %d coincide", i, j)
-			}
-		}
-	}
-}
-
-func TestCirclePoints(t *testing.T) {
-	pts := CirclePoints(4, 0)
-	want := []Vec{V(1, 0), V(0, 1), V(-1, 0), V(0, -1)}
-	for i := range pts {
-		if !pts[i].Equal(want[i], 1e-12) {
-			t.Fatalf("point %d = %v, want %v", i, pts[i], want[i])
-		}
-	}
-}
-
 func TestAngleBetween(t *testing.T) {
 	if a := AngleBetween(V(1, 0), V(0, 1)); math.Abs(a-math.Pi/2) > 1e-12 {
 		t.Fatalf("angle = %v", a)

@@ -41,32 +41,6 @@ func SampleOnSphereInto(dst Vec, d int, r *rng.Stream) Vec {
 	}
 }
 
-// FibonacciSphere returns n nearly-uniform deterministic points on the
-// 2-sphere in 3D (the Fibonacci lattice). Useful for reproducible radial
-// subdivisions independent of a random stream.
-func FibonacciSphere(n int) []Vec {
-	pts := make([]Vec, n)
-	golden := math.Pi * (3 - math.Sqrt(5))
-	for i := 0; i < n; i++ {
-		y := 1 - 2*(float64(i)+0.5)/float64(n)
-		r := math.Sqrt(1 - y*y)
-		th := golden * float64(i)
-		pts[i] = V(r*math.Cos(th), y, r*math.Sin(th))
-	}
-	return pts
-}
-
-// CirclePoints returns n evenly spaced unit vectors in 2D starting at
-// angle phase.
-func CirclePoints(n int, phase float64) []Vec {
-	pts := make([]Vec, n)
-	for i := 0; i < n; i++ {
-		a := phase + 2*math.Pi*float64(i)/float64(n)
-		pts[i] = V(math.Cos(a), math.Sin(a))
-	}
-	return pts
-}
-
 // AngleBetween returns the angle in radians between unit-or-not vectors
 // u and v, clamped for numeric safety.
 func AngleBetween(u, v Vec) float64 {

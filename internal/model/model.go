@@ -38,7 +38,7 @@ func (m Model) VFree() []float64 {
 	rg := m.Regions()
 	w := make([]float64, rg.NumRegions())
 	for i := range w {
-		w[i] = e.FreeVolumeIn(rg.Region(i).Core, 0, 1)
+		w[i] = e.FreeVolumeIn(rg.Region(i).Box, 0, 1)
 	}
 	return w
 }

@@ -201,8 +201,8 @@ type BoundaryResult struct {
 // ConnectBoundary attempts connections between the roadmaps of two
 // adjacent regions: the maxSources nodes of region a closest to region
 // b's roadmap (the boundary frontier — only samples near the shared
-// boundary participate, which is what the inter-region overlap exists
-// for) each try the local planner against their k nearest nodes in b.
+// boundary participate) each try the local planner against their k
+// nearest nodes in b.
 // maxSources <= 0 uses every node of a.
 func ConnectBoundary(s *cspace.Space, aNodes, bNodes []Node, k, maxSources int) BoundaryResult {
 	ar := getArena()

@@ -20,12 +20,9 @@ type RegionRepair struct {
 	// KeepEdge[j] reports local edge j survived (both endpoints alive
 	// and the sweep still valid).
 	KeepEdge []bool
-	// CheckedNodes / CheckedEdges count the candidates that actually
-	// paid a collision re-check (culled ones are free).
-	CheckedNodes, CheckedEdges int
-	// DeadNodes / DeadEdges count the casualties.
-	DeadNodes, DeadEdges int
-	Work                 cspace.Counters
+	// RepairStats counts the candidates that actually paid a collision
+	// re-check (culled ones are free) and the casualties.
+	cspace.RepairStats
 }
 
 // RevalidateRegion re-checks one region's nodes and local edges against
@@ -49,7 +46,7 @@ func RevalidateRegion(dc *cspace.DeltaChecker, nodes []Node, edges [][2]int, can
 		rr.CheckedNodes++
 		if !dc.ConfigStillFree(nodes[i].Q, &rr.Work) {
 			rr.Alive[i] = false
-			rr.DeadNodes++
+			rr.RemovedNodes++
 		}
 	}
 	if candidates != nil {
@@ -65,7 +62,7 @@ func RevalidateRegion(dc *cspace.DeltaChecker, nodes []Node, edges [][2]int, can
 	for j, ed := range edges {
 		a, b := ed[0], ed[1]
 		if !rr.Alive[a] || !rr.Alive[b] {
-			rr.DeadEdges++
+			rr.RemovedEdges++
 			continue
 		}
 		if !dc.EdgeAffected(nodes[a].Q, nodes[b].Q) {
@@ -76,7 +73,7 @@ func RevalidateRegion(dc *cspace.DeltaChecker, nodes []Node, edges [][2]int, can
 		if dc.EdgeStillFreeS(nodes[a].Q, nodes[b].Q, &sc, &rr.Work) {
 			rr.KeepEdge[j] = true
 		} else {
-			rr.DeadEdges++
+			rr.RemovedEdges++
 		}
 	}
 	return rr

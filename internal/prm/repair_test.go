@@ -72,8 +72,8 @@ func TestRevalidateRegionAgainstFullRecheck(t *testing.T) {
 	if deadN == 0 || deadE == 0 {
 		t.Fatalf("weak test: deadN=%d deadE=%d (want both > 0)", deadN, deadE)
 	}
-	if rr.DeadNodes != deadN || rr.DeadEdges != deadE {
-		t.Fatalf("stats dead=%d/%d, counted %d/%d", rr.DeadNodes, rr.DeadEdges, deadN, deadE)
+	if rr.RemovedNodes != deadN || rr.RemovedEdges != deadE {
+		t.Fatalf("stats removed=%d/%d, counted %d/%d", rr.RemovedNodes, rr.RemovedEdges, deadN, deadE)
 	}
 	// Culling must have saved work: the obstacle covers a corner of the
 	// volume, so most nodes are screened out geometrically.

@@ -13,10 +13,6 @@ type GridSpec struct {
 	// Cells per dimension; len(Cells) determines how many leading C-space
 	// dimensions are subdivided (x, y[, z] for typical workspaces).
 	Cells []int
-	// Overlap expands each region's sampling box by this fraction of the
-	// cell extent on every side, so boundary samples can connect across
-	// regions ("some user-defined overlap is allowed between regions").
-	Overlap float64
 }
 
 // NumRegions returns the total cell count of the spec.
@@ -30,7 +26,7 @@ func (s GridSpec) NumRegions() int {
 
 // SplitEvenly returns a GridSpec subdividing dims dimensions into at least
 // n total regions, keeping per-dimension counts as equal as possible.
-func SplitEvenly(dims, n int, overlap float64) GridSpec {
+func SplitEvenly(dims, n int) GridSpec {
 	cells := make([]int, dims)
 	for i := range cells {
 		cells[i] = 1
@@ -49,7 +45,7 @@ func SplitEvenly(dims, n int, overlap float64) GridSpec {
 			total *= c
 		}
 	}
-	return GridSpec{Cells: cells, Overlap: overlap}
+	return GridSpec{Cells: cells}
 }
 
 // UniformGrid subdivides bounds into the spec's cells and builds the
@@ -96,27 +92,7 @@ func UniformGrid(bounds geom.AABB, spec GridSpec) (*Graph, error) {
 			lo[i] = bounds.Lo[i] + float64(coord[i])*cellExtent[i]
 			hi[i] = lo[i] + cellExtent[i]
 		}
-		core := geom.NewAABB(lo, hi)
-		// Expand by overlap, clamped to the global bounds.
-		box := core
-		if spec.Overlap > 0 {
-			elo := make(geom.Vec, dims)
-			ehi := make(geom.Vec, dims)
-			for i := 0; i < dims; i++ {
-				m := spec.Overlap * cellExtent[i]
-				elo[i] = max(bounds.Lo[i], lo[i]-m)
-				ehi[i] = min(bounds.Hi[i], hi[i]+m)
-			}
-			box = geom.NewAABB(elo, ehi)
-		}
-		r := &Region{
-			ID:        id,
-			Kind:      KindBox,
-			Box:       box,
-			Core:      core,
-			GridCoord: append([]int(nil), coord...),
-		}
-		g.AddVertex(r)
+		g.AddVertex(&Region{ID: id, Kind: KindBox, Box: geom.NewAABB(lo, hi)})
 	}
 
 	// Face adjacency: +1 along each dimension.

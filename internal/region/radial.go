@@ -20,14 +20,6 @@ type RadialSpec struct {
 	K int
 	// Radius of the subdivision sphere.
 	Radius float64
-	// Deterministic selects evenly spread deterministic surface points
-	// (Fibonacci lattice in 3D, evenly spaced angles in 2D) instead of
-	// random sampling. Random sampling matches the paper; deterministic
-	// points make unit tests reproducible across spec changes.
-	Deterministic bool
-	// OverlapAngle widens each cone's half-angle by this many radians so
-	// branches "can explore part of the space in adjacent regions".
-	OverlapAngle float64
 }
 
 // RadialSubdivision builds the cone regions and their k-NN region graph
@@ -36,15 +28,8 @@ func RadialSubdivision(apex geom.Vec, spec RadialSpec, r *rng.Stream) *Graph {
 	d := apex.Dim()
 	n := spec.Regions
 	dirs := make([]geom.Vec, n)
-	switch {
-	case spec.Deterministic && d == 3:
-		copy(dirs, geom.FibonacciSphere(n))
-	case spec.Deterministic && d == 2:
-		copy(dirs, geom.CirclePoints(n, 0))
-	default:
-		for i := range dirs {
-			dirs[i] = geom.SampleOnSphere(d, r)
-		}
+	for i := range dirs {
+		dirs[i] = geom.SampleOnSphere(d, r)
 	}
 
 	// The natural half-angle for n cones covering the sphere: solid angle
@@ -82,7 +67,7 @@ func RadialSubdivision(apex geom.Vec, spec RadialSpec, r *rng.Stream) *Graph {
 			}
 		}
 		reg := g.Vertex(graph.ID(i))
-		reg.HalfAngle = nearestAngle + spec.OverlapAngle
+		reg.HalfAngle = nearestAngle
 		if reg.HalfAngle <= 0 || n == 1 {
 			reg.HalfAngle = math.Pi
 		}

@@ -30,10 +30,9 @@ type Region struct {
 	ID   int
 	Kind Kind
 
-	// Box is the sampling volume for KindBox regions (already expanded by
-	// any overlap margin). Core holds the unexpanded cell.
-	Box  geom.AABB
-	Core geom.AABB
+	// Box is the cell of a KindBox region: the grid's cells are disjoint
+	// and tile the bounds.
+	Box geom.AABB
 
 	// Ray is the unit direction defining a KindCone region; Apex its
 	// origin (the tree root); Radius the subdivision sphere radius;
@@ -43,9 +42,6 @@ type Region struct {
 	Radius    float64
 	HalfAngle float64
 
-	// GridCoord is the integer cell coordinate for KindBox regions.
-	GridCoord []int
-
 	// Weight is the load estimate attached by a weighting pass
 	// (repartitioning input). Zero until estimated.
 	Weight float64
@@ -54,7 +50,7 @@ type Region struct {
 // String identifies the region.
 func (r *Region) String() string {
 	if r.Kind == KindBox {
-		return fmt.Sprintf("region#%d box %v", r.ID, r.Core)
+		return fmt.Sprintf("region#%d box %v", r.ID, r.Box)
 	}
 	return fmt.Sprintf("region#%d cone dir=%v", r.ID, r.Ray)
 }

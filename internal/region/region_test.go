@@ -12,14 +12,14 @@ import (
 )
 
 func TestSplitEvenly(t *testing.T) {
-	s := SplitEvenly(2, 16, 0)
+	s := SplitEvenly(2, 16)
 	if s.NumRegions() < 16 {
 		t.Fatalf("NumRegions = %d", s.NumRegions())
 	}
 	if s.Cells[0] != 4 || s.Cells[1] != 4 {
 		t.Fatalf("Cells = %v", s.Cells)
 	}
-	s = SplitEvenly(3, 100, 0)
+	s = SplitEvenly(3, 100)
 	if s.NumRegions() < 100 {
 		t.Fatalf("3D NumRegions = %d", s.NumRegions())
 	}
@@ -51,47 +51,38 @@ func TestUniformGridCellsTile(t *testing.T) {
 	rg := MustUniformGrid(b, GridSpec{Cells: []int{4, 2}})
 	var total float64
 	for _, r := range rg.Regions() {
-		total += r.Core.Volume()
+		total += r.Box.Volume()
 	}
 	if math.Abs(total-2) > 1e-12 {
-		t.Fatalf("cores cover %v, want 2", total)
+		t.Fatalf("cells cover %v, want 2", total)
 	}
 	// Cells must be disjoint.
 	regs := rg.Regions()
 	for i := range regs {
 		for j := i + 1; j < len(regs); j++ {
-			if regs[i].Core.IntersectionVolume(regs[j].Core) > 1e-12 {
-				t.Fatalf("cores %d and %d overlap", i, j)
+			if regs[i].Box.IntersectionVolume(regs[j].Box) > 1e-12 {
+				t.Fatalf("cells %d and %d overlap", i, j)
 			}
 		}
-	}
-}
-
-func TestUniformGridOverlap(t *testing.T) {
-	b := geom.Box2(0, 0, 1, 1)
-	rg := MustUniformGrid(b, GridSpec{Cells: []int{2, 2}, Overlap: 0.1})
-	r := rg.Region(0)
-	if r.Box.Volume() <= r.Core.Volume() {
-		t.Fatal("overlap should expand the sampling box")
-	}
-	// Box must stay inside the global bounds.
-	if !b.Contains(r.Box.Lo) || !b.Contains(r.Box.Hi) {
-		t.Fatalf("expanded box %v escapes bounds", r.Box)
 	}
 }
 
 func TestGridCoordRoundTrip(t *testing.T) {
 	b := geom.Box3(0, 0, 0, 1, 1, 1)
 	rg := MustUniformGrid(b, GridSpec{Cells: []int{3, 4, 5}})
+	cells := []float64{3, 4, 5}
 	for _, r := range rg.Regions() {
-		c := r.GridCoord
+		// IDs are row-major over the cell coordinates read off Box.Lo.
+		var c [3]int
+		for i := range c {
+			c[i] = int(math.Round(r.Box.Lo[i] * cells[i]))
+		}
 		id := (c[0]*4+c[1])*5 + c[2]
 		if id != r.ID {
 			t.Fatalf("coord %v does not encode id %d", c, r.ID)
 		}
-		// The cell center must be inside the core box.
-		if !r.Core.Contains(r.Core.Center()) {
-			t.Fatal("core center outside core")
+		if !r.Box.Contains(r.Box.Center()) {
+			t.Fatal("cell center outside cell")
 		}
 	}
 }
@@ -185,7 +176,7 @@ func TestSetWeightsErrorsOnLengthMismatch(t *testing.T) {
 func TestRadialSubdivision3D(t *testing.T) {
 	apex := geom.V(0.5, 0.5, 0.5)
 	r := rng.New(1)
-	rg := RadialSubdivision(apex, RadialSpec{Regions: 32, K: 4, Radius: 0.5, Deterministic: true}, r)
+	rg := RadialSubdivision(apex, RadialSpec{Regions: 32, K: 4, Radius: 0.5}, r)
 	if rg.NumRegions() != 32 {
 		t.Fatalf("NumRegions = %d", rg.NumRegions())
 	}
@@ -207,15 +198,21 @@ func TestRadialSubdivision3D(t *testing.T) {
 func TestRadialSubdivision2D(t *testing.T) {
 	apex := geom.V(0, 0)
 	r := rng.New(2)
-	rg := RadialSubdivision(apex, RadialSpec{Regions: 8, K: 2, Radius: 1, Deterministic: true}, r)
+	rg := RadialSubdivision(apex, RadialSpec{Regions: 8, K: 2, Radius: 1}, r)
 	if rg.NumRegions() != 8 {
 		t.Fatalf("NumRegions = %d", rg.NumRegions())
 	}
-	// Deterministic 2D points are evenly spaced: nearest angle = 2pi/8.
-	want := 2 * math.Pi / 8
-	for _, reg := range rg.Regions() {
+	// Each cone's half-angle is the angle to its nearest neighbouring ray.
+	regs := rg.Regions()
+	for _, reg := range regs {
+		want := math.Pi
+		for _, o := range regs {
+			if o != reg {
+				want = min(want, geom.AngleBetween(reg.Ray, o.Ray))
+			}
+		}
 		if math.Abs(reg.HalfAngle-want) > 1e-9 {
-			t.Fatalf("half angle = %v, want %v", reg.HalfAngle, want)
+			t.Fatalf("region %d half angle = %v, want %v", reg.ID, reg.HalfAngle, want)
 		}
 	}
 }

@@ -150,23 +150,16 @@ type Plan struct {
 	NewOwner []int
 	// Moved lists region IDs whose owner changes.
 	Moved []int
-	// EdgeCutBefore/After count region-graph edges crossing processors.
-	EdgeCutBefore, EdgeCutAfter int
 }
 
 // MakePlan diffs the region graph's current ownership against assign.
 func MakePlan(rg *region.Graph, assign []int) Plan {
 	pl := Plan{NewOwner: append([]int(nil), assign...)}
-	pl.EdgeCutBefore = rg.EdgeCut()
 	for i, o := range assign {
 		if rg.Owner[i] != o {
 			pl.Moved = append(pl.Moved, i)
 		}
 	}
-	old := append([]int(nil), rg.Owner...)
-	copy(rg.Owner, assign)
-	pl.EdgeCutAfter = rg.EdgeCut()
-	copy(rg.Owner, old)
 	return pl
 }
 

@@ -181,9 +181,6 @@ func TestMakePlanAndApply(t *testing.T) {
 			t.Fatal("Apply did not install assignment")
 		}
 	}
-	if pl.EdgeCutBefore <= 0 || pl.EdgeCutAfter <= 0 {
-		t.Fatalf("edge cuts not recorded: %+v", pl)
-	}
 }
 
 func TestMigrationCost(t *testing.T) {
@@ -222,7 +219,7 @@ func TestKRayWeightsFreeVsBlocked(t *testing.T) {
 	e := env.MedCube()
 	apex := geom.V(0.5, 0.5, 0.05) // below the central cube
 	rg := region.RadialSubdivision(apex, region.RadialSpec{
-		Regions: 16, K: 3, Radius: 0.9, Deterministic: true,
+		Regions: 16, K: 3, Radius: 0.9,
 	}, rng.New(1))
 	w := KRayWeights(e, rg, 32, 7)
 	// Regions pointing up (into the obstacle) must score lower than
@@ -231,7 +228,7 @@ func TestKRayWeightsFreeVsBlocked(t *testing.T) {
 	var nUp, nDown int
 	for i := 0; i < rg.NumRegions(); i++ {
 		ray := rg.Region(i).Ray
-		if ray[1] > 0.5 { // Fibonacci sphere: y axis component
+		if ray[1] > 0.5 { // y axis component
 			up += w[i]
 			nUp++
 		} else if ray[1] < -0.5 {
@@ -255,7 +252,7 @@ func TestKRayWeightsFreeVsBlocked(t *testing.T) {
 func TestKRayWeightsDeterministic(t *testing.T) {
 	e := env.Mixed30()
 	rg := region.RadialSubdivision(geom.V(0.5, 0.5, 0.5), region.RadialSpec{
-		Regions: 8, K: 2, Radius: 0.5, Deterministic: true,
+		Regions: 8, K: 2, Radius: 0.5,
 	}, rng.New(2))
 	a := KRayWeights(e, rg, 16, 9)
 	b := KRayWeights(e, rg, 16, 9)

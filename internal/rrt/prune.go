@@ -6,20 +6,6 @@ import (
 	"parmp/internal/cspace"
 )
 
-// PruneStats summarizes one tree's repair against an environment delta.
-type PruneStats struct {
-	// CheckedNodes / CheckedEdges count collision re-checks actually
-	// paid (culled nodes and edges are free).
-	CheckedNodes, CheckedEdges int
-	// Removed is the number of nodes dropped (blocked themselves,
-	// blocked parent edge, or unsalvageable severed descendants).
-	Removed int
-	// Grafted is the number of severed-subtree roots reattached to a
-	// surviving node by a fresh local plan.
-	Grafted int
-	Work    cspace.Counters
-}
-
 // PruneTree repairs a tree in place against dc and returns the
 // compacted tree. A node dies when its configuration is now blocked or
 // its parent edge is now blocked; descendants of a dead node are
@@ -37,8 +23,10 @@ type PruneStats struct {
 // removed — a tree must stay rooted for the engines — even when its
 // configuration is blocked (queries through it simply fail validity).
 // The returned remap has one entry per old node: its new index, or -1
-// if pruned.
-func PruneTree(s *cspace.Space, dc *cspace.DeltaChecker, t *Tree, graftK int) (remap []int, st PruneStats) {
+// if pruned. The stats count removed nodes (blocked themselves, blocked
+// parent edge, or unsalvageable severed descendants) and grafted
+// severed-subtree roots.
+func PruneTree(s *cspace.Space, dc *cspace.DeltaChecker, t *Tree, graftK int) (remap []int, st cspace.RepairStats) {
 	n := t.Len()
 	remap = make([]int, n)
 	if !dc.Invalidating() || n == 0 {
@@ -88,7 +76,7 @@ func PruneTree(s *cspace.Space, dc *cspace.DeltaChecker, t *Tree, graftK int) (r
 	for i := 0; i < n; i++ {
 		if !alive[i] {
 			remap[i] = -1
-			st.Removed++
+			st.RemovedNodes++
 			continue
 		}
 		remap[i] = w
@@ -109,7 +97,7 @@ func PruneTree(s *cspace.Space, dc *cspace.DeltaChecker, t *Tree, graftK int) (r
 // nothing here (this is a brand-new edge), so it must check both the
 // delta view and the pre-existing obstacles — which s provides, because
 // the caller passes the post-mutation space.
-func regraft(s *cspace.Space, dc *cspace.DeltaChecker, t *Tree, alive []bool, i, k int, st *PruneStats) (int, bool) {
+func regraft(s *cspace.Space, dc *cspace.DeltaChecker, t *Tree, alive []bool, i, k int, st *cspace.RepairStats) (int, bool) {
 	type cand struct {
 		idx int
 		d   float64
@@ -161,18 +149,14 @@ func regraft(s *cspace.Space, dc *cspace.DeltaChecker, t *Tree, alive []bool, i,
 // nodes survived (grafting elsewhere cannot fake a meet — the meeting
 // configurations themselves are unchanged). Returns the remaps for A
 // and B (nil for an absent B).
-func PruneBiTree(s *cspace.Space, dc *cspace.DeltaChecker, bi *BiTree, graftK int) (remapA, remapB []int, st PruneStats) {
+func PruneBiTree(s *cspace.Space, dc *cspace.DeltaChecker, bi *BiTree, graftK int) (remapA, remapB []int, st cspace.RepairStats) {
 	remapA, st = PruneTree(s, dc, bi.A, graftK)
 	if bi.B == nil {
 		return remapA, nil, st
 	}
-	var stB PruneStats
+	var stB cspace.RepairStats
 	remapB, stB = PruneTree(s, dc, bi.B, graftK)
-	st.CheckedNodes += stB.CheckedNodes
-	st.CheckedEdges += stB.CheckedEdges
-	st.Removed += stB.Removed
-	st.Grafted += stB.Grafted
-	st.Work.Add(stB.Work)
+	st.Add(stB)
 	if bi.Met {
 		a, b := remapA[bi.AMeet], remapB[bi.BMeet]
 		if a >= 0 && b >= 0 {

@@ -54,8 +54,8 @@ func TestPruneTreeSeversUnreachableSubtree(t *testing.T) {
 	remap, st := PruneTree(after, dc, tr, 3)
 
 	checkTreeInvariants(t, tr)
-	if st.Removed == 0 || st.Grafted != 0 {
-		t.Fatalf("removed=%d grafted=%d, want removals and no grafts", st.Removed, st.Grafted)
+	if st.RemovedNodes == 0 || st.Grafted != 0 {
+		t.Fatalf("removed=%d grafted=%d, want removals and no grafts", st.RemovedNodes, st.Grafted)
 	}
 	// Everything surviving must be valid, with a valid parent edge, in
 	// the mutated world.
@@ -107,8 +107,8 @@ func TestPruneTreeRegraftsFrontier(t *testing.T) {
 	remap, st := PruneTree(after, dc, tr, 3)
 
 	checkTreeInvariants(t, tr)
-	if st.Removed != 1 {
-		t.Fatalf("removed %d nodes, want exactly the blocked one", st.Removed)
+	if st.RemovedNodes != 1 {
+		t.Fatalf("removed %d nodes, want exactly the blocked one", st.RemovedNodes)
 	}
 	if st.Grafted != 1 {
 		t.Fatalf("grafted %d frontiers, want 1", st.Grafted)
@@ -150,7 +150,7 @@ func TestPruneTreeNonInvalidatingIsIdentity(t *testing.T) {
 	}
 	dc := cspace.NewDeltaChecker(s.WithEnv(mutated), d)
 	remap, st := PruneTree(s.WithEnv(mutated), dc, tr, 3)
-	if st.Removed != 0 || st.CheckedNodes != 0 || st.CheckedEdges != 0 {
+	if st.RemovedNodes != 0 || st.CheckedNodes != 0 || st.CheckedEdges != 0 {
 		t.Fatalf("removal-only prune did work: %+v", st)
 	}
 	for i, nw := range remap {
@@ -180,9 +180,9 @@ func TestPruneBiTreeMeetState(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, st := PruneBiTree(s.WithEnv(far), cspace.NewDeltaChecker(s, dFar), bi, 3)
-	if !bi.Met || bi.AMeet != 3 || bi.BMeet != 3 || st.Removed != 0 {
+	if !bi.Met || bi.AMeet != 3 || bi.BMeet != 3 || st.RemovedNodes != 0 {
 		t.Fatalf("benign delta disturbed the pair: met=%v meet=(%d,%d) removed=%d",
-			bi.Met, bi.AMeet, bi.BMeet, st.Removed)
+			bi.Met, bi.AMeet, bi.BMeet, st.RemovedNodes)
 	}
 
 	// Delta on top of B's meet node: the bridge is gone.

@@ -4,7 +4,7 @@
 // Each region grows a branch rooted at the shared root configuration,
 // biased toward the region's target point on the subdivision sphere
 // (Algorithm 2 of the paper, lines 10–12). Growth is constrained to the
-// region's cone (plus overlap), and all collision work is metered through
+// region's cone, and all collision work is metered through
 // cspace.Counters for load accounting.
 package rrt
 
@@ -101,7 +101,7 @@ type Result struct {
 // GrowTree grows an RRT branch inside reg: sample in the cone (biased
 // toward the cone target), extend the nearest tree node by at most Step,
 // keep the new node if the extension is collision-free and stays inside
-// the (overlap-widened) cone — until the branch has p.Nodes nodes
+// the cone — until the branch has p.Nodes nodes
 // (total, not additional) or the iteration budget runs out. An engine's
 // first round passes a fresh single-node tree (NewTree(reg.Apex,
 // reg.ID)); later rounds pass the previous round's tree to resume
@@ -175,11 +175,11 @@ func (a *arena) step(s *cspace.Space, reg *region.Region, t *Tree, from int, q c
 	if !s.Bounds.Contains(qNew) {
 		return 0, false, false
 	}
-	// Stay within the region (cone plus overlap). Steered spaces are
-	// exempt: a feasible curve's first step generally does not move
-	// toward the sample, so the cone acts as a sampling bias only
-	// ("some overlap between regions is allowed so branches can
-	// explore part of the space in adjacent regions").
+	// Stay within the region's cone, whose half-angle reaches the
+	// nearest neighbouring ray, so a branch explores part of its
+	// neighbours' space. Steered spaces are exempt: a feasible curve's
+	// first step generally does not move toward the sample, so the cone
+	// acts as a sampling bias only.
 	if s.Steer == nil && !region.InCone(reg, qNew[:reg.Apex.Dim()]) {
 		return 0, false, false
 	}

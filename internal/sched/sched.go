@@ -13,7 +13,6 @@ package sched
 
 import (
 	"math"
-	"time"
 
 	"parmp/internal/steal"
 	"parmp/internal/work"
@@ -113,10 +112,7 @@ type TaskResult struct {
 type Report struct {
 	// Makespan is the completion time of the whole run: virtual time for
 	// the simulator, wall-clock seconds for the host executor.
-	Makespan float64
-	// Wall is the host wall-clock duration (zero for the simulator,
-	// whose runs complete in virtual time).
-	Wall       time.Duration
+	Makespan   float64
 	Workers    []WorkerStats
 	TotalTasks int
 	// Tasks holds one record per executed task, in execution order (the

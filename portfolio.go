@@ -269,11 +269,12 @@ func (p *Portfolio) Grow(ctx context.Context) error {
 	defer p.mu.Unlock()
 	st := p.stats.Load()
 	if st.Winner >= 0 {
-		eng := p.racers[st.Winner].eng
-		if err := eng.Grow(ctx); err != nil {
+		r := &p.racers[st.Winner]
+		if err := r.eng.Grow(ctx); err != nil {
 			return err
 		}
-		p.publish(*eng.Snapshot())
+		r.rounds++
+		p.publish(*r.eng.Snapshot())
 		return nil
 	}
 	if p.po.MaxWaves > 0 && st.Waves >= p.po.MaxWaves {

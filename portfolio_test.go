@@ -160,12 +160,19 @@ func TestPortfolioGrowsWinnerAfterRace(t *testing.T) {
 	if _, err := pf.Solve(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	before := pf.Rounds()
-	if err := pf.Grow(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if pf.Rounds() != before+1 {
-		t.Fatalf("post-race Grow: rounds %d -> %d, want +1", before, pf.Rounds())
+	w := pf.Winner()
+	for i := 0; i < 3; i++ {
+		before, racerBefore := pf.Rounds(), pf.Report().Racers[w].Rounds
+		if err := pf.Grow(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if pf.Rounds() != before+1 {
+			t.Fatalf("post-race Grow: rounds %d -> %d, want +1", before, pf.Rounds())
+		}
+		// The winner's racer record counts every committed round.
+		if got := pf.Report().Racers[w].Rounds; got != racerBefore+1 {
+			t.Fatalf("post-race Grow %d: winner's racer Rounds %d -> %d, want +1", i, racerBefore, got)
+		}
 	}
 	st := pf.Stats()
 	if st.Winner < 0 || st.Racers != 2 {
