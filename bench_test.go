@@ -176,7 +176,7 @@ func BenchmarkHostPipeline(b *testing.B) {
 func BenchmarkPlanRRT(b *testing.B) {
 	space := parmp.NewPointSpace(parmp.EnvironmentByName("mixed-30"))
 	opts := parmp.Options{Procs: 8, Regions: 64, NodesPerRegion: 10, Radius: 0.5,
-		Strategy: parmp.WorkStealing, Policy: parmp.Diffusive(), Seed: 1}
+		Policy: parmp.Diffusive(), Seed: 1}
 	root := parmp.V(0.5, 0.5, 0.5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -41,6 +41,13 @@ func parseConfig(s string) (parmp.Config, error) {
 	return q, nil
 }
 
+// fail prints one error line and exits: status 2 for bad input found
+// before any planning, 1 for a failure while planning.
+func fail(code int, format string, a ...any) {
+	fmt.Fprintf(os.Stderr, "mpsolve: "+format+"\n", a...)
+	os.Exit(code)
+}
+
 func main() {
 	envName := flag.String("env", "med-cube", "environment ("+strings.Join(parmp.EnvironmentNames(), ", ")+")")
 	envFile := flag.String("envfile", "", "load the environment from a file in the env text format instead")
@@ -68,55 +75,46 @@ func main() {
 	var e *parmp.Environment
 	if *mutate != "" {
 		if *nPortfolio > 0 {
-			fmt.Fprintln(os.Stderr, "mpsolve: -mutate does not combine with -portfolio")
-			os.Exit(2)
+			fail(2, "-mutate does not combine with -portfolio")
 		}
 		sc, ok := parmp.DynamicScenarioByName(*mutate)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "mpsolve: unknown scenario %q (want %s)\n",
+			fail(2, "unknown scenario %q (want %s)",
 				*mutate, strings.Join(parmp.DynamicScenarioNames(), ", "))
-			os.Exit(2)
 		}
 		e, mutateScript = sc.Build()
 	} else if *envFile != "" {
 		f, err := os.Open(*envFile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mpsolve:", err)
-			os.Exit(2)
+			fail(2, "%v", err)
 		}
 		e, err = parmp.ParseEnvironment(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mpsolve:", err)
-			os.Exit(2)
+			fail(2, "%v", err)
 		}
 	} else {
 		e = parmp.EnvironmentByName(*envName)
 	}
 	if e == nil {
-		fmt.Fprintf(os.Stderr, "mpsolve: unknown environment %q (have %s)\n", *envName, strings.Join(parmp.EnvironmentNames(), ", "))
-		os.Exit(2)
+		fail(2, "unknown environment %q (have %s)", *envName, strings.Join(parmp.EnvironmentNames(), ", "))
 	}
 	start, err := parseConfig(*startStr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mpsolve:", err)
-		os.Exit(2)
+		fail(2, "%v", err)
 	}
 	goal, err := parseConfig(*goalStr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mpsolve:", err)
-		os.Exit(2)
+		fail(2, "%v", err)
 	}
 	if len(start) != e.Dim() || len(goal) != e.Dim() {
-		fmt.Fprintf(os.Stderr, "mpsolve: %s is %d-dimensional; start is %d-dimensional, goal %d-dimensional\n",
+		fail(2, "%s is %d-dimensional; start is %d-dimensional, goal %d-dimensional",
 			e.Name, e.Dim(), len(start), len(goal))
-		os.Exit(2)
 	}
 
 	sampler, ok := cspace.SamplerByName(*samplerName)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "mpsolve: unknown sampler %q\n", *samplerName)
-		os.Exit(2)
+		fail(2, "unknown sampler %q", *samplerName)
 	}
 	opts := parmp.Options{
 		Procs:            *procs,
@@ -128,13 +126,21 @@ func main() {
 		Sampler:          sampler,
 	}
 	if opts.Strategy, opts.Policy, err = parmp.StrategyByName(*strategy); err != nil {
-		fmt.Fprintln(os.Stderr, "mpsolve:", err)
-		os.Exit(2)
+		fail(2, "%v", err)
 	}
+	// The library's own gate names a bad Options field; every other int
+	// flag is a count, where 0 means none or off.
+	if err := opts.Defaults().Validate(); err != nil {
+		fail(2, "%v", err)
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if n, ok := f.Value.(flag.Getter).Get().(int); ok && n < 0 {
+			fail(2, "-%s must be >= 0, got %d", f.Name, n)
+		}
+	})
 	if !slices.Contains(parmp.PlannerNames(), *planner) {
-		fmt.Fprintf(os.Stderr, "mpsolve: unknown planner %q (want %s)\n",
+		fail(2, "unknown planner %q (want %s)",
 			*planner, strings.Join(parmp.PlannerNames(), ", "))
-		os.Exit(2)
 	}
 
 	space := parmp.NewPointSpace(e)
@@ -150,15 +156,13 @@ func main() {
 	} else {
 		eng, err := parmp.NewEngineByName(*planner, space, start, goal, opts)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mpsolve:", err)
-			os.Exit(1)
+			fail(1, "%v", err)
 		}
 		growErr := eng.GrowN(ctx, *rounds)
 		snap = eng.Snapshot()
 		if growErr != nil {
 			if !errors.Is(growErr, parmp.ErrStopped) {
-				fmt.Fprintln(os.Stderr, "mpsolve:", growErr)
-				os.Exit(1)
+				fail(1, "%v", growErr)
 			}
 			fmt.Printf("growth      : timed out after %d/%d rounds; serving the committed roadmap\n",
 				snap.Rounds(), *rounds)
@@ -171,12 +175,10 @@ func main() {
 			for k := 0; k < *mutateSteps; k++ {
 				st, err := eng.ApplyDelta(ctx, mutateScript(k)...)
 				if err != nil {
-					fmt.Fprintf(os.Stderr, "mpsolve: step %d: %v\n", k, err)
-					os.Exit(1)
+					fail(1, "step %d: %v", k, err)
 				}
 				if err := eng.Grow(ctx); err != nil && !errors.Is(err, parmp.ErrStopped) {
-					fmt.Fprintf(os.Stderr, "mpsolve: step %d: %v\n", k, err)
-					os.Exit(1)
+					fail(1, "step %d: %v", k, err)
 				}
 				s := eng.Snapshot()
 				answer := "no path"
@@ -194,7 +196,7 @@ func main() {
 	if *planner == "prm" {
 		res := snap.PRM()
 		fmt.Printf("roadmap     : %s (after %d rounds)\n", prm.ComputeStats(res.Roadmap), snap.Rounds())
-		fmt.Printf("virtual time: %.0f units on %d procs (%s)\n", res.TotalTime, *procs, *strategy)
+		fmt.Printf("virtual time: %.0f units on %d procs (%s)\n", res.TotalTime, opts.Defaults().Procs, *strategy)
 		fmt.Printf("phases      : sampling=%.0f redistribute=%.0f node-conn=%.0f region-conn=%.0f\n",
 			res.Phases.Sampling, res.Phases.Redistribution, res.Phases.NodeConnection, res.Phases.RegionConnection)
 		fmt.Printf("load CV     : %.3f -> %.3f (migrated %d regions)\n", res.CVBefore, res.CVAfter, res.MigratedRegions)
@@ -206,7 +208,7 @@ func main() {
 			fmt.Printf("two-tree    : %d/%d region pairs met, goal connected: %v\n",
 				res.TreesMet, len(res.Branches), res.GoalConnected)
 		}
-		fmt.Printf("virtual time: %.0f units on %d procs (%s)\n", res.TotalTime, *procs, *strategy)
+		fmt.Printf("virtual time: %.0f units on %d procs (%s)\n", res.TotalTime, opts.Defaults().Procs, *strategy)
 		fmt.Printf("phases      : redistribute=%.0f grow=%.0f region-conn=%.0f\n",
 			res.Phases.Redistribution, res.Phases.NodeConnection, res.Phases.RegionConnection)
 		fmt.Printf("load CV     : %.3f -> %.3f\n", res.CVBefore, res.CVAfter)
@@ -241,21 +243,18 @@ func racePortfolio(ctx context.Context, space *parmp.Space, start, goal parmp.Co
 		MaxWaves: maxWaves,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mpsolve:", err)
-		os.Exit(1)
+		fail(1, "%v", err)
 	}
 	t0 := time.Now()
 	rep, err := pf.Solve(ctx)
 	if err != nil {
 		switch {
 		case errors.Is(err, parmp.ErrNoSolution):
-			fmt.Fprintf(os.Stderr, "mpsolve: portfolio: no racer solved the query within %d waves\n", rep.Waves)
-			os.Exit(1)
+			fail(1, "portfolio: no racer solved the query within %d waves", rep.Waves)
 		case errors.Is(err, parmp.ErrStopped):
 			fmt.Printf("portfolio   : timed out undecided after %d waves; serving the empty snapshot\n", rep.Waves)
 		default:
-			fmt.Fprintln(os.Stderr, "mpsolve:", err)
-			os.Exit(1)
+			fail(1, "%v", err)
 		}
 	}
 	fmt.Printf("portfolio   : %d racers (%s), %s restarts\n", n, planner, restarts)

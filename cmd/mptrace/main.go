@@ -69,14 +69,14 @@ func main() {
 	if *costs {
 		err = runCosts(e, *procs, *regions, *samples, *rounds, *top)
 	} else {
-		opts := core.Options{Strategy: core.NoLB}
+		var opts core.Options
 		if *policyName != "none" {
 			policy, ok := steal.ByName(*policyName)
 			if !ok {
 				fmt.Fprintf(os.Stderr, "mptrace: unknown policy %q\n", *policyName)
 				os.Exit(2)
 			}
-			opts.Strategy, opts.Policy = core.WorkStealing, policy
+			opts.Policy = policy
 		}
 		err = runTrace(e, *procs, *regions, *samples, opts, *policyName, *width, *chromeOut, *verbose)
 	}

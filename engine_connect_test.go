@@ -45,7 +45,7 @@ func TestEngineRRTConnectRoundZeroMatchesPlanRRTConnect(t *testing.T) {
 	space := NewPointSpace(EnvironmentByName("mixed-30"))
 	root, goal := V(0.5, 0.5, 0.5), V(0.9, 0.9, 0.9)
 	opts := Options{Procs: 4, Regions: 32, NodesPerRegion: 20, Radius: 0.9,
-		Strategy: WorkStealing, Policy: RandK(4), Seed: 7}
+		Policy: RandK(4), Seed: 7}
 	oneShot, err := PlanRRTConnect(space, root, goal, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -70,7 +70,7 @@ func TestEngineRoundZeroMatchesPlanPRM(t *testing.T) {
 func TestEngineRRTRoundZeroMatchesPlanRRT(t *testing.T) {
 	space := NewPointSpace(EnvironmentByName("mixed-30"))
 	root := V(0.5, 0.5, 0.5)
-	opts := Options{Procs: 4, Regions: 32, NodesPerRegion: 20, Strategy: WorkStealing, Policy: RandK(4), Seed: 7}
+	opts := Options{Procs: 4, Regions: 32, NodesPerRegion: 20, Policy: RandK(4), Seed: 7}
 	snap, err := PlanRRT(space, root, opts)
 	if err != nil {
 		t.Fatal(err)

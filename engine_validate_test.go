@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"parmp/internal/core"
@@ -244,6 +245,61 @@ func TestSnapshotTreeQueryStartRule(t *testing.T) {
 	} {
 		if got, ok := snap.Query(tc.start, goal, 8); ok || got != nil {
 			t.Errorf("%s: (%v, %v), want a miss", tc.name, got, ok)
+		}
+	}
+}
+
+// One options gate: a negative (or NaN) size is an error that names the
+// field, from PlanPRM, PlanRRT and NewPortfolio alike, never a default
+// planned in its place; zero still means the default. At the parent a
+// negative Procs planned on 4 processors and a negative Racers raced 4.
+func TestNegativeOptionsRejected(t *testing.T) {
+	space := NewPointSpace(EnvironmentByName("walls"))
+	root := V(0.5, 0.5, 0.5)
+	base := Options{Procs: 2, Regions: 8, SamplesPerRegion: 4, NodesPerRegion: 4, Radius: 0.5, Seed: 1}
+	for _, tc := range []struct {
+		field string
+		set   func(o *Options)
+	}{
+		{"Procs", func(o *Options) { o.Procs = -1 }},
+		{"Regions", func(o *Options) { o.Regions = -1 }},
+		{"SamplesPerRegion", func(o *Options) { o.SamplesPerRegion = -1 }},
+		{"ConnectK", func(o *Options) { o.ConnectK = -1 }},
+		{"BoundaryK", func(o *Options) { o.BoundaryK = -1 }},
+		{"BoundaryFrontier", func(o *Options) { o.BoundaryFrontier = -1 }},
+		{"NodesPerRegion", func(o *Options) { o.NodesPerRegion = -1 }},
+		{"HostWorkers", func(o *Options) { o.HostWorkers = -1 }},
+		{"Step", func(o *Options) { o.Step = -0.1 }},
+		{"Step", func(o *Options) { o.Step = math.NaN() }},
+		{"Radius", func(o *Options) { o.Radius = -1 }},
+		{"Radius", func(o *Options) { o.Radius = math.NaN() }},
+		{"StealChunk", func(o *Options) { o.StealChunk = -0.5 }},
+		{"StealChunk", func(o *Options) { o.StealChunk = math.NaN() }},
+	} {
+		opts := base
+		tc.set(&opts)
+		if _, err := PlanPRM(space, opts); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("PlanPRM with a bad %s: err = %v, want one naming the field", tc.field, err)
+		}
+		if _, err := PlanRRT(space, root, opts); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("PlanRRT with a bad %s: err = %v, want one naming the field", tc.field, err)
+		}
+	}
+	if _, err := PlanPRM(space, Options{}); err != nil {
+		t.Errorf("zero Options: %v, want every field defaulted", err)
+	}
+
+	start, goal := V(0.05, 0.05, 0.05), V(0.95, 0.95, 0.95)
+	for _, tc := range []struct {
+		field string
+		po    PortfolioOptions
+	}{
+		{"Racers", PortfolioOptions{Racers: -1}},
+		{"UnitRounds", PortfolioOptions{UnitRounds: -1}},
+		{"MaxWaves", PortfolioOptions{MaxWaves: -1}},
+	} {
+		if _, err := NewPortfolio(space, start, goal, base, tc.po); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("NewPortfolio with a negative %s: err = %v, want one naming the field", tc.field, err)
 		}
 	}
 }

@@ -40,7 +40,6 @@ func ExamplePlanRRT() {
 		Regions:        24,
 		NodesPerRegion: 15,
 		Radius:         0.45,
-		Strategy:       parmp.WorkStealing,
 		Policy:         parmp.Diffusive(),
 		Seed:           2,
 	})

@@ -38,7 +38,6 @@ func main() {
 		NodesPerRegion: 50,
 		Step:           0.08,
 		Radius:         1.2, // radial subdivision sphere in (x, y, theta)
-		Strategy:       parmp.WorkStealing,
 		Policy:         parmp.Hybrid(8),
 		Seed:           3,
 	})

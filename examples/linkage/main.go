@@ -38,7 +38,6 @@ func main() {
 		NodesPerRegion: 24,
 		Step:           0.15,
 		Radius:         2.5, // radial subdivision sphere in joint space
-		Strategy:       parmp.WorkStealing,
 		Policy:         parmp.Diffusive(),
 		Seed:           5,
 	})

@@ -32,9 +32,9 @@ func main() {
 	variants := []variant{
 		{"without LB", withStrategy(base, parmp.NoLB, nil)},
 		{"repartitioning", withStrategy(base, parmp.Repartition, nil)},
-		{"hybrid stealing", withStrategy(base, parmp.WorkStealing, parmp.Hybrid(8))},
-		{"rand-8 stealing", withStrategy(base, parmp.WorkStealing, parmp.RandK(8))},
-		{"diffusive stealing", withStrategy(base, parmp.WorkStealing, parmp.Diffusive())},
+		{"hybrid stealing", withStrategy(base, parmp.NoLB, parmp.Hybrid(8))},
+		{"rand-8 stealing", withStrategy(base, parmp.NoLB, parmp.RandK(8))},
+		{"diffusive stealing", withStrategy(base, parmp.NoLB, parmp.Diffusive())},
 	}
 
 	var baseline float64

@@ -44,7 +44,6 @@ func main() {
 		Regions:          192,
 		SamplesPerRegion: 40,
 		ConnectK:         8,
-		Strategy:         parmp.WorkStealing,
 		Policy:           parmp.Hybrid(8),
 		Seed:             11,
 	})

@@ -125,7 +125,7 @@ func TestCostPhaseStops(t *testing.T) {
 	mutated, delta := mutateAddBox(t, base, geom.Box3(0.05, 0.1, 0.1, 0.3, 0.3, 0.9))
 	build := func(tap *replayTap) *PRMEngine {
 		opts := quickOpts(4, 64)
-		opts.Strategy, opts.Policy = WorkStealing, steal.Hybrid{K: 2}
+		opts.Policy = steal.Hybrid{K: 2}
 		opts.HostWorkers = hostWorkers()
 		opts.Runtime = tap
 		e, err := NewPRMEngine(cspace.NewPointSpace(base), opts)

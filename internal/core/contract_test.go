@@ -135,7 +135,8 @@ func TestCancellationContract(t *testing.T) {
 		strategy Strategy
 		policy   steal.Policy
 	}
-	balancers := []balancer{{"nolb", NoLB, nil}, {"repartition", Repartition, nil}, {"stealing", WorkStealing, steal.Hybrid{K: 4}}}
+	balancers := []balancer{{"nolb", NoLB, nil}, {"repartition", Repartition, nil}, {"stealing", NoLB, steal.Hybrid{K: 4}},
+		{"repartition+hybrid", Repartition, steal.Hybrid{K: 4}}}
 	base := env.Mixed30()
 	mutated := base.Clone()
 	delta, err := mutated.AddObstacle(env.BoxObstacle{Box: geom.Box3(0.3, 0.3, 0.3, 0.55, 0.55, 0.55)})

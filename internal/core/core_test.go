@@ -88,7 +88,6 @@ func TestParallelPRMDeterministicAcrossStrategies(t *testing.T) {
 		t.Fatal(err)
 	}
 	ws := base
-	ws.Strategy = WorkStealing
 	ws.Policy = steal.Hybrid{K: 4}
 	stolen, err := oneRound(NewPRMEngine(s, ws))
 	if err != nil {
@@ -144,7 +143,6 @@ func TestWorkStealingImprovesImbalancedPRM(t *testing.T) {
 		t.Fatal(err)
 	}
 	ws := base
-	ws.Strategy = WorkStealing
 	ws.Policy = steal.Hybrid{K: 8}
 	res, err := oneRound(NewPRMEngine(s, ws))
 	if err != nil {
@@ -174,7 +172,7 @@ func TestFreeEnvironmentNoLBOverheadPRM(t *testing.T) {
 	}
 	for _, cfg := range []Options{
 		func() Options { o := base; o.Strategy = Repartition; return o }(),
-		func() Options { o := base; o.Strategy = WorkStealing; o.Policy = steal.Diffusive{}; return o }(),
+		func() Options { o := base; o.Policy = steal.Diffusive{}; return o }(),
 	} {
 		res, err := oneRound(NewPRMEngine(s, cfg))
 		if err != nil {
@@ -211,16 +209,26 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := oneRound(NewPRMEngine(s, Options{Procs: 8, Regions: 4})); err == nil {
 		t.Fatal("Regions < Procs should fail")
 	}
-	bad := quickOpts(2, 8)
-	bad.Strategy = WorkStealing // no policy
-	if _, err := oneRound(NewPRMEngine(s, bad)); err == nil {
-		t.Fatal("WorkStealing without policy should fail")
+	// The deprecated WorkStealing without a policy is NoLB: stealing is
+	// the policy's alone, so it validates and runs NoLB's round.
+	want, err := oneRound(NewPRMEngine(s, quickOpts(2, 8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deprecated := quickOpts(2, 8)
+	deprecated.Strategy = WorkStealing
+	got, err := oneRound(NewPRMEngine(s, deprecated))
+	if err != nil {
+		t.Fatal("WorkStealing without a policy:", err)
+	}
+	if got.TotalTime != want.TotalTime || got.Roadmap.NumEdges() != want.Roadmap.NumEdges() {
+		t.Fatalf("WorkStealing without a policy: T=%v, %d edges; NoLB: T=%v, %d edges",
+			got.TotalTime, got.Roadmap.NumEdges(), want.TotalTime, want.Roadmap.NumEdges())
 	}
 }
 
 func TestStrategyString(t *testing.T) {
-	if NoLB.String() != "no-lb" || Repartition.String() != "repartition" ||
-		WorkStealing.String() != "work-stealing" {
+	if NoLB.String() != "no-lb" || Repartition.String() != "repartition" {
 		t.Fatal("strategy names wrong")
 	}
 	if Strategy(99).String() == "" {
@@ -289,7 +297,6 @@ func TestRRTStealingHelpsInMixed(t *testing.T) {
 		t.Fatal(err)
 	}
 	ws := base
-	ws.Strategy = WorkStealing
 	ws.Policy = steal.Diffusive{}
 	res, err := oneRound(NewRRTEngine(s, geom.V(0.3, 0.7, 0.5), ws))
 	if err != nil {

@@ -257,14 +257,17 @@ func (e *engine) GrowRound(stop <-chan struct{}) error {
 	queues := queuesByOwner(opts.Procs, rg.Owner, n, func(i int) work.Task { return e.p.constructTask(round, i) })
 	diffused, diffuseCost := pl.diffuse(rg, queues, weights, est.payload)
 	phases.Redistribution += diffuseCost
-	report := pl.run(phaseSpec{name: "construct", queues: queues, policy: pl.stealPolicy(), salt: e.constructSalt})
+	report := pl.run(phaseSpec{name: "construct", queues: queues, policy: opts.Policy, salt: e.constructSalt})
 	if report.Stopped || sched.Canceled(stop) {
 		return abort()
 	}
 	phases.NodeConnection = report.Makespan + pl.barrier()
 	// Work stealing permanently migrates the region and its data: record
-	// the final ownership so the region-connection phase sees it.
-	pl.applyOwnership(rg, report)
+	// the final ownership so the region-connection phase sees it. Without
+	// a steal policy every task ran on its region's owner.
+	for _, t := range report.Tasks {
+		rg.Owner[t.ID] = t.Worker
+	}
 
 	// --- Region-connection phase: every adjacent pair's attempt runs
 	// host-concurrently, then replays in virtual time on an owner of the

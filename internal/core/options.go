@@ -1,8 +1,9 @@
 // Package core is the paper's primary contribution: parallel
-// subdivision-based PRM and radial RRT drivers with pluggable load
-// balancing — none, adaptive work stealing (RAND-K / DIFFUSIVE / HYBRID
-// victim policies), or bulk-synchronous repartitioning driven by
-// per-region work estimates.
+// subdivision-based PRM and radial RRT drivers with two load balancers
+// that compose — bulk-synchronous repartitioning driven by per-region
+// work estimates (Options.Strategy) and adaptive work stealing with
+// RAND-K / DIFFUSIVE / HYBRID victim policies (Options.Policy) — either,
+// both or neither.
 //
 // Execution is phased exactly as in the paper:
 //
@@ -18,7 +19,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"parmp/internal/cspace"
@@ -27,17 +27,21 @@ import (
 	"parmp/internal/work"
 )
 
-// Strategy selects the load balancing approach.
+// Strategy selects the static balancer: whether regions are
+// repartitioned before the expensive phase. Work stealing during it is
+// Options.Policy's, and composes with either strategy.
 type Strategy int
 
 const (
-	// NoLB runs the naive static partition without balancing.
+	// NoLB keeps the naive static partition.
 	NoLB Strategy = iota
 	// Repartition redistributes regions bulk-synchronously using a
 	// per-region work estimate before the expensive phase.
 	Repartition
-	// WorkStealing steals regions (ownership transfer) during the
-	// expensive phase using Options.Policy.
+	// WorkStealing is NoLB.
+	//
+	// Deprecated: stealing is on whenever Options.Policy is set; use NoLB
+	// with a Policy.
 	WorkStealing
 )
 
@@ -48,8 +52,6 @@ func (s Strategy) String() string {
 		return "no-lb"
 	case Repartition:
 		return "repartition"
-	case WorkStealing:
-		return "work-stealing"
 	}
 	return fmt.Sprintf("strategy(%d)", int(s))
 }
@@ -133,8 +135,9 @@ type Options struct {
 	// nearest grid product >= Regions.
 	Regions int
 
-	// Strategy picks the load balancer; Policy the steal victim policy
-	// (required for WorkStealing); Partitioner the repartition algorithm.
+	// Strategy picks the static balancer; Policy, when non-nil, turns on
+	// work stealing in the stealable phases and picks its victims;
+	// Partitioner the repartition algorithm.
 	Strategy    Strategy
 	Policy      steal.Policy
 	Partitioner Partitioner
@@ -198,12 +201,13 @@ type Options struct {
 	Star bool
 }
 
-// Defaults fills unset fields with sensible values.
+// Defaults fills zero-valued fields with sensible values. A negative
+// field is left for Validate to reject.
 func (o Options) Defaults() Options {
-	if o.Procs <= 0 {
+	if o.Procs == 0 {
 		o.Procs = 4
 	}
-	if o.Regions <= 0 {
+	if o.Regions == 0 {
 		o.Regions = 8 * o.Procs
 	}
 	if o.Profile.Name == "" {
@@ -212,43 +216,55 @@ func (o Options) Defaults() Options {
 	if (o.Cost == work.CostModel{}) {
 		o.Cost = work.DefaultCostModel()
 	}
-	if o.SamplesPerRegion <= 0 {
+	if o.SamplesPerRegion == 0 {
 		o.SamplesPerRegion = 10
 	}
-	if o.ConnectK <= 0 {
+	if o.ConnectK == 0 {
 		o.ConnectK = 5
 	}
-	if o.BoundaryK <= 0 {
+	if o.BoundaryK == 0 {
 		o.BoundaryK = 2
 	}
-	if o.BoundaryFrontier <= 0 {
+	if o.BoundaryFrontier == 0 {
 		o.BoundaryFrontier = 1
 	}
-	if o.NodesPerRegion <= 0 {
+	if o.NodesPerRegion == 0 {
 		o.NodesPerRegion = 20
 	}
-	if o.Step <= 0 {
+	if o.Step == 0 {
 		o.Step = 0.05
 	}
-	if o.Radius <= 0 {
+	if o.Radius == 0 {
 		o.Radius = 0.5
 	}
-	if o.StealChunk <= 0 {
+	if o.StealChunk == 0 {
 		o.StealChunk = 1e-9 // one region per steal
 	}
 	return o
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors, naming the field: a
+// non-positive Procs, fewer Regions than Procs, or any other negative
+// (or NaN) size.
 func (o Options) Validate() error {
 	if o.Procs <= 0 {
-		return errors.New("core: Procs must be positive")
+		return fmt.Errorf("core: Procs must be positive, got %d", o.Procs)
 	}
 	if o.Regions < o.Procs {
 		return fmt.Errorf("core: Regions (%d) must be >= Procs (%d) for over-decomposition", o.Regions, o.Procs)
 	}
-	if o.Strategy == WorkStealing && o.Policy == nil {
-		return errors.New("core: WorkStealing requires a steal policy")
+	for _, f := range []struct {
+		name string
+		val  float64
+	}{
+		{"SamplesPerRegion", float64(o.SamplesPerRegion)}, {"ConnectK", float64(o.ConnectK)},
+		{"BoundaryK", float64(o.BoundaryK)}, {"BoundaryFrontier", float64(o.BoundaryFrontier)},
+		{"NodesPerRegion", float64(o.NodesPerRegion)}, {"HostWorkers", float64(o.HostWorkers)},
+		{"Step", o.Step}, {"Radius", o.Radius}, {"StealChunk", o.StealChunk},
+	} {
+		if !(f.val >= 0) {
+			return fmt.Errorf("core: %s must be >= 0, got %v", f.name, f.val)
+		}
 	}
 	return nil
 }

@@ -216,15 +216,6 @@ func accumulateRegionCosts(acc []RegionCost, rep sched.Report) {
 	}
 }
 
-// stealPolicy returns the victim policy for stealable phases, nil unless
-// the run's strategy is WorkStealing.
-func (pl *pipeline) stealPolicy() steal.Policy {
-	if pl.opts.Strategy != WorkStealing {
-		return nil
-	}
-	return pl.opts.Policy
-}
-
 // barrier prices one global barrier on the configured machine.
 func (pl *pipeline) barrier() float64 {
 	return pl.opts.Profile.Barrier(pl.opts.Procs)
@@ -364,18 +355,6 @@ func (pl *pipeline) diffuse(rg *region.Graph, queues [][]work.Task, weights []fl
 	cost = plan.MigrationCost(rg, pl.opts.Profile, vertexCounts, pl.opts.Procs)
 	plan.Apply(rg)
 	return len(plan.Moved), cost
-}
-
-// applyOwnership writes the final task ownership back into the region
-// graph after a stealable phase: work stealing permanently migrates the
-// region and its data, so downstream phases see the new owners.
-func (pl *pipeline) applyOwnership(rg *region.Graph, rep sched.Report) {
-	if pl.opts.Strategy != WorkStealing {
-		return
-	}
-	for _, t := range rep.Tasks {
-		rg.Owner[t.ID] = t.Worker
-	}
 }
 
 // rebalance runs the configured partitioner over the weighted region

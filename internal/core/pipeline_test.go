@@ -21,7 +21,6 @@ import (
 func stealingRun(t *testing.T, rewrite func(sched.Config) sched.Config) *PRMResult {
 	t.Helper()
 	opts := quickOpts(4, 64)
-	opts.Strategy = WorkStealing
 	opts.Policy = steal.RandK{K: 2}
 	opts.Runtime = sched.RuntimeFunc(func(cfg sched.Config, queues [][]work.Task) sched.Report {
 		return dist.Runtime.Run(rewrite(cfg), queues)
@@ -78,7 +77,6 @@ func TestPRMPhaseReportsExposed(t *testing.T) {
 	// load-balance metrics derive from a finished run without rerunning.
 	s := cspace.NewPointSpace(env.MedCube())
 	opts := quickOpts(4, 64)
-	opts.Strategy = WorkStealing
 	opts.Policy = steal.RandK{K: 2}
 	res, err := oneRound(NewPRMEngine(s, opts))
 	if err != nil {

@@ -65,7 +65,7 @@ func (e *engine) applyDelta(s *cspace.Space, d env.Delta, stop <-chan struct{}) 
 	// see the freed space.
 	if dc := cspace.NewDeltaChecker(e.s, d); dc.Invalidating() {
 		queues := queuesByOwner(opts.Procs, rg.Owner, n, func(i int) work.Task { return e.p.repairTask(s, dc, i) })
-		report := pl.run(phaseSpec{name: "repair", queues: queues, policy: pl.stealPolicy(), salt: saltRepair})
+		report := pl.run(phaseSpec{name: "repair", queues: queues, policy: opts.Policy, salt: saltRepair})
 		if report.Stopped || sched.Canceled(stop) {
 			return RepairStats{}, abort()
 		}

@@ -28,9 +28,9 @@ type series struct {
 var (
 	noLB        = series{label: "without-lb", strategy: core.NoLB}
 	repartLB    = series{label: "repartitioning", strategy: core.Repartition}
-	hybridWS    = series{label: "hybrid-ws", strategy: core.WorkStealing, policy: steal.Hybrid{K: 8}}
-	rand8WS     = series{label: "rand-8-ws", strategy: core.WorkStealing, policy: steal.RandK{K: 8}}
-	diffusiveWS = series{label: "diffusive-ws", strategy: core.WorkStealing, policy: steal.Diffusive{}}
+	hybridWS    = series{label: "hybrid-ws", policy: steal.Hybrid{K: 8}}
+	rand8WS     = series{label: "rand-8-ws", policy: steal.RandK{K: 8}}
+	diffusiveWS = series{label: "diffusive-ws", policy: steal.Diffusive{}}
 
 	// prmSeries is the standard four-way comparison of the PRM figures;
 	// rrtSeries the work-stealing comparison of Fig 10.

@@ -135,9 +135,10 @@ func TestServeQueryEndToEnd(t *testing.T) {
 	}
 }
 
-// A spec sized past the limits is refused at every endpoint before any
-// tenant exists: at the parent this request held its handler for 38 s
-// building 3.2 M regions and left the process at 3.2 GB.
+// A spec sized past the limits, or negative, is refused at every endpoint
+// before any tenant exists: at the parent the first request held its
+// handler for 38 s building 3.2 M regions and left the process at
+// 3.2 GB, and a negative procs was served as the default 8.
 func TestServeOversizedSpecRejected(t *testing.T) {
 	srv := New(testConfig())
 	defer srv.Close()
@@ -148,6 +149,11 @@ func TestServeOversizedSpecRejected(t *testing.T) {
 		{`"procs":400000`, "procs 400000 exceeds the limit of 1024"},
 		// Every field inside its own limit, their product not.
 		{`"regions":8192,"samples":512,"rounds":64`, "= 268435456 sampling attempts exceeds the limit of 4194304"},
+		{`"procs":-1`, "procs -1 is negative"},
+		{`"regions":-5`, "regions -5 is negative"},
+		{`"samples":-1`, "samples -1 is negative"},
+		{`"rounds":-2`, "rounds -2 is negative"},
+		{`"portfolio":-3`, "portfolio -3 is negative"},
 	} {
 		for _, path := range []string{"/v1/query", "/v1/batch", "/v1/env/mutate"} {
 			resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(

@@ -98,6 +98,9 @@ func (sp Spec) Canonical(growRounds int) (Spec, error) {
 		{"rounds", c.Rounds, maxRounds},
 		{"portfolio", c.Portfolio, maxPortfolio},
 	} {
+		if f.val < 0 {
+			return c, fmt.Errorf("spec: %s %d is negative", f.name, f.val)
+		}
 		if f.val > f.max {
 			return c, fmt.Errorf("spec: %s %d exceeds the limit of %d", f.name, f.val, f.max)
 		}
@@ -126,9 +129,6 @@ func (sp Spec) Canonical(growRounds int) (Spec, error) {
 	}
 	if !slices.Contains(parmp.PlannerNames(), c.Planner) {
 		return c, fmt.Errorf("spec: unknown planner %q (want %s)", c.Planner, strings.Join(parmp.PlannerNames(), ", "))
-	}
-	if c.Portfolio < 0 {
-		c.Portfolio = 0
 	}
 	if c.Portfolio > 0 {
 		// A portfolio tenant always carries the race query, whatever the
@@ -159,13 +159,10 @@ func (sp Spec) Canonical(growRounds int) (Spec, error) {
 			}
 		}
 	}
-	if c.Procs <= 0 {
+	if c.Procs == 0 {
 		c.Procs = 8
 	}
-	if c.Regions < 0 {
-		c.Regions = 0
-	}
-	if c.Samples <= 0 {
+	if c.Samples == 0 {
 		c.Samples = 16
 	}
 	if c.Seed == 0 {
@@ -178,7 +175,7 @@ func (sp Spec) Canonical(growRounds int) (Spec, error) {
 	if _, _, err := parmp.StrategyByName(c.Strategy); err != nil {
 		return c, fmt.Errorf("spec: %w", err)
 	}
-	if c.Rounds <= 0 {
+	if c.Rounds == 0 {
 		c.Rounds = growRounds
 	}
 	if w := c.growWork(); w > maxGrowWork {

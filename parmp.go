@@ -8,9 +8,10 @@
 // The library parallelizes the two major families of sampling-based
 // planners by spatial subdivision — uniform grid subdivision for PRM and
 // uniform radial subdivision for RRT — and balances the resulting
-// heterogeneous region workloads with either adaptive work stealing
-// (RAND-K, DIFFUSIVE or HYBRID victim selection) or bulk-synchronous
-// repartitioning driven by per-region work estimates.
+// heterogeneous region workloads with bulk-synchronous repartitioning
+// driven by per-region work estimates (Options.Strategy), adaptive work
+// stealing with RAND-K, DIFFUSIVE or HYBRID victim selection
+// (Options.Policy), or both.
 //
 // Planning runs execute on a deterministic simulated distributed machine:
 // every region task is charged the collision-detection and local-planning
@@ -27,7 +28,8 @@
 //	snap, err := parmp.PlanPRM(space, parmp.Options{
 //		Procs:    64,
 //		Regions:  512,
-//		Strategy: parmp.Repartition,
+//		Strategy: parmp.Repartition, // repartition before node connection
+//		Policy:   parmp.Hybrid(8),   // and steal during it (nil: no stealing)
 //	})
 //	if err != nil { ... }
 //	path, ok := snap.Query(start, goal, 8)
@@ -58,7 +60,8 @@ import (
 type (
 	// Options configures a parallel planning run; see core.Options.
 	Options = core.Options
-	// Strategy selects the load balancing approach.
+	// Strategy selects whether regions are repartitioned; stealing is
+	// Options.Policy's.
 	Strategy = core.Strategy
 	// PRMResult is a PRM snapshot's roadmap and run statistics.
 	PRMResult = core.PRMResult
@@ -86,12 +89,10 @@ type (
 
 // Load balancing strategies.
 const (
-	// NoLB runs the naive static partition without balancing.
+	// NoLB keeps the naive static partition.
 	NoLB = core.NoLB
 	// Repartition redistributes regions using per-region work estimates.
 	Repartition = core.Repartition
-	// WorkStealing steals regions during the expensive phase.
-	WorkStealing = core.WorkStealing
 )
 
 // PlanPRM constructs a roadmap of space's free C-space with the
@@ -188,8 +189,8 @@ func Hybrid(k int) StealPolicy { return steal.Hybrid{K: k} }
 
 // StrategyByName resolves a load-balancing name as the command-line
 // tools and the serving tier spell it — "none", "repartition", or a steal
-// policy ("hybrid", "rand-8", "diffusive") — to the Options.Strategy and
-// Options.Policy that select it.
+// policy ("hybrid", "rand-8", "diffusive", which steals from the naive
+// partition) — to the Options.Strategy and Options.Policy that select it.
 func StrategyByName(name string) (Strategy, StealPolicy, error) {
 	switch name {
 	case "none":
@@ -198,7 +199,7 @@ func StrategyByName(name string) (Strategy, StealPolicy, error) {
 		return Repartition, nil, nil
 	}
 	if policy, ok := steal.ByName(name); ok {
-		return WorkStealing, policy, nil
+		return NoLB, policy, nil
 	}
 	return 0, nil, fmt.Errorf("unknown strategy %q (want none, repartition, hybrid, rand-8, diffusive)", name)
 }

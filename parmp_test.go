@@ -41,7 +41,6 @@ func TestPublicRRTPipeline(t *testing.T) {
 		Regions:        24,
 		NodesPerRegion: 8,
 		Radius:         0.4,
-		Strategy:       WorkStealing,
 		Policy:         Diffusive(),
 		Seed:           2,
 	})
@@ -66,14 +65,15 @@ func TestPublicStealPolicies(t *testing.T) {
 }
 
 // StrategyByName knows the five names the CLIs and the serving tier
-// document, and only those.
+// document, and only those. A steal policy's name steals from the naive
+// partition: the policy alone turns stealing on.
 func TestStrategyByName(t *testing.T) {
 	for name, want := range map[string]struct {
 		strategy Strategy
 		policy   string
 	}{
 		"none": {NoLB, ""}, "repartition": {Repartition, ""},
-		"hybrid": {WorkStealing, "hybrid"}, "rand-8": {WorkStealing, "rand-8"}, "diffusive": {WorkStealing, "diffusive"},
+		"hybrid": {NoLB, "hybrid"}, "rand-8": {NoLB, "rand-8"}, "diffusive": {NoLB, "diffusive"},
 	} {
 		strategy, policy, err := StrategyByName(name)
 		if err != nil || strategy != want.strategy || (policy == nil) != (want.policy == "") || (policy != nil && policy.Name() != want.policy) {

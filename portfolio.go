@@ -52,9 +52,17 @@ type PortfolioOptions struct {
 // PRM snapshots.
 const raceAttachK = 8
 
-// withDefaults fills unset fields and validates names.
+// withDefaults fills zero-valued fields and validates names and sizes.
 func (po PortfolioOptions) withDefaults() (PortfolioOptions, error) {
-	if po.Racers <= 0 {
+	for _, f := range []struct {
+		name string
+		n    int
+	}{{"Racers", po.Racers}, {"UnitRounds", po.UnitRounds}, {"MaxWaves", po.MaxWaves}} {
+		if f.n < 0 {
+			return po, fmt.Errorf("parmp: PortfolioOptions.%s must be >= 0, got %d", f.name, f.n)
+		}
+	}
+	if po.Racers == 0 {
 		po.Racers = 4
 	}
 	if len(po.Planners) == 0 {
@@ -73,7 +81,7 @@ func (po PortfolioOptions) withDefaults() (PortfolioOptions, error) {
 	default:
 		return po, fmt.Errorf("parmp: unknown restart schedule %q (want luby or none)", po.Restarts)
 	}
-	if po.UnitRounds <= 0 {
+	if po.UnitRounds == 0 {
 		po.UnitRounds = 1
 	}
 	return po, nil
