@@ -21,6 +21,7 @@ import (
 	"parmp/internal/metrics"
 	"parmp/internal/prm"
 	"parmp/internal/region"
+	"parmp/internal/repart"
 	"parmp/internal/rng"
 )
 
@@ -82,11 +83,7 @@ func main() {
 		n, metrics.CV(vfree), metrics.CV(weights))
 
 	region.NaiveColumnPartition(rg, *procs)
-	if err := rg.SetWeights(weights); err != nil {
-		fmt.Fprintln(os.Stderr, "envinfo:", err)
-		os.Exit(2)
-	}
-	loads := rg.LoadPerProcessor(*procs)
+	loads := repart.Loads(weights, rg.Owner, *procs)
 	fmt.Printf("naive map   : %d procs, load CV=%.3f, max/mean=%.2f\n",
 		*procs, metrics.CV(loads), metrics.Max(loads)/metrics.Mean(loads))
 	fmt.Printf("edge cut    : %d of %d region edges\n", rg.EdgeCut(), rg.G.NumEdges())

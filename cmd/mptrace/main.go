@@ -33,6 +33,7 @@ import (
 	"parmp/internal/env"
 	"parmp/internal/metrics"
 	"parmp/internal/obsv"
+	"parmp/internal/repart"
 	"parmp/internal/sched"
 	"parmp/internal/steal"
 	"parmp/internal/work"
@@ -65,20 +66,33 @@ func main() {
 		os.Exit(2)
 	}
 
+	// Both modes drive the same PRM engine: -costs closes the loop
+	// (observed cost model + repartitioning), tracing picks the policy.
+	opts := core.Options{
+		Procs: *procs, Regions: *regions, SamplesPerRegion: *samples,
+		ConnectK: 3, Profile: work.Hopper(), Seed: 7,
+	}
+	if *costs {
+		opts.Strategy, opts.CostModel = core.Repartition, core.CostObserved
+	} else if *policyName != "none" {
+		policy, ok := steal.ByName(*policyName)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "mptrace: unknown policy %q\n", *policyName)
+			os.Exit(2)
+		}
+		opts.Policy = policy
+	}
+	// The library's own gate names a configuration it refuses.
+	if err := opts.Defaults().Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "mptrace:", err)
+		os.Exit(2)
+	}
+
 	var err error
 	if *costs {
-		err = runCosts(e, *procs, *regions, *samples, *rounds, *top)
+		err = runCosts(e, opts, *rounds, *top)
 	} else {
-		var opts core.Options
-		if *policyName != "none" {
-			policy, ok := steal.ByName(*policyName)
-			if !ok {
-				fmt.Fprintf(os.Stderr, "mptrace: unknown policy %q\n", *policyName)
-				os.Exit(2)
-			}
-			opts.Policy = policy
-		}
-		err = runTrace(e, *procs, *regions, *samples, opts, *policyName, *width, *chromeOut, *verbose)
+		err = runTrace(e, opts, *policyName, *width, *chromeOut, *verbose)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mptrace:", err)
@@ -90,7 +104,7 @@ func main() {
 // phase replay goes through, so a runtime that installs a tracer and
 // forwards to the simulator sees one growth round exactly as the engine
 // runs it. It prints a timeline and the load-balance metrics per phase.
-func runTrace(e *env.Environment, procs, regions, samples int, opts core.Options, policyName string, width int, chromeOut string, verbose bool) error {
+func runTrace(e *env.Environment, opts core.Options, policyName string, width int, chromeOut string, verbose bool) error {
 	type phaseTrace struct {
 		events []dist.TraceEvent
 		rep    dist.Report
@@ -110,7 +124,7 @@ func runTrace(e *env.Environment, procs, regions, samples int, opts core.Options
 		elapsed += ph.rep.Makespan
 		return ph.rep
 	})
-	eng, err := newEngine(e, procs, regions, samples, opts)
+	eng, err := core.NewPRMEngine(cspace.NewPointSpace(e), opts)
 	if err != nil {
 		return err
 	}
@@ -156,27 +170,21 @@ func runTrace(e *env.Environment, procs, regions, samples int, opts core.Options
 	return nil
 }
 
-// newEngine builds the PRM engine both modes drive: opts supplies the
-// load-balancing choice (and, when tracing, the runtime), the rest is
-// fixed.
-func newEngine(e *env.Environment, procs, regions, samples int, opts core.Options) (*core.PRMEngine, error) {
-	opts.Procs, opts.Regions, opts.SamplesPerRegion = procs, regions, samples
-	opts.ConnectK, opts.Profile, opts.Seed = 3, work.Hopper(), 7
-	return core.NewPRMEngine(cspace.NewPointSpace(e), opts)
-}
-
 // runCosts drives the closed-loop PRM engine (observed cost model +
 // repartitioning) and, after every committed round, prints that round's
 // per-region construct costs: the heaviest regions with their owner and
 // cumulative mean/max, then the per-processor cost distribution the next
 // repartition will balance.
-func runCosts(e *env.Environment, procs, regions, samples, rounds, top int) error {
-	eng, err := newEngine(e, procs, regions, samples, core.Options{Strategy: core.Repartition, CostModel: core.CostObserved})
+func runCosts(e *env.Environment, opts core.Options, rounds, top int) error {
+	eng, err := core.NewPRMEngine(cspace.NewPointSpace(e), opts)
 	if err != nil {
 		return err
 	}
+	// The grid rounds the requested region count to its own shape: size
+	// everything by the engine's regions, not the flag.
+	regions := eng.Result().RegionGraph.NumRegions()
 	fmt.Printf("closed-loop PRM on %s: %d procs, %d regions, %d samples/region/round, cost model %s\n",
-		e, procs, regions, samples, core.CostObserved)
+		e, opts.Procs, regions, opts.SamplesPerRegion, opts.CostModel)
 	prev := make([]float64, regions)
 	for round := 0; round < rounds; round++ {
 		if err := eng.GrowRound(nil); err != nil {
@@ -190,19 +198,17 @@ func runCosts(e *env.Environment, procs, regions, samples, rounds, top int) erro
 			cost   float64
 		}
 		thisRound := make([]row, regions)
-		perProc := make([]float64, procs)
-		var total float64
+		costs := make([]float64, regions)
 		for i, rc := range res.RegionCosts {
-			c := rc.Sum - prev[i]
+			costs[i] = rc.Sum - prev[i]
 			prev[i] = rc.Sum
-			thisRound[i] = row{i, c}
-			perProc[rg.Owner[i]] += c
-			total += c
+			thisRound[i] = row{i, costs[i]}
 		}
+		perProc := repart.Loads(costs, rg.Owner, opts.Procs)
 		sort.Slice(thisRound, func(a, b int) bool { return thisRound[a].cost > thisRound[b].cost })
 
 		fmt.Printf("\nround %d: construct cost %.0f units over %d regions (top %d)\n",
-			round, total, regions, top)
+			round, metrics.Sum(costs), regions, top)
 		fmt.Printf("%8s %6s %12s %12s %12s\n", "region", "owner", "cost", "cum-mean", "cum-max")
 		for _, r := range thisRound[:min(top, len(thisRound))] {
 			rc := res.RegionCosts[r.region]

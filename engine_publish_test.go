@@ -3,10 +3,13 @@ package parmp
 import (
 	"bytes"
 	"context"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
 	"parmp/internal/cspace"
+	"parmp/internal/graph"
 	"parmp/internal/prm"
 )
 
@@ -142,5 +145,69 @@ func TestHeldSnapshotFrozenUnderGrowAndRepair(t *testing.T) {
 	}
 	if !bytes.Equal(before, roadmapBytes(t, held.PRM().Roadmap)) {
 		t.Fatal("a published roadmap changed while the engine grew and repaired")
+	}
+}
+
+// A published result keeps the ownership it was committed under. Under
+// stealing and repartitioning the engine's own ownership moves every
+// round, but a held snapshot's RegionGraph.Owner and NodeLoads stay
+// those of its commit, read concurrently with later growth and repair
+// (run under -race), and its NodeLoads stay its roadmap's node counts
+// per owner.
+func TestHeldSnapshotKeepsItsOwnership(t *testing.T) {
+	ctx := context.Background()
+	opts := testEngineOpts()
+	opts.Policy, opts.Seed = Hybrid(8), 3
+	eng, err := NewEngine(NewPointSpace(EnvironmentByName("med-cube")), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Grow(ctx); err != nil {
+		t.Fatal(err)
+	}
+	held := eng.Snapshot().PRM()
+	owner, loads := slices.Clone(held.RegionGraph.Owner), slices.Clone(held.NodeLoads)
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if !slices.Equal(held.RegionGraph.Owner, owner) {
+				t.Error("a held snapshot's ownership moved while the engine grew")
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
+	for i := 0; i < 3; i++ {
+		if err := eng.Grow(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := eng.ApplyDelta(ctx, AddObstacle{Obstacle: NewBoxObstacle(V(0.1, 0.1, 0.1), V(0.3, 0.3, 0.3))}); err != nil {
+		t.Fatal(err)
+	}
+	close(done)
+	wg.Wait()
+
+	if slices.Equal(eng.Snapshot().PRM().RegionGraph.Owner, owner) {
+		t.Fatal("the live ownership never moved: the fixture tests nothing")
+	}
+	if !slices.Equal(held.RegionGraph.Owner, owner) || !slices.Equal(held.NodeLoads, loads) {
+		t.Fatal("a held snapshot's ownership or node loads changed after later rounds and a repair")
+	}
+	perProc := make([]float64, opts.Procs)
+	for i := 0; i < held.Roadmap.NumNodes(); i++ {
+		perProc[owner[held.Roadmap.G.Vertex(graph.ID(i)).Region]]++
+	}
+	if !slices.Equal(perProc, loads) {
+		t.Fatalf("NodeLoads %v do not match the roadmap under its own ownership (%v)", loads, perProc)
 	}
 }

@@ -2,10 +2,12 @@ package core
 
 import (
 	"errors"
+	"slices"
 
 	"parmp/internal/cspace"
 	"parmp/internal/metrics"
 	"parmp/internal/region"
+	"parmp/internal/repart"
 	"parmp/internal/sched"
 	"parmp/internal/work"
 )
@@ -16,15 +18,10 @@ import (
 // valid — cancellation never tears state.
 var ErrStopped = errors.New("core: growth round canceled")
 
-// roundSalt derives the per-region RNG stream id for a growth round.
-// Round 0 uses the bare region index, which makes an engine's first
-// round bit-identical to the one-shot planners; later rounds fold the
-// round number into the high bits so every round samples an
-// independent, deterministic stream.
+// roundSalt derives the per-region RNG stream id for a growth round: the
+// round number in the high bits, the region index in the low, so every
+// round samples an independent, deterministic stream.
 func roundSalt(round, i int) uint64 {
-	if round == 0 {
-		return uint64(i)
-	}
 	return uint64(round)<<32 | uint64(i)
 }
 
@@ -32,6 +29,9 @@ func roundSalt(round, i int) uint64 {
 // accounting the round driver accumulates identically for every planner.
 // PRMResult and RRTResult embed it, so its fields read as their own.
 type RunStats struct {
+	// RegionGraph is the ownership this result was committed under, over
+	// the engine's regions, which never change after construction: later
+	// rounds and repairs move the engine's ownership, never this copy.
 	RegionGraph *region.Graph
 	Phases      PhaseBreakdown
 	// TotalTime is the virtual makespan of the whole pipeline.
@@ -174,8 +174,15 @@ func (e *engine) setup(s *cspace.Space, opts Options, rg *region.Graph, p planne
 	e.s, e.opts, e.rg, e.p = s, opts, rg, p
 	e.pl = newPipeline(opts)
 	rg.ForEachAdjacentPair(func(a, b int) { e.pairs = append(e.pairs, [2]int{a, b}) })
-	e.stats = RunStats{RegionGraph: rg}
+	e.stats = RunStats{RegionGraph: e.committedRegions()}
 	p.publish(e.stats)
+}
+
+// committedRegions freezes the current ownership for a published result.
+// The regions themselves are shared: nothing writes them after
+// construction.
+func (e *engine) committedRegions() *region.Graph {
+	return &region.Graph{G: e.rg.G, Owner: slices.Clone(e.rg.Owner)}
 }
 
 // Rounds returns the number of committed growth rounds.
@@ -183,15 +190,15 @@ func (e *engine) Rounds() int { return e.round }
 
 // begin arms cooperative cancellation for one GrowRound / ApplyDelta
 // (callers defer end) and returns the abort that restores the
-// phase-report log and region ownership to their state on entry.
+// phase-report log and region ownership to their state on entry. The
+// ownership on entry is the last published one: only a commit moves it.
 func (e *engine) begin(stop <-chan struct{}) (abort func() error) {
-	pl, rg := e.pl, e.rg
+	pl := e.pl
 	pl.stop = stop
 	reportMark := len(pl.reports)
-	ownerMark := append([]int(nil), rg.Owner...)
 	return func() error {
 		pl.reports = pl.reports[:reportMark]
-		copy(rg.Owner, ownerMark)
+		copy(e.rg.Owner, e.stats.RegionGraph.Owner)
 		return ErrStopped
 	}
 }
@@ -233,11 +240,7 @@ func (e *engine) GrowRound(stop <-chan struct{}) error {
 		if round > 0 {
 			weights = pl.roundWeights(est.weights, est.units)
 		}
-		if err := rg.SetWeights(weights); err != nil {
-			abort()
-			return err
-		}
-		cvBefore = metrics.CV(rg.LoadPerProcessor(opts.Procs))
+		cvBefore = repart.CoefficientOfVariation(weights, rg.Owner, opts.Procs)
 		// --- Optional repartitioning before the expensive phase.
 		if opts.Strategy == Repartition {
 			var cost float64
@@ -361,10 +364,12 @@ func (e *engine) publish() {
 	st := &e.stats
 	st.TotalTime = st.Phases.Total()
 	st.PhaseReports = e.pl.reports
-	st.NodeLoads = make([]float64, e.opts.Procs)
-	for i := 0; i < e.rg.NumRegions(); i++ {
-		st.NodeLoads[e.rg.Owner[i]] += float64(e.p.nodeCount(i))
+	st.RegionGraph = e.committedRegions()
+	nodes := make([]float64, e.rg.NumRegions())
+	for i := range nodes {
+		nodes[i] = float64(e.p.nodeCount(i))
 	}
+	st.NodeLoads = repart.Loads(nodes, st.RegionGraph.Owner, e.opts.Procs)
 	st.CVAfter = metrics.CV(st.NodeLoads)
 	e.p.publish(*st)
 }

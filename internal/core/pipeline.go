@@ -6,6 +6,7 @@ import (
 	"parmp/internal/costmodel"
 	"parmp/internal/dist"
 	"parmp/internal/exec"
+	"parmp/internal/metrics"
 	"parmp/internal/region"
 	"parmp/internal/repart"
 	"parmp/internal/sched"
@@ -386,20 +387,7 @@ func (pl *pipeline) rebalance(rg *region.Graph, weights []float64, vertexCounts 
 // free-environment experiments show effective balancers must be no-ops on
 // balanced workloads.
 func worthRebalancing(weights []float64, current, candidate []int, procs int) bool {
-	maxLoad := func(assign []int) float64 {
-		load := make([]float64, procs)
-		for i, w := range weights {
-			load[assign[i]] += w
-		}
-		var m float64
-		for _, l := range load {
-			if l > m {
-				m = l
-			}
-		}
-		return m
-	}
 	const threshold = 0.05
-	cur := maxLoad(current)
-	return cur > 0 && maxLoad(candidate) < cur*(1-threshold)
+	cur := metrics.Max(repart.Loads(weights, current, procs))
+	return cur > 0 && metrics.Max(repart.Loads(weights, candidate, procs)) < cur*(1-threshold)
 }

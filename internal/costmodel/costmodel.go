@@ -9,8 +9,8 @@
 //
 // The model consumes the Elapsed times of sched.Report's task records,
 // attributed by their Region (internal/core folds them per region before
-// calling Observe) and produces the weight vector internal/core feeds to
-// region.Graph.SetWeights before repartitioning. Cold start falls back
+// calling Observe) and produces the weight vector internal/core
+// repartitions on (and scores with repart.Loads). Cold start falls back
 // to the caller's static estimate: Blend rescales static weights into
 // observed units for regions the model has not seen yet, so a partially
 // warm model never compares microseconds against raw sample counts.

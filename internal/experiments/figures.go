@@ -70,7 +70,8 @@ func fig4b(sc Scale) *metrics.Table {
 	for _, p := range sc.ModelImpProcs {
 		// Experimental: reduction in max per-proc sample count.
 		region.NaiveColumnPartition(rg, p)
-		expPct := pctDrop(maxLoad(weights, rg.Owner, p), maxLoad(weights, repart.GreedyLPT(weights, p), p))
+		expPct := pctDrop(metrics.Max(repart.Loads(weights, rg.Owner, p)),
+			metrics.Max(repart.Loads(weights, repart.GreedyLPT(weights, p), p)))
 
 		// Runtime: improvement of the node-connection phase.
 		opts := core.Options{
@@ -86,14 +87,6 @@ func fig4b(sc Scale) *metrics.Table {
 			pctDrop(base.Phases.NodeConnection, rp.Phases.NodeConnection))
 	}
 	return t
-}
-
-func maxLoad(weights []float64, assign []int, p int) float64 {
-	load := make([]float64, p)
-	for i, w := range weights {
-		load[assign[i]] += w
-	}
-	return metrics.Max(load)
 }
 
 // fig5a reproduces Figure 5(a): PRM execution time with all load

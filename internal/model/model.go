@@ -47,25 +47,15 @@ func (m Model) VFree() []float64 {
 // column partition of the region mesh.
 func (m Model) NaiveLoads(p int) []float64 {
 	rg := m.Regions()
-	w := m.VFree()
 	region.NaiveColumnPartition(rg, p)
-	load := make([]float64, p)
-	for i, wi := range w {
-		load[rg.Owner[i]] += wi
-	}
-	return load
+	return repart.Loads(m.VFree(), rg.Owner, p)
 }
 
 // BestLoads returns the per-processor V_free totals under the greedy
 // global partition (edge cuts ignored, as in the paper's model analysis).
 func (m Model) BestLoads(p int) []float64 {
 	w := m.VFree()
-	assign := repart.GreedyLPT(w, p)
-	load := make([]float64, p)
-	for i, a := range assign {
-		load[a] += w[i]
-	}
-	return load
+	return repart.Loads(w, repart.GreedyLPT(w, p), p)
 }
 
 // NaiveCV is the model-predicted coefficient of variation of the naive

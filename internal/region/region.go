@@ -41,10 +41,6 @@ type Region struct {
 	Apex      geom.Vec
 	Radius    float64
 	HalfAngle float64
-
-	// Weight is the load estimate attached by a weighting pass
-	// (repartitioning input). Zero until estimated.
-	Weight float64
 }
 
 // String identifies the region.
@@ -121,26 +117,4 @@ func (rg *Graph) EdgeCut() int {
 		}
 	})
 	return cut
-}
-
-// SetWeights stores w[i] into each region's Weight. It returns a
-// descriptive error (instead of crashing the caller) when the vector
-// length does not match the region count.
-func (rg *Graph) SetWeights(w []float64) error {
-	if len(w) != rg.NumRegions() {
-		return fmt.Errorf("region: weight vector has %d entries for %d regions", len(w), rg.NumRegions())
-	}
-	for i, v := range w {
-		rg.Region(i).Weight = v
-	}
-	return nil
-}
-
-// LoadPerProcessor sums region weights per owner over p processors.
-func (rg *Graph) LoadPerProcessor(p int) []float64 {
-	load := make([]float64, p)
-	for i := 0; i < rg.NumRegions(); i++ {
-		load[rg.Owner[i]] += rg.Region(i).Weight
-	}
-	return load
 }

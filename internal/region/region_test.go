@@ -3,7 +3,6 @@ package region
 import (
 	"math"
 	"slices"
-	"strings"
 	"testing"
 
 	"parmp/internal/geom"
@@ -140,36 +139,6 @@ func TestSweepOrder(t *testing.T) {
 	}
 	if got, want := rg.SweepOrder(), []int{0, 3, 1, 2, 4, 5, 6}; !slices.Equal(got, want) {
 		t.Fatalf("SweepOrder = %v, want %v", got, want)
-	}
-}
-
-func TestWeightsRoundTrip(t *testing.T) {
-	b := geom.Box2(0, 0, 1, 1)
-	rg := MustUniformGrid(b, GridSpec{Cells: []int{2, 2}})
-	if err := rg.SetWeights([]float64{1, 2, 3, 4}); err != nil {
-		t.Fatalf("SetWeights: %v", err)
-	}
-	for i, v := range []float64{1, 2, 3, 4} {
-		if w := rg.Region(i).Weight; w != v {
-			t.Fatalf("region %d weight = %v, want %v", i, w, v)
-		}
-	}
-	NaiveColumnPartition(rg, 2)
-	load := rg.LoadPerProcessor(2)
-	if load[0] != 3 || load[1] != 7 {
-		t.Fatalf("load = %v", load)
-	}
-}
-
-func TestSetWeightsErrorsOnLengthMismatch(t *testing.T) {
-	b := geom.Box2(0, 0, 1, 1)
-	rg := MustUniformGrid(b, GridSpec{Cells: []int{2, 2}})
-	err := rg.SetWeights([]float64{1})
-	if err == nil {
-		t.Fatal("expected error for mismatched weight vector")
-	}
-	if !strings.Contains(err.Error(), "1 entries for 4 regions") {
-		t.Fatalf("undescriptive error: %v", err)
 	}
 }
 

@@ -253,12 +253,19 @@ func sampleConeDir(reg *region.Region, r *rng.Stream) geom.Vec {
 	return p.Unit()
 }
 
-// CoefficientOfVariation returns sigma/mu of the per-processor loads
-// implied by weights and assignment — the paper's imbalance measure.
-func CoefficientOfVariation(weights []float64, assign []int, procs int) float64 {
+// Loads returns the per-processor load an assignment implies: entry p
+// sums weights[i], in region order, over the regions i that assign gives
+// processor p. Every balancing score in the paper is a function of it.
+func Loads(weights []float64, assign []int, procs int) []float64 {
 	load := make([]float64, procs)
 	for i, w := range weights {
 		load[assign[i]] += w
 	}
-	return metrics.CV(load)
+	return load
+}
+
+// CoefficientOfVariation returns sigma/mu of the per-processor loads
+// implied by weights and assignment — the paper's imbalance measure.
+func CoefficientOfVariation(weights []float64, assign []int, procs int) float64 {
+	return metrics.CV(Loads(weights, assign, procs))
 }

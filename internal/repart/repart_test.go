@@ -2,6 +2,7 @@ package repart
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -18,11 +19,7 @@ func grid4x4() *region.Graph {
 
 func TestGreedyLPTBalances(t *testing.T) {
 	weights := []float64{10, 9, 8, 7, 1, 1, 1, 1}
-	assign := GreedyLPT(weights, 2)
-	load := make([]float64, 2)
-	for i, a := range assign {
-		load[a] += weights[i]
-	}
+	load := Loads(weights, GreedyLPT(weights, 2), 2)
 	if math.Abs(load[0]-load[1]) > 1 {
 		t.Fatalf("loads %v not balanced", load)
 	}
@@ -260,6 +257,16 @@ func TestKRayWeightsDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("KRayWeights not deterministic")
 		}
+	}
+}
+
+// The naive column partition of a 2x2 grid gives processor 0 the first
+// block of region IDs (0 and 1) and processor 1 the second (2 and 3).
+func TestLoadsNaivePartition(t *testing.T) {
+	rg := region.MustUniformGrid(geom.Box2(0, 0, 1, 1), region.GridSpec{Cells: []int{2, 2}})
+	region.NaiveColumnPartition(rg, 2)
+	if load := Loads([]float64{1, 2, 3, 4}, rg.Owner, 2); !slices.Equal(load, []float64{3, 7}) {
+		t.Fatalf("load = %v, want [3 7]", load)
 	}
 }
 

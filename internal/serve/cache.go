@@ -102,14 +102,16 @@ func (c *pathCache) put(key string, gen int64, path []byte) {
 }
 
 // invalidate drops every entry and retags the cache for snapshot
-// generation gen. Idempotent per generation.
+// generation gen. Idempotent per generation, and a generation older than
+// the cache's is ignored: a caller that read gen before a later publish
+// retagged the cache must not turn it back.
 func (c *pathCache) invalidate(gen int64) {
 	if c.max <= 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.gen == gen {
+	if gen <= c.gen {
 		return
 	}
 	c.gen = gen

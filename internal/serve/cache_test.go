@@ -81,6 +81,15 @@ func TestPathCacheRolloverInvalidation(t *testing.T) {
 	if path, ok := c.get(key, 1); !ok || !bytes.Equal(path, cfgPath(2)) {
 		t.Fatal("current-round put must land")
 	}
+	// A late invalidate for an older generation (a grow that read its
+	// generation before a concurrent mutation published the next) must
+	// not move the cache back.
+	c.invalidate(2)
+	c.invalidate(1)
+	c.put(key, 2, cfgPath(3))
+	if path, ok := c.get(key, 2); !ok || !bytes.Equal(path, cfgPath(3)) {
+		t.Fatal("an older invalidate must not retag the cache")
+	}
 }
 
 func TestPathCacheDisabled(t *testing.T) {
