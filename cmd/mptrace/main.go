@@ -8,16 +8,17 @@
 // processor, the phases one after another.
 //
 // With -costs it instead runs a multi-round closed-loop PRM (observed
-// cost model + repartitioning) and prints a per-region task-cost table
-// after every round: where the construct time actually went, which
-// regions dominate, and how the per-processor load evens out as the
-// cost model warms up.
+// cost model + repartitioning, under the -policy steal policy; -policy
+// none steals nothing) and prints a per-region task-cost table after
+// every round: where the construct time actually went, which regions
+// dominate, and how the per-processor load evens out as the cost model
+// warms up.
 //
 // Usage:
 //
 //	mptrace -env med-cube -procs 8 -regions 64 -policy hybrid
 //	mptrace -policy rand-8 -chrome out.json
-//	mptrace -costs -env mixed -rounds 4
+//	mptrace -costs -env mixed -rounds 4 -policy none
 package main
 
 import (
@@ -66,21 +67,22 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Both modes drive the same PRM engine: -costs closes the loop
-	// (observed cost model + repartitioning), tracing picks the policy.
+	// Both modes drive the same PRM engine under the named steal policy;
+	// -costs also closes the loop (observed cost model + repartitioning).
 	opts := core.Options{
 		Procs: *procs, Regions: *regions, SamplesPerRegion: *samples,
 		ConnectK: 3, Profile: work.Hopper(), Seed: 7,
 	}
-	if *costs {
-		opts.Strategy, opts.CostModel = core.Repartition, core.CostObserved
-	} else if *policyName != "none" {
+	if *policyName != "none" {
 		policy, ok := steal.ByName(*policyName)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "mptrace: unknown policy %q\n", *policyName)
 			os.Exit(2)
 		}
 		opts.Policy = policy
+	}
+	if *costs {
+		opts.Strategy, opts.CostModel = core.Repartition, core.CostObserved
 	}
 	// The library's own gate names a configuration it refuses.
 	if err := opts.Defaults().Validate(); err != nil {
@@ -106,16 +108,16 @@ func main() {
 // runs it. It prints a timeline and the load-balance metrics per phase.
 func runTrace(e *env.Environment, opts core.Options, policyName string, width int, chromeOut string, verbose bool) error {
 	type phaseTrace struct {
-		events []dist.TraceEvent
-		rep    dist.Report
+		events []sched.TraceEvent
+		rep    sched.Report
 	}
 	var phases []*phaseTrace
 	chrome := obsv.NewChromeTrace(obsv.ScaleVirtual)
 	elapsed := 0.0 // makespans of the phases before this one: its offset on the chrome timeline
-	opts.Runtime = sched.RuntimeFunc(func(cfg dist.Config, queues [][]work.Task) dist.Report {
+	opts.Runtime = sched.RuntimeFunc(func(cfg sched.Config, queues [][]work.Task) sched.Report {
 		ph := &phaseTrace{}
 		phases = append(phases, ph)
-		cfg.Trace = func(ev dist.TraceEvent) {
+		cfg.Trace = func(ev sched.TraceEvent) {
 			ph.events = append(ph.events, ev)
 			ev.Time += elapsed
 			chrome.Event(ev)

@@ -75,3 +75,17 @@ func TestRejectsInvalidOptions(t *testing.T) {
 		}
 	}
 }
+
+// TestRejectsUnknownPolicy holds an unknown -policy to one mptrace line and
+// exit status 2 in both modes: -costs runs under the named policy too.
+func TestRejectsUnknownPolicy(t *testing.T) {
+	for _, args := range []string{"-policy bogus", "-costs -policy bogus -rounds 1"} {
+		out, code := run(t, args)
+		if code != 2 {
+			t.Errorf("mptrace %s: exit status %d, want 2", args, code)
+		}
+		if lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n"); len(lines) != 1 || !strings.HasPrefix(lines[0], "mptrace: ") {
+			t.Errorf("mptrace %s printed %q, want one error line", args, out)
+		}
+	}
+}

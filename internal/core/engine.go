@@ -338,16 +338,15 @@ func (e *engine) costPhase(name string, m int, check func(idx int) cspace.Counte
 	pl := e.pl
 	tasks := [][]work.Task{make([]work.Task, m)}
 	for idx := range tasks[0] {
-		tasks[0][idx] = work.Task{ID: idx, Run: func() (float64, int) { return e.opts.Cost.Time(check(idx)), 0 }}
+		tasks[0][idx] = work.Task{ID: idx, Run: func() float64 { return e.opts.Cost.Time(check(idx)) }}
 	}
 	if !pl.execute(name, tasks) {
 		return 0, false
 	}
 	queues := make([][]work.Task, e.opts.Procs)
 	for idx, rec := range tasks[0] {
-		cost, _ := rec.Run()
-		proc, charged := place(idx, cost)
-		queues[proc] = append(queues[proc], costTask(idx, charged))
+		proc, charged := place(idx, rec.Run())
+		queues[proc] = append(queues[proc], record(work.Task{ID: idx}, charged))
 	}
 	rep := pl.replay(phaseSpec{name: name, queues: queues})
 	if rep.Stopped || sched.Canceled(pl.stop) {

@@ -62,7 +62,7 @@ type PhaseReport struct {
 // plays the records on the virtual-time runtime for the paper's
 // load-balance accounting. Results and virtual times do not depend on
 // HostWorkers: region tasks are deterministic and order-independent, so
-// the replay sees the same (ID, Region, Payload, cost) either way.
+// the replay sees the same (ID, Payload, cost) either way.
 type pipeline struct {
 	opts Options
 	vt   sched.Runtime // virtual-time backend (default: the DES in internal/dist)
@@ -93,10 +93,11 @@ func newPipeline(opts Options) *pipeline {
 // Test hook only.
 var hostPhaseObserver func(phase string, cfg sched.Config, queues [][]work.Task, rep sched.Report)
 
-// record is task t after it ran: same ID, Region and Payload, and a Run
-// that returns the measured (cost, payload) without running again.
-func record(t work.Task, cost float64, payload int) work.Task {
-	t.Run = func() (float64, int) { return cost, payload }
+// record is task t after it ran: same ID and Payload, and a Run that
+// returns the measured cost without running again. A bare task's record
+// is a precomputed charge for a bulk-synchronous accounting phase.
+func record(t work.Task, cost float64) work.Task {
+	t.Run = func() float64 { return cost }
 	return t
 }
 
@@ -113,8 +114,7 @@ func (pl *pipeline) execute(name string, queues [][]work.Task) (ok bool) {
 				if sched.Canceled(pl.stop) {
 					return false
 				}
-				cost, payload := t.Run()
-				q[i] = record(t, cost, payload)
+				q[i] = record(t, t.Run())
 			}
 		}
 		return true
@@ -137,7 +137,7 @@ func (pl *pipeline) execute(name string, queues [][]work.Task) (ok bool) {
 		return false
 	}
 	for _, r := range rep.Tasks {
-		*slots[r.ID] = record(*slots[r.ID], r.Cost, r.Payload)
+		*slots[r.ID] = record(*slots[r.ID], r.Cost)
 	}
 	return true
 }
@@ -149,7 +149,7 @@ const stealMaxRounds = 4
 
 // replay plays a phase on the virtual-time runtime and returns its
 // report, keeping a copy in the pipeline's phase-report log. Its tasks
-// are records (execute) or costTasks, so the replay is pure accounting.
+// are records (execute), so the replay is pure accounting.
 // The retained copy is trimmed of its per-task records (see
 // PhaseReport's memory bound); the returned report is the full one, so
 // same-round consumers (ownership write-back, cost observation, weight
@@ -201,14 +201,10 @@ func (c RegionCost) Mean() float64 {
 }
 
 // accumulateRegionCosts folds one construct report's per-task costs into
-// the per-region accumulator, keyed by each record's Region. Untagged
-// tasks (work.NoRegion) are skipped.
+// the per-region accumulator, keyed by each record's ID (its region).
 func accumulateRegionCosts(acc []RegionCost, rep sched.Report) {
 	for _, t := range rep.Tasks {
-		if t.Region < 0 || t.Region >= len(acc) {
-			continue
-		}
-		c := &acc[t.Region]
+		c := &acc[t.ID]
 		c.Count++
 		c.Sum += t.Cost
 		if t.Cost > c.Max {
@@ -224,36 +220,26 @@ func (pl *pipeline) barrier() float64 {
 
 // queuesByOwner shards n region tasks into per-processor queues by
 // current region ownership, preserving region order within each queue.
-// Every task is tagged with its region (Task.Region = i) so scheduler
-// reports attribute observed costs per region for the cost model.
+// mk(i) must return region i's task, whose ID is i.
 func queuesByOwner(procs int, owner []int, n int, mk func(i int) work.Task) [][]work.Task {
 	queues := make([][]work.Task, procs)
 	for i := 0; i < n; i++ {
-		t := mk(i)
-		t.Region = i
-		queues[owner[i]] = append(queues[owner[i]], t)
+		queues[owner[i]] = append(queues[owner[i]], mk(i))
 	}
 	return queues
-}
-
-// costTask wraps a precomputed cost as a task for bulk-synchronous
-// accounting phases. Its ID is phase-local (a pair index, not a region),
-// so it carries no region attribution unless a caller tags it.
-func costTask(id int, cost float64) work.Task {
-	return work.Task{ID: id, Region: work.NoRegion, Run: func() (float64, int) { return cost, 0 }}
 }
 
 // observeConstruct folds one round's construct-phase report into the
 // observed cost model, attributing each task's occupancy time (Elapsed,
 // which equals the virtual cost on the virtual-time backend) to its
-// Region, in execution order. When units is non-nil the model tracks
-// cost per work unit (cost divided by units[r] — for PRM, the region's
-// fresh sample count that round) instead of raw task cost, which keeps
-// the estimate comparable across rounds whose unit counts differ;
-// regions with zero units that round carry no information and are
-// skipped. No-op unless Options.CostModel is CostObserved. The engines
-// call it at commit time only, so aborted rounds leave the model
-// untouched.
+// region, the record's ID, in execution order. When units is non-nil
+// the model tracks cost per work unit (cost divided by units[r] — for
+// PRM, the region's fresh sample count that round) instead of raw task
+// cost, which keeps the estimate comparable across rounds whose unit
+// counts differ; regions with zero units that round carry no
+// information and are skipped. No-op unless Options.CostModel is
+// CostObserved. The engines call it at commit time only, so aborted
+// rounds leave the model untouched.
 func (pl *pipeline) observeConstruct(n int, rep sched.Report, units []int) {
 	if pl.opts.CostModel != CostObserved {
 		return
@@ -264,11 +250,8 @@ func (pl *pipeline) observeConstruct(n int, rep sched.Report, units []int) {
 	costs := make([]float64, n)
 	seen := make([]bool, n)
 	for _, t := range rep.Tasks {
-		if t.Region < 0 || t.Region >= n {
-			continue
-		}
-		costs[t.Region] += t.Elapsed
-		seen[t.Region] = true
+		costs[t.ID] += t.Elapsed
+		seen[t.ID] = true
 	}
 	if units != nil {
 		for r := 0; r < n; r++ {
@@ -335,21 +318,14 @@ func (pl *pipeline) diffuse(rg *region.Graph, queues [][]work.Task, weights []fl
 	if pl.opts.Rebalance != RebalanceDiffusive {
 		return 0, 0
 	}
-	est := func(t work.Task) float64 {
-		if t.Region >= 0 && t.Region < len(weights) {
-			return weights[t.Region]
-		}
-		return 0
-	}
+	est := func(t work.Task) float64 { return weights[t.ID] }
 	if exec.Diffuse(queues, est, diffuseSweeps) == 0 {
 		return 0, 0
 	}
 	assign := append([]int(nil), rg.Owner...)
 	for p, q := range queues {
 		for _, t := range q {
-			if t.Region >= 0 && t.Region < len(assign) {
-				assign[t.Region] = p
-			}
+			assign[t.ID] = p
 		}
 	}
 	plan := repart.MakePlan(rg, assign)

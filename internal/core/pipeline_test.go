@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -256,22 +257,29 @@ func TestRRTHostPhasesRunConcurrently(t *testing.T) {
 
 // doubleCall is an Options.Runtime decorator that calls every task it is
 // handed once more before forwarding to the DES, so a replay that runs
-// task bodies runs each of them twice.
-type doubleCall struct{ replays int }
+// task bodies runs each of them twice. It keeps the payload of every
+// task it replays, by ID.
+type doubleCall struct {
+	replays  int
+	payloads map[int]int
+}
 
 func (d *doubleCall) Run(cfg sched.Config, queues [][]work.Task) sched.Report {
 	d.replays++
+	d.payloads = map[int]int{}
 	for _, q := range queues {
 		for _, t := range q {
 			t.Run()
+			d.payloads[t.ID] = t.Payload
 		}
 	}
 	return dist.Runtime.Run(cfg, queues)
 }
 
 // Every task body of a phase runs exactly once, at every HostWorkers, and
-// the replay accounts for what the bodies returned; a phase stopped
-// before it starts runs no body and replays nothing.
+// the replay accounts for what the bodies returned and keeps each task's
+// payload; a phase stopped before it starts runs no body and replays
+// nothing.
 func TestPhaseTasksRunOnce(t *testing.T) {
 	const procs, n = 4, 37
 	policies := []struct {
@@ -283,14 +291,15 @@ func TestPhaseTasksRunOnce(t *testing.T) {
 			t.Run(fmt.Sprintf("hw%d/%s", hw, policy.name), func(t *testing.T) {
 				var bodies atomic.Int64
 				cost := func(i int) float64 { return float64(1 + i*i%7) }
+				id := func(i int) int { return 3*i + 5 }
 				queues := func() [][]work.Task {
 					qs := make([][]work.Task, procs)
 					for i := 0; i < n; i++ {
-						// IDs repeat (phase-local IDs need not be unique or
-						// dense); Region tells the tasks apart.
-						qs[i%procs] = append(qs[i%procs], work.Task{ID: i % 3, Region: i, Payload: i, Run: func() (float64, int) {
+						// IDs are unique but not dense: the executor
+						// renumbers them and its records must not.
+						qs[i%procs] = append(qs[i%procs], work.Task{ID: id(i), Payload: 2*i + 1, Run: func() float64 {
 							bodies.Add(1)
-							return cost(i), 2*i + 1
+							return cost(i)
 						}})
 					}
 					return qs
@@ -310,9 +319,12 @@ func TestPhaseTasksRunOnce(t *testing.T) {
 				}
 				seen := make([]bool, n)
 				for _, r := range rep.Tasks {
-					i := r.Region
-					if seen[i] || r.ID != i%3 || r.Cost != cost(i) || r.Payload != 2*i+1 {
-						t.Fatalf("task %d replayed as %+v (seen before %v), want ID %d, cost %v, payload %d", i, r, seen[i], i%3, cost(i), 2*i+1)
+					i := (r.ID - 5) / 3
+					if i < 0 || i >= n || r.ID != id(i) || seen[i] {
+						t.Fatalf("record %+v is no task's or repeats one", r)
+					}
+					if r.Cost != cost(i) || rt.payloads[r.ID] != 2*i+1 {
+						t.Fatalf("task %d replayed at cost %v with payload %d, want %v, %d", i, r.Cost, rt.payloads[r.ID], cost(i), 2*i+1)
 					}
 					seen[i] = true
 				}
@@ -328,5 +340,46 @@ func TestPhaseTasksRunOnce(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// Stealing a tree region moves its committed branch, so from round 1 on
+// every RRT-Connect construct task the replay queues carries that
+// branch's size as its payload: the data a steal of it is priced by.
+func TestRRTConstructPayloadIsCommittedBranch(t *testing.T) {
+	var replays [][][]work.Task
+	opts := rrtOpts(4, 16)
+	opts.Policy = steal.Hybrid{K: 8}
+	opts.Runtime = sched.RuntimeFunc(func(cfg sched.Config, queues [][]work.Task) sched.Report {
+		replays = append(replays, queues)
+		return dist.Runtime.Run(cfg, queues)
+	})
+	e, err := NewRRTConnectEngine(cspace.NewPointSpace(env.ByName("walls")), geom.V(0.1, 0.1, 0.5), geom.V(0.9, 0.9, 0.5), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	growRRT(t, e, 1)
+	sizes := make([]int, len(e.branches))
+	for i, b := range e.branches {
+		sizes[i] = b.size()
+	}
+	mark := len(replays)
+	reports := growRRT(t, e, 1).PhaseReports
+	construct := slices.IndexFunc(reports[mark:], func(pr PhaseReport) bool { return pr.Phase == "construct" })
+	if construct < 0 || len(reports) != len(replays) {
+		t.Fatalf("round 1 logged %d reports for %d replays, construct at %d", len(reports), len(replays), construct)
+	}
+	tasks, carried := 0, 0
+	for _, q := range replays[mark+construct] {
+		for _, task := range q {
+			if task.Payload != sizes[task.ID] {
+				t.Errorf("region %d's construct task carries payload %d, its committed branch has %d nodes", task.ID, task.Payload, sizes[task.ID])
+			}
+			tasks++
+			carried += task.Payload
+		}
+	}
+	if tasks != len(sizes) || carried == 0 {
+		t.Fatalf("round 1 construct queued %d tasks carrying %d nodes, want %d tasks carrying the grown branches", tasks, carried, len(sizes))
 	}
 }

@@ -149,11 +149,11 @@ func (e *PRMEngine) weigh(round int, phases *PhaseBreakdown) (estimate, bool) {
 		queues: queuesByOwner(opts.Procs, rg.Owner, n, func(i int) work.Task {
 			return work.Task{
 				ID: i,
-				Run: func() (float64, int) {
+				Run: func() float64 {
 					r := rng.Derive(opts.Seed, roundSalt(round, i))
 					f := &rd.fresh[i]
 					f.nodes, f.sampleWork = prm.SampleRegion(e.s, rg.Region(i).Box, i, e.params, r)
-					return opts.Cost.Time(f.sampleWork), len(f.nodes)
+					return opts.Cost.Time(f.sampleWork)
 				},
 			}
 		}),
@@ -185,7 +185,7 @@ func (e *PRMEngine) constructTask(round, i int) work.Task {
 	return work.Task{
 		ID:      i,
 		Payload: len(rd.combined[i]),
-		Run: func() (float64, int) {
+		Run: func() float64 {
 			f := &rd.fresh[i]
 			tree := e.data[i].tree
 			if tree == nil || len(f.nodes) > 0 {
@@ -193,7 +193,7 @@ func (e *PRMEngine) constructTask(round, i int) work.Task {
 			}
 			rd.trees[i] = tree
 			f.edges, f.connectWork = prm.ConnectRegionTree(e.s, tree, rd.firstNew[i], e.params)
-			return e.opts.Cost.Time(f.connectWork), len(rd.combined[i])
+			return e.opts.Cost.Time(f.connectWork)
 		},
 	}
 }
@@ -356,13 +356,13 @@ func (e *PRMEngine) repairTask(_ *cspace.Space, dc *cspace.DeltaChecker, i int) 
 	return work.Task{
 		ID:      i,
 		Payload: len(d.nodes),
-		Run: func() (float64, int) {
+		Run: func() float64 {
 			var cand []int
 			if rp.localCand != nil {
 				cand = rp.localCand[i]
 			}
 			rp.rrs[i] = prm.RevalidateRegion(dc, d.nodes, d.edges, cand)
-			return e.opts.Cost.Time(rp.rrs[i].Work), len(d.nodes)
+			return e.opts.Cost.Time(rp.rrs[i].Work)
 		},
 	}
 }

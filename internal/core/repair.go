@@ -40,7 +40,7 @@ type PRMRepair struct {
 // unchanged); future GrowRound calls plan in the new world.
 //
 // Repair tasks run through the same phase pipeline as construction —
-// region-tagged, stealable, virtually timed — so the repair load
+// one task per region, stealable, virtually timed — so the repair load
 // (concentrated around the mutated obstacle, the paper's skewed-workload
 // shape) is balanced like any other phase: first every region
 // re-validates against only the delta (conservatively culled), then the

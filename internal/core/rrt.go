@@ -287,7 +287,7 @@ func (e *RRTEngine) weigh(round int, phases *PhaseBreakdown) (estimate, bool) {
 		rep := e.pl.replay(phaseSpec{
 			name: "weight",
 			queues: queuesByOwner(opts.Procs, rg.Owner, n, func(i int) work.Task {
-				return costTask(i, rayCost)
+				return record(work.Task{ID: i}, rayCost)
 			}),
 		})
 		if rep.Stopped {
@@ -302,16 +302,18 @@ func (e *RRTEngine) weigh(round int, phases *PhaseBreakdown) (estimate, bool) {
 // target on a round-local copy of its committed branch, so an aborted
 // round leaves the branch (and every published result sharing it)
 // untouched. A region's first round starts from exactly the one-shot
-// planners' state, on the same stream.
+// planners' state, on the same stream. Stealing the region moves its
+// committed branch.
 func (e *RRTEngine) constructTask(round, i int) work.Task {
-	rd := e.rd
+	rd, old := e.rd, e.branches[i]
 	params := e.params
 	params.Nodes = (round + 1) * e.opts.NodesPerRegion
 	return work.Task{
-		ID: i,
-		Run: func() (float64, int) {
+		ID:      i,
+		Payload: old.size(),
+		Run: func() float64 {
 			r := rng.Derive(e.opts.Seed, roundSalt(round, i))
-			reg, old := e.rg.Region(i), e.branches[i]
+			reg := e.rg.Region(i)
 			var w cspace.Counters
 			switch {
 			case e.goal != nil:
@@ -341,7 +343,7 @@ func (e *RRTEngine) constructTask(round, i int) work.Task {
 				}
 				rd.grown[i] = branch{tree: tree}
 			}
-			return e.opts.Cost.Time(w), rd.grown[i].size()
+			return e.opts.Cost.Time(w)
 		},
 	}
 }
@@ -454,9 +456,9 @@ func (e *RRTEngine) repairTask(s *cspace.Space, dc *cspace.DeltaChecker, i int) 
 	return work.Task{
 		ID:      i,
 		Payload: old.size(),
-		Run: func() (float64, int) {
+		Run: func() float64 {
 			if old.tree == nil {
-				return 0, 0
+				return 0
 			}
 			st := &rp.sts[i]
 			switch {
@@ -488,7 +490,7 @@ func (e *RRTEngine) repairTask(s *cspace.Space, dc *cspace.DeltaChecker, i int) 
 				}
 				rp.pruned[i] = branch{tree: t}
 			}
-			return e.opts.Cost.Time(st.Work), rp.pruned[i].size()
+			return e.opts.Cost.Time(st.Work)
 		},
 	}
 }

@@ -23,20 +23,6 @@ import (
 	"parmp/internal/work"
 )
 
-// The scheduler-runtime contract (configuration, report, stats and trace
-// types) is shared with the real executor through internal/sched.
-type (
-	// Config parameterizes a simulation run; Config.Workers is the
-	// number of virtual processors.
-	Config = sched.Config
-	// Report is the outcome of a simulation, in virtual time.
-	Report = sched.Report
-	// ProcStats reports one virtual processor's execution profile.
-	ProcStats = sched.WorkerStats
-	// TraceEvent is one simulator occurrence, emitted through Config.Trace.
-	TraceEvent = sched.TraceEvent
-)
-
 // Runtime is the simulator as a pluggable scheduler backend.
 var Runtime sched.Runtime = sched.RuntimeFunc(Run)
 
@@ -79,13 +65,13 @@ func (h *evHeap) Pop() any {
 
 // sim is the running simulation state.
 type sim struct {
-	cfg    Config
+	cfg    sched.Config
 	events evHeap
 	seq    int
 
 	deque [][]sched.Entry
 	busy  []bool
-	stats []ProcStats
+	stats []sched.WorkerStats
 	rngs  []*rng.Stream
 	// attempt counts failed steal rounds per thief since last success.
 	attempt []int
@@ -97,7 +83,7 @@ type sim struct {
 	pending   [][]*event
 	remaining int
 
-	report Report
+	report sched.Report
 }
 
 func (s *sim) schedule(t float64, e *event) {
@@ -112,7 +98,7 @@ func (s *sim) schedule(t float64, e *event) {
 // count that differs from cfg.Workers is redistributed round-robin via
 // sched.Reshard — the same path the host executor takes, per the
 // sched.Runtime contract.
-func Run(cfg Config, queues [][]work.Task) Report {
+func Run(cfg sched.Config, queues [][]work.Task) sched.Report {
 	if cfg.Workers <= 0 {
 		panic("dist: Config.Workers must be positive")
 	}
@@ -121,7 +107,7 @@ func Run(cfg Config, queues [][]work.Task) Report {
 		cfg:        cfg,
 		deque:      make([][]sched.Entry, cfg.Workers),
 		busy:       make([]bool, cfg.Workers),
-		stats:      make([]ProcStats, cfg.Workers),
+		stats:      make([]sched.WorkerStats, cfg.Workers),
 		rngs:       make([]*rng.Stream, cfg.Workers),
 		attempt:    make([]int, cfg.Workers),
 		candidates: make([][]int, cfg.Workers),
@@ -175,9 +161,6 @@ func Run(cfg Config, queues [][]work.Task) Report {
 		s.report.TerminationCost = 2 * cfg.Profile.Barrier(cfg.Workers)
 		s.report.Makespan += s.report.TerminationCost
 	}
-	for p := range s.stats {
-		s.stats[p].Idle = s.report.Makespan - s.stats[p].Busy
-	}
 	s.report.Workers = s.stats
 	return s.report
 }
@@ -207,7 +190,7 @@ func (s *sim) pop(e *event) {
 // execute runs a task on p starting at time t.
 func (s *sim) execute(p int, q sched.Entry, t float64) {
 	s.busy[p] = true
-	cost, payload := q.Task.Run()
+	cost := q.Task.Run()
 	if cost < 0 || math.IsNaN(cost) {
 		cost = 0
 	}
@@ -226,7 +209,7 @@ func (s *sim) execute(p int, q sched.Entry, t float64) {
 	// cost, so Elapsed == Cost is the simulator's half of the parity
 	// contract (the executor records measured wall time instead).
 	s.report.Tasks = append(s.report.Tasks, sched.TaskResult{
-		ID: q.Task.ID, Worker: p, Region: q.Task.Region, Cost: cost, Payload: payload, Elapsed: cost,
+		ID: q.Task.ID, Worker: p, Cost: cost, Elapsed: cost,
 	})
 	s.remaining--
 	s.attempt[p] = 0

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"parmp/internal/rng"
+	"parmp/internal/sched"
 	"parmp/internal/steal"
 	"parmp/internal/work"
 )
@@ -20,7 +21,7 @@ func fixedTasks(rows [][]float64) [][]work.Task {
 			c := c
 			queues[p] = append(queues[p], work.Task{
 				ID:  id,
-				Run: func() (float64, int) { return c, 1 },
+				Run: func() float64 { return c },
 			})
 			id++
 		}
@@ -30,7 +31,7 @@ func fixedTasks(rows [][]float64) [][]work.Task {
 
 // executedBy maps each recorded task to the processor that ran it,
 // failing on a task recorded twice.
-func executedBy(t *testing.T, rep Report) map[int]int {
+func executedBy(t *testing.T, rep sched.Report) map[int]int {
 	t.Helper()
 	by := make(map[int]int, len(rep.Tasks))
 	for _, r := range rep.Tasks {
@@ -53,15 +54,15 @@ func testProfile() work.MachineProfile {
 
 func TestNoStealingSequential(t *testing.T) {
 	queues := fixedTasks([][]float64{{10, 10}, {1}})
-	rep := Run(Config{Workers: 2, Profile: testProfile()}, queues)
+	rep := Run(sched.Config{Workers: 2, Profile: testProfile()}, queues)
 	if rep.Makespan != 20 {
 		t.Fatalf("makespan = %v, want 20", rep.Makespan)
 	}
 	if rep.Workers[0].Busy != 20 || rep.Workers[1].Busy != 1 {
 		t.Fatalf("busy = %+v", rep.Workers)
 	}
-	if rep.Workers[1].Idle != 19 {
-		t.Fatalf("idle = %v, want 19", rep.Workers[1].Idle)
+	if idle := rep.Makespan - rep.Workers[1].Busy; idle != 19 {
+		t.Fatalf("idle = %v, want 19", idle)
 	}
 	if rep.Workers[0].TasksLocal != 2 || rep.Workers[0].TasksStolen != 0 {
 		t.Fatalf("task counts = %+v", rep.Workers[0])
@@ -78,8 +79,8 @@ func TestStealingReducesMakespan(t *testing.T) {
 		costs[i] = 10
 	}
 	queues := [][]float64{costs, {}}
-	noLB := Run(Config{Workers: 2, Profile: testProfile()}, fixedTasks(queues))
-	ws := Run(Config{Workers: 2, Profile: testProfile(), Policy: steal.RandK{K: 1}, Seed: 1}, fixedTasks(queues))
+	noLB := Run(sched.Config{Workers: 2, Profile: testProfile()}, fixedTasks(queues))
+	ws := Run(sched.Config{Workers: 2, Profile: testProfile(), Policy: steal.RandK{K: 1}, Seed: 1}, fixedTasks(queues))
 	if noLB.Makespan != 400 {
 		t.Fatalf("noLB makespan = %v", noLB.Makespan)
 	}
@@ -96,7 +97,7 @@ func TestStealingReducesMakespan(t *testing.T) {
 
 func TestAllTasksExecutedExactlyOnce(t *testing.T) {
 	rows := [][]float64{{5, 7, 3, 9, 2}, {}, {1}, {}}
-	rep := Run(Config{Workers: 4, Profile: testProfile(), Policy: steal.Hybrid{K: 2}, Seed: 7}, fixedTasks(rows))
+	rep := Run(sched.Config{Workers: 4, Profile: testProfile(), Policy: steal.Hybrid{K: 2}, Seed: 7}, fixedTasks(rows))
 	if by := executedBy(t, rep); len(by) != 6 {
 		t.Fatalf("executed %d tasks, want 6", len(by))
 	}
@@ -122,7 +123,7 @@ func TestAllTasksExecutedExactlyOnce(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	rows := [][]float64{{5, 7, 3}, {2}, {9, 9, 9, 9}, {}}
-	cfg := Config{Workers: 4, Profile: testProfile(), Policy: steal.RandK{K: 2}, Seed: 99}
+	cfg := sched.Config{Workers: 4, Profile: testProfile(), Policy: steal.RandK{K: 2}, Seed: 99}
 	a := Run(cfg, fixedTasks(rows))
 	b := Run(cfg, fixedTasks(rows))
 	if a.Makespan != b.Makespan {
@@ -144,7 +145,7 @@ func TestStealFromBack(t *testing.T) {
 	// Proc 0: tasks 0..3 in order. A thief must receive the back half
 	// (ids 2,3), leaving the front for the owner.
 	rows := [][]float64{{100, 100, 100, 100}, {}}
-	rep := Run(Config{Workers: 2, Profile: testProfile(), Policy: steal.RandK{K: 1}, Seed: 1, StealChunk: 0.5}, fixedTasks(rows))
+	rep := Run(sched.Config{Workers: 2, Profile: testProfile(), Policy: steal.RandK{K: 1}, Seed: 1, StealChunk: 0.5}, fixedTasks(rows))
 	by := executedBy(t, rep)
 	if by[0] != 0 || by[1] != 0 {
 		t.Fatalf("front tasks should stay with owner: %v", by)
@@ -158,8 +159,8 @@ func TestNoStealWhenBalanced(t *testing.T) {
 	// Perfectly balanced queues: stealing should not help nor hurt much
 	// (paper's free environment shows no significant overhead).
 	rows := [][]float64{{10, 10}, {10, 10}, {10, 10}, {10, 10}}
-	noLB := Run(Config{Workers: 4, Profile: testProfile()}, fixedTasks(rows))
-	ws := Run(Config{Workers: 4, Profile: testProfile(), Policy: steal.Diffusive{}, Seed: 3}, fixedTasks(rows))
+	noLB := Run(sched.Config{Workers: 4, Profile: testProfile()}, fixedTasks(rows))
+	ws := Run(sched.Config{Workers: 4, Profile: testProfile(), Policy: steal.Diffusive{}, Seed: 3}, fixedTasks(rows))
 	// Beyond the unavoidable termination-detection ring, stealing must add
 	// no meaningful overhead to a balanced run.
 	if ws.Makespan-ws.TerminationCost > noLB.Makespan*1.2 {
@@ -171,7 +172,7 @@ func TestNoStealWhenBalanced(t *testing.T) {
 func TestMakespanLowerBound(t *testing.T) {
 	// Makespan can never beat total/P nor the largest task.
 	rows := [][]float64{{50, 1, 1, 1, 1, 1, 1}, {}, {}, {}}
-	rep := Run(Config{Workers: 4, Profile: testProfile(), Policy: steal.Hybrid{K: 3}, Seed: 5}, fixedTasks(rows))
+	rep := Run(sched.Config{Workers: 4, Profile: testProfile(), Policy: steal.Hybrid{K: 3}, Seed: 5}, fixedTasks(rows))
 	if rep.Makespan < 50 {
 		t.Fatalf("makespan %v below biggest task", rep.Makespan)
 	}
@@ -186,14 +187,14 @@ func TestMakespanLowerBound(t *testing.T) {
 
 func TestSingleProcWithPolicy(t *testing.T) {
 	rows := [][]float64{{3, 4}}
-	rep := Run(Config{Workers: 1, Profile: testProfile(), Policy: steal.RandK{K: 8}, Seed: 1}, fixedTasks(rows))
+	rep := Run(sched.Config{Workers: 1, Profile: testProfile(), Policy: steal.RandK{K: 8}, Seed: 1}, fixedTasks(rows))
 	if rep.Makespan != 7 {
 		t.Fatalf("makespan = %v", rep.Makespan)
 	}
 }
 
 func TestEmptySystem(t *testing.T) {
-	rep := Run(Config{Workers: 3, Profile: testProfile(), Policy: steal.Diffusive{}}, [][]work.Task{{}, {}, {}})
+	rep := Run(sched.Config{Workers: 3, Profile: testProfile(), Policy: steal.Diffusive{}}, [][]work.Task{{}, {}, {}})
 	if rep.Makespan != 0 || rep.TotalTasks != 0 {
 		t.Fatalf("empty system: %+v", rep)
 	}
@@ -204,7 +205,7 @@ func TestQueueMismatchReshards(t *testing.T) {
 	// while the host executor silently re-sharded — both backends now take
 	// the shared sched.Reshard round-robin path.
 	rows := [][]float64{{3, 3, 3, 3, 3}} // one queue, five tasks, two workers
-	rep := Run(Config{Workers: 2, Profile: testProfile()}, fixedTasks(rows))
+	rep := Run(sched.Config{Workers: 2, Profile: testProfile()}, fixedTasks(rows))
 	if rep.TotalTasks != 5 {
 		t.Fatalf("TotalTasks = %d, want 5", rep.TotalTasks)
 	}
@@ -226,12 +227,12 @@ func TestPanicsOnNonPositiveWorkers(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Run(Config{Workers: 0, Profile: testProfile()}, nil)
+	Run(sched.Config{Workers: 0, Profile: testProfile()}, nil)
 }
 
 func TestStealCountsConsistent(t *testing.T) {
 	rows := [][]float64{{5, 5, 5, 5, 5, 5, 5, 5}, {}, {}, {}}
-	rep := Run(Config{Workers: 4, Profile: testProfile(), Policy: steal.RandK{K: 2}, Seed: 11}, fixedTasks(rows))
+	rep := Run(sched.Config{Workers: 4, Profile: testProfile(), Policy: steal.RandK{K: 2}, Seed: 11}, fixedTasks(rows))
 	for p, ps := range rep.Workers {
 		if ps.StealsIssued < ps.StealsGranted+ps.StealsDenied {
 			t.Fatalf("proc %d: issued %d < granted %d + denied %d",
@@ -268,8 +269,8 @@ func TestImbalanceDecaysWithMoreProcs(t *testing.T) {
 	}
 	speedup := func(p int) float64 {
 		rows := makeRows(p)
-		noLB := Run(Config{Workers: p, Profile: testProfile()}, fixedTasks(rows))
-		ws := Run(Config{Workers: p, Profile: testProfile(), Policy: steal.Hybrid{K: 4}, Seed: 2}, fixedTasks(rows))
+		noLB := Run(sched.Config{Workers: p, Profile: testProfile()}, fixedTasks(rows))
+		ws := Run(sched.Config{Workers: p, Profile: testProfile(), Policy: steal.Hybrid{K: 4}, Seed: 2}, fixedTasks(rows))
 		return noLB.Makespan / ws.Makespan
 	}
 	s8, s32 := speedup(8), speedup(32)
@@ -281,13 +282,44 @@ func TestImbalanceDecaysWithMoreProcs(t *testing.T) {
 	}
 }
 
+// A steal is priced like a migration of what the stolen task carries: on
+// the same skewed workload, a grant whose task has Payload p lands exactly
+// p·MigratePerVertex later than one whose task has Payload 0.
+func TestStealPricedByPayload(t *testing.T) {
+	prof := testProfile()
+	prof.MigratePerVertex = 0.5
+	grantAt := func(payload int) float64 {
+		queues := fixedTasks([][]float64{{10, 10, 10, 10}, {}})
+		for i := range queues[0] {
+			queues[0][i].Payload = payload
+		}
+		at := -1.0
+		Run(sched.Config{
+			Workers: 2, Profile: prof, Policy: steal.RandK{K: 1}, Seed: 1, StealChunk: 0.25,
+			Trace: func(e sched.TraceEvent) {
+				if e.Kind == "steal-grant" && at < 0 {
+					at = e.Time
+				}
+			},
+		}, queues)
+		if at < 0 {
+			t.Fatalf("payload %d: no steal granted", payload)
+		}
+		return at
+	}
+	const p = 40
+	if d, want := grantAt(p)-grantAt(0), p*prof.MigratePerVertex; d != want {
+		t.Fatalf("payload %d delays the grant by %v, want %v", p, d, want)
+	}
+}
+
 func TestTerminationDetectionCharged(t *testing.T) {
 	rows := [][]float64{{5, 5}, {5, 5}}
-	noLB := Run(Config{Workers: 2, Profile: testProfile()}, fixedTasks(rows))
+	noLB := Run(sched.Config{Workers: 2, Profile: testProfile()}, fixedTasks(rows))
 	if noLB.TerminationCost != 0 {
 		t.Fatal("static runs need no termination detection")
 	}
-	ws := Run(Config{Workers: 2, Profile: testProfile(), Policy: steal.RandK{K: 1}, Seed: 1}, fixedTasks(rows))
+	ws := Run(sched.Config{Workers: 2, Profile: testProfile(), Policy: steal.RandK{K: 1}, Seed: 1}, fixedTasks(rows))
 	if ws.TerminationCost <= 0 {
 		t.Fatal("stealing runs must pay termination detection")
 	}
@@ -295,7 +327,7 @@ func TestTerminationDetectionCharged(t *testing.T) {
 		t.Fatal("balanced workload: stealing cannot beat static here")
 	}
 	// Termination cost grows with P.
-	ws8 := Run(Config{Workers: 8, Profile: testProfile(), Policy: steal.RandK{K: 1}, Seed: 1},
+	ws8 := Run(sched.Config{Workers: 8, Profile: testProfile(), Policy: steal.RandK{K: 1}, Seed: 1},
 		fixedTasks([][]float64{{5}, {5}, {5}, {5}, {5}, {5}, {5}, {5}}))
 	if ws8.TerminationCost <= ws.TerminationCost {
 		t.Fatalf("termination cost should grow with P: %v vs %v", ws8.TerminationCost, ws.TerminationCost)
@@ -326,7 +358,7 @@ func TestSimulatorInvariantsProperty(t *testing.T) {
 		}
 		policies := []steal.Policy{nil, steal.RandK{K: 2}, steal.Diffusive{}, steal.Hybrid{K: 3}}
 		pol := policies[r.Intn(len(policies))]
-		rep := Run(Config{Workers: p, Profile: testProfile(), Policy: pol, Seed: seed}, fixedTasks(rows))
+		rep := Run(sched.Config{Workers: p, Profile: testProfile(), Policy: pol, Seed: seed}, fixedTasks(rows))
 		if len(rep.Tasks) != nTasks {
 			return false
 		}
@@ -339,7 +371,7 @@ func TestSimulatorInvariantsProperty(t *testing.T) {
 		var busy float64
 		count := 0
 		for _, ps := range rep.Workers {
-			if ps.Busy < 0 || ps.Idle < -1e-9 || ps.TasksLocal < 0 || ps.TasksStolen < 0 {
+			if ps.Busy < 0 || rep.Makespan-ps.Busy < -1e-9 || ps.TasksLocal < 0 || ps.TasksStolen < 0 {
 				return false
 			}
 			busy += ps.Busy

@@ -3,6 +3,8 @@ package dist
 import (
 	"fmt"
 	"strings"
+
+	"parmp/internal/sched"
 )
 
 // Timeline renders an ASCII utilization chart from a traced run: one row
@@ -10,7 +12,7 @@ import (
 // where it was idle or communicating. events must come from a Run with
 // Config.Trace installed; rep supplies the makespan, the processor count
 // and the worker totals.
-func Timeline(events []TraceEvent, rep Report, width int) []string {
+func Timeline(events []sched.TraceEvent, rep sched.Report, width int) []string {
 	procs := len(rep.Workers)
 	if width < 1 {
 		width = 1

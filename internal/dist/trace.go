@@ -1,12 +1,11 @@
 package dist
 
-// Trace event types live in internal/sched (shared with the host
-// executor); dist re-exports the event as TraceEvent.
+import "parmp/internal/sched"
 
 // trace emits an event if tracing is enabled.
 func (s *sim) trace(t float64, kind string, proc, peer, task int) {
 	if s.cfg.Trace != nil {
-		s.cfg.Trace(TraceEvent{Time: t, Kind: kind, Proc: proc, Peer: peer, Task: task})
+		s.cfg.Trace(sched.TraceEvent{Time: t, Kind: kind, Proc: proc, Peer: peer, Task: task})
 	}
 }
 
@@ -14,6 +13,6 @@ func (s *sim) trace(t float64, kind string, proc, peer, task int) {
 // trace exporters (e.g. obsv.ChromeTrace) render exact busy intervals.
 func (s *sim) traceExec(t float64, proc, task int, dur float64) {
 	if s.cfg.Trace != nil {
-		s.cfg.Trace(TraceEvent{Time: t, Kind: "exec", Proc: proc, Peer: -1, Task: task, Dur: dur})
+		s.cfg.Trace(sched.TraceEvent{Time: t, Kind: "exec", Proc: proc, Peer: -1, Task: task, Dur: dur})
 	}
 }

@@ -4,15 +4,16 @@ import (
 	"strings"
 	"testing"
 
+	"parmp/internal/sched"
 	"parmp/internal/steal"
 )
 
 func TestTraceEventsEmitted(t *testing.T) {
 	rows := [][]float64{{5, 5, 5, 5}, {}}
-	var events []TraceEvent
-	cfg := Config{
+	var events []sched.TraceEvent
+	cfg := sched.Config{
 		Workers: 2, Profile: testProfile(), Policy: steal.RandK{K: 1}, Seed: 1,
-		Trace: func(e TraceEvent) { events = append(events, e) },
+		Trace: func(e sched.TraceEvent) { events = append(events, e) },
 	}
 	Run(cfg, fixedTasks(rows))
 	if len(events) == 0 {
@@ -40,15 +41,15 @@ func TestTraceEventsEmitted(t *testing.T) {
 
 func TestTraceNilSafe(t *testing.T) {
 	rows := [][]float64{{1}}
-	Run(Config{Workers: 1, Profile: testProfile()}, fixedTasks(rows)) // no panic without Trace
+	Run(sched.Config{Workers: 1, Profile: testProfile()}, fixedTasks(rows)) // no panic without Trace
 }
 
 func TestTimeline(t *testing.T) {
 	rows := [][]float64{{10, 10}, {}}
-	var events []TraceEvent
-	rep := Run(Config{
+	var events []sched.TraceEvent
+	rep := Run(sched.Config{
 		Workers: 2, Profile: testProfile(), Policy: steal.RandK{K: 1}, Seed: 1,
-		Trace: func(e TraceEvent) { events = append(events, e) },
+		Trace: func(e sched.TraceEvent) { events = append(events, e) },
 	}, fixedTasks(rows))
 	lines := Timeline(events, rep, 40)
 	if len(lines) != 2 {

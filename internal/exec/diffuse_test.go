@@ -34,7 +34,7 @@ func TestDiffuseBalancesSkewedQueues(t *testing.T) {
 	const workers, tasks = 4, 32
 	queues := make([][]work.Task, workers)
 	for i := 0; i < tasks; i++ {
-		queues[0] = append(queues[0], work.Task{ID: i, Region: i})
+		queues[0] = append(queues[0], work.Task{ID: i})
 	}
 	est := func(work.Task) float64 { return 1 }
 
@@ -78,7 +78,7 @@ func TestDiffuseDeterministic(t *testing.T) {
 	build := func() [][]work.Task {
 		queues := make([][]work.Task, 6)
 		for i := 0; i < 40; i++ {
-			queues[i%2] = append(queues[i%2], work.Task{ID: i, Region: i})
+			queues[i%2] = append(queues[i%2], work.Task{ID: i})
 		}
 		return queues
 	}

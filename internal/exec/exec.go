@@ -20,25 +20,12 @@ import (
 	"parmp/internal/work"
 )
 
-// The scheduler-runtime contract is shared with the simulator through
-// internal/sched.
-type (
-	// Config parameterizes a run; Config.Workers is the number of
-	// goroutines (default GOMAXPROCS). Profile is ignored: the executor
-	// pays real costs.
-	Config = sched.Config
-	// Report is the outcome of a run; times are wall-clock seconds.
-	Report = sched.Report
-	// WorkerStats reports one worker's execution profile.
-	WorkerStats = sched.WorkerStats
-)
-
 // stealBackoffBase is the first idle-thief sleep after a fully failed
 // steal round; successive failures double it up to 16 times this base,
 // via the shared sched.Backoff curve.
 const stealBackoffBase = 20 * time.Microsecond
 
-func workers(cfg Config) int {
+func workers(cfg sched.Config) int {
 	if cfg.Workers > 0 {
 		return cfg.Workers
 	}
@@ -95,10 +82,12 @@ type workerState struct {
 }
 
 // Run executes the per-worker task queues to completion and returns the
-// execution profile. Task closures run concurrently; they must be safe
-// to run in parallel with each other (region tasks are: each touches only
-// its own region's data).
-func Run(cfg Config, queues [][]work.Task) Report {
+// execution profile, in wall-clock seconds. cfg.Workers goroutines run
+// (GOMAXPROCS when unset); cfg.Profile is ignored, as the executor pays
+// real costs. Task closures run concurrently; they must be safe to run
+// in parallel with each other (region tasks are: each touches only its
+// own region's data).
+func Run(cfg sched.Config, queues [][]work.Task) sched.Report {
 	w := workers(cfg)
 	// Mismatched queue counts redistribute round-robin through the shared
 	// sched.Reshard path, identically to the simulator.
@@ -178,7 +167,7 @@ func Run(cfg Config, queues [][]work.Task) Report {
 				}
 				if q, ok := deques[id].popFront(); ok {
 					t0 := time.Now()
-					cost, payload := q.Task.Run()
+					cost := q.Task.Run()
 					d := time.Since(t0)
 					st.busy += d
 					st.finish = time.Since(start)
@@ -186,8 +175,7 @@ func Run(cfg Config, queues [][]work.Task) Report {
 					// contract: measured wall seconds the task occupied
 					// this worker (the simulator records Elapsed == Cost).
 					st.tasks = append(st.tasks, sched.TaskResult{
-						ID: q.Task.ID, Worker: id, Region: q.Task.Region,
-						Cost: cost, Payload: payload, Elapsed: d.Seconds(),
+						ID: q.Task.ID, Worker: id, Cost: cost, Elapsed: d.Seconds(),
 					})
 					if q.Stolen {
 						st.stolen++
@@ -258,18 +246,17 @@ func Run(cfg Config, queues [][]work.Task) Report {
 	wg.Wait()
 
 	wall := time.Since(start)
-	rep := Report{
+	rep := sched.Report{
 		Makespan:   wall.Seconds(),
-		Workers:    make([]WorkerStats, w),
+		Workers:    make([]sched.WorkerStats, w),
 		TotalTasks: totalTasks,
 		Tasks:      make([]sched.TaskResult, 0, totalTasks),
 		Stopped:    stopped.Load(),
 	}
 	for id := range states {
 		st := &states[id]
-		rep.Workers[id] = WorkerStats{
+		rep.Workers[id] = sched.WorkerStats{
 			Busy:          st.busy.Seconds(),
-			Idle:          (wall - st.busy).Seconds(),
 			Finish:        st.finish.Seconds(),
 			TasksLocal:    st.local,
 			TasksStolen:   st.stolen,

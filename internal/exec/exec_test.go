@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"parmp/internal/sched"
 	"parmp/internal/steal"
 	"parmp/internal/work"
 )
@@ -15,12 +16,12 @@ func makeTasks(n int, ran *int64, delay time.Duration) []work.Task {
 	for i := 0; i < n; i++ {
 		ts[i] = work.Task{
 			ID: i,
-			Run: func() (float64, int) {
+			Run: func() float64 {
 				if delay > 0 {
 					time.Sleep(delay)
 				}
 				atomic.AddInt64(ran, 1)
-				return 1, 0
+				return 1
 			},
 		}
 	}
@@ -31,7 +32,7 @@ func TestAllTasksRunOnce(t *testing.T) {
 	var ran int64
 	tasks := makeTasks(100, &ran, 0)
 	queues := [][]work.Task{tasks, nil, nil, nil}
-	rep := Run(Config{Workers: 4, Policy: steal.RandK{K: 3}, Seed: 1}, queues)
+	rep := Run(sched.Config{Workers: 4, Policy: steal.RandK{K: 3}, Seed: 1}, queues)
 	if ran != 100 {
 		t.Fatalf("ran %d tasks, want 100", ran)
 	}
@@ -55,7 +56,7 @@ func TestStealingSpreadsWork(t *testing.T) {
 	var ran int64
 	tasks := makeTasks(64, &ran, 200*time.Microsecond)
 	queues := [][]work.Task{tasks, nil, nil, nil}
-	rep := Run(Config{Workers: 4, Policy: steal.Hybrid{K: 3}, Seed: 2}, queues)
+	rep := Run(sched.Config{Workers: 4, Policy: steal.Hybrid{K: 3}, Seed: 2}, queues)
 	stolen := 0
 	for _, ws := range rep.Workers {
 		stolen += ws.TasksStolen
@@ -74,7 +75,7 @@ func TestNoPolicyDrainsOwnQueues(t *testing.T) {
 		makeTasks(10, &ran, 0),
 		nil,
 	}
-	rep := Run(Config{Workers: 2, Seed: 3}, queues)
+	rep := Run(sched.Config{Workers: 2, Seed: 3}, queues)
 	if ran != 10 {
 		t.Fatalf("ran %d, want 10", ran)
 	}
@@ -86,7 +87,7 @@ func TestNoPolicyDrainsOwnQueues(t *testing.T) {
 func TestReshardWhenQueueCountMismatch(t *testing.T) {
 	var ran int64
 	queues := [][]work.Task{makeTasks(30, &ran, 0)} // 1 queue, 3 workers
-	Run(Config{Workers: 3, Policy: steal.Diffusive{}, Seed: 4}, queues)
+	Run(sched.Config{Workers: 3, Policy: steal.Diffusive{}, Seed: 4}, queues)
 	if ran != 30 {
 		t.Fatalf("ran %d, want 30", ran)
 	}
@@ -95,14 +96,14 @@ func TestReshardWhenQueueCountMismatch(t *testing.T) {
 func TestSingleWorker(t *testing.T) {
 	var ran int64
 	queues := [][]work.Task{makeTasks(5, &ran, 0)}
-	rep := Run(Config{Workers: 1, Policy: steal.RandK{K: 8}, Seed: 5}, queues)
+	rep := Run(sched.Config{Workers: 1, Policy: steal.RandK{K: 8}, Seed: 5}, queues)
 	if ran != 5 || rep.Workers[0].TasksLocal != 5 {
 		t.Fatalf("single worker ran %d local %d", ran, rep.Workers[0].TasksLocal)
 	}
 }
 
 func TestEmptyRun(t *testing.T) {
-	rep := Run(Config{Workers: 2, Policy: steal.Diffusive{}}, [][]work.Task{nil, nil})
+	rep := Run(sched.Config{Workers: 2, Policy: steal.Diffusive{}}, [][]work.Task{nil, nil})
 	if len(rep.Tasks) != 0 {
 		t.Fatal("nothing should have run")
 	}
@@ -111,7 +112,7 @@ func TestEmptyRun(t *testing.T) {
 func TestDefaultWorkerCount(t *testing.T) {
 	var ran int64
 	queues := [][]work.Task{makeTasks(8, &ran, 0)}
-	Run(Config{Seed: 6}, queues) // default workers; reshard handles mismatch
+	Run(sched.Config{Seed: 6}, queues) // default workers; reshard handles mismatch
 	if ran != 8 {
 		t.Fatalf("ran %d, want 8", ran)
 	}

@@ -135,7 +135,7 @@ func TestChromeTraceFromSimulator(t *testing.T) {
 		i := i
 		queues[0] = append(queues[0], work.Task{
 			ID:  i,
-			Run: func() (float64, int) { return float64(2 + i%3), 0 },
+			Run: func() float64 { return float64(2 + i%3) },
 		})
 	}
 	ct := NewChromeTrace(ScaleVirtual)

@@ -6,22 +6,21 @@ import (
 	"time"
 
 	"parmp/internal/exec"
+	"parmp/internal/sched"
 	"parmp/internal/steal"
 	"parmp/internal/work"
 )
 
-// sleepTasks builds n tasks of a fixed wall-clock duration, tagged with
-// region ids, so the executor's measured per-task costs are known up to
-// scheduler jitter.
+// sleepTasks builds n tasks of a fixed wall-clock duration, so the
+// executor's measured per-task costs are known up to scheduler jitter.
 func sleepTasks(n int, d time.Duration) []work.Task {
 	ts := make([]work.Task, n)
 	for i := 0; i < n; i++ {
 		ts[i] = work.Task{
-			ID:     i,
-			Region: i,
-			Run: func() (float64, int) {
+			ID: i,
+			Run: func() float64 {
 				time.Sleep(d)
-				return 1, 0
+				return 1
 			},
 		}
 	}
@@ -43,7 +42,7 @@ func TestWallClockCostMetricsBalanced(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		queues[w] = all[w*perWorker : (w+1)*perWorker]
 	}
-	rep := exec.Run(exec.Config{Workers: workers, Seed: 7}, queues)
+	rep := exec.Run(sched.Config{Workers: workers, Seed: 7}, queues)
 
 	if len(rep.Tasks) != perWorker*workers {
 		t.Fatalf("%d task records, want %d", len(rep.Tasks), perWorker*workers)
@@ -53,9 +52,6 @@ func TestWallClockCostMetricsBalanced(t *testing.T) {
 	for _, r := range rep.Tasks {
 		if r.Elapsed < delay.Seconds() {
 			t.Fatalf("task %d elapsed %.6fs, below its %.6fs sleep", r.ID, r.Elapsed, delay.Seconds())
-		}
-		if r.Region != r.ID {
-			t.Fatalf("task %d tagged region %d", r.ID, r.Region)
 		}
 		if r.Worker != r.ID/perWorker {
 			t.Fatalf("task %d ran on worker %d, queued on %d", r.ID, r.Worker, r.ID/perWorker)
@@ -100,7 +96,7 @@ func TestWallClockCostMetricsSkewed(t *testing.T) {
 		return qs
 	}
 
-	noSteal := Analyze(exec.Run(exec.Config{Workers: workers, Seed: 11}, mkQueues()))
+	noSteal := Analyze(exec.Run(sched.Config{Workers: workers, Seed: 11}, mkQueues()))
 	if noSteal.Imbalance < 2 {
 		t.Errorf("fully skewed no-steal imbalance %.3f, want >= 2 (ideal %d)", noSteal.Imbalance, workers)
 	}
@@ -109,7 +105,7 @@ func TestWallClockCostMetricsSkewed(t *testing.T) {
 			noSteal.Utilization, 1.0/workers)
 	}
 
-	stealRep := exec.Run(exec.Config{
+	stealRep := exec.Run(sched.Config{
 		Workers: workers, Seed: 11, Policy: steal.RandK{K: 3}, StealChunk: 0.25,
 	}, mkQueues())
 	withSteal := Analyze(stealRep)
@@ -122,16 +118,18 @@ func TestWallClockCostMetricsSkewed(t *testing.T) {
 	if withSteal.Utilization <= noSteal.Utilization {
 		t.Errorf("stealing should raise utilization: %.3f vs %.3f", withSteal.Utilization, noSteal.Utilization)
 	}
-	// Migrated tasks keep their cost attribution: every task still has a
-	// record with its original region tag, and some ran off worker 0.
+	// Migrated tasks keep their cost attribution: every task still has
+	// one record under its ID, and some ran off worker 0.
 	if len(stealRep.Tasks) != n {
 		t.Fatalf("stolen run lost cost attribution: %d records for %d tasks", len(stealRep.Tasks), n)
 	}
 	moved := 0
+	seen := make([]bool, n)
 	for _, r := range stealRep.Tasks {
-		if r.Region != r.ID {
-			t.Fatalf("task %d lost its region tag across a steal: %d", r.ID, r.Region)
+		if r.ID < 0 || r.ID >= n || seen[r.ID] {
+			t.Fatalf("task record %d out of range or repeated across a steal", r.ID)
 		}
+		seen[r.ID] = true
 		if r.Worker != 0 {
 			moved++
 		}

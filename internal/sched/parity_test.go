@@ -30,10 +30,9 @@ func parityWorkload(workers, tasks int) ([][]work.Task, []int64) {
 		queues[0] = append(queues[0], work.Task{
 			ID:      i,
 			Payload: i % 3,
-			Region:  i % 4,
-			Run: func() (float64, int) {
+			Run: func() float64 {
 				atomic.AddInt64(&execCount[i], 1)
-				return float64(1 + i%5), i % 3
+				return float64(1 + i%5)
 			},
 		})
 	}
@@ -93,17 +92,11 @@ func checkParityReport(t *testing.T, name string, rep sched.Report, execCount []
 		if r.Cost != float64(1+i%5) {
 			t.Errorf("%s: task %d cost %v, want %v", name, i, r.Cost, float64(1+i%5))
 		}
-		if r.Payload != i%3 {
-			t.Errorf("%s: task %d payload %d, want %d", name, i, r.Payload, i%3)
-		}
 		// Per-task cost attribution (the online cost model's input): both
-		// backends must record every executed task's occupancy time and its
-		// region tag, whatever the steal schedule did to placement.
+		// backends must record every executed task's occupancy time under
+		// its ID, whatever the steal schedule did to placement.
 		if r.Elapsed < 0 {
 			t.Errorf("%s: task %d elapsed %v, want >= 0", name, i, r.Elapsed)
-		}
-		if r.Region != i%4 {
-			t.Errorf("%s: task %d region %d, want %d", name, i, r.Region, i%4)
 		}
 	}
 }
@@ -234,7 +227,7 @@ func TestTraceKindSequenceParity(t *testing.T) {
 				id := w*10 + j
 				queues[w] = append(queues[w], work.Task{
 					ID:  id,
-					Run: func() (float64, int) { return 1, 0 },
+					Run: func() float64 { return 1 },
 				})
 			}
 		}
@@ -372,9 +365,9 @@ func TestRuntimeParityMismatchedQueues(t *testing.T) {
 					i := i
 					queues[i%shards] = append(queues[i%shards], work.Task{
 						ID: i,
-						Run: func() (float64, int) {
+						Run: func() float64 {
 							atomic.AddInt64(&execCount[i], 1)
-							return 1, 0
+							return 1
 						},
 					})
 				}

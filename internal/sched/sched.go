@@ -71,10 +71,10 @@ func (c Config) Chunk() float64 {
 }
 
 // WorkerStats reports one worker's execution profile. Times are virtual
-// units for the simulator and seconds for the host executor.
+// units for the simulator and seconds for the host executor; a worker's
+// idle time is the report's Makespan minus its Busy.
 type WorkerStats struct {
 	Busy   float64 // time spent executing tasks
-	Idle   float64 // makespan minus Busy
 	Finish float64 // completion time of the worker's last task
 	// TasksLocal counts tasks executed from the original assignment;
 	// TasksStolen those stolen from others; TasksLost those stolen away.
@@ -86,19 +86,12 @@ type WorkerStats struct {
 
 // TaskResult is one executed task's outcome: who ran it and what it cost.
 type TaskResult struct {
-	// ID is the task's work.Task.ID; Worker is the worker that ultimately
-	// ran it (ownership transfer makes this differ from the initial owner).
+	// ID is the task's work.Task.ID (its region, in a region phase);
+	// Worker is the worker that ultimately ran it (ownership transfer
+	// makes this differ from the initial owner).
 	ID, Worker int
-	// Region is the task's work.Task.Region tag, the attribution key the
-	// online cost model (internal/costmodel) uses to fold Elapsed into
-	// per-region estimates. Tasks tagged work.NoRegion are recorded as
-	// such; untagged producers leave the zero value (region 0), so only
-	// region-tagged phases should be fed to the model.
-	Region int
-	// Cost is the task's reported cost; Payload its reported payload (e.g.
-	// roadmap vertices created), for downstream migration pricing.
-	Cost    float64
-	Payload int
+	// Cost is the task's reported cost.
+	Cost float64
 	// Elapsed is the time the task actually occupied its worker, in the
 	// report's time units: for the simulator this is identical to Cost (a
 	// task occupies exactly its reported virtual cost); for the host

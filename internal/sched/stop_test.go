@@ -20,11 +20,11 @@ func queuesOf(w, n int, cost float64, ran *int64) [][]work.Task {
 	id := 0
 	for p := 0; p < w; p++ {
 		for i := 0; i < n; i++ {
-			queues[p] = append(queues[p], work.Task{ID: id, Run: func() (float64, int) {
+			queues[p] = append(queues[p], work.Task{ID: id, Run: func() float64 {
 				if ran != nil {
 					atomic.AddInt64(ran, 1)
 				}
-				return cost, 0
+				return cost
 			}})
 			id++
 		}
@@ -70,7 +70,7 @@ func TestDistStopReturnsPartialReport(t *testing.T) {
 	ran = 0
 	queues := queuesOf(4, 8, 10, &ran)
 	fire := queues[2][1].Run
-	queues[2][1].Run = func() (float64, int) {
+	queues[2][1].Run = func() float64 {
 		close(stop)
 		return fire()
 	}
@@ -111,16 +111,16 @@ func TestExecStopBetweenTasks(t *testing.T) {
 	// released; cancellation fires while it runs, so it must complete but
 	// no later task may start.
 	queues := make([][]work.Task, 1)
-	queues[0] = append(queues[0], work.Task{ID: 0, Run: func() (float64, int) {
+	queues[0] = append(queues[0], work.Task{ID: 0, Run: func() float64 {
 		close(started)
 		<-release
 		atomic.AddInt64(&ran, 1)
-		return 1, 0
+		return 1
 	}})
 	for i := 1; i < 16; i++ {
-		queues[0] = append(queues[0], work.Task{ID: i, Run: func() (float64, int) {
+		queues[0] = append(queues[0], work.Task{ID: i, Run: func() float64 {
 			atomic.AddInt64(&ran, 1)
-			return 1, 0
+			return 1
 		}})
 	}
 	done := make(chan sched.Report, 1)

@@ -132,30 +132,19 @@ func (p MachineProfile) Barrier(procs int) float64 {
 	return p.BarrierPerLog * float64(logs)
 }
 
-// NoRegion marks a task that is not attributable to a single region
-// (e.g. a region-connection task spanning a pair). The zero value of
-// Task.Region is region 0 — a valid region — so producers that care
-// about attribution must tag explicitly.
-const NoRegion = -1
-
 // Task is one quantum of schedulable work: a region whose planning cost is
 // determined by actually running the closure. Run must be safe to call
-// exactly once; it returns the task's virtual-time cost and an opaque
-// payload size (e.g. roadmap vertices created) used to price subsequent
-// migrations of the task's output.
+// exactly once; it returns the task's virtual-time cost.
+//
+// In a region phase ID is the region whose work the task performs, so
+// scheduler reports attribute observed costs to regions by ID.
 //
 // Payload is the size of the data that must move WITH the task when its
 // ownership transfers before execution (e.g. the samples already
 // generated in a PRM region). Stealing a task is priced like migrating
 // it: ownership transfer is never free.
-//
-// Region tags the task with the decomposition region whose work it
-// performs, so scheduler reports can attribute observed costs to regions
-// for the online cost model (internal/costmodel). Use NoRegion for tasks
-// that have no single home region.
 type Task struct {
 	ID      int
 	Payload int
-	Region  int
-	Run     func() (cost float64, payload int)
+	Run     func() float64
 }
