@@ -138,8 +138,8 @@ func runTrace(e *env.Environment, opts core.Options, policyName string, width in
 	// label the traced phases.
 	for i, pr := range eng.Result().PhaseReports {
 		ph := phases[i]
-		fmt.Printf("%s: %d tasks on %d procs, policy=%s, makespan=%.0f units\n\n",
-			pr.Phase, ph.rep.TotalTasks, len(ph.rep.Workers), policyName, ph.rep.Makespan)
+		fmt.Printf("%s: %d tasks on %d procs, policy=%s, makespan=%.0f units, bound=%.0f\n\n",
+			pr.Phase, ph.rep.TotalTasks, len(ph.rep.Workers), policyName, ph.rep.Makespan, pr.Bound)
 		for _, line := range dist.Timeline(ph.events, ph.rep, width) {
 			fmt.Println(line)
 		}

@@ -53,6 +53,10 @@ type PhaseReport struct {
 	Phase string
 	// Report is the scheduler runtime's execution profile for the phase.
 	Report sched.Report
+	// Bound is max(Σ cost / Procs, max cost) over the phase's task
+	// records: no schedule of those tasks finishes sooner, so
+	// Report.Makespan / Bound is how far the balancer is from ideal.
+	Bound float64
 }
 
 // pipeline executes planner phases through the scheduler runtime layer:
@@ -148,8 +152,9 @@ func (pl *pipeline) execute(name string, queues [][]work.Task) (ok bool) {
 const stealMaxRounds = 4
 
 // replay plays a phase on the virtual-time runtime and returns its
-// report, keeping a copy in the pipeline's phase-report log. Its tasks
-// are records (execute), so the replay is pure accounting.
+// report, keeping a copy and the phase's makespan bound in the
+// pipeline's phase-report log. Its tasks are records (execute), so the
+// replay is pure accounting.
 // The retained copy is trimmed of its per-task records (see
 // PhaseReport's memory bound); the returned report is the full one, so
 // same-round consumers (ownership write-back, cost observation, weight
@@ -164,9 +169,13 @@ func (pl *pipeline) replay(ph phaseSpec) sched.Report {
 		Seed:       pl.opts.Seed ^ ph.salt,
 		Stop:       pl.stop,
 	}, ph.queues)
+	sum, most := 0.0, 0.0
+	for _, t := range rep.Tasks {
+		sum, most = sum+t.Cost, max(most, t.Cost)
+	}
 	kept := rep
 	kept.Tasks = nil // the log keeps the O(workers) profile only
-	pl.reports = append(pl.reports, PhaseReport{Phase: ph.name, Report: kept})
+	pl.reports = append(pl.reports, PhaseReport{Phase: ph.name, Report: kept, Bound: max(sum/float64(pl.opts.Procs), most)})
 	return rep
 }
 

@@ -383,3 +383,72 @@ func TestRRTConstructPayloadIsCommittedBranch(t *testing.T) {
 		t.Fatalf("round 1 construct queued %d tasks carrying %d nodes, want %d tasks carrying the grown branches", tasks, carried, len(sizes))
 	}
 }
+
+// Every replayed phase logs its makespan bound, max(Σ cost / Procs,
+// max cost) over its task records, and no balancer beats it: PRM and
+// RRT-Connect under no-LB, repartitioning, hybrid stealing and both.
+func TestPhaseMakespanNeverBeatsBound(t *testing.T) {
+	balancers := []struct {
+		name     string
+		strategy Strategy
+		policy   steal.Policy
+	}{
+		{"nolb", NoLB, nil},
+		{"repart", Repartition, nil},
+		{"hybrid", NoLB, steal.Hybrid{K: 8}},
+		{"repart+hybrid", Repartition, steal.Hybrid{K: 8}},
+	}
+	for _, b := range balancers {
+		prm := quickOpts(4, 64)
+		prm.Strategy, prm.Policy = b.strategy, b.policy
+		prmRes, err := oneRound(NewPRMEngine(cspace.NewPointSpace(env.MedCube()), prm))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rrt := rrtOpts(4, 16)
+		rrt.Strategy, rrt.Policy = b.strategy, b.policy
+		e, err := NewRRTConnectEngine(cspace.NewPointSpace(env.ByName("walls")), geom.V(0.1, 0.1, 0.5), geom.V(0.9, 0.9, 0.5), rrt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, run := range []struct {
+			planner string
+			reports []PhaseReport
+		}{{"prm", prmRes.PhaseReports}, {"rrtconnect", growRRT(t, e, 2).PhaseReports}} {
+			if len(run.reports) == 0 {
+				t.Fatalf("%s %s: no phase reports", run.planner, b.name)
+			}
+			for _, pr := range run.reports {
+				if pr.Bound <= 0 || pr.Report.Makespan < pr.Bound*(1-1e-12) {
+					t.Errorf("%s %s %s: makespan %v, bound %v", run.planner, b.name, pr.Phase, pr.Report.Makespan, pr.Bound)
+				}
+			}
+		}
+	}
+}
+
+// The bound is the larger of the mean load and the largest task: one
+// task bounds its phase by its own cost, many small ones by their mean.
+func TestPhaseBoundFromRecords(t *testing.T) {
+	pl := newPipeline(quickOpts(4, 64))
+	queues := func(costs ...float64) [][]work.Task {
+		q := make([][]work.Task, 4)
+		for i, c := range costs {
+			q[i%4] = append(q[i%4], record(work.Task{ID: i}, c))
+		}
+		return q
+	}
+	for _, tc := range []struct {
+		costs []float64
+		want  float64
+	}{
+		{[]float64{7}, 7},
+		{[]float64{1, 1, 1, 1, 1, 1, 1, 1}, 2},
+		{[]float64{1, 1, 9, 1}, 9},
+	} {
+		pl.replay(phaseSpec{name: "p", queues: queues(tc.costs...)})
+		if got := pl.reports[len(pl.reports)-1].Bound; got != tc.want {
+			t.Errorf("costs %v: bound %v, want %v", tc.costs, got, tc.want)
+		}
+	}
+}

@@ -1,39 +1,34 @@
-// Package graph provides the generic adjacency-list graph used both for
+// Package graph provides the immutable weighted graph used both for
 // roadmaps (vertices = configurations, edges = valid local plans) and for
 // region graphs (vertices = subdivision regions, edges = adjacency).
 //
-// It is a sequential data structure; distribution is handled a level up by
-// assigning vertex ranges (regions) to virtual processors.
+// A graph is built once, by FromSpans, and stored as compressed sparse
+// rows: row v is to[off[v]:off[v+1]] beside w[off[v]:off[v+1]], so a
+// vertex costs one int32 offset (and one bit of build scratch) and an
+// entry an int32 target and a float64 weight, with no slice header or
+// pointer per row. Distribution
+// is handled a level up by assigning vertex ranges (regions) to virtual
+// processors.
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // ID identifies a vertex within a Graph.
-type ID int
+type ID int32
 
 // InvalidID is returned by lookups that find nothing.
 const InvalidID ID = -1
 
-// Edge is a weighted, undirected adjacency record.
-type Edge struct {
-	To     ID
-	Weight float64
-}
-
-// Graph is an undirected adjacency-list graph with vertex payloads of
-// type V. The zero value is an empty graph ready to use.
+// Graph is an undirected graph with vertex payloads of type V, in
+// compressed sparse rows. The zero value is an empty graph.
 type Graph[V any] struct {
 	verts []V
-	adj   [][]Edge
-	edges int
-}
-
-// New returns an empty graph with capacity hint n.
-func New[V any](n int) *Graph[V] {
-	return &Graph[V]{
-		verts: make([]V, 0, n),
-		adj:   make([][]Edge, 0, n),
-	}
+	off   []int32 // row v is [off[v], off[v+1]); n+1 entries
+	to    []ID
+	w     []float64
 }
 
 // EdgeSpan is a run of undirected edges between two blocks of vertex
@@ -45,81 +40,84 @@ type EdgeSpan struct {
 	Weights      []float64
 }
 
-// FromSpans builds the graph that AddVertex over verts followed by
-// AddEdge over every span's edges, in order, would build — the same
-// Neighbors order, the same weights, self and duplicate edges dropped
-// and not counted — in a fixed number of allocations: it counts degrees,
-// cuts every adjacency row from one slab and fills the rows in edge
-// order. Rows are cut with cap == len, so an AddEdge on the result
-// reallocates the row it grows instead of writing into the next one.
-// The graph takes ownership of verts.
+// FromSpans builds the graph of verts and every span's edges. Each row
+// lists its neighbours in edge order — span by span, edge by edge — with
+// self edges dropped and only the first entry per neighbour kept, so a
+// repeated pair keeps the weight of its earliest edge on both rows. It
+// takes a fixed number of allocations: it counts degrees into the
+// offsets, fills the rows in edge order, then compacts each row over its
+// duplicates, which a bit per vertex, set for the targets the row has
+// kept so far, finds in one pass. The graph takes ownership of verts.
+//
+// Offsets and targets are int32: FromSpans panics, before allocating,
+// when the vertex count or the entry count (two per edge) exceeds
+// math.MaxInt32.
 func FromSpans[V any](verts []V, spans []EdgeSpan) *Graph[V] {
 	n := len(verts)
-	// Degrees are counted two slots up, so that after the prefix sum
-	// pos[v+1] is where row v starts; filling advances it to where row v
-	// ends, which is where row v+1 starts: pos[v] then delimits row v.
-	pos := make([]int, n+2)
+	entries := 0
+	for _, sp := range spans {
+		entries += 2 * len(sp.Ends)
+	}
+	if n > math.MaxInt32 || entries > math.MaxInt32 {
+		panic(fmt.Sprintf("graph: FromSpans over %d vertices and %d entries exceeds the int32 limit of %d", n, entries, math.MaxInt32))
+	}
+	// Degrees are counted one slot up, so that after the prefix sum
+	// off[v] is where row v starts; filling advances it to where row v
+	// ends, and compacting sets it to where row v's kept entries start.
+	// The offsets' allocation also holds a bit per vertex, set while the
+	// row being compacted has kept an entry to that vertex.
+	buf := make([]int32, n+1+(n+31)/32)
+	off, seen := buf[:n+1:n+1], buf[n+1:]
 	for _, sp := range spans {
 		for _, ed := range sp.Ends {
 			if a, b := sp.BaseA+ID(ed[0]), sp.BaseB+ID(ed[1]); a != b {
-				pos[a+2]++
-				pos[b+2]++
+				off[a+1]++
+				off[b+1]++
 			}
 		}
 	}
 	for v := 0; v < n; v++ {
-		pos[v+2] += pos[v+1]
+		off[v+1] += off[v]
 	}
-	slab := make([]Edge, pos[n+1])
+	to, w := make([]ID, off[n]), make([]float64, off[n])
 	for _, sp := range spans {
 		for k, ed := range sp.Ends {
 			if a, b := sp.BaseA+ID(ed[0]), sp.BaseB+ID(ed[1]); a != b {
-				slab[pos[a+1]] = Edge{To: b, Weight: sp.Weights[k]}
-				pos[a+1]++
-				slab[pos[b+1]] = Edge{To: a, Weight: sp.Weights[k]}
-				pos[b+1]++
+				to[off[a]], w[off[a]] = b, sp.Weights[k]
+				off[a]++
+				to[off[b]], w[off[b]] = a, sp.Weights[k]
+				off[b]++
 			}
 		}
 	}
-	g := &Graph[V]{verts: verts, adj: make([][]Edge, n)}
-	for v := range g.adj {
-		g.adj[v] = slab[pos[v]:pos[v+1]:pos[v+1]]
-	}
-	// Duplicates: a row keeps the first entry per neighbour, which is the
-	// earliest edge joining the pair — on both of its rows — exactly the
-	// one AddEdge would have kept. pos is done delimiting rows and serves
-	// as the stamp array: seen[w] == v+1 while row v has met w.
-	seen := pos[:n]
-	clear(seen)
-	kept := 0
-	for v, row := range g.adj {
-		w := 0
-		for _, e := range row {
-			if seen[e.To] != v+1 {
-				seen[e.To] = v + 1
-				row[w] = e
-				w++
+	// off[v] is now where row v ends. Compact row by row: kept entries
+	// move down over the duplicates of earlier rows, and a duplicate is
+	// an entry whose target the row has already kept.
+	kept, start := int32(0), int32(0)
+	for v := 0; v < n; v++ {
+		end, first := off[v], kept
+		for i := start; i < end; i++ {
+			u := to[i]
+			if bit := int32(1) << (u & 31); seen[u>>5]&bit == 0 {
+				seen[u>>5] |= bit
+				to[kept], w[kept] = u, w[i]
+				kept++
 			}
 		}
-		g.adj[v] = row[:w:w]
-		kept += w
+		for _, u := range to[first:kept] {
+			seen[u>>5] = 0
+		}
+		off[v], start = first, end
 	}
-	g.edges = kept / 2
-	return g
-}
-
-// AddVertex appends a vertex and returns its ID.
-func (g *Graph[V]) AddVertex(v V) ID {
-	g.verts = append(g.verts, v)
-	g.adj = append(g.adj, nil)
-	return ID(len(g.verts) - 1)
+	off[n] = kept
+	return &Graph[V]{verts: verts, off: off, to: to[:kept], w: w[:kept]}
 }
 
 // NumVertices returns the number of vertices.
 func (g *Graph[V]) NumVertices() int { return len(g.verts) }
 
 // NumEdges returns the number of undirected edges.
-func (g *Graph[V]) NumEdges() int { return g.edges }
+func (g *Graph[V]) NumEdges() int { return len(g.to) / 2 }
 
 // Vertex returns the payload of id. It panics for out-of-range ids.
 func (g *Graph[V]) Vertex(id ID) V { return g.verts[id] }
@@ -127,51 +125,23 @@ func (g *Graph[V]) Vertex(id ID) V { return g.verts[id] }
 // Vertices returns every payload, indexed by id (read-only).
 func (g *Graph[V]) Vertices() []V { return g.verts }
 
-// AddEdge inserts an undirected edge a—b with the given weight. Duplicate
-// and self edges are rejected (returning false).
-func (g *Graph[V]) AddEdge(a, b ID, weight float64) bool {
-	if a == b {
-		return false
-	}
-	if g.HasEdge(a, b) {
-		return false
-	}
-	g.adj[a] = append(g.adj[a], Edge{To: b, Weight: weight})
-	g.adj[b] = append(g.adj[b], Edge{To: a, Weight: weight})
-	g.edges++
-	return true
+// Neighbors returns row id: its neighbours and, index for index, the
+// weights of the edges to them. Both slices are owned by the graph and
+// must not be modified.
+func (g *Graph[V]) Neighbors(id ID) ([]ID, []float64) {
+	lo, hi := g.off[id], g.off[id+1]
+	return g.to[lo:hi:hi], g.w[lo:hi:hi]
 }
-
-// HasEdge reports whether an edge a—b exists.
-func (g *Graph[V]) HasEdge(a, b ID) bool {
-	if int(a) >= len(g.adj) || int(b) >= len(g.adj) {
-		return false
-	}
-	// Scan the shorter adjacency list.
-	if len(g.adj[a]) > len(g.adj[b]) {
-		a, b = b, a
-	}
-	for _, e := range g.adj[a] {
-		if e.To == b {
-			return true
-		}
-	}
-	return false
-}
-
-// Neighbors returns the adjacency list of id. The returned slice is owned
-// by the graph and must not be modified.
-func (g *Graph[V]) Neighbors(id ID) []Edge { return g.adj[id] }
 
 // Degree returns the number of edges incident to id.
-func (g *Graph[V]) Degree(id ID) int { return len(g.adj[id]) }
+func (g *Graph[V]) Degree(id ID) int { return int(g.off[id+1] - g.off[id]) }
 
 // ForEachEdge calls fn once per undirected edge (a < b ordering).
 func (g *Graph[V]) ForEachEdge(fn func(a, b ID, w float64)) {
-	for a := range g.adj {
-		for _, e := range g.adj[a] {
-			if ID(a) < e.To {
-				fn(ID(a), e.To, e.Weight)
+	for a := range g.verts {
+		for i := g.off[a]; i < g.off[a+1]; i++ {
+			if ID(a) < g.to[i] {
+				fn(ID(a), g.to[i], g.w[i])
 			}
 		}
 	}
@@ -180,27 +150,4 @@ func (g *Graph[V]) ForEachEdge(fn func(a, b ID, w float64)) {
 // String summarizes the graph.
 func (g *Graph[V]) String() string {
 	return fmt.Sprintf("graph{V=%d, E=%d}", g.NumVertices(), g.NumEdges())
-}
-
-// RemoveLastVertex deletes the most recently added vertex and all its
-// edges. Only the last vertex can be removed (IDs stay dense), which is
-// exactly what transient query attachments need. It panics on an empty
-// graph.
-func (g *Graph[V]) RemoveLastVertex() {
-	last := ID(len(g.verts) - 1)
-	if last < 0 {
-		panic("graph: RemoveLastVertex on empty graph")
-	}
-	for _, e := range g.adj[last] {
-		nbr := g.adj[e.To]
-		for i, back := range nbr {
-			if back.To == last {
-				g.adj[e.To] = append(nbr[:i], nbr[i+1:]...)
-				g.edges--
-				break
-			}
-		}
-	}
-	g.verts = g.verts[:last]
-	g.adj = g.adj[:last]
 }

@@ -2,50 +2,55 @@ package graph
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"parmp/internal/rng"
 )
 
-func buildPath(n int) *Graph[int] {
-	g := New[int](n)
-	for i := 0; i < n; i++ {
-		g.AddVertex(i)
+// fromEdges builds vertices 0..n-1 (payload = id) and the given
+// unit-weight edges, in order.
+func fromEdges(n int, edges ...[2]int) *Graph[int] {
+	w := make([]float64, len(edges))
+	for i := range w {
+		w[i] = 1
 	}
-	for i := 0; i+1 < n; i++ {
-		g.AddEdge(ID(i), ID(i+1), 1)
-	}
-	return g
+	return FromSpans(identity(n), []EdgeSpan{{Ends: edges, Weights: w}})
 }
 
-func TestAddVertexEdge(t *testing.T) {
-	g := New[string](0)
-	a := g.AddVertex("a")
-	b := g.AddVertex("b")
+func buildPath(n int) *Graph[int] {
+	var edges [][2]int
+	for i := 0; i+1 < n; i++ {
+		edges = append(edges, [2]int{i, i + 1})
+	}
+	return fromEdges(n, edges...)
+}
+
+func hasEdge[V any](g *Graph[V], a, b ID) bool {
+	to, _ := g.Neighbors(a)
+	return slices.Contains(to, b)
+}
+
+func TestFromSpansDropsSelfAndRepeatedEdges(t *testing.T) {
+	g := FromSpans([]string{"a", "b"}, []EdgeSpan{{
+		Ends:    [][2]int{{0, 1}, {1, 0}, {0, 0}},
+		Weights: []float64{2.5, 1, 1},
+	}})
 	if g.NumVertices() != 2 {
 		t.Fatalf("NumVertices = %d", g.NumVertices())
-	}
-	if !g.AddEdge(a, b, 2.5) {
-		t.Fatal("AddEdge failed")
-	}
-	if g.AddEdge(a, b, 1) {
-		t.Fatal("duplicate edge accepted")
-	}
-	if g.AddEdge(a, a, 1) {
-		t.Fatal("self edge accepted")
 	}
 	if g.NumEdges() != 1 {
 		t.Fatalf("NumEdges = %d", g.NumEdges())
 	}
-	if !g.HasEdge(b, a) {
-		t.Fatal("undirected edge missing reverse direction")
+	for _, v := range []ID{0, 1} {
+		to, w := g.Neighbors(v)
+		if len(to) != 1 || to[0] != 1-v || w[0] != 2.5 {
+			t.Fatalf("row %d = %v %v, want the first edge only", v, to, w)
+		}
 	}
-	if g.Vertex(a) != "a" {
-		t.Fatalf("Vertex = %q", g.Vertex(a))
-	}
-	if g.Degree(a) != 1 || g.Degree(b) != 1 {
-		t.Fatal("degrees wrong")
+	if g.Vertex(0) != "a" {
+		t.Fatalf("Vertex = %q", g.Vertex(0))
 	}
 }
 
@@ -64,13 +69,7 @@ func TestForEachEdgeVisitsOnce(t *testing.T) {
 }
 
 func TestConnectedComponents(t *testing.T) {
-	g := New[int](6)
-	for i := 0; i < 6; i++ {
-		g.AddVertex(i)
-	}
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(3, 4, 1)
+	g := fromEdges(6, [2]int{0, 1}, [2]int{1, 2}, [2]int{3, 4})
 	labels, count := g.ConnectedComponents()
 	if count != 3 {
 		t.Fatalf("count = %d", count)
@@ -81,14 +80,10 @@ func TestConnectedComponents(t *testing.T) {
 }
 
 func TestShortestPathSimple(t *testing.T) {
-	g := New[int](4)
-	for i := 0; i < 4; i++ {
-		g.AddVertex(i)
-	}
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 3, 1)
-	g.AddEdge(0, 2, 5)
-	g.AddEdge(2, 3, 1)
+	g := FromSpans(identity(4), []EdgeSpan{{
+		Ends:    [][2]int{{0, 1}, {1, 3}, {0, 2}, {2, 3}},
+		Weights: []float64{1, 1, 5, 1},
+	}})
 	path, dist, ok := g.ShortestPath(0, 3)
 	if !ok || dist != 2 {
 		t.Fatalf("dist = %v ok = %v", dist, ok)
@@ -105,9 +100,7 @@ func TestShortestPathSimple(t *testing.T) {
 }
 
 func TestShortestPathUnreachable(t *testing.T) {
-	g := New[int](2)
-	g.AddVertex(0)
-	g.AddVertex(1)
+	g := fromEdges(2)
 	if _, _, ok := g.ShortestPath(0, 1); ok {
 		t.Fatal("disconnected vertices should be unreachable")
 	}
@@ -127,13 +120,11 @@ func TestShortestPathMatchesBFSOnUnitWeights(t *testing.T) {
 	r := rng.New(42)
 	for trial := 0; trial < 30; trial++ {
 		n := 2 + r.Intn(30)
-		g := New[int](n)
-		for i := 0; i < n; i++ {
-			g.AddVertex(i)
+		edges := make([][2]int, n*2)
+		for i := range edges {
+			edges[i] = [2]int{r.Intn(n), r.Intn(n)}
 		}
-		for i := 0; i < n*2; i++ {
-			g.AddEdge(ID(r.Intn(n)), ID(r.Intn(n)), 1)
-		}
+		g := fromEdges(n, edges...)
 		src, dst := ID(r.Intn(n)), ID(r.Intn(n))
 		// BFS hop count.
 		hops := map[ID]int{src: 0}
@@ -141,10 +132,11 @@ func TestShortestPathMatchesBFSOnUnitWeights(t *testing.T) {
 		for len(queue) > 0 {
 			cur := queue[0]
 			queue = queue[1:]
-			for _, e := range g.Neighbors(cur) {
-				if _, seen := hops[e.To]; !seen {
-					hops[e.To] = hops[cur] + 1
-					queue = append(queue, e.To)
+			to, _ := g.Neighbors(cur)
+			for _, u := range to {
+				if _, seen := hops[u]; !seen {
+					hops[u] = hops[cur] + 1
+					queue = append(queue, u)
 				}
 			}
 		}
@@ -162,7 +154,7 @@ func TestShortestPathMatchesBFSOnUnitWeights(t *testing.T) {
 			}
 			// Path must be a chain of existing edges.
 			for i := 0; i+1 < len(path); i++ {
-				if !g.HasEdge(path[i], path[i+1]) {
+				if !hasEdge(g, path[i], path[i+1]) {
 					t.Fatalf("trial %d: path uses missing edge", trial)
 				}
 			}
@@ -204,18 +196,13 @@ func TestUnionFindMatchesComponents(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		n := 5 + r.Intn(40)
-		g := New[int](n)
 		u := NewUnionFind(n)
-		for i := 0; i < n; i++ {
-			g.AddVertex(i)
+		edges := make([][2]int, n)
+		for i := range edges {
+			edges[i] = [2]int{r.Intn(n), r.Intn(n)}
+			u.Union(edges[i][0], edges[i][1])
 		}
-		for i := 0; i < n; i++ {
-			a, b := ID(r.Intn(n)), ID(r.Intn(n))
-			g.AddEdge(a, b, 1)
-			if a != b {
-				u.Union(int(a), int(b))
-			}
-		}
+		g := fromEdges(n, edges...)
 		labels, _ := g.ConnectedComponents()
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
@@ -235,42 +222,4 @@ func TestGraphString(t *testing.T) {
 	if buildPath(3).String() != "graph{V=3, E=2}" {
 		t.Fatalf("String = %q", buildPath(3).String())
 	}
-}
-
-func TestRemoveLastVertex(t *testing.T) {
-	g := New[int](4)
-	for i := 0; i < 4; i++ {
-		g.AddVertex(i)
-	}
-	g.AddEdge(0, 3, 1)
-	g.AddEdge(1, 3, 1)
-	g.AddEdge(0, 1, 1)
-	g.RemoveLastVertex()
-	if g.NumVertices() != 3 {
-		t.Fatalf("vertices = %d", g.NumVertices())
-	}
-	if g.NumEdges() != 1 {
-		t.Fatalf("edges = %d, want only 0-1", g.NumEdges())
-	}
-	if g.HasEdge(0, 3) || g.HasEdge(1, 3) {
-		t.Fatal("edges to removed vertex must be gone")
-	}
-	if !g.HasEdge(0, 1) {
-		t.Fatal("unrelated edge must survive")
-	}
-	// Removing an isolated vertex works too.
-	g.AddVertex(9)
-	g.RemoveLastVertex()
-	if g.NumVertices() != 3 {
-		t.Fatal("isolated removal failed")
-	}
-}
-
-func TestRemoveLastVertexPanicsEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New[int](0).RemoveLastVertex()
 }

@@ -6,23 +6,25 @@ import "container/heap"
 // of components, numbered by their lowest vertex id. Every vertex is
 // enqueued exactly once, so one queue of NumVertices slots serves every
 // component's traversal in turn.
-func (g *Graph[V]) ConnectedComponents() (labels []int, count int) {
-	labels = make([]int, len(g.adj))
+func (g *Graph[V]) ConnectedComponents() (labels []int32, count int) {
+	n := len(g.verts)
+	labels = make([]int32, n)
 	for i := range labels {
 		labels[i] = -1
 	}
-	queue := make([]ID, 0, len(g.adj))
-	for v := range g.adj {
+	queue := make([]ID, 0, n)
+	for v := range labels {
 		if labels[v] != -1 {
 			continue
 		}
-		labels[v] = count
+		labels[v] = int32(count)
 		queue = append(queue, ID(v))
 		for head := len(queue) - 1; head < len(queue); head++ {
-			for _, e := range g.adj[queue[head]] {
-				if labels[e.To] == -1 {
-					labels[e.To] = count
-					queue = append(queue, e.To)
+			to, _ := g.Neighbors(queue[head])
+			for _, u := range to {
+				if labels[u] == -1 {
+					labels[u] = int32(count)
+					queue = append(queue, u)
 				}
 			}
 		}
@@ -49,7 +51,7 @@ func (q *pq) Pop() any          { old := *q; n := len(old); it := old[n-1]; *q =
 // weight using Dijkstra's algorithm. ok is false when b is unreachable.
 // Edge weights must be non-negative.
 func (g *Graph[V]) ShortestPath(a, b ID) (path []ID, dist float64, ok bool) {
-	n := len(g.adj)
+	n := len(g.verts)
 	if int(a) >= n || int(b) >= n {
 		return nil, 0, false
 	}
@@ -73,12 +75,13 @@ func (g *Graph[V]) ShortestPath(a, b ID) (path []ID, dist float64, ok bool) {
 		if it.id == b {
 			break
 		}
-		for _, e := range g.adj[it.id] {
-			nd := it.dist + e.Weight
-			if best[e.To] < 0 || nd < best[e.To] {
-				best[e.To] = nd
-				prev[e.To] = it.id
-				heap.Push(q, pqItem{id: e.To, dist: nd})
+		to, w := g.Neighbors(it.id)
+		for i, u := range to {
+			nd := it.dist + w[i]
+			if best[u] < 0 || nd < best[u] {
+				best[u] = nd
+				prev[u] = it.id
+				heap.Push(q, pqItem{id: u, dist: nd})
 			}
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"parmp/internal/cspace"
 	"parmp/internal/env"
 	"parmp/internal/geom"
-	"parmp/internal/graph"
 	"parmp/internal/rng"
 )
 
@@ -142,7 +141,7 @@ func TestQueryBatchDegenerate(t *testing.T) {
 	}
 
 	// Empty roadmap: all-miss.
-	ixe := BuildIndex(&Roadmap{G: graph.New[Node](0)})
+	ixe := BuildIndex(roadmapOf(s, nil, nil))
 	if _, oks := ixe.QueryBatch(s, []cspace.Config{a}, []cspace.Config{b}, 4, nil, nil); oks[0] {
 		t.Fatal("empty roadmap must miss")
 	}
@@ -157,9 +156,7 @@ func TestQueryBatchDisconnected(t *testing.T) {
 		},
 	}
 	s := cspace.NewPointSpace(e)
-	m := &Roadmap{G: graph.New[Node](0)}
-	m.G.AddVertex(Node{Q: geom.V(0.1, 0.5, 0.5)})
-	m.G.AddVertex(Node{Q: geom.V(0.9, 0.5, 0.5)})
+	m := roadmapOf(s, []Node{{Q: geom.V(0.1, 0.5, 0.5)}, {Q: geom.V(0.9, 0.5, 0.5)}}, nil)
 	ix := BuildIndex(m)
 	starts := []cspace.Config{geom.V(0.05, 0.5, 0.5), geom.V(0.05, 0.5, 0.5)}
 	goals := []cspace.Config{geom.V(0.95, 0.5, 0.5), geom.V(0.15, 0.5, 0.5)}

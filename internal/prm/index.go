@@ -16,7 +16,7 @@ type Index struct {
 	m      *Roadmap
 	verts  []Node // m's vertices, which hold the points
 	forest knn.Forest
-	labels []int
+	labels []int32
 	comps  int
 	single [1]*knn.KDTree // the forest of a roadmap without region trees
 }
@@ -34,7 +34,7 @@ func BuildIndex(m *Roadmap) *Index {
 // IndexFromParts builds a query index over m from precomputed component
 // labels, assembling the kd forest — the part a from-scratch build and a
 // repair (whose scoped relabel supplies the labels) share.
-func IndexFromParts(m *Roadmap, labels []int, comps int) *Index {
+func IndexFromParts(m *Roadmap, labels []int32, comps int) *Index {
 	ix := &Index{m: m, verts: m.G.Vertices(), labels: labels, comps: comps}
 	if m.regionTrees() {
 		ix.forest = knn.NewForest(m.trees)

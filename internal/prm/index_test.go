@@ -16,15 +16,8 @@ import (
 // buildTestRoadmap assembles a roadmap from one buildRegion pass.
 func buildTestRoadmap(t testing.TB, s *cspace.Space, samples int, seed uint64) *Roadmap {
 	t.Helper()
-	m := &Roadmap{G: graph.New[Node](0)}
 	res := buildRegion(s, geom.Box3(0, 0, 0, 1, 1, 1), 0, Params{SamplesPerRegion: samples, K: 6}, rng.New(seed))
-	for _, n := range res.Nodes {
-		m.G.AddVertex(n)
-	}
-	for _, e := range res.Edges {
-		m.G.AddEdge(graph.ID(e[0]), graph.ID(e[1]), s.Distance(res.Nodes[e[0]].Q, res.Nodes[e[1]].Q))
-	}
-	return m
+	return roadmapOf(s, res.Nodes, res.Edges)
 }
 
 func TestIndexQueryFindsValidPath(t *testing.T) {
@@ -139,9 +132,7 @@ func TestIndexQueryDisconnected(t *testing.T) {
 		},
 	}
 	s := cspace.NewPointSpace(e)
-	m := &Roadmap{G: graph.New[Node](0)}
-	m.G.AddVertex(Node{Q: geom.V(0.1, 0.5, 0.5)})
-	m.G.AddVertex(Node{Q: geom.V(0.9, 0.5, 0.5)})
+	m := roadmapOf(s, []Node{{Q: geom.V(0.1, 0.5, 0.5)}, {Q: geom.V(0.9, 0.5, 0.5)}}, nil)
 	ix := BuildIndex(m)
 	if ix.comps != 2 {
 		t.Fatalf("components = %d, want 2", ix.comps)
@@ -175,7 +166,7 @@ func TestIndexQueryDoesNotMutate(t *testing.T) {
 
 func TestIndexQueryEmptyRoadmap(t *testing.T) {
 	s := freeSpace()
-	ix := BuildIndex(&Roadmap{G: graph.New[Node](0)})
+	ix := BuildIndex(roadmapOf(s, nil, nil))
 	if _, ok := ix.Query(s, geom.V(0.1, 0.1, 0.1), geom.V(0.9, 0.9, 0.9), 4, nil); ok {
 		t.Fatal("empty roadmap query must fail")
 	}

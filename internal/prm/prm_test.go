@@ -166,17 +166,20 @@ func TestConnectBoundaryBlockedWall(t *testing.T) {
 	}
 }
 
+// roadmapOf builds the roadmap of nodes and edges, in order, each edge
+// weighing s.Distance between its ends.
+func roadmapOf(s *cspace.Space, nodes []Node, edges [][2]int) *Roadmap {
+	w := make([]float64, len(edges))
+	for i, e := range edges {
+		w[i] = s.Distance(nodes[e[0]].Q, nodes[e[1]].Q)
+	}
+	return &Roadmap{G: graph.FromSpans(nodes, []graph.EdgeSpan{{Ends: edges, Weights: w}})}
+}
+
 func TestQueryFindsPath(t *testing.T) {
 	s := freeSpace()
-	m := &Roadmap{G: graph.New[Node](0)}
 	res := buildRegion(s, geom.Box3(0, 0, 0, 1, 1, 1), 0, Params{SamplesPerRegion: 60, K: 6}, rng.New(7))
-	ids := make([]graph.ID, len(res.Nodes))
-	for i, n := range res.Nodes {
-		ids[i] = m.G.AddVertex(n)
-	}
-	for _, e := range res.Edges {
-		m.G.AddEdge(ids[e[0]], ids[e[1]], s.Distance(res.Nodes[e[0]].Q, res.Nodes[e[1]].Q))
-	}
+	m := roadmapOf(s, res.Nodes, res.Edges)
 	var c cspace.Counters
 	path, ok := BuildIndex(m).Query(s, geom.V(0.05, 0.05, 0.05), geom.V(0.95, 0.95, 0.95), 5, &c)
 	if !ok {
@@ -201,8 +204,7 @@ func TestQueryFindsPath(t *testing.T) {
 
 func TestQueryInvalidEndpoints(t *testing.T) {
 	s := cspace.NewPointSpace(env.MedCube())
-	m := &Roadmap{G: graph.New[Node](0)}
-	m.G.AddVertex(Node{Q: geom.V(0.05, 0.05, 0.05)})
+	m := roadmapOf(s, []Node{{Q: geom.V(0.05, 0.05, 0.05)}}, nil)
 	if _, ok := BuildIndex(m).Query(s, geom.V(0.5, 0.5, 0.5), geom.V(0.05, 0.05, 0.05), 2, nil); ok {
 		t.Fatal("start inside obstacle must fail")
 	}
@@ -219,27 +221,20 @@ func TestQueryDisconnected(t *testing.T) {
 		},
 	}
 	s := cspace.NewPointSpace(e)
-	m := &Roadmap{G: graph.New[Node](0)}
-	m.G.AddVertex(Node{Q: geom.V(0.1, 0.5, 0.5)})
-	m.G.AddVertex(Node{Q: geom.V(0.9, 0.5, 0.5)})
+	m := roadmapOf(s, []Node{{Q: geom.V(0.1, 0.5, 0.5)}, {Q: geom.V(0.9, 0.5, 0.5)}}, nil)
 	if _, ok := BuildIndex(m).Query(s, geom.V(0.05, 0.5, 0.5), geom.V(0.95, 0.5, 0.5), 1, nil); ok {
 		t.Fatal("wall-separated query must fail")
 	}
 }
 
-// The reference Query attaches transient vertices to the roadmap it is
-// given; the parity oracle in index_test.go shares that roadmap with the
-// Index under test, so Query must hand it back unchanged.
+// The reference Query searches a graph of its own, built from the
+// roadmap it is given and the two attachments; the parity oracle in
+// index_test.go shares that roadmap with the Index under test, so Query
+// must hand it back unchanged.
 func TestQueryDoesNotMutateRoadmap(t *testing.T) {
 	s := freeSpace()
-	m := &Roadmap{G: graph.New[Node](0)}
 	res := buildRegion(s, geom.Box3(0, 0, 0, 1, 1, 1), 0, Params{SamplesPerRegion: 40, K: 5}, rng.New(21))
-	for _, n := range res.Nodes {
-		m.G.AddVertex(n)
-	}
-	for _, e := range res.Edges {
-		m.G.AddEdge(graph.ID(e[0]), graph.ID(e[1]), s.Distance(res.Nodes[e[0]].Q, res.Nodes[e[1]].Q))
-	}
+	m := roadmapOf(s, res.Nodes, res.Edges)
 	nodes, edges := m.NumNodes(), m.NumEdges()
 	for i := 0; i < 5; i++ {
 		Query(s, m, geom.V(0.1, 0.1, 0.1), geom.V(0.9, 0.9, 0.9), 4, nil)

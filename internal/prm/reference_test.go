@@ -2,6 +2,7 @@ package prm
 
 import (
 	"math"
+	"slices"
 
 	"parmp/internal/cspace"
 	"parmp/internal/geom"
@@ -12,63 +13,64 @@ import (
 // Query connects start and goal to the roadmap (each to its k nearest
 // nodes) and extracts a shortest path. It returns the configuration
 // sequence including start and goal, and ok=false if no path exists.
-// The roadmap is left unchanged on return, but it IS temporarily
-// mutated (transient attachment vertices are added and removed), so
-// concurrent callers must serialize.
+// The roadmap is only read: the search runs on a graph of its own, the
+// roadmap's vertices plus start and goal, built from the roadmap's edges
+// as one span followed by the start's and the goal's attachment spans,
+// so each attachment lands last in its node's row.
 //
 // Query is the reference implementation Index.Query is parity-tested
 // against (index_test.go): it re-gathers every roadmap point and
 // rebuilds the kd-tree per call and searches the graph itself, sharing
 // no code with the index. Production callers build an Index once and use
-// Index.Query, which is non-mutating, concurrency-safe and amortizes the
-// build cost across calls.
+// Index.Query, which amortizes the build cost across calls.
 func Query(s *cspace.Space, m *Roadmap, start, goal cspace.Config, k int, c *cspace.Counters) ([]cspace.Config, bool) {
 	if !s.Valid(start, c) || !s.Valid(goal, c) {
 		return nil, false
 	}
-	pts := make([]geom.Vec, m.NumNodes())
-	for i := 0; i < m.NumNodes(); i++ {
+	n := m.NumNodes()
+	pts := make([]geom.Vec, n)
+	for i := 0; i < n; i++ {
 		pts[i] = m.G.Vertex(graph.ID(i)).Q
 	}
 	// Full-roadmap trees are the largest built anywhere; the parallel
 	// build produces a bit-identical tree faster for big maps.
 	tree := knn.BuildParallel(pts, 0)
 
-	attach := func(q cspace.Config) (graph.ID, bool) {
-		id := m.G.AddVertex(Node{Q: q, Region: -1})
+	// attach is the span joining vertex id, at q, to every one of its k
+	// nearest roadmap nodes the local planner reaches.
+	attach := func(id int, q cspace.Config) graph.EdgeSpan {
+		sp := graph.EdgeSpan{BaseA: graph.ID(id)}
 		hits, evals := tree.Nearest(q, k)
 		if c != nil {
 			c.KNNQueries++
 			c.KNNEvals += int64(evals)
 		}
-		connected := false
 		for _, h := range hits {
 			if s.LocalPlan(q, pts[h.Index], c) {
-				m.G.AddEdge(id, graph.ID(h.Index), s.Distance(q, pts[h.Index]))
-				connected = true
+				sp.Ends = append(sp.Ends, [2]int{0, h.Index})
+				sp.Weights = append(sp.Weights, s.Distance(q, pts[h.Index]))
 			}
 		}
-		return id, connected
+		return sp
 	}
-
-	sid, okS := attach(start)
-	gid, okG := attach(goal)
-	// Remove the transient vertices before returning (goal first: it was
-	// added last).
-	defer func() {
-		m.G.RemoveLastVertex()
-		m.G.RemoveLastVertex()
-	}()
-	if !okS || !okG {
+	spanS, spanG := attach(n, start), attach(n+1, goal)
+	if len(spanS.Ends) == 0 || len(spanG.Ends) == 0 {
 		return nil, false
 	}
-	ids, _, ok := m.G.ShortestPath(sid, gid)
+	var roadmap graph.EdgeSpan
+	m.G.ForEachEdge(func(a, b graph.ID, w float64) {
+		roadmap.Ends = append(roadmap.Ends, [2]int{int(a), int(b)})
+		roadmap.Weights = append(roadmap.Weights, w)
+	})
+	verts := append(slices.Clone(m.G.Vertices()), Node{Q: start, Region: -1}, Node{Q: goal, Region: -1})
+	g := graph.FromSpans(verts, []graph.EdgeSpan{roadmap, spanS, spanG})
+	ids, _, ok := g.ShortestPath(graph.ID(n), graph.ID(n+1))
 	if !ok {
 		return nil, false
 	}
 	path := make([]cspace.Config, len(ids))
 	for i, id := range ids {
-		path[i] = m.G.Vertex(id).Q.Clone()
+		path[i] = g.Vertex(id).Q.Clone()
 	}
 	return path, true
 }
@@ -175,13 +177,14 @@ func lazySearch(ix *Index, s *cspace.Space, goal cspace.Config, starts, exits []
 				}
 			}
 		}
-		for _, e := range g.Neighbors(graph.ID(v)) {
-			u, nd := int32(e.To), it.g+e.Weight
+		to, w := g.Neighbors(graph.ID(v))
+		for i, u := range to {
+			nd := it.g + w[i]
 			if seen[u] && nd >= dist[u] {
 				continue
 			}
 			seen[u], dist[u], prev[u] = true, nd, v
-			heap.push(heapEntry{f: nd + s.Distance(ix.verts[u].Q, goal), g: nd, node: u})
+			heap.push(heapEntry{f: nd + s.Distance(ix.verts[u].Q, goal), g: nd, node: int32(u)})
 		}
 	}
 	return bestNode, prev

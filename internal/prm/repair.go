@@ -125,11 +125,11 @@ func (ix *Index) AffectedVertices(dc *cspace.DeltaChecker) []int {
 // edges, which is where splits appear (a door closing severs the two
 // sides of the passage); the pieces are numbered after the untouched
 // components, by their lowest vertex.
-func RelabelScoped(m *Roadmap, oldLabel []int, touched []bool) (labels []int, comps int) {
+func RelabelScoped(m *Roadmap, oldLabel []int32, touched []bool) (labels []int32, comps int) {
 	n := m.NumNodes()
-	labels = make([]int, n)
+	labels = make([]int32, n)
 	// dense[ol] is old label ol's new label plus one; zero = not met yet.
-	dense := make([]int, len(touched))
+	dense := make([]int32, len(touched))
 	pending := 0
 	for v, ol := range oldLabel[:n] {
 		if touched[ol] {
@@ -139,7 +139,7 @@ func RelabelScoped(m *Roadmap, oldLabel []int, touched []bool) (labels []int, co
 		}
 		if dense[ol] == 0 {
 			comps++
-			dense[ol] = comps
+			dense[ol] = int32(comps)
 		}
 		labels[v] = dense[ol] - 1
 	}
@@ -151,13 +151,14 @@ func RelabelScoped(m *Roadmap, oldLabel []int, touched []bool) (labels []int, co
 		if labels[v] != -1 {
 			continue
 		}
-		labels[v] = comps
+		labels[v] = int32(comps)
 		queue = append(queue, graph.ID(v))
 		for head := len(queue) - 1; head < len(queue); head++ {
-			for _, e := range m.G.Neighbors(queue[head]) {
-				if labels[e.To] == -1 {
-					labels[e.To] = comps
-					queue = append(queue, e.To)
+			to, _ := m.G.Neighbors(queue[head])
+			for _, u := range to {
+				if labels[u] == -1 {
+					labels[u] = int32(comps)
+					queue = append(queue, u)
 				}
 			}
 		}
@@ -177,7 +178,7 @@ func RepairIndex(old *Index, m *Roadmap, remap []int, touchedVerts []int) *Index
 	for _, v := range touchedVerts {
 		touched[old.labels[v]] = true
 	}
-	oldLabelOfNew := make([]int, m.NumNodes())
+	oldLabelOfNew := make([]int32, m.NumNodes())
 	for oldID, newID := range remap {
 		if newID >= 0 {
 			oldLabelOfNew[newID] = old.labels[oldID]

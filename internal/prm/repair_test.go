@@ -20,14 +20,7 @@ func buildRepairRoadmap(t *testing.T, e *env.Environment, samples int) (*cspace.
 	r := rng.New(11)
 	nodes, _ := SampleRegion(s, e.Bounds, 0, p, r)
 	edges, _ := ConnectRegionIncremental(s, nodes, 0, p)
-	m := &Roadmap{G: graph.New[Node](0)}
-	for _, nd := range nodes {
-		m.G.AddVertex(nd)
-	}
-	for _, ed := range edges {
-		m.G.AddEdge(graph.ID(ed[0]), graph.ID(ed[1]), s.Distance(nodes[ed[0]].Q, nodes[ed[1]].Q))
-	}
-	return s, m
+	return s, roadmapOf(s, nodes, edges)
 }
 
 func TestRevalidateRegionAgainstFullRecheck(t *testing.T) {
@@ -123,10 +116,10 @@ func TestAffectedVerticesSuperset(t *testing.T) {
 // dense relabel, the vertex slots and the fresh labels, and a union-find
 // over the touched vertices. The flat implementation must number every
 // component exactly as this one does.
-func relabelScopedMaps(m *Roadmap, oldLabel []int, touched []bool) (labels []int, comps int) {
+func relabelScopedMaps(m *Roadmap, oldLabel []int32, touched []bool) (labels []int32, comps int) {
 	n := m.NumNodes()
-	labels = make([]int, n)
-	remap := make(map[int]int)
+	labels = make([]int32, n)
+	remap := make(map[int32]int32)
 	var touchedVerts []int
 	for v := 0; v < n; v++ {
 		ol := oldLabel[v]
@@ -136,7 +129,7 @@ func relabelScopedMaps(m *Roadmap, oldLabel []int, touched []bool) (labels []int
 		}
 		nl, ok := remap[ol]
 		if !ok {
-			nl = comps
+			nl = int32(comps)
 			comps++
 			remap[ol] = nl
 		}
@@ -148,18 +141,19 @@ func relabelScopedMaps(m *Roadmap, oldLabel []int, touched []bool) (labels []int
 	}
 	uf := graph.NewUnionFind(len(touchedVerts))
 	for _, v := range touchedVerts {
-		for _, e := range m.G.Neighbors(graph.ID(v)) {
-			if lw, ok := local[int(e.To)]; ok {
+		to, _ := m.G.Neighbors(graph.ID(v))
+		for _, u := range to {
+			if lw, ok := local[int(u)]; ok {
 				uf.Union(local[v], lw)
 			}
 		}
 	}
-	fresh := make(map[int]int)
+	fresh := make(map[int]int32)
 	for i, v := range touchedVerts {
 		root := uf.Find(i)
 		nl, ok := fresh[root]
 		if !ok {
-			nl = comps
+			nl = int32(comps)
 			comps++
 			fresh[root] = nl
 		}
@@ -184,15 +178,17 @@ func TestRelabelScopedMatchesFullRelabel(t *testing.T) {
 	dc := cspace.NewDeltaChecker(s, d)
 
 	oldToNew := make([]int, m.NumNodes())
-	repaired := &Roadmap{G: graph.New[Node](0)}
+	var kept []Node
 	for i := 0; i < m.NumNodes(); i++ {
 		nd := m.G.Vertex(graph.ID(i))
 		if dc.ConfigStillFree(nd.Q, nil) {
-			oldToNew[i] = int(repaired.G.AddVertex(nd))
+			oldToNew[i] = len(kept)
+			kept = append(kept, nd)
 		} else {
 			oldToNew[i] = -1
 		}
 	}
+	var sp graph.EdgeSpan
 	touched := make([]bool, m.NumNodes()) // labels bounded by node count
 	markTouched := func(oldID int) { touched[oldLabels[oldID]] = true }
 	m.G.ForEachEdge(func(a, b graph.ID, w float64) {
@@ -201,10 +197,9 @@ func TestRelabelScopedMatchesFullRelabel(t *testing.T) {
 			markTouched(int(a))
 			return
 		}
-		va := repaired.G.Vertex(graph.ID(na)).Q
-		vb := repaired.G.Vertex(graph.ID(nb)).Q
-		if dc.EdgeStillFree(va, vb, nil) {
-			repaired.G.AddEdge(graph.ID(na), graph.ID(nb), w)
+		if dc.EdgeStillFree(kept[na].Q, kept[nb].Q, nil) {
+			sp.Ends = append(sp.Ends, [2]int{na, nb})
+			sp.Weights = append(sp.Weights, w)
 		} else {
 			markTouched(int(a))
 		}
@@ -214,8 +209,9 @@ func TestRelabelScopedMatchesFullRelabel(t *testing.T) {
 			markTouched(i)
 		}
 	}
+	repaired := &Roadmap{G: graph.FromSpans(kept, []graph.EdgeSpan{sp})}
 
-	oldLabelOfNew := make([]int, repaired.NumNodes())
+	oldLabelOfNew := make([]int32, repaired.NumNodes())
 	for oldID, newID := range oldToNew {
 		if newID >= 0 {
 			oldLabelOfNew[newID] = oldLabels[oldID]
@@ -227,7 +223,7 @@ func TestRelabelScopedMatchesFullRelabel(t *testing.T) {
 		t.Fatalf("scoped comps = %d, full = %d", gotComps, wantComps)
 	}
 	// Labels must agree up to a bijection.
-	fwd := make(map[int]int)
+	fwd := make(map[int32]int32)
 	for v := range gotLabels {
 		if mapped, ok := fwd[gotLabels[v]]; ok {
 			if mapped != wantLabels[v] {

@@ -38,7 +38,7 @@ type BatchScratch struct {
 	bt     cspace.Batch
 	hits   []knn.Result
 	atts   []attachment
-	labels []int
+	labels []int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(BatchScratch) }}
@@ -215,14 +215,16 @@ func (ix *Index) search(sc *BatchScratch, s *cspace.Space, goal cspace.Config, s
 				}
 			}
 		}
-		for _, e := range g.Neighbors(graph.ID(v)) {
+		to, w := g.Neighbors(graph.ID(v))
+		w = w[:len(to)]
+		for i, u := range to {
 			// The usual edge, to a vertex already reached as cheaply, is
 			// turned away here without a call.
-			u, nd := int32(e.To), it.g+e.Weight
+			nd := it.g + w[i]
 			if nodes[u].seen == gen && nd >= nodes[u].dist {
 				continue
 			}
-			ix.reach(sc, s, goal, u, nd, v)
+			ix.reach(sc, s, goal, int32(u), nd, v)
 		}
 	}
 	return bestNode
@@ -260,7 +262,7 @@ func (ix *Index) path(sc *BatchScratch, exit int32, start, goal cspace.Config) [
 // query's other side — are tried: an attachment in a component the other
 // side never touches cannot be on any path, so skipping its local plan
 // changes no answer.
-func (ix *Index) attach(sc *BatchScratch, s *cspace.Space, q cspace.Config, hits []knn.Result, far []int, c *cspace.Counters) []attachment {
+func (ix *Index) attach(sc *BatchScratch, s *cspace.Space, q cspace.Config, hits []knn.Result, far []int32, c *cspace.Counters) []attachment {
 	lo := len(sc.atts)
 	for _, h := range hits {
 		if hasLabel(far, ix.labels[h.Index]) && s.LocalPlanBatch(q, ix.verts[h.Index].Q, &sc.bt, c) {
@@ -274,7 +276,7 @@ func (ix *Index) attach(sc *BatchScratch, s *cspace.Space, q cspace.Config, hits
 // candidates almost always fall in one or two components, so a scan
 // beats any keyed structure.
 
-func hasLabel(set []int, l int) bool {
+func hasLabel(set []int32, l int32) bool {
 	for _, x := range set {
 		if x == l {
 			return true
@@ -283,21 +285,21 @@ func hasLabel(set []int, l int) bool {
 	return false
 }
 
-func addLabel(set []int, l int) []int {
+func addLabel(set []int32, l int32) []int32 {
 	if hasLabel(set, l) {
 		return set
 	}
 	return append(set, l)
 }
 
-func (ix *Index) hitLabels(dst []int, hits []knn.Result) []int {
+func (ix *Index) hitLabels(dst []int32, hits []knn.Result) []int32 {
 	for _, h := range hits {
 		dst = addLabel(dst, ix.labels[h.Index])
 	}
 	return dst
 }
 
-func (ix *Index) attLabels(dst []int, atts []attachment) []int {
+func (ix *Index) attLabels(dst []int32, atts []attachment) []int32 {
 	for _, a := range atts {
 		dst = addLabel(dst, ix.labels[a.node])
 	}

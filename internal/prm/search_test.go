@@ -11,7 +11,6 @@ import (
 	"parmp/internal/cspace"
 	"parmp/internal/env"
 	"parmp/internal/geom"
-	"parmp/internal/graph"
 	"parmp/internal/rng"
 )
 
@@ -134,13 +133,14 @@ func TestQueryAllocsIndependentOfSearchSize(t *testing.T) {
 // of weight s.Distance.
 func latticeFixture() queryFixture {
 	s := freeSpace()
-	m := &Roadmap{G: graph.New[Node](0)}
 	const side = 9
-	id := func(i, j, k int) graph.ID { return graph.ID((i*side+j)*side + k) }
+	id := func(i, j, k int) int { return (i*side+j)*side + k }
+	var nodes []Node
+	var edges [][2]int
 	for i := 0; i < side; i++ {
 		for j := 0; j < side; j++ {
 			for k := 0; k < side; k++ {
-				m.G.AddVertex(Node{Q: geom.V(float64(i)/8, float64(j)/8, float64(k)/8)})
+				nodes = append(nodes, Node{Q: geom.V(float64(i)/8, float64(j)/8, float64(k)/8)})
 			}
 		}
 	}
@@ -149,14 +149,13 @@ func latticeFixture() queryFixture {
 			for k := 0; k < side; k++ {
 				for _, n := range [][3]int{{i + 1, j, k}, {i, j + 1, k}, {i, j, k + 1}} {
 					if n[0] < side && n[1] < side && n[2] < side {
-						a, b := id(i, j, k), id(n[0], n[1], n[2])
-						m.G.AddEdge(a, b, s.Distance(m.G.Vertex(a).Q, m.G.Vertex(b).Q))
+						edges = append(edges, [2]int{id(i, j, k), id(n[0], n[1], n[2])})
 					}
 				}
 			}
 		}
 	}
-	return queryFixture{name: "lattice", s: s, ix: BuildIndex(m), seed: 4}
+	return queryFixture{name: "lattice", s: s, ix: BuildIndex(roadmapOf(s, nodes, edges)), seed: 4}
 }
 
 // latticePoint is a grid point moved along one axis by less than 1e-3.

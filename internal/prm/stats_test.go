@@ -9,20 +9,15 @@ import (
 )
 
 func TestComputeStatsEmpty(t *testing.T) {
-	s := ComputeStats(&Roadmap{G: graph.New[Node](0)})
+	s := ComputeStats(roadmapOf(nil, nil, nil))
 	if s.Nodes != 0 || s.Components != 0 {
 		t.Fatalf("empty stats = %+v", s)
 	}
 }
 
 func TestComputeStats(t *testing.T) {
-	m := &Roadmap{G: graph.New[Node](0)}
-	a := m.G.AddVertex(Node{Q: geom.V(0, 0)})
-	b := m.G.AddVertex(Node{Q: geom.V(1, 0)})
-	c := m.G.AddVertex(Node{Q: geom.V(2, 0)})
-	m.G.AddVertex(Node{Q: geom.V(9, 9)}) // isolated
-	m.G.AddEdge(a, b, 1)
-	m.G.AddEdge(b, c, 1)
+	nodes := []Node{{Q: geom.V(0, 0)}, {Q: geom.V(1, 0)}, {Q: geom.V(2, 0)}, {Q: geom.V(9, 9)}} // the last isolated
+	m := &Roadmap{G: graph.FromSpans(nodes, []graph.EdgeSpan{{Ends: [][2]int{{0, 1}, {1, 2}}, Weights: []float64{1, 1}}})}
 	s := ComputeStats(m)
 	if s.Nodes != 4 || s.Edges != 2 {
 		t.Fatalf("stats = %+v", s)

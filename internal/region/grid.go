@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"parmp/internal/geom"
-	"parmp/internal/graph"
 )
 
 // GridSpec describes a uniform grid subdivision of the positional C-space
@@ -66,7 +65,7 @@ func UniformGrid(bounds geom.AABB, spec GridSpec) (*Graph, error) {
 		}
 	}
 	n := spec.NumRegions()
-	g := graph.New[*Region](n)
+	regions := make([]*Region, n)
 	strides := make([]int, dims)
 	stride := 1
 	for i := dims - 1; i >= 0; i-- {
@@ -92,10 +91,11 @@ func UniformGrid(bounds geom.AABB, spec GridSpec) (*Graph, error) {
 			lo[i] = bounds.Lo[i] + float64(coord[i])*cellExtent[i]
 			hi[i] = lo[i] + cellExtent[i]
 		}
-		g.AddVertex(&Region{ID: id, Kind: KindBox, Box: geom.NewAABB(lo, hi)})
+		regions[id] = &Region{ID: id, Kind: KindBox, Box: geom.NewAABB(lo, hi)}
 	}
 
 	// Face adjacency: +1 along each dimension.
+	var ends [][2]int
 	for id := 0; id < n; id++ {
 		rem := id
 		for i := 0; i < dims; i++ {
@@ -104,12 +104,12 @@ func UniformGrid(bounds geom.AABB, spec GridSpec) (*Graph, error) {
 		}
 		for i := 0; i < dims; i++ {
 			if coord[i]+1 < spec.Cells[i] {
-				g.AddEdge(graph.ID(id), graph.ID(id+strides[i]), 1)
+				ends = append(ends, [2]int{id, id + strides[i]})
 			}
 		}
 	}
 
-	return &Graph{G: g, Owner: make([]int, n)}, nil
+	return newGraph(regions, ends), nil
 }
 
 // MustUniformGrid is UniformGrid for specs that are valid by construction

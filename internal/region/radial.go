@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"parmp/internal/geom"
-	"parmp/internal/graph"
 	"parmp/internal/knn"
 	"parmp/internal/rng"
 )
@@ -36,15 +35,15 @@ func RadialSubdivision(apex geom.Vec, spec RadialSpec, r *rng.Stream) *Graph {
 	// per region. For simplicity use the mean angular spacing estimate
 	// theta ≈ acos(1 - 2/n) in 3D and pi/n in 2D, generalized via the
 	// nearest-direction angle computed below.
-	g := graph.New[*Region](n)
+	regions := make([]*Region, n)
 	for i, dir := range dirs {
-		g.AddVertex(&Region{
+		regions[i] = &Region{
 			ID:     i,
 			Kind:   KindCone,
 			Ray:    dir,
 			Apex:   apex.Clone(),
 			Radius: spec.Radius,
-		})
+		}
 	}
 
 	// k-NN on the sphere: Euclidean distance between unit vectors is
@@ -56,24 +55,25 @@ func RadialSubdivision(apex geom.Vec, spec RadialSpec, r *rng.Stream) *Graph {
 	}
 	var sc knn.QueryScratch
 	var res []knn.Result
+	var ends [][2]int
 	for i := range dirs {
 		res, _ = tree.NearestInto(&sc, dirs[i], k, i, res[:0])
 		nearestAngle := math.Pi
 		for _, hit := range res {
-			g.AddEdge(graph.ID(i), graph.ID(hit.Index), 1)
+			ends = append(ends, [2]int{i, hit.Index})
 			a := geom.AngleBetween(dirs[i], dirs[hit.Index])
 			if a < nearestAngle {
 				nearestAngle = a
 			}
 		}
-		reg := g.Vertex(graph.ID(i))
+		reg := regions[i]
 		reg.HalfAngle = nearestAngle
 		if reg.HalfAngle <= 0 || n == 1 {
 			reg.HalfAngle = math.Pi
 		}
 	}
 
-	return &Graph{G: g, Owner: make([]int, n)}
+	return newGraph(regions, ends)
 }
 
 // InCone reports whether point p lies within region r's cone (apex at

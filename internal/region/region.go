@@ -60,6 +60,18 @@ type Graph struct {
 	Owner []int
 }
 
+// newGraph joins each pair of ends once, at unit weight, whichever
+// orientation and however often it is listed (a k-NN region graph lists
+// mutual neighbours twice), with every region on processor 0.
+func newGraph(regions []*Region, ends [][2]int) *Graph {
+	w := make([]float64, len(ends))
+	for i := range w {
+		w[i] = 1
+	}
+	g := graph.FromSpans(regions, []graph.EdgeSpan{{Ends: ends, Weights: w}})
+	return &Graph{G: g, Owner: make([]int, len(regions))}
+}
+
 // NumRegions returns the number of regions.
 func (rg *Graph) NumRegions() int { return rg.G.NumVertices() }
 
@@ -90,8 +102,9 @@ func (rg *Graph) SweepOrder() []int {
 		seen[start] = true
 		order = append(order, start)
 		for head := len(order) - 1; head < len(order); head++ {
-			for _, e := range rg.G.Neighbors(graph.ID(order[head])) {
-				if nb := int(e.To); !seen[nb] {
+			to, _ := rg.G.Neighbors(graph.ID(order[head]))
+			for _, u := range to {
+				if nb := int(u); !seen[nb] {
 					seen[nb] = true
 					order = append(order, nb)
 				}

@@ -130,13 +130,11 @@ func TestSweepOrder(t *testing.T) {
 	// Breadth first from region 0 in adjacency order (0's neighbours 3
 	// then 1, before 3's neighbour 2), then each further component from
 	// its lowest ID: the isolated 4, then 5-6.
-	rg := &Graph{G: graph.New[*Region](7)}
-	for i := 0; i < 7; i++ {
-		rg.G.AddVertex(&Region{ID: i})
+	regions := make([]*Region, 7)
+	for i := range regions {
+		regions[i] = &Region{ID: i}
 	}
-	for _, e := range [][2]graph.ID{{0, 3}, {0, 1}, {3, 2}, {1, 2}, {6, 5}} {
-		rg.G.AddEdge(e[0], e[1], 1)
-	}
+	rg := newGraph(regions, [][2]int{{0, 3}, {0, 1}, {3, 2}, {1, 2}, {6, 5}})
 	if got, want := rg.SweepOrder(), []int{0, 3, 1, 2, 4, 5, 6}; !slices.Equal(got, want) {
 		t.Fatalf("SweepOrder = %v, want %v", got, want)
 	}
