@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"hash"
 	"hash/fnv"
 	"math"
@@ -331,6 +332,114 @@ func TestTreePinned(t *testing.T) {
 			assertForestValid(t, s, res)
 			if got, want := pinTree(s, res), wantTree[name]; !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: forest moved\n got  %#v\n want %#v", name, got, want)
+			}
+		}
+	}
+}
+
+// closedLoopLine prints what TestClosedLoopCostPinned holds fixed after
+// one committed round, floats at %.17g: the virtual makespan, the
+// estimate-outcome correlation, migrated and diffused regions, the two
+// load CVs, and RegionCosts' Sum and Max summed over the regions.
+func closedLoopLine(name string, round int, st RunStats, corr float64) string {
+	var sum, most float64
+	for _, rc := range st.RegionCosts {
+		sum += rc.Sum
+		most += rc.Max
+	}
+	return fmt.Sprintf("%s r%d total=%.17g corr=%.17g migrated=%d diffused=%d cvBefore=%.17g cvAfter=%.17g costSum=%.17g costMax=%.17g",
+		name, round, st.TotalTime, corr, st.MigratedRegions, st.DiffusedRegions, st.CVBefore, st.CVAfter, sum, most)
+}
+
+// wantClosedLoop was read before the weight rule became cost per unit ×
+// units in one place (static and observed weights formed apart, the
+// EWMA in a package of its own) and must not move.
+var wantClosedLoop = []string{
+	"rrt/none r0 total=148127.66000000003 corr=-0.51515458576726414 migrated=6 diffused=0 cvBefore=0.37064124866013393 cvAfter=0.12372525517550945 costSum=208203.51999999996 costMax=208203.51999999996",
+	"rrt/none r1 total=286121.85999999999 corr=0.51904100326688074 migrated=6 diffused=0 cvBefore=0.37064124866013393 cvAfter=0.50297342745280327 costSum=476270.56 costMax=289850.76000000001",
+	"rrt/none r2 total=586704.88000000012 corr=0.88440948816365195 migrated=14 diffused=0 cvBefore=0.37064124866013393 cvAfter=0.5419130945484637 costSum=936931.21999999997 costMax=484865.32000000001",
+	"rrt/none r3 total=785914.8600000001 corr=0.45453279794467366 migrated=14 diffused=0 cvBefore=0.37064124866013393 cvAfter=0.49915226216993447 costSum=1318388.8200000001 costMax=545477.58000000007",
+	"rrt/none r4 total=990557.90000000002 corr=0.75847581535810638 migrated=14 diffused=0 cvBefore=0.37064124866013393 cvAfter=0.48926302206364702 costSum=1696460.1999999997 costMax=596694.26000000001",
+	"rrt/diffusive r0 total=148127.66000000003 corr=-0.51515458576726414 migrated=6 diffused=0 cvBefore=0.37064124866013393 cvAfter=0.12372525517550945 costSum=208203.51999999996 costMax=208203.51999999996",
+	"rrt/diffusive r1 total=286121.85999999999 corr=0.51904100326688074 migrated=6 diffused=0 cvBefore=0.37064124866013393 cvAfter=0.50297342745280327 costSum=476270.56 costMax=289850.76000000001",
+	"rrt/diffusive r2 total=583921.16000000003 corr=0.88440948816365195 migrated=14 diffused=1 cvBefore=0.37064124866013393 cvAfter=0.53089527561229 costSum=936931.21999999997 costMax=484865.32000000001",
+	"rrt/diffusive r3 total=818250.80000000005 corr=0.45453279794467366 migrated=14 diffused=2 cvBefore=0.37064124866013393 cvAfter=0.5020421125613912 costSum=1318388.8200000001 costMax=545477.58000000007",
+	"rrt/diffusive r4 total=1041896.34 corr=0.75847581535810638 migrated=14 diffused=3 cvBefore=0.37064124866013393 cvAfter=0.32724885364135625 costSum=1696460.1999999997 costMax=596694.26000000001",
+	"rrtconnect/none r0 total=116695.28000000001 corr=-0.54696117674970979 migrated=6 diffused=0 cvBefore=0.37064124866013393 cvAfter=0.2802670375595242 costSum=167996.22000000003 costMax=167996.22000000003",
+	"rrtconnect/none r1 total=241105.78000000003 corr=0.36481746545369981 migrated=12 diffused=0 cvBefore=0.37064124866013393 cvAfter=0.34019982837755647 costSum=310078.50000000006 costMax=190529.22000000003",
+	"rrtconnect/none r2 total=368332.23999999999 corr=0.79624818394605901 migrated=15 diffused=0 cvBefore=0.37064124866013393 cvAfter=0.52923202214267251 costSum=415798.5 costMax=192509.28",
+	"rrtconnect/none r3 total=476051.83999999997 corr=0.79622572995405172 migrated=15 diffused=0 cvBefore=0.37064124866013393 cvAfter=0.57502804126173079 costSum=488308.52000000002 costMax=192509.28",
+	"rrtconnect/none r4 total=586881.33999999997 corr=0.81462137056485151 migrated=15 diffused=0 cvBefore=0.37064124866013393 cvAfter=0.56874165267168253 costSum=541637.68000000005 costMax=192509.28",
+	"rrtconnect/diffusive r0 total=116695.28000000001 corr=-0.54696117674970979 migrated=6 diffused=0 cvBefore=0.37064124866013393 cvAfter=0.2802670375595242 costSum=167996.22000000003 costMax=167996.22000000003",
+	"rrtconnect/diffusive r1 total=241105.78000000003 corr=0.36481746545369981 migrated=12 diffused=0 cvBefore=0.37064124866013393 cvAfter=0.34019982837755647 costSum=310078.50000000006 costMax=190529.22000000003",
+	"rrtconnect/diffusive r2 total=368302.23999999999 corr=0.79624818394605901 migrated=15 diffused=1 cvBefore=0.37064124866013393 cvAfter=0.52923202214267251 costSum=415798.5 costMax=192509.28",
+	"rrtconnect/diffusive r3 total=476021.83999999997 corr=0.79622572995405172 migrated=15 diffused=1 cvBefore=0.37064124866013393 cvAfter=0.57502804126173079 costSum=488308.52000000002 costMax=192509.28",
+	"rrtconnect/diffusive r4 total=591074.14000000001 corr=0.81462137056485151 migrated=15 diffused=3 cvBefore=0.37064124866013393 cvAfter=0.61409680673409028 costSum=541637.68000000005 costMax=192509.28",
+	"prm/diffusive r0 total=139618.22 corr=0 migrated=124 diffused=0 cvBefore=0.96756451569118085 cvAfter=0.053485109925420667 costSum=505959.24000000005 costMax=505959.24000000005",
+	"prm/diffusive r1 total=325545.23999999999 corr=0 migrated=186 diffused=0 cvBefore=0.96756451569118085 cvAfter=0.3216087699685633 costSum=1095343.6599999999 costMax=643568.04000000004",
+	"prm/diffusive r2 total=549543.41999999993 corr=0 migrated=186 diffused=2 cvBefore=0.96756451569118085 cvAfter=0.34017772522860462 costSum=1650026.54 costMax=687516.84000000008",
+	"prm/diffusive r3 total=843379.75999999989 corr=0 migrated=199 diffused=3 cvBefore=0.96756451569118085 cvAfter=0.41403349036241782 costSum=2196766.1800000006 costMax=727015.40000000014",
+}
+
+// TestClosedLoopCostPinned pins the observed-cost loop end to end: RRT
+// and RRT-Connect on mixed-30 under Repartition + CostObserved, with and
+// without the diffusive rebalance, stealing with Hybrid{K: 4}, for 5
+// rounds with a tree repair before round 2 (the repair's costs feed the
+// model too); and a PRM engine on mixed under Repartition +
+// CostObserved + RebalanceDiffusive for 4 rounds. Every round's line
+// (closedLoopLine) must match bit for bit.
+func TestClosedLoopCostPinned(t *testing.T) {
+	var got []string
+	root, goal := geom.V(0.5, 0.5, 0.5), geom.V(0.9, 0.9, 0.9)
+	for _, planner := range []string{"rrt", "rrtconnect"} {
+		for _, rb := range []RebalanceKind{RebalanceNone, RebalanceDiffusive} {
+			name := planner + "/" + rb.String()
+			opts := rrtOpts(4, 16)
+			opts.Radius = 0.9
+			opts.Strategy, opts.CostModel, opts.Rebalance = Repartition, CostObserved, rb
+			opts.Policy = steal.Hybrid{K: 4}
+			s := cspace.NewPointSpace(env.Mixed30())
+			var eng *RRTEngine
+			var err error
+			if planner == "rrtconnect" {
+				eng, err = NewRRTConnectEngine(s, root, goal, opts)
+			} else {
+				eng, err = NewRRTEngine(s, root, opts)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for round := 0; round < 5; round++ {
+				if round == 2 {
+					world, d := mutateAddBox(t, env.Mixed30(), geom.Box3(0.55, 0.4, 0.4, 0.65, 0.6, 0.6))
+					s = s.WithEnv(world)
+					if _, err := eng.ApplyDelta(s, d, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+				res := growRRT(t, eng, 1)
+				got = append(got, closedLoopLine(name, round, res.RunStats, res.WeightActualCorr))
+			}
+		}
+	}
+	opts := quickOpts(8, 128)
+	opts.SamplesPerRegion = 5
+	opts.Strategy, opts.CostModel, opts.Rebalance = Repartition, CostObserved, RebalanceDiffusive
+	eng, err := NewPRMEngine(cspace.NewPointSpace(env.Mixed()), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 4; round++ {
+		got = append(got, closedLoopLine("prm/diffusive", round, growPRM(t, eng, 1).RunStats, 0))
+	}
+	if !slices.Equal(got, wantClosedLoop) {
+		for _, l := range got {
+			t.Logf("%q,", l)
+		}
+		t.Errorf("closed loop moved: %d lines, want %d", len(got), len(wantClosedLoop))
+		for i := range min(len(got), len(wantClosedLoop)) {
+			if got[i] != wantClosedLoop[i] {
+				t.Errorf("line %d\n got  %s\n want %s", i, got[i], wantClosedLoop[i])
 			}
 		}
 	}
