@@ -253,6 +253,8 @@ func TestSnapshotTreeQueryStartRule(t *testing.T) {
 // field, from PlanPRM, PlanRRT and NewPortfolio alike, never a default
 // planned in its place; zero still means the default. At the parent a
 // negative Procs planned on 4 processors and a negative Racers raced 4.
+// A Strategy, CostModel, Rebalance or Partitioner outside its constants
+// is refused the same way, where it used to plan as the zero behaviour.
 func TestNegativeOptionsRejected(t *testing.T) {
 	space := NewPointSpace(EnvironmentByName("walls"))
 	root := V(0.5, 0.5, 0.5)
@@ -275,6 +277,11 @@ func TestNegativeOptionsRejected(t *testing.T) {
 		{"Radius", func(o *Options) { o.Radius = math.NaN() }},
 		{"StealChunk", func(o *Options) { o.StealChunk = -0.5 }},
 		{"StealChunk", func(o *Options) { o.StealChunk = math.NaN() }},
+		{"Strategy", func(o *Options) { o.Strategy = 5 }},
+		{"Strategy", func(o *Options) { o.Strategy = -1 }},
+		{"CostModel", func(o *Options) { o.CostModel = 7 }},
+		{"Rebalance", func(o *Options) { o.Rebalance = 9 }},
+		{"Partitioner", func(o *Options) { o.Partitioner = 3 }},
 	} {
 		opts := base
 		tc.set(&opts)
@@ -287,6 +294,10 @@ func TestNegativeOptionsRejected(t *testing.T) {
 	}
 	if _, err := PlanPRM(space, Options{}); err != nil {
 		t.Errorf("zero Options: %v, want every field defaulted", err)
+	}
+	// The deprecated WorkStealing is still a Strategy.
+	if _, err := PlanPRM(space, Options{Strategy: core.WorkStealing}); err != nil {
+		t.Errorf("Strategy WorkStealing: %v, want it accepted", err)
 	}
 
 	start, goal := V(0.05, 0.05, 0.05), V(0.95, 0.95, 0.95)

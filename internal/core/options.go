@@ -66,12 +66,13 @@ const (
 	// planners. The paper's own result is that the k-ray estimate is
 	// noisy enough to make RRT repartitioning counter-productive.
 	CostStatic CostModelKind = iota
-	// CostObserved closes the loop: an EWMA (internal/costmodel) over the
-	// per-region task times the scheduler actually observed in prior
-	// rounds replaces the static estimate from round 1 on (round 0 has no
-	// observations, so it falls back to the static estimator and stays
-	// bit-identical to CostStatic). With CostObserved the tree planners
-	// also re-weigh and re-repartition every round, not just round 0.
+	// CostObserved closes the loop: an EWMA of each region's cost per
+	// unit, over the per-region task times the scheduler actually
+	// observed in prior rounds, replaces the static cost per unit from
+	// round 1 on (round 0 has no observations, so it falls back to the
+	// static estimator and stays bit-identical to CostStatic). With
+	// CostObserved the tree planners also re-weigh and re-repartition
+	// every round, not just round 0.
 	CostObserved
 )
 
@@ -150,7 +151,7 @@ type Options struct {
 
 	// CostModel selects what the repartitioner balances on: the static
 	// estimators (default; the paper's setup) or the observed per-region
-	// task times of prior rounds (CostObserved — see internal/costmodel).
+	// task times of prior rounds (CostObserved).
 	// Zero-valued fields reproduce the legacy behaviour bit-identically.
 	CostModel CostModelKind
 	// Rebalance optionally adds a between-rounds diffusive rebalance of
@@ -244,8 +245,9 @@ func (o Options) Defaults() Options {
 }
 
 // Validate reports configuration errors, naming the field: a
-// non-positive Procs, fewer Regions than Procs, or any other negative
-// (or NaN) size.
+// non-positive Procs, fewer Regions than Procs, any other negative (or
+// NaN) size, or a Strategy, CostModel, Rebalance or Partitioner outside
+// its constants.
 func (o Options) Validate() error {
 	if o.Procs <= 0 {
 		return fmt.Errorf("core: Procs must be positive, got %d", o.Procs)
@@ -264,6 +266,17 @@ func (o Options) Validate() error {
 	} {
 		if !(f.val >= 0) {
 			return fmt.Errorf("core: %s must be >= 0, got %v", f.name, f.val)
+		}
+	}
+	for _, f := range []struct {
+		name     string
+		val, max int
+	}{
+		{"Strategy", int(o.Strategy), int(WorkStealing)}, {"CostModel", int(o.CostModel), int(CostObserved)},
+		{"Rebalance", int(o.Rebalance), int(RebalanceDiffusive)}, {"Partitioner", int(o.Partitioner), int(PartitionLPT)},
+	} {
+		if f.val < 0 || f.val > f.max {
+			return fmt.Errorf("core: %s must be in [0, %d], got %d", f.name, f.max, f.val)
 		}
 	}
 	return nil

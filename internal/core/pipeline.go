@@ -3,7 +3,6 @@ package core
 import (
 	"slices"
 
-	"parmp/internal/costmodel"
 	"parmp/internal/dist"
 	"parmp/internal/exec"
 	"parmp/internal/metrics"
@@ -79,9 +78,9 @@ type pipeline struct {
 	// one-shot runs leave it nil (zero overhead).
 	stop <-chan struct{}
 	// cm is the observed per-region cost model (CostObserved only),
-	// lazily built at the first construct observation. The engines feed
-	// it at commit time, so an aborted round never pollutes it.
-	cm *costmodel.EWMA
+	// built at the first observation. The engines feed it at commit
+	// time, so an aborted round never pollutes it.
+	cm *ewma
 }
 
 func newPipeline(opts Options) *pipeline {
@@ -209,17 +208,18 @@ func (c RegionCost) Mean() float64 {
 	return c.Sum / float64(c.Count)
 }
 
-// accumulateRegionCosts folds one construct report's per-task costs into
-// the per-region accumulator, keyed by each record's ID (its region).
-func accumulateRegionCosts(acc []RegionCost, rep sched.Report) {
+// regionCosts folds one committed phase's records into a per-region
+// cost vector, summing each record's Elapsed — the time the task
+// occupied its worker, its virtual cost bit for bit on the virtual-time
+// backend — under its ID, its region. It is the closed loop's one
+// observation: the cost model, RegionCosts and the planner's commit all
+// read it.
+func regionCosts(n int, rep sched.Report) []float64 {
+	costs := make([]float64, n)
 	for _, t := range rep.Tasks {
-		c := &acc[t.ID]
-		c.Count++
-		c.Sum += t.Cost
-		if t.Cost > c.Max {
-			c.Max = t.Cost
-		}
+		costs[t.ID] += t.Elapsed
 	}
+	return costs
 }
 
 // barrier prices one global barrier on the configured machine.
@@ -238,76 +238,38 @@ func queuesByOwner(procs int, owner []int, n int, mk func(i int) work.Task) [][]
 	return queues
 }
 
-// observeConstruct folds one round's construct-phase report into the
-// observed cost model, attributing each task's occupancy time (Elapsed,
-// which equals the virtual cost on the virtual-time backend) to its
-// region, the record's ID, in execution order. When units is non-nil
-// the model tracks cost per work unit (cost divided by units[r] — for
-// PRM, the region's fresh sample count that round) instead of raw task
-// cost, which keeps the estimate comparable across rounds whose unit
-// counts differ; regions with zero units that round carry no
-// information and are skipped. No-op unless Options.CostModel is
-// CostObserved. The engines call it at commit time only, so aborted
-// rounds leave the model untouched.
-func (pl *pipeline) observeConstruct(n int, rep sched.Report, units []int) {
+// observe feeds one committed phase's per-region costs, over that
+// phase's units, to the observed cost model (a no-op unless
+// Options.CostModel is CostObserved). The engines call it at commit time
+// only, so aborted rounds leave the model untouched.
+func (pl *pipeline) observe(costs []float64, units []int) {
 	if pl.opts.CostModel != CostObserved {
 		return
 	}
 	if pl.cm == nil {
-		pl.cm = costmodel.NewEWMA(n, costmodel.DefaultAlpha)
+		pl.cm = newEWMA(len(costs))
 	}
-	costs := make([]float64, n)
-	seen := make([]bool, n)
-	for _, t := range rep.Tasks {
-		costs[t.ID] += t.Elapsed
-		seen[t.ID] = true
-	}
-	if units != nil {
-		for r := 0; r < n; r++ {
-			if !seen[r] {
-				continue
-			}
-			if units[r] <= 0 {
-				seen[r] = false
-				costs[r] = 0
-				continue
-			}
-			costs[r] /= float64(units[r])
-		}
-	}
-	pl.cm.Observe(costs, seen)
+	pl.cm.Observe(costs, units)
 }
 
-// roundWeights maps a static per-region estimate through the observed
-// cost model: under CostStatic (or before the model's first observation
-// — the cold start) the static weights pass through unchanged, so round
-// 0 is bit-identical across cost models; once warm, observed regions get
-// the EWMA estimate and cold ones the static weight rescaled into
-// observed units (costmodel.EWMA.Blend).
-//
-// units mirrors observeConstruct: when non-nil the model holds per-unit
-// costs, so the fitted weight is estimate × units[i] — the zero-lag unit
-// count carries this round's volume while the model carries the measured
-// per-unit heterogeneity. The cold-start blend then uses a unit static
-// estimate (1 per unit), so unobserved regions get the mean observed
-// per-unit cost.
-func (pl *pipeline) roundWeights(static []float64, units []int) []float64 {
-	if pl.opts.CostModel != CostObserved || pl.cm == nil || pl.cm.Rounds() == 0 {
-		return static
+// weights is the one weight rule: region i weighs its cost per unit
+// times its units this round. The cost per unit is the planner's static
+// one until the observed model is warm — from round 1 on, once it has
+// observed a phase — and the model's after, so round 0 is bit-identical
+// across cost models.
+func (pl *pipeline) weights(round int, est estimate) []float64 {
+	perUnit := est.perUnit
+	if round > 0 && pl.cm != nil && pl.cm.Rounds() > 0 {
+		perUnit = pl.cm.PerUnit()
 	}
-	if units == nil {
-		return pl.cm.Blend(static)
+	w := make([]float64, len(est.units))
+	for i, u := range est.units {
+		w[i] = float64(u)
+		if perUnit != nil {
+			w[i] *= perUnit[i]
+		}
 	}
-	ones := make([]float64, len(static))
-	for i := range ones {
-		ones[i] = 1
-	}
-	per := pl.cm.Blend(ones)
-	out := make([]float64, len(static))
-	for i := range out {
-		out[i] = per[i] * float64(units[i])
-	}
-	return out
+	return w
 }
 
 // diffuseSweeps bounds the diffusive rebalance's mesh passes per round;
@@ -337,10 +299,7 @@ func (pl *pipeline) diffuse(rg *region.Graph, queues [][]work.Task, weights []fl
 			assign[t.ID] = p
 		}
 	}
-	plan := repart.MakePlan(rg, assign)
-	cost = plan.MigrationCost(rg, pl.opts.Profile, vertexCounts, pl.opts.Procs)
-	plan.Apply(rg)
-	return len(plan.Moved), cost
+	return pl.migrate(rg, assign, vertexCounts)
 }
 
 // rebalance runs the configured partitioner over the weighted region
@@ -360,6 +319,13 @@ func (pl *pipeline) rebalance(rg *region.Graph, weights []float64, vertexCounts 
 	if !worthRebalancing(weights, rg.Owner, assign, pl.opts.Procs) {
 		return 0, 0
 	}
+	return pl.migrate(rg, assign, vertexCounts)
+}
+
+// migrate moves region ownership to assign, pricing each moved region's
+// payload (vertexCounts) as a migration, and returns the number of moved
+// regions and the cost.
+func (pl *pipeline) migrate(rg *region.Graph, assign, vertexCounts []int) (moved int, cost float64) {
 	plan := repart.MakePlan(rg, assign)
 	cost = plan.MigrationCost(rg, pl.opts.Profile, vertexCounts, pl.opts.Procs)
 	plan.Apply(rg)

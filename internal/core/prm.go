@@ -7,9 +7,7 @@ import (
 	"parmp/internal/knn"
 	"parmp/internal/prm"
 	"parmp/internal/region"
-	"parmp/internal/repart"
 	"parmp/internal/rng"
-	"parmp/internal/sched"
 	"parmp/internal/work"
 )
 
@@ -173,7 +171,7 @@ func (e *PRMEngine) weigh(round int, phases *PhaseBreakdown) (estimate, bool) {
 		rd.combined[i] = append(rd.combined[i], e.data[i].nodes...)
 		rd.combined[i] = append(rd.combined[i], rd.fresh[i].nodes...)
 	}
-	return estimate{weights: repart.SampleCountWeights(counts), units: counts, payload: counts, fresh: true}, true
+	return estimate{units: counts, payload: counts, fresh: true}, true
 }
 
 // constructTask connects region i's new samples, querying against its
@@ -239,7 +237,7 @@ func (e *PRMEngine) bookPair(idx, _, _ int, remote bool) int {
 	return attempts
 }
 
-func (e *PRMEngine) commit(int, []float64, sched.Report) {
+func (e *PRMEngine) commit(int, []float64, []float64) {
 	rd := e.rd
 	for i := range e.data {
 		d, f := &e.data[i], &rd.fresh[i]

@@ -83,7 +83,7 @@ func (e *engine) applyDelta(s *cspace.Space, d env.Delta, stop <-chan struct{}) 
 		// --- Commit. Nothing above mutated committed state.
 		e.p.commitRepair(&st)
 		if e.repairFeedsModel {
-			pl.observeConstruct(n, report, nil)
+			pl.observe(regionCosts(n, report), perRegion(n))
 		}
 	}
 	pl.reports = pl.reports[:reportMark]

@@ -14,7 +14,6 @@ import (
 	"parmp/internal/repart"
 	"parmp/internal/rng"
 	"parmp/internal/rrt"
-	"parmp/internal/sched"
 	"parmp/internal/work"
 )
 
@@ -251,13 +250,13 @@ func (e *RRTEngine) Result() *RRTResult { return e.res }
 // kRays is the number of rays per region the RRT weight estimate casts.
 const kRays = 8
 
-// weigh returns the k-ray estimate in round 0 — under Repartition
-// charging the probe itself, k rays per region on the owner, as a
-// "weight" phase — and a uniform, stale one afterwards: the probe is a
-// static workspace property, so later rounds reuse the partition it
-// produced unless the observed cost model re-weighs them (region costs
-// are temporally autocorrelated, so last rounds' measurements are the
-// good estimator the k-ray probe is not).
+// weigh returns one unit per region, priced in round 0 by the k-ray
+// probe — under Repartition charging the probe itself, k rays per region
+// on the owner, as a "weight" phase — and uniform, stale afterwards: the
+// probe is a static workspace property, so later rounds reuse the
+// partition it produced unless the observed cost model re-weighs them
+// (region costs are temporally autocorrelated, so last rounds'
+// measurements are the good estimator the k-ray probe is not).
 //
 // Unlike PRM there is no balanced-already escape hatch: the k-ray
 // estimate CLAIMS imbalance whether or not it is real, which is the
@@ -271,16 +270,15 @@ func (e *RRTEngine) weigh(round int, phases *PhaseBreakdown) (estimate, bool) {
 		e.rd.uf.Union(br[0], br[2])
 	}
 
-	est := estimate{weights: make([]float64, n), payload: make([]int, n), fresh: round == 0}
-	for i := range est.weights {
-		est.weights[i] = 1
+	est := estimate{units: perRegion(n), payload: make([]int, n), fresh: round == 0}
+	for i := range est.payload {
 		est.payload[i] = e.branches[i].size()
 	}
 	if !est.fresh {
 		return est, true
 	}
 	if e.s.Dim() == e.s.Env.Dim() {
-		est.weights = repart.KRayWeights(e.s.Env, rg, kRays, opts.Seed)
+		est.perUnit = repart.KRayWeights(e.s.Env, rg, kRays, opts.Seed)
 	}
 	if opts.Strategy == Repartition {
 		rayCost := float64(kRays) * opts.Cost.CDObstacle * float64(len(e.s.Env.Obstacles)+1)
@@ -372,7 +370,7 @@ func (e *RRTEngine) bookPair(idx, a, b int, _ bool) int {
 	return 0
 }
 
-func (e *RRTEngine) commit(round int, weights []float64, report sched.Report) {
+func (e *RRTEngine) commit(round int, weights, costs []float64) {
 	rd := e.rd
 	copy(e.branches, rd.grown)
 	e.bridges = append(e.bridges, rd.bridges...)
@@ -385,10 +383,6 @@ func (e *RRTEngine) commit(round int, weights []float64, report sched.Report) {
 	// under the observed model (whose whole point is that this
 	// correlation is high where the k-ray probe's is not).
 	if e.opts.Strategy == Repartition && (round == 0 || e.opts.CostModel == CostObserved) {
-		costs := make([]float64, len(weights))
-		for _, t := range report.Tasks {
-			costs[t.ID] = t.Cost
-		}
 		e.weightCorr = metrics.Pearson(weights, costs)
 	}
 	e.rd = nil
