@@ -9,6 +9,7 @@ import (
 	"parmp/internal/dist"
 	"parmp/internal/env"
 	"parmp/internal/geom"
+	"parmp/internal/graph"
 	"parmp/internal/sched"
 	"parmp/internal/steal"
 	"parmp/internal/work"
@@ -41,20 +42,12 @@ func (r *replayTap) arm(k int) <-chan struct{} {
 	return r.stop
 }
 
-// cloneBoundary deep-copies the committed boundary sets.
-func cloneBoundary(sets []boundaryEdge) []boundaryEdge {
-	out := make([]boundaryEdge, len(sets))
-	for i, be := range sets {
-		out[i] = boundaryEdge{a: be.a, b: be.b, pairs: slices.Clone(be.pairs), weights: slices.Clone(be.weights)}
-	}
-	return out
-}
-
 // A pair is one connector: however many rounds and repairs an engine has
-// been through, it keeps one boundary set per adjacent pair of the region
-// graph (one per pair PER ROUND read 1 685 here), so a repair replays one
-// connector task per pair and a publish hands the bulk constructor
-// regions + pairs spans. An aborted round leaves every set as it was.
+// been through, a repair replays one connector task per adjacent pair of
+// the region graph (one per pair PER ROUND read 1 685 here), and every
+// cross-region entry of the committed rows joins an adjacent pair. An
+// aborted round leaves the committed rows and the published result as
+// they were.
 func TestBoundarySetsPerPair(t *testing.T) {
 	world, script := env.WarehouseForkliftMoves()
 	s := cspace.NewPointSpace(world)
@@ -82,36 +75,43 @@ func TestBoundarySetsPerPair(t *testing.T) {
 		if want := []int{regions, pairs}; !slices.Equal(tap.tasks, want) {
 			t.Fatalf("repair %d replayed %v tasks (repair, connectors), want %v", k, tap.tasks, want)
 		}
-		if len(e.boundary) != pairs {
-			t.Fatalf("after round %d: %d boundary sets, want one per pair (%d)", k, len(e.boundary), pairs)
+	}
+	adjacent := map[[2]int]bool{}
+	for _, pr := range e.pairs {
+		adjacent[pr] = true
+	}
+	g, cross := e.g, 0
+	for v := 0; v < g.NumVertices(); v++ {
+		a := g.Vertex(graph.ID(v)).Region
+		to, _ := g.Neighbors(graph.ID(v))
+		for _, u := range to {
+			if b := g.Vertex(u).Region; b != a {
+				cross++
+				if !adjacent[[2]int{min(a, b), max(a, b)}] {
+					t.Fatalf("entry %d -> %d joins regions %d and %d, not an adjacent pair", v, u, a, b)
+				}
+			}
 		}
 	}
-	edges := 0
-	for idx, be := range e.boundary {
-		if pr := e.pairs[idx]; be.a != pr[0] || be.b != pr[1] || len(be.pairs) != len(be.weights) {
-			t.Fatalf("set %d joins (%d, %d) with %d edges / %d weights, want pair %v", idx, be.a, be.b, len(be.pairs), len(be.weights), pr)
-		}
-		edges += len(be.pairs)
-	}
-	if edges == 0 {
+	if cross == 0 {
 		t.Fatal("16 rounds committed no boundary edge")
 	}
-	if spans := len(e.data) + len(e.boundary); spans != regions+pairs {
-		t.Fatalf("publish builds from %d spans, want %d", spans, regions+pairs)
+	if e.Result().Roadmap.G != g {
+		t.Fatal("the published roadmap is not the committed one")
 	}
 	assertRoadmapValid(t, s, e.Result().Roadmap)
 
 	// A round stopped in its region-connect replay — the last checkpoint
 	// before commit, every pair's edges already found — books nothing.
-	before, res := cloneBoundary(e.boundary), e.Result()
+	res := e.Result()
 	if err := e.GrowRound(tap.arm(3)); err != ErrStopped {
 		t.Fatalf("err = %v, want ErrStopped", err)
 	}
 	if want := []int{regions, regions, pairs}; !slices.Equal(tap.tasks, want) {
 		t.Fatalf("aborted round replayed %v tasks, want %v", tap.tasks, want)
 	}
-	if !reflect.DeepEqual(e.boundary, before) || e.Result() != res {
-		t.Fatal("aborted round changed the committed boundary sets or the published result")
+	if e.g != g || e.Result() != res {
+		t.Fatal("aborted round changed the committed roadmap or the published result")
 	}
 }
 

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+
 	"parmp/internal/cspace"
 	"parmp/internal/env"
 	"parmp/internal/graph"
@@ -20,27 +23,25 @@ type PRMResult struct {
 	RoadmapRemote int
 }
 
-// prmRegionData is one region's committed nodes and local edges (edge
-// indices are local to the region's node slice) with the work they cost.
-// weights[j] is edge j's metric length, measured once at commit: the
-// metric never depends on the environment, so it outlives every delta.
-// tree, over exactly nodes, serves construct, region connection and the
-// snapshot's index; gaining or losing nodes brings a new one.
+// prmRegionData is one region's committed nodes — the view of its ids in
+// the committed roadmap's vertex slice — with the work they cost. tree,
+// over exactly nodes, serves construct, region connection and the
+// snapshot's index; gaining or losing nodes brings a new one. The
+// region's edges live in the committed roadmap's rows only.
 type prmRegionData struct {
 	nodes       []prm.Node
 	tree        *knn.KDTree
 	sampleWork  cspace.Counters
-	edges       [][2]int
-	weights     []float64
 	connectWork cspace.Counters
 }
 
-// boundaryEdge records one adjacent pair's committed cross-region
-// connections for the merge step, with their lengths (see prmRegionData).
-type boundaryEdge struct {
-	a, b    int
-	pairs   [][2]int
-	weights []float64
+// prmFresh is one region's output of a growth round until commit: its
+// new samples and the local edges construct found, indexed into the
+// region's combined nodes.
+type prmFresh struct {
+	nodes                   []prm.Node
+	edges                   [][2]int
+	sampleWork, connectWork cspace.Counters
 }
 
 // PRMEngine grows a roadmap incrementally: each GrowRound runs one full
@@ -54,26 +55,27 @@ type PRMEngine struct {
 	engine
 	params prm.Params
 
-	// data and boundary accumulate the committed per-region roadmaps and
-	// cross-region edges across rounds: one entry per region, and one per
-	// adjacent pair (indexed like engine.pairs) however many rounds ran.
+	// g is the committed roadmap, the only store of its nodes and edges:
+	// region-major ids, and row v lists v's neighbours in its own region,
+	// then one run per adjacent pair in pair order (segments). A commit
+	// derives a new one from its rows; nothing writes it.
+	g             *graph.Graph[prm.Node]
 	data          []prmRegionData
-	boundary      []boundaryEdge
+	segments      [][]int // region i's row runs: i, then its pair partners in pair order
 	roadmapRemote int
 
 	rd  *prmRound  // the open growth round's buffers
 	rp  *prmRepair // the open repair's buffers
 	res *PRMResult // last committed cumulative result
-	// changed reports that the committed structure has moved on from
-	// res.Roadmap.
-	changed bool
 }
 
 // prmRound holds one growth round's output until commit.
 type prmRound struct {
-	fresh []prmRegionData // this round's samples and their new edges
-	// combined[i] is region i's committed nodes followed by its fresh
-	// ones; firstNew[i] indexes the first fresh node.
+	fresh []prmFresh // this round's samples and their new edges
+	// verts is the round's vertex slice: every region's committed nodes
+	// followed by its fresh ones, region by region. combined[i] is region
+	// i's view of it; firstNew[i] indexes the first fresh node.
+	verts         []prm.Node
 	combined      [][]prm.Node
 	firstNew      []int
 	trees         []*knn.KDTree        // over combined[i], set by construct
@@ -83,19 +85,13 @@ type prmRound struct {
 
 // prmRepair holds one ApplyDelta's output until commit.
 type prmRepair struct {
-	base      []int   // merged-roadmap id of each region's first node
-	localCand [][]int // per-region candidate node indices (nil = screen all)
-	rrs       []prm.RegionRepair
-	brs       []boundaryRepair // per adjacent pair
+	base []int // merged-roadmap id of each region's first node
+	cand []int // ApplyDelta's candidates
+	rrs  []prm.RegionRepair
+	brs  []prm.RegionRepair // per adjacent pair
 	// remap and touched are the committed repair's PRMRepair.VertexRemap
 	// and TouchedVertices.
 	remap, touched []int
-}
-
-// boundaryRepair is the re-validation outcome of one boundary edge set.
-type boundaryRepair struct {
-	keep []bool
-	RepairStats
 }
 
 // NewPRMEngine validates opts, subdivides the C-space and builds the
@@ -114,15 +110,20 @@ func NewPRMEngine(s *cspace.Space, opts Options) (*PRMEngine, error) {
 	region.NaiveColumnPartition(rg, opts.Procs)
 	e := &PRMEngine{
 		params: prm.Params{SamplesPerRegion: opts.SamplesPerRegion, K: opts.ConnectK, Sampler: opts.Sampler},
+		g:      graph.NewRowBuilder[prm.Node](nil, 0).Graph(),
 		data:   make([]prmRegionData, rg.NumRegions()),
 	}
 	e.constructSalt = saltPRMConstruct
 	e.connectorPhase = "repair-boundary"
 	e.pairOnEitherOwner = true
 	e.setup(s, opts, rg, e)
-	e.boundary = make([]boundaryEdge, len(e.pairs))
-	for idx, pr := range e.pairs {
-		e.boundary[idx].a, e.boundary[idx].b = pr[0], pr[1]
+	e.segments = make([][]int, len(e.data))
+	for i := range e.segments {
+		e.segments[i] = []int{i}
+	}
+	for _, pr := range e.pairs {
+		e.segments[pr[0]] = append(e.segments[pr[0]], pr[1])
+		e.segments[pr[1]] = append(e.segments[pr[1]], pr[0])
 	}
 	return e, nil
 }
@@ -140,7 +141,7 @@ func (e *PRMEngine) Result() *PRMResult { return e.res }
 func (e *PRMEngine) weigh(round int, phases *PhaseBreakdown) (estimate, bool) {
 	opts, rg := e.opts, e.rg
 	n := rg.NumRegions()
-	rd := &prmRound{fresh: make([]prmRegionData, n), brs: make([]prm.BoundaryResult, len(e.pairs))}
+	rd := &prmRound{fresh: make([]prmFresh, n), brs: make([]prm.BoundaryResult, len(e.pairs))}
 	e.rd = rd
 	rep := e.pl.run(phaseSpec{
 		name: "sample",
@@ -161,15 +162,19 @@ func (e *PRMEngine) weigh(round int, phases *PhaseBreakdown) (estimate, bool) {
 	}
 	phases.Sampling = rep.Makespan + e.pl.barrier()
 
-	counts := make([]int, n)
+	counts, total := make([]int, n), e.g.NumVertices()
+	for i := range counts {
+		counts[i] = len(rd.fresh[i].nodes)
+		total += counts[i]
+	}
+	rd.verts = make([]prm.Node, 0, total)
 	rd.combined = make([][]prm.Node, n)
 	rd.firstNew, rd.trees = make([]int, n), make([]*knn.KDTree, n)
 	for i := 0; i < n; i++ {
-		counts[i] = len(rd.fresh[i].nodes)
+		lo := len(rd.verts)
+		rd.verts = append(append(rd.verts, e.data[i].nodes...), rd.fresh[i].nodes...)
+		rd.combined[i] = rd.verts[lo:len(rd.verts):len(rd.verts)]
 		rd.firstNew[i] = len(e.data[i].nodes)
-		rd.combined[i] = make([]prm.Node, 0, rd.firstNew[i]+counts[i])
-		rd.combined[i] = append(rd.combined[i], e.data[i].nodes...)
-		rd.combined[i] = append(rd.combined[i], rd.fresh[i].nodes...)
 	}
 	return estimate{units: counts, payload: counts, fresh: true}, true
 }
@@ -239,66 +244,113 @@ func (e *PRMEngine) bookPair(idx, _, _ int, remote bool) int {
 
 func (e *PRMEngine) commit(int, []float64, []float64) {
 	rd := e.rd
+	base := make([]int, len(rd.combined)+1)
+	for i, nodes := range rd.combined {
+		base[i+1] = base[i] + len(nodes)
+	}
+	e.adopt(e.extend(base), base)
 	for i := range e.data {
 		d, f := &e.data[i], &rd.fresh[i]
-		d.nodes, d.tree = rd.combined[i], rd.trees[i]
-		d.edges = append(d.edges, f.edges...)
-		for _, ed := range f.edges {
-			d.weights = append(d.weights, e.s.Distance(d.nodes[ed[0]].Q, d.nodes[ed[1]].Q))
-		}
+		d.tree = rd.trees[i]
 		d.sampleWork.Add(f.sampleWork)
 		d.connectWork.Add(f.connectWork)
 	}
-	for idx := range e.boundary {
-		be := &e.boundary[idx]
-		na, nb := e.data[be.a].nodes, e.data[be.b].nodes
-		be.pairs = append(be.pairs, rd.brs[idx].Edges...)
-		for _, pr := range rd.brs[idx].Edges {
-			be.weights = append(be.weights, e.s.Distance(na[pr[0]].Q, nb[pr[1]].Q))
+	e.roadmapRemote += rd.roadmapRemote
+	e.rd = nil
+}
+
+// extend builds a growth round's roadmap from the committed rows, base[i]
+// being region i's first id in it: row v is v's committed row (a fresh
+// node has none), its targets moved to their regions' new bases, with the
+// round's entries of each segment after that segment's. Segments and
+// entries thus lie where graph.FromSpans over every region's edges, then
+// every pair's, would place them, and a round weighs only its own edges.
+func (e *PRMEngine) extend(base []int) *graph.Graph[prm.Node] {
+	rd, old, oldBase := e.rd, e.g, e.bases()
+	verts := rd.verts
+	// The round's entries as rows over the new ids, in span order. Once
+	// filled, row v ends at end[v] and starts where row v-1 ends.
+	edges := func(fn func(x, y int)) {
+		for i := range rd.fresh {
+			for _, ed := range rd.fresh[i].edges {
+				fn(base[i]+ed[0], base[i]+ed[1])
+			}
+		}
+		for idx, pr := range e.pairs {
+			for _, ed := range rd.brs[idx].Edges {
+				fn(base[pr[0]]+ed[0], base[pr[1]]+ed[1])
+			}
 		}
 	}
-	e.roadmapRemote += rd.roadmapRemote
-	e.changed = true
-	e.rd = nil
+	end := make([]int32, len(verts)+1)
+	edges(func(x, y int) { end[x+1]++; end[y+1]++ })
+	for v := range verts {
+		end[v+1] += end[v]
+	}
+	to, w := make([]graph.ID, end[len(verts)]), make([]float64, end[len(verts)])
+	edges(func(x, y int) {
+		d := e.s.Distance(verts[x].Q, verts[y].Q)
+		to[end[x]], w[end[x]] = graph.ID(y), d
+		end[x]++
+		to[end[y]], w[end[y]] = graph.ID(x), d
+		end[y]++
+	})
+
+	b := graph.NewRowBuilder(verts, 2*old.NumEdges()+len(to))
+	start := int32(0)
+	for i, segs := range e.segments {
+		for l := range rd.combined[i] {
+			v := base[i] + l
+			var ot []graph.ID
+			var ow []float64
+			if l < rd.firstNew[i] {
+				ot, ow = old.Neighbors(graph.ID(oldBase[i] + l))
+			}
+			nt, nw := to[start:end[v]], w[start:end[v]]
+			start = end[v]
+			for _, r := range segs {
+				lo, hi, shift := graph.ID(oldBase[r]), graph.ID(oldBase[r+1]), graph.ID(base[r]-oldBase[r])
+				for ; len(ot) > 0 && lo <= ot[0] && ot[0] < hi; ot, ow = ot[1:], ow[1:] {
+					b.Add(ot[0]+shift, ow[0])
+				}
+				lo, hi = graph.ID(base[r]), graph.ID(base[r+1])
+				for ; len(nt) > 0 && lo <= nt[0] && nt[0] < hi; nt, nw = nt[1:], nw[1:] {
+					b.Add(nt[0], nw[0])
+				}
+			}
+			b.EndRow()
+		}
+	}
+	return b.Graph()
+}
+
+// adopt commits g, whose region i starts at id base[i]: every region's
+// nodes become the view of its ids in g's vertex slice.
+func (e *PRMEngine) adopt(g *graph.Graph[prm.Node], base []int) {
+	verts := g.Vertices()
+	for i := range e.data {
+		e.data[i].nodes = verts[base[i]:base[i+1]:base[i+1]]
+	}
+	e.g = g
 }
 
 func (e *PRMEngine) nodeCount(i int) int { return len(e.data[i].nodes) }
 
-// publish wraps the committed structure in a fresh immutable result. A
-// round or a repair that changed it gets a newly built roadmap; a repair
-// that removed nothing republishes the previous roadmap itself.
+// publish wraps the committed roadmap, with the regions' trees, in a
+// fresh immutable result; a repair that removed nothing republishes the
+// previous roadmap itself.
 func (e *PRMEngine) publish(stats RunStats) {
 	res := &PRMResult{RunStats: stats, RoadmapRemote: e.roadmapRemote}
-	if e.res != nil && !e.changed {
+	if e.res != nil && e.res.Roadmap.G == e.g {
 		res.Roadmap = e.res.Roadmap
 	} else {
-		res.Roadmap = e.roadmap()
+		trees := make([]*knn.KDTree, len(e.data))
+		for i := range e.data {
+			trees[i] = e.data[i].tree
+		}
+		res.Roadmap = prm.WithRegionTrees(e.g, trees)
 	}
-	e.res, e.changed = res, false
-}
-
-// roadmap builds the merged roadmap in one sweep: the regions' nodes
-// copied into one vertex slice (region-major ids) and the committed
-// edges, with the weights stored beside them, handed to the graph's bulk
-// constructor region edges first, in region order, then each adjacent
-// pair's boundary set. The result shares no storage with the engine
-// (compact works in place) and is never written again; the region trees
-// it carries for its index are immutable.
-func (e *PRMEngine) roadmap() *prm.Roadmap {
-	base := e.bases()
-	nodes := make([]prm.Node, 0, base[len(e.data)])
-	trees := make([]*knn.KDTree, len(e.data))
-	spans := make([]graph.EdgeSpan, 0, len(e.data)+len(e.boundary))
-	for i := range e.data {
-		d := &e.data[i]
-		nodes = append(nodes, d.nodes...)
-		trees[i] = d.tree
-		spans = append(spans, graph.EdgeSpan{BaseA: graph.ID(base[i]), BaseB: graph.ID(base[i]), Ends: d.edges, Weights: d.weights})
-	}
-	for _, be := range e.boundary {
-		spans = append(spans, graph.EdgeSpan{BaseA: graph.ID(base[be.a]), BaseB: graph.ID(base[be.b]), Ends: be.pairs, Weights: be.weights})
-	}
-	return prm.WithRegionTrees(graph.FromSpans(nodes, spans), trees)
+	e.res = res
 }
 
 // bases returns the merged-roadmap vertex id of each region's first
@@ -314,8 +366,9 @@ func (e *PRMEngine) bases() []int {
 // ApplyDelta incrementally repairs the engine's committed roadmap
 // against an environment mutation, between growth rounds: every
 // region's nodes and local edges re-validate against only the delta,
-// then boundary edges, and the survivors are compacted in place (see
-// engine.applyDelta for the space, pipeline and cancellation contracts).
+// then boundary edges, and the survivors are published by filtering the
+// committed rows (see engine.applyDelta for the space, pipeline and
+// cancellation contracts).
 //
 // candidates, when non-nil, lists the only merged-roadmap vertex ids
 // whose validity the delta can have changed, sorted ascending — the
@@ -324,22 +377,7 @@ func (e *PRMEngine) bases() []int {
 // through the checker's geometric cull.
 func (e *PRMEngine) ApplyDelta(s *cspace.Space, d env.Delta, candidates []int, stop <-chan struct{}) (*PRMRepair, error) {
 	n := len(e.data)
-	rp := &prmRepair{base: e.bases(), rrs: make([]prm.RegionRepair, n), brs: make([]boundaryRepair, len(e.boundary))}
-	if candidates != nil {
-		// Split the global list into per-region local indices. Regions
-		// without candidates get a non-nil empty list: nothing to re-check.
-		rp.localCand = make([][]int, n)
-		for i := range rp.localCand {
-			rp.localCand[i] = []int{}
-		}
-		ri := 0
-		for _, c := range candidates {
-			for ri < n-1 && c >= rp.base[ri+1] {
-				ri++
-			}
-			rp.localCand[ri] = append(rp.localCand[ri], c-rp.base[ri])
-		}
-	}
+	rp := &prmRepair{base: e.bases(), cand: candidates, rrs: make([]prm.RegionRepair, n), brs: make([]prm.RegionRepair, len(e.pairs))}
 	e.rp = rp
 	st, err := e.applyDelta(s, d, stop)
 	e.rp = nil
@@ -349,62 +387,56 @@ func (e *PRMEngine) ApplyDelta(s *cspace.Space, d env.Delta, candidates []int, s
 	return &PRMRepair{Stats: st, VertexRemap: rp.remap, TouchedVertices: rp.touched}, nil
 }
 
+// missed reports that dc invalidates nothing among the committed nodes of
+// regions a and b (a = b: one region) and the edges between them: the
+// hull of their nodes' bounding boxes misses its cull
+// (cspace.DeltaChecker.HullAffected). A region without nodes has
+// nothing to invalidate.
+func (e *PRMEngine) missed(dc *cspace.DeltaChecker, a, b int) bool {
+	if len(e.data[a].nodes) == 0 || len(e.data[b].nodes) == 0 {
+		return true
+	}
+	ba, okA := e.data[a].tree.Bounds()
+	bb, okB := e.data[b].tree.Bounds()
+	return okA && okB && !dc.HullAffected(ba, bb)
+}
+
 func (e *PRMEngine) repairTask(_ *cspace.Space, dc *cspace.DeltaChecker, i int) work.Task {
-	rp, d := e.rp, &e.data[i]
+	rp := e.rp
 	return work.Task{
 		ID:      i,
-		Payload: len(d.nodes),
+		Payload: len(e.data[i].nodes),
 		Run: func() float64 {
-			var cand []int
-			if rp.localCand != nil {
-				cand = rp.localCand[i]
+			if !e.missed(dc, i, i) {
+				rp.rrs[i] = prm.RevalidateRegion(dc, e.g, rp.base[i], rp.base[i+1], rp.cand)
 			}
-			rp.rrs[i] = prm.RevalidateRegion(dc, d.nodes, d.edges, cand)
 			return e.opts.Cost.Time(rp.rrs[i].Work)
 		},
 	}
 }
 
 func (e *PRMEngine) connectors() []int {
-	regions := make([]int, len(e.boundary))
-	for idx, be := range e.boundary {
-		regions[idx] = be.a
+	regions := make([]int, len(e.pairs))
+	for idx, pr := range e.pairs {
+		regions[idx] = pr[0]
 	}
 	return regions
 }
 
-// recheckConnector re-validates one pair's boundary edge set: an edge dies
+// recheckConnector re-validates one pair's committed edges: an edge dies
 // with either endpoint, or when the delta now blocks it.
 func (e *PRMEngine) recheckConnector(dc *cspace.DeltaChecker, idx int) cspace.Counters {
-	be, rrs := e.boundary[idx], e.rp.rrs
-	br := boundaryRepair{keep: make([]bool, len(be.pairs))}
-	var sc cspace.Scratch
-	for k, pr := range be.pairs {
-		if !rrs[be.a].Alive[pr[0]] || !rrs[be.b].Alive[pr[1]] {
-			br.RemovedEdges++
-			continue
-		}
-		qa := e.data[be.a].nodes[pr[0]].Q
-		qb := e.data[be.b].nodes[pr[1]].Q
-		if !dc.EdgeAffected(qa, qb) {
-			br.keep[k] = true
-			continue
-		}
-		br.CheckedEdges++
-		if dc.EdgeStillFreeS(qa, qb, &sc, &br.Work) {
-			br.keep[k] = true
-		} else {
-			br.RemovedEdges++
-		}
+	rp, a, b := e.rp, e.pairs[idx][0], e.pairs[idx][1]
+	if !e.missed(dc, a, b) {
+		rp.brs[idx].RecheckEdges(dc, e.g, rp.base[a], rp.base[a+1], rp.base[b], rp.base[b+1], rp.rrs[a].Dead, rp.rrs[b].Dead)
 	}
-	e.rp.brs[idx] = br
-	return br.Work
+	return rp.brs[idx].Work
 }
 
 // commitRepair folds the repair's counts into st and, when anything
-// died, compacts the committed structure. A repair that removed nothing
-// leaves the nodes and edges — and so the published roadmap — as they
-// are, and its remap nil (the identity).
+// died, publishes the filtered rows. A repair that removed nothing
+// leaves the committed roadmap as it is, and its remap nil (the
+// identity).
 func (e *PRMEngine) commitRepair(st *RepairStats) {
 	rp := e.rp
 	for _, rr := range rp.rrs {
@@ -414,74 +446,69 @@ func (e *PRMEngine) commitRepair(st *RepairStats) {
 		st.Add(br.RepairStats)
 	}
 	if st.RemovedNodes > 0 || st.RemovedEdges > 0 {
-		e.compact()
+		e.filter(st)
 	}
 }
 
-// compact drops what the open repair found dead from the committed
-// structure, in place, gives every region that lost a node a new tree,
-// and records the repair's vertex remap (pre-repair id → post-repair id,
-// -1 = removed) and the pre-repair ids whose component lost a vertex or
-// an edge, ascending.
-func (e *PRMEngine) compact() {
-	rp := e.rp
-	base, rrs := rp.base, rp.rrs
-	n := len(e.data)
-	remap, touched := make([]int, base[n]), make([]bool, base[n])
-	newBase := make([]int, n+1) // bases() after compaction
-	for i := range e.data {
-		rr, d := rrs[i], &e.data[i]
-		w := 0
-		for l := range d.nodes {
-			if rr.Alive[l] {
-				remap[base[i]+l] = newBase[i] + w
-				d.nodes[w] = d.nodes[l]
-				w++
-			} else {
-				remap[base[i]+l] = -1
-				touched[base[i]+l] = true
+// filter commits the open repair, which removed what st counts, by
+// filtering the committed rows: survivors keep their order, and their
+// rows every entry to a survivor that no blocked edge names, relabelled.
+// Every region that lost a node gets a new tree. It records the repair's
+// vertex remap (pre-repair id → post-repair id, -1 = removed) and the
+// pre-repair ids whose component lost a vertex or an edge, ascending.
+func (e *PRMEngine) filter(st *RepairStats) {
+	rp, old := e.rp, e.g
+	remap := make([]int, old.NumVertices())
+	var touched []int
+	var cut [][2]graph.ID // blocked entries, both directions, by row
+	for _, rrs := range [][]prm.RegionRepair{rp.rrs, rp.brs} {
+		for _, rr := range rrs {
+			for _, v := range rr.Dead {
+				remap[v] = -1
+				touched = append(touched, int(v))
+			}
+			for _, ed := range rr.Blocked {
+				cut = append(cut, ed, [2]graph.ID{ed[1], ed[0]})
+				touched = append(touched, int(ed[0]))
 			}
 		}
-		if w < len(d.nodes) {
-			d.nodes, d.tree = d.nodes[:w], prm.RegionTree(d.nodes[:w])
-		}
-		newBase[i+1] = newBase[i] + w
+	}
+	slices.SortFunc(cut, func(x, y [2]graph.ID) int { return cmp.Compare(x[0], y[0]) })
+	slices.Sort(touched)
+	rp.remap, rp.touched = remap, slices.Compact(touched)
 
-		w = 0
-		for j, ed := range d.edges {
-			if !rr.KeepEdge[j] {
-				// A blocked edge with both endpoints alive splits work
-				// onto its component; dead endpoints are touched already.
-				if rr.Alive[ed[0]] && rr.Alive[ed[1]] {
-					touched[base[i]+ed[0]] = true
-				}
-				continue
-			}
-			d.edges[w] = [2]int{remap[base[i]+ed[0]] - newBase[i], remap[base[i]+ed[1]] - newBase[i]}
-			d.weights[w] = d.weights[j]
-			w++
+	verts := make([]prm.Node, 0, len(remap)-st.RemovedNodes)
+	for v := range remap {
+		if remap[v] == 0 {
+			remap[v] = len(verts)
+			verts = append(verts, old.Vertex(graph.ID(v)))
 		}
-		d.edges, d.weights = d.edges[:w], d.weights[:w]
 	}
-	for idx := range e.boundary {
-		be, br := &e.boundary[idx], rp.brs[idx]
-		w := 0
-		for k, pr := range be.pairs {
-			if br.keep[k] {
-				be.pairs[w] = [2]int{remap[base[be.a]+pr[0]] - newBase[be.a], remap[base[be.b]+pr[1]] - newBase[be.b]}
-				be.weights[w] = be.weights[k]
-				w++
-			} else if rrs[be.a].Alive[pr[0]] && rrs[be.b].Alive[pr[1]] {
-				touched[base[be.a]+pr[0]] = true
+	b := graph.NewRowBuilder(verts, 2*(old.NumEdges()-st.RemovedEdges))
+	for v, nv := range remap {
+		if nv < 0 {
+			continue
+		}
+		var blocked []graph.ID
+		for ; len(cut) > 0 && cut[0][0] == graph.ID(v); cut = cut[1:] {
+			blocked = append(blocked, cut[0][1])
+		}
+		to, w := old.Neighbors(graph.ID(v))
+		for j, u := range to {
+			if remap[u] >= 0 && !slices.Contains(blocked, u) {
+				b.Add(graph.ID(remap[u]), w[j])
 			}
 		}
-		be.pairs, be.weights = be.pairs[:w], be.weights[:w]
+		b.EndRow()
 	}
-	rp.remap = remap
-	for v, t := range touched {
-		if t {
-			rp.touched = append(rp.touched, v)
+	base := make([]int, len(e.data)+1)
+	for i := range e.data {
+		base[i+1] = base[i] + len(e.data[i].nodes) - len(rp.rrs[i].Dead)
+	}
+	e.adopt(b.Graph(), base)
+	for i := range e.data {
+		if len(rp.rrs[i].Dead) > 0 {
+			e.data[i].tree = prm.RegionTree(e.data[i].nodes)
 		}
 	}
-	e.changed = true
 }

@@ -25,9 +25,12 @@ func grownPRMEngine(t *testing.T, samples int) *PRMEngine {
 	return eng
 }
 
-// Publishing is a fixed number of allocations whatever the roadmap's
-// size: one vertex slice, one span list, and the bulk constructor's
-// slab, row headers and scratch — no per-row or per-vertex growth.
+// Publishing a round is a fixed number of allocations whatever the
+// roadmap's size: the round's own entries (row ends, targets, weights)
+// and the row builder's offsets, targets, weights and graph — no per-row
+// or per-vertex growth. The round is a second one, stopped in its last
+// replay with every buffer filled, and extend derives its roadmap from
+// the committed one without committing it.
 func TestPublishAllocationsIndependentOfSize(t *testing.T) {
 	var allocs [2]float64
 	for i, samples := range []int{64, 256} {
@@ -35,14 +38,24 @@ func TestPublishAllocationsIndependentOfSize(t *testing.T) {
 		if got, want := eng.Result().Roadmap.NumNodes(), 64*samples; got != want {
 			t.Fatalf("fixture has %d nodes, want %d", got, want)
 		}
+		tap := &referenceTap{e: eng}
+		eng.pl.vt = tap
+		if err := eng.GrowRound(tap.arm(3)); err != ErrStopped {
+			t.Fatalf("err = %v, want ErrStopped", err)
+		}
+		eng.rd = tap.rd
+		base := make([]int, len(eng.rd.combined)+1)
+		for r, nodes := range eng.rd.combined {
+			base[r+1] = base[r] + len(nodes)
+		}
+		if g := eng.extend(base); g.NumVertices() != 2*64*samples || g.NumEdges() <= eng.g.NumEdges() {
+			t.Fatalf("extended roadmap %v from %v", g, eng.g)
+		}
 		// The fewest of a few readings: mallocs are counted process-wide,
 		// and the round's executor goroutines may still be winding down.
 		allocs[i] = 1e9
 		for k := 0; k < 3; k++ {
-			allocs[i] = min(allocs[i], testing.AllocsPerRun(3, func() {
-				eng.changed = true
-				eng.publish(eng.stats)
-			}))
+			allocs[i] = min(allocs[i], testing.AllocsPerRun(3, func() { eng.extend(base) }))
 		}
 	}
 	if allocs[0] != allocs[1] || allocs[0] > 10 {
@@ -51,7 +64,7 @@ func TestPublishAllocationsIndependentOfSize(t *testing.T) {
 }
 
 // Edge weights are measured once, at commit, and carried through every
-// later publish and repair compaction: each must still be exactly the
+// later round's extension and repair's filter: each must still be exactly the
 // metric distance between the endpoints it is published with.
 func TestPublishedWeightsSurviveGrowthAndRepair(t *testing.T) {
 	eng := grownPRMEngine(t, 8)

@@ -8,6 +8,7 @@ import (
 	"parmp/internal/geom"
 	"parmp/internal/graph"
 	"parmp/internal/prm"
+	"parmp/internal/rng"
 )
 
 // mutateAddBox clones base, adds a box obstacle, and returns the
@@ -427,4 +428,57 @@ func TestRRTConnectEngineApplyDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertForestValid(t, after, eng.Result())
+}
+
+// TestRepairCullMatchesUnculled: a repair skips every region whose nodes'
+// bounding box misses the delta's cull box, and every pair whose two
+// boxes' hull misses it. In a straight-line space every node and every
+// edge's endpoint box lies inside those boxes, so the cull is exact: over
+// random deltas the repair reports what the reference replay, which
+// screens every entry, reports — counts, remap, touched ids and rows —
+// for the point robot in warehouse-forklift and med-cube and for the
+// rigid box. A steered space keeps per-entry screening.
+func TestRepairCullMatchesUnculled(t *testing.T) {
+	wh, _ := env.WarehouseForkliftMoves()
+	cases := []struct {
+		name    string
+		s       *cspace.Space
+		regions int
+	}{
+		{"point/warehouse-forklift", cspace.NewPointSpace(wh), 16},
+		{"point/med-cube", cspace.NewPointSpace(env.MedCube()), 27},
+		{"rigid/med-cube", cspace.NewRigidBodySpace(env.MedCube(), cspace.NewRigidBox(0.03, 0.02, 0.01)), 64},
+	}
+	ops := []byte{0, 0, 0}
+	for j := 0; j < 16; j++ {
+		ops = append(ops, byte(2+5*j)) // a mutation, some through kd candidates
+	}
+	for _, c := range cases {
+		opts := quickOpts(4, c.regions)
+		opts.SamplesPerRegion = 8
+		e := runReferenceHistory(t, c.s, opts, ops)
+		culled, r := 0, rng.New(3)
+		for k := 0; k < 8; k++ {
+			_, d := randomDelta(e.s.Env, r)
+			dc := cspace.NewDeltaChecker(e.s, d)
+			for _, pr := range e.pairs {
+				if dc.Invalidating() && e.missed(dc, pr[0], pr[1]) {
+					culled++
+				}
+			}
+		}
+		if culled == 0 {
+			t.Errorf("%s: 8 random deltas culled no pair", c.name)
+		}
+	}
+
+	maze := env.Maze2D(4, 0.2)
+	_, d := mutateAddBox(t, maze, geom.Box2(0.05, 0.05, 0.15, 0.15))
+	far := geom.AABB{Lo: geom.V(0.85, 0.85, 0), Hi: geom.V(0.95, 0.95, 1)}
+	if cspace.NewDeltaChecker(cspace.NewPointSpace(maze), d).HullAffected(far, far) {
+		t.Error("a point robot's far box is not culled")
+	}
+	if !cspace.NewDeltaChecker(cspace.NewDubinsSpace(maze, 0.1), d).HullAffected(far, far) {
+		t.Error("a steered space culled a box")
+	}
 }

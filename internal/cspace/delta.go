@@ -223,6 +223,24 @@ func (dc *DeltaChecker) EdgeAffected(a, b Config) bool {
 	return true
 }
 
+// HullAffected conservatively reports whether a configuration whose
+// position lies in the hull of boxes a and b, or a straight-line edge
+// between two such, can have been invalidated: false clears a whole
+// region (a = b) or pair of regions at once. Steered edges leave their
+// endpoints' box, so a steered space answers true, as does a checker
+// that cannot cull.
+func (dc *DeltaChecker) HullAffected(a, b geom.AABB) bool {
+	if !dc.Invalidating() || !dc.canCull || dc.deltaSpace.Steer != nil {
+		return dc.Invalidating()
+	}
+	for i := 0; i < dc.posDims; i++ {
+		if max(a.Hi[i], b.Hi[i]) < dc.cull.Lo[i] || min(a.Lo[i], b.Lo[i]) > dc.cull.Hi[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // ConfigStillFree reports whether a configuration that was free before
 // the delta remains free after it, metering work into c.
 func (dc *DeltaChecker) ConfigStillFree(q Config, c *Counters) bool {

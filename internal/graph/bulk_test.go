@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -171,4 +172,50 @@ func TestFromSpansPanicsPastInt32(t *testing.T) {
 		}
 	}()
 	FromSpans(make([]struct{}, 1), spans)
+}
+
+// A RowBuilder fed a graph's rows in id order builds that graph, in a
+// fixed number of allocations (offsets, targets, weights, the builder),
+// and refuses a short or overlong fill.
+func TestRowBuilderCopiesRows(t *testing.T) {
+	runtime.GC()
+	r := rng.New(83)
+	if got, want := NewRowBuilder[int](nil, 0).Graph(), FromSpans[int](nil, nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("empty graph %#v, FromSpans %#v", got, want)
+	}
+	for _, n := range []int{1500, 6000} {
+		want := FromSpans(identity(n), randomSpans(r, n, 4, n))
+		copyRows := func() *Graph[int] {
+			b := NewRowBuilder(want.Vertices(), len(want.to))
+			for v := 0; v < n; v++ {
+				to, w := want.Neighbors(ID(v))
+				for k, u := range to {
+					b.Add(u, w[k])
+				}
+				b.EndRow()
+			}
+			return b.Graph()
+		}
+		if got := copyRows(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d vertices: copied rows differ", n)
+		}
+		if allocs := testing.AllocsPerRun(5, func() { copyRows() }); allocs > 4 {
+			t.Errorf("%d vertices: %v allocations, want at most 4", n, allocs)
+		}
+	}
+	for _, fill := range []func(b *RowBuilder[int]){
+		func(b *RowBuilder[int]) { b.EndRow() },                          // one row of two left open
+		func(b *RowBuilder[int]) { b.Add(1, 1); b.EndRow(); b.EndRow() }, // one entry short
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("Graph accepted an incomplete fill")
+				}
+			}()
+			b := NewRowBuilder(identity(2), 2)
+			fill(b)
+			b.Graph()
+		}()
+	}
 }

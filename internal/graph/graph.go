@@ -2,13 +2,13 @@
 // roadmaps (vertices = configurations, edges = valid local plans) and for
 // region graphs (vertices = subdivision regions, edges = adjacency).
 //
-// A graph is built once, by FromSpans, and stored as compressed sparse
-// rows: row v is to[off[v]:off[v+1]] beside w[off[v]:off[v+1]], so a
-// vertex costs one int32 offset (and one bit of build scratch) and an
-// entry an int32 target and a float64 weight, with no slice header or
-// pointer per row. Distribution
-// is handled a level up by assigning vertex ranges (regions) to virtual
-// processors.
+// A graph is built once, by FromSpans from edges or by a RowBuilder row
+// by row, and stored as compressed sparse rows: row v is
+// to[off[v]:off[v+1]] beside w[off[v]:off[v+1]], so a vertex costs one
+// int32 offset (and one bit of build scratch) and an entry an int32
+// target and a float64 weight, with no slice header or pointer per row.
+// Distribution is handled a level up by assigning vertex ranges
+// (regions) to virtual processors.
 package graph
 
 import (
@@ -32,8 +32,8 @@ type Graph[V any] struct {
 }
 
 // EdgeSpan is a run of undirected edges between two blocks of vertex
-// ids, in the shape planners store what they committed: edge k joins
-// BaseA+Ends[k][0] and BaseB+Ends[k][1] with weight Weights[k].
+// ids, as a planner finds them: edge k joins BaseA+Ends[k][0] and
+// BaseB+Ends[k][1] with weight Weights[k].
 type EdgeSpan struct {
 	BaseA, BaseB ID
 	Ends         [][2]int
@@ -111,6 +111,37 @@ func FromSpans[V any](verts []V, spans []EdgeSpan) *Graph[V] {
 	}
 	off[n] = kept
 	return &Graph[V]{verts: verts, off: off, to: to[:kept], w: w[:kept]}
+}
+
+// RowBuilder writes a graph's rows in id order into storage sized once,
+// deriving a graph from another's rows (extended, filtered, relabelled)
+// without rebuilding them from edges. The writer keeps the rows
+// symmetric and free of self and repeated entries.
+type RowBuilder[V any] struct{ g Graph[V] }
+
+// NewRowBuilder starts the graph of verts, whose rows will hold entries
+// entries in all; the graph takes ownership of verts. It panics, as
+// FromSpans does, past the int32 limit.
+func NewRowBuilder[V any](verts []V, entries int) *RowBuilder[V] {
+	if len(verts) > math.MaxInt32 || entries > math.MaxInt32 {
+		panic(fmt.Sprintf("graph: %d vertices and %d entries exceed the int32 limit of %d", len(verts), entries, math.MaxInt32))
+	}
+	return &RowBuilder[V]{Graph[V]{verts: verts, off: make([]int32, 1, len(verts)+1), to: make([]ID, 0, entries), w: make([]float64, 0, entries)}}
+}
+
+// Add appends the entry (u, w) to the open row.
+func (b *RowBuilder[V]) Add(u ID, w float64) { b.g.to, b.g.w = append(b.g.to, u), append(b.g.w, w) }
+
+// EndRow closes the open row and opens the next.
+func (b *RowBuilder[V]) EndRow() { b.g.off = append(b.g.off, int32(len(b.g.to))) }
+
+// Graph returns the graph. It panics unless every row was closed and
+// exactly the promised entries were written.
+func (b *RowBuilder[V]) Graph() *Graph[V] {
+	if len(b.g.off) != len(b.g.verts)+1 || len(b.g.to) != cap(b.g.to) {
+		panic(fmt.Sprintf("graph: %d of %d rows and %d of %d entries written", len(b.g.off)-1, len(b.g.verts), len(b.g.to), cap(b.g.to)))
+	}
+	return &b.g
 }
 
 // NumVertices returns the number of vertices.

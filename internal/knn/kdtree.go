@@ -162,6 +162,15 @@ func (t *KDTree) root() int32 {
 // Len returns the number of indexed points.
 func (t *KDTree) Len() int { return len(t.pts) }
 
+// Bounds returns the box BuildBoxed recorded (read-only); ok=false for a
+// tree built otherwise or over no points.
+func (t *KDTree) Bounds() (box geom.AABB, ok bool) {
+	if t.dim == 0 || len(t.box) == 0 {
+		return geom.AABB{}, false
+	}
+	return geom.AABB{Lo: t.box[:t.dim:t.dim], Hi: t.box[t.dim:]}, true
+}
+
 // Points returns the point slice the tree was built over (read-only).
 func (t *KDTree) Points() []geom.Vec { return t.pts }
 

@@ -1,6 +1,7 @@
 package prm
 
 import (
+	"slices"
 	"sort"
 
 	"parmp/internal/cspace"
@@ -8,75 +9,89 @@ import (
 	"parmp/internal/knn"
 )
 
-// RegionRepair is the product of re-validating one region's committed
-// nodes and local edges against an environment delta: survival marks
-// plus the collision work spent, which feeds the load accounting the
-// same way construction work does (repair concentrates around the
-// mutated obstacle, so its distribution is exactly the skewed workload
-// the observed-cost balancer handles).
+// RegionRepair is the sparse product of re-validating one region's
+// committed nodes and local edges, or one adjacent pair's edges, against
+// an environment delta: what died, plus the collision work spent, which
+// feeds the load accounting the same way construction work does (repair
+// concentrates around the mutated obstacle, so its distribution is
+// exactly the skewed workload the observed-cost balancer handles).
 type RegionRepair struct {
-	// Alive[i] reports node i survived (configuration still free).
-	Alive []bool
-	// KeepEdge[j] reports local edge j survived (both endpoints alive
-	// and the sweep still valid).
-	KeepEdge []bool
+	// Dead lists the vertices no longer free, ascending.
+	Dead []graph.ID
+	// Blocked lists the edges the delta now blocks between survivors,
+	// lower id first; an edge with a dead endpoint dies with it unlisted.
+	Blocked [][2]graph.ID
 	// RepairStats counts the candidates that actually paid a collision
 	// re-check (culled ones are free) and the casualties.
 	cspace.RepairStats
 }
 
-// RevalidateRegion re-checks one region's nodes and local edges against
-// dc. candidates, when non-nil, lists the only node indices that can
-// have been invalidated (from a kd radius query over the committed
-// snapshot); nil screens every node through the checker's cull. Edges
-// are screened geometrically regardless — an edge can cross the delta
-// with both endpoints far outside it.
-func RevalidateRegion(dc *cspace.DeltaChecker, nodes []Node, edges [][2]int, candidates []int) RegionRepair {
-	rr := RegionRepair{
-		Alive:    make([]bool, len(nodes)),
-		KeepEdge: make([]bool, len(edges)),
-	}
-	for i := range rr.Alive {
-		rr.Alive[i] = true
-	}
-	check := func(i int) {
-		if !dc.ConfigAffected(nodes[i].Q) {
+// RevalidateRegion re-checks one region's nodes — the vertices [lo, hi)
+// of the committed roadmap g — and the edges among them against dc.
+// candidates, when non-nil, lists the only vertex ids of g that can have
+// been invalidated (from a kd radius query over the committed snapshot),
+// ascending, and the region re-checks those in its range; nil screens
+// every node through the checker's cull. Edges are
+// screened geometrically regardless — an edge can cross the delta with
+// both endpoints far outside it.
+func RevalidateRegion(dc *cspace.DeltaChecker, g *graph.Graph[Node], lo, hi int, candidates []int) RegionRepair {
+	var rr RegionRepair
+	check := func(v int) {
+		q := g.Vertex(graph.ID(v)).Q
+		if !dc.ConfigAffected(q) {
 			return
 		}
 		rr.CheckedNodes++
-		if !dc.ConfigStillFree(nodes[i].Q, &rr.Work) {
-			rr.Alive[i] = false
+		if !dc.ConfigStillFree(q, &rr.Work) {
+			rr.Dead = append(rr.Dead, graph.ID(v))
 			rr.RemovedNodes++
 		}
 	}
 	if candidates != nil {
-		for _, i := range candidates {
-			check(i)
+		i, _ := slices.BinarySearch(candidates, lo)
+		j, _ := slices.BinarySearch(candidates, hi)
+		for _, v := range candidates[i:j] {
+			check(v)
 		}
 	} else {
-		for i := range nodes {
-			check(i)
+		for v := lo; v < hi; v++ {
+			check(v)
 		}
 	}
-	var sc cspace.Scratch
-	for j, ed := range edges {
-		a, b := ed[0], ed[1]
-		if !rr.Alive[a] || !rr.Alive[b] {
-			rr.RemovedEdges++
-			continue
-		}
-		if !dc.EdgeAffected(nodes[a].Q, nodes[b].Q) {
-			rr.KeepEdge[j] = true
-			continue
-		}
-		rr.CheckedEdges++
-		if dc.EdgeStillFreeS(nodes[a].Q, nodes[b].Q, &sc, &rr.Work) {
-			rr.KeepEdge[j] = true
-		} else {
-			rr.RemovedEdges++
-		}
-	}
+	rr.RecheckEdges(dc, g, lo, hi, lo, hi, rr.Dead, rr.Dead)
 	return rr
+}
+
+// RecheckEdges re-checks the edges of g from the vertices [a0, a1) to the
+// vertices [b0, b1), reading each from the rows of its lower end — the
+// ranges are one region's, or b's lies above a's — and folds the outcome
+// into rr. deadA and deadB are the two ranges' dead vertices, ascending:
+// an edge dies with either endpoint, unchecked.
+func (rr *RegionRepair) RecheckEdges(dc *cspace.DeltaChecker, g *graph.Graph[Node], a0, a1, b0, b1 int, deadA, deadB []graph.ID) {
+	var sc cspace.Scratch
+	for v := graph.ID(a0); v < graph.ID(a1); v++ {
+		to, _ := g.Neighbors(v)
+		for _, u := range to {
+			if u <= v || u < graph.ID(b0) || u >= graph.ID(b1) {
+				continue
+			}
+			_, deadV := slices.BinarySearch(deadA, v)
+			_, deadU := slices.BinarySearch(deadB, u)
+			if deadV || deadU {
+				rr.RemovedEdges++
+				continue
+			}
+			qa, qb := g.Vertex(v).Q, g.Vertex(u).Q
+			if !dc.EdgeAffected(qa, qb) {
+				continue
+			}
+			rr.CheckedEdges++
+			if !dc.EdgeStillFreeS(qa, qb, &sc, &rr.Work) {
+				rr.Blocked = append(rr.Blocked, [2]graph.ID{v, u})
+				rr.RemovedEdges++
+			}
+		}
+	}
 }
 
 // AffectedVertices returns the indices of roadmap vertices whose

@@ -26,12 +26,7 @@ func buildRepairRoadmap(t *testing.T, e *env.Environment, samples int) (*cspace.
 func TestRevalidateRegionAgainstFullRecheck(t *testing.T) {
 	base := env.Free()
 	s, m := buildRepairRoadmap(t, base, 250)
-	nodes := make([]Node, m.NumNodes())
-	for i := range nodes {
-		nodes[i] = m.G.Vertex(graph.ID(i))
-	}
-	var edges [][2]int
-	m.G.ForEachEdge(func(a, b graph.ID, w float64) { edges = append(edges, [2]int{int(a), int(b)}) })
+	n := m.NumNodes()
 
 	mutated := base.Clone()
 	d, err := mutated.AddObstacle(env.BoxObstacle{Box: geom.Box3(0.35, 0.35, 0.35, 0.6, 0.6, 0.6)})
@@ -39,39 +34,44 @@ func TestRevalidateRegionAgainstFullRecheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	dc := cspace.NewDeltaChecker(s, d)
-	rr := RevalidateRegion(dc, nodes, edges, nil)
+	rr := RevalidateRegion(dc, m.G, 0, n, nil)
 
 	after := s.WithEnv(mutated)
-	deadN, deadE := 0, 0
-	for i, nd := range nodes {
-		want := after.Valid(nd.Q, nil)
-		if rr.Alive[i] != want {
-			t.Fatalf("node %d alive=%v, full recheck %v", i, rr.Alive[i], want)
-		}
-		if !want {
-			deadN++
+	var dead []graph.ID
+	for i := 0; i < n; i++ {
+		if !after.Valid(m.G.Vertex(graph.ID(i)).Q, nil) {
+			dead = append(dead, graph.ID(i))
 		}
 	}
-	for j, ed := range edges {
-		want := after.Valid(nodes[ed[0]].Q, nil) && after.Valid(nodes[ed[1]].Q, nil) &&
-			after.LocalPlan(nodes[ed[0]].Q, nodes[ed[1]].Q, nil)
-		if rr.KeepEdge[j] != want {
-			t.Fatalf("edge %d keep=%v, full recheck %v", j, rr.KeepEdge[j], want)
-		}
-		if !want {
+	if !reflect.DeepEqual(rr.Dead, dead) {
+		t.Fatalf("dead %v, full recheck %v", rr.Dead, dead)
+	}
+	// Every edge once, lower id first: dead with an endpoint, or blocked.
+	var blocked [][2]graph.ID
+	deadE := 0
+	m.G.ForEachEdge(func(a, b graph.ID, _ float64) {
+		qa, qb := m.G.Vertex(a).Q, m.G.Vertex(b).Q
+		switch {
+		case !after.Valid(qa, nil) || !after.Valid(qb, nil):
+			deadE++
+		case !after.LocalPlan(qa, qb, nil):
+			blocked = append(blocked, [2]graph.ID{a, b})
 			deadE++
 		}
+	})
+	if !reflect.DeepEqual(rr.Blocked, blocked) {
+		t.Fatalf("blocked %v, full recheck %v", rr.Blocked, blocked)
 	}
-	if deadN == 0 || deadE == 0 {
-		t.Fatalf("weak test: deadN=%d deadE=%d (want both > 0)", deadN, deadE)
+	if len(dead) == 0 || len(blocked) == 0 {
+		t.Fatalf("weak test: %d dead nodes, %d blocked edges (want both > 0)", len(dead), len(blocked))
 	}
-	if rr.RemovedNodes != deadN || rr.RemovedEdges != deadE {
-		t.Fatalf("stats removed=%d/%d, counted %d/%d", rr.RemovedNodes, rr.RemovedEdges, deadN, deadE)
+	if rr.RemovedNodes != len(dead) || rr.RemovedEdges != deadE {
+		t.Fatalf("stats removed=%d/%d, counted %d/%d", rr.RemovedNodes, rr.RemovedEdges, len(dead), deadE)
 	}
 	// Culling must have saved work: the obstacle covers a corner of the
 	// volume, so most nodes are screened out geometrically.
-	if rr.CheckedNodes >= len(nodes) {
-		t.Fatalf("no node culling: checked %d of %d", rr.CheckedNodes, len(nodes))
+	if rr.CheckedNodes >= n {
+		t.Fatalf("no node culling: checked %d of %d", rr.CheckedNodes, n)
 	}
 }
 
