@@ -84,8 +84,8 @@ func TestApplyDeltaRemovingNothingKeepsRoadmap(t *testing.T) {
 
 // Published storage is never written again: a held snapshot keeps its
 // exact bytes and keeps answering valid paths in its own world while
-// the engine grows and repairs (compacting its committed arrays in
-// place) underneath. Run under -race.
+// the engine grows and repairs underneath (each commit derives new rows
+// from the committed ones into fresh arrays). Run under -race.
 func TestHeldSnapshotFrozenUnderGrowAndRepair(t *testing.T) {
 	ctx := context.Background()
 	eng, err := NewEngine(NewPointSpace(EnvironmentByName("free")), testEngineOpts())
